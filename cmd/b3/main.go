@@ -21,7 +21,7 @@
 //	b3 -profile seq-3-data -prune-cap 65536 # bound the verdict cache
 //	b3 -profile seq-2 -scratch-states       # cross-check: from-scratch states
 //	b3 -profile seq-1 -fs all -v            # + block-IO metering per row
-//	b3 -workload kv -fs all -reorder 1      # application-level KV store + oracle
+//	b3 -profile kv-seq1 -fs all -reorder 1  # application-level KV store + oracle
 //	b3 -profile kv-seq2 -fs all -faults torn,corrupt  # deeper KV space + fault axis
 //	b3 -tier quick                          # named preset: seq-1, all FS, reorder 1
 //	b3 -serve :8080 -tier quick -corpus runs/   # fleet coordinator: leases + ledger
@@ -53,8 +53,7 @@ func main() {
 		findNew   = flag.Bool("find-new-bugs", false, "run the Table 5 campaign: find the new bugs at kernel 4.16")
 		table4    = flag.Bool("table4", false, "count the Table 4 workload sets (slow: full enumeration)")
 		reproduce = flag.Bool("reproduce", false, "reproduce the 24 known bugs on their reported kernels (appendix 9.1)")
-		profile   = flag.String("profile", "", "run one campaign profile: seq-1 | seq-2 | seq-3-* | kv-seq1 | kv-seq2")
-		workloadF = flag.String("workload", "", "workload family: fs (ACE file operations, the default) | kv (application-level KV store checked by the expected-state oracle; defaults -profile to kv-seq1)")
+		profile   = flag.String("profile", "", "run one campaign profile: seq-1 | seq-2 | seq-3-* (ACE file operations) | kv-seq1 | kv-seq2 (application-level KV store checked by the expected-state oracle)")
 		fsName    = flag.String("fs", "logfs", "file system(s) under test: one name, a comma list, or \"all\"")
 		sample    = flag.Int64("sample", 1, "test every n-th workload")
 		maxW      = flag.Int64("max", 0, "stop generation after this many workloads")
@@ -87,21 +86,6 @@ func main() {
 	flag.Parse()
 	if *tier != "" {
 		applyTier(*tier, profile, fsName, faults, sample, reorder, sector)
-	}
-	switch *workloadF {
-	case "", "fs":
-		// The profile name alone dispatches: a kv- profile runs the KV
-		// family with or without -workload kv.
-	case "kv":
-		if *profile == "" {
-			*profile = "kv-seq1"
-		} else if !b3.IsKVProfile(*profile) {
-			fmt.Fprintf(os.Stderr, "b3: -workload kv needs a kv- profile, got %q\n", *profile)
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "b3: unknown -workload %q (want fs or kv)\n", *workloadF)
-		os.Exit(2)
 	}
 	if *resume && *corpusDir == "" {
 		fmt.Fprintln(os.Stderr, "b3: -resume requires -corpus DIR")

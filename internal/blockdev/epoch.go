@@ -32,6 +32,10 @@ type Epoch struct {
 	// a stream may be open: a tail of writes still in flight at the end of
 	// the workload.
 	Closed bool
+	// Checkpoints is the epoch's persistence interval: the number of
+	// RecCheckpoint records before its first write. A crash with this epoch
+	// in flight happens after exactly that many completed persistence points.
+	Checkpoints int
 }
 
 // Epochs partitions the write records of log into barrier-delimited epochs.
@@ -41,19 +45,26 @@ type Epoch struct {
 func Epochs(log []Record) []Epoch {
 	var out []Epoch
 	var cur []Record
+	cps, opened := 0, 0 // checkpoints seen so far / before cur's first write
 	for _, rec := range log {
 		switch rec.Kind {
 		case RecWrite:
+			if len(cur) == 0 {
+				opened = cps
+			}
 			cur = append(cur, rec)
 		case RecFlush, RecCheckpoint:
 			if len(cur) > 0 {
-				out = append(out, Epoch{Index: len(out), Writes: cur, Closed: true})
+				out = append(out, Epoch{Index: len(out), Writes: cur, Closed: true, Checkpoints: opened})
 				cur = nil
+			}
+			if rec.Kind == RecCheckpoint {
+				cps++
 			}
 		}
 	}
 	if len(cur) > 0 {
-		out = append(out, Epoch{Index: len(out), Writes: cur})
+		out = append(out, Epoch{Index: len(out), Writes: cur, Checkpoints: opened})
 	}
 	return out
 }

@@ -47,16 +47,26 @@ func TestEpochPartition(t *testing.T) {
 		spec   []string
 		shape  []int
 		closed []bool
+		cps    []int // Checkpoints: persistence points completed before each epoch
 	}{
 		{"flush-delimited", []string{"w0", "w1", "F", "w2", "F"},
-			[]int{2, 1}, []bool{true, true}},
+			[]int{2, 1}, []bool{true, true}, []int{0, 0}},
 		{"checkpoint-closes-too", []string{"w0", "C", "w1", "F"},
-			[]int{1, 1}, []bool{true, true}},
+			[]int{1, 1}, []bool{true, true}, []int{0, 1}},
 		{"open-tail", []string{"w0", "F", "w1", "w2"},
-			[]int{1, 2}, []bool{true, false}},
+			[]int{1, 2}, []bool{true, false}, []int{0, 0}},
 		{"no-empty-epochs", []string{"F", "w0", "F", "C", "F", "w1"},
-			[]int{1, 1}, []bool{true, false}},
-		{"writeless", []string{"F", "C"}, []int{}, []bool{}},
+			[]int{1, 1}, []bool{true, false}, []int{0, 1}},
+		{"writeless", []string{"F", "C"}, []int{}, []bool{}, []int{}},
+		// Checkpoints with no writes between them open no epoch but still
+		// advance the interval of the next one.
+		{"empty-epochs-between-checkpoints", []string{"w0", "C", "C", "F", "C", "w1", "C"},
+			[]int{1, 1}, []bool{true, true}, []int{0, 3}},
+		{"open-tail-after-checkpoints", []string{"C", "w0", "C", "w1", "w2"},
+			[]int{1, 2}, []bool{true, false}, []int{1, 2}},
+		// A flush closes the epoch without completing a persistence point.
+		{"flush-only-barriers", []string{"w0", "C", "w1", "F", "w2", "F", "w3"},
+			[]int{1, 1, 1, 1}, []bool{true, true, true, false}, []int{0, 1, 1, 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,6 +83,9 @@ func TestEpochPartition(t *testing.T) {
 				}
 				if e.Closed != tc.closed[i] {
 					t.Fatalf("epoch %d Closed=%t, want %t", i, e.Closed, tc.closed[i])
+				}
+				if e.Checkpoints != tc.cps[i] {
+					t.Fatalf("epoch %d Checkpoints=%d, want %d", i, e.Checkpoints, tc.cps[i])
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -208,6 +207,11 @@ func TestScratchStatesCrossCheck(t *testing.T) {
 		SampleEvery:  3,
 		MaxWorkloads: 4000,
 		Reorder:      1,
+		// The checked/pruned split asserted below is a function of the
+		// fingerprints only when one worker feeds the shared PruneCache: two
+		// workers can both miss on a fingerprint before either stores it, and
+		// the split then depends on scheduling.
+		Workers: 1,
 	}
 	inc, err := Run(cfg)
 	if err != nil {
@@ -337,7 +341,8 @@ func TestReorderCampaignCrossCheck(t *testing.T) {
 
 // assertSameVerdicts requires the verdict-bearing counters of two runs of
 // one configuration to match exactly: oracle verdicts, space sizes, broken
-// states on both sweep axes, and byte-identical bug groups. It is the
+// states on both sweep axes, application-oracle class tallies, and
+// byte-identical bug groups. It is the
 // shared gate of the enumeration-time-pruning cross-checks — the split
 // between checked/pruned/skipped may differ between the runs, the verdicts
 // never may.
@@ -364,7 +369,20 @@ func assertSameVerdicts(t *testing.T, a, b *Stats) {
 				fa.Kind, fa.States, fa.Broken, fb.States, fb.Broken)
 		}
 	}
+	if a.KVClasses != b.KVClasses {
+		t.Fatalf("kv oracle classes diverged: %+v vs %+v", a.KVClasses, b.KVClasses)
+	}
 	assertSameGroups(t, a, b)
+}
+
+// kvSweepScenario is the application family's input to the pruning
+// cross-checks: the kv-seq2 space with the reorder and torn/corrupt axes,
+// where the expectation varies per epoch inside one sweep.
+func kvSweepScenario(t *testing.T) Config {
+	return Config{
+		KV: kvBounds(t, "kv-seq2"), Reorder: 1,
+		Faults: blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt}},
+	}
 }
 
 // TestClassPruneMatchesUnpruned is the verdict-equality gate for the
@@ -383,6 +401,7 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 			Bounds:      linkBounds(workload.OpCreat, workload.OpLink),
 			SampleEvery: 5, MaxWorkloads: 2000, Reorder: 1,
 		}},
+		{"kv-seq2-reorder1-faults", kvSweepScenario(t)},
 	}
 	for _, name := range fsmake.Names() {
 		for _, sc := range scenarios {
@@ -427,18 +446,29 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 // synthetic logs; this gate proves the escape hatch and the default agree
 // on real workloads.)
 func TestCommutePruneMatchesUnpruned(t *testing.T) {
+	seq2 := func(k int) Config {
+		return Config{
+			Bounds:      linkBounds(workload.OpCreat, workload.OpRename),
+			SampleEvery: 5, MaxWorkloads: 2000, Reorder: k,
+		}
+	}
+	scenarios := []struct {
+		name string
+		cfg  Config
+	}{
+		{"k=1", seq2(1)},
+		{"k=2", seq2(2)},
+		{"kv-seq2-reorder1-faults", kvSweepScenario(t)},
+	}
 	for _, name := range fsmake.Names() {
-		for _, k := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
+		for _, sc := range scenarios {
+			t.Run(name+"/"+sc.name, func(t *testing.T) {
 				fs, err := fsmake.NewBugsOnly(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				base := Config{
-					FS:          fs,
-					Bounds:      linkBounds(workload.OpCreat, workload.OpRename),
-					SampleEvery: 5, MaxWorkloads: 2000, Reorder: k,
-				}
+				base := sc.cfg
+				base.FS = fs
 				on, err := Run(base)
 				if err != nil {
 					t.Fatal(err)

@@ -225,6 +225,14 @@ func (r *Result) Primary() Finding {
 	return best
 }
 
+// adopt copies a verdict into the result. tier names the cache tier it was
+// reused from, "" when this state was judged afresh.
+func (r *Result) adopt(v *cachedVerdict, tier string) {
+	r.Pruned, r.PrunedBy = tier != "", tier
+	r.Mountable, r.FsckRun, r.FsckRepaired = v.mountable, v.fsckRun, v.fsckRepaired
+	r.Findings = cloneFindings(v.findings)
+}
+
 // severityOrder ranks consequences least- to most-severe. It must stay
 // exhaustive over the bugs registry (TestSeverityIsTotal): a consequence
 // missing here would otherwise silently rank below everything.
@@ -260,33 +268,43 @@ func severity(c bugs.Consequence) int {
 	return len(severityOrder) + 1
 }
 
+// newProfile builds the recording stack every workload family profiles on: a
+// pooled base image holding a fresh file system, a COW overlay, the recording
+// wrapper device, and the mount the workload's operations run against. The
+// base and the overlay both cycle through the shared pools — Profile.Release
+// hands them back once the workload's sweeps are done, so a campaign reuses
+// one device-sized table per worker instead of allocating one per workload
+// (the dominant term of the pre-pool allocation profile).
+func (mk *Monkey) newProfile() (*Profile, filesys.MountedFS, error) {
+	blocks := mk.DeviceBlocks
+	if blocks == 0 {
+		blocks = DefaultDeviceBlocks
+	}
+	base := blockdev.NewPooledMemDisk(blocks)
+	if err := mk.FS.Mkfs(base); err != nil {
+		base.Recycle()
+		return nil, nil, fmt.Errorf("crashmonkey: mkfs: %w", err)
+	}
+	overlay := blockdev.NewPooledSnapshot(base)
+	p := &Profile{base: base, overlay: overlay, rec: blockdev.NewRecorder(overlay)}
+	m, err := mk.FS.Mount(p.rec)
+	if err != nil {
+		p.Release()
+		return nil, nil, fmt.Errorf("crashmonkey: mount: %w", err)
+	}
+	return p, m, nil
+}
+
 // ProfileWorkload runs the workload on a fresh file system over the
 // recording wrapper device, checkpointing after every persistence point and
 // snapshotting the oracle (§5.1 "Profiling workloads").
 func (mk *Monkey) ProfileWorkload(w *workload.Workload) (*Profile, error) {
 	start := time.Now()
-	blocks := mk.DeviceBlocks
-	if blocks == 0 {
-		blocks = DefaultDeviceBlocks
-	}
-	// The base and the profiling overlay both cycle through the shared
-	// pools: Profile.Release hands them back once the workload's sweeps are
-	// done, so a campaign reuses one device-sized table per worker instead
-	// of allocating one per workload (the dominant term of the pre-pool
-	// allocation profile).
-	base := blockdev.NewPooledMemDisk(blocks)
-	if err := mk.FS.Mkfs(base); err != nil {
-		base.Recycle()
-		return nil, fmt.Errorf("crashmonkey: mkfs: %w", err)
-	}
-	overlay := blockdev.NewPooledSnapshot(base)
-	rec := blockdev.NewRecorder(overlay)
-	p := &Profile{Workload: w, base: base, overlay: overlay, rec: rec}
-	m, err := mk.FS.Mount(rec)
+	p, m, err := mk.newProfile()
 	if err != nil {
-		p.Release()
-		return nil, fmt.Errorf("crashmonkey: mount: %w", err)
+		return nil, err
 	}
+	p.Workload = w
 	tracker := NewTracker(mk.FS.Guarantees())
 
 	for i, op := range w.Ops {
@@ -299,48 +317,59 @@ func (mk *Monkey) ProfileWorkload(w *workload.Workload) (*Profile, error) {
 			return nil, fmt.Errorf("crashmonkey: oracle op %d (%s): %w", i, op, err)
 		}
 		if op.Kind.IsPersistence() {
-			rec.Checkpoint()
+			p.rec.Checkpoint()
 			p.expectations = append(p.expectations, tracker.Snapshot())
 		}
 	}
 	p.ProfileDur = time.Since(start)
-	p.DirtyBytes = overlay.DirtyBytes()
+	p.DirtyBytes = p.overlay.DirtyBytes()
 	return p, nil
 }
 
 // TestCheckpoint constructs the crash state for checkpoint cp (1-based),
 // mounts it (running recovery), and checks consistency.
 func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
-	if cp < 1 || cp > len(p.expectations) {
-		return nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, len(p.expectations))
+	res := &Result{Workload: p.Workload}
+	if err := mk.testState(p, cp, res, fileOracle{mk, p.expectations}); err != nil {
+		return nil, err
 	}
-	res := &Result{Workload: p.Workload, FSName: mk.FS.Name(), Checkpoint: cp}
-	exp := p.expectations[cp-1]
+	return res, nil
+}
+
+// testState is the family-independent pipeline for one persistence point —
+// hoisted class lookup, construction, disk-tier lookup, judge, store — with
+// o supplying the expectation and the check. It fills res.
+func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) error {
+	if n := p.Checkpoints(); cp < 1 || cp > n {
+		return fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, n)
+	}
+	res.FSName, res.Checkpoint = mk.FS.Name(), cp
 
 	// Class pruning hoists the cache lookup to before construction: the
 	// incremental cursor's fingerprint is O(1) after the seek, so a state
 	// whose (content, oracle) class was already judged is never forked at
-	// all. haveKey records that the hoisted lookup ran (and missed), so the
-	// post-construction lookup below is skipped rather than repeated.
-	var diskKey stateKey
-	var haveKey bool
+	// all. looked records that the hoisted lookup ran, so a miss is not
+	// looked up again after construction.
+	var key stateKey
+	var looked bool
 	var hit *cachedVerdict
 	var classified func(fp uint64) bool
-	if mk.Prune != nil && !mk.NoClassPrune {
-		classified = func(fp uint64) bool {
-			res.StateHash = fp
-			diskKey = stateKey{state: fp, oracle: exp.Fingerprint() ^ mk.pruneSalt()}
-			haveKey = true
-			v, ok := mk.Prune.classify(diskKey)
-			hit = v
-			return ok
+	if mk.Prune != nil {
+		key.oracle = mk.pruneSalt() ^ o.salt(cp)
+		if !mk.NoClassPrune {
+			classified = func(fp uint64) bool {
+				key.state, looked = fp, true
+				v, ok := mk.Prune.classify(key)
+				hit = v
+				return ok
+			}
 		}
 	}
 
 	replayStart := time.Now()
 	crash, replayed, err := p.state(cp, mk.ScratchStates, mk.Meter, classified)
 	if err != nil {
-		return nil, fmt.Errorf("crashmonkey: replay: %w", err)
+		return fmt.Errorf("crashmonkey: replay: %w", err)
 	}
 	res.ReplayedWrites = replayed
 	res.ReplayDur = time.Since(replayStart)
@@ -348,63 +377,63 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 		// The hoisted lookup hit: the verdict is reused without the state
 		// ever existing. Reported as a disk-tier prune — the verdict source
 		// is the same cache line; only the construction was saved.
-		res.Pruned = true
-		res.PrunedBy = "disk"
-		res.Mountable = hit.mountable
-		res.FsckRun = hit.fsckRun
-		res.FsckRepaired = hit.fsckRepaired
-		res.Findings = cloneFindings(hit.findings)
-		return res, nil
+		res.StateHash = key.state
+		res.adopt(hit, "disk")
+		return nil
 	}
 	// Forks hold only recovery/checker writes; hand their buffers back to
 	// the pool once the verdict is composed (nothing below retains device
 	// memory: findings are strings, the index copies file contents).
 	defer crash.Release()
 
-	if mk.Prune != nil && !haveKey {
-		res.StateHash = crash.Fingerprint()
-		diskKey = stateKey{state: res.StateHash, oracle: exp.Fingerprint() ^ mk.pruneSalt()}
-		haveKey = true
-		if v, ok := mk.Prune.lookupDisk(diskKey); ok {
-			res.Pruned = true
-			res.PrunedBy = "disk"
-			res.Mountable = v.mountable
-			res.FsckRun = v.fsckRun
-			res.FsckRepaired = v.fsckRepaired
-			res.Findings = cloneFindings(v.findings)
-			return res, nil
-		}
+	if mk.Prune != nil && !looked {
+		key.state = crash.Fingerprint()
 	}
+	res.StateHash = key.state
+	v, tier, err := mk.judged(key, looked, func() (*cachedVerdict, string, error) {
+		checkStart := time.Now()
+		defer func() { res.CheckDur = time.Since(checkStart) }()
+		return o.judge(crash, cp)
+	})
+	if err != nil {
+		return fmt.Errorf("crashmonkey: checkpoint %d: %w", cp, err)
+	}
+	res.adopt(v, tier)
+	return nil
+}
 
-	checkStart := time.Now()
-	defer func() { res.CheckDur = time.Since(checkStart) }()
+// fileOracle is the file family's checkpoint oracle: the tracker's
+// expectation at the persistence point keys the verdict, and the AutoChecker
+// — read checks over the crash index, write checks on a COW fork, with the
+// tree tier in between — renders it.
+type fileOracle struct {
+	mk           *Monkey
+	expectations []*Expectation
+}
 
+func (o fileOracle) salt(cp int) uint64 { return o.expectations[cp-1].Fingerprint() }
+
+func (o fileOracle) judge(crash *blockdev.Snapshot, cp int) (*cachedVerdict, string, error) {
+	mk, exp := o.mk, o.expectations[cp-1]
 	m, err := mk.FS.Mount(crash)
 	if err != nil {
 		if !errors.Is(err, filesys.ErrCorrupted) {
-			return nil, fmt.Errorf("crashmonkey: mount: %w", err)
+			return nil, "", fmt.Errorf("mount: %w", err)
 		}
-		res.Mountable = false
-		res.Findings = append(res.Findings, Finding{
-			Consequence: bugs.Unmountable,
-			Path:        "/",
-			Detail:      err.Error(),
-		})
-		// Last resort: fsck (§5.1).
-		res.FsckRun = true
+		// Last resort: fsck (§5.1). Unlike the sweeps' mountOrRepair there
+		// is no remount: a persistence point that needed fsck is reported
+		// Unmountable whatever fsck claims.
 		repaired, ferr := mk.FS.Fsck(crash)
-		res.FsckRepaired = repaired && ferr == nil
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(diskKey, &cachedVerdict{
-				fsckRun:      true,
-				fsckRepaired: res.FsckRepaired,
-				findings:     cloneFindings(res.Findings),
-			})
-		}
-		return res, nil
+		return &cachedVerdict{
+			fsckRun:      true,
+			fsckRepaired: repaired && ferr == nil,
+			findings: []Finding{{
+				Consequence: bugs.Unmountable,
+				Path:        "/",
+				Detail:      err.Error(),
+			}},
+		}, "", nil
 	}
-	res.Mountable = true
 
 	// One walk of the recovered state feeds both the tree-tier hash and
 	// the read checks. The index (maps, inode slab, file contents) is
@@ -419,25 +448,19 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 	haveTree := false
 	if mk.Prune != nil && ierr == nil {
 		if th, terr := hashIndex(idx); terr == nil {
-			treeKey = stateKey{state: th, oracle: diskKey.oracle}
+			treeKey = stateKey{state: th, oracle: exp.Fingerprint() ^ mk.pruneSalt()}
 			haveTree = true
 			if findings, ok := mk.Prune.lookupTree(treeKey); ok {
-				res.Pruned = true
-				res.PrunedBy = "tree"
-				res.Findings = cloneFindings(findings)
-				mk.Prune.storeDisk(diskKey, &cachedVerdict{
-					mountable: true,
-					findings:  cloneFindings(findings),
-				})
-				return res, nil
+				return &cachedVerdict{mountable: true, findings: cloneFindings(findings)}, "tree", nil
 			}
 		}
 	}
 
+	v := &cachedVerdict{mountable: true}
 	if ierr != nil {
-		res.Findings = append(res.Findings, walkFailure(ierr))
+		v.findings = append(v.findings, walkFailure(ierr))
 	} else {
-		res.Findings = append(res.Findings, exp.checkReadIndexed(idx)...)
+		v.findings = append(v.findings, exp.checkReadIndexed(idx)...)
 	}
 
 	if !mk.SkipWriteChecks {
@@ -446,27 +469,19 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 		fork := blockdev.NewSnapshot(crash)
 		fm, err := mk.FS.Mount(fork)
 		if err == nil {
-			res.Findings = append(res.Findings, CheckWrite(fm)...)
+			v.findings = append(v.findings, CheckWrite(fm)...)
 		} else {
-			res.Findings = append(res.Findings, Finding{
+			v.findings = append(v.findings, Finding{
 				Consequence: bugs.Unmountable,
 				Path:        "/",
 				Detail:      fmt.Sprintf("write-check remount failed: %v", err),
 			})
 		}
 	}
-
-	if mk.Prune != nil {
-		mk.Prune.misses.Add(1)
-		if haveTree {
-			mk.Prune.storeTree(treeKey, cloneFindings(res.Findings))
-		}
-		mk.Prune.storeDisk(diskKey, &cachedVerdict{
-			mountable: true,
-			findings:  cloneFindings(res.Findings),
-		})
+	if haveTree {
+		mk.Prune.storeTree(treeKey, cloneFindings(v.findings))
 	}
-	return res, nil
+	return v, "", nil
 }
 
 // Run profiles the workload and tests its final crash state. Per the §5.3

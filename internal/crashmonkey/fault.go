@@ -100,103 +100,51 @@ func (mk *Monkey) ExploreFaults(p *Profile, model blockdev.FaultModel) (*FaultRe
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	log := p.rec.Log()
-	epochs := blockdev.Epochs(log)
 	report := &FaultReport{SectorSize: model.Sector()}
 	for _, kind := range model.Kinds {
-		kr := FaultKindReport{Kind: kind}
-		salt := mk.pruneSalt() ^ faultOracleSalt(kind)
-
-		handle := func(desc string, crash *blockdev.Snapshot) (bool, error) {
-			kr.States++
-			var key stateKey
-			if mk.Prune != nil {
-				key = stateKey{state: crash.Fingerprint(), oracle: salt}
-				if v, ok := mk.Prune.lookupDisk(key); ok {
-					kr.Pruned++
-					kr.tally(desc, v)
-					return true, nil
-				}
-			}
-			kr.Checked++
-			v, err := mk.recoverReorderState(crash)
-			if err != nil {
-				return false, err
-			}
-			if mk.Prune != nil {
-				mk.Prune.misses.Add(1)
-				mk.Prune.storeDisk(key, v)
-			}
-			kr.tally(desc, v)
-			return true, nil
-		}
-
-		var sweepErr error
-		if mk.ScratchStates {
-			// Cross-check engine: every state from a fresh snapshot,
-			// replaying all prior epochs.
-			err := blockdev.ForEachFaultState(log, kind, model.Sector(),
-				func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
-					crash := blockdev.NewSnapshot(p.base)
-					crash.SetMeter(mk.Meter)
-					if err := apply(crash); err != nil {
-						sweepErr = err
-						return false
-					}
-					kr.ReplayedWrites += scratchFaultReplayCost(epochs, st)
-					ok, herr := handle(st.Desc, crash)
-					if herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return ok
-				})
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-			if mk.Meter != nil {
-				mk.Meter.BlocksReplayed.Add(kr.ReplayedWrites)
-			}
-		} else {
-			// Enumeration-time class pruning: a state whose delta
-			// fingerprint matched an already-judged class is tallied from
-			// the cached verdict without ever being built. Skipped states
-			// still count toward States with their own Desc, so the report
-			// stays byte-identical with the escape-hatch modes.
-			var opts blockdev.FaultEnumOpts
-			if mk.Prune != nil && !mk.NoClassPrune {
-				opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
-					key := stateKey{state: fp, oracle: salt}
-					v, ok := mk.Prune.classify(key)
-					if !ok {
-						return false
-					}
-					kr.States++
-					kr.ClassSkipped++
-					kr.tally(st.Desc, v)
-					return true
-				}
-			}
-			stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, model.Sector(), opts, mk.Meter,
-				func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-					ok, herr := handle(st.Desc, crash)
-					if herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return ok
-				})
-			kr.ReplayedWrites = stats.Replayed
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-		}
-		if sweepErr != nil {
-			return nil, fmt.Errorf("crashmonkey: %s sweep: %w", kind, sweepErr)
+		kr, err := mk.exploreFaultKind(p, kind, model.Sector(), mountOracle{mk}, nil)
+		if err != nil {
+			return nil, err
 		}
 		report.Kinds = append(report.Kinds, kr)
 	}
 	return report, nil
+}
+
+// exploreFaultKind is the one fault-injection driver: it enumerates one
+// kind's state space of p and judges every state through o.
+func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector int,
+	o oracle, observe func(*cachedVerdict)) (FaultKindReport, error) {
+	s := mk.newSweep(p, faultOracleSalt(kind), o, observe)
+	log := p.rec.Log()
+	if mk.ScratchStates {
+		s.fail(blockdev.ForEachFaultState(log, kind, sector,
+			func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
+				return s.scratchState(st.Epoch, st.Desc, scratchFaultReplayCost(s.epochs, st), apply)
+			}))
+	} else {
+		var opts blockdev.FaultEnumOpts
+		if s.classPrune() {
+			opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
+				return s.seen(st.Epoch, st.Desc, fp) != nil
+			}
+		}
+		stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, sector, opts, mk.Meter,
+			func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
+				return s.judge(st.Epoch, st.Desc, crash) != nil
+			})
+		s.replayed = stats.Replayed
+		s.fail(err)
+	}
+	if s.err != nil {
+		return FaultKindReport{}, fmt.Errorf("crashmonkey: %s sweep: %w", kind, s.err)
+	}
+	return FaultKindReport{
+		Kind: kind, States: s.states,
+		Checked: s.checked, Pruned: s.pruned, ClassSkipped: s.classSkipped,
+		Mountable: s.mountable, Repaired: s.repaired, Broken: s.broken,
+		ReplayedWrites: s.replayed,
+	}, nil
 }
 
 // scratchFaultReplayCost is the number of writes the from-scratch engine
@@ -215,16 +163,4 @@ func scratchFaultReplayCost(epochs []blockdev.Epoch, st blockdev.FaultState) int
 		}
 	}
 	return n
-}
-
-// tally folds one state verdict into the kind's report.
-func (kr *FaultKindReport) tally(desc string, v *cachedVerdict) {
-	switch {
-	case v.mountable:
-		kr.Mountable++
-	case v.fsckRepaired:
-		kr.Repaired++
-	default:
-		kr.Broken = append(kr.Broken, desc)
-	}
 }

@@ -1,13 +1,11 @@
 package crashmonkey
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"b3/internal/blockdev"
 	"b3/internal/bugs"
-	"b3/internal/filesys"
 	"b3/internal/kvace"
 	"b3/internal/kvoracle"
 	"b3/internal/kvstore"
@@ -23,11 +21,11 @@ import (
 // knows about, because the lost bytes live inside application files whose
 // durability contract only the application understands.
 //
-// The sweep machinery is shared: checkpoints come from the same Recorder,
-// crash states from the same replay cursor and reorder/fault enumerators,
-// and verdicts from the same PruneCache — salted with kvOracleSalt and the
-// KV expectation fingerprint so KV verdicts never collide with file-level
-// ones.
+// The sweep pipeline is shared with the file family, not mirrored: this file
+// holds only what differs — how a KV workload is profiled, and kvOracle, the
+// oracle seam's application-level implementation (sweep.go). Verdicts live in
+// the same PruneCache, salted with kvOracleSalt and the KV expectation
+// fingerprint so they never collide with file-level ones.
 
 // KVDir is where the store lives on the file system under test.
 const KVDir = "/db"
@@ -40,49 +38,22 @@ const kvOracleSalt uint64 = 0x4b564f7261636c65 // "KVOracle"
 // KVProfile is a recorded run of one KV workload: the shared block-level
 // profile plus the per-interval expected-state oracle.
 type KVProfile struct {
+	*Profile
 	Workload *kvace.Workload
-	prof     *Profile
-	exps     []*kvoracle.Expectation
-	// ProfileDur is the wall time of the profiling phase.
-	ProfileDur time.Duration
-	// DirtyBytes is the COW overlay footprint after the workload.
-	DirtyBytes int64
+	// exps[i] is the expectation after i completed persistence points.
+	exps []*kvoracle.Expectation
 }
-
-// Checkpoints reports the number of persistence points recorded.
-func (kp *KVProfile) Checkpoints() int { return kp.prof.rec.Checkpoints() }
-
-// WritesRecorded reports the number of block writes profiled.
-func (kp *KVProfile) WritesRecorded() int { return kp.prof.rec.WritesRecorded() }
-
-// Log returns the recorded write log; owned by the profile.
-func (kp *KVProfile) Log() []blockdev.Record { return kp.prof.rec.Log() }
-
-// Release returns the profile's device memory to the shared pools.
-func (kp *KVProfile) Release() { kp.prof.Release() }
 
 // ProfileKV runs the KV workload against a kvstore on a fresh file system
 // over the recording wrapper device, checkpointing after every persistence
 // op (sync, flush, reopen) and building the interval oracle.
 func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
 	start := time.Now()
-	blocks := mk.DeviceBlocks
-	if blocks == 0 {
-		blocks = DefaultDeviceBlocks
-	}
-	base := blockdev.NewPooledMemDisk(blocks)
-	if err := mk.FS.Mkfs(base); err != nil {
-		base.Recycle()
-		return nil, fmt.Errorf("crashmonkey: mkfs: %w", err)
-	}
-	overlay := blockdev.NewPooledSnapshot(base)
-	rec := blockdev.NewRecorder(overlay)
-	p := &Profile{base: base, overlay: overlay, rec: rec}
-	m, err := mk.FS.Mount(rec)
+	p, m, err := mk.newProfile()
 	if err != nil {
-		p.Release()
-		return nil, fmt.Errorf("crashmonkey: mount: %w", err)
+		return nil, err
 	}
+	rec := p.rec
 	s, err := kvstore.Create(m, KVDir)
 	if err != nil {
 		p.Release()
@@ -117,9 +88,9 @@ func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
 			rec.Checkpoint()
 		}
 	}
-	kp := &KVProfile{Workload: w, prof: p, exps: kvoracle.Build(w.Ops)}
-	kp.ProfileDur = time.Since(start)
-	kp.DirtyBytes = overlay.DirtyBytes()
+	kp := &KVProfile{Profile: p, Workload: w, exps: kvoracle.Build(w.Ops)}
+	p.ProfileDur = time.Since(start)
+	p.DirtyBytes = p.overlay.DirtyBytes()
 	if got, want := rec.Checkpoints(), len(kp.exps)-1; got != want {
 		kp.Release()
 		return nil, fmt.Errorf("crashmonkey: kv %s recorded %d checkpoints, oracle expects %d", w.ID, got, want)
@@ -127,46 +98,14 @@ func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
 	return kp, nil
 }
 
-// KVResult is the outcome of testing one KV crash state.
+// KVResult is the outcome of testing one KV crash state: the file-level
+// accounting (Result.Workload stays nil) plus the oracle class.
 type KVResult struct {
-	Workload   *kvace.Workload
-	FSName     string
-	Checkpoint int
-	Mountable  bool
-	// FsckRun / FsckRepaired mirror the file-level result: fsck runs only
-	// when the crash state does not mount.
-	FsckRun      bool
-	FsckRepaired bool
+	Result
+	Workload *kvace.Workload
 	// Class is the oracle verdict for the recovered store contents;
 	// meaningful only when the file system mounted (or was repaired).
-	Class    kvoracle.Class
-	Findings []Finding
-	// ReplayedWrites is the construction cost of this crash state.
-	ReplayedWrites int64
-	ReplayDur      time.Duration
-	CheckDur       time.Duration
-	// StateHash / Pruned / PrunedBy mirror the file-level result.
-	StateHash uint64
-	Pruned    bool
-	PrunedBy  string
-}
-
-// Buggy reports whether the oracle found a violation.
-func (r *KVResult) Buggy() bool { return len(r.Findings) > 0 }
-
-// Primary returns the most severe finding (the report-group key), the zero
-// Finding when the state is consistent.
-func (r *KVResult) Primary() Finding {
-	if len(r.Findings) == 0 {
-		return Finding{}
-	}
-	best := r.Findings[0]
-	for _, f := range r.Findings[1:] {
-		if severity(f.Consequence) > severity(best.Consequence) {
-			best = f
-		}
-	}
-	return best
+	Class kvoracle.Class
 }
 
 // kvConsequence maps an oracle class to its bugs-registry consequence.
@@ -190,7 +129,7 @@ func kvConsequence(c kvoracle.Class) bugs.Consequence {
 // kvClass derives the oracle class back from cached findings — the inverse
 // of kvConsequence over a verdict's finding list, severest class wins.
 func kvClass(findings []Finding) kvoracle.Class {
-	cls := kvoracle.ClassLegal
+	cls, rank := kvoracle.ClassLegal, 0
 	for _, f := range findings {
 		var c kvoracle.Class
 		switch f.Consequence {
@@ -203,27 +142,26 @@ func kvClass(findings []Finding) kvoracle.Class {
 		default:
 			continue
 		}
-		if kvRank(c) > kvRank(cls) {
-			cls = c
+		if r := severity(f.Consequence); r > rank {
+			cls, rank = c, r
 		}
 	}
 	return cls
 }
 
-func kvRank(c kvoracle.Class) int {
-	switch c {
-	case kvoracle.ClassLegal:
-		return 0
-	case kvoracle.ClassResurrected:
-		return 1
-	case kvoracle.ClassLostAck:
-		return 2
-	case kvoracle.ClassUnreplayable:
-		return 3
-	case kvoracle.NumClasses:
-		return -1
-	}
-	return -1
+// kvOracle is the application family's oracle on every axis: the interval's
+// expectation keys the verdict, and the store's own recovery path plus the
+// expected-state check renders it.
+type kvOracle struct {
+	mk   *Monkey
+	exps []*kvoracle.Expectation
+}
+
+func (o kvOracle) salt(interval int) uint64 { return kvOracleSalt ^ o.exps[interval].Fingerprint() }
+
+func (o kvOracle) judge(crash *blockdev.Snapshot, interval int) (*cachedVerdict, string, error) {
+	v, err := o.mk.recoverKVState(crash, o.exps[interval])
+	return v, "", err
 }
 
 // recoverKVState mounts the crash state (fsck fallback as usual), opens the
@@ -232,33 +170,22 @@ func kvRank(c kvoracle.Class) int {
 // recovery and classification are deterministic functions of the device
 // contents, the file-system configuration, and the expectation.
 func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectation) (*cachedVerdict, error) {
-	v := &cachedVerdict{}
-	m, err := mk.FS.Mount(crash)
+	m, v, err := mk.mountOrRepair(crash)
 	if err != nil {
-		if !errors.Is(err, filesys.ErrCorrupted) {
-			return nil, err
-		}
-		v.fsckRun = true
-		if repaired, ferr := mk.FS.Fsck(crash); ferr == nil && repaired {
-			if m, err = mk.FS.Mount(crash); err == nil {
-				v.fsckRepaired = true
-			}
-		}
-		if !v.fsckRepaired {
-			// FS-level broken state: the application never gets to run, so
-			// the KV oracle renders no class verdict. The sweep tallies
-			// exclude it by its flags (it stays in the file-level Broken
-			// accounting); the checkpoint path reports the lower layer's
-			// contract breach as the file-level oracle would.
-			v.findings = []Finding{{
-				Consequence: bugs.Unmountable,
-				Path:        "/",
-				Detail:      "crash state neither mounted nor was repaired by fsck",
-			}}
-			return v, nil
-		}
-	} else {
-		v.mountable = true
+		return nil, err
+	}
+	if m == nil {
+		// FS-level broken state: the application never gets to run, so
+		// the KV oracle renders no class verdict. The sweep tallies
+		// exclude it by its flags (it stays in the file-level Broken
+		// accounting); the checkpoint path reports the lower layer's
+		// contract breach as the file-level oracle would.
+		v.findings = []Finding{{
+			Consequence: bugs.Unmountable,
+			Path:        "/",
+			Detail:      "crash state neither mounted nor was repaired by fsck",
+		}}
+		return v, nil
 	}
 
 	s, err := kvstore.Open(m, KVDir)
@@ -284,80 +211,11 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 // mounts it, runs the application's recovery, and checks the store contents
 // against the interval oracle.
 func (mk *Monkey) TestKVCheckpoint(kp *KVProfile, cp int) (*KVResult, error) {
-	if cp < 1 || cp >= len(kp.exps) {
-		return nil, fmt.Errorf("crashmonkey: kv checkpoint %d out of range (1..%d)", cp, len(kp.exps)-1)
+	res := &KVResult{Workload: kp.Workload}
+	if err := mk.testState(kp.Profile, cp, &res.Result, kvOracle{mk, kp.exps}); err != nil {
+		return nil, err
 	}
-	res := &KVResult{Workload: kp.Workload, FSName: mk.FS.Name(), Checkpoint: cp}
-	exp := kp.exps[cp]
-
-	// Class pruning hoists the cache lookup to before construction, exactly
-	// as TestCheckpoint does for the file-level oracle.
-	var diskKey stateKey
-	var haveKey bool
-	var hit *cachedVerdict
-	var classified func(fp uint64) bool
-	oracle := exp.Fingerprint() ^ mk.pruneSalt() ^ kvOracleSalt
-	if mk.Prune != nil && !mk.NoClassPrune {
-		classified = func(fp uint64) bool {
-			res.StateHash = fp
-			diskKey = stateKey{state: fp, oracle: oracle}
-			haveKey = true
-			v, ok := mk.Prune.classify(diskKey)
-			hit = v
-			return ok
-		}
-	}
-
-	replayStart := time.Now()
-	crash, replayed, err := kp.prof.state(cp, mk.ScratchStates, mk.Meter, classified)
-	if err != nil {
-		return nil, fmt.Errorf("crashmonkey: kv replay: %w", err)
-	}
-	res.ReplayedWrites = replayed
-	res.ReplayDur = time.Since(replayStart)
-	fill := func(v *cachedVerdict) {
-		res.Mountable = v.mountable
-		res.FsckRun = v.fsckRun
-		res.FsckRepaired = v.fsckRepaired
-		res.Findings = cloneFindings(v.findings)
-		res.Class = kvClass(v.findings)
-	}
-	if crash == nil {
-		res.Pruned = true
-		res.PrunedBy = "disk"
-		fill(hit)
-		return res, nil
-	}
-	defer crash.Release()
-
-	if mk.Prune != nil && !haveKey {
-		res.StateHash = crash.Fingerprint()
-		diskKey = stateKey{state: res.StateHash, oracle: oracle}
-		haveKey = true
-		if v, ok := mk.Prune.lookupDisk(diskKey); ok {
-			res.Pruned = true
-			res.PrunedBy = "disk"
-			fill(v)
-			return res, nil
-		}
-	}
-
-	checkStart := time.Now()
-	v, err := mk.recoverKVState(crash, exp)
-	res.CheckDur = time.Since(checkStart)
-	if err != nil {
-		return nil, fmt.Errorf("crashmonkey: kv recover: %w", err)
-	}
-	if mk.Prune != nil {
-		mk.Prune.misses.Add(1)
-		mk.Prune.storeDisk(diskKey, &cachedVerdict{
-			mountable:    v.mountable,
-			fsckRun:      v.fsckRun,
-			fsckRepaired: v.fsckRepaired,
-			findings:     cloneFindings(v.findings),
-		})
-	}
-	fill(v)
+	res.Class = kvClass(res.Findings)
 	return res, nil
 }
 
@@ -378,47 +236,6 @@ func (mk *Monkey) RunKV(w *kvace.Workload) (*KVResult, error) {
 // KVExampleCap bounds the exemplar findings a KV sweep report retains; the
 // class counters stay exact.
 const KVExampleCap = 4
-
-// checkpointIntervals maps each epoch of the recorded log to its
-// persistence interval: the number of checkpoints completed before the
-// epoch's first write. A crash state in flight during epoch e is judged by
-// expectation intervals[e] — the acknowledged state of the last completed
-// persistence point plus that interval's pending tail. The walk mirrors
-// blockdev.Epochs (empty epochs are skipped there, so they accrue no entry
-// here either).
-func checkpointIntervals(log []blockdev.Record) []int {
-	var intervals []int
-	cps := 0
-	open := false
-	for _, rec := range log {
-		switch rec.Kind {
-		case blockdev.RecWrite:
-			if !open {
-				intervals = append(intervals, cps)
-				open = true
-			}
-		case blockdev.RecFlush:
-			open = false
-		case blockdev.RecCheckpoint:
-			cps++
-			open = false
-		}
-	}
-	return intervals
-}
-
-// expForEpoch resolves the oracle expectation for a crash state in flight
-// during the given epoch (-1 = the empty state before any write).
-func (kp *KVProfile) expForEpoch(intervals []int, epoch int) *kvoracle.Expectation {
-	iv := 0
-	if epoch >= 0 && epoch < len(intervals) {
-		iv = intervals[epoch]
-	}
-	if iv >= len(kp.exps) {
-		iv = len(kp.exps) - 1
-	}
-	return kp.exps[iv]
-}
 
 // KVReorderReport is a bounded-reordering sweep of one KV workload: the
 // file-level recovery accounting plus the oracle classification of every
@@ -446,26 +263,6 @@ type KVFaultReport struct {
 	Kinds      []KVFaultKindReport
 }
 
-// Clean reports whether every state recovered (FS level) and classified
-// legal (application level).
-func (r *KVFaultReport) Clean() bool {
-	for _, kr := range r.Kinds {
-		if len(kr.Broken) > 0 || kr.Classes.Violations() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// States returns the total number of states constructed across kinds.
-func (r *KVFaultReport) States() int {
-	n := 0
-	for _, kr := range r.Kinds {
-		n += kr.States
-	}
-	return n
-}
-
 // tallyKV folds one verdict into the class counters and exemplar list.
 // FS-broken states render no application verdict.
 func tallyKV(v *cachedVerdict, counts *kvoracle.Counts, examples *[]Finding) {
@@ -483,87 +280,19 @@ func tallyKV(v *cachedVerdict, counts *kvoracle.Counts, examples *[]Finding) {
 
 // ExploreKVReorder sweeps the bounded-reordering crash states of a profiled
 // KV run at bound k, classifying every recoverable state through the
-// application oracle. Verdicts are cached per (state, interval expectation)
-// in the shared disk tier; enumeration-time class pruning is left to the
-// post-construction lookup because the expectation varies per epoch.
+// application oracle. A state in flight during an epoch is judged by the
+// expectation of that epoch's persistence interval — the acknowledged state
+// of the last completed persistence point plus the interval's pending tail —
+// and the expectation's fingerprint is part of the class key, so the sweep
+// prunes at enumeration time exactly like the file-level one.
 func (mk *Monkey) ExploreKVReorder(kp *KVProfile, k int) (*KVReorderReport, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("crashmonkey: negative reorder bound %d", k)
+	report := &KVReorderReport{}
+	rr, err := mk.exploreReorder(kp.Profile, k, kvOracle{mk, kp.exps},
+		func(v *cachedVerdict) { tallyKV(v, &report.Classes, &report.Examples) })
+	if err != nil {
+		return nil, err
 	}
-	log := kp.prof.rec.Log()
-	epochs := blockdev.Epochs(log)
-	intervals := checkpointIntervals(log)
-	report := &KVReorderReport{ReorderReport: ReorderReport{Bound: k, PerEpoch: make([]ReorderEpoch, len(epochs))}}
-	for i, ep := range epochs {
-		report.PerEpoch[i].Writes = len(ep.Writes)
-	}
-
-	handle := func(st blockdev.ReorderState, crash *blockdev.Snapshot) error {
-		report.States++
-		exp := kp.expForEpoch(intervals, st.Epoch)
-		var key stateKey
-		if mk.Prune != nil {
-			key = stateKey{
-				state:  crash.Fingerprint(),
-				oracle: mk.pruneSalt() ^ reorderOracleSalt ^ kvOracleSalt ^ exp.Fingerprint(),
-			}
-			if v, ok := mk.Prune.lookupDisk(key); ok {
-				report.Pruned++
-				report.tally(st, v)
-				tallyKV(v, &report.Classes, &report.Examples)
-				return nil
-			}
-		}
-		report.Checked++
-		v, err := mk.recoverKVState(crash, exp)
-		if err != nil {
-			return err
-		}
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(key, v)
-		}
-		report.tally(st, v)
-		tallyKV(v, &report.Classes, &report.Examples)
-		return nil
-	}
-
-	var sweepErr error
-	if mk.ScratchStates {
-		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) error) bool {
-			crash := blockdev.NewSnapshot(kp.prof.base)
-			crash.SetMeter(mk.Meter)
-			if err := apply(crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			report.ReplayedWrites += scratchReplayCost(epochs, st)
-			if err := handle(st, crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			return true
-		})
-		if mk.Meter != nil {
-			mk.Meter.BlocksReplayed.Add(report.ReplayedWrites)
-		}
-	} else {
-		stats, err := blockdev.ForEachReorderStatePruned(kp.prof.base, log, k, blockdev.ReorderEnumOpts{}, mk.Meter,
-			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				if err := handle(st, crash); err != nil {
-					sweepErr = err
-					return false
-				}
-				return true
-			})
-		report.ReplayedWrites = stats.Replayed
-		if err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if sweepErr != nil {
-		return nil, sweepErr
-	}
+	report.ReorderReport = *rr
 	return report, nil
 }
 
@@ -574,82 +303,15 @@ func (mk *Monkey) ExploreKVFaults(kp *KVProfile, model blockdev.FaultModel) (*KV
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	log := kp.prof.rec.Log()
-	epochs := blockdev.Epochs(log)
-	intervals := checkpointIntervals(log)
-	report := &KVFaultReport{SectorSize: model.Sector()}
-	for _, kind := range model.Kinds {
-		kr := KVFaultKindReport{FaultKindReport: FaultKindReport{Kind: kind}}
-		salt := mk.pruneSalt() ^ faultOracleSalt(kind) ^ kvOracleSalt
-
-		handle := func(st blockdev.FaultState, crash *blockdev.Snapshot) error {
-			kr.States++
-			exp := kp.expForEpoch(intervals, st.Epoch)
-			var key stateKey
-			if mk.Prune != nil {
-				key = stateKey{state: crash.Fingerprint(), oracle: salt ^ exp.Fingerprint()}
-				if v, ok := mk.Prune.lookupDisk(key); ok {
-					kr.Pruned++
-					kr.tally(st.Desc, v)
-					tallyKV(v, &kr.Classes, &kr.Examples)
-					return nil
-				}
-			}
-			kr.Checked++
-			v, err := mk.recoverKVState(crash, exp)
-			if err != nil {
-				return err
-			}
-			if mk.Prune != nil {
-				mk.Prune.misses.Add(1)
-				mk.Prune.storeDisk(key, v)
-			}
-			kr.tally(st.Desc, v)
-			tallyKV(v, &kr.Classes, &kr.Examples)
-			return nil
+	report := &KVFaultReport{SectorSize: model.Sector(), Kinds: make([]KVFaultKindReport, len(model.Kinds))}
+	for i, kind := range model.Kinds {
+		kr := &report.Kinds[i]
+		var err error
+		kr.FaultKindReport, err = mk.exploreFaultKind(kp.Profile, kind, model.Sector(), kvOracle{mk, kp.exps},
+			func(v *cachedVerdict) { tallyKV(v, &kr.Classes, &kr.Examples) })
+		if err != nil {
+			return nil, err
 		}
-
-		var sweepErr error
-		if mk.ScratchStates {
-			err := blockdev.ForEachFaultState(log, kind, model.Sector(),
-				func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
-					crash := blockdev.NewSnapshot(kp.prof.base)
-					crash.SetMeter(mk.Meter)
-					if err := apply(crash); err != nil {
-						sweepErr = err
-						return false
-					}
-					kr.ReplayedWrites += scratchFaultReplayCost(epochs, st)
-					if herr := handle(st, crash); herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return true
-				})
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-			if mk.Meter != nil {
-				mk.Meter.BlocksReplayed.Add(kr.ReplayedWrites)
-			}
-		} else {
-			stats, err := blockdev.ForEachFaultStatePruned(kp.prof.base, log, kind, model.Sector(), blockdev.FaultEnumOpts{}, mk.Meter,
-				func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-					if herr := handle(st, crash); herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return true
-				})
-			kr.ReplayedWrites = stats.Replayed
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-		}
-		if sweepErr != nil {
-			return nil, fmt.Errorf("crashmonkey: kv %s sweep: %w", kind, sweepErr)
-		}
-		report.Kinds = append(report.Kinds, kr)
 	}
 	return report, nil
 }

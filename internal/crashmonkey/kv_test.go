@@ -1,6 +1,7 @@
 package crashmonkey
 
 import (
+	"reflect"
 	"testing"
 
 	"b3/internal/blockdev"
@@ -233,7 +234,11 @@ func TestKVAllBackendsComplete(t *testing.T) {
 }
 
 // TestKVPruneCacheConsistency reruns a workload with a shared cache: the
-// second pass must reuse verdicts without changing them.
+// second pass must reuse verdicts without changing them — at the final
+// checkpoint, and across both sweep axes, where a warm cache must answer at
+// enumeration time (the per-epoch expectation is part of the class key) with
+// exact accounting and reports identical to the cold pass and to the
+// from-scratch reference engine.
 func TestKVPruneCacheConsistency(t *testing.T) {
 	fs, err := fsmake.NewBugsOnly("logfs")
 	if err != nil {
@@ -262,4 +267,67 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 	if mk.Prune.Stats().Skipped() == 0 {
 		t.Fatal("cache reports no skips")
 	}
+
+	// A longer workload, so the sweeps cross several persistence intervals.
+	w = &kvace.Workload{ID: "kv-prune-sweep", Ops: []kvace.Op{
+		{Kind: kvace.OpPut, Key: "k0", Value: "v0.0"},
+		{Kind: kvace.OpSync},
+		{Kind: kvace.OpDelete, Key: "k0"},
+		{Kind: kvace.OpPut, Key: "k1", Value: "v1.1"},
+		{Kind: kvace.OpFlush},
+	}}
+	model := blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt}}
+	type pass struct {
+		rr *KVReorderReport
+		fr *KVFaultReport
+	}
+	sweep := func(mk *Monkey) pass {
+		t.Helper()
+		kp, err := mk.ProfileKV(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kp.Release()
+		rr, err := mk.ExploreKVReorder(kp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := mk.ExploreKVFaults(kp, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pass{rr, fr}
+	}
+	same := func(what string, a, b pass) {
+		t.Helper()
+		if a.rr.States != b.rr.States || a.rr.Classes != b.rr.Classes ||
+			!reflect.DeepEqual(a.rr.Broken, b.rr.Broken) {
+			t.Fatalf("%s: reorder report drifted: %+v vs %+v", what, a.rr, b.rr)
+		}
+		for i, ka := range a.fr.Kinds {
+			kb := b.fr.Kinds[i]
+			if ka.States != kb.States || ka.Classes != kb.Classes ||
+				!reflect.DeepEqual(ka.Broken, kb.Broken) {
+				t.Fatalf("%s: %s report drifted: %+v vs %+v", what, ka.Kind, ka, kb)
+			}
+		}
+	}
+	cold := sweep(mk)
+	warm := sweep(mk)
+	if warm.rr.ClassSkipped == 0 {
+		t.Fatalf("warm reorder sweep skipped nothing at enumeration time: %+v", warm.rr.ReorderReport)
+	}
+	if got := warm.rr.Checked + warm.rr.Pruned + warm.rr.ClassSkipped + warm.rr.CommuteSkipped; got != warm.rr.States {
+		t.Fatalf("warm reorder accounting: %d accounted of %d states", got, warm.rr.States)
+	}
+	for _, kr := range warm.fr.Kinds {
+		if kr.ClassSkipped == 0 {
+			t.Fatalf("warm %s sweep skipped nothing at enumeration time: %+v", kr.Kind, kr.FaultKindReport)
+		}
+		if got := kr.Checked + kr.Pruned + kr.ClassSkipped; got != kr.States {
+			t.Fatalf("warm %s accounting: %d accounted of %d states", kr.Kind, got, kr.States)
+		}
+	}
+	same("warm vs cold", warm, cold)
+	same("warm vs scratch", warm, sweep(&Monkey{FS: fs, ScratchStates: true}))
 }

@@ -1,11 +1,9 @@
 package crashmonkey
 
 import (
-	"errors"
 	"fmt"
 
 	"b3/internal/blockdev"
-	"b3/internal/filesys"
 )
 
 // Bounded-reordering crash exploration: the extension the paper leaves open
@@ -91,76 +89,35 @@ func (r *ReorderReport) Clean() bool { return len(r.Broken) == 0 }
 // verdict is reused — identical Broken verdicts, strictly fewer recoveries
 // run.
 func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
+	return mk.exploreReorder(p, k, mountOracle{mk}, nil)
+}
+
+// exploreReorder is the one bounded-reordering driver: it enumerates the
+// state space of p at bound k and judges every state through o.
+func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cachedVerdict)) (*ReorderReport, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("crashmonkey: negative reorder bound %d", k)
 	}
+	s := mk.newSweep(p, reorderOracleSalt, o, observe)
+	s.perEpoch = make([]ReorderEpoch, len(s.epochs))
+	for i, ep := range s.epochs {
+		s.perEpoch[i].Writes = len(ep.Writes)
+	}
 	log := p.rec.Log()
-	epochs := blockdev.Epochs(log)
-	report := &ReorderReport{Bound: k, PerEpoch: make([]ReorderEpoch, len(epochs))}
-	for i, ep := range epochs {
-		report.PerEpoch[i].Writes = len(ep.Writes)
-	}
 
-	// handle judges one constructed state and returns its verdict:
-	// fingerprints come from the snapshot (O(1) on the incremental path, an
-	// overlay scan on the scratch path — same value either way).
-	handle := func(st blockdev.ReorderState, crash *blockdev.Snapshot) (*cachedVerdict, error) {
-		report.States++
-		var key stateKey
-		if mk.Prune != nil {
-			key = stateKey{state: crash.Fingerprint(), oracle: mk.pruneSalt() ^ reorderOracleSalt}
-			if v, ok := mk.Prune.lookupDisk(key); ok {
-				report.Pruned++
-				report.tally(st, v)
-				return v, nil
-			}
-		}
-		report.Checked++
-		v, err := mk.recoverReorderState(crash)
-		if err != nil {
-			return nil, err
-		}
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(key, v)
-		}
-		report.tally(st, v)
-		return v, nil
-	}
-
-	var sweepErr error
 	if mk.ScratchStates {
-		// Cross-check engine: every state from a fresh snapshot, replaying
-		// all prior epochs (the pre-cursor behaviour), no enumeration-time
-		// pruning of any kind.
 		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) error) bool {
-			crash := blockdev.NewSnapshot(p.base)
-			crash.SetMeter(mk.Meter)
-			if err := apply(crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			report.ReplayedWrites += scratchReplayCost(epochs, st)
-			if _, err := handle(st, crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			return true
+			return s.scratchState(st.Epoch, st.Desc, scratchReplayCost(s.epochs, st), apply)
 		})
-		if mk.Meter != nil {
-			mk.Meter.BlocksReplayed.Add(report.ReplayedWrites)
-		}
 	} else {
-		// Enumeration-time pruning: class hits are tallied from the O(1)
+		// Enumeration-time pruning: class hits are settled from the O(1)
 		// delta fingerprint before any state is built, and commute skips
-		// reuse the verdict their canonical representative was given. Every
-		// skipped state still counts toward States and tally with its own
-		// Desc, so the report (Broken list included) stays byte-identical
-		// with the escape-hatch modes.
+		// reuse the verdict their canonical representative was given.
 		commute := !mk.NoCommutePrune
 		// reps maps drop-set Desc -> verdict for the current epoch:
 		// canonical representatives always precede their skips within one
-		// epoch, so the map resets on epoch change.
+		// epoch (and share its expectation), so the map resets on epoch
+		// change.
 		var reps map[string]*cachedVerdict
 		repEpoch := -2
 		repsFor := func(epoch int) map[string]*cachedVerdict {
@@ -170,62 +127,49 @@ func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
 			}
 			return reps
 		}
+		// settled remembers a settled drop-set's verdict for the skips it may
+		// represent, and reports whether the sweep goes on (v is nil on a
+		// class miss or once the sweep has failed).
+		settled := func(st blockdev.ReorderState, v *cachedVerdict) bool {
+			if v != nil && commute && st.Dropped != nil {
+				repsFor(st.Epoch)[st.Desc] = v
+			}
+			return v != nil
+		}
 		var opts blockdev.ReorderEnumOpts
 		if commute {
 			opts.Commute = true
 			opts.OnCommuteSkip = func(st blockdev.ReorderState, repDesc string) {
 				v := repsFor(st.Epoch)[repDesc]
 				if v == nil {
-					if sweepErr == nil {
-						sweepErr = fmt.Errorf("crashmonkey: commute representative %q of %q has no verdict", repDesc, st.Desc)
-					}
+					s.fail(fmt.Errorf("crashmonkey: commute representative %q of %q has no verdict", repDesc, st.Desc))
 					return
 				}
-				report.States++
-				report.CommuteSkipped++
-				report.tally(st, v)
+				s.settle(st.Epoch, st.Desc, v, &s.commuteSkipped)
 			}
 		}
-		if mk.Prune != nil && !mk.NoClassPrune {
+		if s.classPrune() {
 			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
-				key := stateKey{state: fp, oracle: mk.pruneSalt() ^ reorderOracleSalt}
-				v, ok := mk.Prune.classify(key)
-				if !ok {
-					return false
-				}
-				report.States++
-				report.ClassSkipped++
-				report.tally(st, v)
-				if commute && st.Dropped != nil {
-					repsFor(st.Epoch)[st.Desc] = v
-				}
-				return true
+				return settled(st, s.seen(st.Epoch, st.Desc, fp))
 			}
 		}
 		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,
 			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				if sweepErr != nil {
-					return false
-				}
-				v, herr := handle(st, crash)
-				if herr != nil {
-					sweepErr = herr
-					return false
-				}
-				if commute && st.Dropped != nil {
-					repsFor(st.Epoch)[st.Desc] = v
-				}
-				return true
+				return s.err == nil && settled(st, s.judge(st.Epoch, st.Desc, crash))
 			})
-		report.ReplayedWrites = stats.Replayed
-		if err != nil && sweepErr == nil {
-			sweepErr = err
-		}
+		s.replayed = stats.Replayed
+		s.fail(err)
 	}
-	if sweepErr != nil {
-		return nil, sweepErr
+	if s.err != nil {
+		return nil, s.err
 	}
-	return report, nil
+	return &ReorderReport{
+		Bound: k, States: s.states,
+		Checked: s.checked, Pruned: s.pruned,
+		ClassSkipped: s.classSkipped, CommuteSkipped: s.commuteSkipped,
+		Mountable: s.mountable, Repaired: s.repaired, Broken: s.broken,
+		ReplayedWrites: s.replayed, PerEpoch: s.perEpoch,
+	}, nil
 }
 
 // scratchReplayCost is the number of writes the from-scratch engine replays
@@ -240,41 +184,4 @@ func scratchReplayCost(epochs []blockdev.Epoch, st blockdev.ReorderState) int64 
 		n += int64(st.Applied - len(st.Dropped))
 	}
 	return n
-}
-
-// recoverReorderState mounts the crash state, falling back to fsck plus a
-// remount. The verdict is cacheable: recovery is a deterministic function of
-// the device contents and the file-system configuration.
-func (mk *Monkey) recoverReorderState(crash blockdev.Device) (*cachedVerdict, error) {
-	if _, err := mk.FS.Mount(crash); err == nil {
-		return &cachedVerdict{mountable: true}, nil
-	} else if !errors.Is(err, filesys.ErrCorrupted) {
-		return nil, err
-	}
-	v := &cachedVerdict{fsckRun: true}
-	if repaired, err := mk.FS.Fsck(crash); err == nil && repaired {
-		if _, err := mk.FS.Mount(crash); err == nil {
-			v.fsckRepaired = true
-		}
-	}
-	return v, nil
-}
-
-// tally folds one state verdict into the report.
-func (r *ReorderReport) tally(st blockdev.ReorderState, v *cachedVerdict) {
-	inEpoch := st.Epoch >= 0 && st.Epoch < len(r.PerEpoch)
-	if inEpoch {
-		r.PerEpoch[st.Epoch].States++
-	}
-	switch {
-	case v.mountable:
-		r.Mountable++
-	case v.fsckRepaired:
-		r.Repaired++
-	default:
-		r.Broken = append(r.Broken, st.Desc)
-		if inEpoch {
-			r.PerEpoch[st.Epoch].Broken++
-		}
-	}
 }

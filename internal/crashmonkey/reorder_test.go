@@ -34,7 +34,7 @@ func legacySweep(mk *Monkey, p *Profile, flushOnly bool) (*ReorderReport, error)
 		}
 		report.States++
 		report.Checked++
-		v, err := mk.recoverReorderState(crash)
+		_, v, err := mk.mountOrRepair(crash)
 		if err != nil {
 			return err
 		}
