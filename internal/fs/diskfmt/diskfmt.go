@@ -1,9 +1,13 @@
-// Package diskfmt provides the shared on-disk primitives used by every file
-// system in this repository: checksummed length-prefixed blobs spanning
-// blocks, and dual-slot superblocks with generation numbers. Keeping the
-// physical format common lets each file system focus on the thing the B3
-// study shows actually matters for crash consistency: *which* state it
-// persists at each persistence point and how recovery interprets it.
+// Package diskfmt is the part of a file system under test that is the same
+// for all five backends in this repository. On disk: checksummed
+// length-prefixed blobs spanning blocks, dual-slot generation-stamped
+// superblocks, one dual-slot image checkpoint and one generation/sequence
+// framed record log (this file). In memory: one mounted base that implements
+// the whole POSIX-like filesys.MountedFS over an fstree.Tree (mounted.go).
+// Keeping those common lets each backend be only the thing the B3 study shows
+// actually matters for crash consistency: *which* state it persists at each
+// persistence point (a Strategy), how it frames that state (a record codec)
+// and how recovery interprets it.
 package diskfmt
 
 import (
@@ -12,6 +16,7 @@ import (
 	"b3/internal/blockdev"
 	"b3/internal/codec"
 	"b3/internal/filesys"
+	"b3/internal/fstree"
 )
 
 // Checksum is FNV-1a over the payload; adequate for detecting torn or stale
@@ -166,4 +171,124 @@ func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int6
 		return nil, 0, fmt.Errorf("diskfmt: blob checksum mismatch at block %d: %w", startBlock, filesys.ErrCorrupted)
 	}
 	return payload, blocks, nil
+}
+
+// On-disk layout shared by every backend (in blocks):
+//
+//	0, 1            superblock slots A and B (generation g lives in slot g%2)
+//	2 .. 2+R-1      image region A (even generations)
+//	2+R .. 2+2R-1   image region B (odd generations)
+//	2+2R ..         log area: records appended contiguously
+//
+// where R = imageRegionBlocks. A bad checksum terminates log scanning (torn
+// records) or invalidates a superblock slot.
+const (
+	imageRegionBlocks = 1024
+	logStart          = 2 + 2*imageRegionBlocks
+
+	// logReserveBlocks is the smallest log area a logging format is
+	// formatted with.
+	logReserveBlocks = 256
+)
+
+// Format is a backend's on-disk identity: the magics stamping its
+// superblock, image blob and log records.
+type Format struct {
+	Name   string // the backend's name
+	Super  uint32
+	Image  uint32
+	Record uint32 // zero: the format keeps no log
+}
+
+// minDeviceBlocks is the smallest device the format can be made on.
+func (f Format) minDeviceBlocks() int64 {
+	if f.Record == 0 {
+		return logStart
+	}
+	return logStart + logReserveBlocks
+}
+
+// Mkfs formats dev with an empty tree as generation 1.
+func (f Format) Mkfs(dev blockdev.Device, trailer func(*codec.Encoder)) error {
+	if dev.NumBlocks() < f.minDeviceBlocks() {
+		return fmt.Errorf("%s: device too small (%d blocks, need %d): %w",
+			f.Name, dev.NumBlocks(), f.minDeviceBlocks(), filesys.ErrInvalid)
+	}
+	return f.WriteImage(dev, 1, fstree.New(), trailer)
+}
+
+// WriteImage serializes the tree (and the backend's trailer, if any) into
+// the region for gen and flips the superblock to it. The inactive region is
+// written first and the superblock only after a flush, so a crash
+// mid-checkpoint always leaves the previous generation recoverable.
+func (f Format) WriteImage(dev blockdev.Device, gen uint64, t *fstree.Tree, trailer func(*codec.Encoder)) error {
+	e := codec.NewEncoder(4096)
+	t.Encode(e)
+	if trailer != nil {
+		trailer(e)
+	}
+	payload := e.Bytes()
+	start := int64(2)
+	if gen%2 == 1 {
+		start += imageRegionBlocks
+	}
+	// Bound-check before writing: an oversized image must not spill into
+	// the other region, which holds the committed previous generation.
+	if blocks := BlobBlocks(len(payload)); blocks > imageRegionBlocks {
+		return fmt.Errorf("%s: image exceeds region (%d blocks)", f.Name, blocks)
+	}
+	if _, err := WriteBlob(dev, start, f.Image, payload); err != nil {
+		return err
+	}
+	if err := dev.Flush(); err != nil {
+		return err
+	}
+	if err := WriteSuperblock(dev, Superblock{
+		Magic: f.Super, Gen: gen, ImageStart: start, ImageLen: int64(len(payload)),
+	}); err != nil {
+		return err
+	}
+	return dev.Flush()
+}
+
+// LoadImage loads the newest valid image: its generation, the tree, and the
+// decoder positioned at the backend's trailer.
+func (f Format) LoadImage(dev blockdev.Device) (uint64, *fstree.Tree, *codec.Decoder, error) {
+	sb, err := LoadSuperblock(dev, f.Super)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	payload, _, err := ReadBlob(dev, sb.ImageStart, f.Image)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	d := codec.NewDecoder(payload)
+	tree, err := fstree.DecodeTree(d)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return sb.Gen, tree, d, nil
+}
+
+// ScanLog hands apply the body of each consecutive record of generation
+// gen, in sequence order from the start of the log area, and returns how
+// many it took. Scanning stops at the first invalid, foreign or
+// out-of-sequence blob and at the first body apply rejects; apply must
+// decode a body completely before acting on it.
+func (f Format) ScanLog(dev blockdev.Device, gen uint64, apply func(*codec.Decoder) error) int {
+	head := int64(logStart)
+	seq := uint64(1)
+	for head < dev.NumBlocks() {
+		payload, blocks, err := ReadBlob(dev, head, f.Record)
+		if err != nil {
+			break
+		}
+		d := codec.NewDecoder(payload)
+		if d.Uint64() != gen || d.Uint64() != seq || apply(d) != nil {
+			break
+		}
+		head += blocks
+		seq++
+	}
+	return int(seq - 1)
 }

@@ -1,10 +1,7 @@
 package diskfmt
 
 import (
-	"fmt"
-
 	"b3/internal/blockdev"
-	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fstree"
 )
@@ -17,35 +14,21 @@ import (
 // mechanism to simulate. In the campaign matrix it is the soundness row:
 // any finding against it is a harness false positive.
 
-const (
-	fsSuperMagic = 0x44534B46 // "DSKF"
-	fsImageMagic = 0x44494D47 // "DIMG"
-
-	fsImageRegionBlocks = 1024
-
-	// FSMinDeviceBlocks is the smallest device the diskfmt backend
-	// formats on: two superblock slots plus two image regions.
-	FSMinDeviceBlocks = 2 + 2*fsImageRegionBlocks
-)
-
-// Options configures a diskfmt backend instance. The backend carries no bug
-// mechanisms; the fields exist so fsmake can construct it uniformly.
-type Options struct {
-	// BugOverride is accepted for constructor symmetry and ignored — the
-	// reference backend has no mechanisms to enable.
-	BugOverride map[string]bool
+var fsFormat = Format{
+	Name:  "diskfmt",
+	Super: 0x44534B46, // "DSKF"
+	Image: 0x44494D47, // "DIMG"
 }
 
 // FS is the diskfmt reference file system.
-type FS struct{}
+type FS struct{ Backend }
 
 var _ filesys.FileSystem = (*FS)(nil)
 
-// NewFS returns a diskfmt backend instance.
-func NewFS(Options) *FS { return &FS{} }
-
-// Name implements filesys.FileSystem.
-func (f *FS) Name() string { return "diskfmt" }
+// NewFS returns a diskfmt backend instance. The backend carries no bug
+// mechanisms, so the options select nothing; they are accepted so fsmake
+// constructs all backends uniformly.
+func NewFS(opts Options) *FS { return &FS{NewBackend(fsFormat.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: every persistence operation
 // checkpoints the whole tree, so every guarantee holds.
@@ -65,69 +48,38 @@ func (f *FS) Guarantees() filesys.Guarantees {
 	}
 }
 
-// writeFSImage serializes the tree into the slot for gen and flips the
-// superblock to it. The inactive region is written first and the superblock
-// only after a flush, so a crash mid-checkpoint always leaves the previous
-// generation recoverable.
-func writeFSImage(dev blockdev.Device, gen uint64, t *fstree.Tree) error {
-	e := codec.NewEncoder(4096)
-	t.Encode(e)
-	payload := e.Bytes()
-	start := int64(2)
-	if gen%2 == 1 {
-		start = 2 + fsImageRegionBlocks
-	}
-	// Bound-check before writing: an oversized image must not spill into
-	// the other slot, which holds the committed previous generation.
-	if blocks := BlobBlocks(len(payload)); blocks > fsImageRegionBlocks {
-		return fmt.Errorf("diskfmt: image exceeds region (%d blocks)", blocks)
-	}
-	if _, err := WriteBlob(dev, start, fsImageMagic, payload); err != nil {
-		return err
-	}
-	if err := dev.Flush(); err != nil {
-		return err
-	}
-	if err := WriteSuperblock(dev, Superblock{
-		Magic: fsSuperMagic, Gen: gen, ImageStart: start, ImageLen: int64(len(payload)),
-	}); err != nil {
-		return err
-	}
-	return dev.Flush()
-}
-
 // Mkfs implements filesys.FileSystem.
-func (f *FS) Mkfs(dev blockdev.Device) error {
-	if dev.NumBlocks() < FSMinDeviceBlocks {
-		return fmt.Errorf("diskfmt: device too small: %w", filesys.ErrInvalid)
-	}
-	return writeFSImage(dev, 1, fstree.New())
-}
+func (f *FS) Mkfs(dev blockdev.Device) error { return fsFormat.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem: load the newest valid image. There
 // is nothing further to recover.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	sb, err := LoadSuperblock(dev, fsSuperMagic)
+	gen, tree, _, err := fsFormat.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
-	payload, _, err := ReadBlob(dev, sb.ImageStart, fsImageMagic)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := fstree.DecodeTree(codec.NewDecoder(payload))
-	if err != nil {
-		return nil, err
-	}
-	return &fsMounted{dev: dev, gen: sb.Gen, mem: tree}, nil
+	m := &fsMounted{}
+	m.Mounted = NewMounted(fsFormat, dev, gen, tree, m)
+	return m, nil
 }
 
-// Fsck implements filesys.FileSystem. Recovery is a plain image load, so
-// there is nothing to repair beyond what Mount already does.
-func (f *FS) Fsck(dev blockdev.Device) (bool, error) {
-	m, err := f.Mount(dev)
-	if err != nil {
-		return false, err
-	}
-	return true, m.Unmount()
-}
+// Fsck implements filesys.FileSystem.
+func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return FsckByMount(f, dev) }
+
+// fsMounted is the reference strategy: no dirt tracking, and every
+// persistence point is a whole-image checkpoint (the format has no cheaper
+// data-only or ranged path, so fdatasync, msync and a direct write
+// legitimately persist everything).
+type fsMounted struct{ Mounted }
+
+func (m *fsMounted) Touched(*fstree.Node, Change) {}
+
+func (m *fsMounted) PersistNode(*fstree.Node) error { return m.Checkpoint() }
+
+func (m *fsMounted) PersistData(*fstree.Node) error { return m.Checkpoint() }
+
+func (m *fsMounted) PersistRange(*fstree.Node, int64, int64) error { return m.Checkpoint() }
+
+func (m *fsMounted) PersistDirect(*fstree.Node, int64, []byte) error { return m.Checkpoint() }
+
+func (m *fsMounted) Checkpoint() error { return m.WriteCheckpoint(nil) }

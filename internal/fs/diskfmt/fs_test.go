@@ -121,9 +121,3 @@ func TestFSTornCheckpointKeepsPreviousGeneration(t *testing.T) {
 		t.Fatalf("generation-1 file missing: %v", err)
 	}
 }
-
-func TestFSMkfsRejectsTinyDevice(t *testing.T) {
-	if err := NewFS(Options{}).Mkfs(blockdev.NewMemDisk(16)); err == nil {
-		t.Fatal("tiny device must be rejected")
-	}
-}

@@ -12,57 +12,27 @@ import (
 	"fmt"
 
 	"b3/internal/blockdev"
-	"b3/internal/bugs"
 	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
-const (
-	superMagic  = 0x46324653 // "F2FS"
-	imageMagic  = 0x43504B54 // "CPKT"
-	recordMagic = 0x4E4F4445 // "NODE"
-
-	imageRegionBlocks = 1024
-	nodeLogStart      = 2 + 2*imageRegionBlocks
-
-	// MinDeviceBlocks is the smallest device f2fsim formats on.
-	MinDeviceBlocks = nodeLogStart + 256
-)
+var format = diskfmt.Format{
+	Name:   "f2fsim",
+	Super:  0x46324653, // "F2FS"
+	Image:  0x43504B54, // "CPKT"
+	Record: 0x4E4F4445, // "NODE"
+}
 
 // Options configures an f2fsim instance.
-type Options struct {
-	Version     bugs.Version
-	BugOverride map[string]bool
-}
+type Options = diskfmt.Options
 
 // FS is the f2fsim file-system type.
-type FS struct {
-	version bugs.Version
-	active  map[string]bool
-}
+type FS struct{ diskfmt.Backend }
 
 // New returns an f2fsim simulating the given kernel era.
-func New(opts Options) *FS {
-	ver := opts.Version
-	if ver.IsZero() {
-		ver = bugs.Latest
-	}
-	active := opts.BugOverride
-	if active == nil {
-		active = bugs.ActiveSet("f2fsim", ver)
-	}
-	return &FS{version: ver, active: active}
-}
-
-// Name implements filesys.FileSystem.
-func (f *FS) Name() string { return "f2fsim" }
-
-// Version returns the simulated kernel version.
-func (f *FS) Version() bugs.Version { return f.version }
-
-func (f *FS) has(id string) bool { return f.active[id] }
+func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: F2FS recovers fsynced files at
 // their current name via roll-forward, and directory fsync forces a
@@ -97,10 +67,7 @@ type refRec struct {
 	name   string
 }
 
-func encodeRecord(gen, seq uint64, entries []fsyncEntry) []byte {
-	e := codec.NewEncoder(512)
-	e.Uint64(gen)
-	e.Uint64(seq)
+func encodeRecord(e *codec.Encoder, entries []fsyncEntry) {
 	e.Int(len(entries))
 	for _, ent := range entries {
 		fstree.EncodeNode(e, ent.node, false)
@@ -115,132 +82,72 @@ func encodeRecord(gen, seq uint64, entries []fsyncEntry) []byte {
 			e.String(r.name)
 		}
 	}
-	return e.Bytes()
 }
 
-func decodeRecord(payload []byte) (gen, seq uint64, entries []fsyncEntry, err error) {
-	d := codec.NewDecoder(payload)
-	gen = d.Uint64()
-	seq = d.Uint64()
+func decodeRecord(d *codec.Decoder) (entries []fsyncEntry, err error) {
 	n := d.Int()
 	if d.Err() != nil {
-		return 0, 0, nil, d.Err()
+		return nil, d.Err()
 	}
 	if n < 0 || n > 1<<16 {
-		return 0, 0, nil, fmt.Errorf("f2fsim: implausible record: %w", filesys.ErrCorrupted)
+		return nil, fmt.Errorf("f2fsim: implausible record: %w", filesys.ErrCorrupted)
 	}
 	for i := 0; i < n; i++ {
 		node, err := fstree.DecodeNode(d)
 		if err != nil {
-			return 0, 0, nil, err
+			return nil, err
 		}
 		ent := fsyncEntry{node: node}
 		nr := d.Int()
 		if d.Err() != nil || nr < 0 || nr > 1<<16 {
-			return 0, 0, nil, fmt.Errorf("f2fsim: implausible refs: %w", filesys.ErrCorrupted)
+			return nil, fmt.Errorf("f2fsim: implausible refs: %w", filesys.ErrCorrupted)
 		}
 		for j := 0; j < nr; j++ {
 			ent.refs = append(ent.refs, refRec{parent: d.Uint64(), name: d.String()})
 		}
 		nd := d.Int()
 		if d.Err() != nil || nd < 0 || nd > 1<<16 {
-			return 0, 0, nil, fmt.Errorf("f2fsim: implausible dels: %w", filesys.ErrCorrupted)
+			return nil, fmt.Errorf("f2fsim: implausible dels: %w", filesys.ErrCorrupted)
 		}
 		for j := 0; j < nd; j++ {
 			ent.dels = append(ent.dels, refRec{parent: d.Uint64(), name: d.String()})
 		}
 		if d.Err() != nil {
-			return 0, 0, nil, d.Err()
+			return nil, d.Err()
 		}
 		entries = append(entries, ent)
 	}
-	return gen, seq, entries, nil
-}
-
-func writeImage(dev blockdev.Device, gen uint64, t *fstree.Tree) error {
-	e := codec.NewEncoder(4096)
-	t.Encode(e)
-	payload := e.Bytes()
-	start := int64(2)
-	if gen%2 == 1 {
-		start = 2 + imageRegionBlocks
-	}
-	blocks, err := diskfmt.WriteBlob(dev, start, imageMagic, payload)
-	if err != nil {
-		return err
-	}
-	if blocks > imageRegionBlocks {
-		return fmt.Errorf("f2fsim: checkpoint exceeds region (%d blocks)", blocks)
-	}
-	if err := dev.Flush(); err != nil {
-		return err
-	}
-	if err := diskfmt.WriteSuperblock(dev, diskfmt.Superblock{
-		Magic: superMagic, Gen: gen, ImageStart: start, ImageLen: int64(len(payload)),
-	}); err != nil {
-		return err
-	}
-	return dev.Flush()
+	return entries, nil
 }
 
 // Mkfs implements filesys.FileSystem.
-func (f *FS) Mkfs(dev blockdev.Device) error {
-	if dev.NumBlocks() < MinDeviceBlocks {
-		return fmt.Errorf("f2fsim: device too small: %w", filesys.ErrInvalid)
-	}
-	return writeImage(dev, 1, fstree.New())
-}
+func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem: load the checkpoint and roll the
 // fsync node chain forward.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	sb, err := diskfmt.LoadSuperblock(dev, superMagic)
+	gen, tree, _, err := format.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
-	payload, _, err := diskfmt.ReadBlob(dev, sb.ImageStart, imageMagic)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := fstree.DecodeTree(codec.NewDecoder(payload))
-	if err != nil {
-		return nil, err
+	recovered := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
+		entries, err := decodeRecord(d)
+		if err == nil {
+			rollForward(tree, entries)
+		}
+		return err
+	})
+	if recovered > 0 {
+		sweepUnreachable(tree)
+		diskfmt.RecountLinks(tree)
 	}
 
-	// Roll-forward: scan the node log for this generation.
-	head := int64(nodeLogStart)
-	wantSeq := uint64(1)
-	recovered := false
-	for head < dev.NumBlocks() {
-		blob, blocks, err := diskfmt.ReadBlob(dev, head, recordMagic)
-		if err != nil {
-			break
-		}
-		rGen, rSeq, entries, err := decodeRecord(blob)
-		if err != nil || rGen != sb.Gen || rSeq != wantSeq {
-			break
-		}
-		rollForward(tree, entries)
-		head += blocks
-		wantSeq++
-		recovered = true
-	}
-	if recovered {
-		sweepAndRecount(tree)
-	}
-
-	m := &mounted{
-		fs:      f,
-		dev:     dev,
-		gen:     sb.Gen,
-		mem:     tree,
-		logHead: nodeLogStart,
-		state:   map[uint64]*inodeState{},
-	}
+	m := &mounted{fs: f}
+	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)
 	m.captureCommitted()
-	if recovered {
+	if recovered > 0 {
 		// Recovery finishes with a checkpoint.
-		if err := m.checkpoint(); err != nil {
+		if err := m.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
@@ -249,13 +156,7 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 
 // Fsck implements filesys.FileSystem (fsck.f2fs analogue): mount-equivalent
 // recovery plus a clean checkpoint.
-func (f *FS) Fsck(dev blockdev.Device) (bool, error) {
-	m, err := f.Mount(dev)
-	if err != nil {
-		return false, err
-	}
-	return true, m.Unmount()
-}
+func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMount(f, dev) }
 
 // rollForward applies one fsync record: materialize each node and link it
 // at its recorded references.
@@ -304,9 +205,9 @@ func rollForward(tree *fstree.Tree, entries []fsyncEntry) {
 	}
 }
 
-// sweepAndRecount removes unreachable inodes and rebuilds link counts after
+// sweepUnreachable removes unreachable inodes and dangling entries after
 // roll-forward.
-func sweepAndRecount(tree *fstree.Tree) {
+func sweepUnreachable(tree *fstree.Tree) {
 	reachable := map[uint64]bool{fstree.RootIno: true}
 	queue := []uint64{fstree.RootIno}
 	for len(queue) > 0 {
@@ -336,25 +237,4 @@ func sweepAndRecount(tree *fstree.Tree) {
 			tree.RemoveNode(ino)
 		}
 	}
-	refs := map[uint64]int{}
-	subdirs := map[uint64]int{}
-	tree.Walk(func(path string, n *fstree.Node) {
-		if path != "/" {
-			refs[n.Ino]++
-		}
-		if n.Kind == filesys.KindDir {
-			for _, c := range n.Children {
-				if cn := tree.Get(c); cn != nil && cn.Kind == filesys.KindDir {
-					subdirs[n.Ino]++
-				}
-			}
-		}
-	})
-	tree.Walk(func(path string, n *fstree.Node) {
-		if n.Kind == filesys.KindDir {
-			n.Nlink = 2 + subdirs[n.Ino]
-		} else {
-			n.Nlink = refs[n.Ino]
-		}
-	})
 }

@@ -1,10 +1,9 @@
 package f2fsim
 
 import (
-	"fmt"
 	"sort"
 
-	"b3/internal/blockdev"
+	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
@@ -18,28 +17,21 @@ type inodeState struct {
 	zeroEnd   int64 // end of a zero_range KEEP_SIZE beyond EOF (Table 5 #9)
 }
 
-// mounted is a mounted f2fsim instance.
+// mounted is a mounted f2fsim instance: the shared base plus the strategy
+// of checkpoints with a roll-forward node log.
 type mounted struct {
-	fs  *FS
-	dev blockdev.Device
-	gen uint64
+	diskfmt.Mounted
+	fs *FS
 
-	mem       *fstree.Tree
 	committed *fstree.Tree // state as of the last checkpoint
-	logHead   int64
-	logSeq    uint64
 
 	state       map[uint64]*inodeState
 	renamedDirs map[uint64]bool   // directories renamed since the checkpoint
 	recorded    map[refRec]uint64 // bindings written to the node log
-
-	unmounted bool
 }
 
-var _ filesys.MountedFS = (*mounted)(nil)
-
 func (m *mounted) captureCommitted() {
-	m.committed = m.mem.Clone()
+	m.committed = m.Mem.Clone()
 	m.renamedDirs = map[uint64]bool{}
 	m.state = map[uint64]*inodeState{}
 	m.recorded = map[refRec]uint64{}
@@ -54,39 +46,20 @@ func (m *mounted) stateOf(ino uint64) *inodeState {
 	return s
 }
 
-func (m *mounted) checkMounted() error {
-	if m.unmounted {
-		return fmt.Errorf("f2fsim: %w", filesys.ErrInvalid)
-	}
-	return nil
-}
-
-func (m *mounted) checkpoint() error {
-	m.gen++
-	if err := writeImage(m.dev, m.gen, m.mem); err != nil {
+// Checkpoint implements diskfmt.Strategy.
+func (m *mounted) Checkpoint() error {
+	if err := m.WriteCheckpoint(nil); err != nil {
 		return err
 	}
-	m.logHead = nodeLogStart
-	m.logSeq = 0
 	m.captureCommitted()
 	return nil
 }
 
 // writeFsyncRecord appends one node-log record and flushes.
 func (m *mounted) writeFsyncRecord(entries []fsyncEntry) error {
-	payload := encodeRecord(m.gen, m.logSeq+1, entries)
-	blocks, err := diskfmt.WriteBlob(m.dev, m.logHead, recordMagic, payload)
-	if err != nil {
+	if err := m.AppendRecord(func(e *codec.Encoder) { encodeRecord(e, entries) }); err != nil {
 		return err
 	}
-	if m.logHead+blocks >= m.dev.NumBlocks() {
-		return fmt.Errorf("f2fsim: node log exhausted: %w", filesys.ErrInvalid)
-	}
-	if err := m.dev.Flush(); err != nil {
-		return err
-	}
-	m.logSeq++
-	m.logHead += blocks
 	for _, ent := range entries {
 		for _, r := range ent.dels {
 			if m.recorded[r] == ent.node.Ino {
@@ -110,7 +83,7 @@ func (m *mounted) buildEntry(n *fstree.Node) fsyncEntry {
 	// BUG N9 (Table 5 #9): zero_range with KEEP_SIZE fails to set the
 	// keep-size bit in the node; recovery extends the file to the end of
 	// the zeroed range.
-	if m.fs.has("f2fs-zero-range-keep-size-size") && st.zeroEnd > node.Size() {
+	if m.fs.Has("f2fs-zero-range-keep-size-size") && st.zeroEnd > node.Size() {
 		grown := make([]byte, st.zeroEnd)
 		copy(grown, node.Data)
 		node.Data = grown
@@ -118,9 +91,9 @@ func (m *mounted) buildEntry(n *fstree.Node) fsyncEntry {
 
 	ent := fsyncEntry{node: node}
 	current := map[refRec]bool{}
-	for _, p := range m.mem.PathsOf(n.Ino) {
+	for _, p := range m.Mem.PathsOf(n.Ino) {
 		parentPath, name := pathParent(p)
-		parent, err := m.mem.Lookup(parentPath)
+		parent, err := m.Mem.Lookup(parentPath)
 		if err != nil {
 			continue
 		}
@@ -167,8 +140,8 @@ func (m *mounted) fsyncFile(n *fstree.Node) error {
 	// the last checkpoint recovers into the directory's old location. The
 	// fix (fsync_mode=strict) forces a checkpoint instead.
 	if m.ancestorRenamed(n) {
-		if !m.fs.has("f2fs-renamed-dir-child-old-loc") {
-			return m.checkpoint()
+		if !m.fs.Has("f2fs-renamed-dir-child-old-loc") {
+			return m.Checkpoint()
 		}
 	}
 
@@ -180,7 +153,7 @@ func (m *mounted) fsyncFile(n *fstree.Node) error {
 	// Dragging the committed occupant of a reused name (the workload-1
 	// shape: rename away, recreate, fsync the new file). BUG W1/F2FS skips
 	// the drag and the renamed-away file is lost.
-	if !m.fs.has("f2fs-rename-old-file-lost-on-new-fsync") {
+	if !m.fs.Has("f2fs-rename-old-file-lost-on-new-fsync") {
 		for _, r := range entries[0].refs {
 			com := m.committed.Get(r.parent)
 			if com == nil {
@@ -190,7 +163,7 @@ func (m *mounted) fsyncFile(n *fstree.Node) error {
 			if !ok || j == n.Ino {
 				continue
 			}
-			if jNode := m.mem.Get(j); jNode != nil && jNode.Kind != filesys.KindDir {
+			if jNode := m.Mem.Get(j); jNode != nil && jNode.Kind != filesys.KindDir {
 				// The dragged inode's own parent chain must exist at
 				// recovery too.
 				entries = append(entries, m.ancestorEntries(jNode)...)
@@ -215,15 +188,15 @@ func (m *mounted) fsyncFile(n *fstree.Node) error {
 func (m *mounted) ancestorEntries(n *fstree.Node) []fsyncEntry {
 	var out []fsyncEntry
 	seen := map[uint64]bool{}
-	for _, p := range m.mem.PathsOf(n.Ino) {
+	for _, p := range m.Mem.PathsOf(n.Ino) {
 		comps := fstree.SplitPath(p)
-		cur := m.mem.Root()
+		cur := m.Mem.Root()
 		for _, comp := range comps[:max(0, len(comps)-1)] {
 			childIno, ok := cur.Children[comp]
 			if !ok {
 				break
 			}
-			child := m.mem.Get(childIno)
+			child := m.Mem.Get(childIno)
 			if child == nil || child.Kind != filesys.KindDir {
 				break
 			}
@@ -244,12 +217,12 @@ func (m *mounted) ancestorEntries(n *fstree.Node) []fsyncEntry {
 // ancestorRenamed reports whether any directory on the node's first path
 // was renamed since the last checkpoint.
 func (m *mounted) ancestorRenamed(n *fstree.Node) bool {
-	paths := m.mem.PathsOf(n.Ino)
+	paths := m.Mem.PathsOf(n.Ino)
 	if len(paths) == 0 {
 		return false
 	}
 	comps := fstree.SplitPath(paths[0])
-	cur := m.mem.Root()
+	cur := m.Mem.Root()
 	for _, comp := range comps[:max(0, len(comps)-1)] {
 		childIno, ok := cur.Children[comp]
 		if !ok {
@@ -258,7 +231,7 @@ func (m *mounted) ancestorRenamed(n *fstree.Node) bool {
 		if m.renamedDirs[childIno] {
 			return true
 		}
-		child := m.mem.Get(childIno)
+		child := m.Mem.Get(childIno)
 		if child == nil || child.Kind != filesys.KindDir {
 			return false
 		}
@@ -267,328 +240,75 @@ func (m *mounted) ancestorRenamed(n *fstree.Node) bool {
 	return false
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ---- namespace operations -------------------------------------------------
-
-// Create implements filesys.MountedFS.
-func (m *mounted) Create(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Create(path)
-	if err != nil {
-		return err
-	}
-	m.stateOf(n.Ino).metaDirty = true
-	return nil
-}
-
-// Mkdir implements filesys.MountedFS.
-func (m *mounted) Mkdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Mkdir(path)
-	return err
-}
-
-// Symlink implements filesys.MountedFS.
-func (m *mounted) Symlink(target, linkPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Symlink(target, linkPath)
-	return err
-}
-
-// Mkfifo implements filesys.MountedFS.
-func (m *mounted) Mkfifo(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Mkfifo(path)
-	return err
-}
-
-// Link implements filesys.MountedFS.
-func (m *mounted) Link(oldPath, newPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Link(oldPath, newPath)
-	if err != nil {
-		return err
-	}
-	m.stateOf(n.Ino).metaDirty = true
-	return nil
-}
-
-// Unlink implements filesys.MountedFS.
-func (m *mounted) Unlink(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, _, err := m.mem.Unlink(path)
-	return err
-}
-
-// Rmdir implements filesys.MountedFS.
-func (m *mounted) Rmdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Rmdir(path)
-	return err
-}
-
-// Rename implements filesys.MountedFS.
-func (m *mounted) Rename(src, dst string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, _, err := m.mem.Rename(src, dst)
-	if err != nil {
-		return err
-	}
-	if n.Kind == filesys.KindDir {
-		m.renamedDirs[n.Ino] = true
-	}
-	m.stateOf(n.Ino).metaDirty = true
-	return nil
-}
-
-// Truncate implements filesys.MountedFS.
-func (m *mounted) Truncate(path string, size int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Truncate(path, size)
-	if err != nil {
-		return err
-	}
-	st := m.stateOf(n.Ino)
-	st.dataDirty = true
-	st.metaDirty = true
-	return nil
-}
-
-// Write implements filesys.MountedFS.
-func (m *mounted) Write(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Write(path, off, data)
-	if err != nil {
-		return err
-	}
-	m.stateOf(n.Ino).dataDirty = true
-	return nil
-}
-
-// MWrite implements filesys.MountedFS.
-func (m *mounted) MWrite(path string, off int64, data []byte) error {
-	return m.Write(path, off, data)
-}
-
-// WriteDirect implements filesys.MountedFS: direct IO data is durable at
-// completion, carried by an immediate fsync record.
-func (m *mounted) WriteDirect(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Write(path, off, data)
-	if err != nil {
-		return err
-	}
-	m.stateOf(n.Ino).dataDirty = true
-	return m.fsyncFile(n)
-}
-
-// Falloc implements filesys.MountedFS.
-func (m *mounted) Falloc(path string, mode filesys.FallocMode, off, length int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Falloc(path, mode, off, length)
-	if err != nil {
-		return err
-	}
-	st := m.stateOf(n.Ino)
-	end := off + length
-	switch {
-	case mode == filesys.FallocKeepSize && off >= n.Size():
-		if !st.dataDirty && !st.metaDirty {
-			st.allocOnly = true
+// Touched implements diskfmt.Strategy: record per-inode dirt between
+// checkpoints.
+func (m *mounted) Touched(n *fstree.Node, c diskfmt.Change) {
+	switch c.Op {
+	case diskfmt.OpCreate, diskfmt.OpLink, diskfmt.OpSetXattr, diskfmt.OpRemoveXattr:
+		m.stateOf(n.Ino).metaDirty = true
+	case diskfmt.OpRename:
+		if n.Kind == filesys.KindDir {
+			m.renamedDirs[n.Ino] = true
 		}
-	case mode == filesys.FallocZeroRangeKeepSize && end > n.Size():
-		st.dataDirty = true
-		if end > st.zeroEnd {
-			st.zeroEnd = end
-		}
-	default:
+		m.stateOf(n.Ino).metaDirty = true
+	case diskfmt.OpWrite:
+		m.stateOf(n.Ino).dataDirty = true
+	case diskfmt.OpTruncate:
+		st := m.stateOf(n.Ino)
 		st.dataDirty = true
 		st.metaDirty = true
+	case diskfmt.OpFalloc:
+		st := m.stateOf(n.Ino)
+		end := c.Off + c.Length
+		switch {
+		case c.Mode == filesys.FallocKeepSize && c.Off >= n.Size():
+			if !st.dataDirty && !st.metaDirty {
+				st.allocOnly = true
+			}
+		case c.Mode == filesys.FallocZeroRangeKeepSize && end > n.Size():
+			st.dataDirty = true
+			if end > st.zeroEnd {
+				st.zeroEnd = end
+			}
+		default:
+			st.dataDirty = true
+			st.metaDirty = true
+		}
+	case diskfmt.OpMkdir, diskfmt.OpSymlink, diskfmt.OpMkfifo, diskfmt.OpUnlink, diskfmt.OpRmdir:
+		// Durable at the next checkpoint, or materialized as an ancestor
+		// entry when a file beneath is fsynced; no dirt to track.
 	}
-	return nil
 }
 
-// SetXattr implements filesys.MountedFS.
-func (m *mounted) SetXattr(path, name string, value []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.SetXattr(path, name, value)
-	if err != nil {
-		return err
-	}
-	m.stateOf(n.Ino).metaDirty = true
-	return nil
+// PersistDirect implements diskfmt.Strategy: direct IO data is durable at
+// completion, carried by an immediate fsync record.
+func (m *mounted) PersistDirect(n *fstree.Node, _ int64, _ []byte) error {
+	m.stateOf(n.Ino).dataDirty = true
+	return m.fsyncFile(n)
 }
 
-// RemoveXattr implements filesys.MountedFS.
-func (m *mounted) RemoveXattr(path, name string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.RemoveXattr(path, name)
-	if err != nil {
-		return err
-	}
-	m.stateOf(n.Ino).metaDirty = true
-	return nil
-}
-
-// ---- persistence operations -------------------------------------------------
-
-// Fsync implements filesys.MountedFS. Directory fsync forces a checkpoint
-// (F2FS behaviour); file fsync writes a roll-forward node record.
-func (m *mounted) Fsync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return err
-	}
+// PersistNode implements diskfmt.Strategy. Directory fsync forces a
+// checkpoint (F2FS behaviour); file fsync writes a roll-forward node record.
+func (m *mounted) PersistNode(n *fstree.Node) error {
 	if n.Kind == filesys.KindDir {
-		return m.checkpoint()
+		return m.Checkpoint()
 	}
 	return m.fsyncFile(n)
 }
 
-// Fdatasync implements filesys.MountedFS. BUG W2/F2FS: when only KEEP_SIZE
+// PersistRange implements diskfmt.Strategy.
+func (m *mounted) PersistRange(n *fstree.Node, _, _ int64) error { return m.PersistNode(n) }
+
+// PersistData implements diskfmt.Strategy. BUG W2/F2FS: when only KEEP_SIZE
 // allocation beyond EOF is pending, the node looks clean and fdatasync
 // becomes a no-op; the allocated blocks are lost on crash.
-func (m *mounted) Fdatasync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if n.Kind == filesys.KindDir {
-		return m.checkpoint()
-	}
-	if m.fs.has("f2fs-fdatasync-falloc-keepsize") {
+func (m *mounted) PersistData(n *fstree.Node) error {
+	if n.Kind != filesys.KindDir && m.fs.Has("f2fs-fdatasync-falloc-keepsize") {
 		if st, ok := m.state[n.Ino]; ok && st.allocOnly && !st.dataDirty && !st.metaDirty {
 			return nil
 		}
 	}
-	return m.fsyncFile(n)
-}
-
-// MSync implements filesys.MountedFS.
-func (m *mounted) MSync(path string, off, length int64) error {
-	return m.Fsync(path)
-}
-
-// Sync implements filesys.MountedFS.
-func (m *mounted) Sync() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	return m.checkpoint()
-}
-
-// Unmount implements filesys.MountedFS.
-func (m *mounted) Unmount() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	if err := m.checkpoint(); err != nil {
-		return err
-	}
-	m.unmounted = true
-	return nil
-}
-
-// ---- read-side API ----------------------------------------------------------
-
-// Stat implements filesys.MountedFS.
-func (m *mounted) Stat(path string) (filesys.Stat, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return filesys.Stat{}, err
-	}
-	return n.Stat(), nil
-}
-
-// ReadFile implements filesys.MountedFS.
-func (m *mounted) ReadFile(path string) ([]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.Kind == filesys.KindDir {
-		return nil, fmt.Errorf("f2fsim read %q: %w", path, filesys.ErrIsDir)
-	}
-	return append([]byte(nil), n.Data...), nil
-}
-
-// ReadDir implements filesys.MountedFS.
-func (m *mounted) ReadDir(path string) ([]filesys.DirEntry, error) {
-	return m.mem.ReadDir(path)
-}
-
-// ReadLink implements filesys.MountedFS.
-func (m *mounted) ReadLink(path string) (string, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return "", err
-	}
-	if n.Kind != filesys.KindSymlink {
-		return "", fmt.Errorf("f2fsim readlink %q: %w", path, filesys.ErrInvalid)
-	}
-	return n.Target, nil
-}
-
-// ListXattr implements filesys.MountedFS.
-func (m *mounted) ListXattr(path string) (map[string][]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(n.Xattrs))
-	for k, v := range n.Xattrs {
-		out[k] = append([]byte(nil), v...)
-	}
-	return out, nil
-}
-
-// Extents implements filesys.MountedFS.
-func (m *mounted) Extents(path string) ([]filesys.Extent, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	return append([]filesys.Extent(nil), n.Extents...), nil
+	return m.PersistNode(n)
 }
 
 // pathParent returns the parent path and leaf name of a clean path.

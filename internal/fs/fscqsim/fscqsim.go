@@ -12,24 +12,18 @@ import (
 	"fmt"
 
 	"b3/internal/blockdev"
-	"b3/internal/bugs"
 	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
-const (
-	superMagic  = 0x46534351 // "FSCQ"
-	imageMagic  = 0x4C4F4749 // "LOGI"
-	recordMagic = 0x44505754 // "DPWT"
-
-	imageRegionBlocks = 1024
-	logStart          = 2 + 2*imageRegionBlocks
-
-	// MinDeviceBlocks is the smallest device fscqsim formats on.
-	MinDeviceBlocks = logStart + 256
-)
+var format = diskfmt.Format{
+	Name:   "fscqsim",
+	Super:  0x46534351, // "FSCQ"
+	Image:  0x4C4F4749, // "LOGI"
+	Record: 0x44505754, // "DPWT"
+}
 
 const (
 	recFullImage byte = iota
@@ -37,37 +31,13 @@ const (
 )
 
 // Options configures an fscqsim instance.
-type Options struct {
-	Version     bugs.Version
-	BugOverride map[string]bool
-}
+type Options = diskfmt.Options
 
 // FS is the fscqsim file-system type.
-type FS struct {
-	version bugs.Version
-	active  map[string]bool
-}
+type FS struct{ diskfmt.Backend }
 
 // New returns an fscqsim instance.
-func New(opts Options) *FS {
-	ver := opts.Version
-	if ver.IsZero() {
-		ver = bugs.Latest
-	}
-	active := opts.BugOverride
-	if active == nil {
-		active = bugs.ActiveSet("fscqsim", ver)
-	}
-	return &FS{version: ver, active: active}
-}
-
-// Name implements filesys.FileSystem.
-func (f *FS) Name() string { return "fscqsim" }
-
-// Version returns the simulated kernel/toolchain era.
-func (f *FS) Version() bugs.Version { return f.version }
-
-func (f *FS) has(id string) bool { return f.active[id] }
+func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: FSCQ's specification makes
 // every flush persist all preceding operations, and fdatasync is specified
@@ -97,10 +67,7 @@ type logRecord struct {
 	ext  []filesys.Extent
 }
 
-func encodeRecord(gen, seq uint64, r logRecord) []byte {
-	e := codec.NewEncoder(512)
-	e.Uint64(gen)
-	e.Uint64(seq)
+func encodeRecord(e *codec.Encoder, r logRecord) {
 	e.Byte(r.kind)
 	switch r.kind {
 	case recFullImage:
@@ -115,13 +82,9 @@ func encodeRecord(gen, seq uint64, r logRecord) []byte {
 			e.Int64(x.Len)
 		}
 	}
-	return e.Bytes()
 }
 
-func decodeRecord(payload []byte) (gen, seq uint64, r logRecord, err error) {
-	d := codec.NewDecoder(payload)
-	gen = d.Uint64()
-	seq = d.Uint64()
+func decodeRecord(d *codec.Decoder) (r logRecord, err error) {
 	r.kind = d.Byte()
 	switch r.kind {
 	case recFullImage:
@@ -135,79 +98,31 @@ func decodeRecord(payload []byte) (gen, seq uint64, r logRecord, err error) {
 		r.size = d.Int64()
 		n := d.Int()
 		if d.Err() != nil || n < 0 || n > 1<<20 {
-			return 0, 0, r, fmt.Errorf("fscqsim: implausible extents: %w", filesys.ErrCorrupted)
+			return r, fmt.Errorf("fscqsim: implausible extents: %w", filesys.ErrCorrupted)
 		}
 		for i := 0; i < n; i++ {
 			r.ext = append(r.ext, filesys.Extent{Off: d.Int64(), Len: d.Int64()})
 		}
 	default:
-		return 0, 0, r, fmt.Errorf("fscqsim: unknown record kind: %w", filesys.ErrCorrupted)
+		return r, fmt.Errorf("fscqsim: unknown record kind: %w", filesys.ErrCorrupted)
 	}
 	err = d.Err()
 	return
 }
 
-func writeImage(dev blockdev.Device, gen uint64, t *fstree.Tree) error {
-	e := codec.NewEncoder(4096)
-	t.Encode(e)
-	payload := e.Bytes()
-	start := int64(2)
-	if gen%2 == 1 {
-		start = 2 + imageRegionBlocks
-	}
-	// Bound-check before writing: an oversized image must not spill into
-	// the other slot, which holds the committed previous generation.
-	if diskfmt.BlobBlocks(len(payload)) > imageRegionBlocks {
-		return fmt.Errorf("fscqsim: image exceeds region")
-	}
-	if _, err := diskfmt.WriteBlob(dev, start, imageMagic, payload); err != nil {
-		return err
-	}
-	if err := dev.Flush(); err != nil {
-		return err
-	}
-	if err := diskfmt.WriteSuperblock(dev, diskfmt.Superblock{
-		Magic: superMagic, Gen: gen, ImageStart: start, ImageLen: int64(len(payload)),
-	}); err != nil {
-		return err
-	}
-	return dev.Flush()
-}
-
 // Mkfs implements filesys.FileSystem.
-func (f *FS) Mkfs(dev blockdev.Device) error {
-	if dev.NumBlocks() < MinDeviceBlocks {
-		return fmt.Errorf("fscqsim: device too small: %w", filesys.ErrInvalid)
-	}
-	return writeImage(dev, 1, fstree.New())
-}
+func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	sb, err := diskfmt.LoadSuperblock(dev, superMagic)
+	gen, tree, _, err := format.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
-	payload, _, err := diskfmt.ReadBlob(dev, sb.ImageStart, imageMagic)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := fstree.DecodeTree(codec.NewDecoder(payload))
-	if err != nil {
-		return nil, err
-	}
-
-	head := int64(logStart)
-	wantSeq := uint64(1)
-	recovered := false
-	for head < dev.NumBlocks() {
-		blob, blocks, err := diskfmt.ReadBlob(dev, head, recordMagic)
+	recovered := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
+		rec, err := decodeRecord(d)
 		if err != nil {
-			break
-		}
-		rGen, rSeq, rec, err := decodeRecord(blob)
-		if err != nil || rGen != sb.Gen || rSeq != wantSeq {
-			break
+			return err
 		}
 		switch rec.kind {
 		case recFullImage:
@@ -215,15 +130,14 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 		case recDataPatch:
 			applyPatch(tree, rec)
 		}
-		head += blocks
-		wantSeq++
-		recovered = true
-	}
+		return nil
+	})
 
-	m := &mounted{fs: f, dev: dev, gen: sb.Gen, mem: tree, logHead: logStart}
+	m := &mounted{fs: f}
+	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)
 	m.captureDurable()
-	if recovered {
-		if err := m.checkpoint(); err != nil {
+	if recovered > 0 {
+		if err := m.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
@@ -231,13 +145,7 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 }
 
 // Fsck implements filesys.FileSystem (FSCQ needs none; recovery is total).
-func (f *FS) Fsck(dev blockdev.Device) (bool, error) {
-	m, err := f.Mount(dev)
-	if err != nil {
-		return false, err
-	}
-	return true, m.Unmount()
-}
+func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMount(f, dev) }
 
 // applyPatch lands fdatasync'ed data, then truncates to the recorded size —
 // the size is authoritative; a stale size is exactly the N11 data loss.

@@ -1,245 +1,79 @@
 package fscqsim
 
 import (
-	"fmt"
-
-	"b3/internal/blockdev"
+	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
-// mounted is a mounted fscqsim instance.
+// mounted is a mounted fscqsim instance: the shared base plus the strategy
+// of a synchronous operation log.
 type mounted struct {
-	fs  *FS
-	dev blockdev.Device
-	gen uint64
-
-	mem     *fstree.Tree
-	logHead int64
-	logSeq  uint64
+	diskfmt.Mounted
+	fs *FS
 
 	// durableSizes holds each file's size as of the last log flush; the
 	// buggy fdatasync path reuses it instead of the in-memory size.
 	durableSizes map[uint64]int64
-
-	unmounted bool
 }
-
-var _ filesys.MountedFS = (*mounted)(nil)
 
 func (m *mounted) captureDurable() {
 	m.durableSizes = map[uint64]int64{}
-	m.mem.Walk(func(path string, n *fstree.Node) {
+	m.Mem.Walk(func(path string, n *fstree.Node) {
 		if n.Kind == filesys.KindRegular {
 			m.durableSizes[n.Ino] = n.Size()
 		}
 	})
 }
 
-func (m *mounted) checkMounted() error {
-	if m.unmounted {
-		return fmt.Errorf("fscqsim: %w", filesys.ErrInvalid)
-	}
-	return nil
-}
-
 func (m *mounted) appendRecord(r logRecord) error {
-	payload := encodeRecord(m.gen, m.logSeq+1, r)
-	blocks, err := diskfmt.WriteBlob(m.dev, m.logHead, recordMagic, payload)
-	if err != nil {
-		return err
-	}
-	if m.logHead+blocks >= m.dev.NumBlocks() {
-		return fmt.Errorf("fscqsim: log exhausted: %w", filesys.ErrInvalid)
-	}
-	if err := m.dev.Flush(); err != nil {
-		return err
-	}
-	m.logSeq++
-	m.logHead += blocks
-	return nil
+	return m.AppendRecord(func(e *codec.Encoder) { encodeRecord(e, r) })
 }
 
 // flushLog makes every preceding operation durable (the verified path).
 func (m *mounted) flushLog() error {
-	if err := m.appendRecord(logRecord{kind: recFullImage, tree: m.mem}); err != nil {
+	if err := m.appendRecord(logRecord{kind: recFullImage, tree: m.Mem}); err != nil {
 		return err
 	}
 	m.captureDurable()
 	return nil
 }
 
-func (m *mounted) checkpoint() error {
-	m.gen++
-	if err := writeImage(m.dev, m.gen, m.mem); err != nil {
+// Touched implements diskfmt.Strategy: the log flush persists the whole
+// tree, so no per-inode dirt is tracked.
+func (m *mounted) Touched(*fstree.Node, diskfmt.Change) {}
+
+// Checkpoint implements diskfmt.Strategy.
+func (m *mounted) Checkpoint() error {
+	if err := m.WriteCheckpoint(nil); err != nil {
 		return err
 	}
-	m.logHead = logStart
-	m.logSeq = 0
 	m.captureDurable()
 	return nil
 }
 
-// Create implements filesys.MountedFS.
-func (m *mounted) Create(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Create(path)
-	return err
-}
+// PersistNode implements diskfmt.Strategy: fsync flushes the whole
+// operation log.
+func (m *mounted) PersistNode(*fstree.Node) error { return m.flushLog() }
 
-// Mkdir implements filesys.MountedFS.
-func (m *mounted) Mkdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Mkdir(path)
-	return err
-}
+// PersistRange implements diskfmt.Strategy.
+func (m *mounted) PersistRange(*fstree.Node, int64, int64) error { return m.flushLog() }
 
-// Symlink implements filesys.MountedFS.
-func (m *mounted) Symlink(target, linkPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Symlink(target, linkPath)
-	return err
-}
-
-// Mkfifo implements filesys.MountedFS.
-func (m *mounted) Mkfifo(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Mkfifo(path)
-	return err
-}
-
-// Link implements filesys.MountedFS.
-func (m *mounted) Link(oldPath, newPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Link(oldPath, newPath)
-	return err
-}
-
-// Unlink implements filesys.MountedFS.
-func (m *mounted) Unlink(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, _, err := m.mem.Unlink(path)
-	return err
-}
-
-// Rmdir implements filesys.MountedFS.
-func (m *mounted) Rmdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Rmdir(path)
-	return err
-}
-
-// Rename implements filesys.MountedFS.
-func (m *mounted) Rename(src, dst string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, _, err := m.mem.Rename(src, dst)
-	return err
-}
-
-// Truncate implements filesys.MountedFS.
-func (m *mounted) Truncate(path string, size int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Truncate(path, size)
-	return err
-}
-
-// Write implements filesys.MountedFS.
-func (m *mounted) Write(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Write(path, off, data)
-	return err
-}
-
-// MWrite implements filesys.MountedFS.
-func (m *mounted) MWrite(path string, off int64, data []byte) error {
-	return m.Write(path, off, data)
-}
-
-// WriteDirect implements filesys.MountedFS (FSCQ has no O_DIRECT path; the
+// PersistDirect implements diskfmt.Strategy (FSCQ has no O_DIRECT path; the
 // write is durable via an immediate log flush).
-func (m *mounted) WriteDirect(path string, off int64, data []byte) error {
-	if err := m.Write(path, off, data); err != nil {
-		return err
-	}
-	return m.flushLog()
-}
+func (m *mounted) PersistDirect(*fstree.Node, int64, []byte) error { return m.flushLog() }
 
-// Falloc implements filesys.MountedFS.
-func (m *mounted) Falloc(path string, mode filesys.FallocMode, off, length int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Falloc(path, mode, off, length)
-	return err
-}
-
-// SetXattr implements filesys.MountedFS.
-func (m *mounted) SetXattr(path, name string, value []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.SetXattr(path, name, value)
-	return err
-}
-
-// RemoveXattr implements filesys.MountedFS.
-func (m *mounted) RemoveXattr(path, name string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.RemoveXattr(path, name)
-	return err
-}
-
-// Fsync implements filesys.MountedFS: flush the whole operation log.
-func (m *mounted) Fsync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	if _, err := m.mem.Lookup(path); err != nil {
-		return err
-	}
-	return m.flushLog()
-}
-
-// Fdatasync implements filesys.MountedFS. BUG N11 (Table 5 #11): the
+// PersistData implements diskfmt.Strategy. BUG N11 (Table 5 #11): the
 // logged-writes optimization in the unverified C-Haskell binding flushes
 // the file's data blocks but not the log entries holding its size update,
 // so the file recovers to its old size and loses the appended data.
-func (m *mounted) Fdatasync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return err
-	}
+func (m *mounted) PersistData(n *fstree.Node) error {
 	if n.Kind != filesys.KindRegular {
 		return m.flushLog()
 	}
 	size := n.Size()
-	if m.fs.has("fscq-fdatasync-logged-writes") {
+	if m.fs.Has("fscq-fdatasync-logged-writes") {
 		size = m.durableSizes[n.Ino]
 	}
 	if err := m.appendRecord(logRecord{
@@ -253,89 +87,4 @@ func (m *mounted) Fdatasync(path string) error {
 	}
 	m.durableSizes[n.Ino] = size
 	return nil
-}
-
-// MSync implements filesys.MountedFS.
-func (m *mounted) MSync(path string, off, length int64) error {
-	return m.Fsync(path)
-}
-
-// Sync implements filesys.MountedFS.
-func (m *mounted) Sync() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	return m.checkpoint()
-}
-
-// Unmount implements filesys.MountedFS.
-func (m *mounted) Unmount() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	if err := m.checkpoint(); err != nil {
-		return err
-	}
-	m.unmounted = true
-	return nil
-}
-
-// Stat implements filesys.MountedFS.
-func (m *mounted) Stat(path string) (filesys.Stat, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return filesys.Stat{}, err
-	}
-	return n.Stat(), nil
-}
-
-// ReadFile implements filesys.MountedFS.
-func (m *mounted) ReadFile(path string) ([]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.Kind == filesys.KindDir {
-		return nil, fmt.Errorf("fscqsim read %q: %w", path, filesys.ErrIsDir)
-	}
-	return append([]byte(nil), n.Data...), nil
-}
-
-// ReadDir implements filesys.MountedFS.
-func (m *mounted) ReadDir(path string) ([]filesys.DirEntry, error) {
-	return m.mem.ReadDir(path)
-}
-
-// ReadLink implements filesys.MountedFS.
-func (m *mounted) ReadLink(path string) (string, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return "", err
-	}
-	if n.Kind != filesys.KindSymlink {
-		return "", fmt.Errorf("fscqsim readlink %q: %w", path, filesys.ErrInvalid)
-	}
-	return n.Target, nil
-}
-
-// ListXattr implements filesys.MountedFS.
-func (m *mounted) ListXattr(path string) (map[string][]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(n.Xattrs))
-	for k, v := range n.Xattrs {
-		out[k] = append([]byte(nil), v...)
-	}
-	return out, nil
-}
-
-// Extents implements filesys.MountedFS.
-func (m *mounted) Extents(path string) ([]filesys.Extent, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	return append([]filesys.Extent(nil), n.Extents...), nil
 }

@@ -12,24 +12,18 @@ import (
 	"sort"
 
 	"b3/internal/blockdev"
-	"b3/internal/bugs"
 	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
-const (
-	superMagic  = 0x4A524E4C // "JRNL"
-	imageMagic  = 0x494D4147 // "IMAG"
-	recordMagic = 0x54584E52 // "TXNR"
-
-	imageRegionBlocks = 1024
-	journalStart      = 2 + 2*imageRegionBlocks
-
-	// MinDeviceBlocks is the smallest device journalfs formats on.
-	MinDeviceBlocks = journalStart + 256
-)
+var format = diskfmt.Format{
+	Name:   "journalfs",
+	Super:  0x4A524E4C, // "JRNL"
+	Image:  0x494D4147, // "IMAG"
+	Record: 0x54584E52, // "TXNR"
+}
 
 const (
 	recFullImage byte = iota // full metadata+data image (ordered commit)
@@ -37,37 +31,13 @@ const (
 )
 
 // Options configures a journalfs instance.
-type Options struct {
-	Version     bugs.Version
-	BugOverride map[string]bool
-}
+type Options = diskfmt.Options
 
 // FS is the journalfs file-system type.
-type FS struct {
-	version bugs.Version
-	active  map[string]bool
-}
+type FS struct{ diskfmt.Backend }
 
 // New returns a journalfs simulating the given kernel era.
-func New(opts Options) *FS {
-	ver := opts.Version
-	if ver.IsZero() {
-		ver = bugs.Latest
-	}
-	active := opts.BugOverride
-	if active == nil {
-		active = bugs.ActiveSet("journalfs", ver)
-	}
-	return &FS{version: ver, active: active}
-}
-
-// Name implements filesys.FileSystem.
-func (f *FS) Name() string { return "journalfs" }
-
-// Version returns the simulated kernel version.
-func (f *FS) Version() bugs.Version { return f.version }
-
-func (f *FS) has(id string) bool { return f.active[id] }
+func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem. ext4's global journal persists
 // all pending metadata at every commit, so every guarantee holds.
@@ -87,43 +57,8 @@ func (f *FS) Guarantees() filesys.Guarantees {
 	}
 }
 
-func encodeImage(t *fstree.Tree) []byte {
-	e := codec.NewEncoder(4096)
-	t.Encode(e)
-	return e.Bytes()
-}
-
-func writeImage(dev blockdev.Device, gen uint64, t *fstree.Tree) error {
-	payload := encodeImage(t)
-	start := int64(2)
-	if gen%2 == 1 {
-		start = 2 + imageRegionBlocks
-	}
-	blocks, err := diskfmt.WriteBlob(dev, start, imageMagic, payload)
-	if err != nil {
-		return err
-	}
-	if blocks > imageRegionBlocks {
-		return fmt.Errorf("journalfs: image exceeds region (%d blocks)", blocks)
-	}
-	if err := dev.Flush(); err != nil {
-		return err
-	}
-	if err := diskfmt.WriteSuperblock(dev, diskfmt.Superblock{
-		Magic: superMagic, Gen: gen, ImageStart: start, ImageLen: int64(len(payload)),
-	}); err != nil {
-		return err
-	}
-	return dev.Flush()
-}
-
 // Mkfs implements filesys.FileSystem.
-func (f *FS) Mkfs(dev blockdev.Device) error {
-	if dev.NumBlocks() < MinDeviceBlocks {
-		return fmt.Errorf("journalfs: device too small: %w", filesys.ErrInvalid)
-	}
-	return writeImage(dev, 1, fstree.New())
-}
+func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // journalRecord is one committed transaction in the journal area.
 type journalRecord struct {
@@ -137,10 +72,7 @@ type journalRecord struct {
 	size int64
 }
 
-func encodeRecord(gen, seq uint64, r journalRecord) []byte {
-	e := codec.NewEncoder(512)
-	e.Uint64(gen)
-	e.Uint64(seq)
+func encodeRecord(e *codec.Encoder, r journalRecord) {
 	e.Byte(r.kind)
 	switch r.kind {
 	case recFullImage:
@@ -151,19 +83,15 @@ func encodeRecord(gen, seq uint64, r journalRecord) []byte {
 		e.Bytes64(r.data)
 		e.Int64(r.size)
 	}
-	return e.Bytes()
 }
 
-func decodeRecord(payload []byte) (gen, seq uint64, r journalRecord, err error) {
-	d := codec.NewDecoder(payload)
-	gen = d.Uint64()
-	seq = d.Uint64()
+func decodeRecord(d *codec.Decoder) (r journalRecord, err error) {
 	r.kind = d.Byte()
 	switch r.kind {
 	case recFullImage:
 		r.tree, err = fstree.DecodeTree(d)
 		if err != nil {
-			return 0, 0, r, err
+			return r, err
 		}
 	case recDirect:
 		r.ino = d.Uint64()
@@ -171,71 +99,38 @@ func decodeRecord(payload []byte) (gen, seq uint64, r journalRecord, err error) 
 		r.data = d.Bytes64()
 		r.size = d.Int64()
 	default:
-		return 0, 0, r, fmt.Errorf("journalfs: unknown record kind %d: %w", r.kind, filesys.ErrCorrupted)
+		return r, fmt.Errorf("journalfs: unknown record kind %d: %w", r.kind, filesys.ErrCorrupted)
 	}
-	return gen, seq, r, d.Err()
-}
-
-func scanJournal(dev blockdev.Device, gen uint64) ([]journalRecord, error) {
-	var out []journalRecord
-	head := int64(journalStart)
-	wantSeq := uint64(1)
-	for head < dev.NumBlocks() {
-		payload, blocks, err := diskfmt.ReadBlob(dev, head, recordMagic)
-		if err != nil {
-			break
-		}
-		rGen, rSeq, rec, err := decodeRecord(payload)
-		if err != nil || rGen != gen || rSeq != wantSeq {
-			break
-		}
-		out = append(out, rec)
-		head += blocks
-		wantSeq++
-	}
-	return out, nil
+	return r, d.Err()
 }
 
 // Mount implements filesys.FileSystem: load the checkpoint image and replay
 // committed journal transactions.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	sb, err := diskfmt.LoadSuperblock(dev, superMagic)
+	gen, tree, _, err := format.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
-	payload, _, err := diskfmt.ReadBlob(dev, sb.ImageStart, imageMagic)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := fstree.DecodeTree(codec.NewDecoder(payload))
-	if err != nil {
-		return nil, err
-	}
-	records, err := scanJournal(dev, sb.Gen)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range records {
+	replayed := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
+		rec, err := decodeRecord(d)
+		if err != nil {
+			return err
+		}
 		switch rec.kind {
 		case recFullImage:
 			tree = rec.tree
 		case recDirect:
 			applyDirect(tree, rec)
 		}
-	}
+		return nil
+	})
 
-	m := &mounted{
-		fs:      f,
-		dev:     dev,
-		gen:     sb.Gen,
-		mem:     tree,
-		logHead: journalStart,
-		dirty:   map[uint64]*dirtyState{},
-	}
+	m := &mounted{fs: f, dirty: map[uint64]*dirtyState{}}
+	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)
 	m.captureDurableSizes()
-	if len(records) > 0 {
+	if replayed > 0 {
 		// Recovery finishes with a checkpoint, like jbd2 after replay.
-		if err := m.checkpoint(); err != nil {
+		if err := m.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
@@ -244,13 +139,7 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 
 // Fsck implements filesys.FileSystem: e2fsck-style — recovery already
 // replays the journal, so fsck only rewrites a clean checkpoint.
-func (f *FS) Fsck(dev blockdev.Device) (bool, error) {
-	m, err := f.Mount(dev)
-	if err != nil {
-		return false, err
-	}
-	return true, m.Unmount()
-}
+func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMount(f, dev) }
 
 // applyDirect patches a direct-IO write into the image: data and block
 // allocation land, and the size is set from the journaled i_disksize.

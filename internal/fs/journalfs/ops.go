@@ -1,9 +1,7 @@
 package journalfs
 
 import (
-	"fmt"
-
-	"b3/internal/blockdev"
+	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
@@ -18,27 +16,19 @@ type dirtyState struct {
 	allocOnly bool // only block allocation beyond EOF changed (KEEP_SIZE)
 }
 
-// mounted is a mounted journalfs instance.
+// mounted is a mounted journalfs instance: the shared base plus the
+// strategy of an ordered-mode journal.
 type mounted struct {
-	fs  *FS
-	dev blockdev.Device
-	gen uint64
-
-	mem     *fstree.Tree
-	logHead int64
-	logSeq  uint64
+	diskfmt.Mounted
+	fs *FS
 
 	dirty        map[uint64]*dirtyState
 	durableSizes map[uint64]int64 // i_disksize: sizes as of the last commit
-
-	unmounted bool
 }
-
-var _ filesys.MountedFS = (*mounted)(nil)
 
 func (m *mounted) captureDurableSizes() {
 	m.durableSizes = map[uint64]int64{}
-	m.mem.Walk(func(path string, n *fstree.Node) {
+	m.Mem.Walk(func(path string, n *fstree.Node) {
 		if n.Kind == filesys.KindRegular {
 			m.durableSizes[n.Ino] = n.Size()
 		}
@@ -54,369 +44,98 @@ func (m *mounted) dirtyOf(ino uint64) *dirtyState {
 	return d
 }
 
-func (m *mounted) checkMounted() error {
-	if m.unmounted {
-		return fmt.Errorf("journalfs: %w", filesys.ErrInvalid)
-	}
-	return nil
+func (m *mounted) appendRecord(r journalRecord) error {
+	return m.AppendRecord(func(e *codec.Encoder) { encodeRecord(e, r) })
 }
 
 // commitJournal appends a full-image transaction: ordered mode flushes all
 // dirty data, then the metadata (we persist the complete current tree).
 func (m *mounted) commitJournal() error {
-	payload := encodeRecord(m.gen, m.logSeq+1, journalRecord{kind: recFullImage, tree: m.mem})
-	blocks, err := diskfmt.WriteBlob(m.dev, m.logHead, recordMagic, payload)
-	if err != nil {
+	if err := m.appendRecord(journalRecord{kind: recFullImage, tree: m.Mem}); err != nil {
 		return err
 	}
-	if m.logHead+blocks >= m.dev.NumBlocks() {
-		return fmt.Errorf("journalfs: journal exhausted: %w", filesys.ErrInvalid)
-	}
-	if err := m.dev.Flush(); err != nil {
-		return err
-	}
-	m.logSeq++
-	m.logHead += blocks
 	m.dirty = map[uint64]*dirtyState{}
 	m.captureDurableSizes()
 	return nil
 }
 
-// checkpoint writes the image region and resets the journal.
-func (m *mounted) checkpoint() error {
-	m.gen++
-	if err := writeImage(m.dev, m.gen, m.mem); err != nil {
+// Checkpoint implements diskfmt.Strategy: write the image region and reset
+// the journal.
+func (m *mounted) Checkpoint() error {
+	if err := m.WriteCheckpoint(nil); err != nil {
 		return err
 	}
-	m.logHead = journalStart
-	m.logSeq = 0
 	m.dirty = map[uint64]*dirtyState{}
 	m.captureDurableSizes()
 	return nil
 }
 
-// ---- namespace operations ------------------------------------------------
-
-// Create implements filesys.MountedFS.
-func (m *mounted) Create(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
+// Touched implements diskfmt.Strategy: record what kind of change is
+// pending on the inode (buffered writes use delayed allocation).
+func (m *mounted) Touched(n *fstree.Node, c diskfmt.Change) {
+	switch c.Op {
+	case diskfmt.OpCreate, diskfmt.OpMkdir, diskfmt.OpLink, diskfmt.OpRename,
+		diskfmt.OpSetXattr, diskfmt.OpRemoveXattr:
+		m.dirtyOf(n.Ino).meta = true
+	case diskfmt.OpWrite:
+		m.dirtyOf(n.Ino).data = true
+	case diskfmt.OpTruncate:
+		d := m.dirtyOf(n.Ino)
+		d.data = true
+		d.meta = true
+	case diskfmt.OpFalloc:
+		d := m.dirtyOf(n.Ino)
+		if c.Mode == filesys.FallocKeepSize && c.Off >= m.durableSizes[n.Ino] && !d.data && !d.meta {
+			// Only block allocation beyond EOF changed: the fdatasync fast
+			// path (and its W2 bug) keys off this state.
+			d.allocOnly = true
+			return
+		}
+		d.data = true
+		d.meta = true
+	case diskfmt.OpSymlink, diskfmt.OpMkfifo, diskfmt.OpUnlink, diskfmt.OpRmdir:
+		// Journalled with the next commit like everything else; no fast
+		// path keys off them.
 	}
-	n, err := m.mem.Create(path)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).meta = true
-	return nil
 }
 
-// Mkdir implements filesys.MountedFS.
-func (m *mounted) Mkdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Mkdir(path)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).meta = true
-	return nil
-}
-
-// Symlink implements filesys.MountedFS.
-func (m *mounted) Symlink(target, linkPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Symlink(target, linkPath)
-	return err
-}
-
-// Mkfifo implements filesys.MountedFS.
-func (m *mounted) Mkfifo(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Mkfifo(path)
-	return err
-}
-
-// Link implements filesys.MountedFS.
-func (m *mounted) Link(oldPath, newPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Link(oldPath, newPath)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).meta = true
-	return nil
-}
-
-// Unlink implements filesys.MountedFS.
-func (m *mounted) Unlink(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, _, err := m.mem.Unlink(path)
-	return err
-}
-
-// Rmdir implements filesys.MountedFS.
-func (m *mounted) Rmdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	_, err := m.mem.Rmdir(path)
-	return err
-}
-
-// Rename implements filesys.MountedFS.
-func (m *mounted) Rename(src, dst string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, _, err := m.mem.Rename(src, dst)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).meta = true
-	return nil
-}
-
-// Truncate implements filesys.MountedFS.
-func (m *mounted) Truncate(path string, size int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Truncate(path, size)
-	if err != nil {
-		return err
-	}
-	d := m.dirtyOf(n.Ino)
-	d.data = true
-	d.meta = true
-	return nil
-}
-
-// Write implements filesys.MountedFS (buffered, delayed allocation).
-func (m *mounted) Write(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Write(path, off, data)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).data = true
-	return nil
-}
-
-// MWrite implements filesys.MountedFS.
-func (m *mounted) MWrite(path string, off int64, data []byte) error {
-	return m.Write(path, off, data)
-}
-
-// WriteDirect implements filesys.MountedFS. The data bypasses the page
+// PersistDirect implements diskfmt.Strategy. The data bypasses the page
 // cache and reaches the disk immediately; the i_disksize update travels in
 // a journal record. BUG W4 (appendix 9.1 #4): a direct write past the
 // on-disk size fails to update i_disksize, so after a crash the file has
 // allocated blocks but size zero.
-func (m *mounted) WriteDirect(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Write(path, off, data)
-	if err != nil {
-		return err
-	}
-	durable := m.durableSizes[n.Ino]
-	size := durable
+func (m *mounted) PersistDirect(n *fstree.Node, off int64, data []byte) error {
+	size := m.durableSizes[n.Ino]
 	end := off + int64(len(data))
-	if end > size && !m.fs.has("ext4-dwrite-disksize") {
+	if end > size && !m.fs.Has("ext4-dwrite-disksize") {
 		size = end
 	}
-	payload := encodeRecord(m.gen, m.logSeq+1, journalRecord{
+	if err := m.appendRecord(journalRecord{
 		kind: recDirect, ino: n.Ino, off: off, data: data, size: size,
-	})
-	blocks, err := diskfmt.WriteBlob(m.dev, m.logHead, recordMagic, payload)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	if err := m.dev.Flush(); err != nil {
-		return err
-	}
-	m.logSeq++
-	m.logHead += blocks
 	m.durableSizes[n.Ino] = size
 	return nil
 }
 
-// Falloc implements filesys.MountedFS.
-func (m *mounted) Falloc(path string, mode filesys.FallocMode, off, length int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Falloc(path, mode, off, length)
-	if err != nil {
-		return err
-	}
-	d := m.dirtyOf(n.Ino)
-	if mode == filesys.FallocKeepSize && off >= m.durableSizes[n.Ino] && !d.data && !d.meta {
-		// Only block allocation beyond EOF changed: the fdatasync fast
-		// path (and its W2 bug) keys off this state.
-		d.allocOnly = true
-		return nil
-	}
-	d.data = true
-	d.meta = true
-	return nil
-}
+// PersistNode implements diskfmt.Strategy: fsync commits the running
+// transaction.
+func (m *mounted) PersistNode(*fstree.Node) error { return m.commitJournal() }
 
-// SetXattr implements filesys.MountedFS.
-func (m *mounted) SetXattr(path, name string, value []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.SetXattr(path, name, value)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).meta = true
-	return nil
-}
+// PersistRange implements diskfmt.Strategy.
+func (m *mounted) PersistRange(*fstree.Node, int64, int64) error { return m.commitJournal() }
 
-// RemoveXattr implements filesys.MountedFS.
-func (m *mounted) RemoveXattr(path, name string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.RemoveXattr(path, name)
-	if err != nil {
-		return err
-	}
-	m.dirtyOf(n.Ino).meta = true
-	return nil
-}
-
-// ---- persistence operations ----------------------------------------------
-
-// Fsync implements filesys.MountedFS: commit the running transaction.
-func (m *mounted) Fsync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	if _, err := m.mem.Lookup(path); err != nil {
-		return err
-	}
-	return m.commitJournal()
-}
-
-// Fdatasync implements filesys.MountedFS. BUG W2 (appendix 9.1 #2): when
+// PersistData implements diskfmt.Strategy. BUG W2 (appendix 9.1 #2): when
 // the only pending change is block allocation beyond EOF from fallocate
 // KEEP_SIZE, the fast path sees an unchanged size and skips the commit;
 // the allocated blocks are lost on crash.
-func (m *mounted) Fdatasync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if m.fs.has("ext4-fdatasync-falloc-keepsize") {
+func (m *mounted) PersistData(n *fstree.Node) error {
+	if m.fs.Has("ext4-fdatasync-falloc-keepsize") {
 		if d, ok := m.dirty[n.Ino]; ok && d.allocOnly && !d.data && !d.meta &&
 			n.Size() == m.durableSizes[n.Ino] {
 			return nil
 		}
 	}
 	return m.commitJournal()
-}
-
-// MSync implements filesys.MountedFS.
-func (m *mounted) MSync(path string, off, length int64) error {
-	return m.Fsync(path)
-}
-
-// Sync implements filesys.MountedFS: full checkpoint.
-func (m *mounted) Sync() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	return m.checkpoint()
-}
-
-// Unmount implements filesys.MountedFS.
-func (m *mounted) Unmount() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	if err := m.checkpoint(); err != nil {
-		return err
-	}
-	m.unmounted = true
-	return nil
-}
-
-// ---- read-side API --------------------------------------------------------
-
-// Stat implements filesys.MountedFS.
-func (m *mounted) Stat(path string) (filesys.Stat, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return filesys.Stat{}, err
-	}
-	return n.Stat(), nil
-}
-
-// ReadFile implements filesys.MountedFS.
-func (m *mounted) ReadFile(path string) ([]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.Kind == filesys.KindDir {
-		return nil, fmt.Errorf("journalfs read %q: %w", path, filesys.ErrIsDir)
-	}
-	return append([]byte(nil), n.Data...), nil
-}
-
-// ReadDir implements filesys.MountedFS.
-func (m *mounted) ReadDir(path string) ([]filesys.DirEntry, error) {
-	return m.mem.ReadDir(path)
-}
-
-// ReadLink implements filesys.MountedFS.
-func (m *mounted) ReadLink(path string) (string, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return "", err
-	}
-	if n.Kind != filesys.KindSymlink {
-		return "", fmt.Errorf("journalfs readlink %q: %w", path, filesys.ErrInvalid)
-	}
-	return n.Target, nil
-}
-
-// ListXattr implements filesys.MountedFS.
-func (m *mounted) ListXattr(path string) (map[string][]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(n.Xattrs))
-	for k, v := range n.Xattrs {
-		out[k] = append([]byte(nil), v...)
-	}
-	return out, nil
-}
-
-// Extents implements filesys.MountedFS.
-func (m *mounted) Extents(path string) ([]filesys.Extent, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	return append([]filesys.Extent(nil), n.Extents...), nil
 }

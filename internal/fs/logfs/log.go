@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"b3/internal/blockdev"
-
 	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fstree"
@@ -43,10 +41,7 @@ type logItem struct {
 	destroy  bool         // itDentryDel
 }
 
-func encodeBatch(gen, seq uint64, items []logItem) []byte {
-	e := codec.NewEncoder(512)
-	e.Uint64(gen)
-	e.Uint64(seq)
+func encodeBatch(e *codec.Encoder, items []logItem) {
 	e.Int(len(items))
 	for _, it := range items {
 		e.Byte(byte(it.kind))
@@ -69,19 +64,15 @@ func encodeBatch(gen, seq uint64, items []logItem) []byte {
 			e.Bool(it.destroy)
 		}
 	}
-	return e.Bytes()
 }
 
-func decodeBatch(payload []byte) (gen, seq uint64, items []logItem, err error) {
-	d := codec.NewDecoder(payload)
-	gen = d.Uint64()
-	seq = d.Uint64()
+func decodeBatch(d *codec.Decoder) (items []logItem, err error) {
 	n := d.Int()
 	if d.Err() != nil {
-		return 0, 0, nil, d.Err()
+		return nil, d.Err()
 	}
 	if n < 0 || n > 1<<20 {
-		return 0, 0, nil, fmt.Errorf("logfs: implausible batch size: %w", filesys.ErrCorrupted)
+		return nil, fmt.Errorf("logfs: implausible batch size: %w", filesys.ErrCorrupted)
 	}
 	for i := 0; i < n; i++ {
 		var it logItem
@@ -90,7 +81,7 @@ func decodeBatch(payload []byte) (gen, seq uint64, items []logItem, err error) {
 		case itInode:
 			node, err := fstree.DecodeNode(d)
 			if err != nil {
-				return 0, 0, nil, err
+				return nil, err
 			}
 			it.node = node
 			it.metaOnly = d.Bool()
@@ -108,36 +99,14 @@ func decodeBatch(payload []byte) (gen, seq uint64, items []logItem, err error) {
 			it.child = d.Uint64()
 			it.destroy = d.Bool()
 		default:
-			return 0, 0, nil, fmt.Errorf("logfs: unknown log item kind %d: %w", it.kind, filesys.ErrCorrupted)
+			return nil, fmt.Errorf("logfs: unknown log item kind %d: %w", it.kind, filesys.ErrCorrupted)
 		}
 		if d.Err() != nil {
-			return 0, 0, nil, d.Err()
+			return nil, d.Err()
 		}
 		items = append(items, it)
 	}
-	return gen, seq, items, nil
-}
-
-// scanLog reads consecutive valid batches of generation gen from the log
-// area; scanning stops at the first invalid or foreign blob.
-func scanLog(dev blockdev.Device, gen uint64) ([][]logItem, error) {
-	var out [][]logItem
-	head := int64(logStartBlock)
-	wantSeq := uint64(1)
-	for head < dev.NumBlocks() {
-		payload, blocks, err := readBlob(dev, head, batchMagic)
-		if err != nil {
-			break // end of valid log
-		}
-		bGen, bSeq, items, err := decodeBatch(payload)
-		if err != nil || bGen != gen || bSeq != wantSeq {
-			break
-		}
-		out = append(out, items)
-		head += blocks
-		wantSeq++
-	}
-	return out, nil
+	return items, nil
 }
 
 // nameRef is one (parent, name) reference to an inode, with the full path.
@@ -188,7 +157,7 @@ func (m *mounted) newBatch() *batchBuilder {
 	}
 }
 
-func (b *batchBuilder) has(id string) bool { return b.m.fs.has(id) }
+func (b *batchBuilder) has(id string) bool { return b.m.fs.Has(id) }
 
 func (b *batchBuilder) emitInode(n *fstree.Node, metaOnly bool) {
 	b.items = append(b.items, logItem{kind: itInode, node: n, metaOnly: metaOnly})
@@ -233,19 +202,9 @@ func (m *mounted) logAndFlush(n *fstree.Node, ranged *punchRec) error {
 	if len(b.items) == 0 {
 		return nil // nothing dirty: fsync is a no-op
 	}
-	payload := encodeBatch(m.gen, m.logSeq+1, b.items)
-	blocks, err := writeBlob(m.dev, m.logHead, batchMagic, payload)
-	if err != nil {
+	if err := m.AppendRecord(func(e *codec.Encoder) { encodeBatch(e, b.items) }); err != nil {
 		return err
 	}
-	if m.logHead+blocks >= m.dev.NumBlocks() {
-		return fmt.Errorf("logfs: log area exhausted: %w", filesys.ErrInvalid)
-	}
-	if err := m.dev.Flush(); err != nil {
-		return err
-	}
-	m.logSeq++
-	m.logHead += blocks
 
 	// Post-write bookkeeping: remember what reached the log.
 	for _, a := range b.adds {
@@ -297,7 +256,7 @@ func (b *batchBuilder) logFile(x *fstree.Node, ranged *punchRec) {
 		b.fileLogged[x.Ino] = true
 	}
 	tr := m.trackOf(x.Ino)
-	curRefs := refsOf(m.mem, x.Ino)
+	curRefs := refsOf(m.Mem, x.Ino)
 	comRefs := refsOf(m.committed, x.Ino)
 
 	committedAt := make(map[pathKey]bool, len(comRefs))
@@ -491,7 +450,7 @@ func (b *batchBuilder) logFile(x *fstree.Node, ranged *punchRec) {
 		}
 		sort.Slice(parentInos, func(i, j int) bool { return parentInos[i] < parentInos[j] })
 		for _, p := range parentInos {
-			memP := m.mem.Get(p)
+			memP := m.Mem.Get(p)
 			if memP == nil {
 				continue
 			}
@@ -527,7 +486,7 @@ func (b *batchBuilder) logFile(x *fstree.Node, ranged *punchRec) {
 		// Dragging the replacement occupant of the old name (guarantee
 		// FsyncDragsReplacementDentry). BUG W11 skips it, so a file
 		// created over the renamed-away name is lost.
-		if memParent := m.mem.Get(r.parent); memParent != nil {
+		if memParent := m.Mem.Get(r.parent); memParent != nil {
 			if newIno, ok := memParent.Children[r.name]; ok && newIno != x.Ino {
 				if !b.has("btrfs-rename-fsync-loses-new-occupant") {
 					b.dragInode(newIno)
@@ -619,13 +578,13 @@ func (b *batchBuilder) keepOriginOnly(x *fstree.Node, refs []nameRef) []nameRef 
 func (b *batchBuilder) renamedAncestor(refs []nameRef) (uint64, pathKey) {
 	for _, r := range refs {
 		comps := fstree.SplitPath(r.path)
-		n := b.m.mem.Root()
+		n := b.m.Mem.Root()
 		for _, comp := range comps[:len(comps)-1] {
 			childIno, ok := n.Children[comp]
 			if !ok {
 				break
 			}
-			child := b.m.mem.Get(childIno)
+			child := b.m.Mem.Get(childIno)
 			if child == nil || child.Kind != filesys.KindDir {
 				break
 			}
@@ -646,14 +605,14 @@ func (b *batchBuilder) ensureAncestors(path string) {
 		return
 	}
 	m := b.m
-	parent := m.mem.Root()
+	parent := m.Mem.Root()
 	prefix := ""
 	for _, comp := range comps[:len(comps)-1] {
 		childIno, ok := parent.Children[comp]
 		if !ok {
 			return
 		}
-		child := m.mem.Get(childIno)
+		child := m.Mem.Get(childIno)
 		prefix += "/" + comp
 		if child == nil || child.Kind != filesys.KindDir {
 			return
@@ -689,7 +648,7 @@ func (b *batchBuilder) handleReplacement(dir uint64, name string, newNode *fstre
 	if !ok || j == newNode.Ino {
 		return
 	}
-	jNode := m.mem.Get(j)
+	jNode := m.Mem.Get(j)
 	if jNode == nil {
 		// The old occupant is dead; the replacing add persists that. If
 		// it was a committed directory, replay will sweep its subtree, so
@@ -703,7 +662,7 @@ func (b *batchBuilder) handleReplacement(dir uint64, name string, newNode *fstre
 			sort.Strings(childNames)
 			for _, n := range childNames {
 				childIno := comJ.Children[n]
-				alive := m.mem.Get(childIno)
+				alive := m.Mem.Get(childIno)
 				if alive == nil {
 					continue
 				}
@@ -711,7 +670,7 @@ func (b *batchBuilder) handleReplacement(dir uint64, name string, newNode *fstre
 					b.logFile(alive, nil)
 					continue
 				}
-				for _, r := range refsOf(m.mem, childIno) {
+				for _, r := range refsOf(m.Mem, childIno) {
 					b.ensureAncestors(r.path)
 					b.emitAdd(r.parent, r.name, childIno)
 				}
@@ -740,14 +699,14 @@ func (b *batchBuilder) dragInode(j uint64) {
 	if b.inodeLogged[j] {
 		return
 	}
-	jNode := m.mem.Get(j)
+	jNode := m.Mem.Get(j)
 	if jNode == nil {
 		return
 	}
 	item := jNode.Clone()
 	item.Children = nil
 	b.emitInode(item, false)
-	for _, r := range refsOf(m.mem, j) {
+	for _, r := range refsOf(m.Mem, j) {
 		if com := m.committed.Get(r.parent); com != nil && com.Children[r.name] == j {
 			continue // already durable
 		}
@@ -762,7 +721,7 @@ func (b *batchBuilder) dragInode(j uint64) {
 func (b *batchBuilder) emitCollateralDels(dir uint64, fsyncedIno uint64) {
 	m := b.m
 	com := m.committed.Get(dir)
-	memDir := m.mem.Get(dir)
+	memDir := m.Mem.Get(dir)
 	if com == nil {
 		return
 	}
@@ -779,7 +738,7 @@ func (b *batchBuilder) emitCollateralDels(dir uint64, fsyncedIno uint64) {
 		if memDir != nil && memDir.Children[name] == ino {
 			continue // entry unchanged
 		}
-		if m.mem.Get(ino) == nil {
+		if m.Mem.Get(ino) == nil {
 			continue // genuinely deleted; its unlink may be logged legitimately
 		}
 		if m.loggedDels[pathKey{dir, name}] {
@@ -795,7 +754,7 @@ func (b *batchBuilder) emitCollateralDels(dir uint64, fsyncedIno uint64) {
 // committed tree, and (per btrfs's guarantees) renames out of its subtree.
 func (b *batchBuilder) logDir(d *fstree.Node) {
 	m := b.m
-	curRefs := refsOf(m.mem, d.Ino)
+	curRefs := refsOf(m.Mem, d.Ino)
 	comNode := m.committed.Get(d.Ino)
 
 	// Own position.
@@ -829,9 +788,9 @@ func (b *batchBuilder) logDir(d *fstree.Node) {
 					b.emitAdd(curRefs[0].parent, curRefs[0].name, d.Ino)
 					// Persisting the rename durably frees the old name;
 					// its new occupant must be dragged or replay drops it.
-					if oldParent := m.mem.Get(comRefs[0].parent); oldParent != nil {
+					if oldParent := m.Mem.Get(comRefs[0].parent); oldParent != nil {
 						if newIno, ok := oldParent.Children[comRefs[0].name]; ok && newIno != d.Ino {
-							if occ := m.mem.Get(newIno); occ != nil {
+							if occ := m.Mem.Get(newIno); occ != nil {
 								if occ.Kind == filesys.KindDir {
 									b.logSubdirRecursive(comRefs[0].parent, comRefs[0].name, occ)
 								} else {
@@ -861,7 +820,7 @@ func (b *batchBuilder) logDir(d *fstree.Node) {
 		if durable, ok := m.durableBinding(pathKey{d.Ino, name}); ok && durable == c {
 			continue // entry already durable
 		}
-		child := m.mem.Get(c)
+		child := m.Mem.Get(c)
 		if child == nil {
 			continue
 		}
@@ -977,7 +936,7 @@ func (b *batchBuilder) emitStaleLoggedDels(ino uint64, current pathKey) {
 		return keys[i].name < keys[j].name
 	})
 	for _, key := range keys {
-		if parent := m.mem.Get(key.parent); parent != nil && parent.Children[key.name] == ino {
+		if parent := m.Mem.Get(key.parent); parent != nil && parent.Children[key.name] == ino {
 			continue
 		}
 		if b.delWouldConflict(key, ino) {
@@ -1023,7 +982,7 @@ func (b *batchBuilder) logSubdirRecursive(parent uint64, name string, dir *fstre
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		child := m.mem.Get(dir.Children[n])
+		child := m.Mem.Get(dir.Children[n])
 		if child == nil {
 			continue
 		}
@@ -1055,7 +1014,7 @@ func (b *batchBuilder) logRemovedEntry(dir *fstree.Node, name string, committedI
 		return // name re-used: the replacing add carries the change
 	}
 	_ = committedIno
-	if alive := m.mem.Get(effIno); alive != nil {
+	if alive := m.Mem.Get(effIno); alive != nil {
 		if alive.Kind != filesys.KindDir {
 			// Renamed out: log the inode's full current state (includes
 			// the deletion of this stale name).
@@ -1064,7 +1023,7 @@ func (b *batchBuilder) logRemovedEntry(dir *fstree.Node, name string, committedI
 		}
 		// A directory renamed out: delete here, re-link there.
 		b.emitDel(dir.Ino, name, effIno, false)
-		for _, r := range refsOf(m.mem, effIno) {
+		for _, r := range refsOf(m.Mem, effIno) {
 			b.ensureAncestors(r.path)
 			b.emitAdd(r.parent, r.name, effIno)
 		}
@@ -1098,7 +1057,7 @@ func (b *batchBuilder) logSubtreeDepartures(d *fstree.Node) {
 		}
 		seen[sIno] = true
 		s := m.committed.Get(sIno)
-		memS := m.mem.Get(sIno)
+		memS := m.Mem.Get(sIno)
 		names := make([]string, 0, len(s.Children))
 		for name := range s.Children {
 			names = append(names, name)

@@ -15,9 +15,9 @@ import (
 	"strings"
 
 	"b3/internal/blockdev"
-	"b3/internal/bugs"
 	"b3/internal/codec"
 	"b3/internal/filesys"
+	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
@@ -28,56 +28,24 @@ const dirEntryOverhead = 8
 
 func entryWeight(name string) int64 { return int64(len(name)) + dirEntryOverhead }
 
-// Options configures a logfs instance.
-type Options struct {
-	// Version is the simulated kernel version; the zero value means
-	// bugs.Latest (4.16).
-	Version bugs.Version
-	// BugOverride, when non-nil, is the exact set of active bug mechanisms
-	// regardless of Version. An empty non-nil map yields a fully fixed
-	// file system.
-	BugOverride map[string]bool
+// format is logfs's on-disk identity: main-tree images in the two regions,
+// fsync batches in the log area (btrfs's tree-log).
+var format = diskfmt.Format{
+	Name:   "logfs",
+	Super:  0x4C4F4746, // "LOGF"
+	Image:  0x54524545, // "TREE"
+	Record: 0x4C424154, // "LBAT"
 }
+
+// Options configures a logfs instance.
+type Options = diskfmt.Options
 
 // FS is the logfs file-system type (one per configuration; instances are
 // mounted on block devices).
-type FS struct {
-	version bugs.Version
-	active  map[string]bool
-}
+type FS struct{ diskfmt.Backend }
 
 // New returns a logfs simulating the given kernel era.
-func New(opts Options) *FS {
-	ver := opts.Version
-	if ver.IsZero() {
-		ver = bugs.Latest
-	}
-	active := opts.BugOverride
-	if active == nil {
-		active = bugs.ActiveSet("logfs", ver)
-	}
-	return &FS{version: ver, active: active}
-}
-
-// Name implements filesys.FileSystem.
-func (f *FS) Name() string { return "logfs" }
-
-// Version returns the simulated kernel version.
-func (f *FS) Version() bugs.Version { return f.version }
-
-// ActiveBugs returns the sorted list of active bug mechanisms.
-func (f *FS) ActiveBugs() []string {
-	out := make([]string, 0, len(f.active))
-	for id, on := range f.active {
-		if on {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (f *FS) has(id string) bool { return f.active[id] }
+func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: btrfs provides guarantees well
 // beyond POSIX (§5.1), confirmed with its developers.
@@ -98,106 +66,78 @@ func (f *FS) Guarantees() filesys.Guarantees {
 }
 
 // commitImage is the durable content of a commit: the full tree plus the
-// per-directory entry-byte accounting (btrfs dir i_size analogue).
+// per-directory entry-byte accounting (btrfs dir i_size analogue), which
+// travels as the image trailer.
 type commitImage struct {
 	tree       *fstree.Tree
 	entryBytes map[uint64]int64
 }
 
-func encodeCommit(img commitImage) []byte {
-	e := codec.NewEncoder(4096)
-	img.tree.Encode(e)
-	inos := make([]uint64, 0, len(img.entryBytes))
-	for ino := range img.entryBytes {
+func encodeEntryBytes(e *codec.Encoder, eb map[uint64]int64) {
+	inos := make([]uint64, 0, len(eb))
+	for ino := range eb {
 		inos = append(inos, ino)
 	}
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	e.Int(len(inos))
 	for _, ino := range inos {
 		e.Uint64(ino)
-		e.Int64(img.entryBytes[ino])
+		e.Int64(eb[ino])
 	}
-	return e.Bytes()
 }
 
-func decodeCommit(payload []byte) (commitImage, error) {
-	d := codec.NewDecoder(payload)
-	tree, err := fstree.DecodeTree(d)
-	if err != nil {
-		return commitImage{}, err
-	}
+func decodeEntryBytes(d *codec.Decoder) (map[uint64]int64, error) {
 	n := d.Int()
 	if d.Err() != nil {
-		return commitImage{}, d.Err()
+		return nil, d.Err()
 	}
 	if n < 0 || n > 1<<24 {
-		return commitImage{}, fmt.Errorf("logfs: implausible accounting table: %w", filesys.ErrCorrupted)
+		return nil, fmt.Errorf("logfs: implausible accounting table: %w", filesys.ErrCorrupted)
 	}
 	eb := make(map[uint64]int64, n)
 	for i := 0; i < n; i++ {
 		ino := d.Uint64()
 		eb[ino] = d.Int64()
 	}
-	if d.Err() != nil {
-		return commitImage{}, d.Err()
-	}
-	return commitImage{tree: tree, entryBytes: eb}, nil
+	return eb, d.Err()
 }
 
-// writeCommit stores the image as generation gen and flips the superblock.
-func writeCommit(dev blockdev.Device, gen uint64, img commitImage) error {
-	payload := encodeCommit(img)
-	start := int64(2)
-	if gen%2 == 1 {
-		start = 2 + treeRegionBlocks
-	}
-	blocks, err := writeBlob(dev, start, treeMagic, payload)
+// loadCommit loads the newest committed image and its generation.
+func loadCommit(dev blockdev.Device) (uint64, commitImage, error) {
+	gen, tree, d, err := format.LoadImage(dev)
 	if err != nil {
-		return err
+		return 0, commitImage{}, err
 	}
-	if blocks > treeRegionBlocks {
-		return fmt.Errorf("logfs: tree image of %d blocks exceeds region", blocks)
+	eb, err := decodeEntryBytes(d)
+	if err != nil {
+		return 0, commitImage{}, err
 	}
-	if err := dev.Flush(); err != nil {
-		return err
-	}
-	if err := writeSuperblock(dev, superblock{gen: gen, treeStart: start, treeLen: int64(len(payload))}); err != nil {
-		return err
-	}
-	return dev.Flush()
+	return gen, commitImage{tree: tree, entryBytes: eb}, nil
 }
 
 // Mkfs implements filesys.FileSystem.
 func (f *FS) Mkfs(dev blockdev.Device) error {
-	if dev.NumBlocks() < MinDeviceBlocks {
-		return fmt.Errorf("logfs: device too small (%d blocks, need %d): %w",
-			dev.NumBlocks(), MinDeviceBlocks, filesys.ErrInvalid)
-	}
-	img := commitImage{tree: fstree.New(), entryBytes: map[uint64]int64{fstree.RootIno: 0}}
-	return writeCommit(dev, 1, img)
+	return format.Mkfs(dev, func(e *codec.Encoder) {
+		encodeEntryBytes(e, map[uint64]int64{fstree.RootIno: 0})
+	})
 }
 
 // Mount implements filesys.FileSystem. After a crash it replays the fsync
 // log onto the committed tree; replay failure surfaces as ErrCorrupted
 // (the file system is unmountable, cf. Figure 1).
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	sb, err := loadSuperblock(dev)
+	gen, img, err := loadCommit(dev)
 	if err != nil {
 		return nil, err
 	}
-	payload, _, err := readBlob(dev, sb.treeStart, treeMagic)
-	if err != nil {
-		return nil, err
-	}
-	img, err := decodeCommit(payload)
-	if err != nil {
-		return nil, err
-	}
-
-	batches, err := scanLog(dev, sb.gen)
-	if err != nil {
-		return nil, err
-	}
+	var batches [][]logItem
+	format.ScanLog(dev, gen, func(d *codec.Decoder) error {
+		items, err := decodeBatch(d)
+		if err == nil {
+			batches = append(batches, items)
+		}
+		return err
+	})
 	if len(batches) > 0 {
 		img, err = f.replayLog(img, batches)
 		if err != nil {
@@ -207,19 +147,16 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 
 	m := &mounted{
 		fs:        f,
-		dev:       dev,
-		gen:       sb.gen,
-		mem:       img.tree,
 		committed: img.tree.Clone(),
 		eb:        img.entryBytes,
 		ebCommit:  cloneEB(img.entryBytes),
-		logHead:   logStartBlock,
 	}
+	m.Mounted = diskfmt.NewMounted(format, dev, gen, img.tree, m)
 	m.resetTracking()
 	if len(batches) > 0 {
 		// Recovery commits the replayed state, like btrfs finishing log
 		// replay with a transaction commit.
-		if err := m.commit(); err != nil {
+		if err := m.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
@@ -231,24 +168,14 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 // committed tree, and rewrites the commit. Data persisted only in the log is
 // lost, which is why CrashMonkey treats needing fsck as a severe consequence.
 func (f *FS) Fsck(dev blockdev.Device) (bool, error) {
-	sb, err := loadSuperblock(dev)
+	gen, img, err := loadCommit(dev)
 	if err != nil {
 		return false, err
 	}
-	payload, _, err := readBlob(dev, sb.treeStart, treeMagic)
-	if err != nil {
-		return false, err
-	}
-	img, err := decodeCommit(payload)
-	if err != nil {
-		return false, err
-	}
-	recomputeLinkCounts(img.tree)
-	img.entryBytes = recomputeEntryBytes(img.tree)
-	if err := writeCommit(dev, sb.gen+1, img); err != nil {
-		return false, err
-	}
-	return true, nil
+	diskfmt.RecountLinks(img.tree)
+	eb := recomputeEntryBytes(img.tree)
+	err = format.WriteImage(dev, gen+1, img.tree, func(e *codec.Encoder) { encodeEntryBytes(e, eb) })
+	return err == nil, err
 }
 
 func cloneEB(eb map[uint64]int64) map[uint64]int64 {
@@ -257,32 +184,6 @@ func cloneEB(eb map[uint64]int64) map[uint64]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// recomputeLinkCounts rebuilds Nlink from the namespace (files: number of
-// referencing dentries; dirs: 2 + subdirectories).
-func recomputeLinkCounts(t *fstree.Tree) {
-	refs := map[uint64]int{}
-	subdirs := map[uint64]int{}
-	t.Walk(func(path string, n *fstree.Node) {
-		if path != "/" {
-			refs[n.Ino]++
-		}
-		if n.Kind == filesys.KindDir {
-			for _, childIno := range n.Children {
-				if c := t.Get(childIno); c != nil && c.Kind == filesys.KindDir {
-					subdirs[n.Ino]++
-				}
-			}
-		}
-	})
-	t.Walk(func(path string, n *fstree.Node) {
-		if n.Kind == filesys.KindDir {
-			n.Nlink = 2 + subdirs[n.Ino]
-		} else {
-			n.Nlink = refs[n.Ino]
-		}
-	})
 }
 
 func recomputeEntryBytes(t *fstree.Tree) map[uint64]int64 {

@@ -113,12 +113,6 @@ func TestMkfsMountEmpty(t *testing.T) {
 	}
 }
 
-func TestMkfsTooSmall(t *testing.T) {
-	if err := fixed().Mkfs(blockdev.NewMemDisk(128)); err == nil {
-		t.Fatal("expected error for tiny device")
-	}
-}
-
 func TestUnmountPersistsEverything(t *testing.T) {
 	fs := fixed()
 	dev := blockdev.NewMemDisk(8192)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"b3/internal/blockdev"
+	"b3/internal/codec"
 	"b3/internal/filesys"
+	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
@@ -32,19 +34,17 @@ type inodeTrack struct {
 	renamedFrom        *pathKey // first pre-rename name this transaction
 }
 
-// mounted is a mounted logfs instance.
+// mounted is a mounted logfs instance: the shared base plus the strategy of
+// a copy-on-write tree with a per-fsync log. Namespace operations carry
+// directory entry-byte accounting keyed by the parent, resolved before the
+// tree changes, so they override the base's; everything else is the base's.
 type mounted struct {
-	fs  *FS
-	dev blockdev.Device
-	gen uint64
+	diskfmt.Mounted
+	fs *FS
 
-	mem       *fstree.Tree // the page cache / in-memory state
 	committed *fstree.Tree // state as of the last transaction commit
 	eb        map[uint64]int64
 	ebCommit  map[uint64]int64
-
-	logHead int64
-	logSeq  uint64
 
 	track          map[uint64]*inodeTrack
 	loggedDentries map[pathKey]uint64 // dentry adds logged this transaction
@@ -52,8 +52,6 @@ type mounted struct {
 	loggedDels     map[pathKey]bool
 	logState       map[pathKey]boundState // final per-name outcome of the log
 	delsByUnlink   map[pathKey]uint64     // names unlinked since commit → old inode
-
-	unmounted bool
 }
 
 // boundState is the log's final verdict on one directory entry.
@@ -75,8 +73,6 @@ func (m *mounted) durableBinding(key pathKey) (uint64, bool) {
 	ino, ok := com.Children[key.name]
 	return ino, ok
 }
-
-var _ filesys.MountedFS = (*mounted)(nil)
 
 func (m *mounted) resetTracking() {
 	m.track = make(map[uint64]*inodeTrack)
@@ -109,17 +105,10 @@ func (m *mounted) anyLoggedInTrans() bool {
 	return false
 }
 
-func (m *mounted) checkMounted() error {
-	if m.unmounted {
-		return fmt.Errorf("logfs: %w", filesys.ErrInvalid)
-	}
-	return nil
-}
-
 // parentOf resolves the parent directory node and leaf name of path.
 func (m *mounted) parentOf(path string) (*fstree.Node, string, error) {
 	parentPath, name := pathParent(path)
-	p, err := m.mem.Lookup(parentPath)
+	p, err := m.Mem.Lookup(parentPath)
 	if err != nil {
 		return nil, "", err
 	}
@@ -129,126 +118,86 @@ func (m *mounted) parentOf(path string) (*fstree.Node, string, error) {
 	return p, name, nil
 }
 
-// Create implements filesys.MountedFS.
-func (m *mounted) Create(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
+// addEntry runs add, which links a new entry at path, and does the
+// bookkeeping every entry-adding operation shares: the parent's entry-byte
+// accounting grows and both inodes become dirty.
+func (m *mounted) addEntry(path string, add func() (*fstree.Node, error)) (*fstree.Node, pathKey, error) {
+	if err := m.CheckMounted(); err != nil {
+		return nil, pathKey{}, err
 	}
 	parent, name, err := m.parentOf(path)
 	if err != nil {
-		return err
+		return nil, pathKey{}, err
 	}
-	n, err := m.mem.Create(path)
+	n, err := add()
 	if err != nil {
-		return err
+		return nil, pathKey{}, err
 	}
 	m.eb[parent.Ino] += entryWeight(name)
-	t := m.trackOf(n.Ino)
-	t.dirty = true
-	t.origin = pathKey{parent.Ino, name}
-	t.hasOrigin = true
+	m.markDirty(n.Ino)
 	m.markDirty(parent.Ino)
-	return nil
+	return n, pathKey{parent.Ino, name}, nil
+}
+
+// newInode is addEntry for the operations that create the inode they link:
+// the inode remembers the name it was created with.
+func (m *mounted) newInode(path string, add func() (*fstree.Node, error)) (*fstree.Node, error) {
+	n, key, err := m.addEntry(path, add)
+	if err != nil {
+		return nil, err
+	}
+	t := m.trackOf(n.Ino)
+	t.origin = key
+	t.hasOrigin = true
+	return n, nil
+}
+
+// Create implements filesys.MountedFS.
+func (m *mounted) Create(path string) error {
+	_, err := m.newInode(path, func() (*fstree.Node, error) { return m.Mem.Create(path) })
+	return err
 }
 
 // Mkdir implements filesys.MountedFS.
 func (m *mounted) Mkdir(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
+	n, err := m.newInode(path, func() (*fstree.Node, error) { return m.Mem.Mkdir(path) })
+	if err == nil {
+		m.eb[n.Ino] = 0
 	}
-	parent, name, err := m.parentOf(path)
-	if err != nil {
-		return err
-	}
-	n, err := m.mem.Mkdir(path)
-	if err != nil {
-		return err
-	}
-	m.eb[parent.Ino] += entryWeight(name)
-	m.eb[n.Ino] = 0
-	t := m.trackOf(n.Ino)
-	t.dirty = true
-	t.origin = pathKey{parent.Ino, name}
-	t.hasOrigin = true
-	m.markDirty(parent.Ino)
-	return nil
+	return err
 }
 
 // Symlink implements filesys.MountedFS.
 func (m *mounted) Symlink(target, linkPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	parent, name, err := m.parentOf(linkPath)
-	if err != nil {
-		return err
-	}
-	n, err := m.mem.Symlink(target, linkPath)
-	if err != nil {
-		return err
-	}
-	m.eb[parent.Ino] += entryWeight(name)
-	t := m.trackOf(n.Ino)
-	t.dirty = true
-	t.origin = pathKey{parent.Ino, name}
-	t.hasOrigin = true
-	m.markDirty(parent.Ino)
-	return nil
+	_, err := m.newInode(linkPath, func() (*fstree.Node, error) { return m.Mem.Symlink(target, linkPath) })
+	return err
 }
 
 // Mkfifo implements filesys.MountedFS.
 func (m *mounted) Mkfifo(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	parent, name, err := m.parentOf(path)
-	if err != nil {
-		return err
-	}
-	n, err := m.mem.Mkfifo(path)
-	if err != nil {
-		return err
-	}
-	m.eb[parent.Ino] += entryWeight(name)
-	t := m.trackOf(n.Ino)
-	t.dirty = true
-	t.origin = pathKey{parent.Ino, name}
-	t.hasOrigin = true
-	m.markDirty(parent.Ino)
-	return nil
+	_, err := m.newInode(path, func() (*fstree.Node, error) { return m.Mem.Mkfifo(path) })
+	return err
 }
 
 // Link implements filesys.MountedFS.
 func (m *mounted) Link(oldPath, newPath string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
+	n, _, err := m.addEntry(newPath, func() (*fstree.Node, error) { return m.Mem.Link(oldPath, newPath) })
+	if err == nil {
+		m.trackOf(n.Ino).newLinkSinceCommit = true
 	}
-	parent, name, err := m.parentOf(newPath)
-	if err != nil {
-		return err
-	}
-	n, err := m.mem.Link(oldPath, newPath)
-	if err != nil {
-		return err
-	}
-	m.eb[parent.Ino] += entryWeight(name)
-	t := m.trackOf(n.Ino)
-	t.dirty = true
-	t.newLinkSinceCommit = true
-	m.markDirty(parent.Ino)
-	return nil
+	return err
 }
 
 // Unlink implements filesys.MountedFS.
 func (m *mounted) Unlink(path string) error {
-	if err := m.checkMounted(); err != nil {
+	if err := m.CheckMounted(); err != nil {
 		return err
 	}
 	parent, name, err := m.parentOf(path)
 	if err != nil {
 		return err
 	}
-	n, gone, err := m.mem.Unlink(path)
+	n, gone, err := m.Mem.Unlink(path)
 	if err != nil {
 		return err
 	}
@@ -268,10 +217,10 @@ func (m *mounted) Unlink(path string) error {
 // is how the btrfs "directory un-removable after log replay" bugs manifest
 // (appendix workloads 13, 15, 19, 21, 24).
 func (m *mounted) Rmdir(path string) error {
-	if err := m.checkMounted(); err != nil {
+	if err := m.CheckMounted(); err != nil {
 		return err
 	}
-	n, err := m.mem.Lookup(path)
+	n, err := m.Mem.Lookup(path)
 	if err != nil {
 		return err
 	}
@@ -283,7 +232,7 @@ func (m *mounted) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := m.mem.Rmdir(path); err != nil {
+	if _, err := m.Mem.Rmdir(path); err != nil {
 		return err
 	}
 	m.eb[parent.Ino] -= entryWeight(name)
@@ -295,7 +244,7 @@ func (m *mounted) Rmdir(path string) error {
 
 // Rename implements filesys.MountedFS.
 func (m *mounted) Rename(src, dst string) error {
-	if err := m.checkMounted(); err != nil {
+	if err := m.CheckMounted(); err != nil {
 		return err
 	}
 	srcParent, srcName, err := m.parentOf(src)
@@ -306,7 +255,7 @@ func (m *mounted) Rename(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	moved, replaced, err := m.mem.Rename(src, dst)
+	moved, replaced, err := m.Mem.Rename(src, dst)
 	if err != nil {
 		return err
 	}
@@ -333,233 +282,68 @@ func (m *mounted) Rename(src, dst string) error {
 	return nil
 }
 
-// Truncate implements filesys.MountedFS.
-func (m *mounted) Truncate(path string, size int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
+// Touched implements diskfmt.Strategy for the operations logfs leaves to
+// the base: content and attribute changes mark the inode dirty for the
+// next fsync.
+func (m *mounted) Touched(n *fstree.Node, c diskfmt.Change) {
+	t := m.trackOf(n.Ino)
+	if c.Op == diskfmt.OpFalloc && c.Mode == filesys.FallocPunchHole {
+		t.punches = append(t.punches, punchRec{off: c.Off, end: c.Off + c.Length})
+		wholeBlocks := alignUp(c.Off) < alignDown(c.Off+c.Length)
+		if !wholeBlocks && m.fs.Has("btrfs-partial-page-punch-not-logged") {
+			// BUG: a punch that frees no whole block fails to mark the
+			// inode dirty, so a following fsync logs nothing (workload 17).
+			return
+		}
 	}
-	n, err := m.mem.Truncate(path, size)
-	if err != nil {
-		return err
-	}
-	m.markDirty(n.Ino)
-	return nil
+	t.dirty = true
 }
 
-// Write implements filesys.MountedFS (buffered write).
-func (m *mounted) Write(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Write(path, off, data)
-	if err != nil {
-		return err
-	}
-	m.markDirty(n.Ino)
-	return nil
-}
-
-// MWrite implements filesys.MountedFS (store through mmap: page-cache only).
-func (m *mounted) MWrite(path string, off int64, data []byte) error {
-	return m.Write(path, off, data)
-}
-
-// WriteDirect implements filesys.MountedFS. Direct IO bypasses the page
+// PersistDirect implements diskfmt.Strategy. Direct IO bypasses the page
 // cache: the data and the size update it implies reach the log immediately.
-func (m *mounted) WriteDirect(path string, off int64, data []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Write(path, off, data)
-	if err != nil {
-		return err
-	}
+func (m *mounted) PersistDirect(n *fstree.Node, off int64, data []byte) error {
 	m.markDirty(n.Ino)
 	// btrfs direct IO writes data synchronously; model as a ranged log.
 	return m.logAndFlush(n, &punchRec{off: off, end: off + int64(len(data))})
 }
 
-// Falloc implements filesys.MountedFS.
-func (m *mounted) Falloc(path string, mode filesys.FallocMode, off, length int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Falloc(path, mode, off, length)
-	if err != nil {
-		return err
-	}
-	t := m.trackOf(n.Ino)
-	if mode == filesys.FallocPunchHole {
-		t.punches = append(t.punches, punchRec{off: off, end: off + length})
-		wholeBlocks := alignUp(off) < alignDown(off+length)
-		if !wholeBlocks && m.fs.has("btrfs-partial-page-punch-not-logged") {
-			// BUG: a punch that frees no whole block fails to mark the
-			// inode dirty, so a following fsync logs nothing (workload 17).
-			return nil
-		}
-	}
-	t.dirty = true
-	return nil
-}
+// PersistNode implements diskfmt.Strategy.
+func (m *mounted) PersistNode(n *fstree.Node) error { return m.logAndFlush(n, nil) }
 
-// SetXattr implements filesys.MountedFS.
-func (m *mounted) SetXattr(path, name string, value []byte) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.SetXattr(path, name, value)
-	if err != nil {
-		return err
-	}
-	m.markDirty(n.Ino)
-	return nil
-}
+// PersistData implements diskfmt.Strategy. btrfs treats fdatasync like
+// fsync through the tree-log path.
+func (m *mounted) PersistData(n *fstree.Node) error { return m.logAndFlush(n, nil) }
 
-// RemoveXattr implements filesys.MountedFS.
-func (m *mounted) RemoveXattr(path, name string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.RemoveXattr(path, name)
-	if err != nil {
-		return err
-	}
-	m.markDirty(n.Ino)
-	return nil
-}
-
-// Fsync implements filesys.MountedFS.
-func (m *mounted) Fsync(path string) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return err
-	}
-	return m.logAndFlush(n, nil)
-}
-
-// Fdatasync implements filesys.MountedFS. btrfs treats fdatasync like fsync
-// through the tree-log path.
-func (m *mounted) Fdatasync(path string) error { return m.Fsync(path) }
-
-// MSync implements filesys.MountedFS (ranged persistence of an mmap region).
-func (m *mounted) MSync(path string, off, length int64) error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return err
-	}
+// PersistRange implements diskfmt.Strategy (ranged persistence of an mmap
+// region).
+func (m *mounted) PersistRange(n *fstree.Node, off, length int64) error {
 	if n.Kind != filesys.KindRegular {
-		return fmt.Errorf("logfs msync %q: %w", path, filesys.ErrInvalid)
+		return fmt.Errorf("logfs msync inode %d: %w", n.Ino, filesys.ErrInvalid)
 	}
 	return m.logAndFlush(n, &punchRec{off: off, end: off + length})
 }
 
-// Sync implements filesys.MountedFS: a full transaction commit.
-func (m *mounted) Sync() error {
-	if err := m.checkMounted(); err != nil {
+// Checkpoint implements diskfmt.Strategy: a full transaction commit writes
+// the tree as a new generation and clears the log.
+func (m *mounted) Checkpoint() error {
+	if err := m.WriteCheckpoint(func(e *codec.Encoder) { encodeEntryBytes(e, m.eb) }); err != nil {
 		return err
 	}
-	return m.commit()
-}
-
-// Unmount implements filesys.MountedFS: clean unmount commits everything.
-func (m *mounted) Unmount() error {
-	if err := m.checkMounted(); err != nil {
-		return err
-	}
-	if err := m.commit(); err != nil {
-		return err
-	}
-	m.unmounted = true
-	return nil
-}
-
-// commit writes the full tree as a new generation and clears the log.
-func (m *mounted) commit() error {
-	m.gen++
-	img := commitImage{tree: m.mem, entryBytes: m.eb}
-	if err := writeCommit(m.dev, m.gen, img); err != nil {
-		return err
-	}
-	m.committed = m.mem.Clone()
+	m.committed = m.Mem.Clone()
 	m.ebCommit = cloneEB(m.eb)
-	m.logHead = logStartBlock
-	m.logSeq = 0
 	m.resetTracking()
 	return nil
 }
 
-// ---- read-side API -----------------------------------------------------
-
 // Stat implements filesys.MountedFS.
 func (m *mounted) Stat(path string) (filesys.Stat, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return filesys.Stat{}, err
-	}
-	st := n.Stat()
-	if n.Kind == filesys.KindDir {
+	st, err := m.Mounted.Stat(path)
+	if err == nil && st.Kind == filesys.KindDir {
 		// Directory size reflects the entry-byte accounting, mirroring
 		// btrfs's i_size for directories.
-		st.Size = m.eb[n.Ino]
+		st.Size = m.eb[st.Ino]
 	}
-	return st, nil
-}
-
-// ReadFile implements filesys.MountedFS.
-func (m *mounted) ReadFile(path string) ([]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.Kind == filesys.KindDir {
-		return nil, fmt.Errorf("logfs read %q: %w", path, filesys.ErrIsDir)
-	}
-	return append([]byte(nil), n.Data...), nil
-}
-
-// ReadDir implements filesys.MountedFS.
-func (m *mounted) ReadDir(path string) ([]filesys.DirEntry, error) {
-	return m.mem.ReadDir(path)
-}
-
-// ReadLink implements filesys.MountedFS.
-func (m *mounted) ReadLink(path string) (string, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return "", err
-	}
-	if n.Kind != filesys.KindSymlink {
-		return "", fmt.Errorf("logfs readlink %q: %w", path, filesys.ErrInvalid)
-	}
-	return n.Target, nil
-}
-
-// ListXattr implements filesys.MountedFS.
-func (m *mounted) ListXattr(path string) (map[string][]byte, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(n.Xattrs))
-	for k, v := range n.Xattrs {
-		out[k] = append([]byte(nil), v...)
-	}
-	return out, nil
-}
-
-// Extents implements filesys.MountedFS.
-func (m *mounted) Extents(path string) ([]filesys.Extent, error) {
-	n, err := m.mem.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	return append([]filesys.Extent(nil), n.Extents...), nil
+	return st, err
 }
 
 const blockSize = int64(blockdev.BlockSize)

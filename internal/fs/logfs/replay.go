@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"b3/internal/filesys"
+	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
@@ -43,12 +44,12 @@ func (f *FS) replayLog(img commitImage, batches [][]logItem) (commitImage, error
 	}
 
 	sweepUnreachable(tree, eb)
-	recomputeLinkCounts(tree)
+	diskfmt.RecountLinks(tree)
 
 	// Advance the inode allocation counter past everything the log
 	// materialized. BUG W6: the counter is left at its committed value, so
 	// the next create collides with a replayed inode (-EEXIST).
-	if !f.has("btrfs-objectid-not-restored") {
+	if !f.Has("btrfs-objectid-not-restored") {
 		if maxIno >= tree.NextIno() {
 			tree.SetNextIno(maxIno + 1)
 		}
@@ -99,7 +100,7 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 	// Extended attributes: the log carries the full current set and replay
 	// must replace the inode's set. BUG W18: replay merges instead, so
 	// attributes removed before the fsync resurrect from the committed tree.
-	if f.has("btrfs-xattr-delete-replay") {
+	if f.Has("btrfs-xattr-delete-replay") {
 		merged := map[string][]byte{}
 		if com := committed.Get(n.Ino); com != nil {
 			for k, v := range com.Xattrs {
@@ -159,7 +160,7 @@ func (f *FS) replayDentryAdd(tree, committed *fstree.Tree, eb map[uint64]int64, 
 	// committed under another name) counts both the dir item and the
 	// inode ref, leaving the directory un-removable once emptied.
 	renamedIn := false
-	if f.has("btrfs-rename-into-dir-accounting") && committed.Get(it.child) != nil {
+	if f.Has("btrfs-rename-into-dir-accounting") && committed.Get(it.child) != nil {
 		for _, r := range refsOf(committed, it.child) {
 			if r.parent != it.dir || r.name != it.name {
 				renamedIn = true
@@ -173,7 +174,7 @@ func (f *FS) replayDentryAdd(tree, committed *fstree.Tree, eb map[uint64]int64, 
 	case ok && existing == it.child:
 		// Idempotent re-add. BUG W21: the directory size is bumped again,
 		// leaving the directory un-removable once emptied.
-		if f.has("btrfs-dir-fsync-size-accounting") {
+		if f.Has("btrfs-dir-fsync-size-accounting") {
 			eb[dir.Ino] += entryWeight(it.name)
 		}
 	case ok:
@@ -187,7 +188,7 @@ func (f *FS) replayDentryAdd(tree, committed *fstree.Tree, eb map[uint64]int64, 
 		eb[dir.Ino] += entryWeight(it.name)
 		// BUG W13: replaying the add of an extra hard link inserts both
 		// the dir item and the inode ref, double-counting the entry.
-		if f.has("btrfs-replay-add-accounting") && countRefs(tree, it.child) >= 2 {
+		if f.Has("btrfs-replay-add-accounting") && countRefs(tree, it.child) >= 2 {
 			eb[dir.Ino] += entryWeight(it.name)
 		}
 		if renamedIn {
@@ -218,12 +219,12 @@ func (f *FS) replayDentryDel(tree, committed *fstree.Tree, eb map[uint64]int64, 
 	if com := committed.Get(it.child); com != nil && com.Kind != filesys.KindDir {
 		// BUG W15: replaying the unlink of a file that had exactly one
 		// extra hard link skips the directory-size decrement.
-		if f.has("btrfs-replay-del-accounting") && com.Nlink == 2 {
+		if f.Has("btrfs-replay-del-accounting") && com.Nlink == 2 {
 			skipAccounting = true
 		}
 		// BUG W19: the same slip on the multiple-hard-links path, fixed
 		// separately months later (§3 "Systematic testing is required").
-		if f.has("btrfs-replay-unlink-accounting") && com.Nlink >= 3 {
+		if f.Has("btrfs-replay-unlink-accounting") && com.Nlink >= 3 {
 			skipAccounting = true
 		}
 	}

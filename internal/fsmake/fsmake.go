@@ -38,19 +38,20 @@ func Kernel(name string) string {
 // New builds the named file system simulating kernel version ver; a non-nil
 // override pins the exact active bug set (empty map = fully fixed).
 func New(name string, ver bugs.Version, override map[string]bool) (filesys.FileSystem, error) {
+	opts := diskfmt.Options{Version: ver, BugOverride: override}
 	switch name {
 	case "logfs":
-		return logfs.New(logfs.Options{Version: ver, BugOverride: override}), nil
+		return logfs.New(opts), nil
 	case "journalfs":
-		return journalfs.New(journalfs.Options{Version: ver, BugOverride: override}), nil
+		return journalfs.New(opts), nil
 	case "f2fsim":
-		return f2fsim.New(f2fsim.Options{Version: ver, BugOverride: override}), nil
+		return f2fsim.New(opts), nil
 	case "fscqsim":
-		return fscqsim.New(fscqsim.Options{Version: ver, BugOverride: override}), nil
+		return fscqsim.New(opts), nil
 	case "diskfmt":
 		// The reference whole-image backend has no bug mechanisms; version
 		// and override select nothing.
-		return diskfmt.NewFS(diskfmt.Options{BugOverride: override}), nil
+		return diskfmt.NewFS(opts), nil
 	}
 	return nil, fmt.Errorf("fsmake: unknown file system %q (have %v)", name, Names())
 }
