@@ -167,6 +167,20 @@ func (g *Generator) Count() (int64, error) {
 	return g.Generate(func(*workload.Workload) bool { return true })
 }
 
+// zeroPage backs zeros; it is never written.
+var zeroPage [DepFileSize]byte
+
+// zeros returns n zero bytes for a phase-4 model write — the model only
+// tracks sizes and allocation, and fstree.Tree.Write copies its argument,
+// so every write can pass the same read-only page. Lengths above
+// DepFileSize are allocated.
+func zeros(n int64) []byte {
+	if n > int64(len(zeroPage)) {
+		return make([]byte, n)
+	}
+	return zeroPage[:n]
+}
+
 // depBuilder satisfies phase-4 dependencies against a simulated model.
 type depBuilder struct {
 	model *fstree.Tree
@@ -216,7 +230,7 @@ func (d *depBuilder) ensureFile(path string, withData bool) bool {
 		return false
 	}
 	if withData && n.Kind == filesys.KindRegular && n.Size() < DepFileSize {
-		if _, err := d.model.Write(path, 0, make([]byte, DepFileSize)); err != nil {
+		if _, err := d.model.Write(path, 0, zeros(DepFileSize)); err != nil {
 			return false
 		}
 		d.deps = append(d.deps, workload.Op{Kind: workload.OpWrite, Path: path, Off: 0, Len: DepFileSize})
@@ -374,7 +388,7 @@ func (d *depBuilder) apply(op workload.Op) bool {
 	case workload.OpTruncate:
 		_, err = d.model.Truncate(op.Path, op.Off)
 	case workload.OpWrite, workload.OpDWrite, workload.OpMWrite:
-		_, err = d.model.Write(op.Path, op.Off, make([]byte, op.Len))
+		_, err = d.model.Write(op.Path, op.Off, zeros(op.Len))
 	case workload.OpFalloc:
 		_, err = d.model.Falloc(op.Path, op.Mode, op.Off, op.Len)
 	case workload.OpSetXattr:
@@ -418,11 +432,4 @@ func (g *Generator) phase4(assigned []choice, persist []persistChoice) *workload
 		}
 	}
 	return w
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -42,7 +42,7 @@ var testShardHook func(*corpus.Shard)
 
 // fsRun is the per-file-system state of a (matrix) campaign: one row of the
 // matrix, with its own prune cache, corpus shard, counters, and reports.
-// All rows share one worker pool.
+// All rows share one enumeration and one worker pool.
 type fsRun struct {
 	cfg   Config // per-FS copy: cfg.FS is this row's file system
 	cache *crashmonkey.PruneCache
@@ -142,85 +142,121 @@ func (r *fsRun) openCorpus() error {
 	return nil
 }
 
-// generate enumerates the run's workload space, folding resumed records and
-// feeding untested workloads to the shared pool. When the campaign is
-// sharded, the ACE generator's residue-class partition restricts the stream
+// needs reports whether the row still wants workload seq tested — the
+// per-row half of generation. A row whose corpus write failed is fed nothing
+// further: the failure fails the whole campaign, so testing on for hours
+// would only produce results to discard. A workload already recorded in the
+// resumed shard is folded back into the statistics instead of being
+// re-tested.
+func (r *fsRun) needs(seq int64) bool {
+	if r.corpusFailed.Load() {
+		return false
+	}
+	if rec, ok := r.done[seq]; ok {
+		r.foldRecord(rec)
+		return false
+	}
+	return true
+}
+
+// generate runs the campaign's one enumeration and fans every class member
+// out to the matrix rows (§5.2: ACE produces the bounded workload set once
+// and every file system is tested on it). The space, the sequence numbering
+// and the class rule — MaxWorkloads, interrupt, inClass — are the same for
+// every row, so they are evaluated once per sequence number; each member is
+// then offered to every row in matrix order, each row getting its own
+// wrapper (wrappers carry the row's profile) around the one shared workload,
+// which nothing downstream mutates. Per row the jobs ascend in seq, exactly
+// as a single-FS campaign feeds them. When the campaign is sharded and
+// unsampled, the generator's residue-class partition restricts the stream
 // to this shard's workloads while keeping global sequence numbers (and the
-// full-space Generated count) intact. Returns the generation error, if any.
-func (r *fsRun) generate(jobs chan<- fsJob) error {
-	sample := r.cfg.SampleEvery
+// full-space Generated count) intact. Every row's Stats.Generated and
+// GenDur are set from this one enumeration. Returns the generation error,
+// if any.
+func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
+	sample := cfg.SampleEvery
 	if sample <= 0 {
 		sample = 1
 	}
 	genStart := time.Now()
-	shard, nShards := int64(r.cfg.Shard), int64(r.cfg.numShards())
-	// decide applies the per-sequence campaign filters shared by both
-	// workload families: test=false skips the workload (sampled out, wrong
-	// shard, already folded from the corpus), stop=false halts enumeration.
-	decide := func(seq int64) (test, stop bool) {
-		if r.cfg.MaxWorkloads > 0 && seq > r.cfg.MaxWorkloads {
-			return false, true
+	nShards := cfg.numShards()
+	// feed applies the per-sequence campaign filters shared by both workload
+	// families and all rows, and offers a class member to every row; wrap
+	// builds one row's wrapper. It returns false to halt enumeration.
+	feed := func(seq int64, wrap func() workloadFamily) bool {
+		if cfg.MaxWorkloads > 0 && seq > cfg.MaxWorkloads {
+			return false
 		}
 		// A graceful interrupt stops feeding; in-flight jobs drain and are
 		// recorded, and finish() skips the completion marker.
-		if r.cfg.interrupted() {
-			return false, true
+		if cfg.interrupted() {
+			return false
 		}
-		// A failed corpus write fails the whole campaign; stop feeding it
-		// instead of testing for hours and then discarding the results.
-		if r.corpusFailed.Load() {
-			return false, true
+		// Rows are independent, so one failed corpus only stops that row
+		// being fed (needs); with every row failed nothing is left to test.
+		if allCorporaFailed(runs) {
+			return false
 		}
-		if seq%sample != 0 {
-			return false, false
+		if inClass(seq, sample, cfg.Shard, nShards) {
+			for _, r := range runs {
+				if r.needs(seq) {
+					jobs <- fsJob{run: r, wl: wrap(), seq: seq}
+				}
+			}
 		}
-		// Sampled + sharded: partition the sampled subsequence (workload
-		// sample·m → shard m mod n), not raw sequence numbers — raw
-		// residues starve when gcd(sample, n) > 1 (see Config.Shard).
-		if sample > 1 && nShards > 0 && (seq/sample)%nShards != shard {
-			return false, false
-		}
-		if rec, ok := r.done[seq]; ok {
-			r.foldRecord(rec)
-			return false, false
-		}
-		return true, false
+		return true
 	}
 	var generated int64
 	var genErr error
-	if r.cfg.KV != nil {
-		gen := kvace.New(*r.cfg.KV)
+	if cfg.KV != nil {
+		gen := kvace.New(*cfg.KV)
 		if sample == 1 {
 			// Unsampled: the kvace-level partition filters during enumeration.
-			gen.Shard, gen.NumShards = r.cfg.Shard, r.cfg.numShards()
+			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
 		generated, genErr = gen.GenerateSeq(func(seq int64, w *kvace.Workload) bool {
-			test, stop := decide(seq)
-			if test {
-				jobs <- fsJob{run: r, wl: &kvWorkload{w: w}, seq: seq}
-			}
-			return !stop
+			return feed(seq, func() workloadFamily { return &kvWorkload{w: w} })
 		})
 	} else {
-		gen := ace.New(r.cfg.Bounds)
+		gen := ace.New(cfg.Bounds)
 		if sample == 1 {
 			// Unsampled: the ace-level partition filters during enumeration.
-			gen.Shard, gen.NumShards = r.cfg.Shard, r.cfg.numShards()
+			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
 		generated, genErr = gen.GenerateSeq(func(seq int64, w *workload.Workload) bool {
-			test, stop := decide(seq)
-			if test {
-				// Workloads are mutated downstream only via their own
-				// structures; each emitted workload is freshly built, so
-				// hand it off directly.
-				jobs <- fsJob{run: r, wl: &fileWorkload{w: w}, seq: seq}
-			}
-			return !stop
+			return feed(seq, func() workloadFamily { return &fileWorkload{w: w} })
 		})
 	}
-	r.stats.Generated = generated
-	r.stats.GenDur = time.Since(genStart)
+	genDur := time.Since(genStart)
+	for _, r := range runs {
+		r.stats.Generated, r.stats.GenDur = generated, genDur
+	}
 	return genErr
+}
+
+// inClass is the campaign's class rule, stated once: whether workload seq
+// is tested by residue class shard of nShards at sampling stride sample.
+// Only multiples of sample are tested, and a sharded campaign partitions
+// that sampled subsequence (workload sample·m belongs to class m mod
+// nShards), not raw sequence numbers — raw residues starve every class
+// whose residue never hits a sample multiple (sample 20, shard 1/2:
+// multiples of 20 are all even). At sample 1 this is the raw ace/kvace
+// residue class; nShards ≤ 1 means unsharded.
+func inClass(seq, sample int64, shard, nShards int) bool {
+	if seq%sample != 0 {
+		return false
+	}
+	return nShards <= 1 || (seq/sample)%int64(nShards) == int64(shard)
+}
+
+// allCorporaFailed reports whether every row's corpus shard has failed.
+func allCorporaFailed(runs []*fsRun) bool {
+	for _, r := range runs {
+		if !r.corpusFailed.Load() {
+			return false
+		}
+	}
+	return true
 }
 
 // finish folds the counters into the run's Stats and groups its reports.
@@ -317,10 +353,11 @@ func Run(cfg Config) (*Stats, error) {
 
 // RunMatrix fans one campaign configuration out across several file
 // systems at once — the in-process analogue of giving each file system its
-// own slice of the paper's VM cluster (§6.1). All rows share one worker
-// pool, so a fast row's idle capacity drains into the slower ones; each row
-// keeps its own prune cache, corpus shard, statistics, and bug groups. A
-// nil or empty fss runs just cfg.FS.
+// own slice of the paper's VM cluster (§6.1). All rows share one enumeration
+// of the workload space (generate) and one worker pool, so a fast row's idle
+// capacity drains into the slower ones; each row keeps its own prune cache,
+// corpus shard, statistics, and bug groups. A nil or empty fss runs just
+// cfg.FS.
 func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 	if cfg.Resume && cfg.CorpusDir == "" {
 		return nil, fmt.Errorf("campaign: Resume requires CorpusDir")
@@ -463,19 +500,11 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 		}()
 	}
 
-	// One generator per row: ACE enumeration is cheap relative to testing,
-	// and per-row generation keeps corpus sequence numbering identical to a
-	// single-FS campaign, so shards stay mutually resumable.
-	genErrs := make([]error, len(runs))
-	var genWG sync.WaitGroup
-	for i, r := range runs {
-		genWG.Add(1)
-		go func(i int, r *fsRun) {
-			defer genWG.Done()
-			genErrs[i] = r.generate(jobs)
-		}(i, r)
-	}
-	genWG.Wait()
+	// One enumeration per campaign, run here: every row is tested on the same
+	// workloads, and the shared sequence numbering is what keeps each row's
+	// corpus shard identical to — and mutually resumable with — a single-FS
+	// campaign's.
+	genErr := generate(&cfg, runs, jobs)
 	close(jobs)
 	wg.Wait()
 	if cfg.OnProgress != nil {
@@ -484,10 +513,8 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 		cfg.OnProgress(snapshot())
 	}
 
-	for i, r := range runs {
-		if genErrs[i] != nil {
-			return nil, fmt.Errorf("campaign: %s: generation: %w", r.cfg.FS.Name(), genErrs[i])
-		}
+	if genErr != nil {
+		return nil, fmt.Errorf("campaign: generation: %w", genErr)
 	}
 	// Sample the interrupt once so every row agrees on whether this run may
 	// mark its shard complete (an interrupt landing mid-finish must not

@@ -31,7 +31,8 @@ type Config struct {
 	// MaxWorkloads stops generation after this many workloads (0 = all).
 	MaxWorkloads int64
 	// SampleEvery tests only every n-th workload (1 or 0 = all). The
-	// space is still enumerated fully, so generation counts are exact.
+	// space is still enumerated fully — once per campaign, however many
+	// matrix rows it feeds — so generation counts are exact.
 	SampleEvery int64
 	// KnownDB deduplicates previously reported bugs (§5.3); may be nil.
 	KnownDB *report.KnownDB
@@ -93,13 +94,11 @@ type Config struct {
 	// seq mod NumShards == Shard are tested (the residue-class partition
 	// of ace.Generator — deterministic, disjoint, union = the full space).
 	// With SampleEvery > 1 the partition applies to the sampled
-	// subsequence instead — workload sample·m belongs to shard m mod
-	// NumShards — so the classes stay balanced for every (sample, shards)
-	// pair; partitioning raw sequence numbers would starve every shard
-	// whose residue never hits a sample multiple (e.g. sample 20, shard
-	// 1/2: multiples of 20 are all even). Each shard writes its own corpus
-	// shard recording its class; MergeStats folds a complete residue
-	// system back into one campaign. NumShards of 0 or 1 means unsharded.
+	// subsequence instead, so the classes stay balanced for every (sample,
+	// shards) pair; inClass is the rule and says why. Each shard writes
+	// its own corpus shard recording its class; MergeStats folds a
+	// complete residue system back into one campaign. NumShards of 0 or 1
+	// means unsharded.
 	Shard     int
 	NumShards int
 

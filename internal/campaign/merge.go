@@ -260,13 +260,10 @@ func mergeGroup(shards []*corpus.LoadedShard, knownDBFor func(string) *report.Kn
 	// rendering (group exemplars) deterministic.
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Meta.Shard < shards[j].Meta.Shard })
 	for _, s := range shards {
-		// The class is computed over the sampled index m (seq = sample·m),
-		// matching the campaign's balanced partition rule; at sample 1
-		// this is the raw ace residue class.
+		// The same class rule the generator fed this shard by (inClass).
 		sample := s.Meta.SampleOrOne()
 		for _, rec := range s.Records {
-			if s.Meta.NumShards > 1 &&
-				(rec.Seq%sample != 0 || (rec.Seq/sample)%int64(s.Meta.NumShards) != int64(s.Meta.Shard)) {
+			if s.Meta.NumShards > 1 && !inClass(rec.Seq, sample, s.Meta.Shard, s.Meta.NumShards) {
 				return nil, fmt.Errorf(
 					"campaign: merge: %s holds workload seq %d outside its residue class %s",
 					s.Path, rec.Seq, s.Meta.ShardLabel())

@@ -100,7 +100,9 @@ type Stats struct {
 	FreshGroups []*report.Group
 	KnownGroups []*report.Group
 
-	Elapsed     time.Duration
+	Elapsed time.Duration
+	// GenDur is the wall time of the campaign's one enumeration, feeding the
+	// worker pool included; every row of a matrix carries the same value.
 	GenDur      time.Duration
 	ProfileDur  time.Duration
 	ReplayDur   time.Duration
@@ -110,7 +112,8 @@ type Stats struct {
 	DirtySample int64
 }
 
-// GenRate returns workloads generated per second (§6.4).
+// GenRate returns workloads generated per second (§6.4) by the campaign's
+// one enumeration — the same on every matrix row, not a per-row share.
 func (s *Stats) GenRate() float64 {
 	if s.GenDur <= 0 {
 		return 0
