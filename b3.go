@@ -185,8 +185,9 @@ type Campaign struct {
 	// enumeration points and cannot be merged; prefer SampleEvery for
 	// cheap sharded sweeps.
 	MaxWorkloads int64
-	// SampleEvery tests only every n-th workload (1 or 0 = all). The space
-	// is still enumerated fully, so Generated counts stay exact.
+	// SampleEvery tests only every n-th workload (1 or 0 = all). Every
+	// sequence number is still walked, so Generated counts stay exact, but
+	// only the tested workloads are built.
 	SampleEvery int64
 	// Shard and NumShards partition the campaign across processes: shard i
 	// of n tests exactly the workloads whose deterministic ACE sequence
@@ -403,6 +404,10 @@ func CountKVWorkloads(name string) (int64, error) {
 	}
 	return kvace.New(b).Count()
 }
+
+// CountWorkloads returns the size of the bounded workload space (ACE)
+// without building any workload.
+func CountWorkloads(b Bounds) (int64, error) { return ace.New(b).Count() }
 
 // GenerateWorkloads streams the bounded workload space to fn (ACE).
 func GenerateWorkloads(b Bounds, fn func(*Workload) bool) (int64, error) {

@@ -2,7 +2,7 @@
 // Explorer, §5.2).
 //
 //	ace -profile seq-1              # print the seq-1 workloads
-//	ace -profile seq-2 -count      	# count without printing (Table 4 column)
+//	ace -profile seq-2 -count      	# count without building (Table 4 column)
 //	ace -seq 2 -max 10              # first ten seq-2 workloads
 //	ace -show-bounds                # print the Table 3 bounds
 package main
@@ -55,14 +55,22 @@ func main() {
 	}
 
 	start := time.Now()
-	var emitted int64
-	n, err := b3.GenerateWorkloads(bounds, func(w *b3.Workload) bool {
-		emitted++
-		if !*countOnly {
-			fmt.Printf("# workload %s (skeleton: %s)\n%s\n", w.ID, w.Skeleton(), w)
+	var n int64
+	var err error
+	if *countOnly {
+		// Counting builds no workload; -max caps the count.
+		n, err = b3.CountWorkloads(bounds)
+		if *max > 0 {
+			n = min(n, *max)
 		}
-		return *max == 0 || emitted < *max
-	})
+	} else {
+		var emitted int64
+		n, err = b3.GenerateWorkloads(bounds, func(w *b3.Workload) bool {
+			emitted++
+			fmt.Printf("# workload %s (skeleton: %s)\n%s\n", w.ID, w.Skeleton(), w)
+			return *max == 0 || emitted < *max
+		})
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -16,20 +16,17 @@ type Generator struct {
 
 	// Shard and NumShards partition the enumeration into residue classes:
 	// when NumShards > 1, only workloads whose 1-based sequence number
-	// satisfies seq mod NumShards == Shard are streamed to fn. Generation
-	// order is deterministic, so the partition is stable across runs and
-	// processes: the classes 0..NumShards-1 are disjoint, their union is
-	// the full space, and every workload keeps the sequence number (and
-	// "ace-<seq>" ID) it has in the unsharded enumeration. The full space
-	// is still enumerated — phase-4 dependency building decides which
-	// candidates become workloads, so sequence numbering cannot be skipped
-	// ahead — and the returned count stays the full-space count.
+	// satisfies seq mod NumShards == Shard are visited. Generation order is
+	// deterministic, so the partition is stable across runs and processes:
+	// the classes 0..NumShards-1 are disjoint, their union is the full
+	// space, and every workload keeps the sequence number (and "ace-<seq>"
+	// ID) it has in the unsharded enumeration. Every phase-2 assignment is
+	// still simulated once — dependency building decides how many sequence
+	// numbers it owns — but workloads outside the class are stepped over
+	// without being built, and the returned count stays the full-space
+	// count.
 	Shard     int
 	NumShards int
-
-	// dirSet caches Bounds.Dirs as a set for phase-4 dependency building;
-	// rebuilt at the start of every Generate so Bounds edits take effect.
-	dirSet map[string]bool
 }
 
 // New returns a generator over the given bounds.
@@ -40,7 +37,7 @@ func New(b Bounds) *Generator { return &Generator{Bounds: b, IDPrefix: "ace"} }
 // fn returning false stops generation early. The returned count is the
 // number of workloads enumerated, shard members or not.
 func (g *Generator) Generate(fn func(w *workload.Workload) bool) (int64, error) {
-	return g.GenerateSeq(func(_ int64, w *workload.Workload) bool { return fn(w) })
+	return g.Walk(func(_ int64, build func() *workload.Workload) bool { return fn(build()) })
 }
 
 // GenerateSeq is Generate with each workload's global 1-based sequence
@@ -48,6 +45,27 @@ func (g *Generator) Generate(fn func(w *workload.Workload) bool) (int64, error) 
 // regardless of sharding — it is the stable workload identity that corpus
 // records are keyed by and that the shard partition is computed from.
 func (g *Generator) GenerateSeq(fn func(seq int64, w *workload.Workload) bool) (int64, error) {
+	return g.Walk(func(seq int64, build func() *workload.Workload) bool { return fn(seq, build()) })
+}
+
+// Count walks the space without building any workload.
+func (g *Generator) Count() (int64, error) {
+	return g.Walk(func(int64, func() *workload.Workload) bool { return true })
+}
+
+// Walk visits the sequence number of every workload in the bounded space
+// (restricted to the shard residue class, if any) in generation order. build
+// materialises and IDs the workload being visited; it is valid only until
+// visit returns, and a sequence number whose build is never called costs no
+// allocation. visit returning false stops the walk; the returned count is
+// then the sequence number it stopped on, otherwise the size of the space.
+//
+// All persistence variants of one phase-2 assignment share one model
+// simulation (plan): a persistence op neither changes the model nor needs
+// dependency ops, so the assignment's workloads are the Cartesian product of
+// its slots' valid persistence choices, numbered consecutively with slot 0
+// most significant.
+func (g *Generator) Walk(visit func(seq int64, build func() *workload.Workload) bool) (int64, error) {
 	if g.Bounds.SeqLen < 1 {
 		return 0, fmt.Errorf("ace: sequence length must be >= 1")
 	}
@@ -57,114 +75,168 @@ func (g *Generator) GenerateSeq(fn func(seq int64, w *workload.Workload) bool) (
 	if g.NumShards < 0 {
 		return 0, fmt.Errorf("ace: negative shard count %d", g.NumShards)
 	}
-	g.dirSet = make(map[string]bool, len(g.Bounds.Dirs))
+	wk := &walk{
+		idPrefix: g.IDPrefix,
+		bounds:   g.Bounds,
+		dirs:     make(map[string]bool, len(g.Bounds.Dirs)),
+		choices:  make(map[workload.OpKind][]choice, len(g.Bounds.Ops)),
+		skeleton: make([]workload.OpKind, g.Bounds.SeqLen),
+		assigned: make([]choice, g.Bounds.SeqLen),
+		slots:    make([]slot, g.Bounds.SeqLen),
+		stride:   1,
+		visit:    visit,
+	}
+	if g.NumShards > 1 {
+		wk.stride, wk.shard = int64(g.NumShards), int64(g.Shard)
+	}
+	wk.build = wk.materialise // bound once: evaluating a method value allocates
 	for _, d := range g.Bounds.Dirs {
-		g.dirSet[d] = true
+		wk.dirs[d] = true
 	}
 	// Phase 2 choices per op kind, computed once.
-	choicesByKind := make(map[workload.OpKind][]choice, len(g.Bounds.Ops))
 	for _, kind := range g.Bounds.Ops {
 		cs := g.Bounds.paramChoices(kind)
 		if len(cs) == 0 {
 			return 0, fmt.Errorf("ace: no parameter choices for op %v", kind)
 		}
-		choicesByKind[kind] = cs
+		wk.choices[kind] = cs
 	}
-
-	var emitted int64
-	stop := false
-
-	// Phase 1: skeleton odometer over the op vocabulary.
-	skeleton := make([]workload.OpKind, g.Bounds.SeqLen)
-	var phase1 func(pos int)
-	phase1 = func(pos int) {
-		if stop {
-			return
-		}
-		if pos == len(skeleton) {
-			g.phase2(skeleton, choicesByKind, &emitted, &stop, fn)
-			return
-		}
-		for _, kind := range g.Bounds.Ops {
-			skeleton[pos] = kind
-			phase1(pos + 1)
-			if stop {
-				return
-			}
-		}
-	}
-	phase1(0)
-	return emitted, nil
+	wk.phase1(0)
+	return wk.emitted, wk.err
 }
 
-// phase2 enumerates parameter assignments for one skeleton.
-func (g *Generator) phase2(skeleton []workload.OpKind,
-	choicesByKind map[workload.OpKind][]choice,
-	emitted *int64, stop *bool, fn func(int64, *workload.Workload) bool) {
-
-	assigned := make([]choice, len(skeleton))
-	var rec func(pos int)
-	rec = func(pos int) {
-		if *stop {
-			return
-		}
-		if pos == len(skeleton) {
-			g.phase3(assigned, emitted, stop, fn)
-			return
-		}
-		for _, c := range choicesByKind[skeleton[pos]] {
-			assigned[pos] = c
-			rec(pos + 1)
-			if *stop {
-				return
-			}
-		}
-	}
-	rec(0)
+// slot is one position of a planned assignment.
+type slot struct {
+	deps    []workload.Op // dependency ops the core op needs at this point
+	core    workload.Op
+	persist []persistChoice // the phase-3 choices valid after the core op
 }
 
-// phase3 enumerates persistence-point assignments.
-func (g *Generator) phase3(assigned []choice,
-	emitted *int64, stop *bool, fn func(int64, *workload.Workload) bool) {
-
-	persist := make([]persistChoice, len(assigned))
-	var rec func(pos int)
-	rec = func(pos int) {
-		if *stop {
-			return
-		}
-		if pos == len(assigned) {
-			w := g.phase4(assigned, persist)
-			if w == nil {
-				return // dependencies unsatisfiable: not a valid workload
-			}
-			*emitted++
-			// Out-of-shard workloads are counted but not streamed: the
-			// sequence number is the cross-shard workload identity.
-			if g.NumShards > 1 && *emitted%int64(g.NumShards) != int64(g.Shard) {
-				return
-			}
-			w.ID = fmt.Sprintf("%s-%d", g.IDPrefix, *emitted)
-			if !fn(*emitted, w) {
-				*stop = true
-			}
-			return
-		}
-		final := pos == len(assigned)-1
-		for _, pc := range g.Bounds.persistChoices(assigned[pos], final) {
-			persist[pos] = pc
-			rec(pos + 1)
-			if *stop {
-				return
-			}
-		}
-	}
-	rec(0)
+// walk is the state of one enumeration. None of it lives on the Generator,
+// so concurrent walks over one generator are independent.
+type walk struct {
+	idPrefix string
+	bounds   Bounds
+	dirs     map[string]bool // Bounds.Dirs as a set, for dependency building
+	choices  map[workload.OpKind][]choice
+	skeleton []workload.OpKind
+	assigned []choice
+	// slots is the current assignment's plan, size the number of workloads
+	// it yields, member the index among them of the one being visited, and
+	// emitted the last sequence number reached; build reads all four.
+	slots                 []slot
+	size, member, emitted int64
+	// Only sequence numbers congruent to shard modulo stride are visited.
+	stride, shard int64
+	visit         func(int64, func() *workload.Workload) bool
+	build         func() *workload.Workload
+	stop          bool
+	err           error
 }
 
-// Count runs generation without retaining workloads.
-func (g *Generator) Count() (int64, error) {
-	return g.Generate(func(*workload.Workload) bool { return true })
+// phase1 is the skeleton odometer over the op vocabulary.
+func (wk *walk) phase1(pos int) {
+	if pos == len(wk.skeleton) {
+		wk.phase2(0)
+		return
+	}
+	for _, kind := range wk.bounds.Ops {
+		wk.skeleton[pos] = kind
+		if wk.phase1(pos + 1); wk.stop {
+			return
+		}
+	}
+}
+
+// phase2 enumerates parameter assignments for the current skeleton.
+func (wk *walk) phase2(pos int) {
+	if pos == len(wk.assigned) {
+		wk.block()
+		return
+	}
+	for _, c := range wk.choices[wk.skeleton[pos]] {
+		wk.assigned[pos] = c
+		if wk.phase2(pos + 1); wk.stop {
+			return
+		}
+	}
+}
+
+// plan simulates the current assignment once (phase 4): each core operation
+// is preceded by the dependency operations it needs at that point in the
+// sequence (a file may have to be re-created if an earlier core op renamed
+// its directory away), and each slot keeps the phase-3 choices that are
+// valid there. It returns the number of workloads the assignment yields —
+// zero when the combination is invalid (e.g. creat of a file another op
+// requires to pre-exist) or some slot has no valid persistence point.
+func (wk *walk) plan() int64 {
+	d := &depBuilder{model: fstree.New(), dirs: wk.dirs}
+	size := int64(1)
+	for i, c := range wk.assigned {
+		s := &wk.slots[i]
+		d.deps = s.deps[:0]
+		if !d.prepare(c.op) || !d.apply(c.op) {
+			return 0
+		}
+		s.deps, s.core, s.persist = d.deps, c.op, s.persist[:0]
+		d.deps = nil
+		for _, pc := range wk.bounds.persistChoices(c, i == len(wk.assigned)-1) {
+			if !pc.none && !d.prepare(pc.op) {
+				continue
+			}
+			if len(d.deps) != 0 { // the product numbering rests on persistence ops being inert
+				wk.err, wk.stop = fmt.Errorf("ace: persistence op %s needs dependency ops %v", pc.op, d.deps), true
+				return 0
+			}
+			s.persist = append(s.persist, pc)
+		}
+		size *= int64(len(s.persist))
+	}
+	return size
+}
+
+// block plans the current assignment and visits the shard members among the
+// consecutive sequence numbers it owns.
+func (wk *walk) block() {
+	wk.size = wk.plan()
+	first := wk.emitted + 1
+	// Smallest offset whose sequence number lies in the residue class.
+	skip := ((wk.shard-first)%wk.stride + wk.stride) % wk.stride
+	for wk.member = skip; wk.member < wk.size; wk.member += wk.stride {
+		wk.emitted = first + wk.member
+		if !wk.visit(wk.emitted, wk.build) {
+			wk.stop = true
+			return
+		}
+	}
+	wk.emitted = first + wk.size - 1
+}
+
+// materialise builds the workload being visited: member, read as a
+// mixed-radix number over the slots' persistence lists (slot 0 most
+// significant), picks each slot's persistence point.
+func (wk *walk) materialise() *workload.Workload {
+	n := 0
+	for _, s := range wk.slots {
+		n += len(s.deps) + 2
+	}
+	w := &workload.Workload{
+		ID:      fmt.Sprintf("%s-%d", wk.idPrefix, wk.emitted),
+		Ops:     make([]workload.Op, 0, n),
+		CoreOps: make([]int, 0, len(wk.slots)),
+	}
+	rest, weight := wk.member, wk.size // weight: members per choice of this slot's digit
+	for _, s := range wk.slots {
+		weight /= int64(len(s.persist))
+		w.Ops = append(w.Ops, s.deps...)
+		w.CoreOps = append(w.CoreOps, len(w.Ops))
+		w.Ops = append(w.Ops, s.core)
+		if pc := s.persist[rest/weight]; !pc.none {
+			w.Ops = append(w.Ops, pc.op)
+		}
+		rest %= weight
+	}
+	return w
 }
 
 // zeroPage backs zeros; it is never written.
@@ -399,37 +471,4 @@ func (d *depBuilder) apply(op workload.Op) bool {
 		return true
 	}
 	return err == nil
-}
-
-// phase4 builds the final workload: each core operation is preceded by the
-// dependency operations it needs at that point in the sequence (a file may
-// have to be re-created if an earlier core op renamed its directory away).
-// It returns nil when the combination is invalid (e.g. creat of a file
-// another op requires to pre-exist).
-func (g *Generator) phase4(assigned []choice, persist []persistChoice) *workload.Workload {
-	d := &depBuilder{model: fstree.New(), dirs: g.dirSet}
-	w := &workload.Workload{}
-
-	for i, c := range assigned {
-		d.deps = d.deps[:0]
-		if !d.prepare(c.op) {
-			return nil
-		}
-		w.Ops = append(w.Ops, d.deps...)
-		if !d.apply(c.op) {
-			return nil
-		}
-		w.CoreOps = append(w.CoreOps, len(w.Ops))
-		w.Ops = append(w.Ops, c.op)
-		if !persist[i].none {
-			pop := persist[i].op
-			d.deps = d.deps[:0]
-			if !d.prepare(pop) {
-				return nil
-			}
-			w.Ops = append(w.Ops, d.deps...)
-			w.Ops = append(w.Ops, pop)
-		}
-	}
-	return w
 }

@@ -40,6 +40,10 @@ import (
 // opens. Tests use it to inject mid-run shard failures.
 var testShardHook func(*corpus.Shard)
 
+// testBuildHook, when non-nil, observes every ACE workload a campaign
+// materialises. Tests use it to count builds.
+var testBuildHook func(*workload.Workload)
+
 // fsRun is the per-file-system state of a (matrix) campaign: one row of the
 // matrix, with its own prune cache, corpus shard, counters, and reports.
 // All rows share one enumeration and one worker pool.
@@ -223,8 +227,22 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 			// Unsampled: the ace-level partition filters during enumeration.
 			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
-		generated, genErr = gen.GenerateSeq(func(seq int64, w *workload.Workload) bool {
-			return feed(seq, func() workloadFamily { return &fileWorkload{w: w} })
+		// The workload is built on demand: by the first row that needs this
+		// sequence number, once, and shared by the rows after it.
+		var w *workload.Workload
+		var build func() *workload.Workload
+		wrap := func() workloadFamily {
+			if w == nil {
+				w = build()
+				if testBuildHook != nil {
+					testBuildHook(w)
+				}
+			}
+			return &fileWorkload{w: w}
+		}
+		generated, genErr = gen.Walk(func(seq int64, b func() *workload.Workload) bool {
+			w, build = nil, b
+			return feed(seq, wrap)
 		})
 	}
 	genDur := time.Since(genStart)

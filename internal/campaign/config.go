@@ -30,9 +30,10 @@ type Config struct {
 	Workers int
 	// MaxWorkloads stops generation after this many workloads (0 = all).
 	MaxWorkloads int64
-	// SampleEvery tests only every n-th workload (1 or 0 = all). The
-	// space is still enumerated fully — once per campaign, however many
-	// matrix rows it feeds — so generation counts are exact.
+	// SampleEvery tests only every n-th workload (1 or 0 = all). Every
+	// sequence number is still walked — once per campaign, however many
+	// matrix rows it feeds — so generation counts are exact, but only the
+	// tested workloads are built.
 	SampleEvery int64
 	// KnownDB deduplicates previously reported bugs (§5.3); may be nil.
 	KnownDB *report.KnownDB

@@ -88,8 +88,10 @@ func shared(t *testing.T, j fsJob) (any, string) {
 // in matrix order within a workload and seq ascending per row, each row
 // with its own wrapper around the one shared generated workload (which is
 // what proves a single generator fed all rows); a resumed record is folded
-// instead of fed; a row whose corpus failed receives nothing further, and
-// enumeration stops once every row has failed.
+// instead of fed, and a workload every row holds a record of is never
+// built; a MaxWorkloads stop lands on the sequence number it always did; a
+// row whose corpus failed receives nothing further, and enumeration stops
+// once every row has failed.
 func TestGenerateFanOut(t *testing.T) {
 	fss := bugsOnly(t, "logfs", "journalfs", "diskfmt")
 	fileSpace, err := ace.New(ace.Default(1)).Count()
@@ -219,6 +221,79 @@ func TestGenerateFanOut(t *testing.T) {
 			t.Fatal("another row folded the resuming row's records")
 		}
 	})
+
+	// A sequence number is materialised by the first row that needs it and by
+	// nothing else: when every row already holds its record — a -resume over
+	// a finished stretch — the walk steps over it without building.
+	t.Run("resumed-by-every-row-builds-nothing", func(t *testing.T) {
+		var built []int64
+		testBuildHook = func(w *workload.Workload) {
+			var seq int64
+			fmt.Sscanf(w.ID, "ace-%d", &seq)
+			built = append(built, seq)
+		}
+		defer func() { testBuildHook = nil }()
+		runs, got := fanOut(t, cfg, fss, func(runs []*fsRun) {
+			for _, r := range runs {
+				r.done = map[int64]*corpus.WorkloadRecord{}
+				for seq := int64(7); seq <= 70; seq += 7 {
+					r.done[seq] = &corpus.WorkloadRecord{Seq: seq, ID: fmt.Sprintf("ace-%d", seq)}
+				}
+			}
+			// One row lacks 35: it alone is fed it, from the one build.
+			delete(runs[1].done, 35)
+		}, nil)
+		for _, j := range got {
+			if j.seq <= 70 && (j.seq != 35 || j.run != runs[1]) {
+				t.Fatalf("(%s, seq %d) was fed although recorded", j.run.stats.FSName, j.seq)
+			}
+		}
+		want := []int64{35}
+		for seq := int64(77); seq <= fileSpace; seq += 7 {
+			want = append(want, seq)
+		}
+		if fmt.Sprint(built) != fmt.Sprint(want) {
+			t.Fatalf("built %v, want one build per class member some row lacks: %v", built, want)
+		}
+		if n := perRow(runs, got); n[0] != members-10 || n[1] != members-9 || n[2] != members-10 {
+			t.Fatalf("jobs per row = %v, want [%d %d %d]", n, members-10, members-9, members-10)
+		}
+	})
+
+	// Constants recorded at commit 65aac30, from the generator that built
+	// every workload before offering it: the walk that builds on demand
+	// consults feed for the same sequence numbers, so a MaxWorkloads stop
+	// lands where it did. Sampled (and unsharded), every sequence number is
+	// visited and the stop is MaxWorkloads+1; unsampled-sharded, only class
+	// members are, and the stop is the first member beyond MaxWorkloads — or
+	// the end of the space when there is none.
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		generated int64
+		jobs      int
+		lastSeq   int64
+	}{
+		{"max-stop-sampled", Config{SampleEvery: 7, MaxWorkloads: 100}, 101, 42, 98},
+		{"max-stop-sampled-sharded", Config{SampleEvery: 4, Shard: 1, NumShards: 2, MaxWorkloads: 100}, 101, 39, 100},
+		{"max-stop-unsampled-sharded", Config{Shard: 2, NumShards: 3, MaxWorkloads: 102}, 104, 102, 101},
+		{"max-stop-unsharded", Config{MaxWorkloads: 100}, 101, 300, 100},
+		{"max-stop-no-member-beyond", Config{Shard: 9, NumShards: 11, MaxWorkloads: 815}, 820, 222, 812},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Bounds = ace.Default(1)
+			runs, got := fanOut(t, tc.cfg, fss, nil, nil)
+			if len(got) != tc.jobs || got[len(got)-1].seq != tc.lastSeq {
+				t.Fatalf("%d jobs ending at seq %d, want %d ending at %d",
+					len(got), got[len(got)-1].seq, tc.jobs, tc.lastSeq)
+			}
+			for _, r := range runs {
+				if r.stats.Generated != tc.generated {
+					t.Fatalf("%s: generated %d, want %d", r.stats.FSName, r.stats.Generated, tc.generated)
+				}
+			}
+		})
+	}
 
 	t.Run("failed-row-is-skipped", func(t *testing.T) {
 		runs, got := fanOut(t, cfg, fss, nil, func(runs []*fsRun, j fsJob) {
