@@ -1,7 +1,8 @@
 // b3vet runs the project's static-invariant suite (internal/analysis) over
 // the module: borrowview, releasecheck, atomicfield, saltcheck,
-// exhaustenum. It is the repo's own multichecker — self-contained on the
-// standard library because the build container has no module proxy for
+// exhaustenum, sharedcontent. It is the repo's own multichecker —
+// self-contained on the standard library because the build container has
+// no module proxy for
 // golang.org/x/tools, so the `go vet -vettool` protocol is not available;
 // scripts/b3vet.sh and the vet-suite CI job invoke this binary directly.
 //

@@ -1,7 +1,8 @@
 // Package analysis is a self-contained static-analysis suite encoding the
 // repo's load-bearing conventions: borrowed block views (borrowview), pooled
 // Release lifetimes (releasecheck), atomic counter discipline (atomicfield),
-// oracle-salt hygiene (saltcheck), and exhaustive enum switches (exhaustenum).
+// oracle-salt hygiene (saltcheck), exhaustive enum switches (exhaustenum),
+// and copy-on-write file content (sharedcontent).
 //
 // The hot paths bought their speed with sharp-edged idioms — zero-copy views
 // that alias pooled overlay memory, sync.Pool-recycled snapshots behind

@@ -23,6 +23,10 @@ func TestSaltCheck(t *testing.T) {
 	analysistest.Run(t, "testdata/saltcheck", analysis.SaltCheck)
 }
 
+func TestSharedContent(t *testing.T) {
+	analysistest.Run(t, "testdata/sharedcontent", analysis.SharedContent)
+}
+
 func TestExhaustEnum(t *testing.T) {
 	analysistest.Run(t, "testdata/exhaustenum", analysis.ExhaustEnum)
 }

@@ -11,5 +11,6 @@ func Analyzers() []*Analyzer {
 		ExhaustEnum,
 		ReleaseCheck,
 		SaltCheck,
+		SharedContent,
 	}
 }

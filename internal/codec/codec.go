@@ -13,6 +13,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -166,8 +167,16 @@ func (d *Decoder) Byte() byte {
 	return b
 }
 
-// Bytes64 consumes a length-prefixed byte slice. The result is a copy.
-func (d *Decoder) Bytes64() []byte {
+// Bytes64 consumes a length-prefixed byte slice. The result is a copy the
+// caller owns; use Bytes64View when the decoded buffer outlives the result
+// unmodified.
+func (d *Decoder) Bytes64() []byte { return bytes.Clone(d.Bytes64View()) }
+
+// Bytes64View consumes a length-prefixed byte slice without copying: the
+// result aliases the decoder's buffer, so it is valid only while that buffer
+// is neither modified nor reused. Its capacity equals its length, so an
+// append never writes into the bytes that follow it.
+func (d *Decoder) Bytes64View() []byte {
 	n := d.Uint64()
 	if d.err != nil {
 		return nil
@@ -176,9 +185,9 @@ func (d *Decoder) Bytes64() []byte {
 		d.fail(ErrCorrupt)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
+	end := d.off + int(n)
+	out := d.buf[d.off:end:end]
+	d.off = end
 	return out
 }
 

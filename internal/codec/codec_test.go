@@ -126,6 +126,46 @@ func TestBytes64Copies(t *testing.T) {
 	}
 }
 
+func TestBytes64ViewAliases(t *testing.T) {
+	e := NewEncoder(0)
+	e.Bytes64([]byte{1, 2, 3})
+	e.Byte(0xEE)
+	buf := e.Bytes()
+	d := NewDecoder(buf)
+	got := d.Bytes64View()
+	if !bytes.Equal(got, []byte{1, 2, 3}) || d.Err() != nil {
+		t.Fatalf("Bytes64View = %v, %v", got, d.Err())
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("cap = %d, want len %d: an append could overwrite what follows", cap(got), len(got))
+	}
+	buf[1] = 99
+	if got[0] != 99 {
+		t.Fatal("Bytes64View must alias the input buffer")
+	}
+	if _ = append(got, 0); d.Byte() != 0xEE {
+		t.Fatal("append to a view wrote into the next field")
+	}
+
+	// Truncated and oversized lengths fail exactly like Bytes64.
+	trunc := NewEncoder(0)
+	trunc.Bytes64([]byte("abcdef"))
+	huge := NewEncoder(0)
+	huge.Uint64(uint64(maxLen) + 1)
+	inputs := [][]byte{huge.Bytes()}
+	for cut := 0; cut < trunc.Len(); cut++ {
+		inputs = append(inputs, trunc.Bytes()[:cut])
+	}
+	for _, in := range inputs {
+		copied, viewed := NewDecoder(in), NewDecoder(in)
+		a, b := copied.Bytes64(), viewed.Bytes64View()
+		if a != nil || b != nil || copied.Err() == nil || viewed.Err() == nil ||
+			copied.Err().Error() != viewed.Err().Error() {
+			t.Fatalf("input %v: Bytes64 = %v, %v; Bytes64View = %v, %v", in, a, copied.Err(), b, viewed.Err())
+		}
+	}
+}
+
 func TestQuickStringRoundTrip(t *testing.T) {
 	f := func(s string, b []byte, u uint64, i int64, ok bool) bool {
 		e := NewEncoder(0)

@@ -3,6 +3,8 @@ package crashmonkey
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,7 +31,9 @@ const (
 	levelFull                // everything incl. xattrs
 )
 
-// fileState is a point-in-time snapshot of an inode's checkable state.
+// fileState is a point-in-time snapshot of an inode's checkable state. It is
+// never modified after construction, so expectations share it, and data
+// shares the model's immutable file content (fstree.Node).
 type fileState struct {
 	kind    filesys.FileKind
 	size    int64
@@ -49,13 +53,10 @@ func snapshotNode(n *fstree.Node) *fileState {
 		target:  n.Target,
 	}
 	if n.Kind == filesys.KindRegular {
-		st.data = append([]byte(nil), n.Data...)
+		st.data = n.Data
 	}
 	if len(n.Xattrs) > 0 {
-		st.xattrs = make(map[string][]byte, len(n.Xattrs))
-		for k, v := range n.Xattrs {
-			st.xattrs[k] = append([]byte(nil), v...)
-		}
+		st.xattrs = maps.Clone(n.Xattrs)
 	}
 	return st
 }
@@ -205,14 +206,6 @@ func (t *Tracker) trimRanges(ino uint64, off, end int64) {
 // Apply mirrors one workload op onto the model and updates expectations.
 // The op must already have succeeded on the real file system.
 func (t *Tracker) Apply(op workload.Op, opIndex int) error {
-	fill := func(n int64) []byte {
-		buf := make([]byte, n)
-		b := workload.FillByte(opIndex)
-		for i := range buf {
-			buf[i] = b
-		}
-		return buf
-	}
 	switch op.Kind {
 	case workload.OpCreat:
 		n, err := t.model.Create(op.Path)
@@ -284,14 +277,14 @@ func (t *Tracker) Apply(op workload.Op, opIndex int) error {
 		fe.minSize = 0
 		t.markModified(n.Ino)
 	case workload.OpWrite, workload.OpMWrite:
-		n, err := t.model.Write(op.Path, op.Off, fill(op.Len))
+		n, err := t.model.Write(op.Path, op.Off, workload.Fill(opIndex, op.Len))
 		if err != nil {
 			return err
 		}
 		t.trimRanges(n.Ino, op.Off, op.Off+op.Len)
 		t.markModified(n.Ino)
 	case workload.OpDWrite:
-		n, err := t.model.Write(op.Path, op.Off, fill(op.Len))
+		n, err := t.model.Write(op.Path, op.Off, workload.Fill(opIndex, op.Len))
 		if err != nil {
 			return err
 		}
@@ -792,7 +785,7 @@ func (t *Tracker) eventMSync(path string, off, length int64) error {
 		fe := t.fileOf(n.Ino)
 		fe.ranges = append(fe.ranges, rangeExpect{
 			off:  off,
-			data: append([]byte(nil), n.Data[off:end]...),
+			data: n.Data[off:end:end],
 		})
 		if fe.level < levelExists {
 			fe.level = levelExists
@@ -814,7 +807,7 @@ func (t *Tracker) eventDWrite(n *fstree.Node, off, end int64) {
 	if end > off {
 		fe.ranges = append(fe.ranges, rangeExpect{
 			off:  off,
-			data: append([]byte(nil), n.Data[off:end]...),
+			data: n.Data[off:end:end],
 		})
 	}
 	// The write is only durable if the file itself is reachable.
@@ -843,7 +836,9 @@ type Expectation struct {
 	fp     uint64
 }
 
-// Snapshot deep-copies the tracker state.
+// Snapshot copies the tracker state the tracker goes on to mutate: the
+// per-inode and per-binding records and the model tree. The immutable parts
+// — fileStates, pinned range bytes and file contents — are shared.
 func (t *Tracker) Snapshot() *Expectation {
 	e := &Expectation{
 		g:     t.g,
@@ -852,14 +847,8 @@ func (t *Tracker) Snapshot() *Expectation {
 	}
 	for ino, fe := range t.files {
 		cp := *fe
-		if fe.state != nil {
-			cp.state = cloneState(fe.state)
-		}
-		cp.accepted = nil
-		for _, st := range fe.accepted {
-			cp.accepted = append(cp.accepted, cloneState(st))
-		}
-		cp.ranges = append([]rangeExpect(nil), fe.ranges...)
+		cp.accepted = slices.Clone(fe.accepted)
+		cp.ranges = slices.Clone(fe.ranges)
 		e.files[ino] = &cp
 	}
 	for _, b := range t.bindings {
@@ -871,18 +860,6 @@ func (t *Tracker) Snapshot() *Expectation {
 		e.bindings = append(e.bindings, &cp)
 	}
 	return e
-}
-
-func cloneState(st *fileState) *fileState {
-	cp := *st
-	cp.data = append([]byte(nil), st.data...)
-	if st.xattrs != nil {
-		cp.xattrs = make(map[string][]byte, len(st.xattrs))
-		for k, v := range st.xattrs {
-			cp.xattrs[k] = append([]byte(nil), v...)
-		}
-	}
-	return &cp
 }
 
 func sortedNames(children map[string]uint64) []string {

@@ -1,10 +1,15 @@
 package crashmonkey
 
 import (
+	"bytes"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"b3/internal/bugs"
 	"b3/internal/filesys"
+	"b3/internal/fstree"
 	"b3/internal/workload"
 )
 
@@ -204,6 +209,100 @@ sync
 	for _, fe := range snap.files {
 		if fe.level >= levelData && fe.state.size != 4096 {
 			t.Fatalf("snapshot mutated: size %d", fe.state.size)
+		}
+	}
+}
+
+// expectationBytes deep-copies every content byte an expectation holds:
+// persisted and accepted file states, pinned ranges, and the model's files.
+func expectationBytes(e *Expectation) []byte {
+	var out []byte
+	state := func(st *fileState) {
+		if st != nil {
+			out = append(out, st.data...)
+			for _, k := range slices.Sorted(maps.Keys(st.xattrs)) {
+				out = append(append(out, k...), st.xattrs[k]...)
+			}
+		}
+	}
+	for _, ino := range slices.Sorted(maps.Keys(e.files)) {
+		fe := e.files[ino]
+		state(fe.state)
+		for _, st := range fe.accepted {
+			state(st)
+		}
+		for _, r := range fe.ranges {
+			out = append(out, r.data...)
+		}
+	}
+	e.model.Walk(func(_ string, n *fstree.Node) { out = append(out, n.Data...) })
+	return out
+}
+
+// TestTrackerSnapshotSharingIsSafe: expectations share file contents with
+// the tracker's model and fileStates with each other, so an Expectation
+// taken at checkpoint k must keep its Fingerprint and every content byte
+// while the tracker applies the rest of the workload. Two trackers run
+// concurrently so -race also sees them share workload.Fill buffers.
+func TestTrackerSnapshotSharingIsSafe(t *testing.T) {
+	w, err := workload.Parse("seq2", `
+mkdir /A
+creat /A/foo
+write /A/foo 0 16384
+setxattr /A/foo user.a one
+fsync /A/foo
+mwrite /A/foo 4096 4096
+msync /A/foo 0 16384
+dwrite /A/foo 8192 4096
+write /A/foo 0 8192
+setxattr /A/foo user.a two
+fdatasync /A/foo
+zero_range /A/foo 0 4096
+truncate /A/foo 1000
+link /A/foo /A/bar
+fsync /A/bar
+punch_hole /A/foo 0 100
+write /A/bar 500 9000
+dwrite /A/foo 0 2048
+sync
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() error {
+		tr := NewTracker(strictGuarantees())
+		type taken struct {
+			exp   *Expectation
+			fp    uint64
+			bytes []byte
+		}
+		var snaps []taken
+		for i, op := range w.Ops {
+			if err := tr.Apply(op, i); err != nil {
+				return fmt.Errorf("op %d (%s): %v", i, op, err)
+			}
+			if op.Kind.IsPersistence() {
+				e := tr.Snapshot()
+				snaps = append(snaps, taken{e, e.Fingerprint(), expectationBytes(e)})
+			}
+		}
+		for k, s := range snaps {
+			if fp := s.exp.fingerprint(); fp != s.fp {
+				return fmt.Errorf("checkpoint %d: fingerprint %#x became %#x", k+1, s.fp, fp)
+			}
+			if !bytes.Equal(expectationBytes(s.exp), s.bytes) {
+				return fmt.Errorf("checkpoint %d: file-state bytes changed after later ops", k+1)
+			}
+		}
+		return nil
+	}
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() { errs <- run() }()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

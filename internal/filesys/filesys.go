@@ -124,7 +124,9 @@ type MountedFS interface {
 	Truncate(path string, size int64) error
 
 	// Write is a buffered write: data lands in the page cache and is not
-	// durable until a persistence operation.
+	// durable until a persistence operation. Like WriteDirect and MWrite,
+	// it neither modifies nor retains data: callers may pass one shared,
+	// read-only buffer to many writes.
 	Write(path string, off int64, data []byte) error
 	// WriteDirect models an O_DIRECT write: data bypasses the page cache
 	// and reaches the device immediately, but metadata (size) updates

@@ -12,6 +12,7 @@ package diskfmt
 
 import (
 	"fmt"
+	"sync"
 
 	"b3/internal/blockdev"
 	"b3/internal/codec"
@@ -91,6 +92,18 @@ func LoadSuperblock(dev blockdev.Device, magic uint32) (Superblock, error) {
 	return Superblock{}, fmt.Errorf("diskfmt: no valid superblock: %w", filesys.ErrCorrupted)
 }
 
+// encoders recycles the buffers images and log records are encoded into.
+// An encoded payload never outlives the write that consumes it: every
+// blockdev.Device.WriteBlock copies its input.
+var encoders = sync.Pool{New: func() any { return codec.NewEncoder(4096) }}
+
+// getEncoder returns an empty pooled encoder; Put it back when done.
+func getEncoder() *codec.Encoder {
+	e := encoders.Get().(*codec.Encoder)
+	e.Reset()
+	return e
+}
+
 // BlobBlocks returns the number of blocks WriteBlob will consume for a
 // payload of the given length, so callers can bound-check a region before
 // writing anything into it.
@@ -103,31 +116,37 @@ func BlobBlocks(payloadLen int) int64 {
 }
 
 // WriteBlob stores a checksummed, length-prefixed payload at startBlock and
-// returns the number of blocks consumed.
+// returns the number of blocks consumed. Only the first block (header plus
+// the head of the payload) is built; the rest are written straight from
+// sub-slices of payload, which WriteBlock copies.
 func WriteBlob(dev blockdev.Device, startBlock int64, magic uint32, payload []byte) (int64, error) {
-	e := codec.NewEncoder(len(payload) + 32)
+	// 32 bytes bound the three varints of the header.
+	e := codec.NewEncoder(min(len(payload)+32, blockdev.BlockSize))
 	e.Uint32(magic)
 	e.Uint64(uint64(len(payload)))
 	e.Uint64(Checksum(payload))
-	e.Raw(payload)
-	raw := e.Bytes()
-	blocks := (int64(len(raw)) + blockdev.BlockSize - 1) / blockdev.BlockSize
-	for i := int64(0); i < blocks; i++ {
-		lo := i * blockdev.BlockSize
-		hi := lo + blockdev.BlockSize
-		if hi > int64(len(raw)) {
-			hi = int64(len(raw))
-		}
-		if err := dev.WriteBlock(startBlock+i, raw[lo:hi]); err != nil {
+	headerLen := e.Len()
+	head := min(len(payload), blockdev.BlockSize-headerLen)
+	e.Raw(payload[:head])
+	if err := dev.WriteBlock(startBlock, e.Bytes()); err != nil {
+		return 0, err
+	}
+	blocks := int64(1)
+	for rest := payload[head:]; len(rest) > 0; blocks++ {
+		n := min(len(rest), blockdev.BlockSize)
+		if err := dev.WriteBlock(startBlock+blocks, rest[:n]); err != nil {
 			return 0, err
 		}
+		rest = rest[n:]
 	}
 	return blocks, nil
 }
 
 // ReadBlob loads a blob written by WriteBlob, verifying magic and checksum.
 // Blocks are read through borrowed views (no per-block allocation); every
-// viewed byte is copied into the payload before the function returns.
+// viewed byte is copied into the payload before the function returns. The
+// payload is fresh and never reused, so decoders may alias it
+// (fstree.DecodeNode does).
 func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int64, error) {
 	head, err := blockdev.ReadView(dev, startBlock)
 	if err != nil {
@@ -222,7 +241,8 @@ func (f Format) Mkfs(dev blockdev.Device, trailer func(*codec.Encoder)) error {
 // written first and the superblock only after a flush, so a crash
 // mid-checkpoint always leaves the previous generation recoverable.
 func (f Format) WriteImage(dev blockdev.Device, gen uint64, t *fstree.Tree, trailer func(*codec.Encoder)) error {
-	e := codec.NewEncoder(4096)
+	e := getEncoder()
+	defer encoders.Put(e)
 	t.Encode(e)
 	if trailer != nil {
 		trailer(e)

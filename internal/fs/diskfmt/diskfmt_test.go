@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"b3/internal/blockdev"
+	"b3/internal/codec"
 )
 
 const testMagic = 0x54455354
@@ -65,6 +66,96 @@ func TestBlobRoundTrip(t *testing.T) {
 		}
 		if gotBlocks != blocks || !bytes.Equal(got, payload) {
 			t.Fatalf("size %d: round trip failed (%d vs %d blocks)", size, gotBlocks, blocks)
+		}
+	}
+}
+
+// writeBlobReference is the single-buffer framing WriteBlob replaced: the
+// whole blob is encoded into one buffer and cut into blocks.
+func writeBlobReference(dev blockdev.Device, startBlock int64, magic uint32, payload []byte) (int64, error) {
+	raw := append(blobHeader(magic, payload), payload...)
+	blocks := (int64(len(raw)) + blockdev.BlockSize - 1) / blockdev.BlockSize
+	for i := int64(0); i < blocks; i++ {
+		lo := i * blockdev.BlockSize
+		hi := min(lo+blockdev.BlockSize, int64(len(raw)))
+		if err := dev.WriteBlock(startBlock+i, raw[lo:hi]); err != nil {
+			return 0, err
+		}
+	}
+	return blocks, nil
+}
+
+func blobHeader(magic uint32, payload []byte) []byte {
+	e := codec.NewEncoder(32)
+	e.Uint32(magic)
+	e.Uint64(uint64(len(payload)))
+	e.Uint64(Checksum(payload))
+	return e.Bytes()
+}
+
+// TestBlobFramingMatchesSingleBuffer pins WriteBlob's copy-free framing to
+// the single-buffer reference, block for block, around every boundary the
+// first block can fall on.
+func TestBlobFramingMatchesSingleBuffer(t *testing.T) {
+	payloadOf := func(n int, seed byte) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i*7) + seed
+		}
+		return p
+	}
+	payloads := [][]byte{payloadOf(0, 0), payloadOf(1, 0), payloadOf(3*blockdev.BlockSize, 0)}
+	// Payloads whose header+payload is one byte short of, exactly, and one
+	// byte past a block (the checksum varint's length varies with content).
+	for _, over := range []int{-1, 0, 1} {
+	search:
+		for n := blockdev.BlockSize - 32; n <= blockdev.BlockSize; n++ {
+			for seed := 0; seed < 256; seed++ {
+				p := payloadOf(n, byte(seed))
+				if n+len(blobHeader(testMagic, p)) == blockdev.BlockSize+over {
+					payloads = append(payloads, p)
+					break search
+				}
+			}
+		}
+	}
+	if len(payloads) != 6 {
+		t.Fatalf("found %d payloads, want one per boundary", len(payloads))
+	}
+	const start, devBlocks = 3, 16
+	garbage := bytes.Repeat([]byte{0xCC}, blockdev.BlockSize)
+	for _, payload := range payloads {
+		size := len(payload)
+		got, want := blockdev.NewMemDisk(devBlocks), blockdev.NewMemDisk(devBlocks)
+		for b := int64(0); b < devBlocks; b++ {
+			if err := got.WriteBlock(b, garbage); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WriteBlock(b, garbage); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotBlocks, err := WriteBlob(got, start, testMagic, payload)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		wantBlocks, err := writeBlobReference(want, start, testMagic, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotBlocks != wantBlocks {
+			t.Fatalf("size %d: WriteBlob used %d blocks, reference %d", size, gotBlocks, wantBlocks)
+		}
+		for b := int64(0); b < devBlocks; b++ {
+			g, _ := got.ReadBlock(b)
+			w, _ := want.ReadBlock(b)
+			if !bytes.Equal(g, w) {
+				t.Fatalf("size %d: block %d differs from the single-buffer framing", size, b)
+			}
+		}
+		back, backBlocks, err := ReadBlob(got, start, testMagic)
+		if err != nil || backBlocks != gotBlocks || !bytes.Equal(back, payload) {
+			t.Fatalf("size %d: ReadBlob = %d bytes, %d blocks, %v", size, len(back), backBlocks, err)
 		}
 	}
 }

@@ -112,7 +112,8 @@ func (m *Mounted) WriteCheckpoint(trailer func(*codec.Encoder)) error {
 // AppendRecord frames body as the next record of the current generation,
 // writes it at the log head and flushes.
 func (m *Mounted) AppendRecord(body func(*codec.Encoder)) error {
-	e := codec.NewEncoder(512)
+	e := getEncoder()
+	defer encoders.Put(e)
 	e.Uint64(m.gen)
 	e.Uint64(m.logSeq + 1)
 	body(e)

@@ -10,6 +10,7 @@ package f2fsim
 
 import (
 	"fmt"
+	"maps"
 
 	"b3/internal/blockdev"
 	"b3/internal/codec"
@@ -173,17 +174,14 @@ func rollForward(tree *fstree.Tree, entries []fsyncEntry) {
 		} else {
 			existing.Nlink = n.Nlink
 			existing.Target = n.Target
-			existing.Extents = append([]filesys.Extent(nil), n.Extents...)
+			existing.Extents = n.Extents
 			if existing.Kind != filesys.KindDir {
-				existing.Data = append([]byte(nil), n.Data...)
+				existing.Data = n.Data
 			}
 			if len(n.Xattrs) == 0 {
 				existing.Xattrs = nil
 			} else {
-				existing.Xattrs = make(map[string][]byte, len(n.Xattrs))
-				for k, v := range n.Xattrs {
-					existing.Xattrs[k] = append([]byte(nil), v...)
-				}
+				existing.Xattrs = maps.Clone(n.Xattrs)
 			}
 		}
 		for _, r := range ent.dels {

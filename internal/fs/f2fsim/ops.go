@@ -84,9 +84,7 @@ func (m *mounted) buildEntry(n *fstree.Node) fsyncEntry {
 	// keep-size bit in the node; recovery extends the file to the end of
 	// the zeroed range.
 	if m.fs.Has("f2fs-zero-range-keep-size-size") && st.zeroEnd > node.Size() {
-		grown := make([]byte, st.zeroEnd)
-		copy(grown, node.Data)
-		node.Data = grown
+		node.Resize(st.zeroEnd)
 	}
 
 	ent := fsyncEntry{node: node}

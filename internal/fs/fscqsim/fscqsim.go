@@ -94,7 +94,7 @@ func decodeRecord(d *codec.Decoder) (r logRecord, err error) {
 		}
 	case recDataPatch:
 		r.ino = d.Uint64()
-		r.data = d.Bytes64()
+		r.data = d.Bytes64View()
 		r.size = d.Int64()
 		n := d.Int()
 		if d.Err() != nil || n < 0 || n > 1<<20 {
@@ -157,13 +157,7 @@ func applyPatch(tree *fstree.Tree, rec logRecord) {
 	if n == nil || n.Kind != filesys.KindRegular {
 		return
 	}
-	n.Data = append([]byte(nil), rec.data...)
-	n.Extents = append([]filesys.Extent(nil), rec.ext...)
-	if rec.size < int64(len(n.Data)) {
-		n.Data = n.Data[:rec.size]
-	} else if rec.size > int64(len(n.Data)) {
-		grown := make([]byte, rec.size)
-		copy(grown, n.Data)
-		n.Data = grown
-	}
+	n.Data = rec.data
+	n.Extents = rec.ext
+	n.Resize(rec.size)
 }

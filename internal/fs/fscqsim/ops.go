@@ -79,9 +79,9 @@ func (m *mounted) PersistData(n *fstree.Node) error {
 	if err := m.appendRecord(logRecord{
 		kind: recDataPatch,
 		ino:  n.Ino,
-		data: append([]byte(nil), n.Data...),
+		data: n.Data,
 		size: size,
-		ext:  append([]filesys.Extent(nil), n.Extents...),
+		ext:  n.Extents,
 	}); err != nil {
 		return err
 	}

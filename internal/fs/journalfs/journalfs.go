@@ -9,7 +9,6 @@ package journalfs
 
 import (
 	"fmt"
-	"sort"
 
 	"b3/internal/blockdev"
 	"b3/internal/codec"
@@ -96,7 +95,7 @@ func decodeRecord(d *codec.Decoder) (r journalRecord, err error) {
 	case recDirect:
 		r.ino = d.Uint64()
 		r.off = d.Int64()
-		r.data = d.Bytes64()
+		r.data = d.Bytes64View()
 		r.size = d.Int64()
 	default:
 		return r, fmt.Errorf("journalfs: unknown record kind %d: %w", r.kind, filesys.ErrCorrupted)
@@ -152,52 +151,8 @@ func applyDirect(tree *fstree.Tree, rec journalRecord) {
 	if n == nil || n.Kind != filesys.KindRegular {
 		return
 	}
-	end := rec.off + int64(len(rec.data))
-	if end > int64(len(n.Data)) {
-		grown := make([]byte, end)
-		copy(grown, n.Data)
-		n.Data = grown
-	}
-	copy(n.Data[rec.off:end], rec.data)
-	allocRange(n, rec.off, end)
+	n.WriteAt(rec.off, rec.data)
+	n.AllocRange(rec.off, rec.off+int64(len(rec.data)))
 	// i_disksize from the record rules the recovered size.
-	if rec.size < int64(len(n.Data)) {
-		n.Data = n.Data[:rec.size]
-	} else if rec.size > int64(len(n.Data)) {
-		grown := make([]byte, rec.size)
-		copy(grown, n.Data)
-		n.Data = grown
-	}
-}
-
-func allocRange(n *fstree.Node, off, end int64) {
-	if end <= off {
-		return
-	}
-	const bs = int64(blockdev.BlockSize)
-	start := off &^ (bs - 1)
-	stop := (end + bs - 1) &^ (bs - 1)
-	merged := make([]filesys.Extent, 0, len(n.Extents)+1)
-	inserted := false
-	for _, e := range n.Extents {
-		if e.Off+e.Len < start || e.Off > stop {
-			if !inserted && e.Off > stop {
-				merged = append(merged, filesys.Extent{Off: start, Len: stop - start})
-				inserted = true
-			}
-			merged = append(merged, e)
-			continue
-		}
-		if e.Off < start {
-			start = e.Off
-		}
-		if e.Off+e.Len > stop {
-			stop = e.Off + e.Len
-		}
-	}
-	if !inserted {
-		merged = append(merged, filesys.Extent{Off: start, Len: stop - start})
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Off < merged[j].Off })
-	n.Extents = merged
+	n.Resize(rec.size)
 }

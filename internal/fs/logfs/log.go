@@ -88,7 +88,7 @@ func decodeBatch(d *codec.Decoder) (items []logItem, err error) {
 		case itInodeData:
 			it.ino = d.Uint64()
 			it.off = d.Int64()
-			it.data = d.Bytes64()
+			it.data = d.Bytes64View()
 		case itDentryAdd:
 			it.dir = d.Uint64()
 			it.name = d.String()
@@ -517,7 +517,7 @@ func (b *batchBuilder) buildInodeItem(x *fstree.Node, tr *inodeTrack) *fstree.No
 	if b.has("btrfs-append-after-link-lost") &&
 		!tr.newLinkSinceCommit && x.Nlink > 1 && com != nil && x.Size() > com.Size() {
 		cSize := com.Size()
-		logged.Data = append([]byte(nil), x.Data[:cSize]...)
+		logged.Resize(cSize)
 		logged.Extents = clipExtents(x.Extents, alignUp(cSize))
 	}
 
@@ -530,9 +530,8 @@ func (b *batchBuilder) buildInodeItem(x *fstree.Node, tr *inodeTrack) *fstree.No
 	// BUG W12: with overlapping punched holes, only the first hole since
 	// the last commit makes it into the logged extent map.
 	if b.has("btrfs-overlapping-punch-holes-lost") && len(tr.punches) > 1 && com != nil {
-		ext := append([]filesys.Extent(nil), com.Extents...)
-		tmp := &fstree.Node{Extents: ext}
-		deallocNode(tmp, tr.punches[0].off, tr.punches[0].end)
+		tmp := &fstree.Node{Extents: com.Extents}
+		tmp.DeallocRange(tr.punches[0].off, tr.punches[0].end)
 		logged.Extents = tmp.Extents
 	}
 	return logged
@@ -553,7 +552,7 @@ func (b *batchBuilder) emitRangeData(x *fstree.Node, r *punchRec) {
 		kind: itInodeData,
 		ino:  x.Ino,
 		off:  off,
-		data: append([]byte(nil), x.Data[off:end]...),
+		data: x.Data[off:end:end],
 	})
 }
 
@@ -1093,28 +1092,4 @@ func clipExtents(ext []filesys.Extent, limit int64) []filesys.Extent {
 		out = append(out, e)
 	}
 	return out
-}
-
-// deallocNode removes whole-block allocation inside [off, end) of n,
-// mirroring fstree's punch-hole rules (shared here for the W12 emission).
-func deallocNode(n *fstree.Node, off, end int64) {
-	start, stop := alignUp(off), alignDown(end)
-	if stop <= start {
-		return
-	}
-	var out []filesys.Extent
-	for _, e := range n.Extents {
-		eEnd := e.Off + e.Len
-		if eEnd <= start || e.Off >= stop {
-			out = append(out, e)
-			continue
-		}
-		if e.Off < start {
-			out = append(out, filesys.Extent{Off: e.Off, Len: start - e.Off})
-		}
-		if eEnd > stop {
-			out = append(out, filesys.Extent{Off: stop, Len: eEnd - stop})
-		}
-	}
-	n.Extents = out
 }

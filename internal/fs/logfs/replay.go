@@ -2,6 +2,7 @@ package logfs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"b3/internal/filesys"
@@ -79,21 +80,13 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 	// Update in place, preserving directory contents.
 	existing.Nlink = n.Nlink
 	existing.Target = n.Target
-	existing.Extents = append([]filesys.Extent(nil), n.Extents...)
+	existing.Extents = n.Extents
 	if existing.Kind != filesys.KindDir {
 		if it.metaOnly {
 			// Adjust length only; bytes come from itInodeData patches.
-			size := n.Size()
-			switch {
-			case int64(len(existing.Data)) > size:
-				existing.Data = existing.Data[:size]
-			case int64(len(existing.Data)) < size:
-				grown := make([]byte, size)
-				copy(grown, existing.Data)
-				existing.Data = grown
-			}
+			existing.Resize(n.Size())
 		} else {
-			existing.Data = append([]byte(nil), n.Data...)
+			existing.Data = n.Data
 		}
 	}
 
@@ -103,13 +96,9 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 	if f.Has("btrfs-xattr-delete-replay") {
 		merged := map[string][]byte{}
 		if com := committed.Get(n.Ino); com != nil {
-			for k, v := range com.Xattrs {
-				merged[k] = append([]byte(nil), v...)
-			}
+			maps.Copy(merged, com.Xattrs)
 		}
-		for k, v := range n.Xattrs {
-			merged[k] = append([]byte(nil), v...)
-		}
+		maps.Copy(merged, n.Xattrs)
 		if len(merged) == 0 {
 			existing.Xattrs = nil
 		} else {
@@ -120,10 +109,7 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 	if len(n.Xattrs) == 0 {
 		existing.Xattrs = nil
 	} else {
-		existing.Xattrs = make(map[string][]byte, len(n.Xattrs))
-		for k, v := range n.Xattrs {
-			existing.Xattrs[k] = append([]byte(nil), v...)
-		}
+		existing.Xattrs = maps.Clone(n.Xattrs)
 	}
 }
 
@@ -132,13 +118,7 @@ func replayInodeData(tree *fstree.Tree, it logItem) {
 	if n == nil || n.Kind == filesys.KindDir {
 		return
 	}
-	end := it.off + int64(len(it.data))
-	if end > int64(len(n.Data)) {
-		grown := make([]byte, end)
-		copy(grown, n.Data)
-		n.Data = grown
-	}
-	copy(n.Data[it.off:end], it.data)
+	n.WriteAt(it.off, it.data)
 }
 
 // replayDentryAdd links (dir, name) -> child, maintaining the directory

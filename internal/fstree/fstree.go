@@ -11,7 +11,9 @@
 package fstree
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -24,6 +26,11 @@ import (
 const RootIno uint64 = 1
 
 // Node is a single inode.
+//
+// Data, Extents and the xattr values are immutable once installed: clones,
+// tracker snapshots and decoded images share them, so every mutator installs
+// a fresh slice (WriteAt and Resize for Data) and never writes through the
+// old one. Only the Children and Xattrs maps belong to one node.
 type Node struct {
 	Ino      uint64
 	Kind     filesys.FileKind
@@ -33,6 +40,30 @@ type Node struct {
 	Xattrs   map[string][]byte
 	Target   string            // symlink target
 	Children map[string]uint64 // directory entries
+}
+
+// WriteAt stores data at off, zero-filling any gap past the old size. The
+// node gets a fresh slice; the old one, and every slice sharing it, keep
+// their bytes. data is neither modified nor retained.
+func (n *Node) WriteAt(off int64, data []byte) {
+	fresh := make([]byte, max(off+int64(len(data)), int64(len(n.Data))))
+	copy(fresh, n.Data)
+	copy(fresh[off:], data)
+	n.Data = fresh
+}
+
+// Resize sets the file size. Shrinking reslices with capacity equal to the
+// new length, so a later append cannot write into shared bytes; growing
+// installs a fresh zero-extended copy.
+func (n *Node) Resize(size int64) {
+	switch {
+	case size < int64(len(n.Data)):
+		n.Data = n.Data[:size:size]
+	case size > int64(len(n.Data)):
+		grown := make([]byte, size)
+		copy(grown, n.Data)
+		n.Data = grown
+	}
 }
 
 // Size returns the logical file size.
@@ -63,38 +94,21 @@ func (n *Node) Stat() filesys.Stat {
 	}
 }
 
-// Clone deep-copies the node.
-func (n *Node) Clone() *Node { return n.clone() }
-
-// clone deep-copies the node.
-func (n *Node) clone() *Node {
+// Clone copies the node. The copy shares the immutable Data, Extents and
+// xattr values and owns fresh Children and Xattrs maps.
+func (n *Node) Clone() *Node {
 	c := new(Node)
 	n.cloneInto(c)
 	return c
 }
 
-// cloneInto deep-copies the node into c (overwriting it). Split from clone
-// so Tree.Clone can fill arena slots instead of allocating per node.
+// cloneInto copies the node into c (overwriting it), as Clone does. Split
+// from Clone so Tree.Clone can fill arena slots instead of allocating per
+// node.
 func (n *Node) cloneInto(c *Node) {
-	*c = Node{Ino: n.Ino, Kind: n.Kind, Nlink: n.Nlink, Target: n.Target}
-	if n.Data != nil {
-		c.Data = append([]byte(nil), n.Data...)
-	}
-	if n.Extents != nil {
-		c.Extents = append([]filesys.Extent(nil), n.Extents...)
-	}
-	if n.Xattrs != nil {
-		c.Xattrs = make(map[string][]byte, len(n.Xattrs))
-		for k, v := range n.Xattrs {
-			c.Xattrs[k] = append([]byte(nil), v...)
-		}
-	}
-	if n.Children != nil {
-		c.Children = make(map[string]uint64, len(n.Children))
-		for k, v := range n.Children {
-			c.Children[k] = v
-		}
-	}
+	*c = *n
+	c.Xattrs = maps.Clone(n.Xattrs)
+	c.Children = maps.Clone(n.Children)
 }
 
 // Tree is a complete in-memory file system image.
@@ -405,8 +419,8 @@ const blockSize = int64(blockdev.BlockSize)
 func alignDown(v int64) int64 { return v &^ (blockSize - 1) }
 func alignUp(v int64) int64   { return (v + blockSize - 1) &^ (blockSize - 1) }
 
-// allocRange marks the block-aligned cover of [off, end) as allocated.
-func allocRange(n *Node, off, end int64) {
+// AllocRange marks the block-aligned cover of [off, end) as allocated.
+func (n *Node) AllocRange(off, end int64) {
 	if end <= off {
 		return
 	}
@@ -437,9 +451,9 @@ func allocRange(n *Node, off, end int64) {
 	n.Extents = merged
 }
 
-// deallocRange removes allocation for whole blocks strictly inside
+// DeallocRange removes allocation for whole blocks strictly inside
 // [off, end); partial edge blocks stay allocated (punch-hole semantics).
-func deallocRange(n *Node, off, end int64) {
+func (n *Node) DeallocRange(off, end int64) {
 	start, stop := alignUp(off), alignDown(end)
 	if stop <= start {
 		return
@@ -475,7 +489,8 @@ func (t *Tree) lookupRegular(path string) (*Node, error) {
 	return n, nil
 }
 
-// Write stores data at off, extending the file and allocating blocks.
+// Write stores data at off, extending the file and allocating blocks. data
+// is neither modified nor retained.
 func (t *Tree) Write(path string, off int64, data []byte) (*Node, error) {
 	n, err := t.lookupRegular(path)
 	if err != nil {
@@ -484,14 +499,8 @@ func (t *Tree) Write(path string, off int64, data []byte) (*Node, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("write %q: negative offset: %w", path, filesys.ErrInvalid)
 	}
-	end := off + int64(len(data))
-	if end > int64(len(n.Data)) {
-		grown := make([]byte, end)
-		copy(grown, n.Data)
-		n.Data = grown
-	}
-	copy(n.Data[off:end], data)
-	allocRange(n, off, end)
+	n.WriteAt(off, data)
+	n.AllocRange(off, off+int64(len(data)))
 	return n, nil
 }
 
@@ -505,16 +514,10 @@ func (t *Tree) Truncate(path string, size int64) (*Node, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("truncate %q: %w", path, filesys.ErrInvalid)
 	}
-	old := int64(len(n.Data))
-	switch {
-	case size < old:
-		n.Data = append([]byte(nil), n.Data[:size]...)
-		deallocRange(n, alignUp(size), alignUp(old))
-	case size > old:
-		grown := make([]byte, size)
-		copy(grown, n.Data)
-		n.Data = grown
+	if old := int64(len(n.Data)); size < old {
+		n.DeallocRange(alignUp(size), alignUp(old))
 	}
+	n.Resize(size)
 	return n, nil
 }
 
@@ -528,38 +531,30 @@ func (t *Tree) Falloc(path string, mode filesys.FallocMode, off, length int64) (
 		return nil, fmt.Errorf("falloc %q: %w", path, filesys.ErrInvalid)
 	}
 	end := off + length
-	grow := func() {
-		if end > int64(len(n.Data)) {
-			grown := make([]byte, end)
-			copy(grown, n.Data)
-			n.Data = grown
-		}
-	}
+	grow := func() { n.Resize(max(end, int64(len(n.Data)))) }
 	zero := func() {
-		upto := end
-		if upto > int64(len(n.Data)) {
-			upto = int64(len(n.Data))
-		}
-		for i := off; i < upto; i++ {
-			n.Data[i] = 0
+		if upto := min(end, int64(len(n.Data))); off < upto {
+			fresh := bytes.Clone(n.Data)
+			clear(fresh[off:upto])
+			n.Data = fresh
 		}
 	}
 	switch mode {
 	case filesys.FallocDefault:
-		allocRange(n, off, end)
+		n.AllocRange(off, end)
 		grow()
 	case filesys.FallocKeepSize:
-		allocRange(n, off, end)
+		n.AllocRange(off, end)
 	case filesys.FallocPunchHole:
 		zero()
-		deallocRange(n, off, end)
+		n.DeallocRange(off, end)
 	case filesys.FallocZeroRange:
 		grow()
 		zero()
-		allocRange(n, off, end)
+		n.AllocRange(off, end)
 	case filesys.FallocZeroRangeKeepSize:
 		zero()
-		allocRange(n, off, end)
+		n.AllocRange(off, end)
 	default:
 		return nil, fmt.Errorf("falloc %q: unknown mode %d: %w", path, mode, filesys.ErrInvalid)
 	}
@@ -673,12 +668,13 @@ func (t *Tree) Walk(fn func(path string, n *Node)) {
 	walk("", t.Root())
 }
 
-// Clone deep-copies the tree. The copied nodes live in one arena slice —
-// a single allocation instead of one per inode — which is safe because the
-// arena is sized exactly upfront and never appended to afterwards (a grow
-// would move slots out from under the node map's pointers). Nodes added to
-// the clone later are allocated individually as usual; the arena stays
-// alive until the cloned tree is collected.
+// Clone copies the tree's nodes and maps; file contents, extents and xattr
+// values are shared, never copied (see Node). The copied nodes live in one
+// arena slice — a single allocation instead of one per inode — which is
+// safe because the arena is sized exactly upfront and never appended to
+// afterwards (a grow would move slots out from under the node map's
+// pointers). Nodes added to the clone later are allocated individually as
+// usual; the arena stays alive until the cloned tree is collected.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{nodes: make(map[uint64]*Node, len(t.nodes)), nextIno: t.nextIno}
 	arena := make([]Node, len(t.nodes))
@@ -732,13 +728,16 @@ func EncodeNode(e *codec.Encoder, n *Node, withChildren bool) {
 	}
 }
 
-// DecodeNode deserializes a node written by EncodeNode.
+// DecodeNode deserializes a node written by EncodeNode. Data and the xattr
+// values alias the decoder's buffer (Bytes64View), which must therefore
+// stay unmodified for as long as the node, or anything sharing its content,
+// lives.
 func DecodeNode(d *codec.Decoder) (*Node, error) {
 	n := &Node{}
 	n.Ino = d.Uint64()
 	n.Kind = filesys.FileKind(d.Byte())
 	n.Nlink = d.Int()
-	n.Data = d.Bytes64()
+	n.Data = d.Bytes64View()
 	n.Target = d.String()
 	ne := d.Int()
 	if d.Err() != nil {
@@ -761,7 +760,7 @@ func DecodeNode(d *codec.Decoder) (*Node, error) {
 		n.Xattrs = make(map[string][]byte, nx)
 		for j := 0; j < nx; j++ {
 			k := d.String()
-			n.Xattrs[k] = d.Bytes64()
+			n.Xattrs[k] = d.Bytes64View()
 		}
 	}
 	nc := d.Int()

@@ -3,6 +3,7 @@ package fstree
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -476,6 +477,125 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if c.Exists("/new") {
 		t.Fatal("clone shares namespace")
+	}
+}
+
+// contentMutations applies every content mutator to /f, one per entry.
+var contentMutations = []struct {
+	name  string
+	apply func(tr *Tree) error
+}{
+	{"write", func(tr *Tree) error { _, err := tr.Write("/f", 100, bytes.Repeat([]byte{7}, 300)); return err }},
+	{"write-append", func(tr *Tree) error { _, err := tr.Write("/f", 12000, []byte("tail")); return err }},
+	{"truncate-shrink", func(tr *Tree) error { _, err := tr.Truncate("/f", 50); return err }},
+	{"truncate-grow", func(tr *Tree) error { _, err := tr.Truncate("/f", 20000); return err }},
+	{"falloc", func(tr *Tree) error { _, err := tr.Falloc("/f", filesys.FallocDefault, 8000, 16384); return err }},
+	{"falloc-keep-size", func(tr *Tree) error { _, err := tr.Falloc("/f", filesys.FallocKeepSize, 16384, 8192); return err }},
+	{"punch-hole", func(tr *Tree) error { _, err := tr.Falloc("/f", filesys.FallocPunchHole, 10, 9000); return err }},
+	{"zero-range", func(tr *Tree) error { _, err := tr.Falloc("/f", filesys.FallocZeroRange, 5, 15000); return err }},
+	{"zero-range-keep-size", func(tr *Tree) error {
+		_, err := tr.Falloc("/f", filesys.FallocZeroRangeKeepSize, 5, 100)
+		return err
+	}},
+	{"setxattr", func(tr *Tree) error { _, err := tr.SetXattr("/f", "user.a", []byte("new")); return err }},
+	{"removexattr", func(tr *Tree) error { _, err := tr.RemoveXattr("/f", "user.a"); return err }},
+	{"writeat", func(tr *Tree) error { n, err := tr.Lookup("/f"); n.WriteAt(3, []byte("xyz")); return err }},
+	{"resize-shrink", func(tr *Tree) error {
+		n, err := tr.Lookup("/f")
+		if n.Resize(7); cap(n.Data) != len(n.Data) {
+			return errors.New("shrunk Data keeps spare capacity: an append would write into shared bytes")
+		}
+		return err
+	}},
+	{"resize-grow", func(tr *Tree) error { n, err := tr.Lookup("/f"); n.Resize(9000); return err }},
+}
+
+// contentTree returns a tree whose /f has 12000 bytes of content, allocated
+// extents and an xattr.
+func contentTree(t *testing.T) *Tree {
+	t.Helper()
+	tr := New()
+	mustCreate(t, tr, "/f")
+	data := make([]byte, 12000)
+	for i := range data {
+		data[i] = byte(i%251) + 1
+	}
+	if _, err := tr.Write("/f", 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.SetXattr("/f", "user.a", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// nodeContent is a deep copy of a node's shared content.
+type nodeContent struct {
+	data    []byte
+	extents []filesys.Extent
+	xattr   []byte
+}
+
+func (c nodeContent) equal(o nodeContent) bool {
+	return bytes.Equal(c.data, o.data) && bytes.Equal(c.xattr, o.xattr) &&
+		fmt.Sprint(c.extents) == fmt.Sprint(o.extents)
+}
+
+func contentOf(t *testing.T, tr *Tree) (deep, shared nodeContent) {
+	t.Helper()
+	n, err := tr.Lookup("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared = nodeContent{n.Data, n.Extents, n.Xattrs["user.a"]}
+	deep = nodeContent{bytes.Clone(n.Data), append([]filesys.Extent(nil), n.Extents...), bytes.Clone(n.Xattrs["user.a"])}
+	return deep, shared
+}
+
+// TestCloneSharesContentCopyOnWrite pins the copy-on-write contract that
+// lets clones share Data, Extents and xattr values: mutating either side
+// leaves the other side, and every slice read before the mutation,
+// byte-identical.
+func TestCloneSharesContentCopyOnWrite(t *testing.T) {
+	for _, m := range contentMutations {
+		for _, mutateClone := range []bool{false, true} {
+			orig := contentTree(t)
+			clone := orig.Clone()
+			mutated, other := orig, clone
+			if mutateClone {
+				mutated, other = clone, orig
+			}
+			want, earlier := contentOf(t, mutated)
+			if err := m.apply(mutated); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+			if got, _ := contentOf(t, other); !got.equal(want) {
+				t.Errorf("%s (mutate clone %v): the other tree's content changed", m.name, mutateClone)
+			}
+			if !earlier.equal(want) {
+				t.Errorf("%s (mutate clone %v): a slice read before the mutation changed", m.name, mutateClone)
+			}
+		}
+	}
+}
+
+// TestDecodedTreeLeavesPayload: decoded nodes alias the payload, so
+// mutating the decoded tree must never write into it.
+func TestDecodedTreeLeavesPayload(t *testing.T) {
+	e := codec.NewEncoder(0)
+	contentTree(t).Encode(e)
+	for _, m := range contentMutations {
+		payload := bytes.Clone(e.Bytes())
+		tr, err := DecodeTree(codec.NewDecoder(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.apply(tr); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if !bytes.Equal(payload, e.Bytes()) {
+			t.Errorf("%s: mutating the decoded tree changed the payload", m.name)
+		}
 	}
 }
 

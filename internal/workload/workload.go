@@ -15,9 +15,11 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"b3/internal/filesys"
 )
@@ -354,17 +356,39 @@ func parseLine(line string) (Op, error) {
 // workload: generated content is reproducible and distinguishable per op.
 func FillByte(opIndex int) byte { return byte(opIndex%250) + 1 }
 
+// maxSharedFill bounds the fills that Fill shares; longer ones are built
+// fresh on every call.
+const maxSharedFill = 1 << 20
+
+// fills holds, per fill byte, the longest shared fill built so far.
+var fills [256]atomic.Pointer[[]byte]
+
+// Fill returns n bytes of the fill pattern for op index opIndex. The slice
+// is shared by every caller and must not be modified; MountedFS writes
+// neither modify nor retain their data, so it can be passed to them as is.
+func Fill(opIndex int, n int64) []byte {
+	b := FillByte(opIndex)
+	if n > maxSharedFill {
+		return bytes.Repeat([]byte{b}, int(n))
+	}
+	slot := &fills[b]
+	if p := slot.Load(); p != nil && int64(len(*p)) >= n {
+		return (*p)[:n:n]
+	}
+	// Round up to a power of two so growing lengths rebuild the buffer only
+	// a few times; concurrent builders may race, and any winner is correct.
+	size := int64(4096)
+	for size < n {
+		size *= 2
+	}
+	buf := bytes.Repeat([]byte{b}, int(size))
+	slot.Store(&buf)
+	return buf[:n:n]
+}
+
 // Apply executes one op against a mounted file system. Write-class ops use
 // the deterministic fill pattern for op index i.
 func Apply(m filesys.MountedFS, op Op, opIndex int) error {
-	fill := func(n int64) []byte {
-		buf := make([]byte, n)
-		b := FillByte(opIndex)
-		for i := range buf {
-			buf[i] = b
-		}
-		return buf
-	}
 	switch op.Kind {
 	case OpCreat:
 		return m.Create(op.Path)
@@ -390,11 +414,11 @@ func Apply(m filesys.MountedFS, op Op, opIndex int) error {
 	case OpTruncate:
 		return m.Truncate(op.Path, op.Off)
 	case OpWrite:
-		return m.Write(op.Path, op.Off, fill(op.Len))
+		return m.Write(op.Path, op.Off, Fill(opIndex, op.Len))
 	case OpDWrite:
-		return m.WriteDirect(op.Path, op.Off, fill(op.Len))
+		return m.WriteDirect(op.Path, op.Off, Fill(opIndex, op.Len))
 	case OpMWrite:
-		return m.MWrite(op.Path, op.Off, fill(op.Len))
+		return m.MWrite(op.Path, op.Off, Fill(opIndex, op.Len))
 	case OpFalloc:
 		return m.Falloc(op.Path, op.Mode, op.Off, op.Len)
 	case OpSetXattr:

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -187,6 +189,49 @@ func TestFillByteDeterministic(t *testing.T) {
 	}
 	if FillByte(1) == FillByte(2) {
 		t.Fatal("adjacent ops should write distinguishable bytes")
+	}
+}
+
+// TestFillSharesReadOnlyBuffers: Fill returns the op's fill pattern, shared
+// between calls up to 1 MiB (cap == len, so an append never reaches the
+// shared tail) and fresh beyond. Goroutines fill concurrently so -race sees
+// the shared buffers being built and read.
+func TestFillSharesReadOnlyBuffers(t *testing.T) {
+	check := func(opIndex int, n int64) error {
+		got := Fill(opIndex, n)
+		if int64(len(got)) != n || cap(got) != len(got) {
+			return fmt.Errorf("Fill(%d, %d): len %d cap %d", opIndex, n, len(got), cap(got))
+		}
+		if want := bytes.Repeat([]byte{FillByte(opIndex)}, int(n)); !bytes.Equal(got, want) {
+			return fmt.Errorf("Fill(%d, %d): wrong pattern", opIndex, n)
+		}
+		return nil
+	}
+	errs := make(chan error, 4)
+	for g := range 4 {
+		go func() {
+			for i, n := range []int64{0, 1, 4096, 100, 16384, 9000, 1 << 20, 3} {
+				if err := check(g*3+i, n); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a, b := Fill(7, 5000), Fill(7, 3000)
+	if &a[0] != &b[0] {
+		t.Fatal("fills of one op index up to 1 MiB must share one buffer")
+	}
+	big := Fill(7, 1<<20+1)
+	if &big[0] == &Fill(7, 1<<20+1)[0] || !bytes.Equal(big[:5000], a) {
+		t.Fatal("fills over 1 MiB must be built fresh, with the same pattern")
 	}
 }
 
