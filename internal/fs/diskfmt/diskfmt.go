@@ -11,7 +11,10 @@
 package diskfmt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"b3/internal/blockdev"
@@ -22,14 +25,25 @@ import (
 
 // Checksum is FNV-1a over the payload; adequate for detecting torn or stale
 // blobs produced by crash-state replay.
-func Checksum(data []byte) uint64 {
-	var h uint64 = 14695981039346656037
+func Checksum(data []byte) uint64 { return checksumUpdate(14695981039346656037, data) }
+
+// checksumUpdate extends a running Checksum over data, so ReadBlob can
+// checksum a payload in the same pass that gathers it block by block.
+func checksumUpdate(h uint64, data []byte) uint64 {
 	for _, b := range data {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
 	return h
 }
+
+// checksumSeed is the running Checksum of no bytes.
+var checksumSeed = Checksum(nil)
+
+// blockBufs recycles the block-sized buffers superblocks and the first
+// block of each blob are framed in. None outlives the write or check that
+// uses it: every blockdev.Device.WriteBlock copies its input.
+var blockBufs = sync.Pool{New: func() any { return new([blockdev.BlockSize]byte) }}
 
 // Superblock is the generation-stamped root of a file system. The slot
 // written alternates with the generation (gen%2), so a failed superblock
@@ -41,16 +55,21 @@ type Superblock struct {
 	ImageLen   int64
 }
 
+// appendSuperblock appends the checksummed fields of sb, encoded as
+// codec.Encoder would, to dst.
+func appendSuperblock(dst []byte, sb Superblock) []byte {
+	dst = binary.AppendUvarint(dst, uint64(sb.Magic))
+	dst = binary.AppendUvarint(dst, sb.Gen)
+	dst = binary.AppendVarint(dst, sb.ImageStart)
+	return binary.AppendVarint(dst, sb.ImageLen)
+}
+
 // WriteSuperblock stores sb in slot gen%2.
 func WriteSuperblock(dev blockdev.Device, sb Superblock) error {
-	e := codec.NewEncoder(64)
-	e.Uint32(sb.Magic)
-	e.Uint64(sb.Gen)
-	e.Int64(sb.ImageStart)
-	e.Int64(sb.ImageLen)
-	body := append([]byte(nil), e.Bytes()...)
-	e.Uint64(Checksum(body))
-	return dev.WriteBlock(int64(sb.Gen%2), e.Bytes())
+	buf := blockBufs.Get().(*[blockdev.BlockSize]byte)
+	defer blockBufs.Put(buf)
+	body := appendSuperblock(buf[:0], sb)
+	return dev.WriteBlock(int64(sb.Gen%2), binary.AppendUvarint(body, Checksum(body)))
 }
 
 func readSuperblock(dev blockdev.Device, slot int64, magic uint32) (Superblock, bool) {
@@ -63,12 +82,10 @@ func readSuperblock(dev blockdev.Device, slot int64, magic uint32) (Superblock, 
 		return Superblock{}, false
 	}
 	sb := Superblock{Magic: magic, Gen: d.Uint64(), ImageStart: d.Int64(), ImageLen: d.Int64()}
-	e := codec.NewEncoder(64)
-	e.Uint32(sb.Magic)
-	e.Uint64(sb.Gen)
-	e.Int64(sb.ImageStart)
-	e.Int64(sb.ImageLen)
-	if d.Uint64() != Checksum(e.Bytes()) || d.Err() != nil {
+	// The checksum covers the canonical encoding of the decoded fields.
+	buf := blockBufs.Get().(*[blockdev.BlockSize]byte)
+	defer blockBufs.Put(buf)
+	if d.Uint64() != Checksum(appendSuperblock(buf[:0], sb)) || d.Err() != nil {
 		return Superblock{}, false
 	}
 	return sb, true
@@ -104,31 +121,35 @@ func getEncoder() *codec.Encoder {
 	return e
 }
 
-// BlobBlocks returns the number of blocks WriteBlob will consume for a
-// payload of the given length, so callers can bound-check a region before
-// writing anything into it.
-func BlobBlocks(payloadLen int) int64 {
-	e := codec.NewEncoder(32)
-	e.Uint32(0)
-	e.Uint64(0)
-	e.Uint64(0)
-	return (int64(len(e.Bytes())) + int64(payloadLen) + blockdev.BlockSize - 1) / blockdev.BlockSize
+// appendBlobHeader appends the header WriteBlob frames payload with to dst:
+// magic, length and checksum, as codec.Encoder varints.
+func appendBlobHeader(dst []byte, magic uint32, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(magic))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	return binary.AppendUvarint(dst, Checksum(payload))
+}
+
+// blobBlocks is the number of blocks a blob with a headerLen-byte header and
+// an n-byte payload spans.
+func blobBlocks(headerLen int, n int64) int64 {
+	return (int64(headerLen) + n + blockdev.BlockSize - 1) / blockdev.BlockSize
 }
 
 // WriteBlob stores a checksummed, length-prefixed payload at startBlock and
-// returns the number of blocks consumed. Only the first block (header plus
-// the head of the payload) is built; the rest are written straight from
-// sub-slices of payload, which WriteBlock copies.
+// returns the number of blocks consumed.
 func WriteBlob(dev blockdev.Device, startBlock int64, magic uint32, payload []byte) (int64, error) {
-	// 32 bytes bound the three varints of the header.
-	e := codec.NewEncoder(min(len(payload)+32, blockdev.BlockSize))
-	e.Uint32(magic)
-	e.Uint64(uint64(len(payload)))
-	e.Uint64(Checksum(payload))
-	headerLen := e.Len()
-	head := min(len(payload), blockdev.BlockSize-headerLen)
-	e.Raw(payload[:head])
-	if err := dev.WriteBlock(startBlock, e.Bytes()); err != nil {
+	buf := blockBufs.Get().(*[blockdev.BlockSize]byte)
+	defer blockBufs.Put(buf)
+	return writeBlob(dev, startBlock, appendBlobHeader(buf[:0], magic, payload), payload)
+}
+
+// writeBlob writes payload framed by header, which must start a block-sized
+// buffer: the first block (header plus the head of the payload) is built in
+// place there, and the rest are written straight from sub-slices of payload,
+// which WriteBlock copies.
+func writeBlob(dev blockdev.Device, startBlock int64, header, payload []byte) (int64, error) {
+	head := min(len(payload), blockdev.BlockSize-len(header))
+	if err := dev.WriteBlock(startBlock, append(header, payload[:head]...)); err != nil {
 		return 0, err
 	}
 	blocks := int64(1)
@@ -142,11 +163,16 @@ func WriteBlob(dev blockdev.Device, startBlock int64, magic uint32, payload []by
 	return blocks, nil
 }
 
+// scratchBufs recycles the buffers ReadBlob gathers a multi-block payload in
+// while it is being verified.
+var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // ReadBlob loads a blob written by WriteBlob, verifying magic and checksum.
-// Blocks are read through borrowed views (no per-block allocation); every
-// viewed byte is copied into the payload before the function returns. The
-// payload is fresh and never reused, so decoders may alias it
-// (fstree.DecodeNode does).
+// It views each block once, checksumming as it gathers; a payload that
+// fails verification is never copied. The payload returned is shared and
+// immutable: it equals the verified bytes, and may be the very slice an
+// earlier ReadBlob of equal bytes returned (see verified), so decoders may
+// alias it (fstree.DecodeNode does) but nobody may modify it.
 func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int64, error) {
 	head, err := blockdev.ReadView(dev, startBlock)
 	if err != nil {
@@ -162,34 +188,105 @@ func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int6
 		return nil, 0, fmt.Errorf("diskfmt: bad blob header: %w", filesys.ErrCorrupted)
 	}
 	headerLen := blockdev.BlockSize - d.Remaining()
-	total := int64(headerLen) + int64(n)
-	blocks := (total + blockdev.BlockSize - 1) / blockdev.BlockSize
-	if blocks > dev.NumBlocks()-startBlock {
+	// Bound the stored length by the device before any arithmetic on it, so
+	// no length wraps the block count.
+	if n > uint64((dev.NumBlocks()-startBlock)*blockdev.BlockSize-int64(headerLen)) {
 		return nil, 0, fmt.Errorf("diskfmt: blob overruns device: %w", filesys.ErrCorrupted)
 	}
-	payload := make([]byte, 0, n)
-	hi := int64(blockdev.BlockSize)
-	if total < hi {
-		hi = total
-	}
-	payload = append(payload, head[headerLen:hi]...)
-	for i := int64(1); i < blocks; i++ {
-		blk, err := blockdev.ReadView(dev, startBlock+i)
-		if err != nil {
-			return nil, 0, err
+	total := int64(headerLen) + int64(n)
+	blocks := blobBlocks(headerLen, int64(n))
+	// A single-block payload is verified in place; a longer one is gathered
+	// into pooled scratch, the one copy a payload that fails verification
+	// costs.
+	got := head[headerLen:min(total, blockdev.BlockSize)]
+	h := checksumUpdate(checksumSeed, got)
+	if blocks > 1 {
+		scratch := scratchBufs.Get().(*[]byte)
+		defer scratchBufs.Put(scratch)
+		*scratch = slices.Grow((*scratch)[:0], int(n))
+		got = append(*scratch, got...)
+		for i := int64(1); i < blocks; i++ {
+			blk, err := blockdev.ReadView(dev, startBlock+i)
+			if err != nil {
+				return nil, 0, err
+			}
+			seg := blk[:min(total-i*blockdev.BlockSize, blockdev.BlockSize)]
+			h = checksumUpdate(h, seg)
+			got = append(got, seg...)
 		}
-		lo := i * blockdev.BlockSize
-		end := lo + blockdev.BlockSize
-		if end > total {
-			end = total
-		}
-		payload = append(payload, blk[:end-lo]...)
 	}
-	payload = payload[:n]
-	if Checksum(payload) != sum {
+	if h != sum {
 		return nil, 0, fmt.Errorf("diskfmt: blob checksum mismatch at block %d: %w", startBlock, filesys.ErrCorrupted)
 	}
-	return payload, blocks, nil
+	return verified.intern(blobKey{magic: magic, n: n, sum: sum}, got), blocks, nil
+}
+
+// verifiedBudget bounds the payload bytes (plus a per-entry charge) the
+// verified-payload memo holds before it starts over.
+const verifiedBudget = 16 << 20
+
+// memoEntryCost is what one memo entry is charged beyond its payload: its
+// key, slice header and share of the map.
+const memoEntryCost = 64
+
+// verified memoises, process-wide, the payload last verified under each
+// blob header, so re-mounting the same committed image or log record
+// returns one shared payload instead of a fresh copy per mount.
+var verified = newPayloadMemo(verifiedBudget)
+
+// blobKey names a verified payload by the blob header it was read under.
+type blobKey struct {
+	magic  uint32
+	n, sum uint64
+}
+
+// payloadMemo maps a blob key to the last payload verified under it. A hit
+// requires byte equality with that payload, which was itself verified, so
+// the memo trusts no hash: it returns a payload only where a fresh copy
+// would be equal. Payloads are immutable, so one may be shared by any
+// number of mounts and goroutines.
+type payloadMemo struct {
+	budget int
+
+	mu   sync.Mutex
+	used int
+	m    map[blobKey][]byte
+}
+
+func newPayloadMemo(budget int) *payloadMemo {
+	return &payloadMemo{budget: budget, m: map[blobKey][]byte{}}
+}
+
+// intern returns a payload equal to got that the caller may keep: the
+// memoised one when its bytes equal got, otherwise an exact-size copy of
+// got, memoised in its place. got itself is not retained, so it may be
+// borrowed. A memo whose budget an insert would exceed is cleared first; a
+// payload larger than the whole budget is copied but not memoised.
+func (c *payloadMemo) intern(k blobKey, got []byte) []byte {
+	c.mu.Lock()
+	p, ok := c.m[k]
+	c.mu.Unlock()
+	if ok && bytes.Equal(p, got) {
+		return p
+	}
+	p = make([]byte, len(got))
+	copy(p, got)
+	cost := len(p) + memoEntryCost
+	if cost > c.budget {
+		return p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.m[k]; ok {
+		c.used -= len(old) + memoEntryCost
+	}
+	if c.used+cost > c.budget {
+		clear(c.m)
+		c.used = 0
+	}
+	c.m[k] = p
+	c.used += cost
+	return p
 }
 
 // On-disk layout shared by every backend (in blocks):
@@ -252,12 +349,16 @@ func (f Format) WriteImage(dev blockdev.Device, gen uint64, t *fstree.Tree, trai
 	if gen%2 == 1 {
 		start += imageRegionBlocks
 	}
-	// Bound-check before writing: an oversized image must not spill into
-	// the other region, which holds the committed previous generation.
-	if blocks := BlobBlocks(len(payload)); blocks > imageRegionBlocks {
+	// Bound-check with the exact header before writing: an oversized image
+	// must not spill into the other region, which holds the committed
+	// previous generation.
+	buf := blockBufs.Get().(*[blockdev.BlockSize]byte)
+	defer blockBufs.Put(buf)
+	header := appendBlobHeader(buf[:0], f.Image, payload)
+	if blocks := blobBlocks(len(header), int64(len(payload))); blocks > imageRegionBlocks {
 		return fmt.Errorf("%s: image exceeds region (%d blocks)", f.Name, blocks)
 	}
-	if _, err := WriteBlob(dev, start, f.Image, payload); err != nil {
+	if _, err := writeBlob(dev, start, header, payload); err != nil {
 		return err
 	}
 	if err := dev.Flush(); err != nil {
