@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sync"
 
@@ -23,22 +24,19 @@ import (
 	"b3/internal/fstree"
 )
 
-// Checksum is FNV-1a over the payload; adequate for detecting torn or stale
-// blobs produced by crash-state replay.
-func Checksum(data []byte) uint64 { return checksumUpdate(14695981039346656037, data) }
+// castagnoli selects the hardware-accelerated CRC-32C implementation.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is CRC-32C (Castagnoli) over the payload; adequate for detecting
+// torn or stale blobs produced by crash-state replay. It is stored in a
+// 64-bit header field.
+func Checksum(data []byte) uint64 { return checksumUpdate(0, data) }
 
 // checksumUpdate extends a running Checksum over data, so ReadBlob can
 // checksum a payload in the same pass that gathers it block by block.
-func checksumUpdate(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+func checksumUpdate(sum uint64, data []byte) uint64 {
+	return uint64(crc32.Update(uint32(sum), castagnoli, data))
 }
-
-// checksumSeed is the running Checksum of no bytes.
-var checksumSeed = Checksum(nil)
 
 // blockBufs recycles the block-sized buffers superblocks and the first
 // block of each blob are framed in. None outlives the write or check that
@@ -199,7 +197,7 @@ func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int6
 	// into pooled scratch, the one copy a payload that fails verification
 	// costs.
 	got := head[headerLen:min(total, blockdev.BlockSize)]
-	h := checksumUpdate(checksumSeed, got)
+	h := checksumUpdate(0, got)
 	if blocks > 1 {
 		scratch := scratchBufs.Get().(*[]byte)
 		defer scratchBufs.Put(scratch)

@@ -101,21 +101,14 @@ func blobHeader(magic uint32, payload []byte) []byte {
 // the single-buffer reference, block for block, around every boundary the
 // first block can fall on.
 func TestBlobFramingMatchesSingleBuffer(t *testing.T) {
-	payloadOf := func(n int, seed byte) []byte {
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = byte(i*7) + seed
-		}
-		return p
-	}
-	payloads := [][]byte{payloadOf(0, 0), payloadOf(1, 0), payloadOf(3*blockdev.BlockSize, 0)}
+	payloads := [][]byte{patterned(0, 0), patterned(1, 0), patterned(3*blockdev.BlockSize, 0)}
 	// Payloads whose header+payload is one byte short of, exactly, and one
 	// byte past a block (the checksum varint's length varies with content).
 	for _, over := range []int{-1, 0, 1} {
 	search:
 		for n := blockdev.BlockSize - 32; n <= blockdev.BlockSize; n++ {
 			for seed := 0; seed < 256; seed++ {
-				p := payloadOf(n, byte(seed))
+				p := patterned(n, byte(seed))
 				if n+len(blobHeader(testMagic, p)) == blockdev.BlockSize+over {
 					payloads = append(payloads, p)
 					break search
@@ -247,6 +240,10 @@ func TestChecksumProperties(t *testing.T) {
 	}
 	if Checksum([]byte{1}) == Checksum([]byte{2}) {
 		t.Fatal("trivial collision")
+	}
+	// The CRC-32C check value (RFC 3720, appendix B.4).
+	if got := Checksum([]byte("123456789")); got != 0xE3069283 {
+		t.Fatalf("Checksum(\"123456789\") = %#x, want CRC-32C 0xe3069283", got)
 	}
 }
 

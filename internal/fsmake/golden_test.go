@@ -132,10 +132,10 @@ func runGolden(t *testing.T, fs filesys.FileSystem) []uint64 {
 }
 
 // TestGoldenDeviceBytes pins the exact bytes every backend puts on the
-// device: digests were recorded from the commit before internal/fs moved
-// onto the shared diskfmt base, so any drift in an image, superblock, log
-// record or recovery checkpoint — and with it every campaign fingerprint,
-// state count and prune ratio — fails here first.
+// device: digests were last re-recorded when diskfmt.Checksum became
+// CRC-32C, a deliberate format change, so any other drift in an image,
+// superblock, log record or recovery checkpoint — and with it every campaign
+// fingerprint, state count and prune ratio — fails here first.
 func TestGoldenDeviceBytes(t *testing.T) {
 	for _, name := range Names() {
 		allBugs := map[string]bool{}
@@ -169,93 +169,93 @@ func TestGoldenDeviceBytes(t *testing.T) {
 // goldenDigests: mkfs, then (device, recovered fork) per persistence step.
 var goldenDigests = map[string][]uint64{
 	"logfs/fixed": {
-		0xd9ea19c99a88c55a, 0xa032bc8951e1cc95, 0xec78b25e33f26928,
-		0xd3a22ea6d0245c57, 0xf12ea1dfe2b341c3, 0xb95bae6dce3c2f0c,
-		0xb69a5a4d1b5106cc, 0xed33102043b821bf, 0x46be58b42c2a19b4,
-		0x463c35ae394cc55f, 0x8bb2d1ac8a64dff1, 0xd370d26b0bbaece9,
-		0x4b6e3c8a2baedf69, 0x94dc2c731835fab5, 0x717279df28e00b35,
-		0xadcb41ab43153fb6, 0xcbf29ce484222325, 0x22d05255cb025848,
-		0x2bf16342485b9655, 0x0c5f3fe71a26d049, 0xcbf29ce484222325,
+		0x153edb01c8d0bc36, 0x5390811709cf1c5d, 0x02c5c207469c6282,
+		0x7470448fd684b5d0, 0x90d8b2b929b4dd84, 0x49807857ba8abc55,
+		0x36c1666158d52c6d, 0xa377487e4ee1a162, 0xa55cb980842e0c70,
+		0x2795744e12f71913, 0xb4f1113fc51da649, 0x1ae8d717b955e94d,
+		0x3f838e76d965c93e, 0x879dacb609127a9f, 0x56f8aac34d9346d4,
+		0x57e268ad03f39ed5, 0xcbf29ce484222325, 0x986d4ab1c2f3a769,
+		0x175baa76e4f41828, 0xa9e9af22dbadbcf7, 0xcbf29ce484222325,
 	},
 	"logfs/bugs": {
-		0xd9ea19c99a88c55a, 0xa032bc8951e1cc95, 0x8923cae114fc9caf,
-		0xbf5a520aa282e5ea, 0xd673aaa080233fb4, 0xbf5a520aa282e5ea,
-		0xd673aaa080233fb4, 0xbf5a520aa282e5ea, 0xd673aaa080233fb4,
-		0xbf5a520aa282e5ea, 0xd673aaa080233fb4, 0xbf5a520aa282e5ea,
-		0xd673aaa080233fb4, 0xbf5a520aa282e5ea, 0xd673aaa080233fb4,
-		0x9a2dbf47b4cd9871, 0xcbf29ce484222325, 0x3d41c419d6b5718f,
-		0xb74e0b9ce329dd0d, 0xef43f8d558365cb6, 0xcbf29ce484222325,
+		0x153edb01c8d0bc36, 0x5390811709cf1c5d, 0xfff7fe571a9d326c,
+		0x1910d0c7588f34a0, 0x17698db157f5016d, 0x1910d0c7588f34a0,
+		0x17698db157f5016d, 0x1910d0c7588f34a0, 0x17698db157f5016d,
+		0x1910d0c7588f34a0, 0x17698db157f5016d, 0x1910d0c7588f34a0,
+		0x17698db157f5016d, 0x1910d0c7588f34a0, 0x17698db157f5016d,
+		0x4388ce74a2b15b4e, 0xcbf29ce484222325, 0x56b2e10e8ffa4e86,
+		0xecd0e5d4963ac6fe, 0xb914b93c23726414, 0xcbf29ce484222325,
 	},
 	"journalfs/fixed": {
-		0xa684abe2147867d1, 0xa3dabef362e5db20, 0x6a33025f740f1806,
-		0x8b871c498047e905, 0xa089cbd9cea88a6f, 0x9e1c957538767a69,
-		0x76f77b6f78ac019d, 0xa61eff8d602e4e96, 0xc2625ca3151aded2,
-		0x5b9cc6d274008b53, 0x98108fefb304978c, 0xa3bb7f39287e71e7,
-		0x711ab55769fad8ff, 0x2213eaf7126fc4fb, 0xcdfcf537e5a20b42,
-		0x111c57426fd0a72f, 0xcbf29ce484222325, 0x33d47fe6c9ed1f16,
-		0x175450868af45648, 0x6150bae0bfd5d08e, 0xcbf29ce484222325,
+		0x0f3d4fe7143d1b0d, 0x2fd3025ac1b7ee15, 0xd054acf9922f5110,
+		0x7175a444b0f8c216, 0xc7891ae078f8515a, 0x660257b846f6261c,
+		0xcfe78976b4e04c73, 0x7620e037d9d43b6f, 0x07e7674909ce2e07,
+		0x20ed50c2bed70b71, 0x5be2e42d5c5d5517, 0xeb2879b1517bde37,
+		0xd78ab05e27328c26, 0xb2181b8e732baa2b, 0x716e2a72d001e315,
+		0x2f714dc62de0bff4, 0xcbf29ce484222325, 0x3667dcbd78f562c2,
+		0xcbd47be97b8141fa, 0x4be679c1833cda6b, 0xcbf29ce484222325,
 	},
 	"journalfs/bugs": {
-		0xa684abe2147867d1, 0xa3dabef362e5db20, 0x6a33025f740f1806,
-		0x8b871c498047e905, 0xa089cbd9cea88a6f, 0x9e1c957538767a69,
-		0x76f77b6f78ac019d, 0x9e1c957538767a69, 0x76f77b6f78ac019d,
-		0x4ce18582e994d076, 0x98108fefb304978c, 0x4f1e3fa37359ef7f,
-		0x711ab55769fad8ff, 0x308cdc9dee031c14, 0x711ab55769fad8ff,
-		0x9ea3f8e9564f2e50, 0xcbf29ce484222325, 0x1365e9df08244de1,
-		0x175450868af45648, 0x7e93405778abd549, 0xcbf29ce484222325,
+		0x0f3d4fe7143d1b0d, 0x2fd3025ac1b7ee15, 0xd054acf9922f5110,
+		0x7175a444b0f8c216, 0xc7891ae078f8515a, 0x660257b846f6261c,
+		0xcfe78976b4e04c73, 0x660257b846f6261c, 0xcfe78976b4e04c73,
+		0x5c64665809b81b5f, 0x5be2e42d5c5d5517, 0x21ea5aba29a11fb4,
+		0xd78ab05e27328c26, 0x272d41531cad5995, 0xd78ab05e27328c26,
+		0x8a6146365dbf8812, 0xcbf29ce484222325, 0xd4d241aee55306d0,
+		0xcbd47be97b8141fa, 0x9f42dfd058706a55, 0xcbf29ce484222325,
 	},
 	"f2fsim/fixed": {
-		0x4c9ef6cf41245186, 0xc1d4eba4fcf87ef4, 0x42bdad37ee7c218c,
-		0xa29e898c93bd9622, 0xcbf29ce484222325, 0xee22d4e06de70cfd,
-		0x4a60092d3b46ee0c, 0x5e035953dfb96f3b, 0x3b5db9d97e6df5a0,
-		0xe1d679d58cf80e10, 0x260d2b8a25af8cf6, 0xcb0012ba0962e6dc,
-		0x777b9019ef464fe2, 0xaf09036ec46fe42b, 0xbc322fa833fd64c3,
-		0xc6b3f7f08b55ad5a, 0xcbf29ce484222325, 0xe644730981de0309,
-		0x8e8a384e0684bcfd, 0x202e9309729368ca, 0xcbf29ce484222325,
+		0x0d8e1b5382671896, 0xfa2cb5e3a2676c35, 0x288c0d84219c8116,
+		0x1a5bb3b9c7082b11, 0xcbf29ce484222325, 0xdc73948cf9191232,
+		0xf03ecc79e02d2378, 0x2228a7fddb2225c2, 0xc6941525f26a6462,
+		0x56ee50876685beb0, 0x21b440bf45e04e38, 0xd3b71c47d1140b12,
+		0x48ebe6efa571eedf, 0x52511d43ab80c98f, 0xe4f7f223698da03a,
+		0x709e3ffc256a9fa4, 0xcbf29ce484222325, 0x9afedf25b87f98dc,
+		0x608cd9a0e62a4316, 0x2cab2d7a5c6408e9, 0xcbf29ce484222325,
 	},
 	"f2fsim/bugs": {
-		0x4c9ef6cf41245186, 0xc1d4eba4fcf87ef4, 0x42bdad37ee7c218c,
-		0xa29e898c93bd9622, 0xcbf29ce484222325, 0xee22d4e06de70cfd,
-		0x4a60092d3b46ee0c, 0xee22d4e06de70cfd, 0x4a60092d3b46ee0c,
-		0xceb0db7240203037, 0xedfecd5b4769afa3, 0xb43ff78a6c431ef8,
-		0x777b9019ef464fe2, 0x0510258f89c0a7a8, 0xbc322fa833fd64c3,
-		0xa14ecd31bb42c501, 0xcbf29ce484222325, 0xbe2a98a4eeec9a42,
-		0x8e8a384e0684bcfd, 0x060fb519aaf95c11, 0xcbf29ce484222325,
+		0x0d8e1b5382671896, 0xfa2cb5e3a2676c35, 0x288c0d84219c8116,
+		0x1a5bb3b9c7082b11, 0xcbf29ce484222325, 0xdc73948cf9191232,
+		0xf03ecc79e02d2378, 0xdc73948cf9191232, 0xf03ecc79e02d2378,
+		0xad011350638682e2, 0x8ad158a2281ceaeb, 0xb1e37d8ee39d19d0,
+		0x48ebe6efa571eedf, 0xa4e2ad597c3a375f, 0xe4f7f223698da03a,
+		0x19e84f6f0f241640, 0xcbf29ce484222325, 0xcd5ad28cf90c8d68,
+		0x608cd9a0e62a4316, 0xbea215275b96a141, 0xcbf29ce484222325,
 	},
 	"fscqsim/fixed": {
-		0xf445198ed58578f6, 0x42cd542e8097b5a2, 0x1eba34a680968d63,
-		0xcbd195dadb07dd7e, 0x624faab338014cb1, 0x0d6a717c320ae178,
-		0x578c573e5f5f53d8, 0xcd8d74692cd21903, 0xa0a899045990c4a0,
-		0xd67484a4c36df853, 0x55ffdf2328478aad, 0x701f6f2c05db4cfe,
-		0x1b88bd26f5d903b6, 0x6c104750c43458cc, 0x9a6c54d61fed576b,
-		0xc850336976b2bca7, 0xcbf29ce484222325, 0x3afeabe0a39efe7c,
-		0xfad34ced48197471, 0xbc15848e98cd71e2, 0xcbf29ce484222325,
+		0x8f9a4a04a433061f, 0x565ac4ecfbfb13e2, 0x088de3cc511b2507,
+		0xd49da2ed2c268c80, 0xc9f4b00374bade34, 0x7297a19e1d4e02df,
+		0xf0806ead87a93a34, 0x3882a93ddf1144ba, 0xfdf02a5b3ba1bef0,
+		0xe3357e2d2beb667d, 0x42afd23af5a4ff98, 0x1a1d6bba5a974bc2,
+		0x511327fe57a38879, 0x03a8f85f6e770dbb, 0x8ffbf58ff99897b6,
+		0xb77f242d15902337, 0xcbf29ce484222325, 0xe8668e4c1940fa62,
+		0x0ab9e25d198a7ccb, 0xc077a9d70fb6c82c, 0xcbf29ce484222325,
 	},
 	"fscqsim/bugs": {
-		0xf445198ed58578f6, 0x42cd542e8097b5a2, 0x1eba34a680968d63,
-		0xcbd195dadb07dd7e, 0x624faab338014cb1, 0xd24bc7bd86442bbe,
-		0xcd7522c74d3141d8, 0x3d5144e08eb16501, 0x1707e4c38e5dfb4d,
-		0x7219bb357adbef01, 0x55ffdf2328478aad, 0x53f4214726a8ecd4,
-		0x1b88bd26f5d903b6, 0xf8598a0887701b0e, 0x9a6c54d61fed576b,
-		0xa26b0a1c086dabb9, 0xcbf29ce484222325, 0x73e573b2219c88d2,
-		0xfad34ced48197471, 0x494e41543113550c, 0xcbf29ce484222325,
+		0x8f9a4a04a433061f, 0x565ac4ecfbfb13e2, 0x088de3cc511b2507,
+		0xd49da2ed2c268c80, 0xc9f4b00374bade34, 0x4fa03acfb5f1eb1e,
+		0x0d5d5182a5467c6f, 0x1077d74108db3132, 0xd48aad5fea2de8a8,
+		0xd4e7abbe91697145, 0x42afd23af5a4ff98, 0x1452dd376b12b8fa,
+		0x511327fe57a38879, 0xa6db840a23792713, 0x8ffbf58ff99897b6,
+		0x98de391e77b213d7, 0xcbf29ce484222325, 0x2d3015149420aaaf,
+		0x0ab9e25d198a7ccb, 0x9bf689660e7c2c29, 0xcbf29ce484222325,
 	},
 	"diskfmt/fixed": {
-		0xd07480bef8d4d5f4, 0x59111914a2e15dda, 0xcbf29ce484222325,
-		0x3ae9661eeb45b9ab, 0xcbf29ce484222325, 0xf5b697a3db8170fd,
-		0xcbf29ce484222325, 0xc685b2227c180243, 0xcbf29ce484222325,
-		0x1049273789c48656, 0xcbf29ce484222325, 0x598ad3ed3d2e1587,
-		0xcbf29ce484222325, 0x60f65df46e10ea5f, 0xcbf29ce484222325,
-		0x591739d9f44ff7eb, 0xcbf29ce484222325, 0x9719606912f4e648,
-		0xcbf29ce484222325, 0x90094358eafbadd8, 0xcbf29ce484222325,
+		0xcaa6bd92451d9d45, 0x7badfabb0272f948, 0xcbf29ce484222325,
+		0xabb8c3ba63e6cfaa, 0xcbf29ce484222325, 0x69cc8b3a66936abf,
+		0xcbf29ce484222325, 0x9854f8ef0a8a60a5, 0xcbf29ce484222325,
+		0x0bfbd6cc8a07b4ee, 0xcbf29ce484222325, 0xb33a5810319ad574,
+		0xcbf29ce484222325, 0x8fa3a3fc2fe511d9, 0xcbf29ce484222325,
+		0x4c9f6a10051b64f2, 0xcbf29ce484222325, 0xb6928651ef7fc6a0,
+		0xcbf29ce484222325, 0x8cc48f29347cf331, 0xcbf29ce484222325,
 	},
 	"diskfmt/bugs": {
-		0xd07480bef8d4d5f4, 0x59111914a2e15dda, 0xcbf29ce484222325,
-		0x3ae9661eeb45b9ab, 0xcbf29ce484222325, 0xf5b697a3db8170fd,
-		0xcbf29ce484222325, 0xc685b2227c180243, 0xcbf29ce484222325,
-		0x1049273789c48656, 0xcbf29ce484222325, 0x598ad3ed3d2e1587,
-		0xcbf29ce484222325, 0x60f65df46e10ea5f, 0xcbf29ce484222325,
-		0x591739d9f44ff7eb, 0xcbf29ce484222325, 0x9719606912f4e648,
-		0xcbf29ce484222325, 0x90094358eafbadd8, 0xcbf29ce484222325,
+		0xcaa6bd92451d9d45, 0x7badfabb0272f948, 0xcbf29ce484222325,
+		0xabb8c3ba63e6cfaa, 0xcbf29ce484222325, 0x69cc8b3a66936abf,
+		0xcbf29ce484222325, 0x9854f8ef0a8a60a5, 0xcbf29ce484222325,
+		0x0bfbd6cc8a07b4ee, 0xcbf29ce484222325, 0xb33a5810319ad574,
+		0xcbf29ce484222325, 0x8fa3a3fc2fe511d9, 0xcbf29ce484222325,
+		0x4c9f6a10051b64f2, 0xcbf29ce484222325, 0xb6928651ef7fc6a0,
+		0xcbf29ce484222325, 0x8cc48f29347cf331, 0xcbf29ce484222325,
 	},
 }
