@@ -6,7 +6,7 @@
 //
 // The hot paths bought their speed with sharp-edged idioms — zero-copy views
 // that alias pooled overlay memory, sync.Pool-recycled snapshots behind
-// Release(), lock-free campaign counters, per-kind salted verdict keys. Their
+// Release(), lock-free block-layer meters, per-kind salted verdict keys. Their
 // misuse is only caught dynamically if a runtime cross-check happens to hit
 // the bad schedule; these analyzers catch the whole bug class at vet time
 // (the WITCHER argument: check code-level invariants statically instead of

@@ -12,7 +12,7 @@ import (
 // increment, say) must be accessed atomically everywhere: one plain
 // fold-time read racing a concurrent atomic increment is undefined, and the
 // race detector only catches it when a test happens to hit the schedule.
-// This is why campaign's counters use atomic.Int64 — the typed API makes
+// This is why blockdev.BlockMeter uses atomic.Int64 — the typed API makes
 // plain access inexpressible. This analyzer guards the function-based API
 // for code that can't use the typed one, and catches regressions that
 // reintroduce mixing.

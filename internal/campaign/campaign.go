@@ -45,7 +45,7 @@ var testShardHook func(*corpus.Shard)
 var testBuildHook func(*workload.Workload)
 
 // fsRun is the per-file-system state of a (matrix) campaign: one row of the
-// matrix, with its own prune cache, corpus shard, counters, and reports.
+// matrix, with its own prune cache, corpus shard, statistics, and reports.
 // All rows share one enumeration and one worker pool.
 type fsRun struct {
 	cfg   Config // per-FS copy: cfg.FS is this row's file system
@@ -54,41 +54,43 @@ type fsRun struct {
 	done  map[int64]*corpus.WorkloadRecord
 	meter blockdev.BlockMeter
 
-	cnt     counters
-	mu      sync.Mutex
-	reports []*report.Report
-
-	corpusMu     sync.Mutex
+	// mu guards the folds into stats, reports and corpusErr while the pool
+	// runs: workers record live workloads, the generator folds resumed
+	// ones, and Progress snapshots read stats. (generate sets Generated and
+	// GenDur, which no fold touches, once enumeration ends.)
+	mu           sync.Mutex
+	stats        *Stats
+	reports      []*report.Report
 	corpusErr    error
-	corpusFailed atomic.Bool
-
-	stats *Stats
+	corpusFailed atomic.Bool // also read without mu, by the generator
 }
 
-func (r *fsRun) appendRecord(rec *corpus.WorkloadRecord) {
-	if r.shard == nil {
-		return
+// record is how a tested workload reaches the campaign: rec is appended to
+// the corpus shard and folded into the row's statistics. p, the workload's
+// profile when its checkpoint sweep ran (nil otherwise), and the sweep's
+// summed replay and check time feed the live-only timing and dirty-byte
+// aggregates a record does not carry.
+func (r *fsRun) record(rec *corpus.WorkloadRecord, p *crashmonkey.Profile, replayDur, checkDur time.Duration) {
+	var err error
+	if r.shard != nil {
+		err = r.shard.Append(rec)
 	}
-	if err := r.shard.Append(rec); err != nil {
-		r.corpusMu.Lock()
-		if r.corpusErr == nil {
-			r.corpusErr = err
-		}
-		r.corpusMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil && r.corpusErr == nil {
+		r.corpusErr = err
 		r.corpusFailed.Store(true)
 	}
-}
-
-func (r *fsRun) emit(rep *report.Report) {
-	r.mu.Lock()
-	r.reports = append(r.reports, rep)
-	r.mu.Unlock()
-}
-
-// foldRecord replays one recorded workload verdict into the run (resume).
-func (r *fsRun) foldRecord(rec *corpus.WorkloadRecord) {
-	r.cnt.resumed.Add(1)
-	foldRecord(rec, r.cfg.FS.Name(), r.cfg.NoPrune, &r.cnt, r.emit)
+	s := r.stats
+	r.reports = s.fold(rec, r.cfg.NoPrune, r.reports)
+	if p != nil {
+		s.ProfileDur += p.ProfileDur
+		s.ReplayDur += replayDur
+		s.CheckDur += checkDur
+		s.TotalDirty += p.DirtyBytes
+		s.DirtySample++
+		s.MaxDirty = max(s.MaxDirty, p.DirtyBytes)
+	}
 }
 
 // openCorpus opens (or resumes) the run's corpus shard.
@@ -156,11 +158,15 @@ func (r *fsRun) needs(seq int64) bool {
 	if r.corpusFailed.Load() {
 		return false
 	}
-	if rec, ok := r.done[seq]; ok {
-		r.foldRecord(rec)
-		return false
+	rec, ok := r.done[seq]
+	if !ok {
+		return true
 	}
-	return true
+	r.mu.Lock()
+	r.stats.Resumed++
+	r.reports = r.stats.fold(rec, r.cfg.NoPrune, r.reports)
+	r.mu.Unlock()
+	return false
 }
 
 // generate runs the campaign's one enumeration and fans every class member
@@ -277,15 +283,15 @@ func allCorporaFailed(runs []*fsRun) bool {
 	return true
 }
 
-// finish folds the counters into the run's Stats and groups its reports.
-// Called after the worker pool has drained. Errors are returned unwrapped
-// (the corpus package already prefixes them); RunMatrix adds the one
-// campaign-and-FS-naming wrap.
+// finish completes the run's Stats — wall time, block-layer and prune-cache
+// figures, bug groups — once the worker pool has drained. Errors are
+// returned unwrapped (the corpus package already prefixes them); RunMatrix
+// adds the one campaign-and-FS-naming wrap.
 func (r *fsRun) finish(start time.Time, interrupted bool) error {
 	if r.corpusErr != nil {
 		return r.corpusErr
 	}
-	stats, cnt := r.stats, &r.cnt
+	stats := r.stats
 	stats.Elapsed = time.Since(start)
 	// A completed campaign marks the shard mergeable; an interrupted one
 	// deliberately does not — its enumeration stopped early, so the marker
@@ -306,27 +312,6 @@ func (r *fsRun) finish(start time.Time, interrupted bool) error {
 			return err
 		}
 	}
-	cnt.into(stats)
-	stats.Shard, stats.NumShards = r.cfg.Shard, r.cfg.numShards()
-	stats.ReorderBound = max(r.cfg.Reorder, 0)
-	if r.cfg.Faults.Enabled() {
-		m := r.cfg.Faults.Canonical()
-		stats.FaultSector = m.SectorSize
-		// One row per configured kind, in canonical order, even when the
-		// sweep found no workloads to run against.
-		rows := make([]FaultKindStats, 0, len(m.Kinds))
-		for _, k := range m.Kinds {
-			row := FaultKindStats{Kind: k.String()}
-			for _, fs := range stats.FaultKinds {
-				if fs.Kind == row.Kind {
-					row = fs
-					break
-				}
-			}
-			rows = append(rows, row)
-		}
-		stats.FaultKinds = rows
-	}
 	stats.BlocksRead = r.meter.BlocksRead.Load()
 	stats.BytesAllocated = r.meter.BytesAllocated.Load()
 	if r.cache != nil {
@@ -336,23 +321,11 @@ func (r *fsRun) finish(start time.Time, interrupted bool) error {
 		stats.DiskEvictions = cs.DiskEvictions
 		stats.TreeEvictions = cs.TreeEvictions
 	}
-	stats.ProfileDur = time.Duration(cnt.profNS.Load())
-	stats.ReplayDur = time.Duration(cnt.replayNS.Load())
-	stats.CheckDur = time.Duration(cnt.checkNS.Load())
-	stats.TotalDirty = cnt.dirtyTot.Load()
-	stats.DirtySample = cnt.dirtyN.Load()
-	stats.MaxDirty = cnt.dirtyMax.Load()
-
-	stats.Groups = report.GroupReports(r.reports)
 	db := r.cfg.KnownDB
 	if r.cfg.KnownDBFor != nil {
 		db = r.cfg.KnownDBFor(r.cfg.FS.Name())
 	}
-	if db != nil {
-		stats.FreshGroups, stats.KnownGroups = db.Split(stats.Groups)
-	} else {
-		stats.FreshGroups = stats.Groups
-	}
+	stats.group(r.reports, db)
 	return nil
 }
 
@@ -420,7 +393,21 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 
 	runs := make([]*fsRun, 0, len(fss))
 	for _, fs := range fss {
-		r := &fsRun{cfg: cfg, stats: &Stats{FSName: fs.Name()}}
+		stats := &Stats{
+			FSName:       fs.Name(),
+			Shard:        cfg.Shard,
+			NumShards:    cfg.numShards(),
+			ReorderBound: max(cfg.Reorder, 0),
+		}
+		if cfg.Faults.Enabled() {
+			// One row per configured kind, in canonical order, even when the
+			// sweep finds no workload to run against.
+			stats.FaultSector = cfg.Faults.SectorSize
+			for _, k := range cfg.Faults.Kinds {
+				stats.FaultKinds = append(stats.FaultKinds, FaultKindStats{Kind: k.String()})
+			}
+		}
+		r := &fsRun{cfg: cfg, stats: stats}
 		r.cfg.FS = fs
 		if !cfg.NoPrune {
 			cap := cfg.PruneCap
@@ -451,20 +438,21 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 		}
 	}()
 
-	// Live progress: one ticker goroutine sums the atomic counters across
-	// rows and hands cumulative snapshots to the callback. Stopped (and
-	// waited for) before the final snapshot, so OnProgress is never called
-	// concurrently with itself.
+	// Live progress: one ticker goroutine sums the rows' statistics and
+	// hands cumulative snapshots to the callback. Stopped (and waited for)
+	// before the final snapshot, so OnProgress is never called concurrently
+	// with itself.
 	var progressDone chan struct{}
 	snapshot := func() Progress {
 		p := Progress{Elapsed: time.Since(start)}
 		for _, r := range runs {
-			p.Workloads += r.cnt.tested.Load() + r.cnt.errs.Load()
-			p.States += r.cnt.statesTotal.Load() + r.cnt.reorderStates.Load()
-			for k := 0; k < blockdev.NumFaultKinds; k++ {
-				p.FaultStates += r.cnt.faultStates[k].Load()
-			}
-			p.ReplayedWrites += r.cnt.replayedWrites.Load()
+			r.mu.Lock()
+			s := r.stats
+			p.Workloads += s.Tested + s.Errors
+			p.States += s.StatesTotal + s.ReorderStates
+			p.FaultStates += s.FaultStates()
+			p.ReplayedWrites += s.ReplayedWrites
+			r.mu.Unlock()
 		}
 		p.States += p.FaultStates
 		return p

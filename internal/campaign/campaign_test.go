@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -1783,4 +1785,124 @@ func TestKVResumeMatchesUninterrupted(t *testing.T) {
 			again.KVClasses, uninterrupted.KVClasses)
 	}
 	assertSameGroups(t, again, uninterrupted)
+}
+
+// recordDerived is s with every field a corpus record does not determine
+// zeroed: wall and phase timings (Elapsed, GenDur, the *Dur fields), dirty
+// bytes, the live BlockMeter counters (BlocksRead, BytesAllocated), the
+// prune cache's size, cap and evictions, and the resume bookkeeping
+// (Resumed, CorpusPath).
+func recordDerived(s *Stats) Stats {
+	c := *s
+	c.Elapsed, c.GenDur = 0, 0
+	c.ProfileDur, c.ReplayDur, c.CheckDur = 0, 0, 0
+	c.MaxDirty, c.TotalDirty, c.DirtySample = 0, 0, 0
+	c.BlocksRead, c.BytesAllocated = 0, 0
+	c.DistinctStates, c.PruneCap, c.DiskEvictions, c.TreeEvictions = 0, 0, 0, 0
+	c.Resumed, c.CorpusPath = 0, ""
+	return c
+}
+
+// assertSameRecordDerived requires a and b to agree on every record-derived
+// Stats field, naming each field that differs.
+func assertSameRecordDerived(t *testing.T, what string, a, b *Stats) {
+	t.Helper()
+	va, vb := reflect.ValueOf(recordDerived(a)), reflect.ValueOf(recordDerived(b))
+	var diffs []string
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i).Interface(), vb.Field(i).Interface()
+		if reflect.DeepEqual(fa, fb) {
+			continue
+		}
+		name := va.Type().Field(i).Name
+		if va.Field(i).Kind() == reflect.Slice {
+			diffs = append(diffs, fmt.Sprintf("%s (%d vs %d entries)", name, va.Field(i).Len(), vb.Field(i).Len()))
+		} else {
+			diffs = append(diffs, fmt.Sprintf("%s: %v vs %v", name, fa, fb))
+		}
+	}
+	if len(diffs) > 0 {
+		t.Fatalf("%s on %s diverged: %s", what, a.FSName, strings.Join(diffs, "; "))
+	}
+}
+
+// TestFoldPathsAgree: live, resumed and merged workloads reach Stats through
+// the one (*Stats).fold, so one corpus accounted three ways — the live run
+// at Workers 1 that wrote it, a full resume of it, and a merge of it — gives
+// identical record-derived statistics, the prune tier split included. A
+// partial run resumed to completion mixes the live and resumed paths in one
+// row and must agree with the merge of the corpus it leaves.
+func TestFoldPathsAgree(t *testing.T) {
+	fss := bugsOnly(t, fsmake.Names()...)
+	scenarios := []struct {
+		name string
+		cfg  Config
+	}{
+		{"seq1-reorder1-faults", Config{Bounds: ace.Default(1), Reorder: 1, Faults: allFaultsModel}},
+		{"kv-seq1-reorder1", Config{KV: kvBounds(t, "kv-seq1"), Reorder: 1}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := sc.cfg
+			cfg.Workers = 1
+			cfg.CorpusDir = t.TempDir()
+			live, err := RunMatrix(cfg, fss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged, err := MergeDir(cfg.CorpusDir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resume := cfg
+			resume.Resume = true
+			resumed, err := RunMatrix(resume, fss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range live.PerFS {
+				if want.StatesPruned == 0 {
+					t.Fatalf("%s pruned nothing: the tier split is untested", want.FSName)
+				}
+				r := resumed.ByFS(want.FSName)
+				if r.Resumed == 0 || r.DirtySample != 0 {
+					t.Fatalf("%s: resume folded %d records and re-tested %d workloads",
+						want.FSName, r.Resumed, r.DirtySample)
+				}
+				assertSameRecordDerived(t, "resume", want, r)
+				assertSameRecordDerived(t, "merge", want, merged.ByFS(want.FSName).Stats)
+			}
+		})
+	}
+
+	t.Run("partial-resume", func(t *testing.T) {
+		cfg := scenarios[0].cfg
+		cfg.Workers = 1
+		cfg.CorpusDir = t.TempDir()
+		partial := cfg
+		partial.MaxWorkloads = 400
+		if _, err := RunMatrix(partial, fss); err != nil {
+			t.Fatal(err)
+		}
+		resume := cfg
+		resume.Resume = true
+		resumed, err := RunMatrix(resume, fss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := MergeDir(cfg.CorpusDir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range resumed.PerFS {
+			if s.Resumed == 0 || s.DirtySample == 0 {
+				t.Fatalf("%s: %d resumed and %d live workloads, want both", s.FSName, s.Resumed, s.DirtySample)
+			}
+			if s.PrunedDisk+s.PrunedTree != s.StatesPruned {
+				t.Fatalf("%s: tier split %d identical-disk + %d identical-tree != %d pruned",
+					s.FSName, s.PrunedDisk, s.PrunedTree, s.StatesPruned)
+			}
+			assertSameRecordDerived(t, "merge", s, merged.ByFS(s.FSName).Stats)
+		}
+	})
 }

@@ -213,11 +213,11 @@ func TestGenerateFanOut(t *testing.T) {
 		if n := perRow(runs, got); n[0] != members || n[1] != members || n[2] != members-2 {
 			t.Fatalf("jobs per row = %v, want [%d %d %d]", n, members, members, members-2)
 		}
-		if c := &runs[2].cnt; c.resumed.Load() != 2 || c.statesTotal.Load() != 5 {
+		if s := runs[2].stats; s.Resumed != 2 || s.StatesTotal != 5 {
 			t.Fatalf("resuming row folded %d records / %d states, want 2 / 5",
-				c.resumed.Load(), c.statesTotal.Load())
+				s.Resumed, s.StatesTotal)
 		}
-		if runs[0].cnt.resumed.Load()+runs[1].cnt.resumed.Load() != 0 {
+		if runs[0].stats.Resumed+runs[1].stats.Resumed != 0 {
 			t.Fatal("another row folded the resuming row's records")
 		}
 	})

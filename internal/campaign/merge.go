@@ -251,9 +251,7 @@ func mergeGroup(shards []*corpus.LoadedShard, knownDBFor func(string) *report.Kn
 		NumShards:    numShards,
 		ShardsMerged: len(shards),
 	}
-	var cnt counters
 	var reports []*report.Report
-	emit := func(rep *report.Report) { reports = append(reports, rep) }
 	// Fold shards in residue order and verify each record sits in its
 	// shard's class — the cheap proof that the files really partition one
 	// enumeration. Deterministic fold order also makes merged report
@@ -268,34 +266,34 @@ func mergeGroup(shards []*corpus.LoadedShard, knownDBFor func(string) *report.Kn
 					"campaign: merge: %s holds workload seq %d outside its residue class %s",
 					s.Path, rec.Seq, s.Meta.ShardLabel())
 			}
-			foldRecord(rec, meta.FS, false, &cnt, emit)
+			reports = row.Stats.fold(rec, false, reports)
 		}
 		if d := time.Duration(s.Done.ElapsedNS); d > row.Stats.Elapsed {
 			row.Stats.Elapsed = d
 		}
 		row.TotalShardTime += time.Duration(s.Done.ElapsedNS)
 	}
-	cnt.into(row.Stats)
-	// The torn sector size is a config knob, not a per-record counter; it is
-	// recoverable only from the config fingerprint the shards were keyed by.
+	// The reorder bound and torn sector size are config knobs, not
+	// per-record counters; they are recoverable only from the config
+	// fingerprint the shards were keyed by.
 	for _, seg := range strings.Split(meta.Bounds, "|") {
-		if v, ok := strings.CutPrefix(seg, "sector="); ok {
-			if sec, err := strconv.Atoi(v); err == nil {
-				row.Stats.FaultSector = sec
-			}
+		knob, v, _ := strings.Cut(seg, "=")
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			continue
+		}
+		switch knob {
+		case "reorder":
+			row.Stats.ReorderBound = n
+		case "sector":
+			row.Stats.FaultSector = n
 		}
 	}
-
-	row.Stats.Groups = report.GroupReports(reports)
 	var db *report.KnownDB
 	if knownDBFor != nil {
 		db = knownDBFor(meta.FS)
 	}
-	if db != nil {
-		row.Stats.FreshGroups, row.Stats.KnownGroups = db.Split(row.Stats.Groups)
-	} else {
-		row.Stats.FreshGroups = row.Stats.Groups
-	}
+	row.Stats.group(reports, db)
 	return row, nil
 }
 

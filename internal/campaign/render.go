@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"b3/internal/blockdev"
-	"b3/internal/bugs"
 	"b3/internal/report"
 )
 
@@ -52,14 +51,8 @@ func (s *Stats) Summary() string {
 	fmt.Fprintf(&sb, "\ncrash states: %d constructed, %d checked, %d pruned",
 		s.StatesTotal, s.StatesChecked, s.StatesPruned)
 	if s.StatesPruned > 0 {
-		if s.PrunedDisk+s.PrunedTree > 0 {
-			// Tier split is only known for states pruned live this run
-			// (resumed records carry the totals, not the split).
-			fmt.Fprintf(&sb, " (%d identical-disk, %d identical-tree; %.0f%% of oracle checks skipped)",
-				s.PrunedDisk, s.PrunedTree, 100*s.PruneRate())
-		} else {
-			fmt.Fprintf(&sb, " (%.0f%% of oracle checks skipped)", 100*s.PruneRate())
-		}
+		fmt.Fprintf(&sb, " (%d identical-disk, %d identical-tree; %.0f%% of oracle checks skipped)",
+			s.PrunedDisk, s.PrunedTree, 100*s.PruneRate())
 	}
 	if s.ReplayedWrites > 0 {
 		fmt.Fprintf(&sb, "; %d writes replayed (%.1f/state)",
@@ -191,21 +184,4 @@ func (m *Matrix) Summary() string {
 		}
 	}
 	return sb.String()
-}
-
-// KnownEntry seeds one known bug for the §5.3 database.
-type KnownEntry struct {
-	Skeleton    string
-	Consequence bugs.Consequence
-	BugID       string
-}
-
-// SeedKnownDB builds the §5.3 known-bug database: each known bug is keyed
-// by the skeleton and consequence it produces.
-func SeedKnownDB(entries []KnownEntry) *report.KnownDB {
-	db := report.NewKnownDB()
-	for _, e := range entries {
-		db.Add(e.Skeleton, e.Consequence, e.BugID)
-	}
-	return db
 }

@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"b3/internal/blockdev"
@@ -27,7 +27,9 @@ type Stats struct {
 	NumShards int
 
 	// Crash-state accounting: states constructed, oracle checks actually
-	// run, and checks skipped by representative pruning (split by tier).
+	// run, and checks skipped by representative pruning (split by tier:
+	// PrunedDisk + PrunedTree == StatesPruned, resumed and merged records
+	// included).
 	StatesTotal   int64
 	StatesChecked int64
 	StatesPruned  int64
@@ -189,117 +191,21 @@ func (s *Stats) AvgDirtyBytes() int64 {
 	return s.TotalDirty / s.DirtySample
 }
 
-// counters aggregates worker-side statistics.
-type counters struct {
-	tested, failed, errs          atomic.Int64
-	resumed                       atomic.Int64
-	statesTotal, statesChecked    atomic.Int64
-	statesPruned                  atomic.Int64
-	prunedDisk, prunedTree        atomic.Int64
-	reorderStates, reorderChecked atomic.Int64
-	reorderPruned, reorderBroken  atomic.Int64
-	reorderClassSkip              atomic.Int64
-	reorderCommuteSkip            atomic.Int64
-	faultStates, faultChecked     [blockdev.NumFaultKinds]atomic.Int64
-	faultPruned, faultBroken      [blockdev.NumFaultKinds]atomic.Int64
-	faultClassSkip                [blockdev.NumFaultKinds]atomic.Int64
-	kvLegal, kvLostAck            atomic.Int64
-	kvResurrected, kvUnreplay     atomic.Int64
-	replayedWrites                atomic.Int64
-	profNS, replayNS, checkNS     atomic.Int64
-	dirtyTot, dirtyN, dirtyMax    atomic.Int64
-}
-
-// into copies the verdict and state counters into stats. Shared by the
-// live campaign path (fsRun.finish) and the corpus merge layer, so both
-// report through identical accounting.
-func (cnt *counters) into(stats *Stats) {
-	stats.Tested = cnt.tested.Load()
-	stats.Failed = cnt.failed.Load()
-	stats.Errors = cnt.errs.Load()
-	stats.Resumed = cnt.resumed.Load()
-	stats.StatesTotal = cnt.statesTotal.Load()
-	stats.StatesChecked = cnt.statesChecked.Load()
-	stats.StatesPruned = cnt.statesPruned.Load()
-	stats.PrunedDisk = cnt.prunedDisk.Load()
-	stats.PrunedTree = cnt.prunedTree.Load()
-	stats.ReorderStates = cnt.reorderStates.Load()
-	stats.ReorderChecked = cnt.reorderChecked.Load()
-	stats.ReorderPruned = cnt.reorderPruned.Load()
-	stats.ReorderClassSkipped = cnt.reorderClassSkip.Load()
-	stats.ReorderCommuteSkipped = cnt.reorderCommuteSkip.Load()
-	stats.ReorderBroken = cnt.reorderBroken.Load()
-	stats.ReplayedWrites = cnt.replayedWrites.Load()
-	stats.FaultKinds = nil
-	for k := 0; k < blockdev.NumFaultKinds; k++ {
-		fs := FaultKindStats{
-			Kind:         blockdev.FaultKind(k).String(),
-			States:       cnt.faultStates[k].Load(),
-			Checked:      cnt.faultChecked[k].Load(),
-			Pruned:       cnt.faultPruned[k].Load(),
-			ClassSkipped: cnt.faultClassSkip[k].Load(),
-			Broken:       cnt.faultBroken[k].Load(),
-		}
-		if fs.States+fs.Checked+fs.Pruned+fs.ClassSkipped+fs.Broken > 0 {
-			stats.FaultKinds = append(stats.FaultKinds, fs)
-		}
-	}
-	stats.KVClasses = kvoracle.Counts{
-		Legal:        cnt.kvLegal.Load(),
-		LostAck:      cnt.kvLostAck.Load(),
-		Resurrected:  cnt.kvResurrected.Load(),
-		Unreplayable: cnt.kvUnreplay.Load(),
-	}
-}
-
-// addKV folds one sweep's class counts into the campaign counters.
-func (cnt *counters) addKV(c kvoracle.Counts) {
-	cnt.kvLegal.Add(c.Legal)
-	cnt.kvLostAck.Add(c.LostAck)
-	cnt.kvResurrected.Add(c.Resurrected)
-	cnt.kvUnreplay.Add(c.Unreplayable)
-}
-
-// foldRecord replays one recorded workload verdict into counters and the
-// report stream: state counts and reports fold in even for workloads that
-// later errored. Timing and dirty-byte aggregates are deliberately not
-// restored — records carry verdicts, not durations — so Summary averages
-// those over live workloads only. Shared by campaign resume (fsRun) and the
-// multi-shard merge layer (MergeStats), so both fold through identical
-// accounting.
-func foldRecord(rec *corpus.WorkloadRecord, fsName string, noPrune bool,
-	cnt *counters, emit func(*report.Report)) {
-
-	cnt.statesTotal.Add(int64(rec.States))
-	cnt.reorderStates.Add(int64(rec.RStates))
-	cnt.reorderBroken.Add(int64(rec.RBroken))
-	cnt.replayedWrites.Add(rec.Replayed)
-	for _, f := range rec.Faults {
-		k, err := blockdev.ParseFaultKind(f.Kind)
-		if err != nil {
-			continue // a future kind this build does not know; leave it out
-		}
-		cnt.faultStates[k].Add(int64(f.States))
-		cnt.faultBroken[k].Add(int64(f.Broken))
-		if noPrune {
-			cnt.faultChecked[k].Add(int64(f.Checked) + int64(f.Pruned) + int64(f.ClassSkip))
-		} else {
-			cnt.faultChecked[k].Add(int64(f.Checked))
-			cnt.faultPruned[k].Add(int64(f.Pruned))
-			cnt.faultClassSkip[k].Add(int64(f.ClassSkip))
-		}
-	}
+// fold accounts one workload's corpus record into the statistics and
+// returns reports extended by the record's bug reports. It is the only way
+// a workload outcome reaches Stats — live (fsRun.record), resumed
+// (fsRun.needs) and merged (MergeStats) alike — so the three are accounted
+// by the same code. State counts and reports fold in even for workloads
+// that later errored. Timing and dirty-byte aggregates are not part of a
+// record; fsRun.record adds them for live workloads only.
+func (s *Stats) fold(rec *corpus.WorkloadRecord, noPrune bool, reports []*report.Report) []*report.Report {
+	s.StatesTotal += int64(rec.States)
+	s.ReorderStates += int64(rec.RStates)
+	s.ReorderBroken += int64(rec.RBroken)
+	s.ReplayedWrites += rec.Replayed
 	// Commute skips are cache-independent (the enumerator proves the states
 	// byte-identical), so they fold as skips even into a no-prune run.
-	cnt.reorderCommuteSkip.Add(int64(rec.RCommuteSkip))
-	if rec.KV != nil {
-		cnt.addKV(kvoracle.Counts{
-			Legal:        rec.KV.Legal,
-			LostAck:      rec.KV.LostAck,
-			Resurrected:  rec.KV.Resurrected,
-			Unreplayable: rec.KV.Unreplayable,
-		})
-	}
+	s.ReorderCommuteSkipped += int64(rec.RCommuteSkip)
 	if noPrune {
 		// The shard may have been written with pruning on (prune mode is
 		// excluded from the config fingerprint on purpose). A no-prune run
@@ -307,22 +213,46 @@ func foldRecord(rec *corpus.WorkloadRecord, fsName string, noPrune bool,
 		// prune-skips — post-construction and enumeration-time alike — count
 		// as checked here: their verdicts were established, just via the
 		// cache.
-		cnt.statesChecked.Add(int64(rec.Checked) + int64(rec.Pruned))
-		cnt.reorderChecked.Add(int64(rec.RChecked) + int64(rec.RPruned) + int64(rec.RClassSkip))
+		s.StatesChecked += int64(rec.Checked + rec.Pruned)
+		s.ReorderChecked += int64(rec.RChecked + rec.RPruned + rec.RClassSkip)
 	} else {
-		cnt.statesChecked.Add(int64(rec.Checked))
-		cnt.statesPruned.Add(int64(rec.Pruned))
-		cnt.reorderChecked.Add(int64(rec.RChecked))
-		cnt.reorderPruned.Add(int64(rec.RPruned))
-		cnt.reorderClassSkip.Add(int64(rec.RClassSkip))
+		s.StatesChecked += int64(rec.Checked)
+		s.StatesPruned += int64(rec.Pruned)
+		// Records written before the tier split carry no PrunedTree and
+		// count as disk-tier.
+		s.PrunedTree += int64(rec.PrunedTree)
+		s.PrunedDisk += int64(rec.Pruned - rec.PrunedTree)
+		s.ReorderChecked += int64(rec.RChecked)
+		s.ReorderPruned += int64(rec.RPruned)
+		s.ReorderClassSkipped += int64(rec.RClassSkip)
 	}
+	for _, f := range rec.Faults {
+		k, err := blockdev.ParseFaultKind(f.Kind)
+		if err != nil || f.States == 0 {
+			continue // a future kind this build does not know, or nothing swept
+		}
+		row := s.faultRow(k)
+		row.States += int64(f.States)
+		row.Broken += int64(f.Broken)
+		if noPrune {
+			row.Checked += int64(f.Checked + f.Pruned + f.ClassSkip)
+		} else {
+			row.Checked += int64(f.Checked)
+			row.Pruned += int64(f.Pruned)
+			row.ClassSkipped += int64(f.ClassSkip)
+		}
+	}
+	if rec.KV != nil {
+		s.KVClasses.Merge(kvoracle.Counts(*rec.KV))
+	}
+	// A workload with no persistence point is neither tested nor errored.
 	if rec.Errored || rec.Verdict == corpus.VerdictError {
-		cnt.errs.Add(1)
+		s.Errors++
 	} else if rec.States > 0 {
-		cnt.tested.Add(1)
+		s.Tested++
 	}
 	if rec.Verdict == corpus.VerdictBuggy {
-		cnt.failed.Add(1)
+		s.Failed++
 	}
 	for _, rr := range rec.Reports {
 		findings := make([]crashmonkey.Finding, 0, len(rr.Findings))
@@ -337,13 +267,40 @@ func foldRecord(rec *corpus.WorkloadRecord, fsName string, noPrune bool,
 		if skeleton == "" {
 			skeleton = rec.Skeleton
 		}
-		emit(&report.Report{
-			FSName:      fsName,
+		reports = append(reports, &report.Report{
+			FSName:      s.FSName,
 			WorkloadID:  rec.ID,
 			Skeleton:    skeleton,
 			Consequence: bugs.Consequence(rr.Primary),
 			Findings:    findings,
 			Workload:    rec.Workload,
 		})
+	}
+	return reports
+}
+
+// faultRow returns kind k's accounting row, inserting an empty one in kind
+// order when there is none yet: a live campaign starts with a row per
+// configured kind, a merge learns the kinds from the records.
+func (s *Stats) faultRow(k blockdev.FaultKind) *FaultKindStats {
+	i := 0
+	for ; i < len(s.FaultKinds); i++ {
+		if row, _ := blockdev.ParseFaultKind(s.FaultKinds[i].Kind); row == k {
+			return &s.FaultKinds[i]
+		} else if row > k {
+			break
+		}
+	}
+	s.FaultKinds = slices.Insert(s.FaultKinds, i, FaultKindStats{Kind: k.String()})
+	return &s.FaultKinds[i]
+}
+
+// group sets the bug groups of reports (§5.3) and splits them against the
+// known-bug database db; a nil db leaves every group fresh.
+func (s *Stats) group(reports []*report.Report, db *report.KnownDB) {
+	s.Groups = report.GroupReports(reports)
+	s.FreshGroups, s.KnownGroups = s.Groups, nil
+	if db != nil {
+		s.FreshGroups, s.KnownGroups = db.Split(s.Groups)
 	}
 }

@@ -1,12 +1,13 @@
 package campaign
 
 import (
+	"time"
+
 	"b3/internal/blockdev"
 	"b3/internal/corpus"
 	"b3/internal/crashmonkey"
 	"b3/internal/kvace"
 	"b3/internal/kvoracle"
-	"b3/internal/report"
 	"b3/internal/workload"
 )
 
@@ -134,19 +135,16 @@ func (k *kvWorkload) faults(mk *crashmonkey.Monkey, model blockdev.FaultModel) (
 
 // runWorkload profiles one workload, crash-tests its persistence points,
 // and (when configured) sweeps its bounded-reordering and fault-injection
-// crash states, reporting buggy states and recording the outcome to the
-// corpus.
+// crash states, building the workload's corpus record. The record is all
+// the campaign learns of the outcome: record files it and folds it into
+// the row's statistics.
 func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64) {
-	cnt, emit, record := &r.cnt, r.emit, r.appendRecord
-	finalOnly := r.cfg.FinalOnly
-
 	rec := &corpus.WorkloadRecord{Seq: seq, ID: wl.id(), Verdict: corpus.VerdictClean}
 	p, err := wl.profile(mk)
 	if err != nil {
-		cnt.errs.Add(1)
 		rec.Verdict = corpus.VerdictError
 		rec.Errored = true
-		record(rec)
+		r.record(rec, nil, 0, 0)
 		return
 	}
 	// Hand the profile's pooled device memory (base image, overlays, the
@@ -154,65 +152,41 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 	defer p.Release()
 	last := p.Checkpoints()
 	if last == 0 {
-		record(rec)
+		r.record(rec, nil, 0, 0)
 		return
-	}
-	cnt.profNS.Add(int64(p.ProfileDur))
-	cnt.dirtyTot.Add(p.DirtyBytes)
-	cnt.dirtyN.Add(1)
-	for {
-		cur := cnt.dirtyMax.Load()
-		if p.DirtyBytes <= cur || cnt.dirtyMax.CompareAndSwap(cur, p.DirtyBytes) {
-			break
-		}
 	}
 
 	first := 1
-	if finalOnly {
+	if r.cfg.FinalOnly {
 		first = last
 	}
+	var replayDur, checkDur time.Duration
 	for cp := first; cp <= last; cp++ {
 		res, err := wl.check(mk, cp)
 		if err != nil {
 			// Earlier checkpoints may already have found bugs; keep those
 			// reports and verdicts, just stop testing this workload.
-			cnt.errs.Add(1)
 			rec.Errored = true
 			break
 		}
 		rec.States++
-		cnt.statesTotal.Add(1)
 		if res.Pruned {
 			rec.Pruned++
-			cnt.statesPruned.Add(1)
-			if res.PrunedBy == "disk" {
-				cnt.prunedDisk.Add(1)
-			} else {
-				cnt.prunedTree.Add(1)
+			if res.PrunedBy != "disk" {
+				rec.PrunedTree++
 			}
 		} else {
 			rec.Checked++
-			cnt.statesChecked.Add(1)
 		}
 		rec.Replayed += res.ReplayedWrites
-		cnt.replayedWrites.Add(res.ReplayedWrites)
-		cnt.replayNS.Add(int64(res.ReplayDur))
-		cnt.checkNS.Add(int64(res.CheckDur))
+		replayDur += res.ReplayDur
+		checkDur += res.CheckDur
 		if res.Buggy() {
 			rec.Verdict = corpus.VerdictBuggy
-			rep := &report.Report{
-				FSName:      res.FSName,
-				WorkloadID:  wl.id(),
-				Skeleton:    wl.skeletonAt(cp),
-				Consequence: res.Primary().Consequence,
-				Findings:    res.Findings,
-				Workload:    wl.text(),
-			}
-			emit(rep)
 			cr := corpus.ReportRecord{
 				Checkpoint: cp,
-				Primary:    uint8(rep.Consequence),
-				Skeleton:   rep.Skeleton,
+				Primary:    uint8(res.Primary().Consequence),
+				Skeleton:   wl.skeletonAt(cp),
 			}
 			for _, f := range res.Findings {
 				cr.Findings = append(cr.Findings, corpus.Finding{
@@ -234,7 +208,6 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 	if r.cfg.Reorder > 0 && !rec.Errored {
 		rr, err := wl.reorder(mk, r.cfg.Reorder)
 		if err != nil {
-			cnt.errs.Add(1)
 			rec.Errored = true
 		} else {
 			rec.RStates = rr.States
@@ -244,13 +217,6 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 			rec.RCommuteSkip = rr.CommuteSkipped
 			rec.RBroken = len(rr.Broken)
 			rec.Replayed += rr.ReplayedWrites
-			cnt.reorderStates.Add(int64(rr.States))
-			cnt.reorderChecked.Add(int64(rr.Checked))
-			cnt.reorderPruned.Add(int64(rr.Pruned))
-			cnt.reorderClassSkip.Add(int64(rr.ClassSkipped))
-			cnt.reorderCommuteSkip.Add(int64(rr.CommuteSkipped))
-			cnt.reorderBroken.Add(int64(len(rr.Broken)))
-			cnt.replayedWrites.Add(rr.ReplayedWrites)
 		}
 	}
 	// The fault-injection sweeps ride the same profile, gated like the
@@ -260,7 +226,6 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 	if r.cfg.Faults.Enabled() && !rec.Errored {
 		kinds, err := wl.faults(mk, r.cfg.Faults)
 		if err != nil {
-			cnt.errs.Add(1)
 			rec.Errored = true
 		} else {
 			for _, kr := range kinds {
@@ -272,31 +237,19 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 					ClassSkip: kr.ClassSkipped,
 					Broken:    len(kr.Broken),
 				})
-				k := int(kr.Kind)
-				cnt.faultStates[k].Add(int64(kr.States))
-				cnt.faultChecked[k].Add(int64(kr.Checked))
-				cnt.faultPruned[k].Add(int64(kr.Pruned))
-				cnt.faultClassSkip[k].Add(int64(kr.ClassSkipped))
-				cnt.faultBroken[k].Add(int64(len(kr.Broken)))
 				rec.Replayed += kr.ReplayedWrites
-				cnt.replayedWrites.Add(kr.ReplayedWrites)
 			}
 		}
 	}
 	if classes := wl.classes(); classes.Total() > 0 {
-		cnt.addKV(classes)
 		kv := corpus.KVCounts(classes)
 		rec.KV = &kv
 	}
 	if rec.Verdict == corpus.VerdictBuggy {
-		cnt.failed.Add(1)
 		rec.Skeleton = wl.skeletonAt(0)
 		rec.Workload = wl.text()
 	} else if rec.Errored {
 		rec.Verdict = corpus.VerdictError
 	}
-	if !rec.Errored {
-		cnt.tested.Add(1)
-	}
-	record(rec)
+	r.record(rec, p, replayDur, checkDur)
 }

@@ -235,6 +235,11 @@ type WorkloadRecord struct {
 	States  int `json:"states"`
 	Checked int `json:"checked"`
 	Pruned  int `json:"pruned"`
+	// PrunedTree is the share of Pruned served by the tree tier (identical
+	// recovered tree); the rest matched the disk tier (identical device
+	// bytes). Additive field: shards written before it load with zero, so
+	// their prunes count as disk-tier.
+	PrunedTree int `json:"prunedtree,omitempty"`
 	// RStates, RChecked, RPruned, RBroken are the bounded-reordering sweep
 	// totals (zero, and omitted, when the campaign ran with Reorder off):
 	// reorder states enumerated, recoveries run, verdicts reused from the

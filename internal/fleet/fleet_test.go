@@ -294,17 +294,19 @@ func TestCoordinatorAdoptsDoneClassOnExpiry(t *testing.T) {
 
 	// The worker sweeps its class fully (every DoneRecord on disk) but
 	// dies before /v1/complete. The coordinator must consult the corpus on
-	// expiry and adopt the class as done instead of re-issuing it.
-	lease, err := c.lease("w-dead")
-	if err != nil || lease.NoWork {
-		t.Fatalf("lease: %+v %v", lease, err)
-	}
-	cfg, fss, err := lease.Spec.config(lease.Class)
+	// expiry and adopt the class as done instead of re-issuing it. The
+	// sweep is on disk before the lease is granted, so a sweep slower than
+	// the TTL (a loaded machine, -race) cannot expire the lease first.
+	cfg, fss, err := spec.config(Class{R: 0, N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := campaign.RunMatrix(cfg, fss); err != nil {
 		t.Fatal(err)
+	}
+	lease, err := c.lease("w-dead")
+	if err != nil || lease.NoWork || lease.Class != (Class{R: 0, N: 1}) {
+		t.Fatalf("lease: %+v %v", lease, err)
 	}
 
 	select {
