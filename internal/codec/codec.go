@@ -97,6 +97,10 @@ type Decoder struct {
 // NewDecoder wraps buf for decoding. The decoder does not copy buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
+// Reset makes d decode buf from its start, as NewDecoder(buf) would, with no
+// error. A copy of d taken earlier is unaffected.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
+
 // Err returns the first decoding error encountered, or nil.
 func (d *Decoder) Err() error { return d.err }
 

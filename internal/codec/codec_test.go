@@ -209,6 +209,28 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 	}
 }
 
+// TestDecoderReset: Reset clears a sticky error and rewinds onto the new
+// buffer, and a value copy taken before it keeps decoding the old one.
+func TestDecoderReset(t *testing.T) {
+	e := NewEncoder(0)
+	e.Uint64(5)
+	e.Uint64(6)
+	d := NewDecoder(e.Bytes())
+	d.Uint64()
+	saved := *d
+	d.Reset(nil)
+	if d.Uint64(); d.Err() == nil {
+		t.Fatal("decoding an empty buffer must fail")
+	}
+	d.Reset([]byte{9})
+	if d.Uint64() != 9 || d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("after Reset: err %v, remaining %d", d.Err(), d.Remaining())
+	}
+	if saved.Uint64() != 6 || saved.Err() != nil {
+		t.Fatal("a copy taken before Reset lost its position")
+	}
+}
+
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(16)
 	e.String("x")

@@ -373,11 +373,7 @@ func (f Format) WriteImage(dev blockdev.Device, gen uint64, t *fstree.Tree, trai
 // LoadImage loads the newest valid image: its generation, the tree, and the
 // decoder positioned at the backend's trailer.
 func (f Format) LoadImage(dev blockdev.Device) (uint64, *fstree.Tree, *codec.Decoder, error) {
-	sb, err := LoadSuperblock(dev, f.Super)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	payload, _, err := ReadBlob(dev, sb.ImageStart, f.Image)
+	gen, payload, err := f.loadImagePayload(dev)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -386,28 +382,106 @@ func (f Format) LoadImage(dev blockdev.Device) (uint64, *fstree.Tree, *codec.Dec
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return sb.Gen, tree, d, nil
+	return gen, tree, d, nil
+}
+
+// loadImagePayload returns the generation and the verified payload of the
+// newest valid image.
+func (f Format) loadImagePayload(dev blockdev.Device) (uint64, []byte, error) {
+	sb, err := LoadSuperblock(dev, f.Super)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, _, err := ReadBlob(dev, sb.ImageStart, f.Image)
+	if err != nil {
+		return 0, nil, err
+	}
+	return sb.Gen, payload, nil
 }
 
 // ScanLog hands apply the body of each consecutive record of generation
 // gen, in sequence order from the start of the log area, and returns how
 // many it took. Scanning stops at the first invalid, foreign or
 // out-of-sequence blob and at the first body apply rejects; apply must
-// decode a body completely before acting on it.
+// decode (or check) a body completely before acting on it. One decoder
+// serves the whole scan and is reset for every record, so apply must not
+// retain d; a value copy of *d keeps its own position.
 func (f Format) ScanLog(dev blockdev.Device, gen uint64, apply func(*codec.Decoder) error) int {
 	head := int64(logStart)
 	seq := uint64(1)
+	var d codec.Decoder
 	for head < dev.NumBlocks() {
 		payload, blocks, err := ReadBlob(dev, head, f.Record)
 		if err != nil {
 			break
 		}
-		d := codec.NewDecoder(payload)
-		if d.Uint64() != gen || d.Uint64() != seq || apply(d) != nil {
+		d.Reset(payload)
+		if d.Uint64() != gen || d.Uint64() != seq || apply(&d) != nil {
 			break
 		}
 		head += blocks
 		seq++
 	}
 	return int(seq - 1)
+}
+
+// RecFullImage is the kind byte of a full-image log record: one that holds
+// a whole tree (Tree.Encode) after the kind. Records of any other kind are
+// patches.
+const RecFullImage byte = 0
+
+// ReplayImages recovers a format whose log holds full images and patches
+// (journalfs, fscqsim): the checkpoint image and every full-image record
+// each supersede the tree before them, and every other record is a patch
+// that decodePatch reads after its kind byte and applyPatch lands, in log
+// order, on the newest image. It returns the generation, the recovered tree
+// and how many records ScanLog took.
+//
+// Only images that something lands on, or that survive, are built. A full
+// image is checked with fstree.SkipTree, which rejects exactly what
+// fstree.DecodeTree rejects, and remembered as a copy of its decoder; it is
+// decoded when the first patch after it arrives, or when the scan ends with
+// it newest. The records accepted, their count and the tree recovered are
+// therefore those of decoding every image as it is read.
+func ReplayImages[P any](f Format, dev blockdev.Device,
+	decodePatch func(kind byte, d *codec.Decoder) (P, error),
+	applyPatch func(*fstree.Tree, P)) (gen uint64, tree *fstree.Tree, replayed int, err error) {
+
+	gen, payload, err := f.loadImagePayload(dev)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	image := *codec.NewDecoder(payload) // the newest image; tree is nil until it is built
+	check := image
+	if err := fstree.SkipTree(&check); err != nil {
+		return 0, nil, 0, err
+	}
+	replayed = f.ScanLog(dev, gen, func(d *codec.Decoder) error {
+		kind := d.Byte()
+		if kind == RecFullImage {
+			start := *d
+			if err := fstree.SkipTree(d); err != nil {
+				return err
+			}
+			image, tree = start, nil
+			return nil
+		}
+		p, err := decodePatch(kind, d)
+		if err != nil {
+			return err
+		}
+		if tree == nil {
+			if tree, err = fstree.DecodeTree(&image); err != nil {
+				return err
+			}
+		}
+		applyPatch(tree, p)
+		return nil
+	})
+	if tree == nil {
+		if tree, err = fstree.DecodeTree(&image); err != nil {
+			return 0, nil, 0, err
+		}
+	}
+	return gen, tree, replayed, nil
 }

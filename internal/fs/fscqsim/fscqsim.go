@@ -26,8 +26,8 @@ var format = diskfmt.Format{
 }
 
 const (
-	recFullImage byte = iota
-	recDataPatch
+	recFullImage      = diskfmt.RecFullImage
+	recDataPatch byte = iota
 )
 
 // Options configures an fscqsim instance.
@@ -84,30 +84,22 @@ func encodeRecord(e *codec.Encoder, r logRecord) {
 	}
 }
 
-func decodeRecord(d *codec.Decoder) (r logRecord, err error) {
-	r.kind = d.Byte()
-	switch r.kind {
-	case recFullImage:
-		r.tree, err = fstree.DecodeTree(d)
-		if err != nil {
-			return
-		}
-	case recDataPatch:
-		r.ino = d.Uint64()
-		r.data = d.Bytes64View()
-		r.size = d.Int64()
-		n := d.Int()
-		if d.Err() != nil || n < 0 || n > 1<<20 {
-			return r, fmt.Errorf("fscqsim: implausible extents: %w", filesys.ErrCorrupted)
-		}
-		for i := 0; i < n; i++ {
-			r.ext = append(r.ext, filesys.Extent{Off: d.Int64(), Len: d.Int64()})
-		}
-	default:
+// decodePatch reads the body of a patch record of the given kind.
+func decodePatch(kind byte, d *codec.Decoder) (r logRecord, err error) {
+	if kind != recDataPatch {
 		return r, fmt.Errorf("fscqsim: unknown record kind: %w", filesys.ErrCorrupted)
 	}
-	err = d.Err()
-	return
+	r.ino = d.Uint64()
+	r.data = d.Bytes64View()
+	r.size = d.Int64()
+	n := d.Int()
+	if d.Err() != nil || n < 0 || n > 1<<20 {
+		return r, fmt.Errorf("fscqsim: implausible extents: %w", filesys.ErrCorrupted)
+	}
+	for i := 0; i < n; i++ {
+		r.ext = append(r.ext, filesys.Extent{Off: d.Int64(), Len: d.Int64()})
+	}
+	return r, d.Err()
 }
 
 // Mkfs implements filesys.FileSystem.
@@ -115,23 +107,10 @@ func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	gen, tree, _, err := format.LoadImage(dev)
+	gen, tree, recovered, err := diskfmt.ReplayImages(format, dev, decodePatch, applyPatch)
 	if err != nil {
 		return nil, err
 	}
-	recovered := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
-		rec, err := decodeRecord(d)
-		if err != nil {
-			return err
-		}
-		switch rec.kind {
-		case recFullImage:
-			tree = rec.tree
-		case recDataPatch:
-			applyPatch(tree, rec)
-		}
-		return nil
-	})
 
 	m := &mounted{fs: f}
 	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)

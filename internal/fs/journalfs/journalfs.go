@@ -25,8 +25,8 @@ var format = diskfmt.Format{
 }
 
 const (
-	recFullImage byte = iota // full metadata+data image (ordered commit)
-	recDirect                // direct-IO write patch
+	recFullImage      = diskfmt.RecFullImage // full metadata+data image (ordered commit)
+	recDirect    byte = iota                 // direct-IO write patch
 )
 
 // Options configures a journalfs instance.
@@ -84,45 +84,25 @@ func encodeRecord(e *codec.Encoder, r journalRecord) {
 	}
 }
 
-func decodeRecord(d *codec.Decoder) (r journalRecord, err error) {
-	r.kind = d.Byte()
-	switch r.kind {
-	case recFullImage:
-		r.tree, err = fstree.DecodeTree(d)
-		if err != nil {
-			return r, err
-		}
-	case recDirect:
-		r.ino = d.Uint64()
-		r.off = d.Int64()
-		r.data = d.Bytes64View()
-		r.size = d.Int64()
-	default:
-		return r, fmt.Errorf("journalfs: unknown record kind %d: %w", r.kind, filesys.ErrCorrupted)
+// decodeDirect reads the body of a patch record of the given kind.
+func decodeDirect(kind byte, d *codec.Decoder) (r journalRecord, err error) {
+	if kind != recDirect {
+		return r, fmt.Errorf("journalfs: unknown record kind %d: %w", kind, filesys.ErrCorrupted)
 	}
+	r.ino = d.Uint64()
+	r.off = d.Int64()
+	r.data = d.Bytes64View()
+	r.size = d.Int64()
 	return r, d.Err()
 }
 
 // Mount implements filesys.FileSystem: load the checkpoint image and replay
 // committed journal transactions.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	gen, tree, _, err := format.LoadImage(dev)
+	gen, tree, replayed, err := diskfmt.ReplayImages(format, dev, decodeDirect, applyDirect)
 	if err != nil {
 		return nil, err
 	}
-	replayed := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
-		rec, err := decodeRecord(d)
-		if err != nil {
-			return err
-		}
-		switch rec.kind {
-		case recFullImage:
-			tree = rec.tree
-		case recDirect:
-			applyDirect(tree, rec)
-		}
-		return nil
-	})
 
 	m := &mounted{fs: f, dirty: map[uint64]*dirtyState{}}
 	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)

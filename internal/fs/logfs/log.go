@@ -74,6 +74,9 @@ func decodeBatch(d *codec.Decoder) (items []logItem, err error) {
 	if n < 0 || n > 1<<20 {
 		return nil, fmt.Errorf("logfs: implausible batch size: %w", filesys.ErrCorrupted)
 	}
+	// Every item takes at least one byte, so the input left bounds the
+	// capacity even when n is corrupt.
+	items = make([]logItem, 0, min(n, d.Remaining()))
 	for i := 0; i < n; i++ {
 		var it logItem
 		it.kind = itemKind(d.Byte())

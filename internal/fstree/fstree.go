@@ -731,59 +731,92 @@ func EncodeNode(e *codec.Encoder, n *Node, withChildren bool) {
 // DecodeNode deserializes a node written by EncodeNode. Data and the xattr
 // values alias the decoder's buffer (Bytes64View), which must therefore
 // stay unmodified for as long as the node, or anything sharing its content,
-// lives.
+// lives. DecodeTree and SkipTree parse each node with the same code, so all
+// three reject the same input.
 func DecodeNode(d *codec.Decoder) (*Node, error) {
 	n := &Node{}
-	n.Ino = d.Uint64()
-	n.Kind = filesys.FileKind(d.Byte())
-	n.Nlink = d.Int()
-	n.Data = d.Bytes64View()
-	n.Target = d.String()
+	if _, _, err := decodeNode(d, n); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// decodeNode reads one node written by EncodeNode into n and returns its
+// inode number and kind. With n nil it builds nothing and allocates nothing,
+// but consumes the same bytes and fails exactly where decoding would: the
+// one parser behind both DecodeTree and SkipTree.
+func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
+	build := n != nil
+	ino := d.Uint64()
+	kind := filesys.FileKind(d.Byte())
+	nlink := d.Int()
+	data := d.Bytes64View()
+	target := decodeString(d, build)
 	ne := d.Int()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, 0, d.Err()
 	}
 	if ne < 0 || ne > 1<<20 {
-		return nil, fmt.Errorf("fstree: implausible extent count: %w", filesys.ErrCorrupted)
+		return 0, 0, fmt.Errorf("fstree: implausible extent count: %w", filesys.ErrCorrupted)
 	}
-	for j := 0; j < ne; j++ {
-		n.Extents = append(n.Extents, filesys.Extent{Off: d.Int64(), Len: d.Int64()})
+	if build {
+		*n = Node{Ino: ino, Kind: kind, Nlink: nlink, Data: data, Target: target}
+	}
+	for range ne {
+		ext := filesys.Extent{Off: d.Int64(), Len: d.Int64()}
+		if build {
+			n.Extents = append(n.Extents, ext)
+		}
 	}
 	nx := d.Int()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, 0, d.Err()
 	}
 	if nx < 0 || nx > 1<<20 {
-		return nil, fmt.Errorf("fstree: implausible xattr count: %w", filesys.ErrCorrupted)
+		return 0, 0, fmt.Errorf("fstree: implausible xattr count: %w", filesys.ErrCorrupted)
 	}
-	if nx > 0 {
-		n.Xattrs = make(map[string][]byte, nx)
-		for j := 0; j < nx; j++ {
-			k := d.String()
-			n.Xattrs[k] = d.Bytes64View()
+	if build && nx > 0 {
+		n.Xattrs = make(map[string][]byte, min(nx, d.Remaining()))
+	}
+	for range nx {
+		k := decodeString(d, build)
+		v := d.Bytes64View()
+		if build {
+			n.Xattrs[k] = v
 		}
 	}
 	nc := d.Int()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, 0, d.Err()
 	}
 	if nc < 0 || nc > 1<<24 {
-		return nil, fmt.Errorf("fstree: implausible child count: %w", filesys.ErrCorrupted)
+		return 0, 0, fmt.Errorf("fstree: implausible child count: %w", filesys.ErrCorrupted)
 	}
-	if n.Kind == filesys.KindDir {
-		n.Children = make(map[string]uint64, nc)
+	keepChildren := build && kind == filesys.KindDir
+	if keepChildren {
+		n.Children = make(map[string]uint64, min(nc, d.Remaining()))
 	}
-	for j := 0; j < nc; j++ {
-		k := d.String()
-		ino := d.Uint64()
-		if n.Children != nil {
-			n.Children[k] = ino
+	for range nc {
+		k := decodeString(d, keepChildren)
+		child := d.Uint64()
+		if keepChildren {
+			n.Children[k] = child
 		}
 	}
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, 0, d.Err()
 	}
-	return n, nil
+	return ino, kind, nil
+}
+
+// decodeString consumes a length-prefixed string, building it only when
+// keep is set; Bytes64View runs the same checks as String without copying.
+func decodeString(d *codec.Decoder, keep bool) string {
+	if keep {
+		return d.String()
+	}
+	d.Bytes64View()
+	return ""
 }
 
 // Encode serializes the tree deterministically.
@@ -796,10 +829,21 @@ func (t *Tree) Encode(e *codec.Encoder) {
 	}
 }
 
-// DecodeTree deserializes a tree.
-func DecodeTree(d *codec.Decoder) (*Tree, error) {
-	t := &Tree{nodes: make(map[uint64]*Node)}
-	t.nextIno = d.Uint64()
+// DecodeTree deserializes a tree written by Encode.
+func DecodeTree(d *codec.Decoder) (*Tree, error) { return decodeTree(d, true) }
+
+// SkipTree consumes a tree written by Encode without building it. It runs
+// every check DecodeTree runs, fails exactly where DecodeTree would, leaves
+// d at the same offset, and allocates nothing on success, so a caller can
+// validate an image it may never need and decode it later from a copy of d.
+func SkipTree(d *codec.Decoder) error {
+	_, err := decodeTree(d, false)
+	return err
+}
+
+// decodeTree decodes a tree, or with build false only checks it.
+func decodeTree(d *codec.Decoder, build bool) (*Tree, error) {
+	nextIno := d.Uint64()
 	count := d.Int()
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -807,14 +851,32 @@ func DecodeTree(d *codec.Decoder) (*Tree, error) {
 	if count < 0 || count > 1<<24 {
 		return nil, fmt.Errorf("fstree: implausible node count %d: %w", count, filesys.ErrCorrupted)
 	}
-	for i := 0; i < count; i++ {
-		n, err := DecodeNode(d)
+	var t *Tree
+	if build {
+		// Every node takes several bytes, so the input left bounds the
+		// hint even when count is corrupt.
+		t = &Tree{nodes: make(map[uint64]*Node, min(count, d.Remaining())), nextIno: nextIno}
+	}
+	// A later node with the root's number replaces an earlier one, so the
+	// last occurrence decides whether the root is a directory.
+	rootIsDir := false
+	for range count {
+		var n *Node
+		if build {
+			n = new(Node)
+		}
+		ino, kind, err := decodeNode(d, n)
 		if err != nil {
 			return nil, err
 		}
-		t.nodes[n.Ino] = n
+		if build {
+			t.nodes[ino] = n
+		}
+		if ino == RootIno {
+			rootIsDir = kind == filesys.KindDir
+		}
 	}
-	if t.nodes[RootIno] == nil || t.nodes[RootIno].Kind != filesys.KindDir {
+	if !rootIsDir {
 		return nil, fmt.Errorf("fstree: missing root: %w", filesys.ErrCorrupted)
 	}
 	return t, nil
