@@ -12,28 +12,26 @@
 // campaign replays generation, skips sequence numbers already recorded, and
 // folds the recorded outcomes back into its statistics.
 //
-// Crash robustness: records are buffered and fsynced every FlushEvery
-// appends (a checkpoint). A kill can lose at most the unflushed tail and
-// can tear at most the final line; Load tolerates a torn last line, and
-// lost records are simply re-tested on resume.
+// Crash robustness: a shard is a Journal, the append-only JSONL core this
+// package shares with the fleet ledger. Records are buffered and fsynced
+// every FlushEvery appends (a checkpoint). A kill can lose at most the
+// unflushed tail and can tear at most the final line; loading drops a torn
+// last line and refuses corruption before it, and lost records are simply
+// re-tested on resume.
 package corpus
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
-// ErrNoMeta marks a shard with no complete meta record — a writer killed
-// before its very first fsync. The writer fsyncs the meta line before any
-// workload record, so such a shard can hold no usable records and is safe
-// to recreate.
+// ErrNoMeta marks a shard whose first record is not a meta record, or that
+// has no complete record at all — a writer killed before its very first
+// fsync. The writer fsyncs the meta line before any workload record, so
+// Resume recreates a shard with no complete record.
 var ErrNoMeta = errors.New("corpus: missing meta record")
 
 // ErrRecordsAfterDone marks a shard holding workload records directly after
@@ -356,115 +354,54 @@ func sanitizeKey(key string) string {
 	}, key)
 }
 
-// Shard is an open, append-only corpus shard.
-type Shard struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	path    string
-	pending int
-	closed  bool
-	// FlushEvery is the checkpoint interval in records (default
-	// DefaultFlushEvery). Set before the first Append.
-	FlushEvery int
-}
+// Shard is an open, append-only corpus shard: a Journal bound by its Meta
+// record, holding workload records and completion markers. FlushEvery,
+// Checkpoint, Close and Path are the Journal's.
+type Shard struct{ *Journal }
 
-// openLocked opens (creating if needed) and flock-guards the shard file.
-// Locking happens before any read or truncation, so a concurrent writer's
-// shard is never inspected mid-write or destroyed by a campaign that then
-// fails the lock.
-func openLocked(dir, key string) (*os.File, string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, "", fmt.Errorf("corpus: %w", err)
-	}
-	path := ShardPath(dir, key)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, "", fmt.Errorf("corpus: %w", err)
-	}
-	if err := lockFile(f); err != nil {
-		f.Close()
-		return nil, "", err
-	}
-	return f, path, nil
-}
-
-// initShard truncates the locked file and writes the durable meta record.
-func initShard(f *os.File, path string, meta Meta) (*Shard, error) {
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	s := &Shard{f: f, bw: bufio.NewWriter(f), path: path, FlushEvery: DefaultFlushEvery}
+// openShard opens the shard journal for key, binding a fresh one to meta.
+func openShard(dir, key string, meta Meta, apply func(*line) error) (*Shard, error) {
 	meta.Format = FormatVersion
-	if err := s.appendLine(line{Meta: &meta}); err != nil {
-		f.Close()
+	j, err := OpenJournal(ShardPath(dir, key), line{Meta: &meta}, apply)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.Checkpoint(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
+	return &Shard{j}, nil
 }
 
 // Create starts a fresh shard for the key, truncating any previous run.
 // The shard is flock-guarded: a second campaign on the same key fails fast
 // instead of clobbering a live writer.
 func Create(dir, key string, meta Meta) (*Shard, error) {
-	f, path, err := openLocked(dir, key)
-	if err != nil {
-		return nil, err
-	}
-	return initShard(f, path, meta)
+	return openShard(dir, key, meta, nil)
 }
 
 // Resume reopens an existing shard for appending and returns its recorded
-// workloads keyed by sequence number. The shard's Meta must match meta; a
-// missing shard is created fresh (resuming a never-started campaign is a
-// plain start). A torn trailing line from a kill is dropped — and truncated
-// away before appending, so new records never land on partial bytes.
+// workloads keyed by sequence number; a later duplicate of a sequence
+// number supersedes the original. The shard's Meta must match meta. A
+// missing shard — or one killed before its meta record reached disk — is
+// created fresh (resuming a never-started campaign is a plain start). A
+// torn trailing line from a kill is dropped, and truncated away before
+// appending, so new records never land on partial bytes.
 func Resume(dir, key string, meta Meta) (*Shard, map[int64]*WorkloadRecord, error) {
-	f, path, err := openLocked(dir, key)
+	loaded := &LoadedShard{Path: ShardPath(dir, key)}
+	s, err := openShard(dir, key, meta, func(l *line) error {
+		if err := loaded.apply(l); err != nil {
+			return err
+		}
+		if got := l.Meta; got != nil && (got.FS != meta.FS || got.Bounds != meta.Bounds ||
+			got.Format != FormatVersion || got.Shard != meta.Shard || got.NumShards != meta.NumShards) {
+			return &MetaMismatchError{Path: loaded.Path, Got: *got, Want: meta}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	// The lock is held, so the contents are stable from here on.
-	loaded, err := loadShard(path)
-	if errors.Is(err, ErrNoMeta) {
-		// Never started, or killed before the meta record reached disk
-		// (in which case no workload record can exist either): start fresh.
-		s, ierr := initShard(f, path, meta)
-		return s, map[int64]*WorkloadRecord{}, ierr
-	}
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	got, records, validLen := loaded.Meta, loaded.Records, loaded.validLen
-	if got.FS != meta.FS || got.Bounds != meta.Bounds || got.Format != FormatVersion ||
-		got.Shard != meta.Shard || got.NumShards != meta.NumShards {
-		f.Close()
-		return nil, nil, &MetaMismatchError{Path: path, Got: *got, Want: meta}
-	}
-	// Drop the torn tail (if any) so appends start on a line boundary.
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("corpus: %w", err)
-	}
-	if _, err := f.Seek(validLen, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("corpus: %w", err)
-	}
-	done := make(map[int64]*WorkloadRecord, len(records))
-	for _, r := range records {
+	done := make(map[int64]*WorkloadRecord, len(loaded.Records))
+	for _, r := range loaded.Records {
 		done[r.Seq] = r
 	}
-	s := &Shard{f: f, bw: bufio.NewWriter(f), path: path, FlushEvery: DefaultFlushEvery}
 	if loaded.Done != nil {
 		// The campaign had finished; resuming may append past its recorded
 		// end. Announce that durably before any new record so the marker is
@@ -472,12 +409,12 @@ func Resume(dir, key string, meta Meta) (*Shard, map[int64]*WorkloadRecord, erro
 		// case). A clean re-finish appends a fresh marker, and a torn Reopen
 		// line simply leaves the shard complete (nothing after it can have
 		// reached disk either).
-		if err := s.appendLine(line{Reopen: &ReopenRecord{}}); err != nil {
-			f.Close()
-			return nil, nil, err
+		err := s.Journal.Append(line{Reopen: &ReopenRecord{}})
+		if err == nil {
+			err = s.Checkpoint()
 		}
-		if err := s.Checkpoint(); err != nil {
-			f.Close()
+		if err != nil {
+			s.Close()
 			return nil, nil, err
 		}
 	}
@@ -494,25 +431,24 @@ type LoadedShard struct {
 	// Done is the last completion marker, nil if the campaign was killed
 	// (or is still running) — such a shard is resumable but not mergeable.
 	Done *DoneRecord
-	// validLen is the byte length of the complete-line prefix, which
-	// Resume uses to truncate a torn tail before appending.
-	validLen int64
 }
 
-// Load reads a shard from disk. The final line may be torn (a crashed
-// writer); it is ignored. Later duplicates of a sequence number win, so a
-// record re-tested after a partially flushed run supersedes the original.
-func Load(path string) (*Meta, []*WorkloadRecord, error) {
-	s, err := loadShard(path)
+// LoadShard reads a shard from disk without locking it. A torn final line
+// (a crashed writer) is ignored; corruption before it is an error.
+func LoadShard(path string) (*LoadedShard, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.Meta, s.Records, nil
+	s := &LoadedShard{Path: path}
+	if _, err := replay(path, data, s.apply); err != nil {
+		return nil, err
+	}
+	if s.Meta == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNoMeta, path)
+	}
+	return s, nil
 }
-
-// LoadShard is Load returning the full shard view, completion marker
-// included.
-func LoadShard(path string) (*LoadedShard, error) { return loadShard(path) }
 
 // LoadDir loads every ".jsonl" shard directly under dir, sorted by file
 // name. It is the read side of a sharded (or multi-FS) campaign directory;
@@ -527,7 +463,7 @@ func LoadDir(dir string) ([]*LoadedShard, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
 			continue
 		}
-		s, err := loadShard(filepath.Join(dir, e.Name()))
+		s, err := LoadShard(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
@@ -539,119 +475,47 @@ func LoadDir(dir string) ([]*LoadedShard, error) {
 	return shards, nil
 }
 
-func loadShard(path string) (*LoadedShard, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// apply folds one replayed record into the shard view.
+func (s *LoadedShard) apply(l *line) error {
+	switch {
+	case l.Meta != nil:
+		if s.Meta != nil {
+			return fmt.Errorf("corpus: %s: duplicate meta record", s.Path)
+		}
+		s.Meta = l.Meta
+	case s.Meta == nil:
+		return fmt.Errorf("%w: %s", ErrNoMeta, s.Path)
+	case l.Workload != nil:
+		// A workload record directly after a completion marker would make
+		// the marker silently stale: our own writers always announce the
+		// reopening (Resume appends a Reopen line first), so fail loudly
+		// instead of guessing at the shard's completion status.
+		if s.Done != nil {
+			return fmt.Errorf("%w: %s holds workload seq %d after its completion marker",
+				ErrRecordsAfterDone, s.Path, l.Workload.Seq)
+		}
+		s.Records = append(s.Records, l.Workload)
+	case l.Reopen != nil:
+		// The shard was deliberately resumed past its recorded end (e.g.
+		// with a higher workload cap): the completion marker no longer
+		// covers what follows.
+		s.Done = nil
+	case l.Done != nil:
+		s.Done = l.Done
 	}
-	s := &LoadedShard{Path: path}
-	rest := data
-	for len(rest) > 0 {
-		var raw []byte
-		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-			raw, rest = rest[:i], rest[i+1:]
-		} else {
-			// No terminating newline: a torn final line. Drop it.
-			break
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			s.validLen += int64(len(raw)) + 1
-			continue
-		}
-		var l line
-		if err := json.Unmarshal(raw, &l); err != nil {
-			// A torn line can only be the last complete-looking one if the
-			// tear happened exactly at a newline boundary; anything earlier
-			// is real corruption.
-			if len(bytes.TrimSpace(rest)) == 0 {
-				break
-			}
-			return nil, fmt.Errorf("corpus: %s: corrupt record: %w", path, err)
-		}
-		s.validLen += int64(len(raw)) + 1
-		switch {
-		case l.Meta != nil:
-			if s.Meta != nil {
-				return nil, fmt.Errorf("corpus: %s: duplicate meta record", path)
-			}
-			s.Meta = l.Meta
-		case l.Workload != nil:
-			// A workload record directly after a completion marker would make
-			// the marker silently stale: our own writers always announce the
-			// reopening (Resume appends a Reopen line first), so fail loudly
-			// instead of guessing at the shard's completion status.
-			if s.Done != nil {
-				return nil, fmt.Errorf("%w: %s holds workload seq %d after its completion marker",
-					ErrRecordsAfterDone, path, l.Workload.Seq)
-			}
-			s.Records = append(s.Records, l.Workload)
-		case l.Reopen != nil:
-			// The shard was deliberately resumed past its recorded end (e.g.
-			// with a higher workload cap): the completion marker no longer
-			// covers what follows.
-			s.Done = nil
-		case l.Done != nil:
-			s.Done = l.Done
-		}
-	}
-	if s.Meta == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoMeta, path)
-	}
-	return s, nil
+	return nil
 }
-
-// Path returns the shard's file path.
-func (s *Shard) Path() string { return s.path }
 
 // Append records one workload outcome. Safe for concurrent use.
 func (s *Shard) Append(rec *WorkloadRecord) error {
-	return s.appendLine(line{Workload: rec})
+	return s.Journal.Append(line{Workload: rec})
 }
 
 // AppendDone records the campaign's completion marker. Call once after the
 // last workload record; the merge layer treats shards without one as
 // incomplete and refuses to fold them.
 func (s *Shard) AppendDone(d DoneRecord) error {
-	return s.appendLine(line{Done: &d})
-}
-
-func (s *Shard) appendLine(l line) error {
-	buf, err := json.Marshal(l)
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.bw.Write(buf); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err := s.bw.WriteByte('\n'); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	s.pending++
-	if s.FlushEvery > 0 && s.pending >= s.FlushEvery {
-		return s.checkpointLocked()
-	}
-	return nil
-}
-
-// Checkpoint flushes buffered records and fsyncs the shard, bounding what a
-// kill can lose.
-func (s *Shard) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Shard) checkpointLocked() error {
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	s.pending = 0
-	return nil
+	return s.Journal.Append(line{Done: &d})
 }
 
 // Kill closes the shard's underlying file without flushing buffered
@@ -665,21 +529,4 @@ func (s *Shard) Kill() {
 	// closed file instead of buffering silently until the next checkpoint.
 	s.FlushEvery = 1
 	s.pending = 1
-}
-
-// Close checkpoints and closes the shard (releasing its lock). Idempotent:
-// a second Close is a no-op, so callers can both defer it for early-return
-// safety and call it explicitly to observe the final checkpoint error.
-func (s *Shard) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.checkpointLocked(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
 }

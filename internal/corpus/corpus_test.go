@@ -49,10 +49,11 @@ func TestShardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, records, err := Load(s.Path())
+	loaded, err := LoadShard(s.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta, records := loaded.Meta, loaded.Records
 	if meta.FS != "logfs" || meta.Format != FormatVersion {
 		t.Fatalf("meta mangled: %+v", meta)
 	}
@@ -91,12 +92,12 @@ func TestLoadToleratesTornTail(t *testing.T) {
 	f.WriteString(`{"workload":{"seq":3,"verdi`)
 	f.Close()
 
-	_, records, err := Load(s.Path())
+	loaded, err := LoadShard(s.Path())
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
-	if len(records) != 2 {
-		t.Fatalf("want the 2 intact records, got %d", len(records))
+	if len(loaded.Records) != 2 {
+		t.Fatalf("want the 2 intact records, got %d", len(loaded.Records))
 	}
 }
 
@@ -132,11 +133,11 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, records, err := Load(s.Path())
+	loaded, err := LoadShard(s.Path())
 	if err != nil {
 		t.Fatalf("shard corrupted by post-kill append: %v", err)
 	}
-	if len(records) != 2 || records[1].Seq != 2 || records[1].Verdict != VerdictBuggy {
+	if records := loaded.Records; len(records) != 2 || records[1].Seq != 2 || records[1].Verdict != VerdictBuggy {
 		t.Fatalf("re-tested record mangled: %+v", records)
 	}
 }
@@ -156,7 +157,7 @@ func TestLoadRejectsMidFileCorruption(t *testing.T) {
 	mangled += `{"workload":{"seq":2,"id":"ace-2","verdict":"clean"}}` + "\n"
 	os.WriteFile(s.Path(), []byte(mangled), 0o644)
 
-	if _, _, err := Load(s.Path()); err == nil {
+	if _, err := LoadShard(s.Path()); err == nil {
 		t.Fatal("corruption before the final line must be an error, not a torn tail")
 	}
 }
@@ -211,12 +212,12 @@ func TestResumeReturnsRecordedWork(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, records, err := Load(ShardPath(dir, "shard"))
+	loaded, err := LoadShard(ShardPath(dir, "shard"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 4 {
-		t.Fatalf("want 4 records after resumed append, got %d", len(records))
+	if len(loaded.Records) != 4 {
+		t.Fatalf("want 4 records after resumed append, got %d", len(loaded.Records))
 	}
 }
 
@@ -241,7 +242,7 @@ func TestResumeRecreatesMetaTornShard(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(path); err != nil {
+	if _, err := LoadShard(path); err != nil {
 		t.Fatalf("recreated shard unreadable: %v", err)
 	}
 }
@@ -267,12 +268,12 @@ func TestConcurrentWritersExcluded(t *testing.T) {
 		t.Fatal("Resume of a live shard must fail")
 	}
 	// The loser must not have truncated the live writer's data.
-	_, records, err := Load(s.Path())
+	loaded, err := LoadShard(s.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 1 {
-		t.Fatalf("live shard damaged by excluded writer: %d records", len(records))
+	if len(loaded.Records) != 1 {
+		t.Fatalf("live shard damaged by excluded writer: %d records", len(loaded.Records))
 	}
 }
 
@@ -294,6 +295,13 @@ func TestKilledShardFailsLoudly(t *testing.T) {
 	}
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a killed shard must fail")
+	}
+	// The failure is sticky: with auto-checkpointing off, an Append that
+	// would only buffer must still fail rather than queue a record behind
+	// the lost one.
+	s.FlushEvery = 0
+	if err := s.Append(rec(3, VerdictClean)); err == nil {
+		t.Fatal("Append after a failed Append must fail")
 	}
 }
 
@@ -506,11 +514,8 @@ func TestRecordsAfterDoneFailLoudly(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(s.Path()); !errors.Is(err, ErrRecordsAfterDone) {
-		t.Fatalf("unannounced record after done marker loaded with err=%v, want ErrRecordsAfterDone", err)
-	}
 	if _, err := LoadShard(s.Path()); !errors.Is(err, ErrRecordsAfterDone) {
-		t.Fatalf("LoadShard: got %v, want ErrRecordsAfterDone", err)
+		t.Fatalf("unannounced record after done marker loaded with err=%v, want ErrRecordsAfterDone", err)
 	}
 	// Resume goes through the same loader, so the poisoned shard cannot be
 	// silently extended either.

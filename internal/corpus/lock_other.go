@@ -8,17 +8,11 @@ import (
 	"os"
 )
 
-// lockFile refuses to open shards where flock is unavailable. Pretending to
-// lock would let two concurrent campaigns silently interleave JSONL writes
-// into one shard; an explicit error is the honest failure mode until a
-// portable lockfile protocol is implemented.
+// lockFile refuses to open journals where flock is unavailable. Pretending
+// to lock would let two concurrent writers silently interleave JSONL
+// records into one file; an explicit error is the honest failure mode until
+// a portable lockfile protocol is implemented.
 func lockFile(f *os.File) error {
-	return fmt.Errorf("corpus: shard %s: single-writer locking is unsupported on this platform: %w",
-		f.Name(), errors.ErrUnsupported)
-}
-
-// LockFile matches the unix build's exported signature; see lock_unix.go.
-func LockFile(f *os.File) error {
 	return fmt.Errorf("corpus: %s: single-writer locking is unsupported on this platform: %w",
 		f.Name(), errors.ErrUnsupported)
 }

@@ -8,25 +8,13 @@ import (
 	"syscall"
 )
 
-// lockFile takes a non-blocking exclusive advisory lock on the shard,
-// failing fast if another campaign holds it. The kernel releases the lock
-// when the process exits — including SIGKILL — so a killed campaign never
-// blocks its own resume.
+// lockFile takes a non-blocking exclusive advisory lock on a journal,
+// failing fast with ErrLocked if another process holds it. The kernel
+// releases the lock when the process exits — including SIGKILL — so a
+// killed writer never blocks its own successor.
 func lockFile(f *os.File) error {
-	if err := LockFile(f); err != nil {
-		return fmt.Errorf("corpus: shard %s is in use by another campaign: %w", f.Name(), err)
-	}
-	return nil
-}
-
-// LockFile takes a non-blocking exclusive advisory lock on f, failing fast
-// with ErrLocked if another process holds it. Exported so sibling
-// append-only journals (the fleet ledger) share the corpus single-writer
-// discipline. The kernel releases the lock when the process exits —
-// including SIGKILL — so a dead holder never blocks a successor.
-func LockFile(f *os.File) error {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		return fmt.Errorf("%w: %v", ErrLocked, err)
+		return fmt.Errorf("%w: %s: %v", ErrLocked, f.Name(), err)
 	}
 	return nil
 }

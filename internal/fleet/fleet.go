@@ -13,9 +13,9 @@
 //     control plane but never the data plane (campaigns keep running and
 //     checkpointing locally).
 //   - The coordinator journals every grant/complete/expire/release/split
-//     transition to an append-only crash-safe ledger with the same
-//     torn-tail discipline as internal/corpus, so a coordinator
-//     crash+restart replays to the identical lease table.
+//     transition to an append-only crash-safe ledger, a corpus.Journal
+//     like every corpus shard, so a coordinator crash+restart replays to
+//     the identical lease table.
 //   - On fleet completion the coordinator folds the shard corpora through
 //     campaign.MergeDir, whose residue-system exact-cover check is the
 //     end-to-end soundness gate: a merged fleet report is provably the

@@ -7,6 +7,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -118,6 +119,47 @@ func TestLedgerCrashSafetyAndSpecBinding(t *testing.T) {
 	other.NumShards = 5
 	if _, _, err := OpenLedger(dir, other); !errors.Is(err, ErrSpecMismatch) {
 		t.Fatalf("spec mismatch not refused: %v", err)
+	}
+
+	// A non-final line damaged in place is corruption, not a torn tail: the
+	// open must fail naming the file and leave every byte where it was.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := []byte(strings.Replace(string(data), `"kind":"expire"`, `"kind":??`, 1))
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenLedger(dir, spec); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("mid-file corruption not refused by name: %v", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(damaged) {
+		t.Fatalf("refused ledger was rewritten:\n%s", after)
+	}
+
+	// A coordinator killed before its spec line reached disk leaves a torn
+	// binding record: the ledger starts afresh, and what is appended after
+	// it replays.
+	tornDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(tornDir, LedgerName), []byte(`{"spec":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err = OpenLedger(tornDir, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(grant); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l, events, err = OpenLedger(tornDir, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(events) != 1 {
+		t.Fatalf("ledger with a torn spec line replayed %d events, want 1", len(events))
 	}
 }
 
@@ -346,11 +388,8 @@ func TestWorkerReleasesZombieLockedClass(t *testing.T) {
 	if err != nil || len(shards) != 1 {
 		t.Fatalf("corpus shards: %v, %v", shards, err)
 	}
-	zombie, err := os.OpenFile(shards[0], os.O_RDWR, 0o644)
+	zombie, err := corpus.OpenJournal(shards[0], nil, func(*json.RawMessage) error { return nil })
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := corpus.LockFile(zombie); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,11 +1,9 @@
 // The fleet ledger: an append-only, crash-safe journal of lease-table
-// transitions, following the internal/corpus shard discipline — one JSON
-// record per line, a binding first record (the Spec, where corpus shards
-// carry a Meta), a flock single-writer guard, fsync at every append (lease
-// transitions are rare, so unlike corpus records each one is durable
-// before it takes effect), and torn-tail tolerance on load: a line half
-// written when the coordinator died is dropped and truncated away before
-// new appends.
+// transitions. It is a corpus journal — one JSON record per line, a flock
+// single-writer guard, torn-tail truncation and mid-file corruption refusal
+// on open — whose binding first record is the Spec (where corpus shards
+// carry a Meta), checkpointed at every append: lease transitions are rare,
+// so unlike corpus records each one is durable before it takes effect.
 //
 // The ledger file lives in the corpus directory as "fleet.ledger" — NOT a
 // .jsonl file, so corpus.LoadDir (and therefore the merge gate) never
@@ -13,12 +11,10 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"b3/internal/corpus"
@@ -50,115 +46,47 @@ type ledgerLine struct {
 	Event *Event `json:"event,omitempty"`
 }
 
-// Ledger is the open, flock-guarded journal.
-type Ledger struct {
-	f    *os.File
-	path string
-}
+// Ledger is the open journal: a corpus.Journal bound by its Spec record,
+// checkpointing every event. Path and Close are the Journal's.
+type Ledger struct{ *corpus.Journal }
 
 // OpenLedger opens (creating if needed) the journal under dir and returns
-// the replayable event history. A fresh ledger journals spec as its first
-// record; an existing one must carry the identical spec. The returned
-// events are exactly the complete, well-formed lines on disk — a torn
-// tail is dropped and truncated so appends start on a line boundary.
+// the replayable event history. A fresh ledger — or one whose spec line was
+// torn by a kill — journals spec as its first record; an existing one must
+// carry the identical spec. The returned events are exactly the complete,
+// well-formed lines on disk: a torn tail is dropped and truncated so
+// appends start on a line boundary, and a corrupt earlier line fails the
+// open, leaving the file untouched.
 func OpenLedger(dir string, spec Spec) (*Ledger, []Event, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
 	path := filepath.Join(dir, LedgerName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	if err := corpus.LockFile(f); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fleet: ledger %s is held by another coordinator: %w", path, err)
-	}
-	// The lock is held, so the contents are stable from here on.
-	onDisk, events, validLen, err := loadLedger(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fleet: ledger %s: %w", path, err)
-	}
-	l := &Ledger{f: f, path: path}
-	if onDisk == nil {
-		// Fresh (or killed before the spec line reached disk, in which
-		// case no event can have either): journal the binding spec.
-		if err := l.appendLine(ledgerLine{Spec: &spec}); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return l, nil, nil
-	}
-	if diff := diffSpec(*onDisk, spec); diff != "" {
-		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s: %s", ErrSpecMismatch, path, diff)
-	}
-	// Drop the torn tail (if any) so appends start on a line boundary.
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	if _, err := f.Seek(validLen, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return l, events, nil
-}
-
-// loadLedger reads the journal: the spec line (nil if absent/torn), the
-// complete events after it, and the byte length of the well-formed prefix.
-func loadLedger(f *os.File) (*Spec, []Event, int64, error) {
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, nil, 0, err
-	}
 	var (
-		spec     *Spec
-		events   []Event
-		validLen int64
+		bound  bool
+		events []Event
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		// A torn final line has no trailing newline; only lines followed
-		// by more bytes (or ending in \n) are trusted. Re-checking via
-		// the running offset against the file size handles the last line.
-		var l ledgerLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			break // torn or garbage tail: ignore the rest
-		}
-		lineLen := int64(len(raw)) + 1
-		if !endsWithNewline(f, validLen+lineLen) {
-			break
-		}
+	j, err := corpus.OpenJournal(path, ledgerLine{Spec: &spec}, func(l *ledgerLine) error {
 		switch {
 		case l.Spec != nil:
-			if spec != nil {
-				return nil, nil, 0, fmt.Errorf("duplicate spec record")
+			if bound {
+				return fmt.Errorf("fleet: ledger %s: duplicate spec record", path)
 			}
-			spec = l.Spec
+			bound = true
+			if diff := diffSpec(*l.Spec, spec); diff != "" {
+				return fmt.Errorf("%w: %s: %s", ErrSpecMismatch, path, diff)
+			}
+		case !bound:
+			return fmt.Errorf("fleet: ledger %s: record before the spec record", path)
 		case l.Event != nil:
-			if spec == nil {
-				return nil, nil, 0, fmt.Errorf("event before the spec record")
-			}
 			events = append(events, *l.Event)
 		default:
-			return nil, nil, 0, fmt.Errorf("empty ledger record")
+			return fmt.Errorf("fleet: ledger %s: empty ledger record", path)
 		}
-		validLen += lineLen
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return spec, events, validLen, nil
-}
-
-// endsWithNewline reports whether the byte before offset end is '\n' —
-// i.e. the scanned line was newline-terminated rather than a torn tail.
-func endsWithNewline(f *os.File, end int64) bool {
-	buf := make([]byte, 1)
-	if _, err := f.ReadAt(buf, end-1); err != nil {
-		return false
-	}
-	return buf[0] == '\n'
+	j.FlushEvery = 1
+	return &Ledger{j}, events, nil
 }
 
 // diffSpec names the fields where two specs differ ("" if identical).
@@ -175,26 +103,5 @@ func diffSpec(got, want Spec) string {
 // returns, so a transition is never acted on before it would survive a
 // coordinator crash.
 func (l *Ledger) Append(e Event) error {
-	return l.appendLine(ledgerLine{Event: &e})
+	return l.Journal.Append(ledgerLine{Event: &e})
 }
-
-func (l *Ledger) appendLine(line ledgerLine) error {
-	b, err := json.Marshal(line)
-	if err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := l.f.Write(b); err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return nil
-}
-
-// Path returns the journal's location.
-func (l *Ledger) Path() string { return l.path }
-
-// Close releases the flock and closes the file.
-func (l *Ledger) Close() error { return l.f.Close() }
