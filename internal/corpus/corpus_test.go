@@ -303,6 +303,32 @@ func TestKilledShardFailsLoudly(t *testing.T) {
 	if err := s.Append(rec(3, VerdictClean)); err == nil {
 		t.Fatal("Append after a failed Append must fail")
 	}
+
+	// A failed fsync is sticky as well, although the flush before it
+	// succeeded and leaves nothing buffered to fail again. Only Sync sees the
+	// swapped-in closed handle; the buffered writer keeps the live one.
+	s2, err := Create(dir, "sync", testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := s2.f
+	defer live.Close()
+	dead, err := os.Open(s2.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	s2.f = dead
+	s2.FlushEvery = 0
+	if err := s2.Append(rec(1, VerdictClean)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint whose fsync fails must fail")
+	}
+	if err := s2.Append(rec(2, VerdictClean)); err == nil {
+		t.Fatal("Append after a failed fsync must fail")
+	}
 }
 
 func TestResumeRefusesMismatchedMeta(t *testing.T) {

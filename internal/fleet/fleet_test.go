@@ -388,9 +388,18 @@ func TestWorkerReleasesZombieLockedClass(t *testing.T) {
 	if err != nil || len(shards) != 1 {
 		t.Fatalf("corpus shards: %v, %v", shards, err)
 	}
+	// The zombie takes a full writer open — replay, then truncate to the
+	// valid prefix — which must leave this complete shard byte-identical.
+	before, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	zombie, err := corpus.OpenJournal(shards[0], nil, func(*json.RawMessage) error { return nil })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(shards[0]); err != nil || string(after) != string(before) {
+		t.Fatalf("zombie open rewrote the shard (%v)", err)
 	}
 
 	// The worker must lease the class, hit the lock, release the lease,

@@ -47,8 +47,9 @@ type ledgerLine struct {
 }
 
 // Ledger is the open journal: a corpus.Journal bound by its Spec record,
-// checkpointing every event. Path and Close are the Journal's.
-type Ledger struct{ *corpus.Journal }
+// checkpointing every event. The journal is unexported so nothing outside
+// OpenLedger can change that interval.
+type Ledger struct{ j *corpus.Journal }
 
 // OpenLedger opens (creating if needed) the journal under dir and returns
 // the replayable event history. A fresh ledger — or one whose spec line was
@@ -99,9 +100,15 @@ func diffSpec(got, want Spec) string {
 	return fmt.Sprintf("ledger has %s, coordinator configured %s", g, w)
 }
 
+// Path returns the ledger's file path.
+func (l *Ledger) Path() string { return l.j.Path() }
+
 // Append journals one event, durably: the write is fsynced before Append
 // returns, so a transition is never acted on before it would survive a
 // coordinator crash.
 func (l *Ledger) Append(e Event) error {
-	return l.Journal.Append(ledgerLine{Event: &e})
+	return l.j.Append(ledgerLine{Event: &e})
 }
+
+// Close closes the ledger, releasing its lock. Idempotent.
+func (l *Ledger) Close() error { return l.j.Close() }
