@@ -15,7 +15,7 @@ import (
 // state — the same silent-aliasing class borrowview guards against, one
 // level up. The check is ownership-based and per function body:
 //
-//   - the result of a constructor (New*, Fork, ProfileWorkload) whose type
+//   - the result of a constructor (New*, Fork, Profile*) whose type
 //     has a Release/Recycle method must be released on some path, escape to
 //     a new owner (returned, stored, passed to a callee), or be captured by
 //     a closure that does either;
@@ -33,8 +33,9 @@ var ReleaseCheck = &Analyzer{
 // releaseCtorRE names the ownership-conferring constructors. The convention
 // is name-based so fixtures and future pools are covered without an
 // annotation system: constructors start with New (NewTrackedSnapshot,
-// NewPooledMemDisk), or are the fork/profile entry points.
-var releaseCtorRE = regexp.MustCompile(`^(New\w*|Fork|ProfileWorkload)$`)
+// NewPooledMemDisk), or are the fork/profile entry points (Fork,
+// ProfileWorkload, ProfileExpected and their KV counterparts).
+var releaseCtorRE = regexp.MustCompile(`^(New\w*|Fork|Profile\w*)$`)
 
 // releaseMethods are the methods that end a pooled value's lifetime.
 var releaseMethods = map[string]bool{"Release": true, "Recycle": true}

@@ -1,5 +1,6 @@
 // Fixture for the releasecheck analyzer: miniature pooled types behind
-// Release/Recycle, created through the New*/Fork constructor convention.
+// Release/Recycle, created through the New*/Fork/Profile* constructor
+// convention.
 package releasecheck
 
 type snap struct{ n int }
@@ -19,6 +20,14 @@ func NewTrackedSnap() *snap { return &snap{} }
 func NewPooledDisk() *disk  { return &disk{} }
 
 func helper(s *snap) {}
+
+// profile and monkey mirror crashmonkey's profiling entry points: a profile
+// built over a shared oracle is still the caller's to release.
+type profile struct{ snap }
+
+type monkey struct{}
+
+func (m *monkey) ProfileExpected(exps []int) (*profile, error) { return &profile{}, nil }
 
 func okDefer() {
 	s := NewTrackedSnap()
@@ -48,6 +57,15 @@ func okRecycle() {
 	d.Recycle()
 }
 
+func okProfile(m *monkey) {
+	p, err := m.ProfileExpected(nil)
+	if err != nil {
+		return
+	}
+	defer p.Release()
+	_ = p.Read()
+}
+
 func okConditionalRelease(b bool) {
 	s := NewTrackedSnap()
 	if b {
@@ -74,6 +92,14 @@ func leaked() {
 func leakedRecycle() {
 	d := NewPooledDisk() // want "never released"
 	_ = d.Size()
+}
+
+func leakedProfile(m *monkey) {
+	p, err := m.ProfileExpected(nil) // want "never released"
+	if err != nil {
+		return
+	}
+	_ = p.Read()
 }
 
 func useAfterRelease() {

@@ -115,10 +115,12 @@ func NewMemDisk(n int64) *MemDisk {
 	return &MemDisk{blocks: make([][]byte, n)}
 }
 
-// memDiskPool recycles the block-pointer tables of workload base devices: a
-// campaign allocates one device-sized table per workload otherwise, which
-// dominated the allocation profile (BENCH_construct.json) once the overlay
-// layer went pooled.
+// memDiskPool recycles the block-pointer tables of short-lived devices. It
+// once served every workload's base image; crashmonkey now formats one base
+// per Monkey, which leaves the benchmark's probes (bench/probes.go) as the
+// only caller of NewPooledMemDisk. Deleting the pool, NewPooledMemDisk and
+// Recycle waits for the change to the benchmark that moves those probes off
+// them.
 var memDiskPool = sync.Pool{New: func() any { return new(MemDisk) }}
 
 // NewPooledMemDisk returns a zero-filled in-memory device with n blocks,

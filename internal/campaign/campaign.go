@@ -32,6 +32,7 @@ import (
 	"b3/internal/crashmonkey"
 	"b3/internal/filesys"
 	"b3/internal/kvace"
+	"b3/internal/kvoracle"
 	"b3/internal/report"
 	"b3/internal/workload"
 )
@@ -176,7 +177,8 @@ func (r *fsRun) needs(seq int64) bool {
 // every row, so they are evaluated once per sequence number; each member is
 // then offered to every row in matrix order, each row getting its own
 // wrapper (wrappers carry the row's profile) around the one shared workload,
-// which nothing downstream mutates. Per row the jobs ascend in seq, exactly
+// which nothing downstream mutates, and its one oracle memo (oracleMemo), so
+// rows whose oracles agree build it once. Per row the jobs ascend in seq, exactly
 // as a single-FS campaign feeds them. When the campaign is sharded and
 // unsampled, the generator's residue-class partition restricts the stream
 // to this shard's workloads while keeping global sequence numbers (and the
@@ -225,7 +227,8 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
 		generated, genErr = gen.GenerateSeq(func(seq int64, w *kvace.Workload) bool {
-			return feed(seq, func() workloadFamily { return &kvWorkload{w: w} })
+			oracle := &oracleMemo[struct{}, *kvoracle.Expectation]{}
+			return feed(seq, func() workloadFamily { return &kvWorkload{w: w, oracle: oracle} })
 		})
 	} else {
 		gen := ace.New(cfg.Bounds)
@@ -234,17 +237,20 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
 		// The workload is built on demand: by the first row that needs this
-		// sequence number, once, and shared by the rows after it.
+		// sequence number, once, and shared by the rows after it, together
+		// with its oracle memo.
 		var w *workload.Workload
+		var oracle *oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]
 		var build func() *workload.Workload
 		wrap := func() workloadFamily {
 			if w == nil {
 				w = build()
+				oracle = &oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]{}
 				if testBuildHook != nil {
 					testBuildHook(w)
 				}
 			}
-			return &fileWorkload{w: w}
+			return &fileWorkload{w: w, oracle: oracle}
 		}
 		generated, genErr = gen.Walk(func(seq int64, b func() *workload.Workload) bool {
 			w, build = nil, b

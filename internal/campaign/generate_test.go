@@ -83,11 +83,31 @@ func shared(t *testing.T, j fsJob) (any, string) {
 	return nil, ""
 }
 
+// memoOf returns the oracle memo a job's wrapper carries, as a comparable
+// pointer (nil when the wrapper has none).
+func memoOf(t *testing.T, j fsJob) any {
+	t.Helper()
+	switch wl := j.wl.(type) {
+	case *fileWorkload:
+		if wl.oracle != nil {
+			return wl.oracle
+		}
+	case *kvWorkload:
+		if wl.oracle != nil {
+			return wl.oracle
+		}
+	default:
+		t.Fatalf("unexpected workload wrapper %T", j.wl)
+	}
+	return nil
+}
+
 // TestGenerateFanOut is the fan-out contract of the campaign's one
 // enumeration: every class member reaches every live row exactly once, rows
 // in matrix order within a workload and seq ascending per row, each row
 // with its own wrapper around the one shared generated workload (which is
-// what proves a single generator fed all rows); a resumed record is folded
+// what proves a single generator fed all rows) and the workload's one oracle
+// memo, never an earlier workload's; a resumed record is folded
 // instead of fed, and a workload every row holds a record of is never
 // built; a MaxWorkloads stop lands on the sequence number it always did; a
 // row whose corpus failed receives nothing further, and enumeration stops
@@ -132,6 +152,7 @@ func TestGenerateFanOut(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			runs, got := fanOut(t, tc.cfg, fss, nil, nil)
 			i := 0
+			var prevMemo any
 			for seq := int64(1); seq <= tc.space; seq++ {
 				if !tc.member(seq) {
 					continue
@@ -153,6 +174,11 @@ func TestGenerateFanOut(t *testing.T) {
 					}
 					if row == 0 {
 						first = j
+						memo := memoOf(t, j)
+						if memo == nil || memo == prevMemo {
+							t.Fatalf("seq %d: no oracle memo of its own", seq)
+						}
+						prevMemo = memo
 						continue
 					}
 					if j.wl == first.wl {
@@ -160,6 +186,9 @@ func TestGenerateFanOut(t *testing.T) {
 					}
 					if fw, _ := shared(t, first); w != fw {
 						t.Fatalf("seq %d: row %d got its own generated workload — a second enumeration", seq, row)
+					}
+					if memoOf(t, j) != memoOf(t, first) {
+						t.Fatalf("seq %d: row %d got its own oracle memo", seq, row)
 					}
 				}
 			}

@@ -1,11 +1,13 @@
 package campaign
 
 import (
+	"sync"
 	"time"
 
 	"b3/internal/blockdev"
 	"b3/internal/corpus"
 	"b3/internal/crashmonkey"
+	"b3/internal/filesys"
 	"b3/internal/kvace"
 	"b3/internal/kvoracle"
 	"b3/internal/workload"
@@ -38,11 +40,38 @@ type workloadFamily interface {
 	classes() kvoracle.Counts
 }
 
+// oracleMemo is one generated workload's oracle, shared by every matrix row
+// the workload is fed to. The value for a key is built on the first row's
+// demand, once: the build is single-flight, so two workers testing the
+// workload on different rows never both build it, and an error is kept like
+// a value.
+type oracleMemo[K comparable, E any] struct {
+	mu    sync.Mutex
+	built map[K]func() ([]E, error)
+}
+
+func (m *oracleMemo[K, E]) get(k K, build func() ([]E, error)) ([]E, error) {
+	m.mu.Lock()
+	once := m.built[k]
+	if once == nil {
+		if m.built == nil {
+			m.built = make(map[K]func() ([]E, error), 1)
+		}
+		once = sync.OnceValues(build)
+		m.built[k] = once
+	}
+	m.mu.Unlock()
+	return once()
+}
+
 // fileWorkload is an ACE workload; a finding at an early persistence point
-// groups under the skeleton of the equivalent shorter workload.
+// groups under the skeleton of the equivalent shorter workload. Its oracle
+// is keyed by the row's Guarantees, the tracker's only file-system input, so
+// rows in one guarantee class share one build.
 type fileWorkload struct {
-	w *workload.Workload
-	p *crashmonkey.Profile
+	w      *workload.Workload
+	oracle *oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]
+	p      *crashmonkey.Profile
 }
 
 func (f *fileWorkload) id() string               { return f.w.ID }
@@ -51,7 +80,12 @@ func (f *fileWorkload) text() string             { return f.w.String() }
 func (f *fileWorkload) classes() kvoracle.Counts { return kvoracle.Counts{} }
 
 func (f *fileWorkload) profile(mk *crashmonkey.Monkey) (p *crashmonkey.Profile, err error) {
-	f.p, err = mk.ProfileWorkload(f.w)
+	g := mk.FS.Guarantees()
+	exps, err := f.oracle.get(g, func() ([]*crashmonkey.Expectation, error) { return crashmonkey.Expect(f.w, g) })
+	if err != nil {
+		return nil, err
+	}
+	f.p, err = mk.ProfileExpected(f.w, exps)
 	return f.p, err
 }
 
@@ -76,9 +110,11 @@ func (f *fileWorkload) faults(mk *crashmonkey.Monkey, model blockdev.FaultModel)
 // class verdicts accumulate in counts; they are a deterministic function of
 // the workload (verdicts never depend on prune-cache state), so they are
 // recorded to the corpus and resume/merge fold the identical totals. KV
-// findings always group under the full skeleton.
+// findings always group under the full skeleton. The interval oracle has no
+// file-system input, so every row shares one build.
 type kvWorkload struct {
 	w      *kvace.Workload
+	oracle *oracleMemo[struct{}, *kvoracle.Expectation]
 	kp     *crashmonkey.KVProfile
 	counts kvoracle.Counts
 }
@@ -89,7 +125,8 @@ func (k *kvWorkload) text() string             { return k.w.String() }
 func (k *kvWorkload) classes() kvoracle.Counts { return k.counts }
 
 func (k *kvWorkload) profile(mk *crashmonkey.Monkey) (*crashmonkey.Profile, error) {
-	kp, err := mk.ProfileKV(k.w)
+	exps, _ := k.oracle.get(struct{}{}, func() ([]*kvoracle.Expectation, error) { return kvoracle.Build(k.w.Ops), nil })
+	kp, err := mk.ProfileKVExpected(k.w, exps)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +184,7 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 		r.record(rec, nil, 0, 0)
 		return
 	}
-	// Hand the profile's pooled device memory (base image, overlays, the
+	// Hand the profile's pooled overlay memory (the profiling overlay, the
 	// rolling cursor) back once every sweep over it is done.
 	defer p.Release()
 	last := p.Checkpoints()

@@ -22,11 +22,13 @@ import (
 // with a clean file-system image of size 100MB").
 const DefaultDeviceBlocks = 25600
 
-// Monkey tests workloads against one file system.
+// Monkey tests workloads against one file system. Every workload it
+// profiles overlays one base image the Monkey formats on first use.
 type Monkey struct {
 	// FS is the file system under test.
 	FS filesys.FileSystem
-	// DeviceBlocks overrides the device size (0 = DefaultDeviceBlocks).
+	// DeviceBlocks overrides the device size (0 = DefaultDeviceBlocks). It
+	// is read once, when the first profile formats the Monkey's base image.
 	DeviceBlocks int64
 	// SkipWriteChecks disables the destructive write checks.
 	SkipWriteChecks bool
@@ -62,6 +64,33 @@ type Monkey struct {
 	// salt caches pruneSalt (constant per Monkey configuration).
 	saltOnce sync.Once
 	salt     uint64
+
+	// base is the formatted image every profile overlays (formatted).
+	baseOnce sync.Once
+	base     *blockdev.MemDisk
+	baseErr  error
+}
+
+// formatted returns the Monkey's pristine base image, formatting a fresh
+// device of DeviceBlocks blocks on first use. Mkfs is deterministic, and
+// nothing writes the base afterwards — every profile, cursor, fork and sweep
+// overlays it — so one image serves every workload the Monkey tests, and
+// fingerprints, which are relative to it, are the same as on a per-workload
+// image. A Mkfs failure is sticky.
+func (mk *Monkey) formatted() (*blockdev.MemDisk, error) {
+	mk.baseOnce.Do(func() {
+		blocks := mk.DeviceBlocks
+		if blocks == 0 {
+			blocks = DefaultDeviceBlocks
+		}
+		base := blockdev.NewMemDisk(blocks)
+		if err := mk.FS.Mkfs(base); err != nil {
+			mk.baseErr = fmt.Errorf("crashmonkey: mkfs: %w", err)
+			return
+		}
+		mk.base = base
+	})
+	return mk.base, mk.baseErr
 }
 
 // Profile is a recorded run of one workload: the base image, the IO log
@@ -72,7 +101,9 @@ type Profile struct {
 	overlay      *blockdev.Snapshot
 	rec          *blockdev.Recorder
 	expectations []*Expectation
-	// ProfileDur is the wall time of the profiling phase (§6.3).
+	// ProfileDur is the wall time of the profiling phase (§6.3): running the
+	// workload over the recording device. Building the oracle is not part of
+	// it (Expect, kvoracle.Build).
 	ProfileDur time.Duration
 	// DirtyBytes is the COW overlay footprint after the workload (§6.5).
 	DirtyBytes int64
@@ -131,13 +162,11 @@ func (p *Profile) state(cp int, scratch bool, meter *blockdev.BlockMeter,
 	return p.cursor.Fork(), n, nil
 }
 
-// Release returns the profile's device memory to the shared pools: the
-// rolling cursor's overlay, the profiling overlay, and the pooled base
-// image itself. The profile — and anything still reading through it, like
-// an unreleased crash-state fork — must not be used afterwards. Campaign
-// workers call it once a workload's sweeps are done, which is what lets
-// ProfileWorkload serve every workload from a recycled device instead of
-// allocating a device-sized table each time.
+// Release returns the profile's overlay memory to the shared pools: the
+// rolling cursor's overlay and the profiling overlay. The base image is the
+// Monkey's and outlives the profile. The profile — and anything still
+// reading through it, like an unreleased crash-state fork — must not be used
+// afterwards. Campaign workers call it once a workload's sweeps are done.
 func (p *Profile) Release() {
 	p.cursorMu.Lock()
 	if p.cursor != nil {
@@ -148,10 +177,6 @@ func (p *Profile) Release() {
 	if p.overlay != nil {
 		p.overlay.Release()
 		p.overlay = nil
-	}
-	if p.base != nil {
-		p.base.Recycle()
-		p.base = nil
 	}
 }
 
@@ -269,21 +294,16 @@ func severity(c bugs.Consequence) int {
 }
 
 // newProfile builds the recording stack every workload family profiles on: a
-// pooled base image holding a fresh file system, a COW overlay, the recording
+// pooled COW overlay over the Monkey's formatted base image, the recording
 // wrapper device, and the mount the workload's operations run against. The
-// base and the overlay both cycle through the shared pools — Profile.Release
-// hands them back once the workload's sweeps are done, so a campaign reuses
-// one device-sized table per worker instead of allocating one per workload
-// (the dominant term of the pre-pool allocation profile).
+// overlay cycles through the shared pool — Profile.Release hands it back once
+// the workload's sweeps are done — and the base is formatted once per Monkey
+// (formatted), so a workload allocates neither a device-sized table nor a
+// fresh file system.
 func (mk *Monkey) newProfile() (*Profile, filesys.MountedFS, error) {
-	blocks := mk.DeviceBlocks
-	if blocks == 0 {
-		blocks = DefaultDeviceBlocks
-	}
-	base := blockdev.NewPooledMemDisk(blocks)
-	if err := mk.FS.Mkfs(base); err != nil {
-		base.Recycle()
-		return nil, nil, fmt.Errorf("crashmonkey: mkfs: %w", err)
+	base, err := mk.formatted()
+	if err != nil {
+		return nil, nil, err
 	}
 	overlay := blockdev.NewPooledSnapshot(base)
 	p := &Profile{base: base, overlay: overlay, rec: blockdev.NewRecorder(overlay)}
@@ -295,34 +315,64 @@ func (mk *Monkey) newProfile() (*Profile, filesys.MountedFS, error) {
 	return p, m, nil
 }
 
-// ProfileWorkload runs the workload on a fresh file system over the
-// recording wrapper device, checkpointing after every persistence point and
-// snapshotting the oracle (§5.1 "Profiling workloads").
+// Expect runs the oracle over the workload under the persistence guarantees
+// g, snapshotting the expected state after every persistence point (§5.1
+// "Profiling workloads"). The result depends on nothing but w and g, so one
+// build serves every file system whose Guarantees equal g. Expectations are
+// immutable and safe to share between goroutines.
+func Expect(w *workload.Workload, g filesys.Guarantees) ([]*Expectation, error) {
+	tracker := NewTracker(g)
+	var exps []*Expectation
+	for i, op := range w.Ops {
+		if err := tracker.Apply(op, i); err != nil {
+			return nil, fmt.Errorf("crashmonkey: oracle op %d (%s): %w", i, op, err)
+		}
+		if op.Kind.IsPersistence() {
+			exps = append(exps, tracker.Snapshot())
+		}
+	}
+	return exps, nil
+}
+
+// ProfileWorkload builds the workload's oracle (Expect) and profiles it
+// (ProfileExpected).
 func (mk *Monkey) ProfileWorkload(w *workload.Workload) (*Profile, error) {
+	exps, err := Expect(w, mk.FS.Guarantees())
+	if err != nil {
+		return nil, err
+	}
+	return mk.ProfileExpected(w, exps)
+}
+
+// ProfileExpected runs the workload on a fresh file system over the
+// recording wrapper device, checkpointing after every persistence point
+// (§5.1 "Profiling workloads"). exps is the workload's oracle as Expect
+// builds it under this file system's guarantees; the profile shares it.
+func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*Profile, error) {
+	if len(exps) > 0 && exps[0].g != mk.FS.Guarantees() {
+		return nil, fmt.Errorf("crashmonkey: %s: oracle built for other guarantees than %s's", w.ID, mk.FS.Name())
+	}
 	start := time.Now()
 	p, m, err := mk.newProfile()
 	if err != nil {
 		return nil, err
 	}
-	p.Workload = w
-	tracker := NewTracker(mk.FS.Guarantees())
-
+	p.Workload, p.expectations = w, exps
 	for i, op := range w.Ops {
 		if err := workload.Apply(m, op, i); err != nil {
 			p.Release()
 			return nil, fmt.Errorf("crashmonkey: op %d (%s): %w", i, op, err)
 		}
-		if err := tracker.Apply(op, i); err != nil {
-			p.Release()
-			return nil, fmt.Errorf("crashmonkey: oracle op %d (%s): %w", i, op, err)
-		}
 		if op.Kind.IsPersistence() {
 			p.rec.Checkpoint()
-			p.expectations = append(p.expectations, tracker.Snapshot())
 		}
 	}
 	p.ProfileDur = time.Since(start)
 	p.DirtyBytes = p.overlay.DirtyBytes()
+	if got, want := p.rec.Checkpoints(), len(exps); got != want {
+		p.Release()
+		return nil, fmt.Errorf("crashmonkey: %s recorded %d checkpoints, oracle expects %d", w.ID, got, want)
+	}
 	return p, nil
 }
 

@@ -443,3 +443,37 @@ func randomWorkload(rng *rand.Rand, id int) *workload.Workload {
 	}
 	return w
 }
+
+// TestProfileExpectedRefusesForeignOracle: a shared oracle is only sound for
+// the workload and the guarantee class it was built for, so ProfileExpected
+// refuses expectations built under another file system's guarantees or for
+// a workload with a different number of persistence points.
+func TestProfileExpectedRefusesForeignOracle(t *testing.T) {
+	w := mustParse(t, "two", "creat /foo\nfsync /foo\nsync\n")
+	jfs := journalfs.New(journalfs.Options{})
+	foreign, err := Expect(w, jfs.Guarantees())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := &Monkey{FS: logfsFixed()}
+	if mk.FS.Guarantees() == jfs.Guarantees() {
+		t.Fatal("logfs and journalfs share guarantees: the case tests nothing")
+	}
+	if p, err := mk.ProfileExpected(w, foreign); err == nil {
+		p.Release()
+		t.Fatal("ProfileExpected accepted an oracle built under journalfs's guarantees")
+	}
+	own, err := Expect(w, mk.FS.Guarantees())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := mk.ProfileExpected(w, own[:1]); err == nil {
+		p.Release()
+		t.Fatal("ProfileExpected accepted an oracle with one persistence point too few")
+	}
+	p, err := mk.ProfileExpected(w, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+}

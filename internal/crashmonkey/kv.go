@@ -44,10 +44,18 @@ type KVProfile struct {
 	exps []*kvoracle.Expectation
 }
 
-// ProfileKV runs the KV workload against a kvstore on a fresh file system
-// over the recording wrapper device, checkpointing after every persistence
-// op (sync, flush, reopen) and building the interval oracle.
+// ProfileKV builds the workload's interval oracle (kvoracle.Build) and
+// profiles it (ProfileKVExpected).
 func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
+	return mk.ProfileKVExpected(w, kvoracle.Build(w.Ops))
+}
+
+// ProfileKVExpected runs the KV workload against a kvstore on a fresh file
+// system over the recording wrapper device, checkpointing after every
+// persistence op (sync, flush, reopen). exps is the workload's interval
+// oracle as kvoracle.Build returns it; it has no file-system input, so one
+// build serves every backend, and the profile shares it.
+func (mk *Monkey) ProfileKVExpected(w *kvace.Workload, exps []*kvoracle.Expectation) (*KVProfile, error) {
 	start := time.Now()
 	p, m, err := mk.newProfile()
 	if err != nil {
@@ -88,7 +96,7 @@ func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
 			rec.Checkpoint()
 		}
 	}
-	kp := &KVProfile{Profile: p, Workload: w, exps: kvoracle.Build(w.Ops)}
+	kp := &KVProfile{Profile: p, Workload: w, exps: exps}
 	p.ProfileDur = time.Since(start)
 	p.DirtyBytes = p.overlay.DirtyBytes()
 	if got, want := rec.Checkpoints(), len(kp.exps)-1; got != want {

@@ -9,6 +9,7 @@ import (
 
 	"b3/internal/bugs"
 	"b3/internal/filesys"
+	"b3/internal/fs/logfs"
 	"b3/internal/fstree"
 	"b3/internal/workload"
 )
@@ -243,7 +244,10 @@ func expectationBytes(e *Expectation) []byte {
 // the tracker's model and fileStates with each other, so an Expectation
 // taken at checkpoint k must keep its Fingerprint and every content byte
 // while the tracker applies the rest of the workload. Two trackers run
-// concurrently so -race also sees them share workload.Fill buffers.
+// concurrently so -race also sees them share workload.Fill buffers. A
+// campaign then shares one workload's expectations between matrix rows, so
+// concurrent readers — Fingerprint and the read checks — of one expectation
+// must agree with an unshared build.
 func TestTrackerSnapshotSharingIsSafe(t *testing.T) {
 	w, err := workload.Parse("seq2", `
 mkdir /A
@@ -302,6 +306,66 @@ sync
 	}
 	for range 2 {
 		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Concurrent readers: one crash index per persistence point, judged by
+	// an unshared reference build and, from four goroutines at once, by one
+	// shared build whose fingerprints are not yet cached.
+	fs := logfs.New(logfs.Options{})
+	mk := &Monkey{FS: fs}
+	p, err := mk.ProfileWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	type judged struct {
+		idx      *crashIndex
+		fp       uint64
+		findings string
+	}
+	var states []judged
+	for cp, ref := range p.expectations {
+		crash, _, err := p.state(cp+1, true, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer crash.Release()
+		m, err := fs.Mount(crash)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", cp+1, err)
+		}
+		idx, err := buildIndex(m)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", cp+1, err)
+		}
+		defer idx.release()
+		states = append(states, judged{idx, ref.Fingerprint(), fmt.Sprint(ref.checkReadIndexed(idx))})
+	}
+	shared, err := Expect(w, fs.Guarantees())
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := make(chan error, 4)
+	for range 4 {
+		go func() {
+			for cp, st := range states {
+				e := shared[cp]
+				if fp := e.Fingerprint(); fp != st.fp {
+					readers <- fmt.Errorf("checkpoint %d: shared fingerprint %#x, unshared %#x", cp+1, fp, st.fp)
+					return
+				}
+				if got := fmt.Sprint(e.checkReadIndexed(st.idx)); got != st.findings {
+					readers <- fmt.Errorf("checkpoint %d: shared read checks %s, unshared %s", cp+1, got, st.findings)
+					return
+				}
+			}
+			readers <- nil
+		}()
+	}
+	for range 4 {
+		if err := <-readers; err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,6 +15,7 @@ package kvoracle
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"b3/internal/kvace"
 )
@@ -102,7 +103,9 @@ func (c Counts) Total() int64 { return c.Legal + c.Violations() }
 
 // Expectation is the oracle for one persistence interval: crash states
 // constructed between checkpoint Interval and the next checkpoint must
-// recover to Ack plus some prefix of Pending.
+// recover to Ack plus some prefix of Pending. It is immutable once Build
+// returns it, and safe for concurrent use: a campaign shares one workload's
+// expectations between every matrix row.
 type Expectation struct {
 	// Interval is the 0-based persistence interval (0 = before the first
 	// checkpoint, where nothing is acknowledged yet).
@@ -115,8 +118,11 @@ type Expectation struct {
 	// Pending lists the mutation ops issued after the checkpoint, in order.
 	Pending []kvace.Op
 
-	fp       uint64
-	fpCached bool
+	// fp caches Fingerprint, states caches prefixStates.
+	fpOnce     sync.Once
+	fp         uint64
+	statesOnce sync.Once
+	states     []map[string]string
 }
 
 // Build derives the N+1 interval expectations of a workload from its op
@@ -165,11 +171,13 @@ func Build(ops []kvace.Op) []*Expectation {
 
 // Fingerprint identifies the expectation for verdict caching: two crash
 // states with identical disk contents under identical expectations share a
-// verdict.
+// verdict. The value is computed once and cached.
 func (e *Expectation) Fingerprint() uint64 {
-	if e.fpCached {
-		return e.fp
-	}
+	e.fpOnce.Do(func() { e.fp = e.fingerprint() })
+	return e.fp
+}
+
+func (e *Expectation) fingerprint() uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(s string) {
@@ -204,13 +212,18 @@ func (e *Expectation) Fingerprint() uint64 {
 		mix(op.Key)
 		mix(op.Value)
 	}
-	e.fp, e.fpCached = h, true
 	return h
 }
 
-// prefixStates materialises the legal state family S_0..S_m: the
-// acknowledged state with each successive pending op applied.
+// prefixStates returns the legal state family S_0..S_m: the acknowledged
+// state with each successive pending op applied. It is built once per
+// expectation and shared by every Check; callers must not modify it.
 func (e *Expectation) prefixStates() []map[string]string {
+	e.statesOnce.Do(func() { e.states = e.buildPrefixStates() })
+	return e.states
+}
+
+func (e *Expectation) buildPrefixStates() []map[string]string {
 	states := make([]map[string]string, 0, len(e.Pending)+1)
 	cur := make(map[string]string, len(e.Ack))
 	for k, v := range e.Ack {

@@ -1,6 +1,8 @@
 package kvoracle
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"b3/internal/kvace"
@@ -10,10 +12,10 @@ func ops(t *testing.T, spec ...kvace.Op) []kvace.Op { t.Helper(); return spec }
 
 func put(k, v string) kvace.Op { return kvace.Op{Kind: kvace.OpPut, Key: k, Value: v} }
 func del(k string) kvace.Op    { return kvace.Op{Kind: kvace.OpDelete, Key: k} }
-func sync() kvace.Op           { return kvace.Op{Kind: kvace.OpSync} }
+func syncOp() kvace.Op         { return kvace.Op{Kind: kvace.OpSync} }
 
 func TestBuildIntervals(t *testing.T) {
-	exps := Build(ops(t, put("a", "1"), sync(), del("a"), put("b", "2"), sync()))
+	exps := Build(ops(t, put("a", "1"), syncOp(), del("a"), put("b", "2"), syncOp()))
 	if len(exps) != 3 {
 		t.Fatalf("Build yielded %d expectations, want 3", len(exps))
 	}
@@ -35,7 +37,7 @@ func TestBuildIntervals(t *testing.T) {
 }
 
 func TestCheckAcceptsPrefixFamily(t *testing.T) {
-	exps := Build(ops(t, put("a", "1"), sync(), put("a", "2"), put("b", "3"), sync()))
+	exps := Build(ops(t, put("a", "1"), syncOp(), put("a", "2"), put("b", "3"), syncOp()))
 	e := exps[1] // ack {a:1}, pending [put a=2, put b=3]
 	legal := []map[string]string{
 		{"a": "1"},           // S0: nothing pending landed
@@ -50,7 +52,7 @@ func TestCheckAcceptsPrefixFamily(t *testing.T) {
 }
 
 func TestCheckClassifiesLostAck(t *testing.T) {
-	exps := Build(ops(t, put("a", "1"), put("b", "2"), sync(), sync()))
+	exps := Build(ops(t, put("a", "1"), put("b", "2"), syncOp(), syncOp()))
 	e := exps[1]
 	viols := e.Check(map[string]string{"b": "2"}) // a vanished
 	if len(viols) != 1 || viols[0].Class != ClassLostAck || viols[0].Key != "a" {
@@ -64,7 +66,7 @@ func TestCheckClassifiesLostAck(t *testing.T) {
 }
 
 func TestCheckClassifiesResurrectedDelete(t *testing.T) {
-	exps := Build(ops(t, put("a", "1"), sync(), del("a"), sync(), sync()))
+	exps := Build(ops(t, put("a", "1"), syncOp(), del("a"), syncOp(), syncOp()))
 	e := exps[2] // a acknowledged-deleted
 	viols := e.Check(map[string]string{"a": "1"})
 	if len(viols) != 1 || viols[0].Class != ClassResurrected {
@@ -73,7 +75,7 @@ func TestCheckClassifiesResurrectedDelete(t *testing.T) {
 }
 
 func TestCheckClassifiesFabricatedValue(t *testing.T) {
-	exps := Build(ops(t, put("a", "1"), sync(), sync()))
+	exps := Build(ops(t, put("a", "1"), syncOp(), syncOp()))
 	e := exps[1]
 	viols := e.Check(map[string]string{"a": "1", "zz": "never-written"})
 	if len(viols) != 1 || viols[0].Class != ClassUnreplayable {
@@ -82,7 +84,7 @@ func TestCheckClassifiesFabricatedValue(t *testing.T) {
 }
 
 func TestCheckPendingDeleteAllowsAbsence(t *testing.T) {
-	exps := Build(ops(t, put("a", "1"), sync(), del("a"), sync()))
+	exps := Build(ops(t, put("a", "1"), syncOp(), del("a"), syncOp()))
 	e := exps[1] // ack {a:1}, pending [del a]
 	if v := e.Check(map[string]string{}); v != nil {
 		t.Fatalf("pending delete's absence rejected: %v", v)
@@ -119,16 +121,57 @@ func TestCountsAndClassify(t *testing.T) {
 }
 
 func TestFingerprintSeparatesExpectations(t *testing.T) {
-	a := Build(ops(t, put("a", "1"), sync()))
-	b := Build(ops(t, put("a", "2"), sync()))
+	a := Build(ops(t, put("a", "1"), syncOp()))
+	b := Build(ops(t, put("a", "2"), syncOp()))
 	if a[0].Fingerprint() == b[0].Fingerprint() {
 		t.Fatal("different pending values share a fingerprint")
 	}
 	if a[0].Fingerprint() == a[1].Fingerprint() {
 		t.Fatal("different intervals share a fingerprint")
 	}
-	c := Build(ops(t, put("a", "1"), sync()))
+	c := Build(ops(t, put("a", "1"), syncOp()))
 	if a[0].Fingerprint() != c[0].Fingerprint() {
 		t.Fatal("identical expectations fingerprint apart")
+	}
+}
+
+// TestSharedExpectationIsSafe: a campaign shares one Build result between
+// every matrix row, so Fingerprint and Check — and the caches behind them —
+// must be safe to call from many goroutines at once on the same
+// expectation. Run under -race; every goroutine must also see the values a
+// fresh, unshared Build gives.
+func TestSharedExpectationIsSafe(t *testing.T) {
+	spec := ops(t, put("a", "1"), syncOp(), put("a", "2"), del("b"), put("c", "3"), syncOp(), del("a"), syncOp())
+	shared, fresh := Build(spec), Build(spec)
+	recovered := []map[string]string{
+		{"a": "1"},           // legal: nothing pending landed
+		{"a": "2", "c": "3"}, // legal at interval 1
+		{"c": "3"},           // lost ack before interval 2
+		{"a": "9"},           // unwritten value
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, e := range shared {
+				if e.Fingerprint() != fresh[i].Fingerprint() {
+					errs <- fmt.Sprintf("interval %d: shared fingerprint drifted", i)
+					return
+				}
+				for _, st := range recovered {
+					if got, want := Classify(e.Check(st)), Classify(fresh[i].Check(st)); got != want {
+						errs <- fmt.Sprintf("interval %d: shared Check says %v, fresh %v", i, got, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
