@@ -319,17 +319,9 @@ func (c Campaign) config() (campaign.Config, error) {
 	var kv *kvace.Bounds
 	if c.Bounds != nil {
 		bounds = *c.Bounds
-	} else if kvace.IsProfile(string(c.Profile)) {
-		kb, err := kvace.Profile(string(c.Profile))
-		if err != nil {
-			return campaign.Config{}, err
-		}
-		kv = &kb
-		label = string(c.Profile)
 	} else if c.Profile != "" {
 		var err error
-		bounds, err = ace.Profile(c.Profile)
-		if err != nil {
+		if bounds, kv, err = campaign.ProfileSpace(c.Profile); err != nil {
 			return campaign.Config{}, err
 		}
 		label = string(c.Profile)
@@ -395,15 +387,6 @@ func ProfileBounds(name ace.ProfileName) (Bounds, error) { return ace.Profile(na
 // IsKVProfile reports whether a profile name selects the application-level
 // KV workload family (kv-seq1, kv-seq2, ...) instead of an ACE file space.
 func IsKVProfile(name string) bool { return kvace.IsProfile(name) }
-
-// CountKVWorkloads returns the number of workloads a KV profile enumerates.
-func CountKVWorkloads(name string) (int64, error) {
-	b, err := kvace.Profile(name)
-	if err != nil {
-		return 0, err
-	}
-	return kvace.New(b).Count()
-}
 
 // CountWorkloads returns the size of the bounded workload space (ACE)
 // without building any workload.

@@ -1,13 +1,12 @@
 // Fleet wiring for cmd/b3: the -serve coordinator, the -worker campaign
-// runner, the -tier presets, and the shared SIGINT/SIGTERM interrupt
-// channel that gives every long-running mode a graceful, checkpointing
-// shutdown.
+// runner, and the shared SIGINT/SIGTERM interrupt channel that gives every
+// long-running mode a graceful, checkpointing shutdown.
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -15,180 +14,126 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"b3"
 	"b3/internal/fleet"
 )
 
 // installInterrupt returns a channel closed at the first SIGINT/SIGTERM.
-// Campaign modes wire it into b3.Campaign.Interrupt (final checkpoint,
+// Campaign modes wire it into campaign.Config.Interrupt (final checkpoint,
 // then stop), the worker wires it into fleet.Worker.Interrupt (release
 // the lease, then stop), and the coordinator closes its ledger. A second
 // signal kills the process for when graceful takes too long.
-func installInterrupt() <-chan struct{} {
+func installInterrupt(stderr io.Writer) <-chan struct{} {
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	interrupted := make(chan struct{})
 	go func() {
 		s := <-sigs
-		fmt.Fprintf(os.Stderr, "b3: %v: stopping gracefully — checkpointing (signal again to kill)\n", s)
+		fmt.Fprintf(stderr, "b3: %v: stopping gracefully — checkpointing (signal again to kill)\n", s)
 		close(interrupted)
 		s = <-sigs
-		fmt.Fprintf(os.Stderr, "b3: %v again: killed\n", s)
+		fmt.Fprintf(stderr, "b3: %v again: killed\n", s)
 		os.Exit(130)
 	}()
 	return interrupted
 }
 
-// exitInterrupted ends an interrupted campaign mode after its partial
-// summary printed: point at the durable checkpoint and exit with the
+// interrupted ends an interrupted campaign mode after its partial summary
+// printed: it points at the durable checkpoint and returns the
 // conventional 128+SIGINT status so scripts can tell "stopped on request"
 // from "failed".
-func exitInterrupted(corpusDir string) {
-	if corpusDir != "" {
-		fmt.Fprintf(os.Stderr, "b3: interrupted; progress checkpointed under %s — rerun with -resume to continue\n", corpusDir)
+func (c *cli) interrupted() int {
+	if c.spec.CorpusDir != "" {
+		fmt.Fprintf(c.stderr, "b3: interrupted; progress checkpointed under %s — rerun with -resume to continue\n", c.spec.CorpusDir)
 	} else {
-		fmt.Fprintln(os.Stderr, "b3: interrupted (no -corpus, so nothing was persisted)")
+		fmt.Fprintln(c.stderr, "b3: interrupted (no -corpus, so nothing was persisted)")
 	}
-	profileFlush()
-	os.Exit(130)
-}
-
-// applyTier overlays a named tier's campaign defaults onto the flag
-// values the user did not set explicitly (flag.Visit reports only flags
-// present on the command line, so explicit flags always win).
-func applyTier(name string, profile, fsName, faults *string, sample *int64, reorder, sector *int) {
-	t, err := b3.LookupCampaignTier(name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "b3:", err)
-		os.Exit(2)
-	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if !set["profile"] {
-		*profile = string(t.Profile)
-	}
-	if !set["fs"] {
-		*fsName = strings.Join(t.FS, ",")
-	}
-	if !set["reorder"] {
-		*reorder = t.Reorder
-	}
-	if !set["faults"] {
-		*faults = t.Faults
-	}
-	if !set["sector"] {
-		*sector = t.Sector
-	}
-	if !set["sample"] && t.SampleEvery > 0 {
-		*sample = t.SampleEvery
-	}
+	return 130
 }
 
 // fleetLogf is the timestamped stderr logger for lease-transition lines —
 // a coordinator or worker is a long-running service, so every transition
 // is worth a line even without -v.
-func fleetLogf() func(format string, args ...any) {
-	return log.New(os.Stderr, "b3: ", log.LstdFlags).Printf
+func (c *cli) fleetLogf() func(format string, args ...any) {
+	return log.New(c.stderr, "b3: ", log.LstdFlags).Printf
 }
 
-// serveRun carries the -serve flags: the campaign spec the fleet runs
-// plus the coordinator's own knobs.
-type serveRun struct {
-	addr      string
-	profile   string
-	fs        string
-	sample    int64
-	reorder   int
-	faults    string
-	sector    int
-	corpusDir string
-	shards    int
-	leaseTTL  time.Duration
-	dedup     bool
+// serveRefused are the campaign flags -serve refuses: a lease carries only
+// the campaign Spec, so the fleet would silently run without them.
+var serveRefused = []string{"max", "final-only", "shard", "resume", "prune-cap",
+	"no-prune", "no-class-prune", "no-commute-prune", "scratch-states"}
+
+// serveSpec is the Spec a -serve coordinator journals and leases out.
+func (c *cli) serveSpec() fleet.Spec {
+	spec := c.spec
+	spec.NumShards = c.fleetShards
+	return spec
 }
 
 // runServe runs the fleet coordinator: it owns the lease ledger under
-// -corpus, serves the pull protocol on addr, and on fleet completion
+// -corpus, serves the pull protocol on -serve, and on fleet completion
 // prints the merged report (exactly what -merge would print) and exits.
 // SIGINT closes the ledger cleanly; rerunning -serve with the same flags
 // replays it and resumes the fleet where it stopped.
-func runServe(r serveRun) {
-	if r.corpusDir == "" {
-		fatal(errors.New("-serve requires -corpus DIR (the ledger and shard corpora live there)"))
+func (c *cli) runServe() int {
+	for _, name := range serveRefused {
+		if _, ok := c.given[name]; ok {
+			return c.usage(fmt.Errorf("-serve does not pass -%s on to its workers (a lease carries only the campaign spec)", name))
+		}
 	}
-	if r.profile == "" {
-		fatal(errors.New("-serve requires -profile or -tier"))
+	if c.spec.CorpusDir == "" {
+		return c.fail(errors.New("-serve requires -corpus DIR (the ledger and shard corpora live there)"))
 	}
-	spec := fleet.Spec{
-		Profile:     r.profile,
-		FS:          splitNames(r.fs),
-		NumShards:   r.shards,
-		SampleEvery: r.sample,
-		Reorder:     r.reorder,
-		Faults:      r.faults,
-		Sector:      r.sector,
-		CorpusDir:   r.corpusDir,
+	if c.spec.Profile == "" {
+		return c.fail(errors.New("-serve requires -profile or -tier"))
 	}
-	opts := fleet.Options{TTL: r.leaseTTL, Logf: fleetLogf()}
-	if r.dedup {
+	spec := c.serveSpec()
+	opts := fleet.Options{TTL: c.leaseTTL, Logf: c.fleetLogf()}
+	if c.dedup {
 		opts.KnownDBFor = b3.KnownBugDB
 	}
-	c, err := fleet.NewCoordinator(spec, opts)
+	coord, err := fleet.NewCoordinator(spec, opts)
 	if err != nil {
-		fatal(err)
+		return c.fail(err)
 	}
-	ln, err := net.Listen("tcp", r.addr)
+	ln, err := net.Listen("tcp", c.serveAddr)
 	if err != nil {
-		c.Close()
-		fatal(err)
+		coord.Close()
+		return c.fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "b3: fleet coordinator on http://%s: %s over %d residue classes, corpus %s\n",
-		ln.Addr(), r.profile, r.shards, r.corpusDir)
-	srv := &http.Server{Handler: c}
+	fmt.Fprintf(c.stderr, "b3: fleet coordinator on http://%s: %s over %d residue classes, corpus %s\n",
+		ln.Addr(), spec.Profile, spec.NumShards, spec.CorpusDir)
+	srv := &http.Server{Handler: coord}
 	go srv.Serve(ln)
 
 	select {
-	case <-installInterrupt():
+	case <-installInterrupt(c.stderr):
 		srv.Close()
-		c.Close()
-		fmt.Fprintln(os.Stderr, "b3: coordinator stopped; the ledger is durable — rerun -serve with the same flags to resume the fleet")
-		profileFlush()
-		os.Exit(130)
-	case <-c.DoneCh():
+		coord.Close()
+		fmt.Fprintln(c.stderr, "b3: coordinator stopped; the ledger is durable — rerun -serve with the same flags to resume the fleet")
+		return 130
+	case <-coord.DoneCh():
 	}
-	merged, err := c.Wait()
+	merged, err := coord.Wait()
 	srv.Close()
-	c.Close()
+	coord.Close()
 	if err != nil {
-		fatal(err)
+		return c.fail(err)
 	}
-	fmt.Print(merged.Summary())
-	var rows []*b3.CampaignStats
-	for _, row := range merged.Rows {
-		rows = append(rows, row.Stats)
-	}
-	exitOnBrokenReorder(rows)
+	fmt.Fprint(c.stdout, merged.Summary())
+	return c.exitOnBrokenReorder(mergedStats(merged))
 }
 
-// workerRun carries the -worker flags.
-type workerRun struct {
-	url       string
-	id        string
-	workers   int
-	heartbeat time.Duration
-}
-
-// runWorker runs one fleet worker against the coordinator at url until
+// runWorker runs one fleet worker against the coordinator at -worker until
 // the fleet completes or the worker is signalled (which releases its
 // lease after a final checkpoint).
-func runWorker(r workerRun) {
-	url := strings.TrimSuffix(r.url, "/")
+func (c *cli) runWorker() int {
+	url := strings.TrimSuffix(c.workerURL, "/")
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
 	}
-	id := r.id
+	id := c.workerID
 	if id == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -199,30 +144,19 @@ func runWorker(r workerRun) {
 	w := &fleet.Worker{
 		URL:            url,
 		ID:             id,
-		Workers:        r.workers,
-		HeartbeatEvery: r.heartbeat,
-		Interrupt:      installInterrupt(),
-		Logf:           fleetLogf(),
+		Workers:        c.knobs.Workers,
+		HeartbeatEvery: c.heartbeat,
+		Interrupt:      installInterrupt(c.stderr),
+		Logf:           c.fleetLogf(),
 	}
 	err := w.Run()
 	switch {
 	case errors.Is(err, fleet.ErrInterrupted):
-		fmt.Fprintf(os.Stderr, "b3: worker %s interrupted; lease released, checkpoints durable\n", id)
-		profileFlush()
-		os.Exit(130)
+		fmt.Fprintf(c.stderr, "b3: worker %s interrupted; lease released, checkpoints durable\n", id)
+		return 130
 	case err != nil:
-		fatal(err)
+		return c.fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "b3: worker %s: fleet complete\n", id)
-}
-
-// splitNames splits a -fs comma list into trimmed, non-empty names.
-func splitNames(arg string) []string {
-	var out []string
-	for _, n := range strings.Split(arg, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
+	fmt.Fprintf(c.stderr, "b3: worker %s: fleet complete\n", id)
+	return 0
 }

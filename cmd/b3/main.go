@@ -33,223 +33,173 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"b3"
+	"b3/internal/ace"
 	"b3/internal/blockdev"
+	"b3/internal/campaign"
 	"b3/internal/crashmonkey"
+	"b3/internal/filesys"
+	"b3/internal/kvace"
 	"b3/internal/workload"
 )
 
-func main() {
-	var (
-		findNew   = flag.Bool("find-new-bugs", false, "run the Table 5 campaign: find the new bugs at kernel 4.16")
-		table4    = flag.Bool("table4", false, "count the Table 4 workload sets")
-		reproduce = flag.Bool("reproduce", false, "reproduce the 24 known bugs on their reported kernels (appendix 9.1)")
-		profile   = flag.String("profile", "", "run one campaign profile: seq-1 | seq-2 | seq-3-* (ACE file operations) | kv-seq1 | kv-seq2 (application-level KV store checked by the expected-state oracle)")
-		fsName    = flag.String("fs", "logfs", "file system(s) under test: one name, a comma list, or \"all\"")
-		sample    = flag.Int64("sample", 1, "test every n-th workload")
-		maxW      = flag.Int64("max", 0, "stop generation after this many workloads")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		dedup     = flag.Bool("dedup-known", true, "suppress bug groups matching the known-bug database (§5.3)")
-		noPrune   = flag.Bool("no-prune", false, "disable representative crash-state pruning (cross-check mode: every state checked)")
-		noClass   = flag.Bool("no-class-prune", false, "disable enumeration-time class pruning (cross-check mode: every novel crash state is constructed before the cache is consulted)")
-		noCommute = flag.Bool("no-commute-prune", false, "disable reorder commutativity pruning (cross-check mode: every drop-set constructed, including provably identical ones)")
-		scratch   = flag.Bool("scratch-states", false, "construct every crash state from scratch instead of via the rolling replay cursor (cross-check mode)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends (go tool pprof)")
-		verbose   = flag.Bool("v", false, "verbose: print per-FS block-IO metering (writes replayed, blocks read, bytes allocated)")
-		pruneCap  = flag.Int("prune-cap", 0, "bound each prune-cache tier to this many entries (0 = default cap, negative = unbounded)")
-		finalOnly = flag.Bool("final-only", false, "test only the final persistence point of each workload (the paper's §5.3 strategy)")
-		reorder   = flag.Int("reorder", 0, "also sweep bounded-reordering crash states, dropping up to k in-flight epoch writes (0 = off; 1 = prefixes + drop-one)")
-		faults    = flag.String("faults", "", "also sweep fault-injection crash states: comma list of torn, corrupt, misdirect (\"\" = off)")
-		sector    = flag.Int("sector", 0, "torn-write sector size in bytes; must divide the 4096-byte block (0 = 512)")
-		corpusDir = flag.String("corpus", "", "persist campaign progress to JSONL shards under this directory")
-		resume    = flag.Bool("resume", false, "resume an interrupted campaign from the -corpus shard")
-		shard     = flag.String("shard", "", "run one residue class i/n of the campaign (e.g. 2/5: workloads with seq%5==2); run all n with the same -corpus, then -merge")
-		mergeDir  = flag.String("merge", "", "fold the completed campaign shards under this directory into one report (no re-running)")
-		tier      = flag.String("tier", "", "apply a named campaign preset's defaults (quick | nightly | kv-quick | kv-nightly); explicit flags still win")
-		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address (e.g. :8080); needs -corpus and -profile/-tier")
-		workerURL = flag.String("worker", "", "run a fleet worker pulling leases from this coordinator URL")
-		workerID  = flag.String("worker-id", "", "stable worker identity in the fleet status table (default hostname-pid)")
-		fleetN    = flag.Int("fleet-shards", 4, "initial residue classes the coordinator hands out as leases")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "fleet lease deadline; a lease missing heartbeats this long is expired and re-issued (0 = 10s)")
-		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = a third of the granted lease TTL)")
-	)
-	flag.Parse()
-	if *tier != "" {
-		applyTier(*tier, profile, fsName, faults, sample, reorder, sector)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is one parsed command line plus the streams it reports to.
+type cli struct {
+	stdout, stderr io.Writer
+
+	// spec holds -profile, -fs, -sample, -reorder, -faults, -sector and
+	// -corpus, laid over the -tier preset's Spec.
+	spec campaign.Spec
+	// knobs holds the campaign flags a Spec does not carry: -workers,
+	// -max, -prune-cap, -final-only, -resume and the cross-check modes.
+	knobs            campaign.Config
+	shard, numShards int               // -shard i/n
+	given            map[string]string // the flags on the command line, by name
+
+	findNew, table4, reproduce, dedup, verbose bool
+	cpuProf, memProf, mergeDir, tier           string
+	serveAddr, workerURL, workerID             string
+	fleetShards                                int
+	leaseTTL, heartbeat                        time.Duration
+}
+
+// run is the whole command: it parses args, runs the chosen mode, and
+// returns the process exit status (0 ok, 1 failure or broken reorder
+// state, 2 usage, 130 interrupted). stderr must accept concurrent writes.
+func run(args []string, stdout, stderr io.Writer) int {
+	c, code := parseArgs(args, stdout, stderr)
+	if c == nil {
+		return code
 	}
-	if *resume && *corpusDir == "" {
-		fmt.Fprintln(os.Stderr, "b3: -resume requires -corpus DIR")
-		os.Exit(2)
-	}
-	shardIdx, numShards, err := parseShard(*shard)
+	stop, err := startProfiles(c.cpuProf, c.memProf, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "b3:", err)
-		os.Exit(2)
+		return c.fail(err)
 	}
-	faultModel, err := parseFaults(*faults, *sector)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "b3:", err)
-		os.Exit(2)
-	}
-	startProfiles(*cpuProf, *memProf)
+	defer stop()
 
 	switch {
-	case *mergeDir != "":
-		runMerge(*mergeDir, *dedup)
-	case *serveAddr != "":
-		runServe(serveRun{
-			addr: *serveAddr, profile: *profile, fs: *fsName,
-			sample: *sample, reorder: *reorder, faults: *faults, sector: *sector,
-			corpusDir: *corpusDir, shards: *fleetN, leaseTTL: *leaseTTL, dedup: *dedup,
-		})
-	case *workerURL != "":
-		runWorker(workerRun{url: *workerURL, id: *workerID, workers: *workers, heartbeat: *heartbeat})
-	case *table4:
-		runTable4(*maxW)
-	case *findNew:
-		runFindNewBugs(campaignOpts{
-			workers: *workers, sample: *sample,
-			noPrune: *noPrune, noClassPrune: *noClass, noCommutePrune: *noCommute,
-			pruneCap: *pruneCap, finalOnly: *finalOnly,
-			reorder: *reorder, faults: faultModel,
-			corpusDir: *corpusDir, resume: *resume,
-			scratch: *scratch, verbose: *verbose,
-			shard: shardIdx, numShards: numShards,
-		})
-	case *reproduce:
-		runReproduce()
-	case *profile != "":
-		runProfile(profileRun{
-			campaignOpts: campaignOpts{
-				workers: *workers, sample: *sample,
-				noPrune: *noPrune, noClassPrune: *noClass, noCommutePrune: *noCommute,
-				pruneCap: *pruneCap, finalOnly: *finalOnly,
-				reorder: *reorder, faults: faultModel,
-				corpusDir: *corpusDir, resume: *resume,
-				scratch: *scratch, verbose: *verbose,
-				shard: shardIdx, numShards: numShards,
-			},
-			profile: *profile, fs: *fsName, maxW: *maxW, dedup: *dedup,
-		})
-	default:
-		fmt.Fprintln(os.Stderr, "b3: choose one of -find-new-bugs, -table4, -reproduce, -profile, -tier, -serve, -worker (see -h)")
-		os.Exit(2)
+	case c.mergeDir != "":
+		return c.runMerge()
+	case c.serveAddr != "":
+		return c.runServe()
+	case c.workerURL != "":
+		return c.runWorker()
+	case c.table4:
+		return c.runTable4()
+	case c.findNew:
+		return c.runFindNewBugs()
+	case c.reproduce:
+		return c.runReproduce()
+	case c.spec.Profile != "":
+		return c.runProfile()
 	}
-	profileFlush()
+	return c.usage(errors.New("choose one of -find-new-bugs, -table4, -reproduce, -profile, -tier, -serve, -worker (see -h)"))
 }
 
-// profileFlush finalises -cpuprofile/-memprofile output. Every exit path
-// calls it (fatal, exitOnBrokenReorder, the end of main); it is idempotent,
-// and a no-op until startProfiles installs it.
-var profileFlush = func() {}
-
-// startProfiles starts the optional CPU profile and installs profileFlush
-// to stop it and write the optional heap profile.
-func startProfiles(cpu, mem string) {
-	if cpu == "" && mem == "" {
-		return
+// parseArgs parses the command line. On failure it has reported why and
+// returns a nil cli with the exit status.
+func parseArgs(args []string, stdout, stderr io.Writer) (*cli, int) {
+	c := &cli{stdout: stdout, stderr: stderr, spec: campaign.Spec{FS: []string{"logfs"}, SampleEvery: 1}}
+	f := flag.NewFlagSet("b3", flag.ContinueOnError)
+	f.SetOutput(stderr)
+	f.BoolVar(&c.findNew, "find-new-bugs", false, "run the Table 5 campaign: find the new bugs at kernel 4.16")
+	f.BoolVar(&c.table4, "table4", false, "count the Table 4 workload sets")
+	f.BoolVar(&c.reproduce, "reproduce", false, "reproduce the 24 known bugs on their reported kernels (appendix 9.1)")
+	f.StringVar((*string)(&c.spec.Profile), "profile", "", "run one campaign profile: seq-1 | seq-2 | seq-3-* (ACE file operations) | kv-seq1 | kv-seq2 (application-level KV store checked by the expected-state oracle)")
+	f.Var((*nameList)(&c.spec.FS), "fs", "file system(s) under test: one name, a comma `list`, or \"all\"")
+	f.Int64Var(&c.spec.SampleEvery, "sample", 1, "test every n-th workload")
+	f.Int64Var(&c.knobs.MaxWorkloads, "max", 0, "stop generation after this many workloads")
+	f.IntVar(&c.knobs.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	f.BoolVar(&c.dedup, "dedup-known", true, "suppress bug groups matching the known-bug database (§5.3)")
+	f.BoolVar(&c.knobs.NoPrune, "no-prune", false, "disable representative crash-state pruning (cross-check mode: every state checked)")
+	f.BoolVar(&c.knobs.NoClassPrune, "no-class-prune", false, "disable enumeration-time class pruning (cross-check mode: every novel crash state is constructed before the cache is consulted)")
+	f.BoolVar(&c.knobs.NoCommutePrune, "no-commute-prune", false, "disable reorder commutativity pruning (cross-check mode: every drop-set constructed, including provably identical ones)")
+	f.BoolVar(&c.knobs.ScratchStates, "scratch-states", false, "construct every crash state from scratch instead of via the rolling replay cursor (cross-check mode)")
+	f.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	f.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file when the run ends (go tool pprof)")
+	f.BoolVar(&c.verbose, "v", false, "verbose: print per-FS block-IO metering (writes replayed, blocks read, bytes allocated)")
+	f.IntVar(&c.knobs.PruneCap, "prune-cap", 0, "bound each prune-cache tier to this many entries (0 = default cap, negative = unbounded)")
+	f.BoolVar(&c.knobs.FinalOnly, "final-only", false, "test only the final persistence point of each workload (the paper's §5.3 strategy)")
+	f.IntVar(&c.spec.Reorder, "reorder", 0, "also sweep bounded-reordering crash states, dropping up to k in-flight epoch writes (0 = off; 1 = prefixes + drop-one)")
+	f.StringVar(&c.spec.Faults, "faults", "", "also sweep fault-injection crash states: comma list of torn, corrupt, misdirect (\"\" = off)")
+	f.IntVar(&c.spec.Sector, "sector", 0, "torn-write sector size in bytes; must divide the 4096-byte block (0 = 512)")
+	f.StringVar(&c.spec.CorpusDir, "corpus", "", "persist campaign progress to JSONL shards under this directory")
+	f.BoolVar(&c.knobs.Resume, "resume", false, "resume an interrupted campaign from the -corpus shard")
+	shard := f.String("shard", "", "run one residue class i/n of the campaign (e.g. 2/5: workloads with seq%5==2); run all n with the same -corpus, then -merge")
+	f.StringVar(&c.mergeDir, "merge", "", "fold the completed campaign shards under this directory into one report (no re-running)")
+	f.StringVar(&c.tier, "tier", "", "apply a named campaign preset's defaults (quick | nightly | kv-quick | kv-nightly); explicit flags still win")
+	f.StringVar(&c.serveAddr, "serve", "", "run the fleet coordinator on this listen address (e.g. :8080); needs -corpus and -profile/-tier")
+	f.StringVar(&c.workerURL, "worker", "", "run a fleet worker pulling leases from this coordinator URL")
+	f.StringVar(&c.workerID, "worker-id", "", "stable worker identity in the fleet status table (default hostname-pid)")
+	f.IntVar(&c.fleetShards, "fleet-shards", 4, "initial residue classes the coordinator hands out as leases")
+	f.DurationVar(&c.leaseTTL, "lease-ttl", 0, "fleet lease deadline; a lease missing heartbeats this long is expired and re-issued (0 = 10s)")
+	f.DurationVar(&c.heartbeat, "heartbeat", 0, "worker heartbeat interval (0 = a third of the granted lease TTL)")
+	if err := f.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil, 0
+	} else if err != nil {
+		return nil, 2
 	}
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fatal(err)
+	c.given = map[string]string{}
+	f.Visit(func(fl *flag.Flag) { c.given[fl.Name] = fl.Value.String() })
+	if c.tier != "" {
+		if err := c.applyTier(f); err != nil {
+			return nil, c.usage(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
 	}
-	var once sync.Once
-	profileFlush = func() {
-		once.Do(func() {
-			if cpu != "" {
-				pprof.StopCPUProfile()
-			}
-			if mem == "" {
-				return
-			}
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "b3:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // profile live objects, not yet-uncollected garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "b3:", err)
-			}
-		})
+	if c.knobs.Resume && c.spec.CorpusDir == "" {
+		return nil, c.usage(errors.New("-resume requires -corpus DIR"))
 	}
+	var err error
+	if c.shard, c.numShards, err = parseShard(*shard); err != nil {
+		return nil, c.usage(err)
+	}
+	return c, 0
 }
 
-// runTable4 prints the Table 4 workload counts; a -max bound caps each.
-func runTable4(maxW int64) {
-	fmt.Println("Table 4: Workloads tested (counts from this implementation; see EXPERIMENTS.md)")
-	fmt.Printf("%-18s %12s %10s\n", "sequence type", "# workloads", "gen time")
-	var total int64
-	start := time.Now()
-	for _, p := range b3.Profiles() {
-		bounds, err := b3.ProfileBounds(p)
-		if err != nil {
-			fatal(err)
-		}
-		pStart := time.Now()
-		n, err := b3.CountWorkloads(bounds)
-		if err != nil {
-			fatal(err)
-		}
-		if maxW > 0 {
-			n = min(n, maxW)
-		}
-		total += n
-		fmt.Printf("%-18s %12d %9.1fs\n", p, n, time.Since(pStart).Seconds())
-	}
-	fmt.Printf("%-18s %12d %9.1fs\n", "Total", total, time.Since(start).Seconds())
-}
-
-// campaignOpts carries the shared campaign tuning flags.
-type campaignOpts struct {
-	workers                      int
-	sample                       int64
-	noPrune, finalOnly           bool
-	noClassPrune, noCommutePrune bool
-	pruneCap                     int
-	reorder                      int
-	faults                       b3.FaultModel
-	corpusDir                    string
-	resume                       bool
-	scratch                      bool
-	verbose                      bool
-	shard, numShards             int
-}
-
-// parseFaults parses the -faults/-sector flag pair into a FaultModel
-// ("" = fault axis off; -sector without -faults is refused as a likely typo).
-func parseFaults(list string, sector int) (b3.FaultModel, error) {
-	if strings.TrimSpace(list) == "" {
-		if sector != 0 {
-			return b3.FaultModel{}, fmt.Errorf("-sector %d has no effect without -faults", sector)
-		}
-		return b3.FaultModel{}, nil
-	}
-	kinds, err := b3.ParseFaultKinds(list)
+// applyTier lays the named tier's Spec under the command line: every flag
+// the user did not set takes the tier's value, and explicit flags win.
+func (c *cli) applyTier(f *flag.FlagSet) error {
+	t, err := campaign.LookupTier(c.tier)
 	if err != nil {
-		return b3.FaultModel{}, err
+		return err
 	}
-	m := b3.FaultModel{Kinds: kinds, SectorSize: sector}
-	if err := m.Validate(); err != nil {
-		return b3.FaultModel{}, err
+	c.spec = t.Spec
+	c.spec.SampleEvery = max(c.spec.SampleEvery, 1) // an unsampled tier keeps -sample's default
+	for name, value := range c.given {
+		if err := f.Set(name, value); err != nil {
+			return err
+		}
 	}
-	return m, nil
+	return nil
+}
+
+// nameList is the -fs flag: one name, a comma list, or "all".
+type nameList []string
+
+func (l *nameList) String() string { return strings.Join(*l, ",") }
+
+func (l *nameList) Set(arg string) error {
+	*l = nil
+	for _, name := range strings.Split(arg, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			*l = append(*l, name)
+		}
+	}
+	if len(*l) == 0 {
+		return errors.New("selects no file system")
+	}
+	return nil
 }
 
 // parseShard parses the -shard flag: "i/n" with 0 <= i < n ("" = unsharded).
@@ -273,18 +223,105 @@ func parseShard(arg string) (shard, numShards int, err error) {
 	return shard, numShards, nil
 }
 
-// runMerge folds the completed campaign shards under dir into one report.
-func runMerge(dir string, dedup bool) {
-	m, err := b3.MergeCampaignCorpus(dir, dedup)
-	if err != nil {
-		fatal(err)
+// lower lowers spec for the -shard residue class and adds the campaign
+// flags a Spec does not carry.
+func (c *cli) lower(spec campaign.Spec) (campaign.Config, []filesys.FileSystem, error) {
+	cfg, fss, err := spec.Lower(c.shard, c.numShards)
+	k := &c.knobs
+	cfg.Workers, cfg.MaxWorkloads, cfg.PruneCap = k.Workers, k.MaxWorkloads, k.PruneCap
+	cfg.FinalOnly, cfg.Resume, cfg.ScratchStates = k.FinalOnly, k.Resume, k.ScratchStates
+	cfg.NoPrune, cfg.NoClassPrune, cfg.NoCommutePrune = k.NoPrune, k.NoClassPrune, k.NoCommutePrune
+	return cfg, fss, err
+}
+
+// fail reports a failed run: exit status 1.
+func (c *cli) fail(err error) int {
+	fmt.Fprintln(c.stderr, "b3:", err)
+	return 1
+}
+
+// usage reports a command line that cannot run: exit status 2.
+func (c *cli) usage(err error) int {
+	fmt.Fprintln(c.stderr, "b3:", err)
+	return 2
+}
+
+// startProfiles starts the optional CPU profile and returns the function
+// that stops it and writes the optional heap profile; run defers it, so
+// every exit path flushes both.
+func startProfiles(cpu, mem string, stderr io.Writer) (stop func(), err error) {
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return nil, err
+		}
 	}
-	fmt.Print(m.Summary())
-	var rows []*b3.CampaignStats
+	return func() {
+		if cpu != "" {
+			pprof.StopCPUProfile()
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintln(stderr, "b3:", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC() // profile live objects, not yet-uncollected garbage
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintln(stderr, "b3:", err)
+		}
+	}, nil
+}
+
+// runTable4 prints the Table 4 workload counts; a -max bound caps each.
+func (c *cli) runTable4() int {
+	fmt.Fprintln(c.stdout, "Table 4: Workloads tested (counts from this implementation; see EXPERIMENTS.md)")
+	fmt.Fprintf(c.stdout, "%-18s %12s %10s\n", "sequence type", "# workloads", "gen time")
+	var total int64
+	start := time.Now()
+	for _, p := range ace.Profiles() {
+		bounds, _, err := campaign.ProfileSpace(p)
+		if err != nil {
+			return c.fail(err)
+		}
+		pStart := time.Now()
+		n, err := ace.New(bounds).Count()
+		if err != nil {
+			return c.fail(err)
+		}
+		if c.knobs.MaxWorkloads > 0 {
+			n = min(n, c.knobs.MaxWorkloads)
+		}
+		total += n
+		fmt.Fprintf(c.stdout, "%-18s %12d %9.1fs\n", p, n, time.Since(pStart).Seconds())
+	}
+	fmt.Fprintf(c.stdout, "%-18s %12d %9.1fs\n", "Total", total, time.Since(start).Seconds())
+	return 0
+}
+
+// runMerge folds the completed campaign shards under -merge into one report.
+func (c *cli) runMerge() int {
+	m, err := b3.MergeCampaignCorpus(c.mergeDir, c.dedup)
+	if err != nil {
+		return c.fail(err)
+	}
+	fmt.Fprint(c.stdout, m.Summary())
+	return c.exitOnBrokenReorder(mergedStats(m))
+}
+
+// mergedStats lists a merged report's per-row statistics.
+func mergedStats(m *campaign.Merge) []*campaign.Stats {
+	var rows []*campaign.Stats
 	for _, r := range m.Rows {
 		rows = append(rows, r.Stats)
 	}
-	exitOnBrokenReorder(rows)
+	return rows
 }
 
 // progressPrinter returns an OnProgress callback printing a live progress
@@ -292,9 +329,9 @@ func runMerge(dir string, dedup bool) {
 // plus an ETA once the background space count (total) lands. rows is the
 // number of matrix rows (snapshots sum across them); divisor scales the
 // enumeration down to one row's tested share (shards × sampling).
-func progressPrinter(total *atomic.Int64, rows, divisor int64) func(b3.CampaignProgress) {
-	var last b3.CampaignProgress
-	return func(p b3.CampaignProgress) {
+func (c *cli) progressPrinter(total *atomic.Int64, rows, divisor int64) func(campaign.Progress) {
+	var last campaign.Progress
+	return func(p campaign.Progress) {
 		dt := (p.Elapsed - last.Elapsed).Seconds()
 		if dt <= 0 {
 			return
@@ -311,84 +348,60 @@ func progressPrinter(total *atomic.Int64, rows, divisor int64) func(b3.CampaignP
 				line += fmt.Sprintf(", ~%d/%d done, eta %s", p.Workloads, expected, eta.Round(time.Second))
 			}
 		}
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(c.stderr, line)
 		last = p
 	}
 }
 
 // printBlockIO emits the -v block-IO metering lines for each campaign row.
-func printBlockIO(verbose bool, rows ...*b3.CampaignStats) {
-	if !verbose {
+func (c *cli) printBlockIO(rows ...*campaign.Stats) {
+	if !c.verbose {
 		return
 	}
 	for _, s := range rows {
-		fmt.Println(s.BlockIOSummary())
+		fmt.Fprintln(c.stdout, s.BlockIOSummary())
 	}
 }
 
-// resolveFS expands the -fs flag: one name, a comma list, or "all".
-func resolveFS(arg string) ([]b3.FileSystem, error) {
-	names := strings.Split(arg, ",")
-	if strings.TrimSpace(arg) == "all" {
-		names = b3.FSNames()
-	}
-	var out []b3.FileSystem
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		fs, err := b3.NewFS(name, b3.CampaignConfig())
+func (c *cli) runFindNewBugs() int {
+	fmt.Fprintln(c.stdout, "=== Table 5 campaign: seq-1 + seq-2 on every file system at kernel 4.16")
+	fmt.Fprintln(c.stdout, "(previously reported bugs patched; undiscovered bugs live)")
+	interrupt := installInterrupt(c.stderr)
+	var cfgs []campaign.Config
+	var fss []filesys.FileSystem
+	for _, p := range []ace.ProfileName{ace.ProfileSeq1, ace.ProfileSeq2} {
+		spec := c.spec
+		spec.Profile, spec.FS = p, []string{"all"}
+		cfg, all, err := c.lower(spec)
 		if err != nil {
-			return nil, err
+			return c.usage(err)
 		}
-		out = append(out, fs)
+		// Each (fs, profile) pair gets its own corpus shard.
+		cfg.KnownDBFor, cfg.Interrupt = b3.KnownBugDB, interrupt
+		cfgs, fss = append(cfgs, cfg), all
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-fs %q selects no file system", arg)
-	}
-	return out, nil
-}
-
-func runFindNewBugs(o campaignOpts) {
-	fmt.Println("=== Table 5 campaign: seq-1 + seq-2 on every file system at kernel 4.16")
-	fmt.Println("(previously reported bugs patched; undiscovered bugs live)")
 	found := map[string]bool{}
-	var allStats []*b3.CampaignStats
-	interrupt := installInterrupt()
-	for _, fsName := range b3.FSNames() {
-		fs, err := b3.NewFS(fsName, b3.CampaignConfig())
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range []b3.ProfileName{b3.Seq1, b3.Seq2} {
-			stats, err := b3.RunCampaign(b3.Campaign{
-				FS: fs, Profile: p, Workers: o.workers,
-				SampleEvery: o.sample, DedupKnown: true,
-				NoPrune: o.noPrune, NoClassPrune: o.noClassPrune, NoCommutePrune: o.noCommutePrune,
-				PruneCap: o.pruneCap, FinalOnly: o.finalOnly,
-				Reorder: o.reorder, Faults: o.faults, ScratchStates: o.scratch,
-				Shard: o.shard, NumShards: o.numShards,
-				// Each (fs, profile) pair gets its own corpus shard.
-				CorpusDir: o.corpusDir, Resume: o.resume,
-				Interrupt: interrupt,
-			})
-			if errors.Is(err, b3.ErrCampaignInterrupted) {
-				fmt.Printf("\n--- %s %s (interrupted) ---\n%s\n", fsName, p, stats.Summary())
-				exitInterrupted(o.corpusDir)
+	var allStats []*campaign.Stats
+	for _, fs := range fss {
+		for _, cfg := range cfgs {
+			cfg.FS = fs
+			stats, err := campaign.Run(cfg)
+			if errors.Is(err, campaign.ErrInterrupted) {
+				fmt.Fprintf(c.stdout, "\n--- %s %s (interrupted) ---\n%s\n", fs.Name(), cfg.ProfileLabel, stats.Summary())
+				return c.interrupted()
 			}
 			if err != nil {
-				fatal(err)
+				return c.fail(err)
 			}
-			fmt.Printf("\n--- %s %s ---\n%s\n", fsName, p, stats.Summary())
-			printBlockIO(o.verbose, stats)
+			fmt.Fprintf(c.stdout, "\n--- %s %s ---\n%s\n", fs.Name(), cfg.ProfileLabel, stats.Summary())
+			c.printBlockIO(stats)
 			attributeBugs(fs, stats, found)
 			allStats = append(allStats, stats)
 		}
 	}
-	fmt.Println()
-	fmt.Print(b3.Table5(found))
-	exitOnBrokenReorder(allStats)
+	fmt.Fprintln(c.stdout)
+	fmt.Fprint(c.stdout, b3.Table5(found))
+	return c.exitOnBrokenReorder(allStats)
 }
 
 // exitOnBrokenReorder enforces the reorder contract on every campaign mode:
@@ -401,28 +414,25 @@ func runFindNewBugs(o campaignOpts) {
 // designs make, so a broken fault state is a finding about the design's
 // fault envelope (reported in the summary and per-kind counters), not a
 // harness-soundness failure.
-func exitOnBrokenReorder(rows []*b3.CampaignStats) {
-	broken := false
+func (c *cli) exitOnBrokenReorder(rows []*campaign.Stats) int {
+	code := 0
 	for _, s := range rows {
 		if s.ReorderBroken > 0 {
-			broken = true
-			fmt.Fprintf(os.Stderr, "b3: %s: %d reorder state(s) neither mounted nor repaired\n",
+			code = 1
+			fmt.Fprintf(c.stderr, "b3: %s: %d reorder state(s) neither mounted nor repaired\n",
 				s.FSName, s.ReorderBroken)
 		}
 		if n := s.FaultBroken(); n > 0 {
-			fmt.Fprintf(os.Stderr, "b3: %s: %d fault state(s) neither mounted nor repaired (finding, not an error)\n",
+			fmt.Fprintf(c.stderr, "b3: %s: %d fault state(s) neither mounted nor repaired (finding, not an error)\n",
 				s.FSName, n)
 		}
 	}
-	if broken {
-		profileFlush()
-		os.Exit(1)
-	}
+	return code
 }
 
 // attributeBugs marks which Table 5 mechanisms the campaign's groups
 // exercise, by re-running each group exemplar with single mechanisms.
-func attributeBugs(fs b3.FileSystem, stats *b3.CampaignStats, found map[string]bool) {
+func attributeBugs(fs b3.FileSystem, stats *campaign.Stats, found map[string]bool) {
 	for _, g := range stats.FreshGroups {
 		w, err := workload.Parse("exemplar", g.Exemplar.Workload)
 		if err != nil {
@@ -444,8 +454,8 @@ func attributeBugs(fs b3.FileSystem, stats *b3.CampaignStats, found map[string]b
 	}
 }
 
-func runReproduce() {
-	fmt.Println("=== Reproducing the 24 studied bugs on their reported kernels (appendix 9.1)")
+func (c *cli) runReproduce() int {
+	fmt.Fprintln(c.stdout, "=== Reproducing the 24 studied bugs on their reported kernels (appendix 9.1)")
 	ok, fail := 0, 0
 	for _, entry := range b3.StudyCorpus() {
 		if entry.New || entry.OutOfBounds {
@@ -453,7 +463,7 @@ func runReproduce() {
 		}
 		w, err := b3.ParseWorkload(entry.ID, entry.Text)
 		if err != nil {
-			fatal(err)
+			return c.fail(err)
 		}
 		for _, variant := range entry.Variants {
 			var reported b3.Version
@@ -467,11 +477,11 @@ func runReproduce() {
 			cfg := b3.FSConfig{Version: reported}
 			fs, err := b3.NewFS(variant.FS, cfg)
 			if err != nil {
-				fatal(err)
+				return c.fail(err)
 			}
 			res, err := b3.TestWorkload(fs, w)
 			if err != nil {
-				fatal(err)
+				return c.fail(err)
 			}
 			status := "NOT REPRODUCED"
 			if res.Buggy() {
@@ -480,112 +490,73 @@ func runReproduce() {
 			} else {
 				fail++
 			}
-			fmt.Printf("%-4s on %-10s @ kernel %-6s: %-14s (%s)\n",
+			fmt.Fprintf(c.stdout, "%-4s on %-10s @ kernel %-6s: %-14s (%s)\n",
 				entry.ID, variant.FS, reported, status, entry.Title)
 		}
 	}
 	for _, entry := range b3.StudyCorpus() {
 		if entry.OutOfBounds {
-			fmt.Printf("%-4s out of B3's bounds (%s)\n", entry.ID, entry.Title)
+			fmt.Fprintf(c.stdout, "%-4s out of B3's bounds (%s)\n", entry.ID, entry.Title)
 		}
 	}
-	fmt.Printf("\n%d bug reports reproduced, %d failed; 2 of 26 studied bugs out of bounds (as in the paper)\n", ok, fail)
+	fmt.Fprintf(c.stdout, "\n%d bug reports reproduced, %d failed; 2 of 26 studied bugs out of bounds (as in the paper)\n", ok, fail)
 	if fail > 0 {
-		profileFlush()
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-type profileRun struct {
-	campaignOpts
-	profile, fs string
-	maxW        int64
-	dedup       bool
-}
-
-func runProfile(r profileRun) {
-	fss, err := resolveFS(r.fs)
+func (c *cli) runProfile() int {
+	cfg, fss, err := c.lower(c.spec)
 	if err != nil {
-		fatal(err)
+		return c.usage(err)
 	}
-	c := b3.Campaign{
-		Profile: b3.ProfileName(r.profile), Workers: r.workers,
-		SampleEvery: r.sample, MaxWorkloads: r.maxW, DedupKnown: r.dedup,
-		NoPrune: r.noPrune, NoClassPrune: r.noClassPrune, NoCommutePrune: r.noCommutePrune,
-		PruneCap: r.pruneCap, FinalOnly: r.finalOnly,
-		Reorder: r.reorder, Faults: r.faults, ScratchStates: r.scratch,
-		Shard: r.shard, NumShards: r.numShards,
-		CorpusDir: r.corpusDir, Resume: r.resume,
-		Interrupt: installInterrupt(),
+	cfg.Interrupt = installInterrupt(c.stderr)
+	if c.dedup {
+		cfg.KnownDBFor = b3.KnownBugDB
 	}
-	if r.verbose {
+	if c.verbose {
 		// Live progress while the sweep runs. The ETA needs the space size;
 		// counting builds no workload but still simulates every assignment
 		// (about a second for a seq-3 space), so it runs in the background
 		// and the ETA appears once it lands. A -max bound caps the
 		// enumeration, so it caps the ETA total too — and is known upfront.
 		var total atomic.Int64
-		if r.maxW > 0 {
-			total.Store(r.maxW)
+		if cfg.MaxWorkloads > 0 {
+			total.Store(cfg.MaxWorkloads)
 		}
-		go func() {
-			if b3.IsKVProfile(r.profile) {
+		go func(cfg campaign.Config) {
+			var n int64
+			var err error
+			if cfg.KV != nil {
 				// KV spaces count in closed form; the per-workload
 				// state-space probe is a file-level tool, so skip it.
-				if n, err := b3.CountKVWorkloads(r.profile); err == nil {
-					if r.maxW <= 0 || n < r.maxW {
-						total.Store(n)
-					}
-				}
-				return
+				n, err = kvace.New(*cfg.KV).Count()
+			} else {
+				c.stateSpaceNotice(cfg, fss[0])
+				n, err = ace.New(cfg.Bounds).Count()
 			}
-			bounds, err := b3.ProfileBounds(c.Profile)
-			if err != nil {
-				return
+			if err == nil && (cfg.MaxWorkloads <= 0 || n < cfg.MaxWorkloads) {
+				total.Store(n)
 			}
-			stateSpaceNotice(c, fss[0], bounds)
-			if n, err := b3.CountWorkloads(bounds); err == nil {
-				if r.maxW <= 0 || n < r.maxW {
-					total.Store(n)
-				}
-			}
-		}()
-		divisor := int64(1)
-		if r.numShards > 1 {
-			divisor *= int64(r.numShards)
-		}
-		if r.sample > 1 {
-			divisor *= r.sample
-		}
-		c.OnProgress = progressPrinter(&total, int64(len(fss)), divisor)
+		}(cfg)
+		divisor := max(int64(cfg.NumShards), 1) * max(cfg.SampleEvery, 1)
+		cfg.OnProgress = c.progressPrinter(&total, int64(len(fss)), divisor)
 	}
-	var rows []*b3.CampaignStats
+	matrix, err := campaign.RunMatrix(cfg, fss)
+	if err != nil && !errors.Is(err, campaign.ErrInterrupted) {
+		return c.fail(err)
+	}
 	if len(fss) == 1 {
-		c.FS = fss[0]
-		stats, err := b3.RunCampaign(c)
-		if errors.Is(err, b3.ErrCampaignInterrupted) {
-			fmt.Print(stats.Summary())
-			exitInterrupted(r.corpusDir)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(stats.Summary())
-		rows = append(rows, stats)
+		fmt.Fprint(c.stdout, matrix.PerFS[0].Summary())
 	} else {
-		matrix, err := b3.RunCampaignMatrix(c, fss)
-		if errors.Is(err, b3.ErrCampaignInterrupted) {
-			fmt.Print(matrix.Summary())
-			exitInterrupted(r.corpusDir)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(matrix.Summary())
-		rows = matrix.PerFS
+		fmt.Fprint(c.stdout, matrix.Summary())
 	}
-	printBlockIO(r.verbose, rows...)
-	exitOnBrokenReorder(rows)
+	if err != nil {
+		return c.interrupted()
+	}
+	c.printBlockIO(matrix.PerFS...)
+	return c.exitOnBrokenReorder(matrix.PerFS)
 }
 
 // stateSpaceNotice sizes the per-workload crash-state spaces behind a -v
@@ -595,12 +566,12 @@ func runProfile(r profileRun) {
 // count that overflows int64 is surfaced as a one-line notice instead of
 // being dropped: a space too large to count is exactly the one the user
 // needs to hear about before committing a workstation to it.
-func stateSpaceNotice(c b3.Campaign, fs b3.FileSystem, bounds b3.Bounds) {
-	if c.Reorder <= 0 && len(c.Faults.Kinds) == 0 {
+func (c *cli) stateSpaceNotice(cfg campaign.Config, fs filesys.FileSystem) {
+	if cfg.Reorder <= 0 && len(cfg.Faults.Kinds) == 0 {
 		return
 	}
 	var text string
-	if _, err := b3.GenerateWorkloads(bounds, func(w *b3.Workload) bool {
+	if _, err := ace.New(cfg.Bounds).Generate(func(w *workload.Workload) bool {
 		text = w.String()
 		return false
 	}); err != nil || text == "" {
@@ -616,24 +587,18 @@ func stateSpaceNotice(c b3.Campaign, fs b3.FileSystem, bounds b3.Bounds) {
 	}
 	defer p.Release()
 	log := p.Log()
-	if c.Reorder > 0 {
-		if n, err := blockdev.ReorderStateCount(log, c.Reorder); err != nil {
-			fmt.Fprintf(os.Stderr, "b3: reorder space at k=%d too large to count: the sweep streams it anyway, but the ETA tracks workloads only\n", c.Reorder)
+	if cfg.Reorder > 0 {
+		if n, err := blockdev.ReorderStateCount(log, cfg.Reorder); err != nil {
+			fmt.Fprintf(c.stderr, "b3: reorder space at k=%d too large to count: the sweep streams it anyway, but the ETA tracks workloads only\n", cfg.Reorder)
 		} else {
-			fmt.Fprintf(os.Stderr, "b3: reorder sweep at k=%d: %d crash states for the first workload\n", c.Reorder, n)
+			fmt.Fprintf(c.stderr, "b3: reorder sweep at k=%d: %d crash states for the first workload\n", cfg.Reorder, n)
 		}
 	}
-	for _, kind := range c.Faults.Kinds {
-		if n, err := blockdev.FaultStateCount(log, kind, c.Faults.SectorSize); err != nil {
-			fmt.Fprintf(os.Stderr, "b3: %s fault space too large to count: the sweep streams it anyway, but the ETA tracks workloads only\n", kind)
+	for _, kind := range cfg.Faults.Kinds {
+		if n, err := blockdev.FaultStateCount(log, kind, cfg.Faults.SectorSize); err != nil {
+			fmt.Fprintf(c.stderr, "b3: %s fault space too large to count: the sweep streams it anyway, but the ETA tracks workloads only\n", kind)
 		} else {
-			fmt.Fprintf(os.Stderr, "b3: %s fault sweep: %d crash states for the first workload\n", kind, n)
+			fmt.Fprintf(c.stderr, "b3: %s fault sweep: %d crash states for the first workload\n", kind, n)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "b3:", err)
-	profileFlush()
-	os.Exit(1)
 }

@@ -12,17 +12,11 @@ import (
 	"b3/internal/ace"
 )
 
-// Tier is one named campaign preset. FS lists backend names ("all" is
-// resolved by the caller — this package stays free of the backend
-// registry); Faults is the -faults comma list ("" = none).
+// Tier is one named campaign preset: a name plus the Spec it stands for
+// (its NumShards and CorpusDir are left to the caller).
 type Tier struct {
-	Name        string
-	Profile     ace.ProfileName
-	FS          []string
-	Reorder     int
-	Faults      string
-	Sector      int
-	SampleEvery int64
+	Name string
+	Spec
 }
 
 // Tiers returns the named presets, cheapest first.
@@ -38,11 +32,12 @@ type Tier struct {
 //   - kv-nightly: the full kv-seq2 space across every backend with the
 //     reorder and torn/corrupt fault axes.
 func Tiers() []Tier {
+	all := []string{"all"}
 	return []Tier{
-		{Name: "quick", Profile: ace.ProfileSeq1, FS: []string{"all"}, Reorder: 1},
-		{Name: "nightly", Profile: ace.ProfileSeq3Metadata, FS: []string{"all"}},
-		{Name: "kv-quick", Profile: "kv-seq1", FS: []string{"all"}, Reorder: 1},
-		{Name: "kv-nightly", Profile: "kv-seq2", FS: []string{"all"}, Reorder: 1, Faults: "torn,corrupt"},
+		{"quick", Spec{Profile: ace.ProfileSeq1, FS: all, Reorder: 1}},
+		{"nightly", Spec{Profile: ace.ProfileSeq3Metadata, FS: all}},
+		{"kv-quick", Spec{Profile: "kv-seq1", FS: all, Reorder: 1}},
+		{"kv-nightly", Spec{Profile: "kv-seq2", FS: all, Reorder: 1, Faults: "torn,corrupt"}},
 	}
 }
 

@@ -89,7 +89,7 @@ type Coordinator struct {
 // coordinator died are preserved with their ids — their workers' next
 // heartbeats land normally — and their deadlines re-armed from now.
 func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
-	if err := spec.Validate(); err != nil {
+	if err := validate(spec); err != nil {
 		return nil, err
 	}
 	if opts.TTL <= 0 {
@@ -302,7 +302,7 @@ func (c *Coordinator) removeClassShards(cl Class) error {
 // classDoneOnDisk (mu held) reports whether every spec backend's corpus
 // shard for the class exists and carries a completion marker.
 func (c *Coordinator) classDoneOnDisk(cl Class) bool {
-	fss, err := c.spec.filesystems()
+	_, fss, err := c.spec.Lower(0, 0)
 	if err != nil {
 		return false
 	}

@@ -25,12 +25,7 @@ package fleet
 import (
 	"fmt"
 
-	"b3/internal/ace"
-	"b3/internal/blockdev"
 	"b3/internal/campaign"
-	"b3/internal/filesys"
-	"b3/internal/fsmake"
-	"b3/internal/kvace"
 )
 
 // Class is one residue class of the sampled workload index space: the
@@ -51,31 +46,13 @@ func (c Class) Split() (Class, Class) {
 
 func (c Class) String() string { return fmt.Sprintf("%d/%d", c.R, c.N) }
 
-// Spec is the campaign configuration the fleet runs, delivered to workers
-// inside every lease response so a worker needs nothing but the
-// coordinator URL. It is journaled as the ledger's first record: reopening
-// a ledger under a different spec fails loudly instead of silently mixing
-// two campaigns in one corpus directory.
-type Spec struct {
-	// Profile names the workload profile: an ACE file-space profile
-	// (ace.Profiles) or a "kv-" application-workload profile (kvace).
-	Profile string `json:"profile"`
-	// FS lists backend names; the single entry "all" means every backend.
-	FS []string `json:"fs"`
-	// NumShards is the initial uniform residue partition (≥ 1).
-	NumShards int `json:"num_shards"`
-	// SampleEvery tests every n-th workload (0/1 = all).
-	SampleEvery int64 `json:"sample_every,omitempty"`
-	// Reorder is the bounded-reordering sweep bound (0 = off).
-	Reorder int `json:"reorder,omitempty"`
-	// Faults is the -faults comma list ("" = no fault axis).
-	Faults string `json:"faults,omitempty"`
-	// Sector is the torn-write granularity (0 = default).
-	Sector int `json:"sector,omitempty"`
-	// CorpusDir is the shared corpus directory workers checkpoint into.
-	// Local fleets share the coordinator's directory via the filesystem.
-	CorpusDir string `json:"corpus_dir"`
-}
+// Spec is the campaign the fleet runs, delivered to workers inside every
+// lease response so a worker needs nothing but the coordinator URL. It is
+// journaled as the ledger's first record: reopening a ledger under a
+// different spec fails loudly instead of silently mixing two campaigns in
+// one corpus directory. A worker lowers it with the leased class, not the
+// initial NumShards partition.
+type Spec = campaign.Spec
 
 // TierSpec builds a Spec from a named campaign tier.
 func TierSpec(tierName, corpusDir string, numShards int) (Spec, error) {
@@ -83,117 +60,25 @@ func TierSpec(tierName, corpusDir string, numShards int) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	return Spec{
-		Profile:     string(t.Profile),
-		FS:          t.FS,
-		NumShards:   numShards,
-		SampleEvery: t.SampleEvery,
-		Reorder:     t.Reorder,
-		Faults:      t.Faults,
-		Sector:      t.Sector,
-		CorpusDir:   corpusDir,
-	}, nil
+	spec := t.Spec
+	spec.NumShards, spec.CorpusDir = numShards, corpusDir
+	return spec, nil
 }
 
-// Validate resolves and checks every knob a worker will trust, so a bad
-// spec fails at coordinator start instead of inside every worker.
-func (s Spec) Validate() error {
-	if kvace.IsProfile(s.Profile) {
-		if _, err := kvace.Profile(s.Profile); err != nil {
-			return fmt.Errorf("fleet: spec: %w", err)
-		}
-	} else if _, err := ace.Profile(ace.ProfileName(s.Profile)); err != nil {
+// validate checks that the spec lowers cleanly plus what only a fleet
+// needs, so a bad spec fails at coordinator start instead of inside every
+// worker.
+func validate(s Spec) error {
+	if _, _, err := s.Lower(0, s.NumShards); err != nil {
 		return fmt.Errorf("fleet: spec: %w", err)
-	}
-	if _, err := s.filesystems(); err != nil {
-		return err
 	}
 	if s.NumShards < 1 {
 		return fmt.Errorf("fleet: spec: NumShards %d, want ≥ 1", s.NumShards)
-	}
-	if s.SampleEvery < 0 {
-		return fmt.Errorf("fleet: spec: negative SampleEvery %d", s.SampleEvery)
-	}
-	if _, err := s.faultModel(); err != nil {
-		return err
 	}
 	if s.CorpusDir == "" {
 		return fmt.Errorf("fleet: spec: CorpusDir is required")
 	}
 	return nil
-}
-
-// filesystems resolves the FS name list ("all" = every backend).
-func (s Spec) filesystems() ([]filesys.FileSystem, error) {
-	names := s.FS
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = fsmake.Names()
-	}
-	fss := make([]filesys.FileSystem, 0, len(names))
-	for _, name := range names {
-		fs, err := fsmake.NewBugsOnly(name)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: spec: %w", err)
-		}
-		fss = append(fss, fs)
-	}
-	return fss, nil
-}
-
-// faultModel parses the Faults/Sector pair.
-func (s Spec) faultModel() (blockdev.FaultModel, error) {
-	if s.Faults == "" {
-		return blockdev.FaultModel{SectorSize: s.Sector}, nil
-	}
-	kinds, err := blockdev.ParseFaultKinds(s.Faults)
-	if err != nil {
-		return blockdev.FaultModel{}, fmt.Errorf("fleet: spec: %w", err)
-	}
-	return blockdev.FaultModel{Kinds: kinds, SectorSize: s.Sector}, nil
-}
-
-// config lowers the spec plus one leased class into the campaign Config a
-// worker hands to campaign.RunMatrix. NumShards 1 lowers to an unsharded
-// campaign so a single-class fleet produces a corpus mergeable (and
-// byte-comparable) with a plain run.
-func (s Spec) config(c Class) (campaign.Config, []filesys.FileSystem, error) {
-	var bounds ace.Bounds
-	var kv *kvace.Bounds
-	if kvace.IsProfile(s.Profile) {
-		kb, err := kvace.Profile(s.Profile)
-		if err != nil {
-			return campaign.Config{}, nil, fmt.Errorf("fleet: spec: %w", err)
-		}
-		kv = &kb
-	} else {
-		var err error
-		bounds, err = ace.Profile(ace.ProfileName(s.Profile))
-		if err != nil {
-			return campaign.Config{}, nil, fmt.Errorf("fleet: spec: %w", err)
-		}
-	}
-	fss, err := s.filesystems()
-	if err != nil {
-		return campaign.Config{}, nil, err
-	}
-	faults, err := s.faultModel()
-	if err != nil {
-		return campaign.Config{}, nil, err
-	}
-	cfg := campaign.Config{
-		Bounds:       bounds,
-		KV:           kv,
-		SampleEvery:  s.SampleEvery,
-		Reorder:      s.Reorder,
-		Faults:       faults,
-		CorpusDir:    s.CorpusDir,
-		Resume:       true,
-		ProfileLabel: s.Profile,
-	}
-	if c.N > 1 {
-		cfg.Shard, cfg.NumShards = c.R, c.N
-	}
-	return cfg, fss, nil
 }
 
 // Progress is the rolled-up live progress a heartbeat carries: the same

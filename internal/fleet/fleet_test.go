@@ -39,6 +39,13 @@ func cheapSpec(dir string, numShards int) Spec {
 	}
 }
 
+// leaseConfig lowers a leased class the way Worker.runLease does.
+func leaseConfig(spec Spec, c Class) (campaign.Config, []filesys.FileSystem, error) {
+	cfg, fss, err := spec.Lower(c.R, c.N)
+	cfg.Resume = true
+	return cfg, fss, err
+}
+
 func mustCoordinator(t *testing.T, spec Spec, opts Options) *Coordinator {
 	t.Helper()
 	if opts.Logf == nil {
@@ -50,6 +57,28 @@ func mustCoordinator(t *testing.T, spec Spec, opts Options) *Coordinator {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// TestSpecRefusesFaultModelWorkersWouldReject: a fault model every
+// worker's campaign.RunMatrix would refuse — a sector size that does not
+// divide the block, or a sector size with no fault axis to apply it to —
+// fails at coordinator start instead of stalling the fleet forever.
+func TestSpecRefusesFaultModelWorkersWouldReject(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		sector int
+	}{{"torn", 1000}, {"", 1024}} {
+		spec := cheapSpec(t.TempDir(), 2)
+		spec.FS = []string{"all"}
+		spec.Faults, spec.Sector = tc.faults, tc.sector
+		if c, err := NewCoordinator(spec, Options{Logf: t.Logf}); err == nil {
+			c.Close()
+			t.Errorf("faults %q sector %d: coordinator started", tc.faults, tc.sector)
+		}
+	}
+	spec := cheapSpec(t.TempDir(), 2)
+	spec.Faults, spec.Sector = "torn", 1024
+	mustCoordinator(t, spec, Options{})
 }
 
 func TestLedgerCrashSafetyAndSpecBinding(t *testing.T) {
@@ -281,7 +310,7 @@ func TestWorkStealingSplitOnExpiredDemand(t *testing.T) {
 	if err != nil || lease.NoWork {
 		t.Fatalf("lease: %+v %v", lease, err)
 	}
-	cfg, fss, err := lease.Spec.config(lease.Class)
+	cfg, fss, err := leaseConfig(lease.Spec, lease.Class)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +368,7 @@ func TestCoordinatorAdoptsDoneClassOnExpiry(t *testing.T) {
 	// expiry and adopt the class as done instead of re-issuing it. The
 	// sweep is on disk before the lease is granted, so a sweep slower than
 	// the TTL (a loaded machine, -race) cannot expire the lease first.
-	cfg, fss, err := spec.config(Class{R: 0, N: 1})
+	cfg, fss, err := leaseConfig(spec, Class{R: 0, N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +403,7 @@ func TestWorkerReleasesZombieLockedClass(t *testing.T) {
 
 	// Materialise the class's corpus shard, then hold its flock the way a
 	// zombie predecessor (dead lease, live process) would.
-	cfg, fss, err := spec.config(Class{R: 0, N: 1})
+	cfg, fss, err := leaseConfig(spec, Class{R: 0, N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +521,7 @@ func TestFleetEquivalenceGate(t *testing.T) {
 	if err != nil || deadLease.NoWork {
 		t.Fatalf("dead worker lease: %+v %v", deadLease, err)
 	}
-	dcfg, dfss, err := deadLease.Spec.config(deadLease.Class)
+	dcfg, dfss, err := leaseConfig(deadLease.Spec, deadLease.Class)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,13 +95,15 @@ func (w *Worker) Run() error {
 //   - Worker.Interrupt closed → campaign interrupted, /v1/release,
 //     ErrInterrupted
 func (w *Worker) runLease(lease LeaseResponse) error {
-	cfg, fss, err := lease.Spec.config(lease.Class)
+	cfg, fss, err := lease.Spec.Lower(lease.Class.R, lease.Class.N)
 	if err != nil {
 		// A spec the worker cannot lower is not going to improve by
 		// retrying; release so another (newer?) worker can try.
 		w.release(lease.Lease)
-		return err
+		return fmt.Errorf("fleet: spec: %w", err)
 	}
+	// A re-issued class continues from its predecessor's checkpoint.
+	cfg.Resume = true
 	w.logf("fleet worker %s: leased class %s (lease %d)", w.ID, lease.Class, lease.Lease)
 
 	lost := make(chan struct{})

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
-# fleet_smoke.sh — the fleet fault-tolerance smoke: run a three-class
-# seq-1 matrix fleet (every backend, reorder k=1) through the real CLI —
-# one `b3 -serve` coordinator plus local `b3 -worker` processes — kill the
-# first worker mid-lease with SIGKILL, and let the survivors finish: the
-# coordinator must expire the dead lease, re-issue (or work-steal-split)
-# its class, and the merged report it prints on completion must carry the
-# same per-backend stable counters as an unsharded run of the identical
-# configuration. Any divergence means lease recovery lost or double-
-# counted work, and the job fails.
+# fleet_smoke.sh — the fleet fault-tolerance smoke: run the quick tier
+# (seq-1, every backend, reorder k=1) as a three-class fleet through the
+# real CLI — one `b3 -serve` coordinator plus local `b3 -worker`
+# processes — kill the first worker mid-lease with SIGKILL, and let the
+# survivors finish: the coordinator must expire the dead lease, re-issue
+# (or work-steal-split) its class, and the merged report it prints on
+# completion must carry the same per-backend stable counters as an
+# unsharded run of the identical configuration. Any divergence means lease
+# recovery lost or double-counted work, and the job fails.
 #
 # Usage: scripts/fleet_smoke.sh [workdir]
 set -eu
@@ -21,8 +21,8 @@ port=$((20000 + $$ % 20000))
 
 trap 'kill "${serve:-}" "${victim:-}" "${w2:-}" "${w3:-}" 2>/dev/null || true' EXIT
 
-echo "== coordinator: seq-1, all backends, reorder 1, 3 residue classes" >&2
-"$bin" -serve "127.0.0.1:$port" -profile seq-1 -fs all -reorder 1 \
+echo "== coordinator: the quick tier over 3 residue classes" >&2
+"$bin" -serve "127.0.0.1:$port" -tier quick \
   -fleet-shards 3 -lease-ttl 1s -corpus "$corpus" \
   >"$work/merged.out" 2>"$work/serve.err" &
 serve=$!
@@ -57,7 +57,7 @@ if ! grep -q 'fleet: expire' "$work/serve.err"; then
 fi
 
 echo "== unsharded baseline" >&2
-"$bin" -profile seq-1 -fs all -reorder 1 >"$work/unsharded.out"
+"$bin" -tier quick >"$work/unsharded.out"
 
 # Extract the per-FS stable counters from each table — every data row
 # between the dashed separator and the following blank line. Columns are
