@@ -1,7 +1,6 @@
 package b3
 
 import (
-	"fmt"
 	"time"
 
 	"b3/internal/ace"
@@ -292,9 +291,6 @@ func RunCampaignMatrix(c Campaign, fss []FileSystem) (*CampaignMatrix, error) {
 // checkpointed (with CorpusDir) and resumable.
 var ErrCampaignInterrupted = campaign.ErrInterrupted
 
-// CampaignTiers returns the named campaign presets (quick, nightly).
-func CampaignTiers() []CampaignTier { return campaign.Tiers() }
-
 // LookupCampaignTier resolves a tier by name.
 func LookupCampaignTier(name string) (CampaignTier, error) { return campaign.LookupTier(name) }
 
@@ -432,11 +428,3 @@ func RegressionBaseline(fs FileSystem) (ran int, failures []string, err error) {
 
 // Latest is the newest simulated kernel (4.16, Table 1).
 var Latest = bugs.Latest
-
-// ErrHint formats a finding list for reports.
-func ErrHint(findings []Finding) string {
-	if len(findings) == 0 {
-		return "consistent"
-	}
-	return fmt.Sprintf("%d finding(s), first: %s", len(findings), findings[0])
-}

@@ -10,7 +10,6 @@ import (
 
 	"b3"
 	"b3/internal/ace"
-	"b3/internal/blockdev"
 	"b3/internal/bugs"
 	"b3/internal/crashmonkey"
 	"b3/internal/filesys"
@@ -68,20 +67,7 @@ fsync /A/bar
 	}
 }
 
-// ---- Table 3 / Figure 4: ACE bounds and phases ----------------------------
-
-func BenchmarkTable3Bounds(b *testing.B) {
-	bounds := ace.Default(3)
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = 0
-		for _, kind := range bounds.Ops {
-			n += len(bounds.Ops) // phase-1 skeleton fan-out per slot
-			_ = kind
-		}
-	}
-	_ = n
-}
+// ---- Figure 4: ACE generation phases ---------------------------------------
 
 // BenchmarkFigure4Phases measures the full 4-phase generation pipeline
 // (skeleton -> parameters -> persistence points -> dependencies) per
@@ -106,13 +92,16 @@ func BenchmarkFigure4Phases(b *testing.B) {
 
 func BenchmarkAceGenerationRate(b *testing.B) {
 	bounds := ace.Default(1)
+	var built int64
 	for i := 0; i < b.N; i++ {
-		n, err := ace.New(bounds).Count()
-		if err != nil {
+		if _, err := ace.New(bounds).Generate(func(*workload.Workload) bool {
+			built++
+			return true
+		}); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(n), "workloads/op")
 	}
+	b.ReportMetric(float64(built)/b.Elapsed().Seconds(), "workloads/s")
 }
 
 // ---- §6.3 / Figure 3: CrashMonkey phase latencies --------------------------
@@ -142,68 +131,6 @@ func BenchmarkCrashMonkeyProfile(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.Release()
-	}
-}
-
-// constructWorkload is a seq-2-flavoured stream with four persistence
-// points: the shape that separates incremental from from-scratch crash-state
-// construction (a C-checkpoint sweep costs O(W) replayed writes with the
-// rolling cursor versus O(C·W) from scratch).
-var constructWorkload = `
-mkdir /A
-creat /A/foo
-write /A/foo 0 16384
-fsync /A/foo
-link /A/foo /A/bar
-fsync /A/bar
-write /A/foo 16384 8192
-fsync /A/foo
-rename /A/foo /A/baz
-sync
-`
-
-// BenchmarkCrashMonkeyConstructCrashState is phase 2: construct every
-// checkpoint's crash state and fingerprint it (paper: ~20ms per crash
-// state). Pruning is enabled so after the first sweep the oracle checks are
-// all disk-tier hits — what remains in the loop is exactly construction plus
-// fingerprinting, in both engines. The replayed-writes/state metric is
-// metered, not estimated; EXPERIMENTS.md records incremental vs scratch.
-func BenchmarkCrashMonkeyConstructCrashState(b *testing.B) {
-	fs, _ := fsmake.Fixed("logfs")
-	w := mustParse(b, "construct", constructWorkload)
-	for _, mode := range []struct {
-		name    string
-		scratch bool
-	}{{"incremental", false}, {"scratch", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var meter blockdev.BlockMeter
-			mk := &crashmonkey.Monkey{FS: fs, SkipWriteChecks: true,
-				ScratchStates: mode.scratch, Meter: &meter,
-				Prune: crashmonkey.NewPruneCache()}
-			p, err := mk.ProfileWorkload(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			var before runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				for cp := 1; cp <= p.Checkpoints(); cp++ {
-					if _, err := mk.TestCheckpoint(p, cp); err != nil {
-						b.Fatal(err)
-					}
-					states++
-				}
-			}
-			b.StopTimer()
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(meter.BlocksReplayed.Load())/float64(states), "replayed-writes/state")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
-			b.ReportMetric(float64(p.Checkpoints()), "states/op")
-		})
 	}
 }
 
@@ -281,37 +208,6 @@ func benchCampaign(b *testing.B, profile b3.ProfileName, sample int64) {
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
 	}
 }
-
-// benchReorderCampaign measures the campaign-scale reorder sweep, where
-// enumeration-time class pruning pays most: many drop-states share a
-// predicted fingerprint with an already-judged state, so they are skipped
-// before construction. constructed-states counts the reorder states that
-// were actually built (everything but the class/commute skips).
-func benchReorderCampaign(b *testing.B, k int) {
-	fs, err := b3.NewFS("logfs", b3.CampaignConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, err := b3.RunCampaign(b3.Campaign{
-			FS:           fs,
-			Profile:      b3.Seq1,
-			MaxWorkloads: 2000,
-			Reorder:      k,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		skipped := stats.ReorderClassSkipped + stats.ReorderCommuteSkipped
-		b.ReportMetric(float64(stats.ReorderStates), "reorder-states")
-		b.ReportMetric(float64(stats.ReorderStates-skipped), "constructed-states")
-		b.ReportMetric(float64(skipped), "states-skipped")
-	}
-}
-
-func BenchmarkCampaignReorderK1(b *testing.B) { benchReorderCampaign(b, 1) }
-func BenchmarkCampaignReorderK2(b *testing.B) { benchReorderCampaign(b, 2) }
 
 func BenchmarkTable4Seq1(b *testing.B)         { benchCampaign(b, b3.Seq1, 1) }
 func BenchmarkTable4Seq2(b *testing.B)         { benchCampaign(b, b3.Seq2, 1) }
@@ -563,103 +459,6 @@ func BenchmarkAblationPrefixReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(states), "prefix-states")
-}
-
-// BenchmarkAblationReorderExploration measures the bounded-reordering sweep
-// (every write prefix + the in-flight epoch with up to k writes dropped)
-// that validates the core-mechanism assumption (§4.4 limitation 2), with
-// and without disk-fingerprint deduplication: pruning is what makes the
-// k >= 2 state spaces affordable.
-func BenchmarkAblationReorderExploration(b *testing.B) {
-	fs, _ := fsmake.Fixed("logfs")
-	w := mustParse(b, "reorder", constructWorkload)
-	for _, engine := range []struct {
-		name    string
-		scratch bool
-	}{{"incremental", false}, {"scratch", true}} {
-		for _, bound := range []int{1, 2} {
-			for _, pruned := range []bool{false, true} {
-				name := fmt.Sprintf("%s/k=%d/pruned=%t", engine.name, bound, pruned)
-				b.Run(name, func(b *testing.B) {
-					mk := &crashmonkey.Monkey{FS: fs, ScratchStates: engine.scratch}
-					p, err := mk.ProfileWorkload(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					var report *crashmonkey.ReorderReport
-					for i := 0; i < b.N; i++ {
-						if pruned {
-							// A fresh cache per iteration: the steady-state hit
-							// rate within one sweep is what is being measured.
-							mk.Prune = crashmonkey.NewPruneCache()
-						}
-						report, err = mk.ExploreReorder(p, bound)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !report.Clean() {
-							b.Fatalf("core mechanism broken: %v", report.Broken)
-						}
-					}
-					b.ReportMetric(float64(report.States), "reorder-states")
-					b.ReportMetric(float64(report.Checked), "recoveries-run")
-					b.ReportMetric(float64(report.ClassSkipped+report.CommuteSkipped), "states-skipped")
-					// Metered construction cost: the epoch-base cache makes
-					// this O(delta) per state instead of O(history).
-					b.ReportMetric(float64(report.ReplayedWrites)/float64(report.States), "replayed-writes/state")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkAblationFaultExploration measures the orthogonal fault axis —
-// the torn / corrupt / misdirect iterators — per kind, with and without
-// verdict deduplication, incremental vs from-scratch construction. Broken
-// states are a metric here, not a failure: fault sweeps probe the design's
-// fault envelope, which crash-consistency guarantees do not cover.
-func BenchmarkAblationFaultExploration(b *testing.B) {
-	fs, _ := fsmake.Fixed("logfs")
-	w := mustParse(b, "faults", constructWorkload)
-	kinds := []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt, blockdev.FaultMisdirect}
-	for _, engine := range []struct {
-		name    string
-		scratch bool
-	}{{"incremental", false}, {"scratch", true}} {
-		for _, kind := range kinds {
-			for _, pruned := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/pruned=%t", engine.name, kind, pruned)
-				b.Run(name, func(b *testing.B) {
-					mk := &crashmonkey.Monkey{FS: fs, ScratchStates: engine.scratch}
-					p, err := mk.ProfileWorkload(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					model := blockdev.FaultModel{Kinds: []blockdev.FaultKind{kind}}
-					b.ReportAllocs()
-					b.ResetTimer()
-					var report *crashmonkey.FaultReport
-					for i := 0; i < b.N; i++ {
-						if pruned {
-							mk.Prune = crashmonkey.NewPruneCache()
-						}
-						report, err = mk.ExploreFaults(p, model)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					kr := report.Kinds[0]
-					b.ReportMetric(float64(kr.States), "fault-states")
-					b.ReportMetric(float64(kr.Checked), "recoveries-run")
-					b.ReportMetric(float64(kr.ClassSkipped), "states-skipped")
-					b.ReportMetric(float64(len(kr.Broken)), "broken-states")
-					b.ReportMetric(float64(kr.ReplayedWrites)/float64(kr.States), "replayed-writes/state")
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkAblationFsckVsAutoChecker compares the fine-grained AutoChecker

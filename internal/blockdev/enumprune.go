@@ -47,8 +47,7 @@ func (s EnumStats) States() int64 {
 }
 
 // ReorderEnumOpts configures ForEachReorderStatePruned. The zero value
-// disables both prunes, making it equivalent to
-// ForEachReorderStateIncremental.
+// disables both prunes: every state is constructed and handed to fn.
 type ReorderEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
@@ -64,7 +63,7 @@ type ReorderEnumOpts struct {
 }
 
 // FaultEnumOpts configures ForEachFaultStatePruned. The zero value disables
-// class pruning, making it equivalent to ForEachFaultStateIncremental.
+// class pruning: every state is constructed and handed to fn.
 type FaultEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
@@ -196,13 +195,31 @@ func (p *epochPlan) canonicalDrop(drop []int) ([]int, bool) {
 }
 
 // ForEachReorderStatePruned enumerates the bounded-reordering crash-state
-// space of log — the same space, order, and descriptors as
-// ForEachReorderState — constructing each state incrementally and skipping
-// states per opts before construction. Every enumerated state is accounted
-// exactly once in the returned EnumStats: handed to fn (Visited), skipped
-// by the Seen index (ClassSkipped), or skipped as commutatively redundant
-// (CommuteSkipped); States() equals ReorderStateCount when the sweep runs
-// to completion. fn's contract matches ForEachReorderStateIncremental.
+// space of log — the same space, order, descriptors and byte-identical
+// device contents as ForEachReorderState — skipping states per opts before
+// construction. Each state is built from its epoch boundary instead of
+// replaying every prior epoch from scratch:
+//
+//   - a rolling tracked snapshot over base advances epoch by epoch, so the
+//     barriered prefix shared by all of an epoch's states is replayed once
+//     per sweep instead of once per state;
+//   - the in-order prefix states of an epoch advance a second-level rolling
+//     fork one write at a time, so the whole prefix family costs O(n) writes
+//     total rather than O(n²);
+//   - drop-subset states fork from the epoch base and replay only the
+//     epoch's surviving writes.
+//
+// Every enumerated state is accounted exactly once in the returned
+// EnumStats: handed to fn (Visited), skipped by the Seen index
+// (ClassSkipped), or skipped as commutatively redundant (CommuteSkipped);
+// States() equals ReorderStateCount when the sweep runs to completion.
+//
+// fn receives each state as a tracked COW fork: recovery writes stay in the
+// fork, and Fingerprint() is O(1) and equal to the from-scratch overlay
+// fingerprint. The fork is valid only for the duration of fn and is released
+// back to the buffer pool when fn returns; fn returning false stops the
+// sweep. Replayed in the returned stats is the metered construction cost,
+// also folded into meter when non-nil.
 func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnumOpts,
 	meter *BlockMeter, fn func(st ReorderState, crash *Snapshot) bool) (EnumStats, error) {
 
@@ -319,12 +336,22 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 }
 
 // ForEachFaultStatePruned enumerates the crash-state space of one fault
-// kind — the same space, order, and descriptors as ForEachFaultState —
-// constructing each state incrementally and consulting opts.Seen with each
-// state's fingerprint before construction. The fingerprints of torn and
-// corrupt states cost one block hash; misdirect states are pure XOR deltas,
-// so the class index prunes their whole-epoch replays without a single
-// write. fn's contract matches ForEachFaultStateIncremental.
+// kind — the same space, order, descriptors and byte-identical device
+// contents as ForEachFaultState — consulting opts.Seen with each state's
+// fingerprint before construction. Each state forks a rolling tracked
+// snapshot instead of replaying every prior epoch from scratch, and applies
+// only its own delta: nothing for fault-free prefix/final states, the single
+// torn or corrupting write for torn/corrupt states, or the in-flight epoch
+// with one write redirected for misdirect states. The fingerprints of torn
+// and corrupt states cost one block hash; misdirect states are pure XOR
+// deltas, so the class index prunes their whole-epoch replays without a
+// single write.
+//
+// fn receives each state as a tracked COW fork under the same contract as
+// ForEachReorderStatePruned: valid only for the duration of fn, released
+// when fn returns, and returning false stops the sweep. Replayed in the
+// returned stats is the metered construction cost, also folded into meter
+// when non-nil.
 func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSize int,
 	opts FaultEnumOpts, meter *BlockMeter, fn func(st FaultState, crash *Snapshot) bool) (EnumStats, error) {
 

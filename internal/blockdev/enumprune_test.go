@@ -187,7 +187,7 @@ func checkCommute(t *testing.T, log []Record, k int, mkBase func() *MemDisk) {
 	// Reference sweep: every state's fingerprint, and enumeration order.
 	fpOf := map[string]uint64{}
 	order := map[string]int{}
-	if _, err := ForEachReorderStateIncremental(mkBase(), log, k, nil,
+	if _, err := ForEachReorderStatePruned(mkBase(), log, k, ReorderEnumOpts{}, nil,
 		func(st ReorderState, crash *Snapshot) bool {
 			order[st.Desc] = len(order)
 			fpOf[st.Desc] = crash.Fingerprint()

@@ -364,25 +364,3 @@ func applyFaultState(dst Device, epochs []Epoch, st FaultState, sectorSize int) 
 		return fmt.Errorf("blockdev: fault state %s has unknown kind %d", st.Desc, int(st.Kind))
 	}
 }
-
-// ForEachFaultStateIncremental enumerates exactly the states of
-// ForEachFaultState — same order, same descriptors, byte-identical device
-// contents — but constructs each state from a rolling tracked snapshot
-// instead of replaying every prior epoch from scratch. Each state forks the
-// rolling snapshot and applies only its own delta: nothing for fault-free
-// prefix/final states, the single torn or corrupting write for
-// torn/corrupt states, or the in-flight epoch with one write redirected for
-// misdirect states.
-//
-// fn receives each state as a tracked COW fork: recovery writes stay in the
-// fork, and Fingerprint() is O(1) and equal to the from-scratch overlay
-// fingerprint. The fork is valid only for the duration of fn and is released
-// back to the buffer pool when fn returns; fn returning false stops the
-// sweep. The returned count is the number of writes replayed (the metered
-// construction cost; also folded into meter when non-nil).
-func ForEachFaultStateIncremental(base Device, log []Record, kind FaultKind, sectorSize int,
-	meter *BlockMeter, fn func(st FaultState, crash *Snapshot) bool) (int64, error) {
-
-	stats, err := ForEachFaultStatePruned(base, log, kind, sectorSize, FaultEnumOpts{}, meter, fn)
-	return stats.Replayed, err
-}

@@ -54,13 +54,14 @@ func TestFaultStateCountMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// faultSweepFingerprints enumerates one fault sweep with the incremental
-// engine over base and returns the Desc and fingerprint sequences.
+// faultSweepFingerprints enumerates one fault sweep with the unpruned
+// ForEachFaultStatePruned over base and returns the Desc and fingerprint
+// sequences.
 func faultSweepFingerprints(t *testing.T, base Device, log []Record, kind FaultKind, sector int) ([]string, []uint64) {
 	t.Helper()
 	var descs []string
 	var fps []uint64
-	if _, err := ForEachFaultStateIncremental(base, log, kind, sector, nil,
+	if _, err := ForEachFaultStatePruned(base, log, kind, sector, FaultEnumOpts{}, nil,
 		func(st FaultState, crash *Snapshot) bool {
 			descs = append(descs, st.Desc)
 			fps = append(fps, crash.Fingerprint())
@@ -139,7 +140,7 @@ func TestFaultTornDegeneratesToPrefixSweep(t *testing.T) {
 
 		var reorderDescs []string
 		var reorderFPs []uint64
-		if _, err := ForEachReorderStateIncremental(base, log, 0, nil,
+		if _, err := ForEachReorderStatePruned(base, log, 0, ReorderEnumOpts{}, nil,
 			func(st ReorderState, crash *Snapshot) bool {
 				reorderDescs = append(reorderDescs, st.Desc)
 				reorderFPs = append(reorderFPs, crash.Fingerprint())
@@ -186,7 +187,7 @@ func TestFaultStateSemantics(t *testing.T) {
 	find := func(t *testing.T, kind FaultKind, desc string) *Snapshot {
 		t.Helper()
 		var got *Snapshot
-		if _, err := ForEachFaultStateIncremental(newBase(), log, kind, 512, nil,
+		if _, err := ForEachFaultStatePruned(newBase(), log, kind, 512, FaultEnumOpts{}, nil,
 			func(st FaultState, crash *Snapshot) bool {
 				if st.Desc != desc {
 					return true

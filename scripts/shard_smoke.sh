@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # shard_smoke.sh — the sharded-campaign equivalence smoke: run both residue
-# classes of a two-way sharded seq-1 matrix campaign (every backend) into a
-# corpus directory, fold them with `b3 -merge`, and diff the merged
-# shard-stable counters (generated / tested / failing / groups / new /
-# states / reorder / r-broken) against an unsharded run of the identical
-# configuration. Any divergence means the partition or the merge fold is
-# broken, and the job fails.
+# classes of a two-way sharded quick-tier matrix campaign (seq-1, every
+# backend, reorder k=1) into a corpus directory, fold them with `b3 -merge`,
+# and diff the merged shard-stable counters (generated / tested / failing /
+# groups / new / states / reorder / r-broken) against an unsharded run of
+# the identical configuration. Any divergence means the partition or the
+# merge fold is broken, and the job fails.
 #
 # Usage: scripts/shard_smoke.sh [workdir]
 set -eu
@@ -14,15 +14,15 @@ work="${1:-$(mktemp -d)}"
 corpus="$work/shards"
 mkdir -p "$corpus"
 
-echo "== shard 0/2 and 1/2: seq-1, all backends" >&2
-go run ./cmd/b3 -profile seq-1 -fs all -shard 0/2 -corpus "$corpus" >"$work/shard0.out"
-go run ./cmd/b3 -profile seq-1 -fs all -shard 1/2 -corpus "$corpus" >"$work/shard1.out"
+echo "== shard 0/2 and 1/2: the quick tier" >&2
+go run ./cmd/b3 -tier quick -shard 0/2 -corpus "$corpus" >"$work/shard0.out"
+go run ./cmd/b3 -tier quick -shard 1/2 -corpus "$corpus" >"$work/shard1.out"
 
 echo "== merge" >&2
 go run ./cmd/b3 -merge "$corpus" >"$work/merged.out"
 
 echo "== unsharded baseline" >&2
-go run ./cmd/b3 -profile seq-1 -fs all >"$work/unsharded.out"
+go run ./cmd/b3 -tier quick >"$work/unsharded.out"
 
 # Extract the per-FS stable counters from each table — every data row
 # between the dashed separator and the following blank line, so newly
@@ -59,7 +59,7 @@ extract_counters "$work/unsharded.out" >"$work/unsharded.counters"
 
 echo "== merged counters" >&2
 cat "$work/merged.counters" >&2
-# Guard against a vacuous pass: the seq-1 matrix always holds at least the
+# Guard against a vacuous pass: the quick-tier matrix always holds at least the
 # five seed backends; fewer extracted rows means the table parse broke.
 for f in "$work/merged.counters" "$work/unsharded.counters"; do
   rows=$(wc -l <"$f")
