@@ -8,12 +8,12 @@ import (
 
 // ReleaseCheck reports pooled values whose Release lifetime is broken.
 //
-// Snapshots, replay cursors, profiles, and the other sync.Pool-backed
-// values hand their buffers back through Release() (or Recycle()); a value
-// that is never released leaks pool capacity, and a value used after
-// Release reads overlay memory the pool may already have lent to another
-// state — the same silent-aliasing class borrowview guards against, one
-// level up. The check is ownership-based and per function body:
+// Snapshots, replay cursors, recorders, profiles, and the other
+// sync.Pool-backed values hand their buffers back through Release() (or
+// Recycle()); a value that is never released leaks pool capacity, and a
+// value used after Release reads overlay or record memory the pool may
+// already have lent to another state — the same silent-aliasing class
+// borrowview guards against, one level up. The check is ownership-based and per function body:
 //
 //   - the result of a constructor (New*, Fork, Profile*) whose type
 //     has a Release/Recycle method must be released on some path, escape to
@@ -33,8 +33,8 @@ var ReleaseCheck = &Analyzer{
 // releaseCtorRE names the ownership-conferring constructors. The convention
 // is name-based so fixtures and future pools are covered without an
 // annotation system: constructors start with New (NewTrackedSnapshot,
-// NewPooledMemDisk), or are the fork/profile entry points (Fork,
-// ProfileWorkload, ProfileExpected and their KV counterparts).
+// NewRecorder, NewPooledMemDisk), or are the fork/profile entry points
+// (Fork, ProfileWorkload, ProfileExpected and their KV counterparts).
 var releaseCtorRE = regexp.MustCompile(`^(New\w*|Fork|Profile\w*)$`)
 
 // releaseMethods are the methods that end a pooled value's lifetime.

@@ -29,6 +29,15 @@ type monkey struct{}
 
 func (m *monkey) ProfileExpected(exps []int) (*profile, error) { return &profile{}, nil }
 
+// recorder mirrors blockdev.Recorder: a recording device whose write log
+// lends pooled buffers until Release.
+type recorder struct{}
+
+func (r *recorder) Release()           {}
+func (r *recorder) WriteBlock(n int64) {}
+
+func NewRecorder(base *disk) *recorder { return &recorder{} }
+
 func okDefer() {
 	s := NewTrackedSnap()
 	defer s.Release()
@@ -140,4 +149,22 @@ func allowedLeak() {
 	//lint:allow releasecheck lifetime owned by the test harness (fixture)
 	s := NewTrackedSnap()
 	_ = s.Read()
+}
+
+func okRecorder(d *disk) {
+	r := NewRecorder(d)
+	defer r.Release()
+	r.WriteBlock(0)
+}
+
+func leakedRecorder(d *disk) {
+	r := NewRecorder(d) // want "never released"
+	r.WriteBlock(0)
+}
+
+func recorderUseAfterRelease(d *disk) {
+	r := NewRecorder(d)
+	r.WriteBlock(0)
+	r.Release()
+	r.WriteBlock(1) // want "used after Release"
 }

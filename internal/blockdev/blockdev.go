@@ -1,8 +1,9 @@
 // Package blockdev implements the storage substrate CrashMonkey is built on:
-// an in-memory block device, a recording wrapper device (the paper's first
-// kernel module, §5.1 "Profiling workloads"), a copy-on-write snapshot
-// device (the paper's second kernel module), and a replayer that constructs
-// crash states from recorded IO (§5.1 "Constructing crash states").
+// an in-memory block device, a recording device that overlays a base image
+// (the paper's first kernel module, §5.1 "Profiling workloads"), a
+// copy-on-write snapshot device (the paper's second kernel module), and a
+// replayer that constructs crash states from recorded IO (§5.1
+// "Constructing crash states").
 //
 // Blocks are fixed-size (BlockSize). A write of a single block is atomic;
 // the B3 approach never needs torn writes because crashes are simulated only
@@ -73,10 +74,11 @@ func ReadInto(dev Device, n int64, buf []byte) error {
 	return nil
 }
 
-// blockPool recycles 4 KiB overlay buffers between short-lived crash-state
-// forks: a bounded-reordering sweep constructs thousands of snapshots whose
-// overlays die with the state, so pooling turns the per-write allocation
-// into a pointer swap (the §6.5 allocation profile).
+// blockPool recycles 4 KiB block buffers between short-lived owners: the
+// overlays of crash-state forks, which a bounded-reordering sweep
+// constructs by the thousand and which die with the state, and the record
+// buffers of profiles, which die with Recorder.Release. Pooling turns the
+// per-write allocation into a pointer swap (the §6.5 allocation profile).
 var blockPool = sync.Pool{New: func() any { return make([]byte, BlockSize) }}
 
 func poolGet() []byte { return blockPool.Get().([]byte) }
@@ -239,13 +241,6 @@ type Snapshot struct {
 // computed by scanning the overlay on demand (the from-scratch path).
 func NewSnapshot(base Device) *Snapshot {
 	return &Snapshot{base: base, overlay: make(map[int64][]byte)}
-}
-
-// NewPooledSnapshot returns a writable COW view of base whose overlay
-// buffers come from the shared pool, without fingerprint tracking (writes
-// skip the per-block hash). Call Release when the snapshot dies.
-func NewPooledSnapshot(base Device) *Snapshot {
-	return &Snapshot{base: base, overlay: make(map[int64][]byte), pooled: true}
 }
 
 // NewTrackedSnapshot returns a COW view of base that maintains its content
@@ -418,8 +413,3 @@ func (s *Snapshot) DirtyBlocks() []int64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// DirtyBytes reports the memory held by modified blocks (for the §6.5
-// resource-consumption experiment: memory use is proportional to the data
-// the workload modified, not the device size).
-func (s *Snapshot) DirtyBytes() int64 { return int64(len(s.overlay)) * BlockSize }

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -98,9 +99,6 @@ func TestSnapshotCOW(t *testing.T) {
 	if got := s.DirtyBlocks(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("DirtyBlocks = %v", got)
 	}
-	if s.DirtyBytes() != BlockSize {
-		t.Fatalf("DirtyBytes = %d", s.DirtyBytes())
-	}
 
 	// Reset drops the overlay.
 	s.Reset()
@@ -119,8 +117,9 @@ func TestSnapshotBounds(t *testing.T) {
 }
 
 func TestRecorderLogAndCheckpoint(t *testing.T) {
-	under := NewMemDisk(8)
-	r := NewRecorder(under)
+	base := NewMemDisk(8)
+	r := NewRecorder(base)
+	defer r.Release()
 
 	if err := r.WriteBlock(0, []byte("a")); err != nil {
 		t.Fatal(err)
@@ -154,15 +153,18 @@ func TestRecorderLogAndCheckpoint(t *testing.T) {
 		t.Fatalf("WritesRecorded = %d", r.WritesRecorded())
 	}
 
-	// Writes pass through to the underlying device.
-	b, _ := under.ReadBlock(0)
-	if b[0] != 'a' {
-		t.Fatal("write did not pass through recorder")
+	// Writes land in the recorder's overlay, never in the base.
+	if b, _ := r.ReadBlock(0); b[0] != 'a' {
+		t.Fatal("recorder does not read back its own write")
+	}
+	if b, _ := base.ReadBlock(0); b[0] != 0 {
+		t.Fatal("recorder wrote through to its base")
 	}
 }
 
 func TestRecorderDataIsCopied(t *testing.T) {
 	r := NewRecorder(NewMemDisk(1))
+	defer r.Release()
 	buf := []byte{7}
 	if err := r.WriteBlock(0, buf); err != nil {
 		t.Fatal(err)
@@ -173,9 +175,94 @@ func TestRecorderDataIsCopied(t *testing.T) {
 	}
 }
 
+// TestRecorderOverlaysBase: the recorder is a copy-on-write device of its
+// own — range and size checks, zero-padded reads of short writes, views that
+// stay put across later writes, and a base it never touches.
+func TestRecorderOverlaysBase(t *testing.T) {
+	base := NewMemDisk(4)
+	if err := base.WriteBlock(3, []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRecorder(base)
+	defer r.Release()
+	for _, n := range []int64{-1, 4} {
+		if err := r.WriteBlock(n, []byte{1}); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("write of block %d: err = %v, want ErrOutOfRange", n, err)
+		}
+	}
+	if err := r.WriteBlock(0, make([]byte, BlockSize+1)); err == nil {
+		t.Fatal("oversized write accepted")
+	}
+	if len(r.Log()) != 0 {
+		t.Fatalf("rejected writes were recorded: %d records", len(r.Log()))
+	}
+
+	full := bytes.Repeat([]byte{0xEE}, BlockSize)
+	if err := r.WriteBlock(0, full); err != nil {
+		t.Fatal(err)
+	}
+	v0, _ := r.ReadBlockView(0)
+	if err := r.WriteBlock(0, []byte("ab")); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Log()[1].Data; string(got) != "ab" {
+		t.Fatalf("short write recorded as %q", got)
+	}
+	want := make([]byte, BlockSize)
+	copy(want, "ab")
+	if b, _ := r.ReadBlock(0); !bytes.Equal(b, want) {
+		t.Fatal("short write does not read back zero-padded")
+	}
+	if v, _ := r.ReadBlockView(0); !bytes.Equal(v, want) {
+		t.Fatal("short write's view is not zero-padded")
+	}
+	if !bytes.Equal(v0, full) {
+		t.Fatal("a later write changed an earlier write's view")
+	}
+	if b, _ := r.ReadBlock(3); string(b[:4]) != "base" {
+		t.Fatalf("never-written block reads %q, want the base's", b[:4])
+	}
+	if v, _ := r.ReadBlockView(3); string(v[:4]) != "base" {
+		t.Fatalf("never-written block's view is %q, want the base's", v[:4])
+	}
+	if b, _ := base.ReadBlock(0); b[0] != 0 {
+		t.Fatal("recorder wrote through to its base")
+	}
+	if got := r.DirtyBytes(); got != BlockSize {
+		t.Fatalf("DirtyBytes = %d after two writes to one block, want %d", got, BlockSize)
+	}
+}
+
+// TestRecorderReleasePoisons: Release pools every record buffer, not just
+// each block's latest, and the test hook marks them as it does.
+func TestRecorderReleasePoisons(t *testing.T) {
+	defer func(old byte) { recordPoison = old }(recordPoison)
+	recordPoison = 0xA5
+	r := NewRecorder(NewMemDisk(2))
+	for _, d := range [][]byte{{1}, {2}, {3}} {
+		if err := r.WriteBlock(0, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Checkpoint()
+	bufs := make([][]byte, 0, 3)
+	for _, rec := range r.Log() {
+		if rec.Kind == RecWrite {
+			bufs = append(bufs, rec.Data[:BlockSize])
+		}
+	}
+	r.Release()
+	for i, b := range bufs {
+		if b[0] != 0xA5 || b[BlockSize-1] != 0xA5 {
+			t.Fatalf("record buffer %d was not poisoned on Release", i)
+		}
+	}
+}
+
 func TestReplayToCheckpoint(t *testing.T) {
 	base := NewMemDisk(8)
-	r := NewRecorder(NewSnapshot(base))
+	r := NewRecorder(base)
+	defer r.Release()
 
 	mustWrite := func(n int64, s string) {
 		t.Helper()
@@ -222,7 +309,8 @@ func TestReplayToCheckpoint(t *testing.T) {
 
 func TestReplayPrefix(t *testing.T) {
 	base := NewMemDisk(4)
-	r := NewRecorder(NewSnapshot(base))
+	r := NewRecorder(base)
+	defer r.Release()
 	for i := int64(0); i < 3; i++ {
 		if err := r.WriteBlock(i, []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)
@@ -254,6 +342,7 @@ func TestReplayPrefix(t *testing.T) {
 
 func TestCountWritesBetweenCheckpoints(t *testing.T) {
 	r := NewRecorder(NewMemDisk(8))
+	defer r.Release()
 	w := func() {
 		if err := r.WriteBlock(0, []byte{1}); err != nil {
 			t.Fatal(err)
@@ -278,13 +367,13 @@ func TestCountWritesBetweenCheckpoints(t *testing.T) {
 }
 
 // Property: for any sequence of writes interleaved with checkpoints, the
-// crash state at the final checkpoint equals the underlying device state at
-// the moment the checkpoint was taken.
+// crash state at the final checkpoint equals the state the recording device
+// read back at the moment the checkpoint was taken.
 func TestQuickReplayMatchesLiveState(t *testing.T) {
 	f := func(ops []uint16) bool {
 		base := NewMemDisk(16)
-		live := NewSnapshot(base)
-		r := NewRecorder(live)
+		r := NewRecorder(base)
+		defer r.Release()
 		var wantAtCP [][]byte
 		cpCount := 0
 		for _, op := range ops {
@@ -295,7 +384,7 @@ func TestQuickReplayMatchesLiveState(t *testing.T) {
 				// Snapshot the live state at this checkpoint.
 				img := make([]byte, 0, 16)
 				for i := int64(0); i < 16; i++ {
-					b, _ := live.ReadBlock(i)
+					b, _ := r.ReadBlock(i)
 					img = append(img, b[0])
 				}
 				wantAtCP = append(wantAtCP, img)

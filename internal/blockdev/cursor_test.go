@@ -12,7 +12,8 @@ import (
 func buildLog(t *testing.T) (*MemDisk, *Recorder) {
 	t.Helper()
 	base := NewMemDisk(64)
-	rec := NewRecorder(NewSnapshot(base))
+	rec := NewRecorder(base)
+	t.Cleanup(rec.Release)
 	blk := func(v byte) []byte {
 		b := make([]byte, BlockSize)
 		b[0], b[BlockSize-1] = v, v

@@ -26,7 +26,8 @@ import (
 type Epoch struct {
 	// Index is the epoch's 0-based position in the partition.
 	Index int
-	// Writes holds the epoch's RecWrite records in issue order.
+	// Writes holds the epoch's RecWrite records in issue order. It aliases
+	// the log Epochs partitioned and is read-only.
 	Writes []Record
 	// Closed reports whether a barrier ended the epoch. The final epoch of
 	// a stream may be open: a tail of writes still in flight at the end of
@@ -41,30 +42,30 @@ type Epoch struct {
 // Epochs partitions the write records of log into barrier-delimited epochs.
 // Both RecFlush and RecCheckpoint close an epoch. Barriers with no
 // intervening writes do not open empty epochs, so every returned epoch holds
-// at least one write.
+// at least one write. Only barriers separate writes, so each epoch's Writes
+// is a contiguous run of log, which it aliases rather than copies.
 func Epochs(log []Record) []Epoch {
 	var out []Epoch
-	var cur []Record
-	cps, opened := 0, 0 // checkpoints seen so far / before cur's first write
-	for _, rec := range log {
+	start := -1         // index of the open epoch's first write, -1 when none is open
+	cps, opened := 0, 0 // checkpoints seen so far / before the open epoch's first write
+	for i, rec := range log {
 		switch rec.Kind {
 		case RecWrite:
-			if len(cur) == 0 {
-				opened = cps
+			if start < 0 {
+				start, opened = i, cps
 			}
-			cur = append(cur, rec)
 		case RecFlush, RecCheckpoint:
-			if len(cur) > 0 {
-				out = append(out, Epoch{Index: len(out), Writes: cur, Closed: true, Checkpoints: opened})
-				cur = nil
+			if start >= 0 {
+				out = append(out, Epoch{Index: len(out), Writes: log[start:i:i], Closed: true, Checkpoints: opened})
+				start = -1
 			}
 			if rec.Kind == RecCheckpoint {
 				cps++
 			}
 		}
 	}
-	if len(cur) > 0 {
-		out = append(out, Epoch{Index: len(out), Writes: cur, Checkpoints: opened})
+	if start >= 0 {
+		out = append(out, Epoch{Index: len(out), Writes: log[start:len(log):len(log)], Checkpoints: opened})
 	}
 	return out
 }

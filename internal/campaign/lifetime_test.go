@@ -1,0 +1,83 @@
+package campaign
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	_ "unsafe" // go:linkname
+)
+
+// recordPoison is blockdev's test hook (recorder.go): the byte
+// Recorder.Release fills every record buffer with as it hands it back to
+// the pool. An export_test.go compiles only into its own package's tests, so
+// this package reaches the unexported variable by its linker name.
+//
+//go:linkname recordPoison b3/internal/blockdev.recordPoison
+var recordPoison byte
+
+// sweepOutcome renders what a campaign found, without what the schedule
+// decides at Workers > 1 (which worker judges a class first, and so the
+// pruned/checked and class-skip splits and each group's exemplar) and
+// without timings: per row the workload and state counts, the broken states
+// of each axis, the KV classes, and every bug group with each of its
+// reports' workload and findings, in sorted order.
+func sweepOutcome(m *Matrix) string {
+	var sb strings.Builder
+	for _, s := range m.PerFS {
+		fmt.Fprintf(&sb, "%s: generated=%d tested=%d failed=%d errors=%d states=%d reorder=%d r-broken=%d kv=%+v\n",
+			s.FSName, s.Generated, s.Tested, s.Failed, s.Errors, s.StatesTotal,
+			s.ReorderStates, s.ReorderBroken, s.KVClasses)
+		for _, k := range s.FaultKinds {
+			fmt.Fprintf(&sb, "  %s: states=%d broken=%d\n", k.Kind, k.States, k.Broken)
+		}
+		for _, g := range s.Groups {
+			fmt.Fprintf(&sb, "  group %s | %s:\n", g.Key.Skeleton, g.Key.Consequence)
+			lines := make([]string, len(g.Reports))
+			for i, r := range g.Reports {
+				lines[i] = fmt.Sprintf("    %s %v\n", r.WorkloadID, r.Findings)
+			}
+			slices.Sort(lines)
+			sb.WriteString(strings.Join(lines, ""))
+		}
+	}
+	return sb.String()
+}
+
+// TestRecordBuffersDieWithProfile pins the lifetime rule of recorded blocks:
+// a Record.Data, and every view the recorder lent, is pooled by the owning
+// profile's Release and must not be read after it. With the poison hook on,
+// Release fills each record buffer with garbage as it pools it, so a sweep
+// that still read a released log, or a view of one, would recover different
+// states than with the hook off. The quick tier on every backend, at two
+// workers so pooled buffers move between goroutines, must find exactly the
+// same thing either way.
+func TestRecordBuffersDieWithProfile(t *testing.T) {
+	tier, err := LookupTier("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(poison byte) string {
+		t.Helper()
+		cfg, fss, err := tier.Lower(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = 2
+		recordPoison = poison
+		defer func() { recordPoison = 0 }()
+		m, err := RunMatrix(cfg, fss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.PerFS) != 5 {
+			t.Fatalf("quick tier ran %d backends, want 5", len(m.PerFS))
+		}
+		return sweepOutcome(m)
+	}
+	clean, poisoned := run(0), run(0xA5)
+	if clean != poisoned {
+		t.Fatalf("poisoning released record buffers changed the outcome: a sweep read a log after its profile's Release\nhook off:\n%s\nhook on:\n%s",
+			clean, poisoned)
+	}
+}

@@ -184,8 +184,8 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 		r.record(rec, nil, 0, 0)
 		return
 	}
-	// Hand the profile's pooled overlay memory (the profiling overlay, the
-	// rolling cursor) back once every sweep over it is done.
+	// Hand the profile's pooled buffers (the record buffers, the rolling
+	// cursor's overlay) back once every sweep over its log is done.
 	defer p.Release()
 	last := p.Checkpoints()
 	if last == 0 {

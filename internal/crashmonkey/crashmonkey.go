@@ -98,7 +98,6 @@ func (mk *Monkey) formatted() (*blockdev.MemDisk, error) {
 type Profile struct {
 	Workload     *workload.Workload
 	base         *blockdev.MemDisk
-	overlay      *blockdev.Snapshot
 	rec          *blockdev.Recorder
 	expectations []*Expectation
 	// ProfileDur is the wall time of the profiling phase (§6.3): running the
@@ -162,11 +161,12 @@ func (p *Profile) state(cp int, scratch bool, meter *blockdev.BlockMeter,
 	return p.cursor.Fork(), n, nil
 }
 
-// Release returns the profile's overlay memory to the shared pools: the
-// rolling cursor's overlay and the profiling overlay. The base image is the
-// Monkey's and outlives the profile. The profile — and anything still
-// reading through it, like an unreleased crash-state fork — must not be used
-// afterwards. Campaign workers call it once a workload's sweeps are done.
+// Release returns the profile's block buffers to the shared pool: the
+// rolling cursor's overlay and the recorder's record buffers. The base image
+// is the Monkey's and outlives the profile. The profile — its Log, and
+// anything still reading through it, like an unreleased crash-state fork —
+// must not be used afterwards. Campaign workers call it once a workload's
+// sweeps are done.
 func (p *Profile) Release() {
 	p.cursorMu.Lock()
 	if p.cursor != nil {
@@ -174,10 +174,7 @@ func (p *Profile) Release() {
 		p.cursor = nil
 	}
 	p.cursorMu.Unlock()
-	if p.overlay != nil {
-		p.overlay.Release()
-		p.overlay = nil
-	}
+	p.rec.Release()
 }
 
 // Checkpoints reports the number of persistence points recorded.
@@ -187,7 +184,8 @@ func (p *Profile) Checkpoints() int { return p.rec.Checkpoints() }
 func (p *Profile) WritesRecorded() int { return p.rec.WritesRecorded() }
 
 // Log returns the recorded write log the crash-state sweeps replay. The
-// slice is owned by the profile; callers must not mutate it.
+// slice and every record's Data are owned by the profile: callers must not
+// mutate them, nor use them after Release, which recycles the buffers.
 func (p *Profile) Log() []blockdev.Record { return p.rec.Log() }
 
 // WritesBetweenCheckpoints supports the §4.1 crash-state-space ablation.
@@ -293,11 +291,12 @@ func severity(c bugs.Consequence) int {
 	return len(severityOrder) + 1
 }
 
-// newProfile builds the recording stack every workload family profiles on: a
-// pooled COW overlay over the Monkey's formatted base image, the recording
-// wrapper device, and the mount the workload's operations run against. The
-// overlay cycles through the shared pool — Profile.Release hands it back once
-// the workload's sweeps are done — and the base is formatted once per Monkey
+// newProfile builds the recording stack every workload family profiles on:
+// the recording device over the Monkey's formatted base image, and the
+// mount the workload's operations run against. The recorder copies each
+// write once, into a pooled buffer that serves both the log and the
+// profile's own reads, and Profile.Release hands the buffers back once the
+// workload's sweeps are done; the base is formatted once per Monkey
 // (formatted), so a workload allocates neither a device-sized table nor a
 // fresh file system.
 func (mk *Monkey) newProfile() (*Profile, filesys.MountedFS, error) {
@@ -305,8 +304,7 @@ func (mk *Monkey) newProfile() (*Profile, filesys.MountedFS, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	overlay := blockdev.NewPooledSnapshot(base)
-	p := &Profile{base: base, overlay: overlay, rec: blockdev.NewRecorder(overlay)}
+	p := &Profile{base: base, rec: blockdev.NewRecorder(base)}
 	m, err := mk.FS.Mount(p.rec)
 	if err != nil {
 		p.Release()
@@ -368,7 +366,7 @@ func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*P
 		}
 	}
 	p.ProfileDur = time.Since(start)
-	p.DirtyBytes = p.overlay.DirtyBytes()
+	p.DirtyBytes = p.rec.DirtyBytes()
 	if got, want := p.rec.Checkpoints(), len(exps); got != want {
 		p.Release()
 		return nil, fmt.Errorf("crashmonkey: %s recorded %d checkpoints, oracle expects %d", w.ID, got, want)

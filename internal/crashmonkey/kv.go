@@ -98,7 +98,7 @@ func (mk *Monkey) ProfileKVExpected(w *kvace.Workload, exps []*kvoracle.Expectat
 	}
 	kp := &KVProfile{Profile: p, Workload: w, exps: exps}
 	p.ProfileDur = time.Since(start)
-	p.DirtyBytes = p.overlay.DirtyBytes()
+	p.DirtyBytes = p.rec.DirtyBytes()
 	if got, want := rec.Checkpoints(), len(kp.exps)-1; got != want {
 		kp.Release()
 		return nil, fmt.Errorf("crashmonkey: kv %s recorded %d checkpoints, oracle expects %d", w.ID, got, want)

@@ -307,7 +307,7 @@ func (f *barrierFS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 func TestReorderBarrierSoundness(t *testing.T) {
 	fs := &barrierFS{a: []byte("payload-A"), b: []byte("payload-B")}
 	base := blockdev.NewMemDisk(8)
-	rec := blockdev.NewRecorder(blockdev.NewSnapshot(base))
+	rec := blockdev.NewRecorder(base)
 	write := func(block int64, data []byte) {
 		buf := make([]byte, blockdev.BlockSize)
 		copy(buf, data)
@@ -321,6 +321,7 @@ func TestReorderBarrierSoundness(t *testing.T) {
 	rec.Checkpoint()
 	write(1, fs.b)
 	p := &Profile{base: base, rec: rec}
+	defer p.Release()
 
 	mk := &Monkey{FS: fs}
 	buggy, err := legacySweep(mk, p, true)

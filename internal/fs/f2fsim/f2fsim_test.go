@@ -22,7 +22,8 @@ func newHarness(t *testing.T, fs *FS) *harness {
 	if err := fs.Mkfs(base); err != nil {
 		t.Fatal(err)
 	}
-	rec := blockdev.NewRecorder(blockdev.NewSnapshot(base))
+	rec := blockdev.NewRecorder(base)
+	t.Cleanup(rec.Release)
 	m, err := fs.Mount(rec)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,8 @@ func setup(t *testing.T, fs *FS) (*blockdev.MemDisk, *blockdev.Recorder, filesys
 	if err := fs.Mkfs(base); err != nil {
 		t.Fatal(err)
 	}
-	rec := blockdev.NewRecorder(blockdev.NewSnapshot(base))
+	rec := blockdev.NewRecorder(base)
+	t.Cleanup(rec.Release)
 	m, err := fs.Mount(rec)
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,8 @@ func TestSuperblockTornWriteFallsBack(t *testing.T) {
 	if err := fs.Mkfs(base); err != nil {
 		t.Fatal(err)
 	}
-	rec := blockdev.NewRecorder(blockdev.NewSnapshot(base))
+	rec := blockdev.NewRecorder(base)
+	defer rec.Release()
 	m, err := fs.Mount(rec)
 	if err != nil {
 		t.Fatal(err)
