@@ -201,6 +201,9 @@ type choice struct {
 	persistTargets []string
 	// dataOp enables fdatasync/msync persistence options.
 	dataOp bool
+	// persist and persistFinal are persistChoices of this choice in a
+	// middle slot and in the final one, built once per walk.
+	persist, persistFinal []persistChoice
 }
 
 func parentOf(path string) string {

@@ -700,12 +700,14 @@ func TestProfileCounts(t *testing.T) {
 
 // TestCountBuildsNothing: counting costs allocations in proportion to the
 // phase-2 assignments simulated (8,649 in S2mid), not to the workloads they
-// yield (142,970) — no workload, op list or ID is ever built.
+// yield (142,970) — no workload, op list or ID is ever built — and pays for
+// model nodes only: file content stays a view of the zero page.
 func TestCountBuildsNothing(t *testing.T) {
-	// Measured: 52 per assignment (model nodes, dependency ops, persistence
-	// lists). Building would add three or more per workload, ~50 more per
-	// assignment here.
-	const mallocsPerAssignment = 70
+	// Measured: 20 mallocs and ~1,400 bytes per assignment (model nodes and
+	// dependency ops). Building would add three or more mallocs per
+	// workload, ~50 more per assignment here; copying file content on each
+	// zero write of the model adds ~16,000 bytes.
+	const mallocsPerAssignment, bytesPerAssignment = 30, 2048
 	b := benchSpace("S2mid")
 	perSlot := 0
 	for _, kind := range b.Ops {
@@ -719,10 +721,14 @@ func TestCountBuildsNothing(t *testing.T) {
 	if err != nil || n != 142970 {
 		t.Fatalf("Count() = %d, %v; want 142970", n, err)
 	}
-	mallocs := after.Mallocs - before.Mallocs
-	t.Logf("%d mallocs for %d assignments and %d workloads", mallocs, assignments, n)
+	mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d mallocs and %d bytes for %d assignments and %d workloads", mallocs, allocated, assignments, n)
 	if budget := mallocsPerAssignment * assignments; mallocs > budget {
 		t.Fatalf("Count() made %d allocations, budget %d (%d per assignment): is it building workloads?",
 			mallocs, budget, mallocsPerAssignment)
+	}
+	if budget := bytesPerAssignment * assignments; allocated > budget {
+		t.Fatalf("Count() allocated %d bytes, budget %d (%d per assignment): is the model copying file content?",
+			allocated, budget, bytesPerAssignment)
 	}
 }

@@ -93,11 +93,15 @@ func (g *Generator) Walk(visit func(seq int64, build func() *workload.Workload) 
 	for _, d := range g.Bounds.Dirs {
 		wk.dirs[d] = true
 	}
-	// Phase 2 choices per op kind, computed once.
+	// Phase 2 choices per op kind and their phase-3 options, computed once.
 	for _, kind := range g.Bounds.Ops {
 		cs := g.Bounds.paramChoices(kind)
 		if len(cs) == 0 {
 			return 0, fmt.Errorf("ace: no parameter choices for op %v", kind)
+		}
+		for i := range cs {
+			cs[i].persist = g.Bounds.persistChoices(cs[i], false)
+			cs[i].persistFinal = g.Bounds.persistChoices(cs[i], true)
 		}
 		wk.choices[kind] = cs
 	}
@@ -180,7 +184,11 @@ func (wk *walk) plan() int64 {
 		}
 		s.deps, s.core, s.persist = d.deps, c.op, s.persist[:0]
 		d.deps = nil
-		for _, pc := range wk.bounds.persistChoices(c, i == len(wk.assigned)-1) {
+		options := c.persist
+		if i == len(wk.assigned)-1 {
+			options = c.persistFinal
+		}
+		for _, pc := range options {
 			if !pc.none && !d.prepare(pc.op) {
 				continue
 			}

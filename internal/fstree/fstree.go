@@ -28,8 +28,9 @@ const RootIno uint64 = 1
 //
 // Data, Extents and the xattr values are immutable once installed: clones,
 // tracker snapshots and decoded images share them, so every mutator installs
-// a fresh slice (WriteAt and Resize for Data) and never writes through the
-// old one. Only the Children and Xattrs maps belong to one node.
+// a fresh slice (WriteAt and Resize for Data, which may also install a view
+// of the never-written zero page) and never writes through the old one.
+// Only the Children and Xattrs maps belong to one node.
 type Node struct {
 	Ino      uint64
 	Kind     filesys.FileKind
@@ -46,25 +47,39 @@ type Node struct {
 // their bytes. A covering write (off 0, at least as long as the file)
 // installs data itself, capped at its length, instead of a copy: data is
 // never modified but may be kept, so the caller must never modify it
-// afterwards.
+// afterwards. When the old content and data are both zero views (see
+// Zeros) and the result fits the zero page, the result is a zero view too
+// and nothing is copied.
 func (n *Node) WriteAt(off int64, data []byte) {
 	if off == 0 && len(data) >= len(n.Data) {
 		n.Data = data[:len(data):len(data)]
 		return
 	}
-	fresh := make([]byte, max(off+int64(len(data)), int64(len(n.Data))))
+	end := max(off+int64(len(data)), int64(len(n.Data)))
+	if end <= int64(len(zeroPage)) && isZeroView(n.Data) && isZeroView(data) {
+		n.Data = zeroPage[:end:end]
+		return
+	}
+	fresh := make([]byte, end)
 	copy(fresh, n.Data)
 	copy(fresh[off:], data)
 	n.Data = fresh
 }
 
-// zeroPage backs Zeros; it is never written. 16 KiB covers every zero
-// write the model of ACE's dependency builder makes.
-var zeroPage [16 << 10]byte
+// zeroPage backs Zeros and every zero-only file content WriteAt and Resize
+// build; it is never written. It is larger than any file ACE's dependency
+// model holds (DepFileSize + 8192 bytes), so that model copies no content.
+var zeroPage [64 << 10]byte
+
+// isZeroView reports whether b holds only zero-page bytes: it is empty or
+// starts at the zero page, as every slice Zeros, WriteAt and Resize make of
+// it does.
+func isZeroView(b []byte) bool { return len(b) == 0 || &b[0] == &zeroPage[0] }
 
 // Zeros returns n zero bytes with capacity n, for writes that only zero a
-// range. Up to the zero page's size the slice is shared by every caller
-// and must not be modified; longer ones are allocated.
+// range. Up to the zero page's size the slice is a zero view, shared by
+// every caller and every file content built from it, and must not be
+// modified; longer ones are allocated.
 func Zeros(n int64) []byte {
 	if n > int64(len(zeroPage)) {
 		return make([]byte, n)
@@ -74,12 +89,17 @@ func Zeros(n int64) []byte {
 
 // Resize sets the file size. Shrinking reslices with capacity equal to the
 // new length, so a later append cannot write into shared bytes; growing
-// installs a fresh zero-extended copy.
+// installs a fresh zero-extended copy, or a longer zero view when the
+// content is one and the new size fits the zero page.
 func (n *Node) Resize(size int64) {
 	switch {
 	case size < int64(len(n.Data)):
 		n.Data = n.Data[:size:size]
 	case size > int64(len(n.Data)):
+		if size <= int64(len(zeroPage)) && isZeroView(n.Data) {
+			n.Data = zeroPage[:size:size]
+			return
+		}
 		grown := make([]byte, size)
 		copy(grown, n.Data)
 		n.Data = grown
@@ -190,44 +210,72 @@ func SplitPath(path string) []string {
 
 // Lookup resolves path to a node. Symlinks are not followed.
 func (t *Tree) Lookup(path string) (*Node, error) {
-	n := t.Root()
-	for _, comp := range SplitPath(path) {
-		if n.Kind != filesys.KindDir {
-			return nil, fmt.Errorf("lookup %q: %w", path, filesys.ErrNotDir)
-		}
-		child, ok := n.Children[comp]
-		if !ok {
-			return nil, fmt.Errorf("lookup %q: %w", path, filesys.ErrNotExist)
-		}
-		n = t.nodes[child]
-		if n == nil {
-			return nil, fmt.Errorf("lookup %q: dangling entry %q: %w", path, comp, filesys.ErrCorrupted)
-		}
+	n, dangling, err := t.resolve(path)
+	if err != nil {
+		return nil, &lookupError{path: path, dangling: dangling, err: err}
 	}
 	return n, nil
 }
 
 // Exists reports whether path resolves.
 func (t *Tree) Exists(path string) bool {
-	_, err := t.Lookup(path)
+	_, _, err := t.resolve(path)
 	return err == nil
 }
 
+// resolve walks path's components, as SplitPath yields them, without
+// allocating. A failure is the bare sentinel: ErrNotDir, ErrNotExist, or
+// ErrCorrupted with the name of the dangling entry.
+func (t *Tree) resolve(path string) (n *Node, dangling string, err error) {
+	n = t.Root()
+	rest := strings.Trim(path, "/")
+	for more := rest != ""; more; {
+		var comp string
+		comp, rest, more = strings.Cut(rest, "/")
+		if n.Kind != filesys.KindDir {
+			return nil, "", filesys.ErrNotDir
+		}
+		child, ok := n.Children[comp]
+		if !ok {
+			return nil, "", filesys.ErrNotExist
+		}
+		if n = t.nodes[child]; n == nil {
+			return nil, comp, filesys.ErrCorrupted
+		}
+	}
+	return n, "", nil
+}
+
+// lookupError is a failed Lookup. It formats its text only when asked.
+type lookupError struct {
+	path, dangling string
+	err            error
+}
+
+func (e *lookupError) Error() string {
+	if e.err == filesys.ErrCorrupted {
+		return fmt.Sprintf("lookup %q: dangling entry %q: %v", e.path, e.dangling, e.err)
+	}
+	return fmt.Sprintf("lookup %q: %v", e.path, e.err)
+}
+
+func (e *lookupError) Unwrap() error { return e.err }
+
 // resolveParent returns the parent directory node and final component.
 func (t *Tree) resolveParent(path string) (*Node, string, error) {
-	comps := SplitPath(path)
-	if len(comps) == 0 {
+	trimmed := strings.Trim(path, "/")
+	if trimmed == "" {
 		return nil, "", fmt.Errorf("resolve %q: %w", path, filesys.ErrInvalid)
 	}
-	parentPath := strings.Join(comps[:len(comps)-1], "/")
-	parent, err := t.Lookup(parentPath)
+	i := strings.LastIndexByte(trimmed, '/')
+	parent, err := t.Lookup(trimmed[:max(i, 0)])
 	if err != nil {
 		return nil, "", err
 	}
 	if parent.Kind != filesys.KindDir {
 		return nil, "", fmt.Errorf("resolve %q: %w", path, filesys.ErrNotDir)
 	}
-	return parent, comps[len(comps)-1], nil
+	return parent, trimmed[i+1:], nil
 }
 
 func (t *Tree) addNode(parent *Node, name string, kind filesys.FileKind) (*Node, error) {

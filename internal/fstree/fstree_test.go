@@ -817,3 +817,116 @@ func mustMkdir(t *testing.T, tr *Tree, p string) {
 		t.Fatal(err)
 	}
 }
+
+// TestZeroContentStaysShared: content that is only zeros (ACE's dependency
+// model writes nothing else) stays a view of the one zero page through
+// writes, fallocate and truncate, without copying, and matches what a plain
+// copying implementation holds; real bytes, or a result past the page,
+// still get a copy of their own.
+func TestZeroContentStaysShared(t *testing.T) {
+	const fill = 16 << 10 // ACE's dependency fill (ace.DepFileSize)
+	type op struct {
+		name string
+		run  func(tr *Tree) error
+		ref  func(ref []byte) []byte // the same op on a plain copy
+	}
+	// grown is ref copied into a zeroed slice of length size.
+	grown := func(ref []byte, size int64) []byte {
+		out := make([]byte, size)
+		copy(out, ref[:min(size, int64(len(ref)))])
+		return out
+	}
+	write := func(off, n int64) op {
+		return op{fmt.Sprintf("write %d+%d", off, n),
+			func(tr *Tree) error { _, err := tr.Write("/f", off, Zeros(n)); return err },
+			func(ref []byte) []byte { return grown(ref, max(off+n, int64(len(ref)))) }}
+	}
+	falloc := func(mode filesys.FallocMode, off, n int64) op {
+		return op{fmt.Sprintf("falloc %d %d+%d", mode, off, n),
+			func(tr *Tree) error { _, err := tr.Falloc("/f", mode, off, n); return err },
+			func(ref []byte) []byte {
+				if mode == filesys.FallocDefault || mode == filesys.FallocZeroRange {
+					return grown(ref, max(off+n, int64(len(ref))))
+				}
+				return grown(ref, int64(len(ref)))
+			}}
+	}
+	truncate := func(size int64) op {
+		return op{fmt.Sprintf("truncate %d", size),
+			func(tr *Tree) error { _, err := tr.Truncate("/f", size); return err },
+			func(ref []byte) []byte { return grown(ref, size) }}
+	}
+	ops := []op{
+		write(0, 4096), write(8192, 4096), write(fill-4096, 4096), write(fill, 4096),
+		truncate(0), truncate(4096), truncate(fill + 8192),
+	}
+	for _, mode := range []filesys.FallocMode{filesys.FallocDefault, filesys.FallocKeepSize,
+		filesys.FallocPunchHole, filesys.FallocZeroRange, filesys.FallocZeroRangeKeepSize} {
+		ops = append(ops, falloc(mode, 8192, 4096), falloc(mode, fill-4096, 8192))
+	}
+	for _, first := range ops {
+		for _, second := range ops {
+			tr := New()
+			n, err := tr.Create("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := []byte{}
+			for _, o := range []op{write(0, fill), first, second} {
+				if err := o.run(tr); err != nil {
+					t.Fatalf("%s, %s: %s: %v", first.name, second.name, o.name, err)
+				}
+				ref = o.ref(ref)
+				if !bytes.Equal(n.Data, ref) {
+					t.Fatalf("%s, %s: after %s, Data has %d bytes, want the %d zeros of the reference",
+						first.name, second.name, o.name, len(n.Data), len(ref))
+				}
+				if !isZeroView(n.Data) {
+					t.Fatalf("%s, %s: after %s, Data is a copy, not a zero-page view", first.name, second.name, o.name)
+				}
+			}
+		}
+	}
+
+	n := &Node{Kind: filesys.KindRegular, Data: []byte{}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.WriteAt(0, Zeros(fill))
+		n.WriteAt(4096, Zeros(4096)) // overwrite in the middle
+		n.WriteAt(fill+100, Zeros(10))
+		n.Resize(4096)
+		n.Resize(fill + 8192)
+	}); allocs != 0 {
+		t.Errorf("zero-only writes and resizes allocate %v times, want 0", allocs)
+	}
+
+	// Real bytes over a zero view: a copy, and the page stays zero.
+	n.Data = Zeros(fill)
+	n.WriteAt(100, []byte{1, 2, 3})
+	if isZeroView(n.Data) || len(n.Data) != fill || !bytes.Equal(n.Data[99:104], []byte{0, 1, 2, 3, 0}) {
+		t.Errorf("real bytes over a zero view: zero view %v, %d bytes, %v around the write",
+			isZeroView(n.Data), len(n.Data), n.Data[99:104])
+	}
+	// Zeros over real bytes: a copy with the bytes around them kept.
+	n.WriteAt(101, Zeros(1))
+	if isZeroView(n.Data) || !bytes.Equal(n.Data[99:104], []byte{0, 1, 0, 3, 0}) {
+		t.Errorf("zeros over real bytes: zero view %v, %v around the write", isZeroView(n.Data), n.Data[99:104])
+	}
+	if !bytes.Equal(zeroPage[:], make([]byte, len(zeroPage))) {
+		t.Fatal("the zero page was written")
+	}
+
+	// A result past the page is allocated, and still all zeros.
+	page := int64(len(zeroPage))
+	for name, grow := range map[string]func(n *Node){
+		"write":  func(n *Node) { n.WriteAt(page, Zeros(10)) },
+		"resize": func(n *Node) { n.Resize(page + 10) },
+	} {
+		n := &Node{Kind: filesys.KindRegular, Data: Zeros(page)}
+		if allocs := testing.AllocsPerRun(10, func() { n.Data = Zeros(page); grow(n) }); allocs == 0 {
+			t.Errorf("%s past the zero page does not allocate", name)
+		}
+		if isZeroView(n.Data) || !bytes.Equal(n.Data, make([]byte, page+10)) {
+			t.Errorf("%s past the zero page: zero view %v, %d bytes, want %d zeros", name, isZeroView(n.Data), len(n.Data), page+10)
+		}
+	}
+}
