@@ -31,7 +31,7 @@ fsync /foo
 
 // TestFacadeCampaignKnobs drives the pruning and corpus knobs through the
 // public API: a seq-1 campaign persisted to a corpus, then resumed, with
-// pruning stats populated; and a --no-prune run agreeing on the verdicts.
+// pruning stats populated; and a NoPrune run agreeing on the verdicts.
 func TestFacadeCampaignKnobs(t *testing.T) {
 	fs, err := b3.NewFS("logfs", b3.CampaignConfig())
 	if err != nil {

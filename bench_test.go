@@ -238,7 +238,7 @@ func BenchmarkTable5Seq1Campaign(b *testing.B) {
 
 // benchPruningSeq2 runs a bounded seq-2 campaign in one of three modes so
 // EXPERIMENTS.md can compare them: exhaustive testing with pruning
-// (default), exhaustive without pruning (--no-prune cross-check), and the
+// (default), exhaustive without pruning (NoPrune cross-check), and the
 // paper's §5.3 final-checkpoint-only strategy. Reported metrics: oracle
 // checks actually run vs crash states constructed.
 func benchPruningSeq2(b *testing.B, noPrune, finalOnly bool) {

@@ -61,8 +61,7 @@ func (c *cli) fleetLogf() func(format string, args ...any) {
 
 // serveRefused are the campaign flags -serve refuses: a lease carries only
 // the campaign Spec, so the fleet would silently run without them.
-var serveRefused = []string{"max", "final-only", "shard", "resume", "prune-cap",
-	"no-prune", "no-class-prune", "no-commute-prune", "scratch-states"}
+var serveRefused = []string{"max", "final-only", "shard", "resume", "prune-cap"}
 
 // serveSpec is the Spec a -serve coordinator journals and leases out.
 func (c *cli) serveSpec() fleet.Spec {

@@ -11,15 +11,11 @@
 //	b3 -profile seq-3-metadata -shard 2/5 -corpus runs/   # residue class 2 of 5
 //	b3 -merge runs/                         # fold completed shards: one report
 //	b3 -profile seq-3-metadata -shard 0/5 -v   # + live progress line with ETA
-//	b3 -profile seq-2 -no-prune             # cross-check: no state pruning
-//	b3 -profile seq-2 -no-class-prune       # cross-check: construct every novel state
-//	b3 -profile seq-2 -reorder 2 -no-commute-prune  # cross-check: no drop-set dedup
 //	b3 -profile seq-2 -cpuprofile cpu.pprof -memprofile mem.pprof  # go tool pprof
 //	b3 -profile seq-1 -fs all -reorder 1    # + bounded-reordering crash states
 //	b3 -profile seq-1 -fs all -faults torn,corrupt,misdirect   # + fault axis
 //	b3 -profile seq-1 -faults torn -sector 1024   # torn sweep at 1 KiB sectors
 //	b3 -profile seq-3-data -prune-cap 65536 # bound the verdict cache
-//	b3 -profile seq-2 -scratch-states       # cross-check: from-scratch states
 //	b3 -profile seq-1 -fs all -v            # + block-IO metering per row
 //	b3 -profile kv-seq1 -fs all -reorder 1  # application-level KV store + oracle
 //	b3 -profile kv-seq2 -fs all -faults torn,corrupt  # deeper KV space + fault axis
@@ -62,7 +58,7 @@ type cli struct {
 	// -corpus, laid over the -tier preset's Spec.
 	spec campaign.Spec
 	// knobs holds the campaign flags a Spec does not carry: -workers,
-	// -max, -prune-cap, -final-only, -resume and the cross-check modes.
+	// -max, -prune-cap, -final-only and -resume.
 	knobs            campaign.Config
 	shard, numShards int               // -shard i/n
 	given            map[string]string // the flags on the command line, by name
@@ -122,10 +118,6 @@ func parseArgs(args []string, stdout, stderr io.Writer) (*cli, int) {
 	f.Int64Var(&c.knobs.MaxWorkloads, "max", 0, "stop generation after this many workloads")
 	f.IntVar(&c.knobs.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	f.BoolVar(&c.dedup, "dedup-known", true, "suppress bug groups matching the known-bug database (§5.3)")
-	f.BoolVar(&c.knobs.NoPrune, "no-prune", false, "disable representative crash-state pruning (cross-check mode: every state checked)")
-	f.BoolVar(&c.knobs.NoClassPrune, "no-class-prune", false, "disable enumeration-time class pruning (cross-check mode: every novel crash state is constructed before the cache is consulted)")
-	f.BoolVar(&c.knobs.NoCommutePrune, "no-commute-prune", false, "disable reorder commutativity pruning (cross-check mode: every drop-set constructed, including provably identical ones)")
-	f.BoolVar(&c.knobs.ScratchStates, "scratch-states", false, "construct every crash state from scratch instead of via the rolling replay cursor (cross-check mode)")
 	f.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	f.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file when the run ends (go tool pprof)")
 	f.BoolVar(&c.verbose, "v", false, "verbose: print per-FS block-IO metering (writes replayed, blocks read, bytes allocated)")
@@ -229,8 +221,7 @@ func (c *cli) lower(spec campaign.Spec) (campaign.Config, []filesys.FileSystem, 
 	cfg, fss, err := spec.Lower(c.shard, c.numShards)
 	k := &c.knobs
 	cfg.Workers, cfg.MaxWorkloads, cfg.PruneCap = k.Workers, k.MaxWorkloads, k.PruneCap
-	cfg.FinalOnly, cfg.Resume, cfg.ScratchStates = k.FinalOnly, k.Resume, k.ScratchStates
-	cfg.NoPrune, cfg.NoClassPrune, cfg.NoCommutePrune = k.NoPrune, k.NoClassPrune, k.NoCommutePrune
+	cfg.FinalOnly, cfg.Resume = k.FinalOnly, k.Resume
 	return cfg, fss, err
 }
 

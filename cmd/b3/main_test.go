@@ -118,8 +118,15 @@ func TestServeLedgerFromEarlierBuild(t *testing.T) {
 
 // TestServeRefusesCampaignFlags: -serve cannot pass a lease anything but
 // the Spec, so it refuses, by name, every campaign flag it would
-// otherwise silently drop.
+// otherwise silently drop. A removed cross-check switch is refused the
+// same way by any mode, so a script still passing one fails loudly
+// instead of running a different campaign.
 func TestServeRefusesCampaignFlags(t *testing.T) {
+	type row struct {
+		args []string
+		want string // the flag's name as stderr must show it
+	}
+	var rows []row
 	for _, name := range serveRefused {
 		arg := "-" + name
 		switch name {
@@ -128,13 +135,63 @@ func TestServeRefusesCampaignFlags(t *testing.T) {
 		case "shard":
 			arg += "=0/2"
 		}
+		rows = append(rows, row{[]string{"-serve", "127.0.0.1:0", "-tier", "quick", "-corpus", t.TempDir(), arg}, "-" + name + " "})
+	}
+	rows = append(rows, row{[]string{"-tier", "quick", "-scratch-states"}, "-scratch-states\n"})
+	for _, r := range rows {
 		var stderr bytes.Buffer
-		args := []string{"-serve", "127.0.0.1:0", "-tier", "quick", "-corpus", t.TempDir(), arg}
-		if code := run(args, io.Discard, &stderr); code != 2 {
-			t.Errorf("b3 %s: exit %d, want 2", strings.Join(args, " "), code)
+		if code := run(r.args, io.Discard, &stderr); code != 2 {
+			t.Errorf("b3 %s: exit %d, want 2", strings.Join(r.args, " "), code)
 		}
-		if !strings.Contains(stderr.String(), "-"+name+" ") {
-			t.Errorf("b3 %s: stderr %q does not name -%s", strings.Join(args, " "), stderr.String(), name)
+		if !strings.Contains(stderr.String(), r.want) {
+			t.Errorf("b3 %s: stderr %q does not name %q", strings.Join(r.args, " "), stderr.String(), r.want)
+		}
+	}
+}
+
+// TestReadmeFlagsMatchRun keeps README's b3 documentation and the flags
+// run defines in step, both ways: every -flag on a `b3 ...` usage line or
+// in a row of the flag table must exist, and every flag run defines must
+// appear in one of them.
+func TestReadmeFlagsMatchRun(t *testing.T) {
+	var usage bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &usage); code != 0 {
+		t.Fatalf("b3 -h: exit %d", code)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) == 0 {
+		t.Fatalf("b3 -h listed no flags:\n%s", usage.String())
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onLine := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	inTable := regexp.MustCompile("`-([a-z][a-z0-9-]*)")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(readme), "\n") {
+		var names [][]string
+		switch {
+		case strings.HasPrefix(line, "b3 "):
+			command, _, _ := strings.Cut(line, "#")
+			names = onLine.FindAllStringSubmatch(command, -1)
+		case strings.HasPrefix(line, "| `-"):
+			names = inTable.FindAllStringSubmatch(line, -1)
+		}
+		for _, m := range names {
+			documented[m[1]] = true
+			if !defined[m[1]] {
+				t.Errorf("README documents -%s, which b3 does not define: %q", m[1], line)
+			}
+		}
+	}
+	for name := range defined {
+		if !documented[name] {
+			t.Errorf("b3 defines -%s, but no README usage line or flag-table row shows it", name)
 		}
 	}
 }

@@ -139,9 +139,6 @@ func (r *fsRun) openCorpus() error {
 	if err != nil {
 		return err
 	}
-	if cfg.CheckpointEvery > 0 {
-		r.shard.FlushEvery = cfg.CheckpointEvery
-	}
 	r.stats.CorpusPath = r.shard.Path()
 	if testShardHook != nil {
 		testShardHook(r.shard)
@@ -327,7 +324,7 @@ func (r *fsRun) finish(start time.Time, interrupted bool) error {
 		stats.DiskEvictions = cs.DiskEvictions
 		stats.TreeEvictions = cs.TreeEvictions
 	}
-	db := r.cfg.KnownDB
+	var db *report.KnownDB
 	if r.cfg.KnownDBFor != nil {
 		db = r.cfg.KnownDBFor(r.cfg.FS.Name())
 	}
@@ -455,12 +452,10 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 			r.mu.Lock()
 			s := r.stats
 			p.Workloads += s.Tested + s.Errors
-			p.States += s.StatesTotal + s.ReorderStates
-			p.FaultStates += s.FaultStates()
+			p.States += s.StatesTotal + s.ReorderStates + s.FaultStates()
 			p.ReplayedWrites += s.ReplayedWrites
 			r.mu.Unlock()
 		}
-		p.States += p.FaultStates
 		return p
 	}
 	var progressStop chan struct{}
@@ -497,13 +492,12 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 				mk := monkeys[j.run]
 				if mk == nil {
 					mk = &crashmonkey.Monkey{
-						FS:              j.run.cfg.FS,
-						SkipWriteChecks: j.run.cfg.SkipWriteChecks,
-						Prune:           j.run.cache,
-						ScratchStates:   j.run.cfg.ScratchStates,
-						NoClassPrune:    j.run.cfg.NoClassPrune,
-						NoCommutePrune:  j.run.cfg.NoCommutePrune,
-						Meter:           &j.run.meter,
+						FS:             j.run.cfg.FS,
+						Prune:          j.run.cache,
+						ScratchStates:  j.run.cfg.ScratchStates,
+						NoClassPrune:   j.run.cfg.NoClassPrune,
+						NoCommutePrune: j.run.cfg.NoCommutePrune,
+						Meter:          &j.run.meter,
 					}
 					monkeys[j.run] = mk
 				}

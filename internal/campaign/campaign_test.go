@@ -134,7 +134,7 @@ func TestShortSeq2FindsLinkBugs(t *testing.T) {
 }
 
 // TestPruneCrossCheck is the acceptance gate for representative pruning: a
-// pruned campaign must check measurably fewer crash states than --no-prune
+// pruned campaign must check measurably fewer crash states than NoPrune
 // while reporting the identical set of bug verdicts.
 func TestPruneCrossCheck(t *testing.T) {
 	fs, err := fsmake.NewBugsOnly("logfs")
@@ -292,7 +292,7 @@ func TestReorderCampaignCrossCheck(t *testing.T) {
 			pruned.ReorderChecked, pruned.ReorderPruned,
 			pruned.ReorderClassSkipped, pruned.ReorderCommuteSkipped, pruned.ReorderStates)
 	}
-	// -no-prune disables the verdict cache (no pruned, no class-skipped)
+	// NoPrune disables the verdict cache (no pruned, no class-skipped)
 	// but not commutativity pruning, which is cache-independent.
 	if plain.ReorderPruned != 0 || plain.ReorderClassSkipped != 0 ||
 		plain.ReorderChecked+plain.ReorderCommuteSkipped != plain.ReorderStates {
@@ -389,7 +389,7 @@ func kvSweepScenario(t *testing.T) Config {
 
 // TestClassPruneMatchesUnpruned is the verdict-equality gate for the
 // enumeration-time class-prune hoist on every registered backend: with
-// -no-class-prune every novel crash state is constructed before the verdict
+// NoClassPrune every novel crash state is constructed before the verdict
 // cache is consulted, so any divergence in verdicts, bug groups, or space
 // sizes means the hoisted fingerprint classified a state the constructed
 // path would have judged differently.
@@ -425,11 +425,11 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 					t.Fatal(err)
 				}
 				if plain.ReorderClassSkipped != 0 {
-					t.Fatalf("-no-class-prune still skipped %d reorder states", plain.ReorderClassSkipped)
+					t.Fatalf("NoClassPrune still skipped %d reorder states", plain.ReorderClassSkipped)
 				}
 				for _, fk := range plain.FaultKinds {
 					if fk.ClassSkipped != 0 {
-						t.Fatalf("-no-class-prune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
+						t.Fatalf("NoClassPrune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
 					}
 				}
 				assertSameVerdicts(t, hoisted, plain)
@@ -440,7 +440,7 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 
 // TestCommutePruneMatchesUnpruned is the verdict-equality gate for reorder
 // commutativity pruning on every registered backend at k=1..2: with
-// -no-commute-prune every drop-set is constructed, including ones provably
+// NoCommutePrune every drop-set is constructed, including ones provably
 // identical to an earlier canonical drop-set. (On this corpus the skip
 // count is typically zero — every backend flushes each dirty block at most
 // once per epoch, see ARCHITECTURE.md — so the blockdev-level
@@ -482,7 +482,7 @@ func TestCommutePruneMatchesUnpruned(t *testing.T) {
 					t.Fatal(err)
 				}
 				if plain.ReorderCommuteSkipped != 0 {
-					t.Fatalf("-no-commute-prune still skipped %d states", plain.ReorderCommuteSkipped)
+					t.Fatalf("NoCommutePrune still skipped %d states", plain.ReorderCommuteSkipped)
 				}
 				assertSameVerdicts(t, on, plain)
 			})
@@ -514,7 +514,6 @@ func TestReorderResumeMatchesUninterrupted(t *testing.T) {
 	partial := base
 	partial.CorpusDir = dir
 	partial.MaxWorkloads = 700
-	partial.CheckpointEvery = 16
 	if _, err := Run(partial); err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +591,6 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	partial := base
 	partial.CorpusDir = dir
 	partial.MaxWorkloads = 2500
-	partial.CheckpointEvery = 16
 	if _, err := Run(partial); err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +659,6 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 	var once sync.Once
 	partial := base
 	partial.CorpusDir = dir
-	partial.CheckpointEvery = 8
 	partial.Interrupt = interrupt
 	partial.ProgressEvery = time.Millisecond
 	partial.OnProgress = func(Progress) {
@@ -931,11 +928,10 @@ func TestCorpusDeathFailsCampaign(t *testing.T) {
 	defer func() { testShardHook = nil }()
 
 	cfg := Config{
-		FS:              fs,
-		Bounds:          linkBounds(workload.OpCreat, workload.OpLink),
-		SampleEvery:     3,
-		CorpusDir:       t.TempDir(),
-		CheckpointEvery: 1, // observe the dead file on the first append
+		FS:          fs,
+		Bounds:      linkBounds(workload.OpCreat, workload.OpLink),
+		SampleEvery: 3,
+		CorpusDir:   t.TempDir(),
 	}
 	go func() { (<-killed).Kill() }()
 	stats, err := Run(cfg)
@@ -968,7 +964,8 @@ func TestKnownDBSplitsGroups(t *testing.T) {
 	for _, g := range stats.Groups {
 		db.Add(g.Key.Skeleton, g.Key.Consequence, "seeded")
 	}
-	again, err := Run(Config{FS: fs, Bounds: ace.Default(1), KnownDB: db})
+	knownDBFor := func(string) *report.KnownDB { return db }
+	again, err := Run(Config{FS: fs, Bounds: ace.Default(1), KnownDBFor: knownDBFor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1063,8 +1060,8 @@ func shardedMergeVsUnsharded(t *testing.T, cfg Config, fss []filesys.FileSystem,
 		}
 		// Replayed writes are shard-stable only when class pruning is off:
 		// a class hit skips state construction entirely, and which states
-		// hit depends on the per-process cache contents. With -no-class-prune
-		// (or -no-prune) every state is constructed and the counter is exact.
+		// hit depends on the per-process cache contents. With NoClassPrune
+		// (or NoPrune) every state is constructed and the counter is exact.
 		if cfg.NoPrune || cfg.NoClassPrune {
 			if got.ReplayedWrites != want.ReplayedWrites {
 				t.Fatalf("%s: merged replay counter %d, unsharded %d",
@@ -1150,7 +1147,7 @@ func TestShardUnionMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// -no-class-prune here on purpose: it restores the exact replay-counter
+	// NoClassPrune here on purpose: it restores the exact replay-counter
 	// equality the helper can then assert (every state constructed).
 	sampled := Config{
 		Bounds:       linkBounds(workload.OpCreat, workload.OpLink),
@@ -1188,7 +1185,6 @@ func TestShardResumeAndIsolation(t *testing.T) {
 	partial.Shard, partial.NumShards = 0, 2
 	partial.CorpusDir = dir
 	partial.MaxWorkloads = unsharded.Generated / 3
-	partial.CheckpointEvery = 8
 	if _, err := Run(partial); err != nil {
 		t.Fatal(err)
 	}
@@ -1259,7 +1255,6 @@ func TestMergeRefusesMisuse(t *testing.T) {
 	dir = t.TempDir()
 	killedCfg := base
 	killedCfg.CorpusDir = dir
-	killedCfg.CheckpointEvery = 1
 	killed := make(chan *corpus.Shard, 1)
 	testShardHook = func(s *corpus.Shard) { killed <- s }
 	go func() { (<-killed).Kill() }()
@@ -1560,7 +1555,6 @@ func TestFaultCampaignResumeMatchesUninterrupted(t *testing.T) {
 	partial := base
 	partial.CorpusDir = dir
 	partial.MaxWorkloads = 700
-	partial.CheckpointEvery = 16
 	if _, err := Run(partial); err != nil {
 		t.Fatal(err)
 	}
@@ -1741,7 +1735,6 @@ func TestKVResumeMatchesUninterrupted(t *testing.T) {
 	partial := base
 	partial.CorpusDir = dir
 	partial.MaxWorkloads = 150
-	partial.CheckpointEvery = 16
 	if _, err := Run(partial); err != nil {
 		t.Fatal(err)
 	}

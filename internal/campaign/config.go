@@ -35,11 +35,6 @@ type Config struct {
 	// matrix rows it feeds — so generation counts are exact, but only the
 	// tested workloads are built.
 	SampleEvery int64
-	// KnownDB deduplicates previously reported bugs (§5.3); may be nil.
-	KnownDB *report.KnownDB
-	// SkipWriteChecks speeds up large sweeps at the cost of missing
-	// un-removable-dir and cannot-create consequences.
-	SkipWriteChecks bool
 
 	// FinalOnly restores the paper's §5.3 strategy of testing only the
 	// final persistence point of each workload. The default crash-tests
@@ -130,12 +125,10 @@ type Config struct {
 	// folding their verdicts into the statistics. The shard must have been
 	// written by a campaign with the same bounds and testing options.
 	Resume bool
-	// CheckpointEvery overrides the corpus fsync interval in records
-	// (0 = corpus.DefaultFlushEvery).
-	CheckpointEvery int
 
-	// KnownDBFor, when set, supplies a per-file-system known-bug database
-	// for matrix campaigns; it takes precedence over KnownDB.
+	// KnownDBFor, when set, supplies each file system's known-bug database
+	// (§5.3): groups matching it are reported as known, not fresh. nil
+	// reports every group as fresh.
 	KnownDBFor func(fsName string) *report.KnownDB
 }
 
@@ -156,9 +149,10 @@ func (cfg *Config) configFingerprint() string {
 	if cfg.KV != nil {
 		space = cfg.KV.Fingerprint()
 	}
-	fp := fmt.Sprintf("%s|sample=%d|final=%t|writechecks=%t|reorder=%d",
-		space, sample, cfg.FinalOnly, !cfg.SkipWriteChecks,
-		max(cfg.Reorder, 0))
+	// Write checks always run; the writechecks segment stays so every
+	// corpus shard keeps its key.
+	fp := fmt.Sprintf("%s|sample=%d|final=%t|writechecks=true|reorder=%d",
+		space, sample, cfg.FinalOnly, max(cfg.Reorder, 0))
 	// Fault segments are appended only when the axis is enabled, so every
 	// pre-fault corpus shard keeps its exact key and stays resumable; when
 	// enabled, resume and merge refuse mixed fault sets or sector sizes.
@@ -219,8 +213,6 @@ type Progress struct {
 	// States is the number of crash states constructed so far (checkpoint
 	// sweep plus reorder and fault sweeps).
 	States int64
-	// FaultStates is the fault-injection share of States.
-	FaultStates int64
 	// ReplayedWrites is the number of recorded writes replayed so far to
 	// construct those states.
 	ReplayedWrites int64

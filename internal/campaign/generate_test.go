@@ -415,7 +415,6 @@ func TestMatrixRowIndependence(t *testing.T) {
 		partial := base
 		partial.FS = fss[0]
 		partial.CorpusDir = dir
-		partial.CheckpointEvery = 8
 		partial.Interrupt = interrupt
 		partial.ProgressEvery = time.Millisecond
 		partial.OnProgress = func(p Progress) {

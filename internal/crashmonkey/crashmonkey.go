@@ -27,9 +27,6 @@ const DefaultDeviceBlocks = 25600
 type Monkey struct {
 	// FS is the file system under test.
 	FS filesys.FileSystem
-	// DeviceBlocks overrides the device size (0 = DefaultDeviceBlocks). It
-	// is read once, when the first profile formats the Monkey's base image.
-	DeviceBlocks int64
 	// SkipWriteChecks disables the destructive write checks.
 	SkipWriteChecks bool
 	// Prune, when non-nil, enables representative crash-state pruning:
@@ -72,18 +69,14 @@ type Monkey struct {
 }
 
 // formatted returns the Monkey's pristine base image, formatting a fresh
-// device of DeviceBlocks blocks on first use. Mkfs is deterministic, and
-// nothing writes the base afterwards — every profile, cursor, fork and sweep
-// overlays it — so one image serves every workload the Monkey tests, and
-// fingerprints, which are relative to it, are the same as on a per-workload
-// image. A Mkfs failure is sticky.
+// device of DefaultDeviceBlocks blocks on first use. Mkfs is deterministic,
+// and nothing writes the base afterwards — every profile, cursor, fork and
+// sweep overlays it — so one image serves every workload the Monkey tests,
+// and fingerprints, which are relative to it, are the same as on a
+// per-workload image. A Mkfs failure is sticky.
 func (mk *Monkey) formatted() (*blockdev.MemDisk, error) {
 	mk.baseOnce.Do(func() {
-		blocks := mk.DeviceBlocks
-		if blocks == 0 {
-			blocks = DefaultDeviceBlocks
-		}
-		base := blockdev.NewMemDisk(blocks)
+		base := blockdev.NewMemDisk(DefaultDeviceBlocks)
 		if err := mk.FS.Mkfs(base); err != nil {
 			mk.baseErr = fmt.Errorf("crashmonkey: mkfs: %w", err)
 			return

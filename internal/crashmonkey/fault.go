@@ -42,7 +42,7 @@ type FaultKindReport struct {
 	Pruned  int
 	// ClassSkipped counts states never constructed at all: the enumerator's
 	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (-no-class-prune restores construction).
+	// verdict was tallied directly (NoClassPrune restores construction).
 	ClassSkipped int
 	// Mountable counts states that recovered without help; Repaired counts
 	// states that needed fsck and then mounted.

@@ -42,20 +42,6 @@ type stateKey struct {
 	oracle uint64
 }
 
-// ClassIndex is the enumeration-time face of the disk tier: the pruned
-// blockdev enumerators hand every state's fingerprint to a Seen callback
-// *before* constructing the state, and the callback consults a ClassIndex —
-// a fingerprint already classified means the state is never forked, never
-// replayed, never mounted. PruneCache implements it over its disk tier, so
-// the same verdict entries serve both the post-construction lookups and the
-// enumeration-time skips. The interface is sealed (unexported method): the
-// verdict representation stays private to this package.
-type ClassIndex interface {
-	// classify returns the cached verdict for a (state, oracle) fingerprint
-	// pair, counting the hit as a class skip rather than a disk hit.
-	classify(k stateKey) (*cachedVerdict, bool)
-}
-
 // cachedVerdict is the reusable outcome of one fully checked crash state.
 type cachedVerdict struct {
 	mountable    bool
@@ -69,7 +55,7 @@ type PruneStats struct {
 	// DiskHits counts states skipped entirely (identical disk contents).
 	DiskHits int64
 	// ClassHits counts states skipped before construction: the enumerator
-	// classified the fingerprint through the ClassIndex, so the state was
+	// classified the fingerprint through classify, so the state was
 	// never forked or replayed, let alone checked.
 	ClassHits int64
 	// TreeHits counts states whose recovery ran but whose oracle checks
@@ -218,8 +204,13 @@ func (c *PruneCache) lookupDisk(k stateKey) (*cachedVerdict, bool) {
 	return v, ok
 }
 
-// classify implements ClassIndex: a disk-tier lookup counted as an
-// enumeration-time class skip.
+// classify is the enumeration-time face of the disk tier: the pruned
+// blockdev enumerators hand every state's fingerprint to a Seen callback
+// *before* constructing the state, and the callback classifies it here — a
+// fingerprint already classified means the state is never forked, never
+// replayed, never mounted. It is a disk-tier lookup counted as a class skip
+// rather than a disk hit, so the same verdict entries serve both the
+// post-construction lookups and the enumeration-time skips.
 func (c *PruneCache) classify(k stateKey) (*cachedVerdict, bool) {
 	c.mu.Lock()
 	v, ok := c.disk.get(k)
@@ -417,13 +408,12 @@ func guaranteeBits(g filesys.Guarantees) uint64 {
 }
 
 // pruneSalt distinguishes cache entries produced under different check
-// configurations (device geometry, write checks on/off, file-system name).
+// configurations (write checks on/off, file-system name).
 // The value is constant per Monkey and computed once.
 func (mk *Monkey) pruneSalt() uint64 {
 	mk.saltOnce.Do(func() {
 		h := newHasher()
 		h.str(mk.FS.Name())
-		h.i64(mk.DeviceBlocks)
 		h.boolean(mk.SkipWriteChecks)
 		mk.salt = h.h
 	})

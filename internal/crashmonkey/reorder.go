@@ -58,11 +58,11 @@ type ReorderReport struct {
 	Pruned  int
 	// ClassSkipped counts states never constructed at all: the enumerator's
 	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (-no-class-prune restores construction).
+	// verdict was tallied directly (NoClassPrune restores construction).
 	ClassSkipped int
 	// CommuteSkipped counts drop-set states skipped as provably
 	// byte-identical to an earlier canonical representative, tallied with
-	// the representative's verdict (-no-commute-prune restores them).
+	// the representative's verdict (NoCommutePrune restores them).
 	CommuteSkipped int
 	// Mountable counts states that recovered without help; Repaired counts
 	// states that needed fsck and then mounted.

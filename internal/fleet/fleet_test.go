@@ -528,7 +528,6 @@ func TestFleetEquivalenceGate(t *testing.T) {
 	interrupt := make(chan struct{})
 	var once sync.Once
 	dcfg.Interrupt = interrupt
-	dcfg.CheckpointEvery = 4
 	dcfg.ProgressEvery = time.Millisecond
 	dcfg.OnProgress = func(campaign.Progress) { once.Do(func() { close(interrupt) }) }
 	if _, err := campaign.RunMatrix(dcfg, dfss); !errors.Is(err, campaign.ErrInterrupted) {
