@@ -83,6 +83,10 @@ var blockPool = sync.Pool{New: func() any { return make([]byte, BlockSize) }}
 
 func poolGet() []byte { return blockPool.Get().([]byte) }
 
+// stalePool recycles the stale lists of tracked snapshots, which die with
+// the snapshot just like its overlay buffers.
+var stalePool = sync.Pool{New: func() any { return new([]int64) }}
+
 // BlockMeter counts the block-level IO a harness issues: the blockdev
 // analogue of filesys.Meter. Attach one to the snapshots and replay cursors
 // of a run (SetMeter) and replay-cost regressions become visible in -v
@@ -224,17 +228,23 @@ type Snapshot struct {
 	base    Device
 	overlay map[int64][]byte
 
-	// contrib, when non-nil, marks a tracked snapshot: fp is the
-	// incremental fingerprint (relative to the chain's pristine bottom) and
-	// contrib holds this overlay's per-block contributions. parent is the
-	// base when it, too, tracks contributions (fork chains).
+	// tracked marks a snapshot that keeps its fingerprint (relative to the
+	// chain's pristine bottom) in fp, hashing lazily: contrib holds the
+	// contributions of settled overlay blocks, and stale (pooled, nil until
+	// the first write) lists the overlay blocks written since their last
+	// hash — exactly those with no contrib entry, each once. fp covers the
+	// settled blocks; a stale block still counts with its parent's term
+	// until settle hashes it. parent is the base when it, too, tracks
+	// contributions (fork chains).
 	contrib map[int64]uint64
+	stale   *[]int64
 	fp      uint64
 	parent  contributor
+	meter   *BlockMeter
+	tracked bool
 
 	// pooled marks overlay buffers as pool-recyclable via Release.
 	pooled bool
-	meter  *BlockMeter
 }
 
 // NewSnapshot returns a writable COW view of base. Its Fingerprint is
@@ -244,17 +254,22 @@ func NewSnapshot(base Device) *Snapshot {
 }
 
 // NewTrackedSnapshot returns a COW view of base that maintains its content
-// fingerprint incrementally: O(1) per write, O(1) to read. When base is
-// itself a tracked snapshot the fork seeds from the parent's fingerprint,
-// so the fork's Fingerprint stays relative to the chain's pristine bottom
-// device — a crash-state fork over a rolling replay base fingerprints
-// identically to a from-scratch replay onto the bottom device. Overlay
-// buffers come from the shared pool; call Release when the snapshot dies.
+// fingerprint incrementally. A write only marks its block stale; reading
+// the fingerprint hashes each block written since the last read once, so a
+// fork whose fingerprint is never read — or whose later writes, like
+// recovery's, come after the read — hashes nothing for them. When base is
+// itself a tracked snapshot the fork seeds from the parent's fingerprint
+// (settling the parent, so concurrent readers of its forks never mutate
+// it), and the fork's Fingerprint stays relative to the chain's pristine
+// bottom device — a crash-state fork over a rolling replay base
+// fingerprints identically to a from-scratch replay onto the bottom
+// device. Overlay buffers come from the shared pool; call Release when the
+// snapshot dies.
 func NewTrackedSnapshot(base Device) *Snapshot {
 	s := &Snapshot{
 		base:    base,
 		overlay: make(map[int64][]byte),
-		contrib: make(map[int64]uint64),
+		tracked: true,
 		pooled:  true,
 	}
 	if p, ok := base.(contributor); ok {
@@ -271,22 +286,60 @@ func NewTrackedSnapshot(base Device) *Snapshot {
 // it.
 func (s *Snapshot) SetMeter(m *BlockMeter) { s.meter = m }
 
-// contribution implements contributor. Untracked snapshots compute the
-// contribution from the overlay on demand, so a tracked fork seeded over an
-// untracked parent still adjusts overwrites correctly.
+// contribution implements contributor. Tracked snapshots settle first;
+// untracked snapshots compute the contribution from the overlay on demand,
+// so a tracked fork seeded over an untracked parent still adjusts
+// overwrites correctly.
 func (s *Snapshot) contribution(n int64) (uint64, bool) {
-	if c, ok := s.contrib[n]; ok {
-		return c, true
-	}
-	if s.contrib == nil {
-		if b, ok := s.overlay[n]; ok {
-			return BlockContribution(n, b), true
+	if s.tracked {
+		s.settle()
+		if c, ok := s.contrib[n]; ok {
+			return c, true
 		}
+	} else if b, ok := s.overlay[n]; ok {
+		return BlockContribution(n, b), true
 	}
 	if s.parent != nil {
 		return s.parent.contribution(n)
 	}
 	return 0, false
+}
+
+// parentTerm is block n's fingerprint term below this overlay: the
+// parent's contribution, or 0 when the block is pristine down the chain.
+func (s *Snapshot) parentTerm(n int64) uint64 {
+	if s.parent != nil {
+		if c, dirty := s.parent.contribution(n); dirty {
+			return c
+		}
+	}
+	return 0
+}
+
+// settle hashes every stale block once, swapping its parent's term in fp
+// for its own. A settled snapshot's settle writes nothing, so forks of one
+// settled parent may read it concurrently.
+func (s *Snapshot) settle() {
+	if s.stale == nil || len(*s.stale) == 0 {
+		return
+	}
+	if s.contrib == nil {
+		s.contrib = make(map[int64]uint64, len(*s.stale))
+	}
+	for _, n := range *s.stale {
+		c := BlockContribution(n, s.overlay[n])
+		s.fp ^= s.parentTerm(n) ^ c
+		s.contrib[n] = c
+	}
+	*s.stale = (*s.stale)[:0]
+}
+
+// markStale queues block n for the next settle.
+func (s *Snapshot) markStale(n int64) {
+	if s.stale == nil {
+		s.stale = stalePool.Get().(*[]int64)
+	}
+	*s.stale = append(*s.stale, n)
 }
 
 // ReadBlock implements Device, preferring overlay blocks. Each external
@@ -332,8 +385,9 @@ func (s *Snapshot) readBlockView(n int64) ([]byte, error) {
 }
 
 // WriteBlock implements Device, writing only to the overlay. Overwrites
-// reuse the existing overlay buffer, and tracked snapshots fold the write
-// into the incremental fingerprint.
+// reuse the existing overlay buffer, and tracked snapshots mark the block
+// stale: an overwrite of a settled block takes its hashed term back out of
+// the fingerprint, and the next read hashes the final contents once.
 func (s *Snapshot) WriteBlock(n int64, data []byte) error {
 	if n < 0 || n >= s.base.NumBlocks() {
 		return fmt.Errorf("%w: write block %d", ErrOutOfRange, n)
@@ -358,13 +412,14 @@ func (s *Snapshot) WriteBlock(n int64, data []byte) error {
 	// cleared by the same stroke.
 	copy(b, data)
 	clear(b[len(data):])
-	if s.contrib != nil {
-		if old, dirty := s.contribution(n); dirty {
-			s.fp ^= old
+	if s.tracked {
+		if c, settled := s.contrib[n]; settled {
+			s.fp ^= c ^ s.parentTerm(n)
+			delete(s.contrib, n)
+			s.markStale(n)
+		} else if !ok {
+			s.markStale(n)
 		}
-		c := BlockContribution(n, b)
-		s.fp ^= c
-		s.contrib[n] = c
 	}
 	return nil
 }
@@ -378,11 +433,9 @@ func (s *Snapshot) NumBlocks() int64 { return s.base.NumBlocks() }
 // Reset drops every modified block, returning the view to the base image.
 // Tracked snapshots stay tracked: the fingerprint re-seeds from the parent.
 func (s *Snapshot) Reset() {
-	tracked := s.contrib != nil
 	s.Release()
 	s.overlay = make(map[int64][]byte)
-	if tracked {
-		s.contrib = make(map[int64]uint64)
+	if s.tracked {
 		s.fp = 0
 		if s.parent != nil {
 			s.fp = s.parent.Fingerprint()
@@ -400,8 +453,13 @@ func (s *Snapshot) Release() {
 			blockPool.Put(b)
 		}
 	}
+	if s.stale != nil {
+		*s.stale = (*s.stale)[:0]
+		stalePool.Put(s.stale)
+	}
 	s.overlay = nil
 	s.contrib = nil
+	s.stale = nil
 }
 
 // DirtyBlocks returns the overlay block numbers in ascending order.

@@ -12,9 +12,11 @@ import "fmt"
 // per-state COW fork: recovery and checker writes land in the fork, never
 // in the rolling base, keeping later states uncontaminated.
 //
-// The rolling snapshot is tracked, so the fingerprint of the state at the
-// cursor (and of every fresh fork over it) is read in O(1) instead of
-// re-hashing the dirty set per state.
+// The rolling snapshot is tracked, so reading the fingerprint of the state
+// at the cursor hashes only the blocks written since the previous read
+// instead of re-hashing the dirty set per state; a fresh fork over it
+// inherits the value, and its own writes are hashed only if it is read
+// again.
 type ReplayCursor struct {
 	base    Device
 	log     []Record
@@ -49,7 +51,8 @@ func (c *ReplayCursor) ReplayedWrites() int64 { return c.replayed }
 // (0 = before the first).
 func (c *ReplayCursor) Checkpoint() int { return c.cp }
 
-// Fingerprint is the content hash of the crash state at the cursor, O(1).
+// Fingerprint is the content hash of the crash state at the cursor. It
+// hashes the blocks the seeks since the previous read wrote, once each.
 func (c *ReplayCursor) Fingerprint() uint64 { return c.rolling.Fingerprint() }
 
 // rewind resets the rolling snapshot to the pristine base.
@@ -114,8 +117,8 @@ func (c *ReplayCursor) Release() {
 
 // Fork returns the crash state at the cursor as a COW fork of the rolling
 // snapshot: writes (file-system recovery, checker probes) stay in the fork,
-// and its Fingerprint is the rolling state's, read in O(1). Call Release on
-// the fork once the state's verdict is recorded.
+// and its Fingerprint is the rolling state's until the fork is written.
+// Call Release on the fork once the state's verdict is recorded.
 func (c *ReplayCursor) Fork() *Snapshot {
 	return NewTrackedSnapshot(c.rolling)
 }

@@ -407,7 +407,7 @@ func TestTrackedSnapshotResetStaysTracked(t *testing.T) {
 	if s.Fingerprint() != ref.Fingerprint() {
 		t.Fatal("post-reset fingerprint diverged from scratch")
 	}
-	if s.contrib == nil {
+	if !s.tracked {
 		t.Fatal("tracked snapshot degraded to untracked after Reset")
 	}
 }

@@ -52,7 +52,9 @@ type ReorderEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
 	// construction and fn entirely (the caller already knows the verdict for
-	// this fingerprint).
+	// this fingerprint). When fn runs, its state is the one Seen was last
+	// consulted on, with the same fp — a caller may record fp in Seen and
+	// key fn's state on it instead of reading the fork's Fingerprint.
 	Seen func(st ReorderState, fp uint64) bool
 	// Commute enables commutativity pruning of redundant drop-sets.
 	Commute bool
@@ -67,7 +69,8 @@ type ReorderEnumOpts struct {
 type FaultEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
-	// construction and fn entirely.
+	// construction and fn entirely. When fn runs, its state is the one Seen
+	// was last consulted on, with the same fp (as for ReorderEnumOpts.Seen).
 	Seen func(st FaultState, fp uint64) bool
 }
 
@@ -215,11 +218,14 @@ func (p *epochPlan) canonicalDrop(drop []int) ([]int, bool) {
 // States() equals ReorderStateCount when the sweep runs to completion.
 //
 // fn receives each state as a tracked COW fork: recovery writes stay in the
-// fork, and Fingerprint() is O(1) and equal to the from-scratch overlay
-// fingerprint. The fork is valid only for the duration of fn and is released
-// back to the buffer pool when fn returns; fn returning false stops the
-// sweep. Replayed in the returned stats is the metered construction cost,
-// also folded into meter when non-nil.
+// fork, and Fingerprint() equals the from-scratch overlay fingerprint. The
+// fork's delta writes are hashed only if fn reads it — fn may instead take
+// the fp Seen was just consulted with (ReorderEnumOpts.Seen) — and writes
+// after a read are hashed only by a later read. The fork is valid only for
+// the duration of fn and is released back to the buffer pool when fn
+// returns; fn returning false stops the sweep. Replayed in the returned
+// stats is the metered construction cost, also folded into meter when
+// non-nil.
 func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnumOpts,
 	meter *BlockMeter, fn func(st ReorderState, crash *Snapshot) bool) (EnumStats, error) {
 
@@ -343,9 +349,10 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 // only its own delta: nothing for fault-free prefix/final states, the single
 // torn or corrupting write for torn/corrupt states, or the in-flight epoch
 // with one write redirected for misdirect states. The fingerprints of torn
-// and corrupt states cost one block hash; misdirect states are pure XOR
-// deltas, so the class index prunes their whole-epoch replays without a
-// single write.
+// and corrupt states cost one block hash (torn states hash the write's
+// prefix incrementally, one sector per state, and the rest of the block
+// from a borrowed view); misdirect states are pure XOR deltas, so the class
+// index prunes their whole-epoch replays without a single write.
 //
 // fn receives each state as a tracked COW fork under the same contract as
 // ForEachReorderStatePruned: valid only for the duration of fn, released
@@ -434,13 +441,19 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 					return stats, err
 				}
 				rec := ep.Writes[j]
+				torn := newTornHasher(rec, sectorSize)
 				for s := 1; s < spb; s++ {
 					sectors := s
-					tornContrib, err := faultedContribution(rec.Block, func(buf []byte) {
-						nb := sectors * sectorSize
-						copied := copy(buf[:nb], rec.Data)
-						clear(buf[copied:nb])
-					})
+					var tornContrib uint64
+					if torn != nil {
+						tornContrib, err = torn.next(rolling)
+					} else {
+						tornContrib, err = faultedContribution(rec.Block, func(buf []byte) {
+							nb := sectors * sectorSize
+							copied := copy(buf[:nb], rec.Data)
+							clear(buf[copied:nb])
+						})
+					}
 					if err != nil {
 						return stats, err
 					}
@@ -575,4 +588,54 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 	_, err = emit(FaultState{Kind: kind, Epoch: last.Index, Write: -1, Applied: len(last.Writes),
 		Desc: fmt.Sprintf("e%d-full", last.Index)}, rolling.Fingerprint(), nil)
 	return stats, err
+}
+
+// tornHasher yields the contributions of one write's torn states in sector
+// order without assembling any of them. The torn block is the write's
+// zero-padded data up to the tear, then the block's current contents, so
+// its hash is the new-data prefix folded one sector per state into a
+// running HashBytes state, then the rest of the current block hashed
+// straight from a borrowed view. That splits HashBytes at sector
+// boundaries, which yields the same value only where a boundary falls on
+// an 8-byte word: newTornHasher returns nil for sector sizes that are not a
+// multiple of 8, and the caller assembles each torn block instead.
+type tornHasher struct {
+	rec    Record
+	sector int
+	h      uint64 // hash of the block number and the torn prefix so far
+	lo     int    // end of the prefix folded into h
+}
+
+func newTornHasher(rec Record, sectorSize int) *tornHasher {
+	if sectorSize%8 != 0 {
+		return nil
+	}
+	return &tornHasher{rec: rec, sector: sectorSize, h: (FNVOffset ^ uint64(rec.Block)) * FNVPrime}
+}
+
+// next folds one more sector of new data into the prefix and returns the
+// contribution of the write torn there over dev's current block. It reads
+// the block once, metered like the copying path's ReadInto.
+func (t *tornHasher) next(dev Device) (uint64, error) {
+	data, hi := t.rec.Data, t.lo+t.sector
+	if end := min(len(data), hi); end > t.lo {
+		words := t.lo + (end-t.lo)&^7
+		t.h = HashBytes(t.h, data[t.lo:words])
+		if words < end {
+			// The record ends mid-word: fold that word zero-padded, as the
+			// padded block holds it, not byte by byte.
+			var w [8]byte
+			copy(w[:], data[words:end])
+			t.h = HashBytes(t.h, w[:])
+			words += 8
+		}
+		t.lo = words
+	}
+	t.h = HashBytes(t.h, zeroBlock[t.lo:hi])
+	t.lo = hi
+	view, err := ReadView(dev, t.rec.Block)
+	if err != nil {
+		return 0, err
+	}
+	return mix64(HashBytes(t.h, view[hi:])), nil
 }

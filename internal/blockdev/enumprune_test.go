@@ -93,12 +93,14 @@ func TestReorderPredictedFingerprints(t *testing.T) {
 }
 
 // TestFaultPredictedFingerprints is the fault-axis twin: every kind and
-// sector size, predicted fingerprint vs constructed fingerprint.
+// sector size, predicted fingerprint vs constructed fingerprint. Sectors 4
+// and 8 pin the torn hash's chaining across sector boundaries: the scripts'
+// short records end mid-word, and only 8-byte-aligned boundaries chain.
 func TestFaultPredictedFingerprints(t *testing.T) {
 	for si, script := range enumScripts {
 		log := scriptLog(script)
 		for kind := FaultKind(0); int(kind) < NumFaultKinds; kind++ {
-			for _, sector := range []int{512, 2048, BlockSize} {
+			for _, sector := range []int{4, 8, 512, 2048, BlockSize} {
 				base := scriptBase(t)
 				var predicted uint64
 				var predDesc string

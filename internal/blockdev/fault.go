@@ -13,8 +13,9 @@ import (
 // medium), and misdirect a write onto the wrong LBA. Each of those is
 // modelled here as its own deterministic, exactly-countable iterator with the
 // same contract as ForEachReorderState: stable Descs, a scratch applier, and
-// an incremental tracked-snapshot variant whose forks carry O(1)
-// fingerprints, so the prune/corpus/shard/merge layers compose unchanged.
+// an incremental tracked-snapshot variant whose states' fingerprints are
+// predicted before construction (and match their forks' lazily hashed
+// ones), so the prune/corpus/shard/merge layers compose unchanged.
 //
 // Only writes that are still unsynced at the crash point are faulted: writes
 // of earlier, barrier-closed epochs are durable by definition (their flush or

@@ -1,52 +1,34 @@
 package blockdev
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzFaultStates drives the fault iterators with an arbitrary write log,
 // sector size, and fault kind, and checks the invariants the soundness
 // suite relies on: FaultStateCount equals the number of states enumerated,
 // no Desc repeats within a sweep, the enumeration is deterministic, and the
-// incremental tracked fingerprint of every state equals the from-scratch
-// overlay-scan fingerprint of the same state.
+// fingerprint predicted for Seen, the incremental tracked fingerprint and
+// the from-scratch overlay-scan fingerprint of every state agree.
 //
-// The script decodes one log record per byte: the low three bits select a
-// block (device is 8 blocks), the high bits an action — mostly writes, with
-// flush and checkpoint barriers mixed in — so the fuzzer explores epoch
-// shapes, repeated blocks, and the end-of-device wraparound.
+// The script decodes one log record per byte (scriptLog): the low three
+// bits select a block (device is 8 blocks), the high bits an action —
+// mostly writes, with flush and checkpoint barriers mixed in — so the
+// fuzzer explores epoch shapes, repeated blocks, and the end-of-device
+// wraparound. Records are 1–28 bytes long, so most end mid-word: the 4- and
+// 8-byte sectors exercise the torn hash's sector-by-sector chaining.
 func FuzzFaultStates(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0xE2, 0x03, 0xF4, 0x05}, byte(0), byte(0))
 	f.Add([]byte{0x07, 0x07, 0xE0, 0x01}, byte(3), byte(1))
 	f.Add([]byte{0xE0, 0xF0}, byte(1), byte(2)) // writeless: only barriers
+	f.Add([]byte{0x10, 0x21, 0xE0, 0x10}, byte(4), byte(0))
+	f.Add([]byte{0x00, 0x3A, 0x00}, byte(5), byte(0))
 	f.Fuzz(func(t *testing.T, script []byte, sectorSel, kindSel byte) {
 		if len(script) > 64 {
 			script = script[:64] // bound the state space, not the coverage
 		}
 		kind := FaultKind(int(kindSel) % NumFaultKinds)
-		sector := []int{512, 1024, 2048, BlockSize}[int(sectorSel)%4]
-
-		var log []Record
-		for i, b := range script {
-			seq := int64(i + 1)
-			switch {
-			case b >= 0xF0:
-				log = append(log, Record{Seq: seq, Kind: RecCheckpoint, Checkpoint: i})
-			case b >= 0xE0:
-				log = append(log, Record{Seq: seq, Kind: RecFlush})
-			default:
-				data := bytes.Repeat([]byte{b ^ byte(i)}, 1+int(b>>3)%BlockSize)
-				log = append(log, Record{Seq: seq, Kind: RecWrite, Block: int64(b % 8), Data: data})
-			}
-		}
-
-		base := NewMemDisk(8)
-		for b := int64(0); b < 8; b++ {
-			if err := base.WriteBlock(b, bytes.Repeat([]byte{0x55 ^ byte(b)}, BlockSize)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		sector := []int{512, 1024, 2048, BlockSize, 4, 8}[int(sectorSel)%6]
+		log := scriptLog(script)
+		base := scriptBase(t)
 
 		want, err := FaultStateCount(log, kind, sector)
 		if err != nil {
@@ -55,14 +37,23 @@ func FuzzFaultStates(f *testing.F) {
 		var descs []string
 		var fps []uint64
 		seen := map[string]bool{}
-		if _, err := ForEachFaultStatePruned(base, log, kind, sector, FaultEnumOpts{}, nil,
+		var predicted uint64
+		opts := FaultEnumOpts{Seen: func(_ FaultState, fp uint64) bool {
+			predicted = fp
+			return false
+		}}
+		if _, err := ForEachFaultStatePruned(base, log, kind, sector, opts, nil,
 			func(st FaultState, crash *Snapshot) bool {
 				if seen[st.Desc] {
 					t.Fatalf("duplicate Desc %q", st.Desc)
 				}
 				seen[st.Desc] = true
 				descs = append(descs, st.Desc)
-				fps = append(fps, crash.Fingerprint())
+				fp := crash.Fingerprint()
+				if fp != predicted {
+					t.Fatalf("state %s: predicted fp %016x, constructed %016x", st.Desc, predicted, fp)
+				}
+				fps = append(fps, fp)
 				return true
 			}); err != nil {
 			t.Fatal(err)

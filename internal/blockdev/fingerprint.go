@@ -14,10 +14,13 @@ import "encoding/binary"
 // contribution per dirty block, where a block's contribution depends only on
 // its number and its final contents. XOR makes the combination
 // order-independent (no per-state sort of the dirty set) and removable (an
-// overwrite XORs the old contribution out and the new one in), so a tracked
-// snapshot maintains its fingerprint in O(1) per write and reads it in O(1),
-// instead of the O(dirty · log dirty) sort-and-rehash of the whole overlay
-// that used to run for every constructed crash state.
+// overwrite XORs the old contribution out and the new one in). A tracked
+// snapshot hashes lazily: a write only marks its block stale, and reading
+// the fingerprint hashes each block written since the last read once. A
+// read therefore costs one block hash per block written since the previous
+// read, instead of the O(dirty · log dirty) sort-and-rehash of the whole
+// overlay that used to run for every constructed crash state; writes after
+// the last read — recovery's, in a crash-state fork — are never hashed.
 
 // FNV-1a parameters, exported so fingerprint composers elsewhere (the
 // crashmonkey oracle hasher) stay bit-compatible with HashBytes.
@@ -64,11 +67,13 @@ func BlockContribution(n int64, data []byte) uint64 {
 // Fingerprint returns the content hash of the overlay: the XOR of each dirty
 // block's BlockContribution. Two snapshots of the same base with equal
 // fingerprints hold byte-identical device contents. Tracked snapshots
-// (NewTrackedSnapshot) answer in O(1) from the incrementally maintained
-// value; untracked snapshots scan their overlay — the from-scratch path the
-// incremental one is cross-checked against (docs/TESTING.md).
+// (NewTrackedSnapshot) settle their stale blocks and answer from the
+// incrementally maintained value; untracked snapshots scan their overlay —
+// the from-scratch path the incremental one is cross-checked against
+// (docs/TESTING.md).
 func (s *Snapshot) Fingerprint() uint64 {
-	if s.contrib != nil {
+	if s.tracked {
+		s.settle()
 		return s.fp
 	}
 	var fp uint64

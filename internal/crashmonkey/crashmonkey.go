@@ -387,9 +387,9 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) error {
 	res.FSName, res.Checkpoint = mk.FS.Name(), cp
 
 	// Class pruning hoists the cache lookup to before construction: the
-	// incremental cursor's fingerprint is O(1) after the seek, so a state
-	// whose (content, oracle) class was already judged is never forked at
-	// all. looked records that the hoisted lookup ran, so a miss is not
+	// incremental cursor's fingerprint hashes only the seek's writes, so a
+	// state whose (content, oracle) class was already judged is never forked
+	// at all. looked records that the hoisted lookup ran, so a miss is not
 	// looked up again after construction.
 	var key stateKey
 	var looked bool

@@ -124,14 +124,18 @@ func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector i
 			}))
 	} else {
 		var opts blockdev.FaultEnumOpts
-		if s.classPrune() {
-			opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
-				return s.seen(st.Epoch, st.Desc, fp) != nil
+		// fp is the fingerprint Seen was last consulted with — that of the
+		// state fn builds next — so judge keys on it without hashing the fork.
+		var fp uint64
+		if mk.Prune != nil {
+			opts.Seen = func(st blockdev.FaultState, f uint64) bool {
+				fp = f
+				return s.classPrune() && s.seen(st.Epoch, st.Desc, f) != nil
 			}
 		}
 		stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, sector, opts, mk.Meter,
 			func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-				return s.judge(st.Epoch, st.Desc, crash) != nil
+				return s.judge(st.Epoch, st.Desc, fp, crash) != nil
 			})
 		s.replayed = stats.Replayed
 		s.fail(err)

@@ -148,14 +148,18 @@ func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cach
 				s.settle(st.Epoch, st.Desc, v, &s.commuteSkipped)
 			}
 		}
-		if s.classPrune() {
-			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
-				return settled(st, s.seen(st.Epoch, st.Desc, fp))
+		// fp is the fingerprint Seen was last consulted with — that of the
+		// state fn builds next — so judge keys on it without hashing the fork.
+		var fp uint64
+		if mk.Prune != nil {
+			opts.Seen = func(st blockdev.ReorderState, f uint64) bool {
+				fp = f
+				return s.classPrune() && settled(st, s.seen(st.Epoch, st.Desc, f))
 			}
 		}
 		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,
 			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				return s.err == nil && settled(st, s.judge(st.Epoch, st.Desc, crash))
+				return s.err == nil && settled(st, s.judge(st.Epoch, st.Desc, fp, crash))
 			})
 		s.replayed = stats.Replayed
 		s.fail(err)

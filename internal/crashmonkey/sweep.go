@@ -179,13 +179,15 @@ func (s *sweep) settle(epoch int, desc string, v *cachedVerdict, how *int) {
 }
 
 // judge settles one constructed state — disk-tier lookup, else recover and
-// store — and returns its verdict, or nil once the sweep has failed. The
-// fingerprint comes from the snapshot: O(1) on the incremental path, an
-// overlay scan on the scratch path, the same value either way.
-func (s *sweep) judge(epoch int, desc string, crash *blockdev.Snapshot) *cachedVerdict {
+// store — and returns its verdict, or nil once the sweep has failed. fp is
+// the state's fingerprint, read only when the Monkey prunes: on the
+// incremental path the one the enumerator predicted and handed Seen just
+// before building crash, on the scratch path an overlay scan — the same
+// value either way, so neither hashes the blocks recovery writes.
+func (s *sweep) judge(epoch int, desc string, fp uint64, crash *blockdev.Snapshot) *cachedVerdict {
 	var key stateKey
 	if s.mk.Prune != nil {
-		key = s.key(epoch, crash.Fingerprint())
+		key = s.key(epoch, fp)
 	}
 	v, tier, err := s.mk.judged(key, false, func() (*cachedVerdict, string, error) {
 		return s.o.judge(crash, s.at(epoch))
@@ -228,5 +230,9 @@ func (s *sweep) scratchState(epoch int, desc string, cost int64, apply func(bloc
 	if s.mk.Meter != nil {
 		s.mk.Meter.BlocksReplayed.Add(cost)
 	}
-	return s.judge(epoch, desc, crash) != nil
+	var fp uint64
+	if s.mk.Prune != nil {
+		fp = crash.Fingerprint()
+	}
+	return s.judge(epoch, desc, fp, crash) != nil
 }

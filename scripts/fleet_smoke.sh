@@ -31,7 +31,15 @@ sleep 0.5
 echo "== worker 1: killed mid-lease (SIGKILL — no release, no checkpoint flush)" >&2
 "$bin" -worker "127.0.0.1:$port" -worker-id victim >"$work/w1.out" 2>&1 &
 victim=$!
-sleep 0.4
+# Kill the victim while it holds a lease: a fixed sleep races the lease
+# itself (on a fast machine the victim finished its leases first and the
+# run was vacuous), so wait for the coordinator to journal the victim's
+# first grant — polling for up to 10 s — and kill it at once.
+i=0
+until grep -q 'fleet: grant .*worker=victim' "$work/serve.err" 2>/dev/null || [ "$i" -ge 1000 ]; do
+  i=$((i + 1))
+  sleep 0.01
+done
 kill -KILL "$victim" 2>/dev/null || true
 
 echo "== workers 2+3: run the fleet to completion" >&2
