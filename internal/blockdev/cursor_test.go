@@ -40,6 +40,17 @@ func buildLog(t *testing.T) (*MemDisk, *Recorder) {
 }
 
 // deviceBytes snapshots every block of dev for byte-level comparison.
+// countingDevice counts the block writes that reach the device it wraps.
+type countingDevice struct {
+	Device
+	writes int64
+}
+
+func (d *countingDevice) WriteBlock(n int64, data []byte) error {
+	d.writes++
+	return d.Device.WriteBlock(n, data)
+}
+
 func deviceBytes(t *testing.T, dev Device) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -166,11 +177,24 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 				bytes []byte
 			}
 			var want []scratchState
+			var scratchReplayed int64
+			epochs := Epochs(log)
 			ForEachReorderState(log, k, func(st ReorderState, apply func(Device) error) bool {
 				crash := NewSnapshot(base)
-				if err := apply(crash); err != nil {
+				dev := &countingDevice{Device: crash}
+				if err := apply(dev); err != nil {
 					t.Fatal(err)
 				}
+				// Every prior epoch whole, then the in-flight prefix or
+				// surviving subset.
+				wantWrites := int64(st.Applied - len(st.Dropped))
+				for e := 0; e < st.Epoch; e++ {
+					wantWrites += int64(len(epochs[e].Writes))
+				}
+				if dev.writes != wantWrites {
+					t.Fatalf("state %s: applier wrote %d blocks, want %d", st.Desc, dev.writes, wantWrites)
+				}
+				scratchReplayed += dev.writes
 				want = append(want, scratchState{st.Desc, crash.Fingerprint(), deviceBytes(t, crash)})
 				return true
 			})
@@ -207,17 +231,6 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 			}
 			// The whole point: the incremental engine must replay strictly
 			// fewer writes than per-state scratch replay on multi-epoch logs.
-			var scratchReplayed int64
-			epochs := Epochs(log)
-			ForEachReorderState(log, k, func(st ReorderState, _ func(Device) error) bool {
-				for e := 0; e < st.Epoch && e < len(epochs); e++ {
-					scratchReplayed += int64(len(epochs[e].Writes))
-				}
-				if st.Epoch >= 0 && st.Epoch < len(epochs) {
-					scratchReplayed += int64(st.Applied - len(st.Dropped))
-				}
-				return true
-			})
 			if incReplayed >= scratchReplayed {
 				t.Fatalf("incremental replayed %d writes, scratch %d — no savings", incReplayed, scratchReplayed)
 			}

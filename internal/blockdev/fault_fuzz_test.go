@@ -7,7 +7,8 @@ import "testing"
 // suite relies on: FaultStateCount equals the number of states enumerated,
 // no Desc repeats within a sweep, the enumeration is deterministic, and the
 // fingerprint predicted for Seen, the incremental tracked fingerprint and
-// the from-scratch overlay-scan fingerprint of every state agree.
+// the from-scratch overlay-scan fingerprint of every state agree, and the
+// scratch applier writes exactly the blocks the state's recipe names.
 //
 // The script decodes one log record per byte (scriptLog): the low three
 // bits select a block (device is 8 blocks), the high bits an action —
@@ -64,10 +65,24 @@ func FuzzFaultStates(f *testing.F) {
 
 		// Determinism and incremental/scratch fingerprint agreement.
 		i := 0
+		epochs := Epochs(log)
 		err = ForEachFaultState(log, kind, sector, func(st FaultState, apply func(Device) error) bool {
 			scratch := NewSnapshot(base)
-			if err := apply(scratch); err != nil {
+			dev := &countingDevice{Device: scratch}
+			if err := apply(dev); err != nil {
 				t.Fatal(err)
+			}
+			// Every prior epoch whole, the in-flight prefix, and the torn or
+			// corrupting write (a misdirected write is part of the prefix).
+			wantWrites := int64(st.Applied)
+			for e := 0; e < st.Epoch; e++ {
+				wantWrites += int64(len(epochs[e].Writes))
+			}
+			if st.Write >= 0 && st.Kind != FaultMisdirect {
+				wantWrites++
+			}
+			if dev.writes != wantWrites {
+				t.Fatalf("state %s: applier wrote %d blocks, want %d", st.Desc, dev.writes, wantWrites)
 			}
 			if st.Desc != descs[i] || scratch.Fingerprint() != fps[i] {
 				t.Fatalf("state %d: scratch %q/%016x vs incremental %q/%016x",

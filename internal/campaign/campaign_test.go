@@ -242,6 +242,12 @@ func TestScratchStatesCrossCheck(t *testing.T) {
 			inc.Failed, inc.ReorderBroken, scratch.Failed, scratch.ReorderBroken)
 	}
 	assertSameGroups(t, inc, scratch)
+	// The scratch engine replays every prior epoch per state, so its count
+	// is a pure function of the enumerated states: pinned exactly, it
+	// catches an applier that replays, or counts, one write too many or few.
+	if scratch.ReplayedWrites != 14036 {
+		t.Fatalf("scratch engine replayed %d writes, want 14036", scratch.ReplayedWrites)
+	}
 	if inc.ReplayedWrites >= scratch.ReplayedWrites {
 		t.Fatalf("incremental engine replayed %d writes, scratch %d — no savings",
 			inc.ReplayedWrites, scratch.ReplayedWrites)
