@@ -206,19 +206,6 @@ func (d *MemDisk) Flush() error { return nil }
 // NumBlocks implements Device.
 func (d *MemDisk) NumBlocks() int64 { return int64(len(d.blocks)) }
 
-// contributor is implemented by snapshots that track per-block fingerprint
-// contributions, letting a tracked fork over them seed and adjust its own
-// fingerprint without scanning.
-type contributor interface {
-	// contribution returns the fingerprint contribution of block n in the
-	// device's dirty set (searching the whole fork chain), and whether the
-	// block is dirty at all.
-	contribution(n int64) (uint64, bool)
-	// Fingerprint is the device's content hash relative to the chain's
-	// pristine bottom device.
-	Fingerprint() uint64
-}
-
 // Snapshot is a copy-on-write overlay over a base device. It provides the
 // fast writable snapshots CrashMonkey uses to reset between crash states:
 // resetting simply drops the modified blocks (§5.1, "since the snapshots are
@@ -229,22 +216,20 @@ type Snapshot struct {
 	overlay map[int64][]byte
 
 	// tracked marks a snapshot that keeps its fingerprint (relative to the
-	// chain's pristine bottom) in fp, hashing lazily: contrib holds the
+	// chain's pristine bottom) in fp, hashing lazily, and whose overlay
+	// buffers come from the pool and go back on Release: contrib holds the
 	// contributions of settled overlay blocks, and stale (pooled, nil until
 	// the first write) lists the overlay blocks written since their last
 	// hash — exactly those with no contrib entry, each once. fp covers the
 	// settled blocks; a stale block still counts with its parent's term
-	// until settle hashes it. parent is the base when it, too, tracks
-	// contributions (fork chains).
+	// until settle hashes it. parent is the base when it is a snapshot too
+	// (fork chains).
 	contrib map[int64]uint64
 	stale   *[]int64
 	fp      uint64
-	parent  contributor
+	parent  *Snapshot
 	meter   *BlockMeter
 	tracked bool
-
-	// pooled marks overlay buffers as pool-recyclable via Release.
-	pooled bool
 }
 
 // NewSnapshot returns a writable COW view of base. Its Fingerprint is
@@ -266,18 +251,11 @@ func NewSnapshot(base Device) *Snapshot {
 // device. Overlay buffers come from the shared pool; call Release when the
 // snapshot dies.
 func NewTrackedSnapshot(base Device) *Snapshot {
-	s := &Snapshot{
-		base:    base,
-		overlay: make(map[int64][]byte),
-		tracked: true,
-		pooled:  true,
-	}
-	if p, ok := base.(contributor); ok {
+	s := &Snapshot{base: base, overlay: make(map[int64][]byte), tracked: true}
+	if p, ok := base.(*Snapshot); ok {
 		s.parent = p
 		s.fp = p.Fingerprint()
-	}
-	if m, ok := base.(*Snapshot); ok {
-		s.meter = m.meter
+		s.meter = p.meter
 	}
 	return s
 }
@@ -286,10 +264,12 @@ func NewTrackedSnapshot(base Device) *Snapshot {
 // it.
 func (s *Snapshot) SetMeter(m *BlockMeter) { s.meter = m }
 
-// contribution implements contributor. Tracked snapshots settle first;
-// untracked snapshots compute the contribution from the overlay on demand,
-// so a tracked fork seeded over an untracked parent still adjusts
-// overwrites correctly.
+// contribution returns the fingerprint contribution of block n in the
+// snapshot's dirty set (searching the whole fork chain), and whether the
+// block is dirty at all. Tracked snapshots settle first; untracked
+// snapshots compute the contribution from the overlay on demand, so a
+// tracked fork seeded over an untracked parent still adjusts overwrites
+// correctly.
 func (s *Snapshot) contribution(n int64) (uint64, bool) {
 	if s.tracked {
 		s.settle()
@@ -305,15 +285,15 @@ func (s *Snapshot) contribution(n int64) (uint64, bool) {
 	return 0, false
 }
 
-// parentTerm is block n's fingerprint term below this overlay: the
-// parent's contribution, or 0 when the block is pristine down the chain.
-func (s *Snapshot) parentTerm(n int64) uint64 {
-	if s.parent != nil {
-		if c, dirty := s.parent.contribution(n); dirty {
-			return c
-		}
+// term is block n's fingerprint term in s: its contribution, or 0 when the
+// block is pristine down the chain. A nil s is the pristine bottom, so
+// s.parent.term(n) is the block's term below the overlay.
+func (s *Snapshot) term(n int64) uint64 {
+	if s == nil {
+		return 0
 	}
-	return 0
+	c, _ := s.contribution(n)
+	return c
 }
 
 // settle hashes every stale block once, swapping its parent's term in fp
@@ -328,7 +308,7 @@ func (s *Snapshot) settle() {
 	}
 	for _, n := range *s.stale {
 		c := BlockContribution(n, s.overlay[n])
-		s.fp ^= s.parentTerm(n) ^ c
+		s.fp ^= s.parent.term(n) ^ c
 		s.contrib[n] = c
 	}
 	*s.stale = (*s.stale)[:0]
@@ -397,7 +377,7 @@ func (s *Snapshot) WriteBlock(n int64, data []byte) error {
 	}
 	b, ok := s.overlay[n]
 	if !ok {
-		if s.pooled {
+		if s.tracked {
 			b = poolGet()
 		} else {
 			b = make([]byte, BlockSize)
@@ -414,7 +394,7 @@ func (s *Snapshot) WriteBlock(n int64, data []byte) error {
 	clear(b[len(data):])
 	if s.tracked {
 		if c, settled := s.contrib[n]; settled {
-			s.fp ^= c ^ s.parentTerm(n)
+			s.fp ^= c ^ s.parent.term(n)
 			delete(s.contrib, n)
 			s.markStale(n)
 		} else if !ok {
@@ -443,12 +423,12 @@ func (s *Snapshot) Reset() {
 	}
 }
 
-// Release returns pooled overlay buffers to the shared pool and empties the
-// overlay. The snapshot must not be used afterwards (crash-state forks call
-// it once the verdict is recorded); snapshots with unpooled buffers only
-// drop their references.
+// Release returns a tracked snapshot's overlay buffers to the shared pool
+// and empties the overlay. The snapshot must not be used afterwards
+// (crash-state forks call it once the verdict is recorded); untracked
+// snapshots, whose buffers are not pooled, only drop their references.
 func (s *Snapshot) Release() {
-	if s.pooled {
+	if s.tracked {
 		for _, b := range s.overlay {
 			blockPool.Put(b)
 		}

@@ -178,23 +178,17 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 			}
 			var want []scratchState
 			var scratchReplayed int64
-			epochs := Epochs(log)
-			ForEachReorderState(log, k, func(st ReorderState, apply func(Device) error) bool {
+			ForEachReorderState(log, k, func(st ReorderState, apply func(Device) (int64, error)) bool {
 				crash := NewSnapshot(base)
 				dev := &countingDevice{Device: crash}
-				if err := apply(dev); err != nil {
+				n, err := apply(dev)
+				if err != nil {
 					t.Fatal(err)
 				}
-				// Every prior epoch whole, then the in-flight prefix or
-				// surviving subset.
-				wantWrites := int64(st.Applied - len(st.Dropped))
-				for e := 0; e < st.Epoch; e++ {
-					wantWrites += int64(len(epochs[e].Writes))
+				if n != dev.writes {
+					t.Fatalf("state %s: applier says %d writes, the device saw %d", st.Desc, n, dev.writes)
 				}
-				if dev.writes != wantWrites {
-					t.Fatalf("state %s: applier wrote %d blocks, want %d", st.Desc, dev.writes, wantWrites)
-				}
-				scratchReplayed += dev.writes
+				scratchReplayed += n
 				want = append(want, scratchState{st.Desc, crash.Fingerprint(), deviceBytes(t, crash)})
 				return true
 			})

@@ -74,6 +74,69 @@ type FaultEnumOpts struct {
 	Seen func(st FaultState, fp uint64) bool
 }
 
+// builder is the construction core both pruned enumerators drive. It owns
+// the rolling tracked snapshot over base (newBuilder's second result), which
+// advances epoch by epoch, the replay that advances it and builds each
+// state's delta, the emit step that consults Seen before forking, and the
+// sweep's accounting. S is the enumerator's state type. The rolling snapshot
+// is a separate value, not a field: escape analysis does not tell a
+// struct's fields apart, so forking a field would move the caller's seen
+// and fn closures to the heap on every sweep.
+type builder[S any] struct {
+	seen  func(st S, fp uint64) bool
+	fn    func(st S, crash *Snapshot) bool
+	stats EnumStats
+}
+
+func newBuilder[S any](base Device, meter *BlockMeter, seen func(S, uint64) bool,
+	fn func(S, *Snapshot) bool) (builder[S], *Snapshot) {
+	rolling := NewTrackedSnapshot(base)
+	rolling.SetMeter(meter)
+	return builder[S]{seen: seen, fn: fn}, rolling
+}
+
+// close releases the rolling snapshot and folds the writes replayed into
+// its meter.
+func (b *builder[S]) close(rolling *Snapshot) {
+	if m := rolling.meter; m != nil {
+		m.BlocksReplayed.Add(b.stats.Replayed)
+	}
+	rolling.Release()
+}
+
+// replay writes recs onto dst as replay does, counting the writes.
+func (b *builder[S]) replay(dst *Snapshot, recs []Record, skip []int, mis int) error {
+	n, err := replay(dst, recs, skip, mis)
+	b.stats.Replayed += n
+	return err
+}
+
+// emit checks the class index with the state's pre-computed fingerprint,
+// and only on a miss forks parent, applies the state's delta (nil: none)
+// and hands the fork to fn. It reports whether the sweep goes on.
+func (b *builder[S]) emit(st S, fp uint64, parent *Snapshot, delta func(*Snapshot) error) (bool, error) {
+	if b.seen != nil && b.seen(st, fp) {
+		b.stats.ClassSkipped++
+		return true, nil
+	}
+	crash := NewTrackedSnapshot(parent)
+	defer crash.Release()
+	if delta != nil {
+		if err := delta(crash); err != nil {
+			return false, err
+		}
+	}
+	b.stats.Visited++
+	return b.fn(st, crash), nil
+}
+
+// finish emits the sweep's final state (finalState) over the fully
+// advanced rolling snapshot and returns the sweep's stats.
+func (b *builder[S]) finish(rolling *Snapshot, st S) (EnumStats, error) {
+	_, err := b.emit(st, rolling.Fingerprint(), rolling, nil)
+	return b.stats, err
+}
+
 // epochPlan precomputes the fingerprint algebra of one epoch over the
 // rolling snapshot positioned at the epoch's base: the zero-padded
 // contribution of every write, the per-block write chains, and the
@@ -96,18 +159,8 @@ func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
 		next: make([]int, len(writes)),
 		last: make(map[int64]int, len(writes)),
 	}
-	buf := poolGet()
-	defer blockPool.Put(buf)
 	for i, rec := range writes {
-		// Contributions must match Snapshot.WriteBlock, which stores every
-		// write as a zero-padded full block.
-		data := rec.Data
-		if len(data) < BlockSize {
-			n := copy(buf, data)
-			clear(buf[n:])
-			data = buf
-		}
-		p.c[i] = BlockContribution(rec.Block, data)
+		p.c[i] = paddedContribution(rec.Block, rec.Data)
 		p.prev[i], p.next[i] = -1, -1
 		if j, ok := p.last[rec.Block]; ok {
 			p.prev[i] = j
@@ -117,10 +170,7 @@ func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
 	}
 	p.fullFP = rolling.Fingerprint()
 	for b, i := range p.last {
-		if old, dirty := rolling.contribution(b); dirty {
-			p.fullFP ^= old
-		}
-		p.fullFP ^= p.c[i]
+		p.fullFP ^= rolling.term(b) ^ p.c[i]
 	}
 	return p
 }
@@ -155,8 +205,8 @@ func (p *epochPlan) dropFP(rolling *Snapshot, writes []Record, drop []int) uint6
 		var surv uint64
 		if j >= 0 {
 			surv = p.c[j]
-		} else if old, dirty := rolling.contribution(b); dirty {
-			surv = old
+		} else {
+			surv = rolling.term(b)
 		}
 		fp ^= p.c[d] ^ surv
 	}
@@ -229,47 +279,9 @@ func (p *epochPlan) canonicalDrop(drop []int) ([]int, bool) {
 func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnumOpts,
 	meter *BlockMeter, fn func(st ReorderState, crash *Snapshot) bool) (EnumStats, error) {
 
-	var stats EnumStats
+	b, rolling := newBuilder(base, meter, opts.Seen, fn)
+	defer b.close(rolling)
 	epochs := Epochs(log)
-	rolling := NewTrackedSnapshot(base)
-	rolling.SetMeter(meter)
-	defer rolling.Release()
-
-	defer func() {
-		if meter != nil {
-			meter.BlocksReplayed.Add(stats.Replayed)
-		}
-	}()
-	replay := func(dst *Snapshot, recs []Record, skip []int) error {
-		next := 0 // skip is ascending; walk it alongside the writes
-		for i, rec := range recs {
-			if next < len(skip) && skip[next] == i {
-				next++
-				continue
-			}
-			if err := dst.WriteBlock(rec.Block, rec.Data); err != nil {
-				return fmt.Errorf("blockdev: reorder replay write seq %d: %w", rec.Seq, err)
-			}
-			stats.Replayed++
-		}
-		return nil
-	}
-	// emit checks the class index with the state's pre-computed fingerprint,
-	// and only on a miss forks parent and replays the state's delta for fn.
-	emit := func(st ReorderState, fp uint64, parent *Snapshot, writes []Record, skip []int) (bool, error) {
-		if opts.Seen != nil && opts.Seen(st, fp) {
-			stats.ClassSkipped++
-			return true, nil
-		}
-		crash := NewTrackedSnapshot(parent)
-		defer crash.Release()
-		if err := replay(crash, writes, skip); err != nil {
-			return false, err
-		}
-		stats.Visited++
-		return fn(st, crash), nil
-	}
-
 	for _, ep := range epochs {
 		n := len(ep.Writes)
 		// The prefix family shares an inner rolling fork: state j is the
@@ -277,23 +289,19 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 		// the prefix fingerprint is always at hand before construction.
 		inner := NewTrackedSnapshot(rolling)
 		for j := 0; j < n; j++ {
-			ok, err := emit(ReorderState{Epoch: ep.Index, Applied: j,
-				Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}, inner.Fingerprint(), inner, nil, nil)
+			ok, err := b.emit(ReorderState{Epoch: ep.Index, Applied: j,
+				Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}, inner.Fingerprint(), inner, nil)
+			if err == nil && ok {
+				err = b.replay(inner, ep.Writes[j:j+1], nil, -1)
+			}
 			if err != nil || !ok {
 				inner.Release()
-				return stats, err
-			}
-			if err := replay(inner, ep.Writes[j:j+1], nil); err != nil {
-				inner.Release()
-				return stats, err
+				return b.stats, err
 			}
 		}
 		inner.Release()
 
-		maxDrop := k
-		if maxDrop > n {
-			maxDrop = n
-		}
+		maxDrop := min(k, n)
 		var plan epochPlan
 		if maxDrop > 0 {
 			plan = planEpoch(rolling, ep.Writes)
@@ -301,44 +309,34 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 		for d := 1; d <= maxDrop; d++ {
 			var sweepErr error
 			ok := combinations(n, d, func(drop []int) bool {
+				st := ReorderState{Epoch: ep.Index, Applied: n,
+					Dropped: append([]int(nil), drop...), Desc: dropDesc(ep.Index, drop)}
 				if opts.Commute {
 					if canon, skip := plan.canonicalDrop(drop); skip {
-						stats.CommuteSkipped++
+						b.stats.CommuteSkipped++
 						if opts.OnCommuteSkip != nil {
-							opts.OnCommuteSkip(ReorderState{Epoch: ep.Index, Applied: n,
-								Dropped: append([]int(nil), drop...),
-								Desc:    dropDesc(ep.Index, drop)}, dropDesc(ep.Index, canon))
+							opts.OnCommuteSkip(st, dropDesc(ep.Index, canon))
 						}
 						return true
 					}
 				}
-				cont, err := emit(ReorderState{Epoch: ep.Index, Applied: n,
-					Dropped: append([]int(nil), drop...),
-					Desc:    dropDesc(ep.Index, drop)},
-					plan.dropFP(rolling, ep.Writes, drop), rolling, ep.Writes, drop)
+				cont, err := b.emit(st, plan.dropFP(rolling, ep.Writes, drop), rolling,
+					func(crash *Snapshot) error { return b.replay(crash, ep.Writes, drop, -1) })
 				sweepErr = err
 				return err == nil && cont
 			})
 			if sweepErr != nil || !ok {
-				return stats, sweepErr
+				return b.stats, sweepErr
 			}
 		}
 		// Advance the epoch base: every later state replays this epoch's
 		// writes exactly once, here.
-		if err := replay(rolling, ep.Writes, nil); err != nil {
-			return stats, err
+		if err := b.replay(rolling, ep.Writes, nil, -1); err != nil {
+			return b.stats, err
 		}
 	}
-
-	if len(epochs) == 0 {
-		_, err := emit(ReorderState{Epoch: -1, Desc: "empty"}, rolling.Fingerprint(),
-			rolling, nil, nil)
-		return stats, err
-	}
-	last := epochs[len(epochs)-1]
-	_, err := emit(ReorderState{Epoch: last.Index, Applied: len(last.Writes),
-		Desc: fmt.Sprintf("e%d-full", last.Index)}, rolling.Fingerprint(), rolling, nil, nil)
-	return stats, err
+	epoch, applied, desc := finalState(epochs)
+	return b.finish(rolling, ReorderState{Epoch: epoch, Applied: applied, Desc: desc})
 }
 
 // ForEachFaultStatePruned enumerates the crash-state space of one fault
@@ -362,71 +360,16 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSize int,
 	opts FaultEnumOpts, meter *BlockMeter, fn func(st FaultState, crash *Snapshot) bool) (EnumStats, error) {
 
-	var stats EnumStats
 	spb, err := sectorsPerBlock(sectorSize)
 	if err != nil {
-		return stats, err
+		return EnumStats{}, err
 	}
 	if kind < 0 || int(kind) >= NumFaultKinds {
-		return stats, fmt.Errorf("blockdev: unknown fault kind %d", int(kind))
+		return EnumStats{}, fmt.Errorf("blockdev: unknown fault kind %d", int(kind))
 	}
+	b, rolling := newBuilder(base, meter, opts.Seen, fn)
+	defer b.close(rolling)
 	epochs := Epochs(log)
-	rolling := NewTrackedSnapshot(base)
-	rolling.SetMeter(meter)
-	defer rolling.Release()
-
-	defer func() {
-		if meter != nil {
-			meter.BlocksReplayed.Add(stats.Replayed)
-		}
-	}()
-	replay := func(dst *Snapshot, recs []Record) error {
-		for _, rec := range recs {
-			if err := dst.WriteBlock(rec.Block, rec.Data); err != nil {
-				return fmt.Errorf("blockdev: fault replay write seq %d: %w", rec.Seq, err)
-			}
-			stats.Replayed++
-		}
-		return nil
-	}
-	// emit consults the class index with the state's pre-computed
-	// fingerprint, and only on a miss forks the rolling snapshot, applies
-	// the state's delta, and hands the fork to fn.
-	emit := func(st FaultState, fp uint64, delta func(*Snapshot) error) (bool, error) {
-		if opts.Seen != nil && opts.Seen(st, fp) {
-			stats.ClassSkipped++
-			return true, nil
-		}
-		crash := NewTrackedSnapshot(rolling)
-		defer crash.Release()
-		if delta != nil {
-			if err := delta(crash); err != nil {
-				return false, err
-			}
-		}
-		stats.Visited++
-		return fn(st, crash), nil
-	}
-	// blockTerm is the rolling snapshot's current fingerprint term for block
-	// b: its dirty contribution, or 0 when the block is still pristine.
-	blockTerm := func(b int64) uint64 {
-		if old, dirty := rolling.contribution(b); dirty {
-			return old
-		}
-		return 0
-	}
-	// faultedContribution hashes the contents block b would hold after
-	// mutate edits its current (rolling) contents in place.
-	faultedContribution := func(b int64, mutate func(buf []byte)) (uint64, error) {
-		buf := poolGet()
-		defer blockPool.Put(buf)
-		if err := ReadInto(rolling, b, buf); err != nil {
-			return 0, err
-		}
-		mutate(buf)
-		return BlockContribution(b, buf), nil
-	}
-
 	for _, ep := range epochs {
 		n := len(ep.Writes)
 		switch kind {
@@ -434,208 +377,158 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 			// The rolling snapshot advances write by write; each prefix state
 			// is a bare fork and each torn state a fork plus one partial write,
 			// its fingerprint one block hash off the rolling fingerprint.
-			for j := 0; j < n; j++ {
-				ok, err := emit(FaultState{Kind: kind, Epoch: ep.Index, Write: -1, Applied: j,
-					Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}, rolling.Fingerprint(), nil)
+			for j, rec := range ep.Writes {
+				ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: -1, Applied: j,
+					Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}, rolling.Fingerprint(), rolling, nil)
 				if err != nil || !ok {
-					return stats, err
+					return b.stats, err
 				}
-				rec := ep.Writes[j]
 				torn := newTornHasher(rec, sectorSize)
 				for s := 1; s < spb; s++ {
-					sectors := s
-					var tornContrib uint64
-					if torn != nil {
-						tornContrib, err = torn.next(rolling)
-					} else {
-						tornContrib, err = faultedContribution(rec.Block, func(buf []byte) {
-							nb := sectors * sectorSize
-							copied := copy(buf[:nb], rec.Data)
-							clear(buf[copied:nb])
-						})
-					}
+					contrib, err := torn.next(rolling)
 					if err != nil {
-						return stats, err
+						return b.stats, err
 					}
-					fp := rolling.Fingerprint() ^ blockTerm(rec.Block) ^ tornContrib
-					ok, err := emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: j,
-						Sectors: s, Desc: fmt.Sprintf("e%d-w%d-torn%d", ep.Index, j, s)}, fp,
+					fp := rolling.Fingerprint() ^ rolling.term(rec.Block) ^ contrib
+					ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: j,
+						Sectors: s, Desc: fmt.Sprintf("e%d-w%d-torn%d", ep.Index, j, s)}, fp, rolling,
 						func(crash *Snapshot) error {
-							stats.Replayed++
-							return writeTorn(crash, rec, sectors, sectorSize)
+							b.stats.Replayed++
+							return writeTorn(crash, rec, s, sectorSize)
 						})
 					if err != nil || !ok {
-						return stats, err
+						return b.stats, err
 					}
 				}
-				if err := replay(rolling, ep.Writes[j:j+1]); err != nil {
-					return stats, err
+				if err := b.replay(rolling, ep.Writes[j:j+1], nil, -1); err != nil {
+					return b.stats, err
 				}
 			}
 		case FaultCorrupt:
 			// Corrupt states carry the whole epoch, so the rolling snapshot
-			// advances first and each state is a fork plus one corrupting write.
-			if err := replay(rolling, ep.Writes); err != nil {
-				return stats, err
+			// advances first and each state is a fork plus one corrupting
+			// write, its fingerprint one hash of the corrupted block.
+			if err := b.replay(rolling, ep.Writes, nil, -1); err != nil {
+				return b.stats, err
 			}
-			for j := 0; j < n; j++ {
-				rec := ep.Writes[j]
+			buf := poolGet()
+			for j, rec := range ep.Writes {
 				for _, zeroed := range []bool{true, false} {
 					variant := "flip"
 					if zeroed {
 						variant = "zero"
 					}
-					var corrupted uint64
-					if zeroed {
-						corrupted = BlockContribution(rec.Block, zeroBlock)
-					} else {
-						corrupted, err = faultedContribution(rec.Block, func(buf []byte) {
-							for i := range buf {
-								buf[i] = ^buf[i]
-							}
-						})
-						if err != nil {
-							return stats, err
-						}
+					err := corruptBlock(rolling, rec.Block, zeroed, buf)
+					if err != nil {
+						blockPool.Put(buf)
+						return b.stats, err
 					}
-					fp := rolling.Fingerprint() ^ blockTerm(rec.Block) ^ corrupted
-					z := zeroed
-					ok, err := emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
-						Zeroed: zeroed, Desc: fmt.Sprintf("e%d-w%d-%s", ep.Index, j, variant)}, fp,
+					fp := rolling.Fingerprint() ^ rolling.term(rec.Block) ^ BlockContribution(rec.Block, buf)
+					ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
+						Zeroed: zeroed, Desc: fmt.Sprintf("e%d-w%d-%s", ep.Index, j, variant)}, fp, rolling,
 						func(crash *Snapshot) error {
-							stats.Replayed++
-							return writeCorrupt(crash, rec, z)
+							b.stats.Replayed++
+							return writeCorrupt(crash, rec, zeroed)
 						})
 					if err != nil || !ok {
-						return stats, err
+						blockPool.Put(buf)
+						return b.stats, err
 					}
 				}
 			}
+			blockPool.Put(buf)
 		case FaultMisdirect:
 			// A misdirected write changes the epoch mid-replay, so each state
 			// forks the pre-epoch base and replays the epoch with one write
 			// redirected — the expensive whole-epoch replays the class index
-			// now skips with a pure XOR-delta fingerprint, no construction at
+			// skips with a pure XOR-delta fingerprint, no construction at
 			// all. The rolling snapshot advances afterwards.
 			plan := planEpoch(rolling, ep.Writes)
-			buf := poolGet()
-			for j := 0; j < n; j++ {
-				jj := j
-				rec := ep.Writes[j]
-				target := misdirectTarget(rolling, rec)
+			for j, rec := range ep.Writes {
 				fp := plan.fullFP
-				if target != rec.Block {
-					// The intended block loses write j (visible only when j
-					// was the block's final write)...
-					if plan.last[rec.Block] == j {
-						surv := blockTerm(rec.Block)
-						if p := plan.prev[j]; p >= 0 {
-							surv = plan.c[p]
-						}
-						fp ^= plan.c[j] ^ surv
-					}
+				if target := misdirectTarget(rolling, rec); target != rec.Block {
+					// The intended block loses write j, as if it were
+					// dropped...
+					fp = plan.dropFP(rolling, ep.Writes, []int{j})
 					// ...and the target gains its data, unless a later epoch
 					// write to the target overwrites the misdirection.
-					li, wrote := plan.last[target]
-					if !wrote || li < j {
-						data := rec.Data
-						if len(data) < BlockSize {
-							nb := copy(buf, data)
-							clear(buf[nb:])
-							data = buf
-						}
-						ct := BlockContribution(target, data)
+					if li, wrote := plan.last[target]; !wrote || li < j {
+						old := rolling.term(target)
 						if wrote {
-							fp ^= plan.c[li] ^ ct
-						} else {
-							fp ^= blockTerm(target) ^ ct
+							old = plan.c[li]
 						}
+						fp ^= old ^ paddedContribution(target, rec.Data)
 					}
 				}
-				ok, err := emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
-					Desc: fmt.Sprintf("e%d-w%d-mis", ep.Index, j)}, fp,
-					func(crash *Snapshot) error {
-						for i, r := range ep.Writes {
-							tgt := r.Block
-							if i == jj {
-								tgt = misdirectTarget(crash, r)
-							}
-							if err := crash.WriteBlock(tgt, r.Data); err != nil {
-								return fmt.Errorf("blockdev: fault replay write seq %d: %w", r.Seq, err)
-							}
-							stats.Replayed++
-						}
-						return nil
-					})
+				ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
+					Desc: fmt.Sprintf("e%d-w%d-mis", ep.Index, j)}, fp, rolling,
+					func(crash *Snapshot) error { return b.replay(crash, ep.Writes, nil, j) })
 				if err != nil || !ok {
-					blockPool.Put(buf)
-					return stats, err
+					return b.stats, err
 				}
 			}
-			blockPool.Put(buf)
-			if err := replay(rolling, ep.Writes); err != nil {
-				return stats, err
+			if err := b.replay(rolling, ep.Writes, nil, -1); err != nil {
+				return b.stats, err
 			}
 		}
 	}
-
-	if len(epochs) == 0 {
-		_, err := emit(FaultState{Kind: kind, Epoch: -1, Write: -1, Desc: "empty"},
-			rolling.Fingerprint(), nil)
-		return stats, err
-	}
-	last := epochs[len(epochs)-1]
-	_, err = emit(FaultState{Kind: kind, Epoch: last.Index, Write: -1, Applied: len(last.Writes),
-		Desc: fmt.Sprintf("e%d-full", last.Index)}, rolling.Fingerprint(), nil)
-	return stats, err
+	epoch, applied, desc := finalState(epochs)
+	return b.finish(rolling, FaultState{Kind: kind, Epoch: epoch, Write: -1, Applied: applied, Desc: desc})
 }
 
 // tornHasher yields the contributions of one write's torn states in sector
 // order without assembling any of them. The torn block is the write's
-// zero-padded data up to the tear, then the block's current contents, so
-// its hash is the new-data prefix folded one sector per state into a
-// running HashBytes state, then the rest of the current block hashed
-// straight from a borrowed view. That splits HashBytes at sector
-// boundaries, which yields the same value only where a boundary falls on
-// an 8-byte word: newTornHasher returns nil for sector sizes that are not a
-// multiple of 8, and the caller assembles each torn block instead.
+// zero-padded data up to the tear, then the block's current contents. Its
+// hash folds the new-data prefix's whole words into a running HashBytes
+// state carried from one tear to the next; a tear inside an 8-byte word
+// folds that one word built from both sides, and the rest of the current
+// block is hashed straight from a borrowed view. So every sector size that
+// divides the block hashes the same way.
 type tornHasher struct {
 	rec    Record
 	sector int
-	h      uint64 // hash of the block number and the torn prefix so far
-	lo     int    // end of the prefix folded into h
+	h      uint64 // hash of the block number and the prefix words folded so far
+	lo     int    // end of the prefix words folded into h, a multiple of 8
+	tear   int    // byte offset of the current tear
 }
 
-func newTornHasher(rec Record, sectorSize int) *tornHasher {
-	if sectorSize%8 != 0 {
-		return nil
-	}
-	return &tornHasher{rec: rec, sector: sectorSize, h: (FNVOffset ^ uint64(rec.Block)) * FNVPrime}
+func newTornHasher(rec Record, sectorSize int) tornHasher {
+	return tornHasher{rec: rec, sector: sectorSize, h: blockSeed(rec.Block)}
 }
 
-// next folds one more sector of new data into the prefix and returns the
-// contribution of the write torn there over dev's current block. It reads
-// the block once, metered like the copying path's ReadInto.
+// next moves the tear one sector on and returns the contribution of the
+// write torn there over dev's current block. It reads the block once,
+// metered like any borrowed read.
 func (t *tornHasher) next(dev Device) (uint64, error) {
-	data, hi := t.rec.Data, t.lo+t.sector
-	if end := min(len(data), hi); end > t.lo {
-		words := t.lo + (end-t.lo)&^7
-		t.h = HashBytes(t.h, data[t.lo:words])
-		if words < end {
-			// The record ends mid-word: fold that word zero-padded, as the
-			// padded block holds it, not byte by byte.
-			var w [8]byte
-			copy(w[:], data[words:end])
-			t.h = HashBytes(t.h, w[:])
-			words += 8
-		}
-		t.lo = words
+	data := t.rec.Data
+	t.tear += t.sector
+	w := t.tear &^ 7 // start of the word the tear falls in
+	if end := min(len(data), w); end > t.lo {
+		var folded int
+		t.h, folded = hashPadded(t.h, data[t.lo:end])
+		t.lo += folded
 	}
-	t.h = HashBytes(t.h, zeroBlock[t.lo:hi])
-	t.lo = hi
+	if t.lo < w {
+		t.h = HashBytes(t.h, zeroBlock[t.lo:w])
+		t.lo = w
+	}
 	view, err := ReadView(dev, t.rec.Block)
 	if err != nil {
 		return 0, err
 	}
-	return mix64(HashBytes(t.h, view[hi:])), nil
+	h := t.h
+	if cut := t.tear - w; cut > 0 {
+		// The tear splits a word: new data, zero-padded, below the tear and
+		// the current contents above it.
+		var word [8]byte
+		copy(word[:], view[w:w+8])
+		n := 0
+		if w < len(data) {
+			n = copy(word[:cut], data[w:])
+		}
+		clear(word[n:cut])
+		h = HashBytes(h, word[:])
+		w += 8
+	}
+	return mix64(HashBytes(h, view[w:])), nil
 }

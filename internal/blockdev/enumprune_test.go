@@ -100,7 +100,7 @@ func TestFaultPredictedFingerprints(t *testing.T) {
 	for si, script := range enumScripts {
 		log := scriptLog(script)
 		for kind := FaultKind(0); int(kind) < NumFaultKinds; kind++ {
-			for _, sector := range []int{4, 8, 512, 2048, BlockSize} {
+			for _, sector := range []int{1, 2, 4, 8, 512, 2048, BlockSize} {
 				base := scriptBase(t)
 				var predicted uint64
 				var predDesc string

@@ -136,15 +136,18 @@ func combinations(n, d int, fn func([]int) bool) bool {
 // reproduces exactly the legacy sweep (every write prefix plus every
 // drop-one-unbarriered-write state) and larger bounds open strictly more
 // states. fn receives the state descriptor and an applier that replays the
-// state onto a destination device; fn returning false stops the sweep.
+// state onto a destination device and returns the number of writes it
+// replayed; fn returning false stops the sweep.
 //
 // Distinct descriptors may construct byte-identical device states (dropping
 // an epoch's last write equals the prefix one shorter); callers that care
 // deduplicate by content fingerprint.
-func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply func(dst Device) error) bool) {
+func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply func(dst Device) (int64, error)) bool) {
 	epochs := Epochs(log)
 	emit := func(st ReorderState) bool {
-		return fn(st, func(dst Device) error { return applyReorderState(dst, epochs, st) })
+		return fn(st, func(dst Device) (int64, error) {
+			return replayState(dst, epochs, st.Epoch, st.Applied, st.Dropped, -1)
+		})
 	}
 	for _, ep := range epochs {
 		n := len(ep.Writes)
@@ -154,11 +157,7 @@ func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply fun
 				return
 			}
 		}
-		maxDrop := k
-		if maxDrop > n {
-			maxDrop = n
-		}
-		for d := 1; d <= maxDrop; d++ {
+		for d := 1; d <= min(k, n); d++ {
 			ok := combinations(n, d, func(drop []int) bool {
 				return emit(ReorderState{Epoch: ep.Index, Applied: n,
 					Dropped: append([]int(nil), drop...),
@@ -169,13 +168,8 @@ func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply fun
 			}
 		}
 	}
-	if len(epochs) == 0 {
-		emit(ReorderState{Epoch: -1, Desc: "empty"})
-		return
-	}
-	last := epochs[len(epochs)-1]
-	emit(ReorderState{Epoch: last.Index, Applied: len(last.Writes),
-		Desc: fmt.Sprintf("e%d-full", last.Index)})
+	epoch, applied, desc := finalState(epochs)
+	emit(ReorderState{Epoch: epoch, Applied: applied, Desc: desc})
 }
 
 // ReorderStateCount returns the number of states ForEachReorderState
@@ -185,47 +179,56 @@ func ReorderStateCount(log []Record, k int) (int64, error) {
 	return reorderCountForSizes(epochSizes(Epochs(log)), k)
 }
 
-// applyReorderState replays st onto dst: all writes of the epochs before
-// st.Epoch, then the in-flight epoch's prefix or drop-subset.
-func applyReorderState(dst Device, epochs []Epoch, st ReorderState) error {
-	write := func(rec Record) error {
-		if err := dst.WriteBlock(rec.Block, rec.Data); err != nil {
-			return fmt.Errorf("blockdev: reorder replay write seq %d: %w", rec.Seq, err)
-		}
-		return nil
+// finalState is the state every sweep ends on: after the last epoch, all of
+// its writes applied ("e%d-full"), or "empty" (epoch -1) for a writeless
+// log.
+func finalState(epochs []Epoch) (epoch, applied int, desc string) {
+	if len(epochs) == 0 {
+		return -1, 0, "empty"
 	}
-	for e := 0; e < st.Epoch && e < len(epochs); e++ {
-		for _, rec := range epochs[e].Writes {
-			if err := write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	if st.Epoch < 0 || st.Epoch >= len(epochs) {
-		return nil
-	}
-	ep := epochs[st.Epoch]
-	if st.Dropped == nil {
-		if st.Applied > len(ep.Writes) {
-			return fmt.Errorf("blockdev: reorder state %s applies %d of %d writes",
-				st.Desc, st.Applied, len(ep.Writes))
-		}
-		for _, rec := range ep.Writes[:st.Applied] {
-			if err := write(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	next := 0 // Dropped is ascending; walk it alongside the writes.
-	for i, rec := range ep.Writes {
-		if next < len(st.Dropped) && st.Dropped[next] == i {
+	last := epochs[len(epochs)-1]
+	return last.Index, len(last.Writes), fmt.Sprintf("e%d-full", last.Index)
+}
+
+// replay writes recs onto dst in order, skipping the indices in the
+// ascending skip list and landing write mis (when >= 0) on its misdirect
+// target. It returns the number of writes applied.
+func replay(dst Device, recs []Record, skip []int, mis int) (int64, error) {
+	var n int64
+	next := 0 // skip is ascending; walk it alongside the writes
+	for i, rec := range recs {
+		if next < len(skip) && skip[next] == i {
 			next++
 			continue
 		}
-		if err := write(rec); err != nil {
-			return err
+		block := rec.Block
+		if i == mis {
+			block = misdirectTarget(dst, rec)
+		}
+		if err := dst.WriteBlock(block, rec.Data); err != nil {
+			return n, fmt.Errorf("blockdev: replay write seq %d: %w", rec.Seq, err)
+		}
+		n++
+	}
+	return n, nil
+}
+
+// replayState is the scratch appliers' replay: every write of the epochs
+// before epoch, then the in-flight epoch's first applied writes as replay
+// lands them (skip and mis index that epoch's writes). It returns the number
+// of writes applied.
+func replayState(dst Device, epochs []Epoch, epoch, applied int, skip []int, mis int) (int64, error) {
+	var n int64
+	for _, ep := range epochs[:max(epoch, 0)] {
+		m, err := replay(dst, ep.Writes, nil, -1)
+		n += m
+		if err != nil {
+			return n, err
 		}
 	}
-	return nil
+	if epoch < 0 {
+		return n, nil
+	}
+	m, err := replay(dst, epochs[epoch].Writes[:applied], skip, mis)
+	return n + m, err
 }

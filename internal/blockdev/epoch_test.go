@@ -104,9 +104,9 @@ func TestCheckpointIsReorderBarrier(t *testing.T) {
 	// point), then block 1 is written and still in flight.
 	log := testLog("w0", "C", "w1")
 	for _, k := range []int{0, 1, 2} {
-		ForEachReorderState(log, k, func(st ReorderState, apply func(Device) error) bool {
+		ForEachReorderState(log, k, func(st ReorderState, apply func(Device) (int64, error)) bool {
 			dst := NewMemDisk(4)
-			if err := apply(dst); err != nil {
+			if _, err := apply(dst); err != nil {
 				t.Fatal(err)
 			}
 			b0, _ := dst.ReadBlock(0)
@@ -129,12 +129,12 @@ func TestReorderK0IsExactlyThePrefixRow(t *testing.T) {
 		}
 	}
 	var got []uint64
-	ForEachReorderState(log, 0, func(st ReorderState, apply func(Device) error) bool {
+	ForEachReorderState(log, 0, func(st ReorderState, apply func(Device) (int64, error)) bool {
 		if st.Dropped != nil {
 			t.Fatalf("k=0 yielded drop state %s", st.Desc)
 		}
 		dst := NewSnapshot(NewMemDisk(8))
-		if err := apply(dst); err != nil {
+		if _, err := apply(dst); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, dst.Fingerprint())
@@ -164,7 +164,7 @@ func TestReorderStateCountMatchesEnumeration(t *testing.T) {
 	for li, log := range logs {
 		for k := 0; k <= 3; k++ {
 			n := 0
-			ForEachReorderState(log, k, func(ReorderState, func(Device) error) bool {
+			ForEachReorderState(log, k, func(ReorderState, func(Device) (int64, error)) bool {
 				n++
 				return true
 			})
@@ -197,7 +197,7 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 		dropStates += len(e.Writes)
 	}
 	var descs []string
-	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) error) bool {
+	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) (int64, error)) bool {
 		if st.Dropped != nil && len(st.Dropped) != 1 {
 			t.Fatalf("k=1 dropped %d writes in %s", len(st.Dropped), st.Desc)
 		}
@@ -210,7 +210,7 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 	}
 	// Determinism: a second enumeration is identical.
 	i := 0
-	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) error) bool {
+	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) (int64, error)) bool {
 		if descs[i] != st.Desc {
 			t.Fatalf("state %d: %s then %s", i, descs[i], st.Desc)
 		}
@@ -222,7 +222,7 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 func TestReorderEnumerationStopsEarly(t *testing.T) {
 	log := testLog("w0", "w1", "w2", "F")
 	n := 0
-	ForEachReorderState(log, 3, func(ReorderState, func(Device) error) bool {
+	ForEachReorderState(log, 3, func(ReorderState, func(Device) (int64, error)) bool {
 		n++
 		return n < 2
 	})

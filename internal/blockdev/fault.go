@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,10 +13,12 @@ import (
 // unsynced blocks (zeroes from a dropped cache line, bit flips from a failing
 // medium), and misdirect a write onto the wrong LBA. Each of those is
 // modelled here as its own deterministic, exactly-countable iterator with the
-// same contract as ForEachReorderState: stable Descs, a scratch applier, and
-// an incremental tracked-snapshot variant whose states' fingerprints are
-// predicted before construction (and match their forks' lazily hashed
-// ones), so the prune/corpus/shard/merge layers compose unchanged.
+// same contract as ForEachReorderState: stable Descs, a self-counting
+// scratch applier, and a pruned tracked-snapshot variant, built on the same
+// construction core as the reorder one (enumprune.go), whose states'
+// fingerprints are predicted before construction (and match their forks'
+// lazily hashed ones), so the prune/corpus/shard/merge layers compose
+// unchanged.
 //
 // Only writes that are still unsynced at the crash point are faulted: writes
 // of earlier, barrier-closed epochs are durable by definition (their flush or
@@ -199,10 +202,11 @@ type FaultState struct {
 //
 // and after the last epoch one final fully-replayed state. fn receives the
 // state descriptor and an applier that replays the state onto a destination
-// device; fn returning false stops the sweep. FaultStateCount returns the
-// exact number of states enumerated.
+// device and returns the number of writes it replayed, the torn or
+// corrupting write included; fn returning false stops the sweep.
+// FaultStateCount returns the exact number of states enumerated.
 func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
-	fn func(st FaultState, apply func(dst Device) error) bool) error {
+	fn func(st FaultState, apply func(dst Device) (int64, error)) bool) error {
 
 	spb, err := sectorsPerBlock(sectorSize)
 	if err != nil {
@@ -213,7 +217,7 @@ func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
 	}
 	epochs := Epochs(log)
 	emit := func(st FaultState) bool {
-		return fn(st, func(dst Device) error { return applyFaultState(dst, epochs, st, sectorSize) })
+		return fn(st, func(dst Device) (int64, error) { return applyFaultState(dst, epochs, st, sectorSize) })
 	}
 	for _, ep := range epochs {
 		n := len(ep.Writes)
@@ -253,13 +257,8 @@ func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
 			}
 		}
 	}
-	if len(epochs) == 0 {
-		emit(FaultState{Kind: kind, Epoch: -1, Write: -1, Desc: "empty"})
-		return nil
-	}
-	last := epochs[len(epochs)-1]
-	emit(FaultState{Kind: kind, Epoch: last.Index, Write: -1, Applied: len(last.Writes),
-		Desc: fmt.Sprintf("e%d-full", last.Index)})
+	epoch, applied, desc := finalState(epochs)
+	emit(FaultState{Kind: kind, Epoch: epoch, Write: -1, Applied: applied, Desc: desc})
 	return nil
 }
 
@@ -297,17 +296,26 @@ func writeTorn(dst Device, rec Record, sectors, sectorSize int) error {
 func writeCorrupt(dst Device, rec Record, zeroed bool) error {
 	buf := poolGet()
 	defer blockPool.Put(buf)
-	if zeroed {
-		clear(buf)
-		return dst.WriteBlock(rec.Block, buf)
-	}
-	if err := ReadInto(dst, rec.Block, buf); err != nil {
+	if err := corruptBlock(dst, rec.Block, zeroed, buf); err != nil {
 		return err
 	}
-	for i := range buf {
-		buf[i] = ^buf[i]
-	}
 	return dst.WriteBlock(rec.Block, buf)
+}
+
+// corruptBlock fills buf with block n of dev corrupted: zeroes, or the
+// block's bitwise complement.
+func corruptBlock(dev Device, n int64, zeroed bool, buf []byte) error {
+	if zeroed {
+		clear(buf)
+		return nil
+	}
+	if err := ReadInto(dev, n, buf); err != nil {
+		return err
+	}
+	for i := 0; i < BlockSize; i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], ^binary.LittleEndian.Uint64(buf[i:]))
+	}
+	return nil
 }
 
 // misdirectTarget is the wrong-but-in-range block a misdirected write lands
@@ -317,51 +325,22 @@ func misdirectTarget(dst Device, rec Record) int64 {
 }
 
 // applyFaultState replays st onto dst: all writes of the epochs before
-// st.Epoch, then the in-flight epoch per the state's kind and fields.
-func applyFaultState(dst Device, epochs []Epoch, st FaultState, sectorSize int) error {
-	write := func(rec Record) error {
-		if err := dst.WriteBlock(rec.Block, rec.Data); err != nil {
-			return fmt.Errorf("blockdev: fault replay write seq %d: %w", rec.Seq, err)
-		}
-		return nil
+// st.Epoch, then the in-flight epoch per the state's kind and fields. It
+// returns the number of writes replayed.
+func applyFaultState(dst Device, epochs []Epoch, st FaultState, sectorSize int) (int64, error) {
+	mis := -1
+	if st.Kind == FaultMisdirect {
+		mis = st.Write
 	}
-	for e := 0; e < st.Epoch && e < len(epochs); e++ {
-		for _, rec := range epochs[e].Writes {
-			if err := write(rec); err != nil {
-				return err
-			}
-		}
+	n, err := replayState(dst, epochs, st.Epoch, st.Applied, nil, mis)
+	if err != nil || st.Write < 0 || st.Kind == FaultMisdirect {
+		return n, err
 	}
-	if st.Epoch < 0 || st.Epoch >= len(epochs) {
-		return nil
+	rec := epochs[st.Epoch].Writes[st.Write]
+	if st.Kind == FaultTorn {
+		err = writeTorn(dst, rec, st.Sectors, sectorSize)
+	} else {
+		err = writeCorrupt(dst, rec, st.Zeroed)
 	}
-	ep := epochs[st.Epoch]
-	if st.Applied > len(ep.Writes) {
-		return fmt.Errorf("blockdev: fault state %s applies %d of %d writes",
-			st.Desc, st.Applied, len(ep.Writes))
-	}
-	for i, rec := range ep.Writes[:st.Applied] {
-		if st.Kind == FaultMisdirect && i == st.Write {
-			if err := dst.WriteBlock(misdirectTarget(dst, rec), rec.Data); err != nil {
-				return fmt.Errorf("blockdev: fault replay write seq %d: %w", rec.Seq, err)
-			}
-			continue
-		}
-		if err := write(rec); err != nil {
-			return err
-		}
-	}
-	if st.Write < 0 {
-		return nil
-	}
-	switch st.Kind {
-	case FaultTorn:
-		return writeTorn(dst, ep.Writes[st.Write], st.Sectors, sectorSize)
-	case FaultCorrupt:
-		return writeCorrupt(dst, ep.Writes[st.Write], st.Zeroed)
-	case FaultMisdirect:
-		return nil // already redirected in the replay loop above
-	default:
-		return fmt.Errorf("blockdev: fault state %s has unknown kind %d", st.Desc, int(st.Kind))
-	}
+	return n + 1, err
 }

@@ -22,7 +22,7 @@ func TestFaultStateCountMatchesEnumeration(t *testing.T) {
 		for _, kind := range allFaultKinds {
 			for _, sector := range []int{512, 1024, BlockSize} {
 				n := 0
-				err := ForEachFaultState(log, kind, sector, func(FaultState, func(Device) error) bool {
+				err := ForEachFaultState(log, kind, sector, func(FaultState, func(Device) (int64, error)) bool {
 					n++
 					return true
 				})
@@ -106,9 +106,9 @@ func TestFaultStatesAreDeterministic(t *testing.T) {
 				}
 				// Scratch appliers reconstruct the same states in the same order.
 				i := 0
-				err := ForEachFaultState(log, kind, sector, func(st FaultState, apply func(Device) error) bool {
+				err := ForEachFaultState(log, kind, sector, func(st FaultState, apply func(Device) (int64, error)) bool {
 					scratch := NewSnapshot(base)
-					if err := apply(scratch); err != nil {
+					if _, err := apply(scratch); err != nil {
 						t.Fatal(err)
 					}
 					if st.Desc != descs1[i] || scratch.Fingerprint() != fps1[i] {

@@ -55,13 +55,37 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
+// blockSeed is the hash state a contribution of block n starts from.
+func blockSeed(n int64) uint64 { return (FNVOffset ^ uint64(n)) * FNVPrime }
+
 // BlockContribution returns the fingerprint contribution of one dirty block:
 // a mixed hash of the block number and its full (zero-padded) contents. A
 // snapshot's fingerprint is the XOR of the contributions of its dirty set.
 func BlockContribution(n int64, data []byte) uint64 {
-	h := (FNVOffset ^ uint64(n)) * FNVPrime
-	h = HashBytes(h, data)
-	return mix64(h)
+	return mix64(HashBytes(blockSeed(n), data))
+}
+
+// hashPadded folds data into h as whole 8-byte words, the last one
+// zero-padded when data ends mid-word, as a zero-padded block holds it. It
+// returns the hash and the bytes folded: len(data) rounded up to a word.
+func hashPadded(h uint64, data []byte) (uint64, int) {
+	words := len(data) &^ 7
+	h = HashBytes(h, data[:words])
+	if words == len(data) {
+		return h, words
+	}
+	var w [8]byte
+	copy(w[:], data[words:])
+	return HashBytes(h, w[:]), words + 8
+}
+
+// paddedContribution is the contribution of block n once data is written to
+// it: Snapshot.WriteBlock stores every write as a zero-padded full block.
+// It hashes the padding from the shared zero block instead of assembling
+// the padded copy.
+func paddedContribution(n int64, data []byte) uint64 {
+	h, folded := hashPadded(blockSeed(n), data)
+	return mix64(HashBytes(h, zeroBlock[folded:]))
 }
 
 // Fingerprint returns the content hash of the overlay: the XOR of each dirty

@@ -125,18 +125,9 @@ type Profile struct {
 func (p *Profile) state(cp int, scratch bool, meter *blockdev.BlockMeter,
 	classified func(fp uint64) bool) (*blockdev.Snapshot, int64, error) {
 	if scratch {
-		crash := blockdev.NewSnapshot(p.base)
-		// Meter the scratch engine too, or the -v cross-check comparison
-		// would show zero read/alloc traffic against the incremental rows.
-		crash.SetMeter(meter)
-		n, err := blockdev.ReplayToCheckpoint(crash, p.rec.Log(), cp)
-		if err != nil {
-			return nil, n, err
-		}
-		if meter != nil {
-			meter.BlocksReplayed.Add(n)
-		}
-		return crash, n, nil
+		return scratchBuild(p.base, meter, func(dst blockdev.Device) (int64, error) {
+			return blockdev.ReplayToCheckpoint(dst, p.rec.Log(), cp)
+		})
 	}
 	p.cursorMu.Lock()
 	defer p.cursorMu.Unlock()

@@ -119,8 +119,8 @@ func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector i
 	log := p.rec.Log()
 	if mk.ScratchStates {
 		s.fail(blockdev.ForEachFaultState(log, kind, sector,
-			func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
-				return s.scratchState(st.Epoch, st.Desc, scratchFaultReplayCost(s.epochs, st), apply)
+			func(st blockdev.FaultState, apply func(blockdev.Device) (int64, error)) bool {
+				return s.scratchState(st.Epoch, st.Desc, apply)
 			}))
 	} else {
 		var opts blockdev.FaultEnumOpts
@@ -149,22 +149,4 @@ func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector i
 		Mountable: s.mountable, Repaired: s.repaired, Broken: s.broken,
 		ReplayedWrites: s.replayed,
 	}, nil
-}
-
-// scratchFaultReplayCost is the number of writes the from-scratch engine
-// replays to construct st: every write of the epochs before it, the
-// in-flight prefix, and the injected torn/corrupting write when the state
-// carries one (a misdirected write is part of the prefix count).
-func scratchFaultReplayCost(epochs []blockdev.Epoch, st blockdev.FaultState) int64 {
-	var n int64
-	for e := 0; e < st.Epoch && e < len(epochs); e++ {
-		n += int64(len(epochs[e].Writes))
-	}
-	if st.Epoch >= 0 && st.Epoch < len(epochs) {
-		n += int64(st.Applied)
-		if st.Write >= 0 && st.Kind != blockdev.FaultMisdirect {
-			n++
-		}
-	}
-	return n
 }

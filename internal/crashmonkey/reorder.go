@@ -106,8 +106,8 @@ func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cach
 	log := p.rec.Log()
 
 	if mk.ScratchStates {
-		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) error) bool {
-			return s.scratchState(st.Epoch, st.Desc, scratchReplayCost(s.epochs, st), apply)
+		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) (int64, error)) bool {
+			return s.scratchState(st.Epoch, st.Desc, apply)
 		})
 	} else {
 		// Enumeration-time pruning: class hits are settled from the O(1)
@@ -174,18 +174,4 @@ func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cach
 		Mountable: s.mountable, Repaired: s.repaired, Broken: s.broken,
 		ReplayedWrites: s.replayed, PerEpoch: s.perEpoch,
 	}, nil
-}
-
-// scratchReplayCost is the number of writes the from-scratch engine replays
-// to construct st: every write of the epochs before it plus the in-flight
-// prefix or surviving subset.
-func scratchReplayCost(epochs []blockdev.Epoch, st blockdev.ReorderState) int64 {
-	var n int64
-	for e := 0; e < st.Epoch && e < len(epochs); e++ {
-		n += int64(len(epochs[e].Writes))
-	}
-	if st.Epoch >= 0 && st.Epoch < len(epochs) {
-		n += int64(st.Applied - len(st.Dropped))
-	}
-	return n
 }

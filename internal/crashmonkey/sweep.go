@@ -217,22 +217,38 @@ func (s *sweep) seen(epoch int, desc string, fp uint64) *cachedVerdict {
 }
 
 // scratchState is the cross-check engine's step: the state is built on a
-// fresh snapshot of the base image, replaying all prior epochs (cost writes
-// in all), and judged with no enumeration-time pruning of any kind.
-func (s *sweep) scratchState(epoch int, desc string, cost int64, apply func(blockdev.Device) error) bool {
-	crash := blockdev.NewSnapshot(s.base)
-	crash.SetMeter(s.mk.Meter)
-	if err := apply(crash); err != nil {
+// fresh snapshot of the base image, apply replaying all prior epochs and
+// counting its writes, and judged with no enumeration-time pruning of any
+// kind.
+func (s *sweep) scratchState(epoch int, desc string, apply func(blockdev.Device) (int64, error)) bool {
+	crash, n, err := scratchBuild(s.base, s.mk.Meter, apply)
+	if err != nil {
 		s.fail(err)
 		return false
 	}
-	s.replayed += cost
-	if s.mk.Meter != nil {
-		s.mk.Meter.BlocksReplayed.Add(cost)
-	}
+	s.replayed += n
 	var fp uint64
 	if s.mk.Prune != nil {
 		fp = crash.Fingerprint()
 	}
 	return s.judge(epoch, desc, fp, crash) != nil
+}
+
+// scratchBuild is the from-scratch construction both scratch paths share:
+// apply replays a crash state onto a fresh snapshot of base and reports the
+// writes it replayed, which are folded into meter. The snapshot is metered
+// too, or the -v cross-check comparison would show no read/alloc traffic
+// against the incremental rows.
+func scratchBuild(base blockdev.Device, meter *blockdev.BlockMeter,
+	apply func(blockdev.Device) (int64, error)) (*blockdev.Snapshot, int64, error) {
+	crash := blockdev.NewSnapshot(base)
+	crash.SetMeter(meter)
+	n, err := apply(crash)
+	if err != nil {
+		return nil, n, err
+	}
+	if meter != nil {
+		meter.BlocksReplayed.Add(n)
+	}
+	return crash, n, nil
 }

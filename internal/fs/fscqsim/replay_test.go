@@ -76,12 +76,12 @@ func TestLazyReplayMatchesEager(t *testing.T) {
 	const records = 7 // 3 full images and 4 patches
 	full := 0
 	for _, kind := range []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt, blockdev.FaultMisdirect} {
-		err := blockdev.ForEachFaultState(rec.Log(), kind, 512, func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
+		err := blockdev.ForEachFaultState(rec.Log(), kind, 512, func(st blockdev.FaultState, apply func(blockdev.Device) (int64, error)) bool {
 			dev, mountDev := blockdev.NewSnapshot(base), blockdev.NewSnapshot(base)
-			if err := apply(dev); err != nil {
+			if _, err := apply(dev); err != nil {
 				t.Fatal(err)
 			}
-			if err := apply(mountDev); err != nil {
+			if _, err := apply(mountDev); err != nil {
 				t.Fatal(err)
 			}
 			wantGen, want, wantN, wantErr := eagerReplay(dev)
