@@ -2,6 +2,7 @@ package crashmonkey
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"b3/internal/blockdev"
@@ -330,4 +331,63 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 	}
 	same("warm vs cold", warm, cold)
 	same("warm vs scratch", warm, sweep(&Monkey{FS: fs, ScratchStates: true}))
+}
+
+// TestKVUnreplayableState reaches the unreplayable class. After a synced
+// put, the profiled image is mounted once more and the manifest CURRENT
+// names is unlinked and persisted at one more persistence point: CURRENT now
+// names a missing manifest, so kvstore.Open refuses the store. The
+// persistence point's verdict and the reorder sweep's class tally must both
+// say unreplayable.
+func TestKVUnreplayableState(t *testing.T) {
+	mk := &Monkey{FS: diskfmt.NewFS(diskfmt.Options{}), Prune: NewPruneCache()}
+	kp, err := mk.ProfileKV(&kvace.Workload{ID: "kv-unreplayable", Ops: []kvace.Op{
+		{Kind: kvace.OpPut, Key: "k0", Value: "v0.0"},
+		{Kind: kvace.OpSync},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kp.Release()
+	m, err := mk.FS.Mount(kp.rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := m.ReadFile(KVDir + "/CURRENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unlink(KVDir + "/" + strings.TrimSpace(string(cur))); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	kp.rec.Checkpoint()
+	// The store ran no operation since, so the new interval promises what
+	// the last one did.
+	kp.exps = append(kp.exps, kp.exps[len(kp.exps)-1])
+
+	res, err := mk.TestKVCheckpoint(kp, kp.Checkpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Class != kvoracle.ClassUnreplayable {
+		t.Fatalf("missing manifest classified %v (findings %v), want unreplayable", res.Class, res.Findings)
+	}
+	if len(res.Findings) != 1 || res.Findings[0].Consequence != bugs.KVUnreplayable {
+		t.Fatalf("findings %v, want one KVUnreplayable", res.Findings)
+	}
+
+	rr, err := mk.ExploreKVReorder(kp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the final state, the whole unlink replayed, loses the manifest.
+	if want := (kvoracle.Counts{Legal: 18, Unreplayable: 1}); rr.Classes != want {
+		t.Fatalf("reorder sweep classes %+v, want %+v", rr.Classes, want)
+	}
+	if got := int64(rr.Mountable + rr.Repaired); got != rr.Classes.Total() {
+		t.Fatalf("%d recoverable states, %d classified", got, rr.Classes.Total())
+	}
 }
