@@ -41,7 +41,9 @@ type Monkey struct {
 	// ReplayCursor. It is the cross-check mode for the incremental engine —
 	// identical fingerprints and verdicts, strictly more replayed writes
 	// (docs/TESTING.md). Scratch mode also implies both No*Prune flags: the
-	// reference engine stays entirely unpruned.
+	// reference engine constructs every state. Unless Prune is nil, a
+	// constructed state still reuses a verdict from the post-construction
+	// disk tier, and a persistence point's from the tree tier.
 	ScratchStates bool
 	// NoClassPrune disables enumeration-time class pruning: every crash
 	// state is constructed even when its fingerprint was already judged,
@@ -275,26 +277,37 @@ func severity(c bugs.Consequence) int {
 	return len(severityOrder) + 1
 }
 
-// newProfile builds the recording stack every workload family profiles on:
-// the recording device over the Monkey's formatted base image, and the
-// mount the workload's operations run against. The recorder copies each
+// record profiles one workload of either family: run drives its operations
+// against a mount over the recording device, checkpointing the recorder at
+// every persistence point, and the profile must then hold the want
+// checkpoints its oracle expects. The recorder
+// overlays the Monkey's formatted base image (formatted) and copies each
 // write once, into a pooled buffer that serves both the log and the
-// profile's own reads, and Profile.Release hands the buffers back once the
-// workload's sweeps are done; the base is formatted once per Monkey
-// (formatted), so a workload allocates neither a device-sized table nor a
-// fresh file system.
-func (mk *Monkey) newProfile() (*Profile, filesys.MountedFS, error) {
+// profile's own reads; Profile.Release hands the buffers back once the
+// workload's sweeps are done, so a workload allocates neither a device-sized
+// table nor a fresh file system. On any error the profile is released.
+func (mk *Monkey) record(id string, want int, run func(filesys.MountedFS, *blockdev.Recorder) error) (*Profile, error) {
+	start := time.Now()
 	base, err := mk.formatted()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p := &Profile{base: base, rec: blockdev.NewRecorder(base)}
 	m, err := mk.FS.Mount(p.rec)
 	if err != nil {
-		p.Release()
-		return nil, nil, fmt.Errorf("crashmonkey: mount: %w", err)
+		err = fmt.Errorf("crashmonkey: mount: %w", err)
+	} else if err = run(m, p.rec); err == nil {
+		p.ProfileDur = time.Since(start)
+		p.DirtyBytes = p.rec.DirtyBytes()
+		if got := p.rec.Checkpoints(); got != want {
+			err = fmt.Errorf("crashmonkey: %s recorded %d checkpoints, oracle expects %d", id, got, want)
+		}
 	}
-	return p, m, nil
+	if err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
 }
 
 // Expect runs the oracle over the workload under the persistence guarantees
@@ -334,27 +347,21 @@ func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*P
 	if len(exps) > 0 && exps[0].g != mk.FS.Guarantees() {
 		return nil, fmt.Errorf("crashmonkey: %s: oracle built for other guarantees than %s's", w.ID, mk.FS.Name())
 	}
-	start := time.Now()
-	p, m, err := mk.newProfile()
+	p, err := mk.record(w.ID, len(exps), func(m filesys.MountedFS, rec *blockdev.Recorder) error {
+		for i, op := range w.Ops {
+			if err := workload.Apply(m, op, i); err != nil {
+				return fmt.Errorf("crashmonkey: op %d (%s): %w", i, op, err)
+			}
+			if op.Kind.IsPersistence() {
+				rec.Checkpoint()
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	p.Workload, p.expectations = w, exps
-	for i, op := range w.Ops {
-		if err := workload.Apply(m, op, i); err != nil {
-			p.Release()
-			return nil, fmt.Errorf("crashmonkey: op %d (%s): %w", i, op, err)
-		}
-		if op.Kind.IsPersistence() {
-			p.rec.Checkpoint()
-		}
-	}
-	p.ProfileDur = time.Since(start)
-	p.DirtyBytes = p.rec.DirtyBytes()
-	if got, want := p.rec.Checkpoints(), len(exps); got != want {
-		p.Release()
-		return nil, fmt.Errorf("crashmonkey: %s recorded %d checkpoints, oracle expects %d", w.ID, got, want)
-	}
 	return p, nil
 }
 
@@ -362,7 +369,7 @@ func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*P
 // mounts it (running recovery), and checks consistency.
 func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 	res := &Result{Workload: p.Workload}
-	if err := mk.testState(p, cp, res, fileOracle{mk, p.expectations}); err != nil {
+	if _, err := mk.testState(p, cp, res, fileOracle{mk, p.expectations}); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -370,10 +377,11 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 
 // testState is the family-independent pipeline for one persistence point —
 // hoisted class lookup, construction, disk-tier lookup, judge, store — with
-// o supplying the expectation and the check. It fills res.
-func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) error {
+// o supplying the expectation and the check. It fills res and returns the
+// verdict res was filled from.
+func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) (*cachedVerdict, error) {
 	if n := p.Checkpoints(); cp < 1 || cp > n {
-		return fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, n)
+		return nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, n)
 	}
 	res.FSName, res.Checkpoint = mk.FS.Name(), cp
 
@@ -401,7 +409,7 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) error {
 	replayStart := time.Now()
 	crash, replayed, err := p.state(cp, mk.ScratchStates, mk.Meter, classified)
 	if err != nil {
-		return fmt.Errorf("crashmonkey: replay: %w", err)
+		return nil, fmt.Errorf("crashmonkey: replay: %w", err)
 	}
 	res.ReplayedWrites = replayed
 	res.ReplayDur = time.Since(replayStart)
@@ -411,7 +419,7 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) error {
 		// is the same cache line; only the construction was saved.
 		res.StateHash = key.state
 		res.adopt(hit, "disk")
-		return nil
+		return hit, nil
 	}
 	// Forks hold only recovery/checker writes; hand their buffers back to
 	// the pool once the verdict is composed (nothing below retains device
@@ -428,10 +436,10 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) error {
 		return o.judge(crash, cp)
 	})
 	if err != nil {
-		return fmt.Errorf("crashmonkey: checkpoint %d: %w", cp, err)
+		return nil, fmt.Errorf("crashmonkey: checkpoint %d: %w", cp, err)
 	}
 	res.adopt(v, tier)
-	return nil
+	return v, nil
 }
 
 // fileOracle is the file family's checkpoint oracle: the tracker's

@@ -33,26 +33,7 @@ func faultOracleSalt(kind blockdev.FaultKind) uint64 {
 type FaultKindReport struct {
 	// Kind is the fault axis the sweep enumerated.
 	Kind blockdev.FaultKind
-	// States is the number of crash states constructed.
-	States int
-	// Checked counts states whose recovery actually ran; Pruned counts
-	// states whose verdict was reused from the prune cache after
-	// construction.
-	Checked int
-	Pruned  int
-	// ClassSkipped counts states never constructed at all: the enumerator's
-	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (NoClassPrune restores construction).
-	ClassSkipped int
-	// Mountable counts states that recovered without help; Repaired counts
-	// states that needed fsck and then mounted.
-	Mountable int
-	Repaired  int
-	// Broken lists states that neither mounted nor repaired.
-	Broken []string
-	// ReplayedWrites is the metered number of writes replayed to construct
-	// the sweep's states (torn/corrupting/misdirected writes included).
-	ReplayedWrites int64
+	sweepCounts
 }
 
 // FaultReport summarises the fault-injection sweeps of one workload, one
@@ -124,29 +105,20 @@ func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector i
 			}))
 	} else {
 		var opts blockdev.FaultEnumOpts
-		// fp is the fingerprint Seen was last consulted with — that of the
-		// state fn builds next — so judge keys on it without hashing the fork.
-		var fp uint64
 		if mk.Prune != nil {
-			opts.Seen = func(st blockdev.FaultState, f uint64) bool {
-				fp = f
-				return s.classPrune() && s.seen(st.Epoch, st.Desc, f) != nil
+			opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
+				return s.seen(st.Epoch, st.Desc, fp) != nil
 			}
 		}
 		stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, sector, opts, mk.Meter,
 			func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-				return s.judge(st.Epoch, st.Desc, fp, crash) != nil
+				return s.judge(st.Epoch, st.Desc, crash) != nil
 			})
-		s.replayed = stats.Replayed
+		s.ReplayedWrites = stats.Replayed
 		s.fail(err)
 	}
 	if s.err != nil {
 		return FaultKindReport{}, fmt.Errorf("crashmonkey: %s sweep: %w", kind, s.err)
 	}
-	return FaultKindReport{
-		Kind: kind, States: s.states,
-		Checked: s.checked, Pruned: s.pruned, ClassSkipped: s.classSkipped,
-		Mountable: s.mountable, Repaired: s.repaired, Broken: s.broken,
-		ReplayedWrites: s.replayed,
-	}, nil
+	return FaultKindReport{Kind: kind, sweepCounts: s.sweepCounts}, nil
 }

@@ -69,8 +69,7 @@ func sweepBoth(t *testing.T, bounds ace.Bounds, limit int64, reorder int, wantSa
 				t.Fatalf("%s: scratch reorder: %v", w.ID, err)
 			}
 			if ra.States != rb.States || ra.Mountable != rb.Mountable ||
-				ra.Repaired != rb.Repaired || fmt.Sprint(ra.Broken) != fmt.Sprint(rb.Broken) ||
-				fmt.Sprint(ra.PerEpoch) != fmt.Sprint(rb.PerEpoch) {
+				ra.Repaired != rb.Repaired || fmt.Sprint(ra.Broken) != fmt.Sprint(rb.Broken) {
 				t.Fatalf("%s: reorder report diverged\nincremental: %+v\nscratch:     %+v", w.ID, ra, rb)
 			}
 			// Checked counts are equal too: both caches start empty and the

@@ -2,10 +2,10 @@ package crashmonkey
 
 import (
 	"fmt"
-	"time"
 
 	"b3/internal/blockdev"
 	"b3/internal/bugs"
+	"b3/internal/filesys"
 	"b3/internal/kvace"
 	"b3/internal/kvoracle"
 	"b3/internal/kvstore"
@@ -56,54 +56,45 @@ func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
 // oracle as kvoracle.Build returns it; it has no file-system input, so one
 // build serves every backend, and the profile shares it.
 func (mk *Monkey) ProfileKVExpected(w *kvace.Workload, exps []*kvoracle.Expectation) (*KVProfile, error) {
-	start := time.Now()
-	p, m, err := mk.newProfile()
+	p, err := mk.record(w.ID, len(exps)-1, func(m filesys.MountedFS, rec *blockdev.Recorder) error {
+		s, err := kvstore.Create(m, KVDir)
+		if err != nil {
+			return fmt.Errorf("crashmonkey: kv create: %w", err)
+		}
+		for i, op := range w.Ops {
+			switch op.Kind {
+			case kvace.OpPut:
+				err = s.Put(op.Key, op.Value)
+			case kvace.OpDelete:
+				err = s.Delete(op.Key)
+			case kvace.OpSync:
+				err = s.Sync()
+			case kvace.OpFlush:
+				err = s.Flush()
+			case kvace.OpReopen:
+				if err = s.Close(); err == nil {
+					// The checkpoint lands before reopening: the crash state at
+					// this persistence point is the closed store, and reopening
+					// issues only reads.
+					rec.Checkpoint()
+					s, err = kvstore.Open(m, KVDir)
+				}
+			case kvace.NumOpKinds:
+				err = fmt.Errorf("sentinel op kind")
+			}
+			if err != nil {
+				return fmt.Errorf("crashmonkey: kv op %d (%s): %w", i, op, err)
+			}
+			if op.Kind.IsPersistence() && op.Kind != kvace.OpReopen {
+				rec.Checkpoint()
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rec := p.rec
-	s, err := kvstore.Create(m, KVDir)
-	if err != nil {
-		p.Release()
-		return nil, fmt.Errorf("crashmonkey: kv create: %w", err)
-	}
-	for i, op := range w.Ops {
-		switch op.Kind {
-		case kvace.OpPut:
-			err = s.Put(op.Key, op.Value)
-		case kvace.OpDelete:
-			err = s.Delete(op.Key)
-		case kvace.OpSync:
-			err = s.Sync()
-		case kvace.OpFlush:
-			err = s.Flush()
-		case kvace.OpReopen:
-			if err = s.Close(); err == nil {
-				// The checkpoint lands before reopening: the crash state at
-				// this persistence point is the closed store, and reopening
-				// issues only reads.
-				rec.Checkpoint()
-				s, err = kvstore.Open(m, KVDir)
-			}
-		case kvace.NumOpKinds:
-			err = fmt.Errorf("sentinel op kind")
-		}
-		if err != nil {
-			p.Release()
-			return nil, fmt.Errorf("crashmonkey: kv op %d (%s): %w", i, op, err)
-		}
-		if op.Kind.IsPersistence() && op.Kind != kvace.OpReopen {
-			rec.Checkpoint()
-		}
-	}
-	kp := &KVProfile{Profile: p, Workload: w, exps: exps}
-	p.ProfileDur = time.Since(start)
-	p.DirtyBytes = p.rec.DirtyBytes()
-	if got, want := rec.Checkpoints(), len(kp.exps)-1; got != want {
-		kp.Release()
-		return nil, fmt.Errorf("crashmonkey: kv %s recorded %d checkpoints, oracle expects %d", w.ID, got, want)
-	}
-	return kp, nil
+	return &KVProfile{Profile: p, Workload: w, exps: exps}, nil
 }
 
 // KVResult is the outcome of testing one KV crash state: the file-level
@@ -132,29 +123,6 @@ func kvConsequence(c kvoracle.Class) bugs.Consequence {
 		return bugs.ConsequenceNone
 	}
 	return bugs.ConsequenceNone
-}
-
-// kvClass derives the oracle class back from cached findings — the inverse
-// of kvConsequence over a verdict's finding list, severest class wins.
-func kvClass(findings []Finding) kvoracle.Class {
-	cls, rank := kvoracle.ClassLegal, 0
-	for _, f := range findings {
-		var c kvoracle.Class
-		switch f.Consequence {
-		case bugs.KVUnreplayable:
-			c = kvoracle.ClassUnreplayable
-		case bugs.KVLostAckWrite:
-			c = kvoracle.ClassLostAck
-		case bugs.KVResurrectedDelete:
-			c = kvoracle.ClassResurrected
-		default:
-			continue
-		}
-		if r := severity(f.Consequence); r > rank {
-			cls, rank = c, r
-		}
-	}
-	return cls
 }
 
 // kvOracle is the application family's oracle on every axis: the interval's
@@ -198,6 +166,7 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 
 	s, err := kvstore.Open(m, KVDir)
 	if err != nil {
+		v.class = kvoracle.ClassUnreplayable
 		v.findings = []Finding{{
 			Consequence: bugs.KVUnreplayable,
 			Path:        KVDir,
@@ -205,7 +174,9 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 		}}
 		return v, nil
 	}
-	for _, viol := range exp.Check(s.Dump()) {
+	viols := exp.Check(s.Dump())
+	v.class = kvoracle.Classify(viols)
+	for _, viol := range viols {
 		v.findings = append(v.findings, Finding{
 			Consequence: kvConsequence(viol.Class),
 			Path:        KVDir + "/" + viol.Key,
@@ -220,10 +191,11 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 // against the interval oracle.
 func (mk *Monkey) TestKVCheckpoint(kp *KVProfile, cp int) (*KVResult, error) {
 	res := &KVResult{Workload: kp.Workload}
-	if err := mk.testState(kp.Profile, cp, &res.Result, kvOracle{mk, kp.exps}); err != nil {
+	v, err := mk.testState(kp.Profile, cp, &res.Result, kvOracle{mk, kp.exps})
+	if err != nil {
 		return nil, err
 	}
-	res.Class = kvClass(res.Findings)
+	res.Class = v.class
 	return res, nil
 }
 
@@ -241,10 +213,6 @@ func (mk *Monkey) RunKV(w *kvace.Workload) (*KVResult, error) {
 	return mk.TestKVCheckpoint(kp, kp.Checkpoints())
 }
 
-// KVExampleCap bounds the exemplar findings a KV sweep report retains; the
-// class counters stay exact.
-const KVExampleCap = 4
-
 // KVReorderReport is a bounded-reordering sweep of one KV workload: the
 // file-level recovery accounting plus the oracle classification of every
 // state the application could recover on.
@@ -254,15 +222,12 @@ type KVReorderReport struct {
 	// states; FS-level broken states are excluded — they are already
 	// violations of the lower layer's contract.
 	Classes kvoracle.Counts
-	// Examples holds up to KVExampleCap exemplar violations.
-	Examples []Finding
 }
 
 // KVFaultKindReport is one fault kind's sweep of one KV workload.
 type KVFaultKindReport struct {
 	FaultKindReport
-	Classes  kvoracle.Counts
-	Examples []Finding
+	Classes kvoracle.Counts
 }
 
 // KVFaultReport summarises the fault-injection sweeps of one KV workload.
@@ -271,18 +236,11 @@ type KVFaultReport struct {
 	Kinds      []KVFaultKindReport
 }
 
-// tallyKV folds one verdict into the class counters and exemplar list.
-// FS-broken states render no application verdict.
-func tallyKV(v *cachedVerdict, counts *kvoracle.Counts, examples *[]Finding) {
-	if !v.mountable && !v.fsckRepaired {
-		return
-	}
-	counts.Add(kvClass(v.findings))
-	for _, f := range v.findings {
-		if len(*examples) >= KVExampleCap {
-			break
-		}
-		*examples = append(*examples, f)
+// tallyKV folds one verdict's class into the class counters. FS-broken
+// states render no application verdict.
+func tallyKV(v *cachedVerdict, counts *kvoracle.Counts) {
+	if v.mountable || v.fsckRepaired {
+		counts.Add(v.class)
 	}
 }
 
@@ -296,7 +254,7 @@ func tallyKV(v *cachedVerdict, counts *kvoracle.Counts, examples *[]Finding) {
 func (mk *Monkey) ExploreKVReorder(kp *KVProfile, k int) (*KVReorderReport, error) {
 	report := &KVReorderReport{}
 	rr, err := mk.exploreReorder(kp.Profile, k, kvOracle{mk, kp.exps},
-		func(v *cachedVerdict) { tallyKV(v, &report.Classes, &report.Examples) })
+		func(v *cachedVerdict) { tallyKV(v, &report.Classes) })
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +274,7 @@ func (mk *Monkey) ExploreKVFaults(kp *KVProfile, model blockdev.FaultModel) (*KV
 		kr := &report.Kinds[i]
 		var err error
 		kr.FaultKindReport, err = mk.exploreFaultKind(kp.Profile, kind, model.Sector(), kvOracle{mk, kp.exps},
-			func(v *cachedVerdict) { tallyKV(v, &kr.Classes, &kr.Examples) })
+			func(v *cachedVerdict) { tallyKV(v, &kr.Classes) })
 		if err != nil {
 			return nil, err
 		}

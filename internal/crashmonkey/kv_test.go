@@ -126,8 +126,8 @@ func TestKVOracleReferenceBackend(t *testing.T) {
 			t.Fatalf("%s: reorder sweep classified no states — a vacuous gate", w.ID)
 		}
 		if v := rr.Classes.Violations(); v != 0 {
-			t.Fatalf("%s: reorder sweep found %d KV violations on the reference backend: %+v (examples %v)",
-				w.ID, v, rr.Classes, rr.Examples)
+			t.Fatalf("%s: reorder sweep found %d KV violations on the reference backend: %+v",
+				w.ID, v, rr.Classes)
 		}
 
 		fr, err := mk.ExploreKVFaults(kp, model)
@@ -142,8 +142,8 @@ func TestKVOracleReferenceBackend(t *testing.T) {
 				t.Fatalf("%s: %s sweep broke the reference FS: %v", w.ID, kr.Kind, kr.Broken)
 			}
 			if v := kr.Classes.Violations(); v != 0 {
-				t.Fatalf("%s: %s sweep found %d KV violations on the reference backend: %+v (examples %v)",
-					w.ID, kr.Kind, v, kr.Classes, kr.Examples)
+				t.Fatalf("%s: %s sweep found %d KV violations on the reference backend: %+v",
+					w.ID, kr.Kind, v, kr.Classes)
 			}
 		}
 		kp.Release()

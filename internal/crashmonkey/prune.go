@@ -10,6 +10,7 @@ import (
 	"b3/internal/blockdev"
 	"b3/internal/filesys"
 	"b3/internal/fstree"
+	"b3/internal/kvoracle"
 )
 
 // Representative crash-state pruning (after Gu et al., "Scalable and
@@ -47,7 +48,11 @@ type cachedVerdict struct {
 	mountable    bool
 	fsckRun      bool
 	fsckRepaired bool
-	findings     []Finding
+	// class is the KV oracle's class of a KV verdict (kvOracle); ClassLegal
+	// on every other verdict and on a KV state that neither mounted nor was
+	// repaired. It sits beside the bools, where it costs no space.
+	class    kvoracle.Class
+	findings []Finding
 }
 
 // PruneStats reports cache effectiveness counters.

@@ -34,50 +34,15 @@ import (
 // oracle-checked ones.
 const reorderOracleSalt uint64 = 0x4233526571756572 // "B3Requer"
 
-// ReorderEpoch is the per-epoch accounting of one sweep.
-type ReorderEpoch struct {
-	// Writes is the number of in-flight writes the epoch holds.
-	Writes int
-	// States is the number of crash states constructed with this epoch in
-	// flight (the final fully-replayed state counts toward the last epoch).
-	States int
-	// Broken counts this epoch's states that neither mounted nor repaired.
-	Broken int
-}
-
 // ReorderReport summarises a bounded-reordering crash sweep of one workload.
 type ReorderReport struct {
 	// Bound is the reorder bound k the sweep ran with.
 	Bound int
-	// States is the number of crash states constructed.
-	States int
-	// Checked counts states whose recovery actually ran; Pruned counts
-	// states whose verdict was reused from the prune cache (byte-identical
-	// disk contents already judged) after construction.
-	Checked int
-	Pruned  int
-	// ClassSkipped counts states never constructed at all: the enumerator's
-	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (NoClassPrune restores construction).
-	ClassSkipped int
+	sweepCounts
 	// CommuteSkipped counts drop-set states skipped as provably
 	// byte-identical to an earlier canonical representative, tallied with
 	// the representative's verdict (NoCommutePrune restores them).
 	CommuteSkipped int
-	// Mountable counts states that recovered without help; Repaired counts
-	// states that needed fsck and then mounted.
-	Mountable int
-	Repaired  int
-	// Broken lists states that neither mounted nor repaired: violations of
-	// the core-mechanism assumption.
-	Broken []string
-	// ReplayedWrites is the metered number of recorded writes replayed to
-	// construct the sweep's states. The incremental engine replays each
-	// epoch once per sweep plus the in-flight deltas; the scratch engine
-	// re-replays every prior epoch for every state.
-	ReplayedWrites int64
-	// PerEpoch is the accounting per IO epoch, in stream order.
-	PerEpoch []ReorderEpoch
 }
 
 // Clean reports whether every explored state recovered or was repaired.
@@ -99,10 +64,6 @@ func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cach
 		return nil, fmt.Errorf("crashmonkey: negative reorder bound %d", k)
 	}
 	s := mk.newSweep(p, reorderOracleSalt, o, observe)
-	s.perEpoch = make([]ReorderEpoch, len(s.epochs))
-	for i, ep := range s.epochs {
-		s.perEpoch[i].Writes = len(ep.Writes)
-	}
 	log := p.rec.Log()
 
 	if mk.ScratchStates {
@@ -145,33 +106,23 @@ func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cach
 					s.fail(fmt.Errorf("crashmonkey: commute representative %q of %q has no verdict", repDesc, st.Desc))
 					return
 				}
-				s.settle(st.Epoch, st.Desc, v, &s.commuteSkipped)
+				s.settle(st.Desc, v, &s.commuteSkipped)
 			}
 		}
-		// fp is the fingerprint Seen was last consulted with — that of the
-		// state fn builds next — so judge keys on it without hashing the fork.
-		var fp uint64
 		if mk.Prune != nil {
-			opts.Seen = func(st blockdev.ReorderState, f uint64) bool {
-				fp = f
-				return s.classPrune() && settled(st, s.seen(st.Epoch, st.Desc, f))
+			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
+				return settled(st, s.seen(st.Epoch, st.Desc, fp))
 			}
 		}
 		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,
 			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				return s.err == nil && settled(st, s.judge(st.Epoch, st.Desc, fp, crash))
+				return s.err == nil && settled(st, s.judge(st.Epoch, st.Desc, crash))
 			})
-		s.replayed = stats.Replayed
+		s.ReplayedWrites = stats.Replayed
 		s.fail(err)
 	}
 	if s.err != nil {
 		return nil, s.err
 	}
-	return &ReorderReport{
-		Bound: k, States: s.states,
-		Checked: s.checked, Pruned: s.pruned,
-		ClassSkipped: s.classSkipped, CommuteSkipped: s.commuteSkipped,
-		Mountable: s.mountable, Repaired: s.repaired, Broken: s.broken,
-		ReplayedWrites: s.replayed, PerEpoch: s.perEpoch,
-	}, nil
+	return &ReorderReport{Bound: k, sweepCounts: s.sweepCounts, CommuteSkipped: s.commuteSkipped}, nil
 }

@@ -17,7 +17,10 @@ import (
 // the expected-state oracle (kvOracle). Everything else — cache keys, the
 // enumeration-time class lookup, commute representatives, the disk-tier
 // lookup, storing, tallying — exists once, here and in the two drivers
-// (exploreReorder, exploreFaultKind).
+// (exploreReorder, exploreFaultKind), and both families record their
+// workloads through one recorder (Monkey.record). The KV class is rendered
+// with the KV verdict (cachedVerdict.class), so nothing downstream re-derives
+// it from findings.
 
 // oracle is the per-family seam of the sweep pipeline. at selects the
 // expectation a crash state is judged against: the 1-based persistence
@@ -96,9 +99,38 @@ func (o mountOracle) judge(crash *blockdev.Snapshot, _ int) (*cachedVerdict, str
 	return v, "", err
 }
 
+// sweepCounts is the accounting of one judged enumeration, shared by every
+// axis report (ReorderReport, FaultKindReport) and filled by sweep.
+type sweepCounts struct {
+	// States is the number of crash states enumerated.
+	States int
+	// Checked counts states whose recovery actually ran; Pruned counts
+	// states whose verdict was reused from the prune cache (byte-identical
+	// disk contents already judged) after construction.
+	Checked int
+	Pruned  int
+	// ClassSkipped counts states never constructed at all: the enumerator's
+	// O(1) delta fingerprint matched an already-judged class, and the cached
+	// verdict was tallied directly (NoClassPrune restores construction).
+	ClassSkipped int
+	// Mountable counts states that recovered without help; Repaired counts
+	// states that needed fsck and then mounted.
+	Mountable int
+	Repaired  int
+	// Broken lists, by Desc, the states that neither mounted nor repaired:
+	// violations of the core-mechanism assumption.
+	Broken []string
+	// ReplayedWrites is the metered number of recorded writes replayed to
+	// construct the sweep's states (torn, corrupting and misdirected writes
+	// included). The incremental engine replays each epoch once per sweep
+	// plus the in-flight deltas; the scratch engine re-replays every prior
+	// epoch for every state.
+	ReplayedWrites int64
+}
+
 // sweep is one judged enumeration — one reorder sweep, or one fault kind's
-// sweep — of a profile against an oracle. It owns the accounting the drivers
-// copy into their axis report once the enumeration ends.
+// sweep — of a profile against an oracle. The drivers hand its counts to
+// their axis report once the enumeration ends.
 type sweep struct {
 	mk     *Monkey
 	base   *blockdev.MemDisk
@@ -113,13 +145,15 @@ type sweep struct {
 	// err is the first error of the sweep; the enumeration stops on it.
 	err error
 
-	states, checked, pruned      int
-	classSkipped, commuteSkipped int
-	mountable, repaired          int
-	broken                       []string
-	replayed                     int64
-	// perEpoch is the reorder sweep's per-epoch accounting (nil for faults).
-	perEpoch []ReorderEpoch
+	sweepCounts
+	commuteSkipped int
+
+	// fp is the fingerprint of the state judge keys on next: recorded by
+	// seen (the enumerator's prediction for the state it builds next) or by
+	// scratchState (an overlay scan), so neither hashes the blocks recovery
+	// writes. looked says seen already looked fp up in the disk tier.
+	fp     uint64
+	looked bool
 }
 
 func (mk *Monkey) newSweep(p *Profile, axisSalt uint64, o oracle, observe func(*cachedVerdict)) *sweep {
@@ -155,41 +189,31 @@ func (s *sweep) fail(err error) {
 // commute-skipped). Skipped states settle exactly like constructed ones, so
 // a report — Broken list included — is byte-identical across the pruning
 // modes.
-func (s *sweep) settle(epoch int, desc string, v *cachedVerdict, how *int) {
-	s.states++
+func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
+	s.States++
 	*how++
-	inEpoch := epoch >= 0 && epoch < len(s.perEpoch)
-	if inEpoch {
-		s.perEpoch[epoch].States++
-	}
 	switch {
 	case v.mountable:
-		s.mountable++
+		s.Mountable++
 	case v.fsckRepaired:
-		s.repaired++
+		s.Repaired++
 	default:
-		s.broken = append(s.broken, desc)
-		if inEpoch {
-			s.perEpoch[epoch].Broken++
-		}
+		s.Broken = append(s.Broken, desc)
 	}
 	if s.observe != nil {
 		s.observe(v)
 	}
 }
 
-// judge settles one constructed state — disk-tier lookup, else recover and
-// store — and returns its verdict, or nil once the sweep has failed. fp is
-// the state's fingerprint, read only when the Monkey prunes: on the
-// incremental path the one the enumerator predicted and handed Seen just
-// before building crash, on the scratch path an overlay scan — the same
-// value either way, so neither hashes the blocks recovery writes.
-func (s *sweep) judge(epoch int, desc string, fp uint64, crash *blockdev.Snapshot) *cachedVerdict {
+// judge settles one constructed state — disk-tier lookup unless seen just
+// missed on s.fp, else recover and store — and returns its verdict, or nil
+// once the sweep has failed.
+func (s *sweep) judge(epoch int, desc string, crash *blockdev.Snapshot) *cachedVerdict {
 	var key stateKey
 	if s.mk.Prune != nil {
-		key = s.key(epoch, fp)
+		key = s.key(epoch, s.fp)
 	}
-	v, tier, err := s.mk.judged(key, false, func() (*cachedVerdict, string, error) {
+	v, tier, err := s.mk.judged(key, s.looked, func() (*cachedVerdict, string, error) {
 		return s.o.judge(crash, s.at(epoch))
 	})
 	if err != nil {
@@ -197,22 +221,28 @@ func (s *sweep) judge(epoch int, desc string, fp uint64, crash *blockdev.Snapsho
 		return nil
 	}
 	if tier != "" {
-		s.settle(epoch, desc, v, &s.pruned)
+		s.settle(desc, v, &s.Pruned)
 	} else {
-		s.settle(epoch, desc, v, &s.checked)
+		s.settle(desc, v, &s.Checked)
 	}
 	return v
 }
 
-// seen is the enumeration-time class lookup: a state whose fingerprint was
+// seen is the enumerators' Seen hook, consulted with the fingerprint of the
+// state they build next: it records fp for judge and, when class pruning is
+// on, is the enumeration-time class lookup — a state whose fingerprint was
 // already judged under the same expectation is settled from the cached
 // verdict without ever being built. It returns that verdict, nil on a miss.
 func (s *sweep) seen(epoch int, desc string, fp uint64) *cachedVerdict {
+	s.fp, s.looked = fp, s.classPrune()
+	if !s.looked {
+		return nil
+	}
 	v, ok := s.mk.Prune.classify(s.key(epoch, fp))
 	if !ok {
 		return nil
 	}
-	s.settle(epoch, desc, v, &s.classSkipped)
+	s.settle(desc, v, &s.ClassSkipped)
 	return v
 }
 
@@ -226,12 +256,11 @@ func (s *sweep) scratchState(epoch int, desc string, apply func(blockdev.Device)
 		s.fail(err)
 		return false
 	}
-	s.replayed += n
-	var fp uint64
+	s.ReplayedWrites += n
 	if s.mk.Prune != nil {
-		fp = crash.Fingerprint()
+		s.fp = crash.Fingerprint()
 	}
-	return s.judge(epoch, desc, fp, crash) != nil
+	return s.judge(epoch, desc, crash) != nil
 }
 
 // scratchBuild is the from-scratch construction both scratch paths share:
