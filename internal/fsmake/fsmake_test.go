@@ -1,10 +1,14 @@
 package fsmake
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"b3/internal/blockdev"
 	"b3/internal/bugs"
+	"b3/internal/filesys"
 )
 
 func TestNamesAndKernels(t *testing.T) {
@@ -88,5 +92,35 @@ func TestNewBugsOnlyActivatesExactlyTable5(t *testing.T) {
 				t.Errorf("%s: active = %d, want %d", name, got, wantCount)
 			}
 		}
+	}
+}
+
+// TestGuaranteeClasses pins how the backends group by what they promise:
+// the oracle is built once per class of equal Guarantees, so the classes
+// decide how many oracles a campaign builds and which rows share one.
+func TestGuaranteeClasses(t *testing.T) {
+	var classes [][]string
+	var reps []filesys.Guarantees
+	for _, name := range Names() {
+		fs, err := Fixed(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := fs.Guarantees()
+		i := slices.Index(reps, g)
+		if i < 0 {
+			i = len(reps)
+			reps = append(reps, g)
+			classes = append(classes, nil)
+		}
+		classes[i] = append(classes[i], name)
+	}
+	for _, c := range classes {
+		slices.Sort(c)
+	}
+	slices.SortFunc(classes, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
+	want := [][]string{{"diskfmt", "f2fsim", "journalfs"}, {"fscqsim"}, {"logfs"}}
+	if fmt.Sprint(classes) != fmt.Sprint(want) {
+		t.Fatalf("guarantee classes = %v, want %v", classes, want)
 	}
 }
