@@ -422,6 +422,9 @@ func (t *Tree) Rename(src, dst string) (moved, replaced *Node, err error) {
 		return nil, nil, fmt.Errorf("rename %q: %w", src, filesys.ErrNotExist)
 	}
 	srcNode := t.nodes[srcIno]
+	if srcNode == nil {
+		return nil, nil, fmt.Errorf("rename %q: dangling entry %q: %w", src, srcName, filesys.ErrCorrupted)
+	}
 
 	dstParent, dstName, err := t.resolveParent(dst)
 	if err != nil {
@@ -438,6 +441,9 @@ func (t *Tree) Rename(src, dst string) (moved, replaced *Node, err error) {
 			return srcNode, nil, nil // rename to a hard link of itself: no-op
 		}
 		dstNode := t.nodes[dstIno]
+		if dstNode == nil {
+			return nil, nil, fmt.Errorf("rename over %q: dangling entry %q: %w", dst, dstName, filesys.ErrCorrupted)
+		}
 		switch {
 		case srcNode.Kind == filesys.KindDir && dstNode.Kind != filesys.KindDir:
 			return nil, nil, fmt.Errorf("rename %q over %q: %w", src, dst, filesys.ErrNotDir)

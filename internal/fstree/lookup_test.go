@@ -32,16 +32,15 @@ func lookupFixture(t *testing.T) *Tree {
 // parent, and through a dangling entry. Empty components resolve as
 // strings.Split yields them, so /a//b names a child "" of /a, while its
 // parent path "a/" trims to /a. Each op runs on a fresh fixture.
-// renameTo over the dangling /a/d is left out: Rename dereferences the
-// missing node.
 func TestLookupErrorsUnchanged(t *testing.T) {
 	ops := map[string]func(tr *Tree, path string) error{
-		"lookup":   func(tr *Tree, p string) error { _, err := tr.Lookup(p); return err },
-		"create":   func(tr *Tree, p string) error { _, err := tr.Create(p); return err },
-		"mkdir":    func(tr *Tree, p string) error { _, err := tr.Mkdir(p); return err },
-		"linkTo":   func(tr *Tree, p string) error { _, err := tr.Link("/a/f", p); return err },
-		"linkFrom": func(tr *Tree, p string) error { _, err := tr.Link(p, "/a/n"); return err },
-		"renameTo": func(tr *Tree, p string) error { _, _, err := tr.Rename("/a/f", p); return err },
+		"lookup":     func(tr *Tree, p string) error { _, err := tr.Lookup(p); return err },
+		"create":     func(tr *Tree, p string) error { _, err := tr.Create(p); return err },
+		"mkdir":      func(tr *Tree, p string) error { _, err := tr.Mkdir(p); return err },
+		"linkTo":     func(tr *Tree, p string) error { _, err := tr.Link("/a/f", p); return err },
+		"linkFrom":   func(tr *Tree, p string) error { _, err := tr.Link(p, "/a/n"); return err },
+		"renameTo":   func(tr *Tree, p string) error { _, _, err := tr.Rename("/a/f", p); return err },
+		"renameFrom": func(tr *Tree, p string) error { _, _, err := tr.Rename(p, "/a/n"); return err },
 	}
 	cases := []struct {
 		op, path, text string
@@ -106,6 +105,8 @@ func TestLookupErrorsUnchanged(t *testing.T) {
 		{"mkdir", "/a/d", "create \"d\": file exists", filesys.ErrExist},
 		{"linkTo", "/a/d", "link \"/a/d\": file exists", filesys.ErrExist},
 		{"linkFrom", "/a/d", "lookup \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
+		{"renameTo", "/a/d", "rename over \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
+		{"renameFrom", "/a/d", "rename \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"lookup", "/a/d/x", "lookup \"/a/d/x\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"create", "/a/d/x", "lookup \"a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"mkdir", "/a/d/x", "lookup \"a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
