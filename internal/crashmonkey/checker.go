@@ -429,7 +429,6 @@ func (e *Expectation) checkContent(idx *crashIndex, fe *fileExpect, ino uint64, 
 	if actual == nil {
 		return append(findings, Finding{bugs.DataLoss, path, "unreadable: inode missing from crash index"})
 	}
-	checkSectors := fe.level >= levelFull || e.g.FdatasyncPersistsAllocBeyondEOF
 	checkNlink := fe.level >= levelFull && !fe.modified && !fe.nsModified
 
 	candidates := []*fileState{fe.state}
@@ -438,7 +437,7 @@ func (e *Expectation) checkContent(idx *crashIndex, fe *fileExpect, ino uint64, 
 	}
 	var firstDetail string
 	for i, want := range candidates {
-		ok, detail := statesEqual(want, actual, fe.level, checkSectors, checkNlink && i == 0)
+		ok, detail := statesEqual(want, actual, fe.level, checkNlink && i == 0)
 		if ok {
 			return append(findings, e.checkRanges(idx, fe, ino, path)...)
 		}

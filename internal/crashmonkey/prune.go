@@ -395,19 +395,12 @@ func (e *Expectation) fingerprint() uint64 {
 }
 
 func guaranteeBits(g filesys.Guarantees) uint64 {
-	bools := []bool{
-		g.FsyncFilePersistsDentry, g.FsyncFilePersistsAllNames,
-		g.FsyncFilePersistsRename, g.FsyncFilePersistsAncestorRenames,
-		g.FsyncDirPersistsEntries, g.FsyncDirPersistsChildInodes,
-		g.FsyncDirPersistsSubtreeRenames, g.FsyncDragsReplacementDentry,
-		g.FdatasyncPersistsSize, g.FdatasyncPersistsDentry,
-		g.FdatasyncPersistsAllocBeyondEOF,
-	}
 	var bits uint64
-	for i, b := range bools {
-		if b {
-			bits |= 1 << uint(i)
-		}
+	if g.FsyncFilePersistsAncestorRenames {
+		bits |= 1
+	}
+	if g.FdatasyncPersistsDentry {
+		bits |= 2
 	}
 	return bits
 }

@@ -514,14 +514,10 @@ func (t *Tracker) eventSync() {
 	})
 }
 
-// persistNames pins every current name of inode n (per the AllNames
-// guarantee) and applies the rename/drag rules.
+// persistNames pins every current name of inode n and applies the
+// rename/drag rules.
 func (t *Tracker) persistNames(n *fstree.Node) {
-	paths := t.model.PathsOf(n.Ino)
-	if !t.g.FsyncFilePersistsAllNames && len(paths) > 1 {
-		paths = paths[:1]
-	}
-	for _, p := range paths {
+	for _, p := range t.model.PathsOf(n.Ino) {
 		key, err := t.keyOf(p)
 		if err != nil {
 			continue
@@ -529,7 +525,7 @@ func (t *Tracker) persistNames(n *fstree.Node) {
 		displaced := t.persistBinding(key, n.Ino)
 		// Dragging: replacing a persisted binding of a still-alive inode
 		// implies that inode's current name is persisted too.
-		if displaced != nil && t.g.FsyncDragsReplacementDentry {
+		if displaced != nil {
 			if j := t.model.Get(displaced.ino); j != nil {
 				t.persistInode(j, levelFull)
 				for _, jp := range t.model.PathsOf(j.Ino) {
@@ -542,21 +538,17 @@ func (t *Tracker) persistNames(n *fstree.Node) {
 	}
 
 	// Rename persistence: stale persisted names of n are durably gone.
-	if t.g.FsyncFilePersistsRename {
-		for _, b := range t.bindings {
-			if b.ino != n.Ino || !b.removed || b.absent || b.movedTo == nil {
-				continue
-			}
-			b.absent = true
-			// Drag the new occupant of the old name (W11 expectation).
-			if t.g.FsyncDragsReplacementDentry {
-				if parent := t.model.Get(b.key.parent); parent != nil {
-					if newIno, ok := parent.Children[b.key.name]; ok && newIno != n.Ino {
-						if occ := t.model.Get(newIno); occ != nil {
-							t.persistInode(occ, levelFull)
-							t.persistBinding(b.key, newIno)
-						}
-					}
+	for _, b := range t.bindings {
+		if b.ino != n.Ino || !b.removed || b.absent || b.movedTo == nil {
+			continue
+		}
+		b.absent = true
+		// Drag the new occupant of the old name (W11 expectation).
+		if parent := t.model.Get(b.key.parent); parent != nil {
+			if newIno, ok := parent.Children[b.key.name]; ok && newIno != n.Ino {
+				if occ := t.model.Get(newIno); occ != nil {
+					t.persistInode(occ, levelFull)
+					t.persistBinding(b.key, newIno)
 				}
 			}
 		}
@@ -573,9 +565,7 @@ func (t *Tracker) eventFsync(path string) error {
 		return nil
 	}
 	t.persistInode(n, levelFull)
-	if t.g.FsyncFilePersistsDentry {
-		t.persistNames(n)
-	}
+	t.persistNames(n)
 	if t.g.FsyncFilePersistsAncestorRenames {
 		t.persistAncestorRenames(n)
 	}
@@ -588,7 +578,6 @@ func (t *Tracker) persistAncestorRenames(n *fstree.Node) {
 	for _, p := range t.model.PathsOf(n.Ino) {
 		comps := fstree.SplitPath(p)
 		cur := t.model.Root()
-		prefix := ""
 		for _, comp := range comps[:len(comps)-1] {
 			childIno, ok := cur.Children[comp]
 			if !ok {
@@ -598,7 +587,6 @@ func (t *Tracker) persistAncestorRenames(n *fstree.Node) {
 			if child == nil || child.Kind != filesys.KindDir {
 				break
 			}
-			prefix = joinPath(prefix, comp)
 			// Stale persisted names of this ancestor are durably gone.
 			for _, b := range t.bindings {
 				if b.ino == childIno && b.removed && !b.absent && b.movedTo != nil {
@@ -611,7 +599,6 @@ func (t *Tracker) persistAncestorRenames(n *fstree.Node) {
 			}
 			cur = child
 		}
-		_ = prefix
 	}
 }
 
@@ -619,61 +606,54 @@ func (t *Tracker) eventFsyncDir(d *fstree.Node) {
 	t.persistInode(d, levelFull)
 
 	// The directory's own rename is persisted.
-	if t.g.FsyncFilePersistsRename && d.Ino != fstree.RootIno {
+	if d.Ino != fstree.RootIno {
 		t.persistNames(d)
 	}
 
 	// Renames out of this directory's subtree are persisted (W20). This
 	// must run before the removals pass so the moved binding's new
 	// location is pinned rather than merely marked gone.
-	if t.g.FsyncDirPersistsSubtreeRenames {
-		t.persistSubtreeRenames(d)
-	}
+	t.persistSubtreeRenames(d)
 
-	if t.g.FsyncDirPersistsEntries {
-		// Removals from this directory are durable.
-		for _, b := range t.bindings {
-			if b.key.parent == d.Ino && b.level > levelNone && !b.absent &&
-				(b.removed || d.Children[b.key.name] != b.ino) {
-				b.absent = true
-			}
+	// Removals from this directory are durable.
+	for _, b := range t.bindings {
+		if b.key.parent == d.Ino && b.level > levelNone && !b.absent &&
+			(b.removed || d.Children[b.key.name] != b.ino) {
+			b.absent = true
 		}
-		// Current entries are durable.
-		names := sortedNames(d.Children)
-		for _, name := range names {
-			childIno := d.Children[name]
-			child := t.model.Get(childIno)
-			if child == nil {
-				continue
+	}
+	// Current entries, and the existence of the inodes they name, are
+	// durable.
+	for _, name := range sortedNames(d.Children) {
+		childIno := d.Children[name]
+		child := t.model.Get(childIno)
+		if child == nil {
+			continue
+		}
+		t.persistBinding(dentryKey{d.Ino, name}, childIno)
+		switch child.Kind {
+		case filesys.KindSymlink, filesys.KindFifo:
+			// A symlink's target is immutable: directory fsync must
+			// persist it whole (the W10 expectation).
+			t.persistInode(child, levelFull)
+		case filesys.KindDir:
+			fe := t.fileOf(childIno)
+			wasNew := fe.level == levelNone
+			if fe.level < levelExists {
+				fe.level = levelExists
 			}
-			t.persistBinding(dentryKey{d.Ino, name}, childIno)
-			if t.g.FsyncDirPersistsChildInodes {
-				switch child.Kind {
-				case filesys.KindSymlink, filesys.KindFifo:
-					// A symlink's target is immutable: directory fsync
-					// must persist it whole (the W10 expectation).
-					t.persistInode(child, levelFull)
-				case filesys.KindDir:
-					fe := t.fileOf(childIno)
-					wasNew := fe.level == levelNone
-					if fe.level < levelExists {
-						fe.level = levelExists
-					}
-					// Only directories that were never persisted are
-					// logged recursively (the N3 expectation); committed
-					// subdirectories already have their entries on disk.
-					if wasNew {
-						t.persistDirEntriesRecursive(child)
-					}
-				default:
-					if fe := t.fileOf(childIno); fe.level < levelExists {
-						fe.level = levelExists
-					}
-				}
+			// Only directories that were never persisted are logged
+			// recursively (the N3 expectation); committed subdirectories
+			// already have their entries on disk.
+			if wasNew {
+				t.persistDirEntriesRecursive(child)
+			}
+		default:
+			if fe := t.fileOf(childIno); fe.level < levelExists {
+				fe.level = levelExists
 			}
 		}
 	}
-
 }
 
 // persistSubtreeRenames pins renames whose source lies under d.
@@ -791,9 +771,7 @@ func (t *Tracker) eventMSync(path string, off, length int64) error {
 			fe.level = levelExists
 		}
 	}
-	if t.g.FsyncFilePersistsDentry {
-		t.persistNames(n)
-	}
+	t.persistNames(n)
 	return nil
 }
 
@@ -871,7 +849,7 @@ func sortedNames(children map[string]uint64) []string {
 	return names
 }
 
-func statesEqual(a, b *fileState, level persistLevel, checkSectors, checkNlink bool) (bool, string) {
+func statesEqual(a, b *fileState, level persistLevel, checkNlink bool) (bool, string) {
 	if a.kind != b.kind {
 		return false, fmt.Sprintf("kind %v != %v", b.kind, a.kind)
 	}
@@ -891,7 +869,7 @@ func statesEqual(a, b *fileState, level persistLevel, checkSectors, checkNlink b
 		if !bytes.Equal(a.data, b.data) {
 			return false, "data mismatch"
 		}
-		if checkSectors && a.sectors != b.sectors {
+		if a.sectors != b.sectors {
 			return false, fmt.Sprintf("sectors %d != %d", b.sectors, a.sectors)
 		}
 	}

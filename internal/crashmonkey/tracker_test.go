@@ -15,19 +15,7 @@ import (
 )
 
 func strictGuarantees() filesys.Guarantees {
-	return filesys.Guarantees{
-		FsyncFilePersistsDentry:          true,
-		FsyncFilePersistsAllNames:        true,
-		FsyncFilePersistsRename:          true,
-		FsyncFilePersistsAncestorRenames: false,
-		FsyncDirPersistsEntries:          true,
-		FsyncDirPersistsChildInodes:      true,
-		FsyncDirPersistsSubtreeRenames:   true,
-		FsyncDragsReplacementDentry:      true,
-		FdatasyncPersistsSize:            true,
-		FdatasyncPersistsDentry:          true,
-		FdatasyncPersistsAllocBeyondEOF:  true,
-	}
+	return filesys.Guarantees{FdatasyncPersistsDentry: true}
 }
 
 func applyAll(t *testing.T, tr *Tracker, text string) {

@@ -181,43 +181,21 @@ type FileSystem interface {
 }
 
 // Guarantees captures what a file system promises will survive a crash
-// after a persistence point. These differ per file system (§5.1); the
-// oracle tracker consults them when computing required post-crash state.
+// after a persistence point, beyond what the oracle tracker demands of
+// every file system. The common core, which every backend here provides
+// (§5.1): fsync of a file persists its data, metadata and every name it
+// has, renames of it included, and when a persisted name now belongs to
+// another inode, that inode's current name too (the btrfs "drag in the
+// renamed inode" behaviour); fsync of a directory persists its own name,
+// its entry set, the existence of the inodes its entries name and renames
+// out of its subtree; fdatasync persists data, size and allocation beyond
+// EOF. The fields are the promises the file systems differ on.
 type Guarantees struct {
-	// FsyncFilePersistsDentry: fsync of a newly created file also persists
-	// its directory entry (ext4 and btrfs do this; POSIX does not require
-	// it).
-	FsyncFilePersistsDentry bool
-	// FsyncFilePersistsAllNames: fsync of a file persists every hard link
-	// created so far, not only the name used to reach it.
-	FsyncFilePersistsAllNames bool
-	// FsyncFilePersistsRename: fsync of a file persists a rename of that
-	// file performed since the last persistence point.
-	FsyncFilePersistsRename bool
 	// FsyncFilePersistsAncestorRenames: fsync of a file also persists
 	// renames of its ancestor directories (F2FS fsync_mode=strict forces a
 	// checkpoint; btrfs does not promise this).
 	FsyncFilePersistsAncestorRenames bool
-	// FsyncDirPersistsEntries: fsync of a directory persists its entry
-	// set, including entries for newly created children and removals.
-	FsyncDirPersistsEntries bool
-	// FsyncDirPersistsChildInodes: fsync of a directory persists the
-	// existence (not data) of newly created child inodes.
-	FsyncDirPersistsChildInodes bool
-	// FsyncDirPersistsSubtreeRenames: fsync of a directory persists
-	// renames whose source or destination lies in its subtree.
-	FsyncDirPersistsSubtreeRenames bool
-	// FsyncDragsReplacementDentry: when fsync persists that a name no
-	// longer refers to inode J (because J was renamed away and the name
-	// reused), the file system also persists J's current name, so J
-	// survives (the btrfs "drag in the renamed inode" behaviour).
-	FsyncDragsReplacementDentry bool
-	// FdatasyncPersistsSize: fdatasync persists a size change.
-	FdatasyncPersistsSize bool
 	// FdatasyncPersistsDentry: fdatasync of a new file also persists its
-	// directory entry (FSCQ's specification does not promise this).
+	// names, as fsync does (FSCQ's specification does not promise this).
 	FdatasyncPersistsDentry bool
-	// FdatasyncPersistsAllocBeyondEOF: fdatasync persists block
-	// allocations beyond EOF made with FALLOC_FL_KEEP_SIZE.
-	FdatasyncPersistsAllocBeyondEOF bool
 }

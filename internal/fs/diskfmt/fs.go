@@ -34,17 +34,8 @@ func NewFS(opts Options) *FS { return &FS{NewBackend(fsFormat.Name, opts)} }
 // checkpoints the whole tree, so every guarantee holds.
 func (f *FS) Guarantees() filesys.Guarantees {
 	return filesys.Guarantees{
-		FsyncFilePersistsDentry:          true,
-		FsyncFilePersistsAllNames:        true,
-		FsyncFilePersistsRename:          true,
 		FsyncFilePersistsAncestorRenames: true,
-		FsyncDirPersistsEntries:          true,
-		FsyncDirPersistsChildInodes:      true,
-		FsyncDirPersistsSubtreeRenames:   true,
-		FsyncDragsReplacementDentry:      true,
-		FdatasyncPersistsSize:            true,
 		FdatasyncPersistsDentry:          true,
-		FdatasyncPersistsAllocBeyondEOF:  true,
 	}
 }
 

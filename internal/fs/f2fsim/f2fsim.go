@@ -37,20 +37,12 @@ func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: F2FS recovers fsynced files at
 // their current name via roll-forward, and directory fsync forces a
-// checkpoint, so the developer-confirmed guarantees match btrfs's.
+// checkpoint; fsync_mode=strict also persists the renames of a file's
+// ancestors.
 func (f *FS) Guarantees() filesys.Guarantees {
 	return filesys.Guarantees{
-		FsyncFilePersistsDentry:          true,
-		FsyncFilePersistsAllNames:        true,
-		FsyncFilePersistsRename:          true,
 		FsyncFilePersistsAncestorRenames: true,
-		FsyncDirPersistsEntries:          true,
-		FsyncDirPersistsChildInodes:      true,
-		FsyncDirPersistsSubtreeRenames:   true,
-		FsyncDragsReplacementDentry:      true,
-		FdatasyncPersistsSize:            true,
 		FdatasyncPersistsDentry:          true,
-		FdatasyncPersistsAllocBeyondEOF:  true,
 	}
 }
 

@@ -40,22 +40,10 @@ type FS struct{ diskfmt.Backend }
 func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: FSCQ's specification makes
-// every flush persist all preceding operations, and fdatasync is specified
-// to persist data and size.
+// every flush persist all preceding operations, but fdatasync is specified
+// to persist only data and size, not a new file's name.
 func (f *FS) Guarantees() filesys.Guarantees {
-	return filesys.Guarantees{
-		FsyncFilePersistsDentry:          true,
-		FsyncFilePersistsAllNames:        true,
-		FsyncFilePersistsRename:          true,
-		FsyncFilePersistsAncestorRenames: true,
-		FsyncDirPersistsEntries:          true,
-		FsyncDirPersistsChildInodes:      true,
-		FsyncDirPersistsSubtreeRenames:   true,
-		FsyncDragsReplacementDentry:      true,
-		FdatasyncPersistsSize:            true,
-		FdatasyncPersistsDentry:          false,
-		FdatasyncPersistsAllocBeyondEOF:  true,
-	}
+	return filesys.Guarantees{FsyncFilePersistsAncestorRenames: true}
 }
 
 type logRecord struct {

@@ -42,17 +42,8 @@ func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 // all pending metadata at every commit, so every guarantee holds.
 func (f *FS) Guarantees() filesys.Guarantees {
 	return filesys.Guarantees{
-		FsyncFilePersistsDentry:          true,
-		FsyncFilePersistsAllNames:        true,
-		FsyncFilePersistsRename:          true,
 		FsyncFilePersistsAncestorRenames: true,
-		FsyncDirPersistsEntries:          true,
-		FsyncDirPersistsChildInodes:      true,
-		FsyncDirPersistsSubtreeRenames:   true,
-		FsyncDragsReplacementDentry:      true,
-		FdatasyncPersistsSize:            true,
 		FdatasyncPersistsDentry:          true,
-		FdatasyncPersistsAllocBeyondEOF:  true,
 	}
 }
 

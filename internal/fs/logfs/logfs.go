@@ -48,21 +48,10 @@ type FS struct{ diskfmt.Backend }
 func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: btrfs provides guarantees well
-// beyond POSIX (§5.1), confirmed with its developers.
+// beyond POSIX (§5.1), confirmed with its developers, but fsync of a file
+// does not promise to persist renames of its ancestor directories.
 func (f *FS) Guarantees() filesys.Guarantees {
-	return filesys.Guarantees{
-		FsyncFilePersistsDentry:          true,
-		FsyncFilePersistsAllNames:        true,
-		FsyncFilePersistsRename:          true,
-		FsyncFilePersistsAncestorRenames: false,
-		FsyncDirPersistsEntries:          true,
-		FsyncDirPersistsChildInodes:      true,
-		FsyncDirPersistsSubtreeRenames:   true,
-		FsyncDragsReplacementDentry:      true,
-		FdatasyncPersistsSize:            true,
-		FdatasyncPersistsDentry:          true,
-		FdatasyncPersistsAllocBeyondEOF:  true,
-	}
+	return filesys.Guarantees{FdatasyncPersistsDentry: true}
 }
 
 // commitImage is the durable content of a commit: the full tree plus the
