@@ -28,10 +28,21 @@ const (
 	OpRemoveXattr
 )
 
-// Change describes one applied mutation. It is passed by value so that
+// Change describes one applied mutation: what a strategy needs beyond the
+// inode to keep its own accounting. It is passed by value so that
 // notifying a Strategy never allocates.
 type Change struct {
 	Op ChangeKind
+	// Path is the path the call named: the entry a create, mkdir, symlink,
+	// mkfifo or link added, the entry an unlink or rmdir removed, a
+	// rename's source, the file a content change changed. Its parent path
+	// resolves to the same directory after the call as before it.
+	Path string
+	// Dst is a rename's destination, and Replaced the inode it replaced
+	// there (nil when it named nothing, or the moved inode itself) (OpRename
+	// only).
+	Dst      string
+	Replaced *fstree.Node
 	// Falloc arguments (OpFalloc only).
 	Mode        filesys.FallocMode
 	Off, Length int64
@@ -42,7 +53,8 @@ type Change struct {
 // in-memory inodes of Mounted.Mem.
 type Strategy interface {
 	// Touched is called after a mutation was applied to the in-memory
-	// tree; n is the inode it created, changed or removed.
+	// tree; n is the inode it created, changed, moved or removed (an
+	// unlinked inode whose last link went has Nlink 0).
 	Touched(n *fstree.Node, c Change)
 	// PersistNode serves fsync.
 	PersistNode(n *fstree.Node) error
@@ -155,7 +167,7 @@ func (m *Mounted) Create(path string) error {
 		return err
 	}
 	n, err := m.Mem.Create(path)
-	return m.notify(n, err, Change{Op: OpCreate})
+	return m.notify(n, err, Change{Op: OpCreate, Path: path})
 }
 
 // Mkdir implements filesys.MountedFS.
@@ -164,7 +176,7 @@ func (m *Mounted) Mkdir(path string) error {
 		return err
 	}
 	n, err := m.Mem.Mkdir(path)
-	return m.notify(n, err, Change{Op: OpMkdir})
+	return m.notify(n, err, Change{Op: OpMkdir, Path: path})
 }
 
 // Symlink implements filesys.MountedFS.
@@ -173,7 +185,7 @@ func (m *Mounted) Symlink(target, linkPath string) error {
 		return err
 	}
 	n, err := m.Mem.Symlink(target, linkPath)
-	return m.notify(n, err, Change{Op: OpSymlink})
+	return m.notify(n, err, Change{Op: OpSymlink, Path: linkPath})
 }
 
 // Mkfifo implements filesys.MountedFS.
@@ -182,7 +194,7 @@ func (m *Mounted) Mkfifo(path string) error {
 		return err
 	}
 	n, err := m.Mem.Mkfifo(path)
-	return m.notify(n, err, Change{Op: OpMkfifo})
+	return m.notify(n, err, Change{Op: OpMkfifo, Path: path})
 }
 
 // Link implements filesys.MountedFS.
@@ -191,7 +203,7 @@ func (m *Mounted) Link(oldPath, newPath string) error {
 		return err
 	}
 	n, err := m.Mem.Link(oldPath, newPath)
-	return m.notify(n, err, Change{Op: OpLink})
+	return m.notify(n, err, Change{Op: OpLink, Path: newPath})
 }
 
 // Unlink implements filesys.MountedFS.
@@ -200,7 +212,7 @@ func (m *Mounted) Unlink(path string) error {
 		return err
 	}
 	n, _, err := m.Mem.Unlink(path)
-	return m.notify(n, err, Change{Op: OpUnlink})
+	return m.notify(n, err, Change{Op: OpUnlink, Path: path})
 }
 
 // Rmdir implements filesys.MountedFS.
@@ -209,7 +221,7 @@ func (m *Mounted) Rmdir(path string) error {
 		return err
 	}
 	n, err := m.Mem.Rmdir(path)
-	return m.notify(n, err, Change{Op: OpRmdir})
+	return m.notify(n, err, Change{Op: OpRmdir, Path: path})
 }
 
 // Rename implements filesys.MountedFS; the strategy is told about the moved
@@ -218,8 +230,8 @@ func (m *Mounted) Rename(src, dst string) error {
 	if err := m.CheckMounted(); err != nil {
 		return err
 	}
-	n, _, err := m.Mem.Rename(src, dst)
-	return m.notify(n, err, Change{Op: OpRename})
+	n, replaced, err := m.Mem.Rename(src, dst)
+	return m.notify(n, err, Change{Op: OpRename, Path: src, Dst: dst, Replaced: replaced})
 }
 
 // Truncate implements filesys.MountedFS.
@@ -228,7 +240,7 @@ func (m *Mounted) Truncate(path string, size int64) error {
 		return err
 	}
 	n, err := m.Mem.Truncate(path, size)
-	return m.notify(n, err, Change{Op: OpTruncate})
+	return m.notify(n, err, Change{Op: OpTruncate, Path: path})
 }
 
 // Write implements filesys.MountedFS: a buffered write lands in Mem only.
@@ -237,7 +249,7 @@ func (m *Mounted) Write(path string, off int64, data []byte) error {
 		return err
 	}
 	n, err := m.Mem.Write(path, off, data)
-	return m.notify(n, err, Change{Op: OpWrite})
+	return m.notify(n, err, Change{Op: OpWrite, Path: path})
 }
 
 // MWrite implements filesys.MountedFS: a store through mmap is page-cache
@@ -265,7 +277,7 @@ func (m *Mounted) Falloc(path string, mode filesys.FallocMode, off, length int64
 		return err
 	}
 	n, err := m.Mem.Falloc(path, mode, off, length)
-	return m.notify(n, err, Change{Op: OpFalloc, Mode: mode, Off: off, Length: length})
+	return m.notify(n, err, Change{Op: OpFalloc, Path: path, Mode: mode, Off: off, Length: length})
 }
 
 // SetXattr implements filesys.MountedFS.
@@ -274,7 +286,7 @@ func (m *Mounted) SetXattr(path, name string, value []byte) error {
 		return err
 	}
 	n, err := m.Mem.SetXattr(path, name, value)
-	return m.notify(n, err, Change{Op: OpSetXattr})
+	return m.notify(n, err, Change{Op: OpSetXattr, Path: path})
 }
 
 // RemoveXattr implements filesys.MountedFS.
@@ -283,7 +295,7 @@ func (m *Mounted) RemoveXattr(path, name string) error {
 		return err
 	}
 	n, err := m.Mem.RemoveXattr(path, name)
-	return m.notify(n, err, Change{Op: OpRemoveXattr})
+	return m.notify(n, err, Change{Op: OpRemoveXattr, Path: path})
 }
 
 // Fsync implements filesys.MountedFS.

@@ -125,8 +125,7 @@ func refsOf(t *fstree.Tree, ino uint64) []nameRef {
 		if p == "/" {
 			continue
 		}
-		parentPath, name := pathParent(p)
-		parent, err := t.Lookup(parentPath)
+		parent, name, err := parentIn(t, p)
 		if err != nil {
 			continue
 		}
@@ -486,9 +485,9 @@ func (b *batchBuilder) logFile(x *fstree.Node, ranged *punchRec) {
 		}
 		b.emitDel(r.parent, r.name, x.Ino, false)
 
-		// Dragging the replacement occupant of the old name (guarantee
-		// FsyncDragsReplacementDentry). BUG W11 skips it, so a file
-		// created over the renamed-away name is lost.
+		// Dragging the replacement occupant of the old name, which the
+		// oracle demands of every file system. BUG W11 skips it, so a
+		// file created over the renamed-away name is lost.
 		if memParent := m.Mem.Get(r.parent); memParent != nil {
 			if newIno, ok := memParent.Children[r.name]; ok && newIno != x.Ino {
 				if !b.has("btrfs-rename-fsync-loses-new-occupant") {
@@ -911,8 +910,9 @@ func (b *batchBuilder) logDir(d *fstree.Node) {
 		b.logRemovedEntry(d, name, removedNames[name])
 	}
 
-	// Renames out of the subtree (guarantee FsyncDirPersistsSubtreeRenames).
-	// BUG W20 skips this walk, leaving renamed files at their old location.
+	// Renames out of the subtree, which the oracle demands of every file
+	// system. BUG W20 skips this walk, leaving renamed files at their old
+	// location.
 	if !b.has("btrfs-dir-fsync-subtree-rename-not-logged") {
 		b.logSubtreeDepartures(d)
 	}

@@ -190,11 +190,11 @@ func recomputeEntryBytes(t *fstree.Tree) map[uint64]int64 {
 	return eb
 }
 
-// pathParent returns the parent path and leaf name of a clean path.
-func pathParent(path string) (string, string) {
-	comps := fstree.SplitPath(path)
-	if len(comps) == 0 {
-		return "/", ""
-	}
-	return "/" + strings.Join(comps[:len(comps)-1], "/"), comps[len(comps)-1]
+// parentIn resolves the directory holding path's last component in t, as
+// t's own operations resolve it, and returns it with that component.
+func parentIn(t *fstree.Tree, path string) (*fstree.Node, string, error) {
+	trimmed := strings.Trim(path, "/")
+	i := strings.LastIndexByte(trimmed, '/')
+	parent, err := t.Lookup(trimmed[:max(i, 0)])
+	return parent, trimmed[i+1:], err
 }

@@ -35,9 +35,10 @@ type inodeTrack struct {
 }
 
 // mounted is a mounted logfs instance: the shared base plus the strategy of
-// a copy-on-write tree with a per-fsync log. Namespace operations carry
-// directory entry-byte accounting keyed by the parent, resolved before the
-// tree changes, so they override the base's; everything else is the base's.
+// a copy-on-write tree with a per-fsync log. The strategy's Touched keeps
+// the directory entry-byte accounting (eb) and the per-inode tracking; only
+// Rmdir, which refuses a directory with stale entries, and Stat, which
+// reports that accounting as a directory's size, override the base.
 type mounted struct {
 	diskfmt.Mounted
 	fs *FS
@@ -105,111 +106,26 @@ func (m *mounted) anyLoggedInTrans() bool {
 	return false
 }
 
-// parentOf resolves the parent directory node and leaf name of path.
-func (m *mounted) parentOf(path string) (*fstree.Node, string, error) {
-	parentPath, name := pathParent(path)
-	p, err := m.Mem.Lookup(parentPath)
+// parentOf returns the inode of the directory holding path's last
+// component, and that component, as the tree resolved them for the call
+// that named path. It serves Touched: the call succeeded, and its parent
+// path resolves to the same directory after it as before.
+func (m *mounted) parentOf(path string) (uint64, string) {
+	parent, name, err := parentIn(m.Mem, path)
 	if err != nil {
-		return nil, "", err
+		panic(fmt.Sprintf("logfs: parent of applied %q: %v", path, err))
 	}
-	if p.Kind != filesys.KindDir {
-		return nil, "", fmt.Errorf("logfs %q: %w", path, filesys.ErrNotDir)
-	}
-	return p, name, nil
+	return parent.Ino, name
 }
 
-// addEntry runs add, which links a new entry at path, and does the
-// bookkeeping every entry-adding operation shares: the parent's entry-byte
-// accounting grows and both inodes become dirty.
-func (m *mounted) addEntry(path string, add func() (*fstree.Node, error)) (*fstree.Node, pathKey, error) {
-	if err := m.CheckMounted(); err != nil {
-		return nil, pathKey{}, err
-	}
-	parent, name, err := m.parentOf(path)
-	if err != nil {
-		return nil, pathKey{}, err
-	}
-	n, err := add()
-	if err != nil {
-		return nil, pathKey{}, err
-	}
-	m.eb[parent.Ino] += entryWeight(name)
+// addEntry does the bookkeeping every entry-adding operation shares: the
+// parent's entry-byte accounting grows and both inodes become dirty.
+func (m *mounted) addEntry(n *fstree.Node, path string) pathKey {
+	parent, name := m.parentOf(path)
+	m.eb[parent] += entryWeight(name)
 	m.markDirty(n.Ino)
-	m.markDirty(parent.Ino)
-	return n, pathKey{parent.Ino, name}, nil
-}
-
-// newInode is addEntry for the operations that create the inode they link:
-// the inode remembers the name it was created with.
-func (m *mounted) newInode(path string, add func() (*fstree.Node, error)) (*fstree.Node, error) {
-	n, key, err := m.addEntry(path, add)
-	if err != nil {
-		return nil, err
-	}
-	t := m.trackOf(n.Ino)
-	t.origin = key
-	t.hasOrigin = true
-	return n, nil
-}
-
-// Create implements filesys.MountedFS.
-func (m *mounted) Create(path string) error {
-	_, err := m.newInode(path, func() (*fstree.Node, error) { return m.Mem.Create(path) })
-	return err
-}
-
-// Mkdir implements filesys.MountedFS.
-func (m *mounted) Mkdir(path string) error {
-	n, err := m.newInode(path, func() (*fstree.Node, error) { return m.Mem.Mkdir(path) })
-	if err == nil {
-		m.eb[n.Ino] = 0
-	}
-	return err
-}
-
-// Symlink implements filesys.MountedFS.
-func (m *mounted) Symlink(target, linkPath string) error {
-	_, err := m.newInode(linkPath, func() (*fstree.Node, error) { return m.Mem.Symlink(target, linkPath) })
-	return err
-}
-
-// Mkfifo implements filesys.MountedFS.
-func (m *mounted) Mkfifo(path string) error {
-	_, err := m.newInode(path, func() (*fstree.Node, error) { return m.Mem.Mkfifo(path) })
-	return err
-}
-
-// Link implements filesys.MountedFS.
-func (m *mounted) Link(oldPath, newPath string) error {
-	n, _, err := m.addEntry(newPath, func() (*fstree.Node, error) { return m.Mem.Link(oldPath, newPath) })
-	if err == nil {
-		m.trackOf(n.Ino).newLinkSinceCommit = true
-	}
-	return err
-}
-
-// Unlink implements filesys.MountedFS.
-func (m *mounted) Unlink(path string) error {
-	if err := m.CheckMounted(); err != nil {
-		return err
-	}
-	parent, name, err := m.parentOf(path)
-	if err != nil {
-		return err
-	}
-	n, gone, err := m.Mem.Unlink(path)
-	if err != nil {
-		return err
-	}
-	m.eb[parent.Ino] -= entryWeight(name)
-	m.delsByUnlink[pathKey{parent.Ino, name}] = n.Ino
-	if gone {
-		delete(m.track, n.Ino)
-	} else {
-		m.markDirty(n.Ino)
-	}
-	m.markDirty(parent.Ino)
-	return nil
+	m.markDirty(parent)
+	return pathKey{parent, name}
 }
 
 // Rmdir implements filesys.MountedFS. A directory whose entry-byte
@@ -228,75 +144,80 @@ func (m *mounted) Rmdir(path string) error {
 		return fmt.Errorf("logfs rmdir %q: stale entries (dir size %d): %w",
 			path, m.eb[n.Ino], filesys.ErrNotEmpty)
 	}
-	parent, name, err := m.parentOf(path)
-	if err != nil {
-		return err
-	}
-	if _, err := m.Mem.Rmdir(path); err != nil {
-		return err
-	}
-	m.eb[parent.Ino] -= entryWeight(name)
-	delete(m.eb, n.Ino)
-	delete(m.track, n.Ino)
-	m.markDirty(parent.Ino)
-	return nil
+	return m.Mounted.Rmdir(path)
 }
 
-// Rename implements filesys.MountedFS.
-func (m *mounted) Rename(src, dst string) error {
-	if err := m.CheckMounted(); err != nil {
-		return err
-	}
-	srcParent, srcName, err := m.parentOf(src)
-	if err != nil {
-		return err
-	}
-	dstParent, dstName, err := m.parentOf(dst)
-	if err != nil {
-		return err
-	}
-	moved, replaced, err := m.Mem.Rename(src, dst)
-	if err != nil {
-		return err
-	}
-	m.eb[srcParent.Ino] -= entryWeight(srcName)
-	if replaced == nil {
-		m.eb[dstParent.Ino] += entryWeight(dstName)
-	} else {
-		// Replacement: the old entry's weight is traded for the new one's
-		// (same name, so no net change).
-		if replaced.Kind == filesys.KindDir {
-			delete(m.eb, replaced.Ino)
-		}
-		if replaced.Nlink <= 0 {
-			delete(m.track, replaced.Ino)
-		}
-	}
-	t := m.trackOf(moved.Ino)
-	t.dirty = true
-	if t.renamedFrom == nil {
-		t.renamedFrom = &pathKey{srcParent.Ino, srcName}
-	}
-	m.markDirty(srcParent.Ino)
-	m.markDirty(dstParent.Ino)
-	return nil
-}
-
-// Touched implements diskfmt.Strategy for the operations logfs leaves to
-// the base: content and attribute changes mark the inode dirty for the
-// next fsync.
+// Touched implements diskfmt.Strategy. Namespace operations move entry
+// bytes between directories (a replacement trades the old entry's weight
+// for the new one's: same name, so no net change) and record the names the
+// log needs; every change marks the inodes it touched dirty for the next
+// fsync.
 func (m *mounted) Touched(n *fstree.Node, c diskfmt.Change) {
-	t := m.trackOf(n.Ino)
-	if c.Op == diskfmt.OpFalloc && c.Mode == filesys.FallocPunchHole {
-		t.punches = append(t.punches, punchRec{off: c.Off, end: c.Off + c.Length})
-		wholeBlocks := alignUp(c.Off) < alignDown(c.Off+c.Length)
-		if !wholeBlocks && m.fs.Has("btrfs-partial-page-punch-not-logged") {
-			// BUG: a punch that frees no whole block fails to mark the
-			// inode dirty, so a following fsync logs nothing (workload 17).
-			return
+	switch c.Op {
+	case diskfmt.OpCreate, diskfmt.OpMkdir, diskfmt.OpSymlink, diskfmt.OpMkfifo:
+		// The inode remembers the name it was created with.
+		t := m.trackOf(n.Ino)
+		t.origin = m.addEntry(n, c.Path)
+		t.hasOrigin = true
+		if c.Op == diskfmt.OpMkdir {
+			m.eb[n.Ino] = 0
 		}
+	case diskfmt.OpLink:
+		m.addEntry(n, c.Path)
+		m.trackOf(n.Ino).newLinkSinceCommit = true
+	case diskfmt.OpUnlink:
+		parent, name := m.parentOf(c.Path)
+		m.eb[parent] -= entryWeight(name)
+		m.delsByUnlink[pathKey{parent, name}] = n.Ino
+		if n.Nlink <= 0 {
+			delete(m.track, n.Ino)
+		} else {
+			m.markDirty(n.Ino)
+		}
+		m.markDirty(parent)
+	case diskfmt.OpRmdir:
+		parent, name := m.parentOf(c.Path)
+		m.eb[parent] -= entryWeight(name)
+		delete(m.eb, n.Ino)
+		delete(m.track, n.Ino)
+		m.markDirty(parent)
+	case diskfmt.OpRename:
+		srcParent, srcName := m.parentOf(c.Path)
+		dstParent, dstName := m.parentOf(c.Dst)
+		m.eb[srcParent] -= entryWeight(srcName)
+		if r := c.Replaced; r == nil {
+			m.eb[dstParent] += entryWeight(dstName)
+		} else {
+			if r.Kind == filesys.KindDir {
+				delete(m.eb, r.Ino)
+			}
+			if r.Nlink <= 0 {
+				delete(m.track, r.Ino)
+			}
+		}
+		t := m.trackOf(n.Ino)
+		t.dirty = true
+		if t.renamedFrom == nil {
+			t.renamedFrom = &pathKey{srcParent, srcName}
+		}
+		m.markDirty(srcParent)
+		m.markDirty(dstParent)
+	case diskfmt.OpFalloc:
+		t := m.trackOf(n.Ino)
+		if c.Mode == filesys.FallocPunchHole {
+			t.punches = append(t.punches, punchRec{off: c.Off, end: c.Off + c.Length})
+			wholeBlocks := alignUp(c.Off) < alignDown(c.Off+c.Length)
+			if !wholeBlocks && m.fs.Has("btrfs-partial-page-punch-not-logged") {
+				// BUG: a punch that frees no whole block fails to mark the
+				// inode dirty, so a following fsync logs nothing (workload
+				// 17).
+				return
+			}
+		}
+		t.dirty = true
+	case diskfmt.OpTruncate, diskfmt.OpWrite, diskfmt.OpSetXattr, diskfmt.OpRemoveXattr:
+		m.markDirty(n.Ino)
 	}
-	t.dirty = true
 }
 
 // PersistDirect implements diskfmt.Strategy. Direct IO bypasses the page
