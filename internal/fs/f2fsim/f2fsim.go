@@ -131,7 +131,7 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 		return err
 	})
 	if recovered > 0 {
-		sweepUnreachable(tree)
+		tree.SweepUnreachable(nil, nil)
 		diskfmt.RecountLinks(tree)
 	}
 
@@ -191,40 +191,6 @@ func rollForward(tree *fstree.Tree, entries []fsyncEntry) {
 				continue // parent not recoverable; entry dropped
 			}
 			dir.Children[r.name] = n.Ino
-		}
-	}
-}
-
-// sweepUnreachable removes unreachable inodes and dangling entries after
-// roll-forward.
-func sweepUnreachable(tree *fstree.Tree) {
-	reachable := map[uint64]bool{fstree.RootIno: true}
-	queue := []uint64{fstree.RootIno}
-	for len(queue) > 0 {
-		ino := queue[0]
-		queue = queue[1:]
-		n := tree.Get(ino)
-		if n == nil || n.Kind != filesys.KindDir {
-			continue
-		}
-		var dangling []string
-		for name, c := range n.Children {
-			if tree.Get(c) == nil {
-				dangling = append(dangling, name)
-				continue
-			}
-			if !reachable[c] {
-				reachable[c] = true
-				queue = append(queue, c)
-			}
-		}
-		for _, name := range dangling {
-			delete(n.Children, name)
-		}
-	}
-	for _, ino := range tree.Inos() {
-		if !reachable[ino] {
-			tree.RemoveNode(ino)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package logfs
 import (
 	"fmt"
 	"maps"
-	"sort"
 
 	"b3/internal/filesys"
 	"b3/internal/fs/diskfmt"
@@ -44,7 +43,10 @@ func (f *FS) replayLog(img commitImage, batches [][]logItem) (commitImage, error
 		return commitImage{}, err
 	}
 
-	sweepUnreachable(tree, eb)
+	// Drop orphans left by replacements and entries naming deleted inodes,
+	// with their entry bytes.
+	tree.SweepUnreachable(func(dir uint64, name string) { eb[dir] -= entryWeight(name) },
+		func(ino uint64) { delete(eb, ino) })
 	diskfmt.RecountLinks(tree)
 
 	// Advance the inode allocation counter past everything the log
@@ -265,43 +267,4 @@ func validateSpecialRefs(tree *fstree.Tree) error {
 		}
 	}
 	return nil
-}
-
-// sweepUnreachable drops inodes not reachable from the root (orphans left
-// by replacements and dangling entries), and directory entries pointing at
-// deleted inodes.
-func sweepUnreachable(tree *fstree.Tree, eb map[uint64]int64) {
-	reachable := map[uint64]bool{fstree.RootIno: true}
-	queue := []uint64{fstree.RootIno}
-	for len(queue) > 0 {
-		ino := queue[0]
-		queue = queue[1:]
-		n := tree.Get(ino)
-		if n == nil || n.Kind != filesys.KindDir {
-			continue
-		}
-		// Drop dangling entries first.
-		var dangling []string
-		for name, c := range n.Children {
-			if tree.Get(c) == nil {
-				dangling = append(dangling, name)
-				continue
-			}
-			if !reachable[c] {
-				reachable[c] = true
-				queue = append(queue, c)
-			}
-		}
-		sort.Strings(dangling)
-		for _, name := range dangling {
-			delete(n.Children, name)
-			eb[ino] -= entryWeight(name)
-		}
-	}
-	for _, ino := range tree.Inos() {
-		if !reachable[ino] {
-			tree.RemoveNode(ino)
-			delete(eb, ino)
-		}
-	}
 }

@@ -993,5 +993,44 @@ func (t *Tree) AddOrphan(n *Node, bumpNext bool) {
 // RemoveNode deletes the inode entirely (used by replay code).
 func (t *Tree) RemoveNode(ino uint64) { delete(t.nodes, ino) }
 
+// SweepUnreachable drops what a recovery left unreachable: every directory
+// entry naming no inode, then every inode the root does not reach.
+// droppedEntry and droppedNode, when non-nil, are told each entry (its
+// directory's inode and its name) and each inode dropped, in no set order.
+func (t *Tree) SweepUnreachable(droppedEntry func(dir uint64, name string), droppedNode func(ino uint64)) {
+	reachable := make(map[uint64]struct{}, len(t.nodes))
+	reachable[RootIno] = struct{}{}
+	stack := []uint64{RootIno}
+	for len(stack) > 0 {
+		ino := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := t.nodes[ino]
+		if n == nil || n.Kind != filesys.KindDir {
+			continue
+		}
+		for name, c := range n.Children {
+			if t.nodes[c] == nil {
+				delete(n.Children, name)
+				if droppedEntry != nil {
+					droppedEntry(ino, name)
+				}
+				continue
+			}
+			if _, ok := reachable[c]; !ok {
+				reachable[c] = struct{}{}
+				stack = append(stack, c)
+			}
+		}
+	}
+	for ino := range t.nodes {
+		if _, ok := reachable[ino]; !ok {
+			delete(t.nodes, ino)
+			if droppedNode != nil {
+				droppedNode(ino)
+			}
+		}
+	}
+}
+
 // NodeCount returns the number of live inodes.
 func (t *Tree) NodeCount() int { return len(t.nodes) }

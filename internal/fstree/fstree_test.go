@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -928,5 +929,58 @@ func TestZeroContentStaysShared(t *testing.T) {
 		if isZeroView(n.Data) || !bytes.Equal(n.Data, make([]byte, page+10)) {
 			t.Errorf("%s past the zero page: zero view %v, %d bytes, want %d zeros", name, isZeroView(n.Data), len(n.Data), page+10)
 		}
+	}
+}
+
+// TestSweepUnreachable drops, and reports, the entries naming no inode and
+// the inodes the root does not reach, a whole orphaned subtree included,
+// and leaves the rest, hard links and reachable directories alike.
+func TestSweepUnreachable(t *testing.T) {
+	tr := New()
+	for _, d := range []string{"/A", "/A/B", "/O", "/O/P"} {
+		if _, err := tr.Mkdir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{"/A/f", "/A/B/gone", "/O/P/q", "/A/B/dup"} {
+		if _, err := tr.Create(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Link("/A/f", "/A/B/g"); err != nil {
+		t.Fatal(err)
+	}
+	gone, _ := tr.Lookup("/A/B/gone")
+	tr.RemoveNode(gone.Ino)
+	o, _ := tr.Lookup("/O")
+	p, _ := tr.Lookup("/O/P")
+	q, _ := tr.Lookup("/O/P/q")
+	delete(tr.Root().Children, "O")
+	b, _ := tr.Lookup("/A/B")
+
+	var entries []string
+	var nodes []uint64
+	tr.SweepUnreachable(func(dir uint64, name string) {
+		entries = append(entries, fmt.Sprintf("%d/%s", dir, name))
+	}, func(ino uint64) { nodes = append(nodes, ino) })
+
+	if want := []string{fmt.Sprintf("%d/gone", b.Ino)}; fmt.Sprint(entries) != fmt.Sprint(want) {
+		t.Errorf("dropped entries %v, want %v", entries, want)
+	}
+	slices.Sort(nodes)
+	if want := []uint64{o.Ino, p.Ino, q.Ino}; !slices.Equal(nodes, want) {
+		t.Errorf("dropped inodes %v, want %v", nodes, want)
+	}
+	for _, path := range []string{"/A", "/A/B", "/A/f", "/A/B/g", "/A/B/dup"} {
+		if !tr.Exists(path) {
+			t.Errorf("%s swept", path)
+		}
+	}
+	if tr.Exists("/A/B/gone") || tr.NodeCount() != 5 {
+		t.Errorf("after sweep: /A/B/gone resolves %v, %d inodes, want 5", tr.Exists("/A/B/gone"), tr.NodeCount())
+	}
+	tr.SweepUnreachable(nil, nil) // nothing left to drop, nothing to report
+	if tr.NodeCount() != 5 {
+		t.Errorf("second sweep left %d inodes, want 5", tr.NodeCount())
 	}
 }
