@@ -31,7 +31,7 @@ var _ filesys.FileSystem = (*FS)(nil)
 func NewFS(opts Options) *FS { return &FS{NewBackend(fsFormat.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem: every persistence operation
-// checkpoints the whole tree, so every guarantee holds.
+// checkpoints the whole tree, so it makes both optional promises.
 func (f *FS) Guarantees() filesys.Guarantees {
 	return filesys.Guarantees{
 		FsyncFilePersistsAncestorRenames: true,

@@ -39,7 +39,7 @@ type FS struct{ diskfmt.Backend }
 func New(opts Options) *FS { return &FS{diskfmt.NewBackend(format.Name, opts)} }
 
 // Guarantees implements filesys.FileSystem. ext4's global journal persists
-// all pending metadata at every commit, so every guarantee holds.
+// all pending metadata at every commit, so it makes both optional promises.
 func (f *FS) Guarantees() filesys.Guarantees {
 	return filesys.Guarantees{
 		FsyncFilePersistsAncestorRenames: true,
