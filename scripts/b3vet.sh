@@ -13,4 +13,5 @@ bin="$(mktemp -d)/b3vet"
 trap 'rm -rf "$(dirname "$bin")"' EXIT
 
 go build -o "$bin" ./cmd/b3vet
-exec "$bin" -v
+# Not exec: the EXIT trap must outlive the run to remove the binary.
+"$bin" -v

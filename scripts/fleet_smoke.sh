@@ -10,16 +10,22 @@
 # recovery lost or double-counted work, and the job fails.
 #
 # Usage: scripts/fleet_smoke.sh [workdir]
+# Without a workdir the outputs go to a temporary directory, removed on exit.
 set -eu
 cd "$(dirname "$0")/.."
-work="${1:-$(mktemp -d)}"
+tmp=
+if [ -n "${1:-}" ]; then
+  work=$1
+else
+  work=$(mktemp -d)
+  tmp=$work
+fi
+trap 'kill "${serve:-}" "${victim:-}" "${w2:-}" "${w3:-}" 2>/dev/null || true; [ -z "$tmp" ] || rm -rf "$tmp"' EXIT
 corpus="$work/fleet"
 mkdir -p "$corpus"
 bin="$work/b3"
 go build -o "$bin" ./cmd/b3
 port=$((20000 + $$ % 20000))
-
-trap 'kill "${serve:-}" "${victim:-}" "${w2:-}" "${w3:-}" 2>/dev/null || true' EXIT
 
 echo "== coordinator: the quick tier over 3 residue classes" >&2
 "$bin" -serve "127.0.0.1:$port" -tier quick \

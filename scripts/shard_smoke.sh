@@ -8,9 +8,15 @@
 # merge fold is broken, and the job fails.
 #
 # Usage: scripts/shard_smoke.sh [workdir]
+# Without a workdir the outputs go to a temporary directory, removed on exit.
 set -eu
 cd "$(dirname "$0")/.."
-work="${1:-$(mktemp -d)}"
+if [ -n "${1:-}" ]; then
+  work=$1
+else
+  work=$(mktemp -d)
+  trap 'rm -rf "$work"' EXIT
+fi
 corpus="$work/shards"
 mkdir -p "$corpus"
 
