@@ -112,8 +112,10 @@ var goldenScript = []struct {
 // runGolden executes goldenScript on a fresh device and returns, per
 // persistence step, the device digest and the digest of what Mount's
 // recovery wrote to a copy-on-write fork of that crash state (0 when Mount
-// fails, as it legitimately may with the unmountable-bug toggles on).
-func runGolden(t *testing.T, fs filesys.FileSystem) []uint64 {
+// fails, as it legitimately may with the unmountable-bug toggles on). A
+// non-nil observe sees the live mount after every step, and each mount
+// that recovered.
+func runGolden(t *testing.T, fs filesys.FileSystem, observe func(filesys.MountedFS)) []uint64 {
 	t.Helper()
 	dev := blockdev.NewSnapshot(blockdev.NewMemDisk(goldenBlocks))
 	defer dev.Release()
@@ -129,14 +131,20 @@ func runGolden(t *testing.T, fs filesys.FileSystem) []uint64 {
 		if err := step.run(m); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
+		if observe != nil {
+			observe(m)
+		}
 		if !step.persist {
 			continue
 		}
 		out = append(out, deviceDigest(t, dev))
 		crash := blockdev.NewSnapshot(dev)
 		var recovered uint64
-		if _, err := fs.Mount(crash); err == nil {
+		if rm, err := fs.Mount(crash); err == nil {
 			recovered = deviceDigest(t, crash)
+			if observe != nil {
+				observe(rm)
+			}
 		}
 		out = append(out, recovered)
 		crash.Release()
@@ -167,7 +175,7 @@ func TestGoldenDeviceBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := runGolden(t, fs)
+				got := runGolden(t, fs, nil)
 				if slices.Equal(got, goldenDigests[key]) {
 					return
 				}
@@ -183,11 +191,9 @@ func TestGoldenDeviceBytes(t *testing.T) {
 
 // TestGoldenLogfsDirSizes pins the directory sizes logfs reports: its Stat
 // serves a directory's entry-byte accounting, which the namespace
-// operations keep and recovery rebuilds. After every step of goldenScript
-// it records the sizes of / and /A on the live mount, and at every
-// persistence step those of a mount recovered from a fork of the device
-// (-1 for a directory that does not resolve, and for both when that mount
-// fails).
+// operations keep and recovery rebuilds. It records the sizes of / and /A
+// (-1 where Stat fails) on the live mount after every step of goldenScript
+// and on every mount recovered from a persistence step.
 func TestGoldenLogfsDirSizes(t *testing.T) {
 	for _, label := range []string{"fixed", "bugs"} {
 		t.Run(label, func(t *testing.T) {
@@ -201,46 +207,16 @@ func TestGoldenLogfsDirSizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev := blockdev.NewSnapshot(blockdev.NewMemDisk(goldenBlocks))
-			defer dev.Release()
-			if err := fs.Mkfs(dev); err != nil {
-				t.Fatal(err)
-			}
-			m, err := fs.Mount(dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizes := func(m filesys.MountedFS) []int64 {
-				var out []int64
+			var got []int64
+			runGolden(t, fs, func(m filesys.MountedFS) {
 				for _, dir := range []string{"/", "/A"} {
 					size := int64(-1)
 					if st, err := m.Stat(dir); err == nil {
 						size = st.Size
 					}
-					out = append(out, size)
+					got = append(got, size)
 				}
-				return out
-			}
-			var got []int64
-			for _, step := range goldenScript {
-				if err := step.run(m); err != nil {
-					t.Fatalf("%s: %v", step.name, err)
-				}
-				if step.name == "unmount" {
-					continue
-				}
-				got = append(got, sizes(m)...)
-				if !step.persist {
-					continue
-				}
-				crash := blockdev.NewSnapshot(dev)
-				if rm, err := fs.Mount(crash); err == nil {
-					got = append(got, sizes(rm)...)
-				} else {
-					got = append(got, -1, -1)
-				}
-				crash.Release()
-			}
+			})
 			if !slices.Equal(got, goldenDirSizes[label]) {
 				t.Errorf("logfs directory sizes moved; got\n\t%q: %#v,", label, got)
 			}
@@ -248,8 +224,8 @@ func TestGoldenLogfsDirSizes(t *testing.T) {
 	}
 }
 
-// goldenDirSizes: per step (/, /A) live, then recovered after a persistence
-// step.
+// goldenDirSizes: (/, /A) on the live mount after each step, then on the
+// recovered mount after a persistence step that recovers.
 var goldenDirSizes = map[string][]int64{
 	"fixed": {
 		11, -1, 20, 0, 20, 0, 20, 0, 11, -1, 20, 11,
@@ -261,7 +237,7 @@ var goldenDirSizes = map[string][]int64{
 		20, 45, 20, 45, 31, 34, 31, 34, 31, 34, 31, 43,
 		31, 52, 31, 52, 31, 52, 31, 52, 31, 61, 31, 52,
 		31, 61, 31, 70, 31, 61, 31, 61, 31, 52, 31, 52,
-		31, 43, 31, 43, 31, 43, 31, 43,
+		31, 43, 31, 43, 31, 43, 31, 43, -1, -1, 31, 43,
 	},
 	"bugs": {
 		11, -1, 20, 0, 20, 0, 20, 0, 11, -1, 20, 11,
@@ -273,7 +249,7 @@ var goldenDirSizes = map[string][]int64{
 		20, 45, 20, 45, 31, 34, 31, 34, 20, 34, 31, 43,
 		31, 52, 31, 52, 31, 52, 20, 34, 31, 61, 31, 52,
 		31, 61, 31, 70, 31, 61, 31, 61, 20, 34, 31, 52,
-		31, 43, 31, 43, 20, 43, 31, 43,
+		31, 43, 31, 43, 20, 43, 31, 43, -1, -1, 31, 43,
 	},
 }
 
