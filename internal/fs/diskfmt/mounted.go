@@ -33,14 +33,14 @@ const (
 // notifying a Strategy never allocates.
 type Change struct {
 	Op ChangeKind
-	// Path is the path the call named: the entry a create, mkdir, symlink,
-	// mkfifo or link added, the entry an unlink or rmdir removed, a
-	// rename's source, the file a content change changed. Its parent path
-	// resolves to the same directory after the call as before it.
+	// Path is the entry a namespace call named (the namespace kinds only):
+	// the one a create, mkdir, symlink, mkfifo or link added, the one an
+	// unlink or rmdir removed, a rename's source. Its parent path resolves
+	// to the same directory after the call as before it.
 	Path string
-	// Dst is a rename's destination, and Replaced the inode it replaced
-	// there (nil when it named nothing, or the moved inode itself) (OpRename
-	// only).
+	// Dst is a rename's destination. Replaced is the inode the rename
+	// replaced there; it is nil when the destination named nothing or
+	// named the moved inode. OpRename only.
 	Dst      string
 	Replaced *fstree.Node
 	// Falloc arguments (OpFalloc only).
@@ -240,7 +240,7 @@ func (m *Mounted) Truncate(path string, size int64) error {
 		return err
 	}
 	n, err := m.Mem.Truncate(path, size)
-	return m.notify(n, err, Change{Op: OpTruncate, Path: path})
+	return m.notify(n, err, Change{Op: OpTruncate})
 }
 
 // Write implements filesys.MountedFS: a buffered write lands in Mem only.
@@ -249,7 +249,7 @@ func (m *Mounted) Write(path string, off int64, data []byte) error {
 		return err
 	}
 	n, err := m.Mem.Write(path, off, data)
-	return m.notify(n, err, Change{Op: OpWrite, Path: path})
+	return m.notify(n, err, Change{Op: OpWrite})
 }
 
 // MWrite implements filesys.MountedFS: a store through mmap is page-cache
@@ -277,7 +277,7 @@ func (m *Mounted) Falloc(path string, mode filesys.FallocMode, off, length int64
 		return err
 	}
 	n, err := m.Mem.Falloc(path, mode, off, length)
-	return m.notify(n, err, Change{Op: OpFalloc, Path: path, Mode: mode, Off: off, Length: length})
+	return m.notify(n, err, Change{Op: OpFalloc, Mode: mode, Off: off, Length: length})
 }
 
 // SetXattr implements filesys.MountedFS.
@@ -286,7 +286,7 @@ func (m *Mounted) SetXattr(path, name string, value []byte) error {
 		return err
 	}
 	n, err := m.Mem.SetXattr(path, name, value)
-	return m.notify(n, err, Change{Op: OpSetXattr, Path: path})
+	return m.notify(n, err, Change{Op: OpSetXattr})
 }
 
 // RemoveXattr implements filesys.MountedFS.
@@ -295,7 +295,7 @@ func (m *Mounted) RemoveXattr(path, name string) error {
 		return err
 	}
 	n, err := m.Mem.RemoveXattr(path, name)
-	return m.notify(n, err, Change{Op: OpRemoveXattr, Path: path})
+	return m.notify(n, err, Change{Op: OpRemoveXattr})
 }
 
 // Fsync implements filesys.MountedFS.
