@@ -1244,3 +1244,32 @@ func TestActiveBugsList(t *testing.T) {
 		}
 	}
 }
+
+// TestRenameOverDropsReplacedTrack: a rename that replaces an inode's last
+// link drops that inode's per-inode tracking with it. Kept, the tracking of
+// a replaced inode that was fsynced this transaction would still count as
+// logged, so with the N6 mechanism active a later directory fsync would skip
+// the directory's unlogged new file, which must survive here.
+func TestRenameOverDropsReplacedTrack(t *testing.T) {
+	h := newHarness(t, withBugs("btrfs-dir-fsync-skips-unlogged-children"))
+	h.do(h.m.Mkdir("/test"))
+	h.do(h.m.Create("/x"))
+	h.do(h.m.Create("/y"))
+	h.do(h.m.Sync())
+	h.do(h.m.Write("/x", 0, []byte("x")))
+	h.do(h.m.Fsync("/x"))
+	x := mustStat(t, h.m, "/x").Ino
+	if tr := h.m.(*mounted).track[x]; tr == nil || !tr.loggedInTrans {
+		t.Fatal("fsync must log /x in this transaction")
+	}
+	h.do(h.m.Rename("/y", "/x"))
+	if _, ok := h.m.(*mounted).track[x]; ok {
+		t.Fatal("the inode the rename replaced is still tracked")
+	}
+	h.do(h.m.Create("/test/foo"))
+	h.do(h.m.Fsync("/test"))
+	h.cp()
+	if m := h.mustCrashMount(); !exists(m, "/test/foo") {
+		t.Fatal("fsync(/test) lost /test/foo: the replaced inode still counts as logged")
+	}
+}
