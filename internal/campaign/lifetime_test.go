@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	_ "unsafe" // go:linkname
+
+	"b3/internal/blockdev"
+	"b3/internal/fsmake"
 )
 
 // recordPoison is blockdev's test hook (recorder.go): the byte
@@ -79,5 +82,32 @@ func TestRecordBuffersDieWithProfile(t *testing.T) {
 	if clean != poisoned {
 		t.Fatalf("poisoning released record buffers changed the outcome: a sweep read a log after its profile's Release\nhook off:\n%s\nhook on:\n%s",
 			clean, poisoned)
+	}
+}
+
+// TestKVSweepSharesDecodedState runs the kv-seq1 family with k=1 reordering
+// and torn and corrupt faults on every backend at two workers, which recover
+// crash states side by side and so share the images and log records the
+// verified-payload memo keeps decoded (one committed image serves many
+// workloads' states). It must find exactly what one worker finds. Under the
+// race detector, a backend that writes through a shared decoded tree or
+// record while the other worker reads it fails here.
+func TestKVSweepSharesDecodedState(t *testing.T) {
+	run := func(workers int) string {
+		t.Helper()
+		cfg := Config{
+			KV:      kvBounds(t, "kv-seq1"),
+			Reorder: 1,
+			Faults:  blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt}},
+			Workers: workers,
+		}
+		m, err := RunMatrix(cfg, bugsOnly(t, fsmake.Names()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweepOutcome(m)
+	}
+	if one, two := run(1), run(2); one != two {
+		t.Fatalf("two workers found something else than one\none worker:\n%s\ntwo workers:\n%s", one, two)
 	}
 }

@@ -172,6 +172,16 @@ var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
 // earlier ReadBlob of equal bytes returned (see verified), so decoders may
 // alias it (fstree.DecodeNode does) but nobody may modify it.
 func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int64, error) {
+	e, blocks, err := readBlob(dev, startBlock, magic)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.payload, blocks, nil
+}
+
+// readBlob is ReadBlob returning the memo entry that holds the payload, so
+// that a pure decoder can keep its result beside it (decodeOnce).
+func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (*memoEntry, int64, error) {
 	head, err := blockdev.ReadView(dev, startBlock)
 	if err != nil {
 		return nil, 0, err
@@ -219,18 +229,29 @@ func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int6
 	return verified.intern(blobKey{magic: magic, n: n, sum: sum}, got), blocks, nil
 }
 
-// verifiedBudget bounds the payload bytes (plus a per-entry charge) the
-// verified-payload memo holds before it starts over.
+// verifiedBudget bounds the bytes the verified-payload memo holds — its
+// payloads, the decoded values kept beside them and a per-entry charge —
+// before it starts over.
 const verifiedBudget = 16 << 20
 
-// memoEntryCost is what one memo entry is charged beyond its payload: its
-// key, slice header and share of the map.
+// memoEntryCost is what one memo entry, or one decoded value kept in it, is
+// charged beyond its payload or footprint: its key, headers and share of
+// the map.
 const memoEntryCost = 64
 
 // verified memoises, process-wide, the payload last verified under each
 // blob header, so re-mounting the same committed image or log record
-// returns one shared payload instead of a fresh copy per mount.
+// returns one shared payload instead of a fresh copy per mount, and, beside
+// each payload, what pure decoders made of it, so that recovery decodes
+// each committed image and log record once. Payloads and decoded values
+// are shared by every mount and goroutine that reads equal bytes, and are
+// read-only: a caller that mutates a decoded value clones it first.
 var verified = newPayloadMemo(verifiedBudget)
+
+// clearVerified empties the verified-payload memo, decoded values
+// included. Tests that compare cold recovery with warm recovery reach it
+// through go:linkname.
+func clearVerified() { verified.clear() }
 
 // blobKey names a verified payload by the blob header it was read under.
 type blobKey struct {
@@ -238,53 +259,169 @@ type blobKey struct {
 	n, sum uint64
 }
 
-// payloadMemo maps a blob key to the last payload verified under it. A hit
-// requires byte equality with that payload, which was itself verified, so
-// the memo trusts no hash: it returns a payload only where a fresh copy
-// would be equal. Payloads are immutable, so one may be shared by any
-// number of mounts and goroutines.
+// memoEntry is one verified payload and the values pure decoders made of
+// it, one per decoder. An entry lives in the memo from the intern that
+// created it until the memo starts over or a different payload replaces
+// it; decoded values leave with it.
+type memoEntry struct {
+	key     blobKey
+	payload []byte
+	// decoded holds one value per decoder that read the payload (a handful
+	// at most); it is guarded by the memo's mutex.
+	decoded []decodedValue
+}
+
+// decodedValue is what the decoder by made of an entry's payload.
+type decodedValue struct {
+	by   any // the *Decoder[T] that produced v
+	v    any
+	cost int // v's footprint plus the per-entry charge
+}
+
+// payloadMemo maps a blob key to the entry of the last payload verified
+// under it. A hit requires byte equality with that payload, which was
+// itself verified, so the memo trusts no hash: it returns a payload only
+// where a fresh copy would be equal, and a decoded value only where
+// decoding a fresh copy would give an equal one.
 type payloadMemo struct {
 	budget int
 
 	mu   sync.Mutex
 	used int
-	m    map[blobKey][]byte
+	m    map[blobKey]*memoEntry
 }
 
 func newPayloadMemo(budget int) *payloadMemo {
-	return &payloadMemo{budget: budget, m: map[blobKey][]byte{}}
+	return &payloadMemo{budget: budget, m: map[blobKey]*memoEntry{}}
 }
 
-// intern returns a payload equal to got that the caller may keep: the
-// memoised one when its bytes equal got, otherwise an exact-size copy of
-// got, memoised in its place. got itself is not retained, so it may be
-// borrowed. A memo whose budget an insert would exceed is cleared first; a
-// payload larger than the whole budget is copied but not memoised.
-func (c *payloadMemo) intern(k blobKey, got []byte) []byte {
+// intern returns an entry whose payload equals got and that the caller may
+// keep: the memoised one when its bytes equal got, otherwise one holding an
+// exact-size copy of got, memoised in its place. got itself is not
+// retained, so it may be borrowed. A memo whose budget an insert would
+// exceed is cleared first; a payload larger than the whole budget is copied
+// into an entry that is not memoised.
+func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 	c.mu.Lock()
-	p, ok := c.m[k]
+	e, ok := c.m[k]
 	c.mu.Unlock()
-	if ok && bytes.Equal(p, got) {
-		return p
+	if ok && bytes.Equal(e.payload, got) {
+		return e
 	}
-	p = make([]byte, len(got))
-	copy(p, got)
-	cost := len(p) + memoEntryCost
+	e = &memoEntry{key: k, payload: make([]byte, len(got))}
+	copy(e.payload, got)
+	cost := len(got) + memoEntryCost
 	if cost > c.budget {
-		return p
+		return e
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.m[k]; ok {
-		c.used -= len(old) + memoEntryCost
+		c.used -= old.cost()
 	}
 	if c.used+cost > c.budget {
 		clear(c.m)
 		c.used = 0
 	}
-	c.m[k] = p
+	c.m[k] = e
 	c.used += cost
-	return p
+	return e
+}
+
+// cost is what e is charged: its payload, its decoded values' footprints
+// and the per-entry charge for each. c.mu is held.
+func (e *memoEntry) cost() int {
+	c := len(e.payload) + memoEntryCost
+	for _, dv := range e.decoded {
+		c += dv.cost
+	}
+	return c
+}
+
+// clear drops every entry, decoded values included.
+func (c *payloadMemo) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
+	c.used = 0
+}
+
+// lookup returns the value by made of e's payload, if one is kept.
+func (c *payloadMemo) lookup(e *memoEntry, by any) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, dv := range e.decoded {
+		if dv.by == by {
+			return dv.v, true
+		}
+	}
+	return nil, false
+}
+
+// keep stores v, the value by made of e's payload, beside it, charged
+// footprint plus the per-entry charge. Only a memoised entry keeps values:
+// one that was replaced, dropped when the memo started over, or never
+// memoised is left alone, so a value never outlives its payload's time in
+// the memo. A value that would overflow the budget starts the memo over
+// with e, its payload and values, as the only entry; one that would not fit
+// beside e's payload even then is not kept.
+func (c *payloadMemo) keep(e *memoEntry, by, v any, footprint int) {
+	cost := footprint + memoEntryCost
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m[e.key] != e {
+		return
+	}
+	for _, dv := range e.decoded {
+		if dv.by == by {
+			return // another mount decoded it meanwhile
+		}
+	}
+	if e.cost()+cost > c.budget {
+		return
+	}
+	if c.used+cost > c.budget {
+		clear(c.m)
+		c.m[e.key] = e
+		c.used = e.cost()
+	}
+	e.decoded = append(e.decoded, decodedValue{by: by, v: v, cost: cost})
+	c.used += cost
+}
+
+// Decoder is a pure decoder of verified payloads: what it makes of a
+// payload depends on the payload's bytes alone, never on backend state, bug
+// toggles or the device. The verified-payload memo keeps one value per
+// payload and Decoder, so every mount that reads equal bytes shares it.
+// Shared values are read-only: a caller that would mutate one (a tree it
+// replays onto, a map it updates) clones it first.
+type Decoder[T any] struct {
+	decode func(*codec.Decoder) (T, error)
+	// footprint estimates the heap bytes a value holds beyond the payload
+	// bytes it aliases; the memo charges it to its budget.
+	footprint func(T) int
+}
+
+// NewDecoder returns a Decoder for decode, whose values are charged
+// footprint bytes. decode must be pure (see Decoder) and must consume what
+// it decodes from its argument's position.
+func NewDecoder[T any](decode func(*codec.Decoder) (T, error), footprint func(T) int) *Decoder[T] {
+	return &Decoder[T]{decode: decode, footprint: footprint}
+}
+
+// decodeOnce returns what dec makes of e's payload read from d, which is
+// positioned on it: the kept value when this payload was decoded by dec
+// before, else a fresh decode, kept beside the payload on success. On a
+// kept value d is left where it was. Errors are not kept.
+func decodeOnce[T any](e *memoEntry, d *codec.Decoder, dec *Decoder[T]) (T, error) {
+	if v, ok := verified.lookup(e, dec); ok {
+		return v.(T), nil
+	}
+	v, err := dec.decode(d)
+	if err == nil {
+		verified.keep(e, dec, v, dec.footprint(v))
+	}
+	return v, err
 }
 
 // On-disk layout shared by every backend (in blocks):
@@ -370,34 +507,41 @@ func (f Format) WriteImage(dev blockdev.Device, gen uint64, t *fstree.Tree, trai
 	return dev.Flush()
 }
 
-// LoadImage loads the newest valid image: its generation, the tree, and the
-// decoder positioned at the backend's trailer.
+// LoadImage loads the newest valid image: its generation, the tree, and a
+// decoder positioned at the backend's trailer. The tree is decoded once per
+// distinct image payload (see verified) and shared by every mount that
+// loads equal bytes, so it is read-only: a caller that mutates it — every
+// caller that mounts it as its in-memory tree — clones it first. The
+// trailer decoder is the caller's own.
 func (f Format) LoadImage(dev blockdev.Device) (uint64, *fstree.Tree, *codec.Decoder, error) {
-	gen, payload, err := f.loadImagePayload(dev)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	d := codec.NewDecoder(payload)
-	tree, err := fstree.DecodeTree(d)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return gen, tree, d, nil
-}
-
-// loadImagePayload returns the generation and the verified payload of the
-// newest valid image.
-func (f Format) loadImagePayload(dev blockdev.Device) (uint64, []byte, error) {
 	sb, err := LoadSuperblock(dev, f.Super)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	payload, _, err := ReadBlob(dev, sb.ImageStart, f.Image)
+	e, _, err := readBlob(dev, sb.ImageStart, f.Image)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return sb.Gen, payload, nil
+	img, err := decodeOnce(e, codec.NewDecoder(e.payload), images)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return sb.Gen, img.tree, codec.NewDecoder(e.payload[img.trailer:]), nil
 }
+
+// image is what LoadImage makes of an image payload: the tree and the
+// offset of the trailer after it.
+type image struct {
+	tree    *fstree.Tree
+	trailer int
+}
+
+// images decodes image payloads for LoadImage.
+var images = NewDecoder(func(d *codec.Decoder) (image, error) {
+	start := d.Remaining()
+	tree, err := fstree.DecodeTree(d)
+	return image{tree: tree, trailer: start - d.Remaining()}, err
+}, func(img image) int { return img.tree.Footprint() })
 
 // ScanLog hands apply the body of each consecutive record of generation
 // gen, in sequence order from the start of the log area, and returns how
@@ -407,16 +551,37 @@ func (f Format) loadImagePayload(dev blockdev.Device) (uint64, []byte, error) {
 // serves the whole scan and is reset for every record, so apply must not
 // retain d; a value copy of *d keeps its own position.
 func (f Format) ScanLog(dev blockdev.Device, gen uint64, apply func(*codec.Decoder) error) int {
+	return f.scan(dev, gen, func(_ *memoEntry, d *codec.Decoder) error { return apply(d) })
+}
+
+// ScanRecords is ScanLog for a log whose record bodies dec decodes: apply
+// gets each body's decoded value, in sequence order, and scanning also
+// stops at the first body dec rejects. Each distinct record body is decoded
+// once per process (see verified); the values apply gets are shared and
+// read-only.
+func ScanRecords[T any](f Format, dev blockdev.Device, gen uint64, dec *Decoder[T], apply func(T) error) int {
+	return f.scan(dev, gen, func(e *memoEntry, d *codec.Decoder) error {
+		v, err := decodeOnce(e, d, dec)
+		if err != nil {
+			return err
+		}
+		return apply(v)
+	})
+}
+
+// scan is the one log walk behind ScanLog and ScanRecords: apply also gets
+// the memo entry of each record's payload.
+func (f Format) scan(dev blockdev.Device, gen uint64, apply func(*memoEntry, *codec.Decoder) error) int {
 	head := int64(logStart)
 	seq := uint64(1)
 	var d codec.Decoder
 	for head < dev.NumBlocks() {
-		payload, blocks, err := ReadBlob(dev, head, f.Record)
+		e, blocks, err := readBlob(dev, head, f.Record)
 		if err != nil {
 			break
 		}
-		d.Reset(payload)
-		if d.Uint64() != gen || d.Uint64() != seq || apply(&d) != nil {
+		d.Reset(e.payload)
+		if d.Uint64() != gen || d.Uint64() != seq || apply(e, &d) != nil {
 			break
 		}
 		head += blocks
@@ -434,27 +599,31 @@ const RecFullImage byte = 0
 // (journalfs, fscqsim): the checkpoint image and every full-image record
 // each supersede the tree before them, and every other record is a patch
 // that decodePatch reads after its kind byte and applyPatch lands, in log
-// order, on the newest image. It returns the generation, the recovered tree
-// and how many records ScanLog took.
+// order, on the newest image. It returns the generation, the recovered tree,
+// which the caller owns, and how many records ScanLog took.
 //
-// Only images that something lands on, or that survive, are built. A full
-// image is checked with fstree.SkipTree, which rejects exactly what
-// fstree.DecodeTree rejects, and remembered as a copy of its decoder; it is
-// decoded when the first patch after it arrives, or when the scan ends with
-// it newest. The records accepted, their count and the tree recovered are
-// therefore those of decoding every image as it is read.
+// The checkpoint image is loaded with LoadImage and cloned when a patch
+// lands on it or it survives. A full-image record is checked with
+// fstree.SkipTree, which rejects exactly what fstree.DecodeTree rejects, and
+// remembered as a copy of its decoder; it is decoded when the first patch
+// after it arrives, or when the scan ends with it newest. The records
+// accepted, their count and the tree recovered are therefore those of
+// decoding every image as it is read.
 func ReplayImages[P any](f Format, dev blockdev.Device,
 	decodePatch func(kind byte, d *codec.Decoder) (P, error),
 	applyPatch func(*fstree.Tree, P)) (gen uint64, tree *fstree.Tree, replayed int, err error) {
 
-	gen, payload, err := f.loadImagePayload(dev)
+	gen, committed, _, err := f.LoadImage(dev)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	image := *codec.NewDecoder(payload) // the newest image; tree is nil until it is built
-	check := image
-	if err := fstree.SkipTree(&check); err != nil {
-		return 0, nil, 0, err
+	var logged codec.Decoder // the newest full-image record, when fromLog
+	fromLog := false
+	newest := func() (*fstree.Tree, error) {
+		if !fromLog {
+			return committed.Clone(), nil
+		}
+		return fstree.DecodeTree(&logged)
 	}
 	replayed = f.ScanLog(dev, gen, func(d *codec.Decoder) error {
 		kind := d.Byte()
@@ -463,7 +632,7 @@ func ReplayImages[P any](f Format, dev blockdev.Device,
 			if err := fstree.SkipTree(d); err != nil {
 				return err
 			}
-			image, tree = start, nil
+			logged, fromLog, tree = start, true, nil
 			return nil
 		}
 		p, err := decodePatch(kind, d)
@@ -471,7 +640,7 @@ func ReplayImages[P any](f Format, dev blockdev.Device,
 			return err
 		}
 		if tree == nil {
-			if tree, err = fstree.DecodeTree(&image); err != nil {
+			if tree, err = newest(); err != nil {
 				return err
 			}
 		}
@@ -479,7 +648,7 @@ func ReplayImages[P any](f Format, dev blockdev.Device,
 		return nil
 	})
 	if tree == nil {
-		if tree, err = fstree.DecodeTree(&image); err != nil {
+		if tree, err = newest(); err != nil {
 			return 0, nil, 0, err
 		}
 	}

@@ -435,7 +435,7 @@ func TestReadBlobConcurrentReaders(t *testing.T) {
 					return
 				}
 				in := patterned(64, byte(i%5))
-				if got := small.intern(blobKey{sum: uint64(i % 5)}, in); !bytes.Equal(got, in) {
+				if got := small.intern(blobKey{sum: uint64(i % 5)}, in).payload; !bytes.Equal(got, in) {
 					t.Errorf("intern %d returned other bytes", i)
 					return
 				}
@@ -455,16 +455,16 @@ func TestPayloadMemo(t *testing.T) {
 	key := func(i int) blobKey { return blobKey{magic: testMagic, n: size, sum: uint64(i)} }
 
 	in := patterned(size, 0)
-	first := c.intern(key(0), in)
+	first := c.intern(key(0), in).payload
 	in[0] ^= 0xFF
 	if first[0] == in[0] || cap(first) != size {
 		t.Fatal("a miss must return an exact-size copy of its input")
 	}
-	if again := c.intern(key(0), patterned(size, 0)); &again[0] != &first[0] {
+	if again := c.intern(key(0), patterned(size, 0)).payload; &again[0] != &first[0] {
 		t.Fatal("equal bytes under one key must share the memoised payload")
 	}
 	other := patterned(size, 1)
-	if got := c.intern(key(0), other); !bytes.Equal(got, other) {
+	if got := c.intern(key(0), other).payload; !bytes.Equal(got, other) {
 		t.Fatal("unequal bytes under one key must not return the memoised payload")
 	}
 
@@ -479,8 +479,142 @@ func TestPayloadMemo(t *testing.T) {
 		t.Fatalf("after overflow: %d entries, %d bytes used; want a reset to 1", len(c.m), c.used)
 	}
 	big := patterned(budget, 5)
-	if got := c.intern(blobKey{n: budget}, big); !bytes.Equal(got, big) || len(c.m) != 1 {
+	if got := c.intern(blobKey{n: budget}, big).payload; !bytes.Equal(got, big) || len(c.m) != 1 {
 		t.Fatal("a payload over the whole budget must be copied but not memoised")
+	}
+}
+
+// TestDecodedMemo pins the decoded-value slot of the memo: one value per
+// payload and decoder, returned with the payload on a hit, gone with its
+// payload when that is replaced or the memo starts over, kept only by a
+// memoised entry, and charged to the budget.
+func TestDecodedMemo(t *testing.T) {
+	const size = 100
+	const charge = size + memoEntryCost
+	c := newPayloadMemo(4 * charge)
+	key := func(i int) blobKey { return blobKey{magic: testMagic, n: size, sum: uint64(i)} }
+	byA, byB := new(int), new(int) // two decoders' identities
+
+	e := c.intern(key(0), patterned(size, 0))
+	if _, ok := c.lookup(e, byA); ok {
+		t.Fatal("a fresh entry holds a decoded value")
+	}
+	c.keep(e, byA, "a", size)
+	if v, ok := c.lookup(e, byA); !ok || v != "a" {
+		t.Fatalf("kept value not returned: %v %v", v, ok)
+	}
+	if _, ok := c.lookup(e, byB); ok {
+		t.Fatal("a value is kept per decoder, not per payload")
+	}
+	if again := c.intern(key(0), patterned(size, 0)); again != e {
+		t.Fatal("equal bytes must return the entry that holds the decoded values")
+	}
+	if c.used != 2*charge {
+		t.Fatalf("payload and value charged %d bytes, want %d", c.used, 2*charge)
+	}
+
+	replaced := c.intern(key(0), patterned(size, 1))
+	if _, ok := c.lookup(replaced, byA); ok || c.used != charge {
+		t.Fatalf("a replaced payload must take its values with it: %d bytes used", c.used)
+	}
+	c.keep(e, byB, "stale", size)
+	if _, ok := c.lookup(e, byB); ok || c.used != charge {
+		t.Fatal("an entry no longer memoised must keep nothing more")
+	}
+
+	c.keep(replaced, byA, "a", size)
+	other := c.intern(key(1), patterned(size, 2))
+	c.keep(other, byA, "b", size)
+	if len(c.m) != 2 || c.used != 4*charge {
+		t.Fatalf("full memo: %d entries, %d bytes used; want 2, %d", len(c.m), c.used, 4*charge)
+	}
+	c.keep(other, byB, "c", size)
+	if len(c.m) != 1 || c.used != 3*charge {
+		t.Fatalf("after overflow: %d entries, %d bytes used; want the one entry with its payload and two values", len(c.m), c.used)
+	}
+	if v, ok := c.lookup(other, byB); !ok || v != "c" {
+		t.Fatal("the value that overflowed the budget must be kept after the memo starts over")
+	}
+	if c.m[key(0)] != nil {
+		t.Fatal("starting over must drop the other entries with their values")
+	}
+	c.keep(other, new(int), "huge", 4*charge)
+	if len(other.decoded) != 2 {
+		t.Fatal("a value over the whole budget must not be kept")
+	}
+	big := c.intern(blobKey{n: 4 * charge}, patterned(4*charge, 5))
+	c.keep(big, byA, "x", 0)
+	if _, ok := c.lookup(big, byA); ok {
+		t.Fatal("an entry that was never memoised must keep nothing")
+	}
+}
+
+// TestDecodeOnce checks decodeOnce against the process-wide memo: readers
+// of one blob, across goroutines, share a single decode, clearVerified
+// forgets it, and a failed decode is not kept.
+func TestDecodeOnce(t *testing.T) {
+	clearVerified()
+	dev := blockdev.NewMemDisk(8)
+	payload := patterned(2*blockdev.BlockSize+100, 3)
+	if _, err := WriteBlob(dev, 1, testMagic, payload); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := 0
+	fail := false
+	dec := NewDecoder(func(d *codec.Decoder) (*[]byte, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if fail {
+			return nil, errors.New("rejected")
+		}
+		v := d.Raw(d.Remaining())
+		return &v, nil
+	}, func(*[]byte) int { return 0 })
+	read := func() (*[]byte, error) {
+		e, _, err := readBlob(dev, 1, testMagic)
+		if err != nil {
+			return nil, err
+		}
+		return decodeOnce(e, codec.NewDecoder(e.payload), dec)
+	}
+
+	first, err := read()
+	if err != nil || !bytes.Equal(*first, payload) {
+		t.Fatalf("decode: %v", err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if v, err := read(); err != nil || v != first {
+					t.Errorf("read %d: %v; want the kept value", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if calls != 1 {
+		t.Fatalf("%d decodes of one payload, want 1", calls)
+	}
+
+	clearVerified()
+	fail = true
+	for i := 0; i < 2; i++ {
+		if _, err := read(); err == nil {
+			t.Fatal("the decoder's error was lost")
+		}
+	}
+	if calls != 3 {
+		t.Fatalf("%d decodes, want 3: a failed decode must not be kept", calls)
+	}
+	fail = false
+	if v, err := read(); err != nil || v == first || !bytes.Equal(*v, payload) {
+		t.Fatal("after clearVerified the payload must be decoded afresh")
 	}
 }
 

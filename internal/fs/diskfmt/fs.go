@@ -43,14 +43,15 @@ func (f *FS) Guarantees() filesys.Guarantees {
 func (f *FS) Mkfs(dev blockdev.Device) error { return fsFormat.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem: load the newest valid image. There
-// is nothing further to recover.
+// is nothing further to recover; the in-memory tree is a clone of the
+// shared loaded one.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 	gen, tree, _, err := fsFormat.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
 	m := &fsMounted{}
-	m.Mounted = NewMounted(fsFormat, dev, gen, tree, m)
+	m.Mounted = NewMounted(fsFormat, dev, gen, tree.Clone(), m)
 	return m, nil
 }
 

@@ -94,7 +94,8 @@ type Mounted struct {
 var _ filesys.MountedFS = (*Mounted)(nil)
 
 // NewMounted returns the base for tree as loaded from generation gen of
-// dev, with an empty log.
+// dev, with an empty log. tree becomes Mem, which every mutation writes, so
+// it must be the caller's own: never a tree LoadImage shares.
 func NewMounted(f Format, dev blockdev.Device, gen uint64, tree *fstree.Tree, s Strategy) Mounted {
 	return Mounted{Mem: tree, format: f, dev: dev, strategy: s, gen: gen, logHead: logStart}
 }

@@ -77,6 +77,24 @@ func encodeRecord(e *codec.Encoder, entries []fsyncEntry) {
 	}
 }
 
+// records decodes node-log record bodies once per distinct payload; the
+// entries recovery gets are shared and read-only (rollForward clones the
+// nodes it installs).
+var records = diskfmt.NewDecoder(decodeRecord, func(entries []fsyncEntry) int {
+	const entryBytes, refBytes = 80, 24
+	c := 0
+	for _, ent := range entries {
+		c += entryBytes + ent.node.Footprint()
+		for _, r := range ent.refs {
+			c += refBytes + len(r.name)
+		}
+		for _, r := range ent.dels {
+			c += refBytes + len(r.name)
+		}
+	}
+	return c
+})
+
 func decodeRecord(d *codec.Decoder) (entries []fsyncEntry, err error) {
 	n := d.Int()
 	if d.Err() != nil {
@@ -117,32 +135,35 @@ func decodeRecord(d *codec.Decoder) (entries []fsyncEntry, err error) {
 func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem: load the checkpoint and roll the
-// fsync node chain forward.
+// fsync node chain forward. The loaded checkpoint tree is shared and
+// read-only: it serves as the committed state as it is, and the first
+// record rolled forward lands on a clone.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	gen, tree, _, err := format.LoadImage(dev)
+	gen, committed, _, err := format.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
-	recovered := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
-		entries, err := decodeRecord(d)
-		if err == nil {
-			rollForward(tree, entries)
+	tree := committed
+	recovered := diskfmt.ScanRecords(format, dev, gen, records, func(entries []fsyncEntry) error {
+		if tree == committed {
+			tree = committed.Clone()
 		}
-		return err
+		rollForward(tree, entries)
+		return nil
 	})
-	if recovered > 0 {
-		tree.SweepUnreachable(nil, nil)
-		diskfmt.RecountLinks(tree)
-	}
-
 	m := &mounted{fs: f}
+	if recovered == 0 {
+		m.Mounted = diskfmt.NewMounted(format, dev, gen, committed.Clone(), m)
+		m.captureCommitted(committed)
+		return m, nil
+	}
+	tree.SweepUnreachable(nil, nil)
+	diskfmt.RecountLinks(tree)
 	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)
-	m.captureCommitted()
-	if recovered > 0 {
-		// Recovery finishes with a checkpoint.
-		if err := m.Checkpoint(); err != nil {
-			return nil, err
-		}
+	// Recovery finishes with a checkpoint, which captures the committed
+	// state.
+	if err := m.Checkpoint(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

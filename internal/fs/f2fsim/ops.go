@@ -23,15 +23,20 @@ type mounted struct {
 	diskfmt.Mounted
 	fs *FS
 
-	committed *fstree.Tree // state as of the last checkpoint
+	// committed is the state as of the last checkpoint. It is read-only:
+	// it may be the tree LoadImage shares with every other mount of the
+	// same image.
+	committed *fstree.Tree
 
 	state       map[uint64]*inodeState
 	renamedDirs map[uint64]bool   // directories renamed since the checkpoint
 	recorded    map[refRec]uint64 // bindings written to the node log
 }
 
-func (m *mounted) captureCommitted() {
-	m.committed = m.Mem.Clone()
+// captureCommitted makes committed, which nobody may mutate, the durable
+// state and starts the dirt tracking over.
+func (m *mounted) captureCommitted(committed *fstree.Tree) {
+	m.committed = committed
 	m.renamedDirs = map[uint64]bool{}
 	m.state = map[uint64]*inodeState{}
 	m.recorded = map[refRec]uint64{}
@@ -51,7 +56,7 @@ func (m *mounted) Checkpoint() error {
 	if err := m.WriteCheckpoint(nil); err != nil {
 		return err
 	}
-	m.captureCommitted()
+	m.captureCommitted(m.Mem.Clone())
 	return nil
 }
 

@@ -12,12 +12,14 @@ import (
 
 // eagerReplay is the reference recovery ReplayImages must match: the
 // checkpoint image and every full-image record are decoded as they are
-// read, each replacing the tree before it.
+// read, each replacing the tree before it. LoadImage's tree is shared and
+// read-only, so patches land on a clone of it.
 func eagerReplay(dev blockdev.Device) (uint64, *fstree.Tree, int, error) {
-	gen, tree, _, err := format.LoadImage(dev)
+	gen, committed, _, err := format.LoadImage(dev)
 	if err != nil {
 		return 0, nil, 0, err
 	}
+	tree := committed.Clone()
 	replayed := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
 		kind := d.Byte()
 		if kind == recFullImage {

@@ -6,6 +6,7 @@ import (
 
 	"b3/internal/codec"
 	"b3/internal/filesys"
+	"b3/internal/fs/diskfmt"
 	"b3/internal/fstree"
 )
 
@@ -65,6 +66,20 @@ func encodeBatch(e *codec.Encoder, items []logItem) {
 		}
 	}
 }
+
+// logBatches decodes fsync-log batches once per distinct record payload;
+// the items replay gets are shared and read-only.
+var logBatches = diskfmt.NewDecoder(decodeBatch, func(items []logItem) int {
+	const itemBytes = 96
+	c := 0
+	for _, it := range items {
+		c += itemBytes + len(it.name)
+		if it.node != nil {
+			c += it.node.Footprint()
+		}
+	}
+	return c
+})
 
 func decodeBatch(d *codec.Decoder) (items []logItem, err error) {
 	n := d.Int()

@@ -56,7 +56,8 @@ func (f *FS) Guarantees() filesys.Guarantees {
 
 // commitImage is the durable content of a commit: the full tree plus the
 // per-directory entry-byte accounting (btrfs dir i_size analogue), which
-// travels as the image trailer.
+// travels as the image trailer. As loadCommit returns it, the tree is the
+// read-only one LoadImage shares and the accounting is the caller's own.
 type commitImage struct {
 	tree       *fstree.Tree
 	entryBytes map[uint64]int64
@@ -91,7 +92,9 @@ func decodeEntryBytes(d *codec.Decoder) (map[uint64]int64, error) {
 	return eb, d.Err()
 }
 
-// loadCommit loads the newest committed image and its generation.
+// loadCommit loads the newest committed image and its generation. The
+// tree is shared and read-only; the accounting is decoded afresh from the
+// trailer, so the caller may update it.
 func loadCommit(dev blockdev.Device) (uint64, commitImage, error) {
 	gen, tree, d, err := format.LoadImage(dev)
 	if err != nil {
@@ -112,42 +115,34 @@ func (f *FS) Mkfs(dev blockdev.Device) error {
 }
 
 // Mount implements filesys.FileSystem. After a crash it replays the fsync
-// log onto the committed tree; replay failure surfaces as ErrCorrupted
-// (the file system is unmountable, cf. Figure 1).
+// log onto a clone of the committed tree; replay failure surfaces as
+// ErrCorrupted (the file system is unmountable, cf. Figure 1).
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 	gen, img, err := loadCommit(dev)
 	if err != nil {
 		return nil, err
 	}
 	var batches [][]logItem
-	format.ScanLog(dev, gen, func(d *codec.Decoder) error {
-		items, err := decodeBatch(d)
-		if err == nil {
-			batches = append(batches, items)
-		}
-		return err
+	diskfmt.ScanRecords(format, dev, gen, logBatches, func(items []logItem) error {
+		batches = append(batches, items)
+		return nil
 	})
-	if len(batches) > 0 {
-		img, err = f.replayLog(img, batches)
-		if err != nil {
-			return nil, fmt.Errorf("logfs: log replay failed: %w", err)
-		}
+	if len(batches) == 0 {
+		m := &mounted{fs: f, committed: img.tree, eb: img.entryBytes}
+		m.Mounted = diskfmt.NewMounted(format, dev, gen, img.tree.Clone(), m)
+		m.resetTracking()
+		return m, nil
 	}
-
-	m := &mounted{
-		fs:        f,
-		committed: img.tree.Clone(),
-		eb:        img.entryBytes,
-		ebCommit:  cloneEB(img.entryBytes),
+	img, err = f.replayLog(img, batches)
+	if err != nil {
+		return nil, fmt.Errorf("logfs: log replay failed: %w", err)
 	}
+	m := &mounted{fs: f, eb: img.entryBytes}
 	m.Mounted = diskfmt.NewMounted(format, dev, gen, img.tree, m)
-	m.resetTracking()
-	if len(batches) > 0 {
-		// Recovery commits the replayed state, like btrfs finishing log
-		// replay with a transaction commit.
-		if err := m.Checkpoint(); err != nil {
-			return nil, err
-		}
+	// Recovery commits the replayed state, like btrfs finishing log replay
+	// with a transaction commit, which captures the committed tree.
+	if err := m.Checkpoint(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -161,18 +156,11 @@ func (f *FS) Fsck(dev blockdev.Device) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	diskfmt.RecountLinks(img.tree)
-	eb := recomputeEntryBytes(img.tree)
-	err = format.WriteImage(dev, gen+1, img.tree, func(e *codec.Encoder) { encodeEntryBytes(e, eb) })
+	tree := img.tree.Clone()
+	diskfmt.RecountLinks(tree)
+	eb := recomputeEntryBytes(tree)
+	err = format.WriteImage(dev, gen+1, tree, func(e *codec.Encoder) { encodeEntryBytes(e, eb) })
 	return err == nil, err
-}
-
-func cloneEB(eb map[uint64]int64) map[uint64]int64 {
-	out := make(map[uint64]int64, len(eb))
-	for k, v := range eb {
-		out[k] = v
-	}
-	return out
 }
 
 func recomputeEntryBytes(t *fstree.Tree) map[uint64]int64 {

@@ -43,9 +43,11 @@ type mounted struct {
 	diskfmt.Mounted
 	fs *FS
 
-	committed *fstree.Tree // state as of the last transaction commit
+	// committed is the state as of the last transaction commit. It is
+	// read-only: it may be the tree LoadImage shares with every other
+	// mount of the same image.
+	committed *fstree.Tree
 	eb        map[uint64]int64
-	ebCommit  map[uint64]int64
 
 	track          map[uint64]*inodeTrack
 	loggedDentries map[pathKey]uint64 // dentry adds logged this transaction
@@ -251,7 +253,6 @@ func (m *mounted) Checkpoint() error {
 		return err
 	}
 	m.committed = m.Mem.Clone()
-	m.ebCommit = cloneEB(m.eb)
 	m.resetTracking()
 	return nil
 }

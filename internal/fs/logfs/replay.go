@@ -9,14 +9,17 @@ import (
 	"b3/internal/fstree"
 )
 
-// replayLog applies the fsync log batches onto the committed image. This is
-// the mount-time recovery path; the replay-side bug mechanisms (directory
-// accounting, xattr resurrection, inode-counter restoration, strict dentry
-// deletion) live here. A returned error makes the file system unmountable.
+// replayLog applies the fsync log batches onto a clone of the committed
+// image, whose accounting it updates in place. This is the mount-time
+// recovery path; the replay-side bug mechanisms (directory accounting, xattr
+// resurrection, inode-counter restoration, strict dentry deletion) live
+// here. A returned error makes the file system unmountable. The committed
+// tree and the batches are shared and read-only: replay installs clones of
+// logged nodes and only shares their immutable content.
 func (f *FS) replayLog(img commitImage, batches [][]logItem) (commitImage, error) {
 	committed := img.tree // the pristine pre-replay image, for bug triggers
 	tree := img.tree.Clone()
-	eb := cloneEB(img.entryBytes)
+	eb := img.entryBytes
 
 	var maxIno uint64
 	for _, batch := range batches {
@@ -74,7 +77,7 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 			fresh.Children = make(map[string]uint64)
 		}
 		if it.metaOnly {
-			fresh.Data = make([]byte, len(n.Data))
+			fresh.Data = fstree.Zeros(int64(len(n.Data)))
 		}
 		tree.AddOrphan(fresh, false)
 		return

@@ -151,6 +151,17 @@ func (n *Node) cloneInto(c *Node) {
 	c.Children = maps.Clone(n.Children)
 }
 
+// Footprint estimates the heap bytes the node holds beyond its Data and
+// xattr values, which a decoded node shares with the payload it was read
+// from: the node itself, its extents, symlink target, and the Xattrs and
+// Children maps, each entry charged as if its key were short. It reads
+// only lengths, so estimating costs a small fraction of a decode.
+func (n *Node) Footprint() int {
+	const nodeBytes, extentBytes, mapEntryBytes = 128, 16, 64
+	return nodeBytes + extentBytes*len(n.Extents) + len(n.Target) +
+		mapEntryBytes*(len(n.Xattrs)+len(n.Children))
+}
+
 // Tree is a complete in-memory file system image.
 type Tree struct {
 	nodes   map[uint64]*Node
@@ -375,6 +386,9 @@ func (t *Tree) Unlink(path string) (*Node, bool, error) {
 		return nil, false, fmt.Errorf("unlink %q: %w", path, filesys.ErrNotExist)
 	}
 	n := t.nodes[ino]
+	if n == nil {
+		return nil, false, fmt.Errorf("unlink %q: dangling entry %q: %w", path, name, filesys.ErrCorrupted)
+	}
 	if n.Kind == filesys.KindDir {
 		return nil, false, fmt.Errorf("unlink %q: %w", path, filesys.ErrIsDir)
 	}
@@ -398,6 +412,9 @@ func (t *Tree) Rmdir(path string) (*Node, error) {
 		return nil, fmt.Errorf("rmdir %q: %w", path, filesys.ErrNotExist)
 	}
 	n := t.nodes[ino]
+	if n == nil {
+		return nil, fmt.Errorf("rmdir %q: dangling entry %q: %w", path, name, filesys.ErrCorrupted)
+	}
 	if n.Kind != filesys.KindDir {
 		return nil, fmt.Errorf("rmdir %q: %w", path, filesys.ErrNotDir)
 	}
@@ -1030,6 +1047,17 @@ func (t *Tree) SweepUnreachable(droppedEntry func(dir uint64, name string), drop
 			}
 		}
 	}
+}
+
+// Footprint estimates the heap bytes the tree holds beyond the content its
+// nodes share (see Node.Footprint), its inode table included.
+func (t *Tree) Footprint() int {
+	const tableEntryBytes = 32
+	c := 0
+	for _, n := range t.nodes {
+		c += tableEntryBytes + n.Footprint()
+	}
+	return c
 }
 
 // NodeCount returns the number of live inodes.

@@ -29,7 +29,8 @@ func lookupFixture(t *testing.T) *Tree {
 // TestLookupErrorsUnchanged pins what path resolution reports, text and
 // errors.Is class, for the odd paths: empty, root-only, doubled and
 // trailing slashes, relative, through a regular file, under a missing
-// parent, and through a dangling entry. Empty components resolve as
+// parent, and through a dangling entry, which unlink and rmdir also
+// report as corruption. Empty components resolve as
 // strings.Split yields them, so /a//b names a child "" of /a, while its
 // parent path "a/" trims to /a. Each op runs on a fresh fixture.
 func TestLookupErrorsUnchanged(t *testing.T) {
@@ -41,6 +42,8 @@ func TestLookupErrorsUnchanged(t *testing.T) {
 		"linkFrom":   func(tr *Tree, p string) error { _, err := tr.Link(p, "/a/n"); return err },
 		"renameTo":   func(tr *Tree, p string) error { _, _, err := tr.Rename("/a/f", p); return err },
 		"renameFrom": func(tr *Tree, p string) error { _, _, err := tr.Rename(p, "/a/n"); return err },
+		"unlink":     func(tr *Tree, p string) error { _, _, err := tr.Unlink(p); return err },
+		"rmdir":      func(tr *Tree, p string) error { _, err := tr.Rmdir(p); return err },
 	}
 	cases := []struct {
 		op, path, text string
@@ -107,6 +110,8 @@ func TestLookupErrorsUnchanged(t *testing.T) {
 		{"linkFrom", "/a/d", "lookup \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"renameTo", "/a/d", "rename over \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"renameFrom", "/a/d", "rename \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
+		{"unlink", "/a/d", "unlink \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
+		{"rmdir", "/a/d", "rmdir \"/a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"lookup", "/a/d/x", "lookup \"/a/d/x\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"create", "/a/d/x", "lookup \"a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
 		{"mkdir", "/a/d/x", "lookup \"a/d\": dangling entry \"d\": file system corrupted", filesys.ErrCorrupted},
