@@ -69,27 +69,40 @@ func FsckByMount(fs filesys.FileSystem, dev blockdev.Device) (bool, error) {
 }
 
 // RecountLinks rebuilds Nlink from the namespace after recovery relinked
-// entries (files: number of referencing dentries; dirs: 2 + subdirectories).
+// entries (files: number of referencing dentries; dirs: 2 + subdirectories),
+// counting entries once per path that reaches their directory, as
+// fstree.Tree.Walk visits them. Only nodes whose count changes are edited,
+// so a consistent tree copies no node.
 func RecountLinks(t *fstree.Tree) {
 	refs := map[uint64]int{}
 	subdirs := map[uint64]int{}
-	t.Walk(func(path string, n *fstree.Node) {
-		if path != "/" {
-			refs[n.Ino]++
+	t.WalkNodes(func(n *fstree.Node) {
+		if n.Kind != filesys.KindDir {
+			return
 		}
-		if n.Kind == filesys.KindDir {
-			for _, childIno := range n.Children {
-				if c := t.Get(childIno); c != nil && c.Kind == filesys.KindDir {
-					subdirs[n.Ino]++
-				}
+		for _, childIno := range n.Children {
+			c := t.Get(childIno)
+			if c == nil {
+				continue
+			}
+			refs[childIno]++
+			if c.Kind == filesys.KindDir {
+				subdirs[n.Ino]++
 			}
 		}
 	})
-	t.Walk(func(path string, n *fstree.Node) {
+	recount := func(ino uint64) {
+		n := t.Get(ino)
+		want := refs[ino]
 		if n.Kind == filesys.KindDir {
-			n.Nlink = 2 + subdirs[n.Ino]
-		} else {
-			n.Nlink = refs[n.Ino]
+			want = 2 + subdirs[ino]
 		}
-	})
+		if n.Nlink != want {
+			t.Edit(ino).Nlink = want
+		}
+	}
+	recount(fstree.RootIno)
+	for ino := range refs {
+		recount(ino)
+	}
 }

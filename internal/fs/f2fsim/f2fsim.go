@@ -136,30 +136,26 @@ func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem: load the checkpoint and roll the
 // fsync node chain forward. The loaded checkpoint tree is shared and
-// read-only: it serves as the committed state as it is, and the first
-// record rolled forward lands on a clone.
+// read-only: it serves as the committed state as it is, and the records
+// roll forward onto a clone of it.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 	gen, committed, _, err := format.LoadImage(dev)
 	if err != nil {
 		return nil, err
 	}
-	tree := committed
+	tree := committed.Clone()
 	recovered := diskfmt.ScanRecords(format, dev, gen, records, func(entries []fsyncEntry) error {
-		if tree == committed {
-			tree = committed.Clone()
-		}
 		rollForward(tree, entries)
 		return nil
 	})
 	m := &mounted{fs: f}
+	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)
 	if recovered == 0 {
-		m.Mounted = diskfmt.NewMounted(format, dev, gen, committed.Clone(), m)
 		m.captureCommitted(committed)
 		return m, nil
 	}
 	tree.SweepUnreachable(nil, nil)
 	diskfmt.RecountLinks(tree)
-	m.Mounted = diskfmt.NewMounted(format, dev, gen, tree, m)
 	// Recovery finishes with a checkpoint, which captures the committed
 	// state.
 	if err := m.Checkpoint(); err != nil {
@@ -177,7 +173,7 @@ func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMoun
 func rollForward(tree *fstree.Tree, entries []fsyncEntry) {
 	for _, ent := range entries {
 		n := ent.node
-		existing := tree.Get(n.Ino)
+		existing := tree.Edit(n.Ino)
 		if existing == nil {
 			fresh := n.Clone()
 			if fresh.Kind == filesys.KindDir && fresh.Children == nil {
@@ -203,7 +199,7 @@ func rollForward(tree *fstree.Tree, entries []fsyncEntry) {
 				continue
 			}
 			if dir.Children[r.name] == n.Ino {
-				delete(dir.Children, r.name)
+				delete(tree.Edit(r.parent).Children, r.name)
 			}
 		}
 		for _, r := range ent.refs {
@@ -211,7 +207,9 @@ func rollForward(tree *fstree.Tree, entries []fsyncEntry) {
 			if dir == nil || dir.Kind != filesys.KindDir {
 				continue // parent not recoverable; entry dropped
 			}
-			dir.Children[r.name] = n.Ino
+			if ino, ok := dir.Children[r.name]; !ok || ino != n.Ino {
+				tree.Edit(r.parent).Children[r.name] = n.Ino
+			}
 		}
 	}
 }

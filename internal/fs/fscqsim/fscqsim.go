@@ -120,10 +120,10 @@ func applyPatch(tree *fstree.Tree, rec logRecord) {
 	if len(tree.PathsOf(rec.ino)) == 0 {
 		return // file not durable: nothing to patch
 	}
-	n := tree.Get(rec.ino)
-	if n == nil || n.Kind != filesys.KindRegular {
+	if n := tree.Get(rec.ino); n == nil || n.Kind != filesys.KindRegular {
 		return
 	}
+	n := tree.Edit(rec.ino)
 	n.Data = rec.data
 	n.Extents = rec.ext
 	n.Resize(rec.size)

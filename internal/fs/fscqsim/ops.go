@@ -19,8 +19,8 @@ type mounted struct {
 }
 
 func (m *mounted) captureDurable() {
-	m.durableSizes = map[uint64]int64{}
-	m.Mem.Walk(func(path string, n *fstree.Node) {
+	m.durableSizes = make(map[uint64]int64, m.Mem.NodeCount())
+	m.Mem.WalkNodes(func(n *fstree.Node) {
 		if n.Kind == filesys.KindRegular {
 			m.durableSizes[n.Ino] = n.Size()
 		}

@@ -118,10 +118,10 @@ func applyDirect(tree *fstree.Tree, rec journalRecord) {
 	if len(paths) == 0 {
 		return // file was never durable; nothing to attach the write to
 	}
-	n := tree.Get(rec.ino)
-	if n == nil || n.Kind != filesys.KindRegular {
+	if n := tree.Get(rec.ino); n == nil || n.Kind != filesys.KindRegular {
 		return
 	}
+	n := tree.Edit(rec.ino)
 	n.WriteAt(rec.off, rec.data)
 	n.AllocRange(rec.off, rec.off+int64(len(rec.data)))
 	// i_disksize from the record rules the recovered size.

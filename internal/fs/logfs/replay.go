@@ -70,7 +70,7 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 	if n.Ino > *maxIno {
 		*maxIno = n.Ino
 	}
-	existing := tree.Get(n.Ino)
+	existing := tree.Edit(n.Ino)
 	if existing == nil {
 		fresh := n.Clone()
 		if fresh.Kind == filesys.KindDir && fresh.Children == nil {
@@ -119,11 +119,10 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 }
 
 func replayInodeData(tree *fstree.Tree, it logItem) {
-	n := tree.Get(it.ino)
-	if n == nil || n.Kind == filesys.KindDir {
+	if n := tree.Get(it.ino); n == nil || n.Kind == filesys.KindDir {
 		return
 	}
-	n.WriteAt(it.off, it.data)
+	tree.Edit(it.ino).WriteAt(it.off, it.data)
 }
 
 // replayDentryAdd links (dir, name) -> child, maintaining the directory
@@ -164,12 +163,12 @@ func (f *FS) replayDentryAdd(tree, committed *fstree.Tree, eb map[uint64]int64, 
 		}
 	case ok:
 		// Replacement of a different inode.
-		dir.Children[it.name] = it.child
+		tree.Edit(dir.Ino).Children[it.name] = it.child
 		if renamedIn {
 			eb[dir.Ino] += entryWeight(it.name)
 		}
 	default:
-		dir.Children[it.name] = it.child
+		tree.Edit(dir.Ino).Children[it.name] = it.child
 		eb[dir.Ino] += entryWeight(it.name)
 		// BUG W13: replaying the add of an extra hard link inserts both
 		// the dir item and the inode ref, double-counting the entry.
@@ -198,7 +197,7 @@ func (f *FS) replayDentryDel(tree, committed *fstree.Tree, eb map[uint64]int64, 
 		return fmt.Errorf("logfs: replay deletion of %q expected inode %d, found %d: %w",
 			it.name, it.child, existing, filesys.ErrCorrupted)
 	}
-	delete(dir.Children, it.name)
+	delete(tree.Edit(it.dir).Children, it.name)
 
 	skipAccounting := false
 	if com := committed.Get(it.child); com != nil && com.Kind != filesys.KindDir {

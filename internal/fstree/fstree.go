@@ -15,6 +15,7 @@ import (
 	"maps"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"b3/internal/blockdev"
 	"b3/internal/codec"
@@ -31,6 +32,11 @@ const RootIno uint64 = 1
 // a fresh slice (WriteAt and Resize for Data, which may also install a view
 // of the never-written zero page) and never writes through the old one.
 // Only the Children and Xattrs maps belong to one node.
+//
+// A node in a tree is itself shared by every clone of the tree until one of
+// them writes it (see Tree.Clone): a node taken from Get, Lookup, Root or
+// Walk is read-only, and a caller that writes a node's fields or maps takes
+// it from Edit, or from the mutator that made the change.
 type Node struct {
 	Ino      uint64
 	Kind     filesys.FileKind
@@ -40,6 +46,10 @@ type Node struct {
 	Xattrs   map[string][]byte
 	Target   string            // symlink target
 	Children map[string]uint64 // directory entries
+
+	// owner is the id of the one tree that may write the node in place,
+	// or zero when no tree may (see Tree.id).
+	owner uint64
 }
 
 // WriteAt stores data at off, zero-filling any gap past the old size. The
@@ -135,20 +145,14 @@ func (n *Node) Stat() filesys.Stat {
 }
 
 // Clone copies the node. The copy shares the immutable Data, Extents and
-// xattr values and owns fresh Children and Xattrs maps.
+// xattr values, owns fresh Children and Xattrs maps, and belongs to no
+// tree until one takes it (AddOrphan, InsertNode, Edit).
 func (n *Node) Clone() *Node {
-	c := new(Node)
-	n.cloneInto(c)
-	return c
-}
-
-// cloneInto copies the node into c (overwriting it), as Clone does. Split
-// from Clone so Tree.Clone can fill arena slots instead of allocating per
-// node.
-func (n *Node) cloneInto(c *Node) {
-	*c = *n
+	c := *n
 	c.Xattrs = maps.Clone(n.Xattrs)
 	c.Children = maps.Clone(n.Children)
+	c.owner = 0
+	return &c
 }
 
 // Footprint estimates the heap bytes the node holds beyond its Data and
@@ -166,7 +170,16 @@ func (n *Node) Footprint() int {
 type Tree struct {
 	nodes   map[uint64]*Node
 	nextIno uint64
+	// id names the tree as the owner of the nodes it may write in place;
+	// zero means it owns none. A tree takes a fresh id in New, or at its
+	// first write after DecodeTree or Clone, and gives it up when cloned,
+	// so every id names one tree once and a tree that is only read (one
+	// LoadImage shares) is never written, not even here.
+	id uint64
 }
+
+// treeIDs hands out tree ids; zero is never one.
+var treeIDs atomic.Uint64
 
 // New returns a tree containing only an empty root directory.
 func New() *Tree {
@@ -176,8 +189,40 @@ func New() *Tree {
 		Kind:     filesys.KindDir,
 		Nlink:    2,
 		Children: make(map[string]uint64),
+		owner:    t.ownerID(),
 	}
 	return t
+}
+
+// ownerID returns the tree's id, taking a fresh one if it has none.
+func (t *Tree) ownerID() uint64 {
+	if t.id == 0 {
+		t.id = treeIDs.Add(1)
+	}
+	return t.id
+}
+
+// Edit returns the node for ino, or nil, ready to be written: the tree's
+// own copy, made on the first write after a clone shared the node. Writes
+// through a node taken from Get, Lookup, Root or Walk would reach every
+// clone sharing it; writes through Edit's reach this tree alone. Like
+// every mutator, Edit may replace the node Get returns for ino, so a
+// caller holding an earlier node reads it no longer.
+func (t *Tree) Edit(ino uint64) *Node {
+	n := t.nodes[ino]
+	if n == nil || (t.id != 0 && n.owner == t.id) {
+		return n
+	}
+	c := n.Clone()
+	c.owner = t.ownerID()
+	t.nodes[ino] = c
+	return c
+}
+
+// take makes n, a node no other tree holds, one the tree may write.
+func (t *Tree) take(n *Node) {
+	n.owner = t.ownerID()
+	t.nodes[n.Ino] = n
 }
 
 // NextIno returns the next inode number that will be allocated.
@@ -297,6 +342,7 @@ func (t *Tree) addNode(parent *Node, name string, kind filesys.FileKind) (*Node,
 	if _, exists := t.nodes[n.Ino]; exists {
 		return nil, fmt.Errorf("create %q: inode %d already allocated: %w", name, n.Ino, filesys.ErrExist)
 	}
+	parent = t.Edit(parent.Ino)
 	switch kind {
 	case filesys.KindDir:
 		n.Nlink = 2
@@ -307,7 +353,7 @@ func (t *Tree) addNode(parent *Node, name string, kind filesys.FileKind) (*Node,
 	case filesys.KindSymlink, filesys.KindFifo:
 		// No payload to initialize; Symlink sets the target after addNode.
 	}
-	t.nodes[n.Ino] = n
+	t.take(n)
 	parent.Children[name] = n.Ino
 	return n, nil
 }
@@ -369,7 +415,8 @@ func (t *Tree) Link(oldPath, newPath string) (*Node, error) {
 	if _, ok := parent.Children[name]; ok {
 		return nil, fmt.Errorf("link %q: %w", newPath, filesys.ErrExist)
 	}
-	parent.Children[name] = target.Ino
+	t.Edit(parent.Ino).Children[name] = target.Ino
+	target = t.Edit(target.Ino)
 	target.Nlink++
 	return target, nil
 }
@@ -392,7 +439,8 @@ func (t *Tree) Unlink(path string) (*Node, bool, error) {
 	if n.Kind == filesys.KindDir {
 		return nil, false, fmt.Errorf("unlink %q: %w", path, filesys.ErrIsDir)
 	}
-	delete(parent.Children, name)
+	delete(t.Edit(parent.Ino).Children, name)
+	n = t.Edit(n.Ino)
 	n.Nlink--
 	if n.Nlink <= 0 {
 		delete(t.nodes, ino)
@@ -421,6 +469,7 @@ func (t *Tree) Rmdir(path string) (*Node, error) {
 	if len(n.Children) > 0 {
 		return nil, fmt.Errorf("rmdir %q: %w", path, filesys.ErrNotEmpty)
 	}
+	parent = t.Edit(parent.Ino)
 	delete(parent.Children, name)
 	parent.Nlink--
 	delete(t.nodes, ino)
@@ -470,11 +519,13 @@ func (t *Tree) Rename(src, dst string) (moved, replaced *Node, err error) {
 			return nil, nil, fmt.Errorf("rename over %q: %w", dst, filesys.ErrNotEmpty)
 		}
 		// Replace dst.
+		dstParent = t.Edit(dstParent.Ino)
 		delete(dstParent.Children, dstName)
 		if dstNode.Kind == filesys.KindDir {
 			dstParent.Nlink--
 			delete(t.nodes, dstIno)
 		} else {
+			dstNode = t.Edit(dstNode.Ino)
 			dstNode.Nlink--
 			if dstNode.Nlink <= 0 {
 				delete(t.nodes, dstIno)
@@ -483,6 +534,8 @@ func (t *Tree) Rename(src, dst string) (moved, replaced *Node, err error) {
 		replaced = dstNode
 	}
 
+	// Own both parents before writing either: they may be one directory.
+	srcParent, dstParent = t.Edit(srcParent.Ino), t.Edit(dstParent.Ino)
 	delete(srcParent.Children, srcName)
 	dstParent.Children[dstName] = srcIno
 	if srcNode.Kind == filesys.KindDir && srcParent != dstParent {
@@ -493,7 +546,7 @@ func (t *Tree) Rename(src, dst string) (moved, replaced *Node, err error) {
 }
 
 func (t *Tree) isAncestorOf(anc, n *Node) bool {
-	if anc == n {
+	if anc.Ino == n.Ino {
 		return true
 	}
 	for _, childIno := range anc.Children {
@@ -591,6 +644,7 @@ func (t *Tree) Write(path string, off int64, data []byte) (*Node, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("write %q: negative offset: %w", path, filesys.ErrInvalid)
 	}
+	n = t.Edit(n.Ino)
 	n.WriteAt(off, data)
 	n.AllocRange(off, off+int64(len(data)))
 	return n, nil
@@ -606,6 +660,7 @@ func (t *Tree) Truncate(path string, size int64) (*Node, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("truncate %q: %w", path, filesys.ErrInvalid)
 	}
+	n = t.Edit(n.Ino)
 	if old := int64(len(n.Data)); size < old {
 		n.DeallocRange(alignUp(size), alignUp(old))
 	}
@@ -622,6 +677,7 @@ func (t *Tree) Falloc(path string, mode filesys.FallocMode, off, length int64) (
 	if off < 0 || length <= 0 {
 		return nil, fmt.Errorf("falloc %q: %w", path, filesys.ErrInvalid)
 	}
+	n = t.Edit(n.Ino)
 	end := off + length
 	zero := func() {
 		if upto := min(end, int64(len(n.Data))); off < upto {
@@ -655,6 +711,7 @@ func (t *Tree) SetXattr(path, name string, value []byte) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	n = t.Edit(n.Ino)
 	if n.Xattrs == nil {
 		n.Xattrs = make(map[string][]byte)
 	}
@@ -671,6 +728,7 @@ func (t *Tree) RemoveXattr(path, name string) (*Node, error) {
 	if _, ok := n.Xattrs[name]; !ok {
 		return nil, fmt.Errorf("removexattr %q %q: %w", path, name, filesys.ErrNoData)
 	}
+	n = t.Edit(n.Ino)
 	delete(n.Xattrs, name)
 	return n, nil
 }
@@ -756,24 +814,41 @@ func (t *Tree) Walk(fn func(path string, n *Node)) {
 	walk("", t.Root())
 }
 
-// Clone copies the tree's nodes and maps; file contents, extents and xattr
-// values are shared, never copied (see Node). The copied nodes live in one
-// arena slice — a single allocation instead of one per inode — which is
-// safe because the arena is sized exactly upfront and never appended to
-// afterwards (a grow would move slots out from under the node map's
-// pointers). Nodes added to the clone later are allocated individually as
-// usual; the arena stays alive until the cloned tree is collected.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{nodes: make(map[uint64]*Node, len(t.nodes)), nextIno: t.nextIno}
-	arena := make([]Node, len(t.nodes))
-	i := 0
-	for ino, n := range t.nodes {
-		slot := &arena[i]
-		i++
-		n.cloneInto(slot)
-		c.nodes[ino] = slot
+// WalkNodes visits the nodes Walk visits, as often as Walk does — the root,
+// then every node once per path reaching it — but in no set order and
+// without building paths or sorting names. fn must not change the
+// namespace.
+func (t *Tree) WalkNodes(fn func(n *Node)) {
+	var walk func(dir *Node)
+	walk = func(dir *Node) {
+		for _, c := range dir.Children {
+			child := t.nodes[c]
+			if child == nil {
+				continue
+			}
+			fn(child)
+			if child.Kind == filesys.KindDir {
+				walk(child)
+			}
+		}
 	}
-	return c
+	fn(t.Root())
+	walk(t.Root())
+}
+
+// Clone returns a copy of the tree that shares every node with it: only
+// the inode table is copied. Nodes are copied on write instead: the first
+// time either tree writes a shared node — through a mutator or Edit — it
+// installs its own copy (see Node.Clone) and the other tree keeps the old
+// one. Clone gives up the source's ownership of its nodes, so from then on
+// both trees copy before writing; a source that owns nothing, as a tree
+// decoded and shared read-only does, is not written, so such a tree may be
+// cloned by many goroutines at once.
+func (t *Tree) Clone() *Tree {
+	if t.id != 0 {
+		t.id = 0
+	}
+	return &Tree{nodes: maps.Clone(t.nodes), nextIno: t.nextIno}
 }
 
 // EncodeNode serializes a single node deterministically. When withChildren
@@ -971,18 +1046,21 @@ func decodeTree(d *codec.Decoder, build bool) (*Tree, error) {
 }
 
 // InsertNode places a node into the tree under (parent, name), creating the
-// mapping regardless of prior state. Recovery/replay code uses this.
+// mapping regardless of prior state. Recovery/replay code uses this. A node
+// the tree did not hold becomes the tree's, which may write it in place, so
+// it must be the caller's own: fresh, or a clone.
 func (t *Tree) InsertNode(n *Node, parentIno uint64, name string) error {
 	parent := t.nodes[parentIno]
 	if parent == nil || parent.Kind != filesys.KindDir {
 		return fmt.Errorf("insert %q: bad parent %d: %w", name, parentIno, filesys.ErrCorrupted)
 	}
 	if _, exists := t.nodes[n.Ino]; !exists {
-		t.nodes[n.Ino] = n
+		t.take(n)
 	}
+	parent = t.Edit(parent.Ino)
 	if old, ok := parent.Children[name]; ok && old != n.Ino {
 		// Replacing a different inode: drop the old link.
-		if oldNode := t.nodes[old]; oldNode != nil {
+		if oldNode := t.Edit(old); oldNode != nil {
 			oldNode.Nlink--
 			if oldNode.Nlink <= 0 && oldNode.Kind != filesys.KindDir {
 				delete(t.nodes, old)
@@ -999,9 +1077,11 @@ func (t *Tree) InsertNode(n *Node, parentIno uint64, name string) error {
 // AddOrphan places a node into the inode table without linking it into the
 // namespace (log replay materializes inodes this way before applying dentry
 // records). When bumpNext is true the allocation counter is advanced past
-// the inode; recovery bugs that fail to do so pass false.
+// the inode; recovery bugs that fail to do so pass false. n becomes the
+// tree's, which may write it in place, so it must be the caller's own:
+// fresh, or a clone.
 func (t *Tree) AddOrphan(n *Node, bumpNext bool) {
-	t.nodes[n.Ino] = n
+	t.take(n)
 	if bumpNext && n.Ino >= t.nextIno {
 		t.nextIno = n.Ino + 1
 	}
@@ -1025,9 +1105,11 @@ func (t *Tree) SweepUnreachable(droppedEntry func(dir uint64, name string), drop
 		if n == nil || n.Kind != filesys.KindDir {
 			continue
 		}
+		// Ranging over n's map while deleting from its writable copy's is
+		// safe: the copy is n itself or a map of its own.
 		for name, c := range n.Children {
 			if t.nodes[c] == nil {
-				delete(n.Children, name)
+				delete(t.Edit(ino).Children, name)
 				if droppedEntry != nil {
 					droppedEntry(ino, name)
 				}

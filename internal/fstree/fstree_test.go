@@ -500,15 +500,24 @@ var contentMutations = []struct {
 	}},
 	{"setxattr", func(tr *Tree) error { _, err := tr.SetXattr("/f", "user.a", []byte("new")); return err }},
 	{"removexattr", func(tr *Tree) error { _, err := tr.RemoveXattr("/f", "user.a"); return err }},
-	{"writeat", func(tr *Tree) error { n, err := tr.Lookup("/f"); n.WriteAt(3, []byte("xyz")); return err }},
+	{"writeat", func(tr *Tree) error { n, err := editPath(tr, "/f"); n.WriteAt(3, []byte("xyz")); return err }},
 	{"resize-shrink", func(tr *Tree) error {
-		n, err := tr.Lookup("/f")
+		n, err := editPath(tr, "/f")
 		if n.Resize(7); cap(n.Data) != len(n.Data) {
 			return errors.New("shrunk Data keeps spare capacity: an append would write into shared bytes")
 		}
 		return err
 	}},
-	{"resize-grow", func(tr *Tree) error { n, err := tr.Lookup("/f"); n.Resize(9000); return err }},
+	{"resize-grow", func(tr *Tree) error { n, err := editPath(tr, "/f"); n.Resize(9000); return err }},
+}
+
+// editPath is Lookup returning the node ready to be written (Tree.Edit).
+func editPath(tr *Tree, path string) (*Node, error) {
+	n, err := tr.Lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Edit(n.Ino), nil
 }
 
 // contentTree returns a tree whose /f has 12000 bytes of content, allocated
@@ -556,8 +565,14 @@ func contentOf(t *testing.T, tr *Tree) (deep, shared nodeContent) {
 // TestCloneSharesContentCopyOnWrite pins the copy-on-write contract that
 // lets clones share Data, Extents and xattr values: mutating either side
 // leaves the other side, and every slice read before the mutation,
-// byte-identical.
+// byte-identical. Clones share whole nodes too, so it also changes the
+// metadata of either side through every Tree mutator and Edit (link
+// counts, entries, xattrs, extents, the allocation counter) and checks the
+// other side, and a clone of it, unchanged.
 func TestCloneSharesContentCopyOnWrite(t *testing.T) {
+	for _, m := range metaMutations {
+		checkCloneIsolation(t, m.name, m.apply)
+	}
 	for _, m := range contentMutations {
 		for _, mutateClone := range []bool{false, true} {
 			orig := contentTree(t)
