@@ -414,14 +414,24 @@ func NewDecoder[T any](decode func(*codec.Decoder) (T, error), footprint func(T)
 // before, else a fresh decode, kept beside the payload on success. On a
 // kept value d is left where it was. Errors are not kept.
 func decodeOnce[T any](e *memoEntry, d *codec.Decoder, dec *Decoder[T]) (T, error) {
-	if v, ok := verified.lookup(e, dec); ok {
-		return v.(T), nil
+	if v, ok := decoded(e, dec); ok {
+		return v, nil
 	}
 	v, err := dec.decode(d)
 	if err == nil {
 		verified.keep(e, dec, v, dec.footprint(v))
 	}
 	return v, err
+}
+
+// decoded returns the value dec made of e's payload, if the memo keeps one.
+func decoded[T any](e *memoEntry, dec *Decoder[T]) (T, bool) {
+	v, ok := verified.lookup(e, dec)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return v.(T), true
 }
 
 // On-disk layout shared by every backend (in blocks):
@@ -600,39 +610,50 @@ const RecFullImage byte = 0
 // each supersede the tree before them, and every other record is a patch
 // that decodePatch reads after its kind byte and applyPatch lands, in log
 // order, on the newest image. It returns the generation, the recovered tree,
-// which the caller owns, and how many records ScanLog took.
+// which the caller owns, and how many records the scan took.
 //
-// The checkpoint image is loaded with LoadImage and cloned when a patch
-// lands on it or it survives. A full-image record is checked with
-// fstree.SkipTree, which rejects exactly what fstree.DecodeTree rejects, and
-// remembered as a copy of its decoder; it is decoded when the first patch
-// after it arrives, or when the scan ends with it newest. The records
-// accepted, their count and the tree recovered are therefore those of
-// decoding every image as it is read.
+// Images are decoded once per process, like LoadImage's (see verified): a
+// full-image record already decoded is taken from the memo, and one that is
+// not is checked with fstree.SkipTree, which rejects exactly what
+// fstree.DecodeTree rejects, and decoded only when the first patch after
+// it arrives or the scan ends with it newest. The records accepted, their
+// count and the tree recovered are therefore those of decoding every image
+// as it is read. Decoded images are shared, so the tree patches land on,
+// and the one returned, is a clone of the newest.
 func ReplayImages[P any](f Format, dev blockdev.Device,
 	decodePatch func(kind byte, d *codec.Decoder) (P, error),
 	applyPatch func(*fstree.Tree, P)) (gen uint64, tree *fstree.Tree, replayed int, err error) {
 
-	gen, committed, _, err := f.LoadImage(dev)
+	gen, newest, _, err := f.LoadImage(dev)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	var logged codec.Decoder // the newest full-image record, when fromLog
-	fromLog := false
-	newest := func() (*fstree.Tree, error) {
-		if !fromLog {
-			return committed.Clone(), nil
+	// pending is the newest full-image record while it is not decoded yet,
+	// and pendingAt a decoder positioned on its tree.
+	var pending *memoEntry
+	var pendingAt codec.Decoder
+	clone := func() (*fstree.Tree, error) {
+		if pending != nil {
+			t, err := decodeOnce(pending, &pendingAt, logImages)
+			if err != nil {
+				return nil, err
+			}
+			newest, pending = t, nil
 		}
-		return fstree.DecodeTree(&logged)
+		return newest.Clone(), nil
 	}
-	replayed = f.ScanLog(dev, gen, func(d *codec.Decoder) error {
+	replayed = f.scan(dev, gen, func(e *memoEntry, d *codec.Decoder) error {
 		kind := d.Byte()
 		if kind == RecFullImage {
-			start := *d
+			if t, ok := decoded(e, logImages); ok {
+				newest, pending, tree = t, nil, nil
+				return nil
+			}
+			at := *d
 			if err := fstree.SkipTree(d); err != nil {
 				return err
 			}
-			logged, fromLog, tree = start, true, nil
+			pending, pendingAt, tree = e, at, nil
 			return nil
 		}
 		p, err := decodePatch(kind, d)
@@ -640,7 +661,7 @@ func ReplayImages[P any](f Format, dev blockdev.Device,
 			return err
 		}
 		if tree == nil {
-			if tree, err = newest(); err != nil {
+			if tree, err = clone(); err != nil {
 				return err
 			}
 		}
@@ -648,9 +669,12 @@ func ReplayImages[P any](f Format, dev blockdev.Device,
 		return nil
 	})
 	if tree == nil {
-		if tree, err = newest(); err != nil {
+		if tree, err = clone(); err != nil {
 			return 0, nil, 0, err
 		}
 	}
 	return gen, tree, replayed, nil
 }
+
+// logImages decodes the tree of a full-image log record for ReplayImages.
+var logImages = NewDecoder(fstree.DecodeTree, (*fstree.Tree).Footprint)
