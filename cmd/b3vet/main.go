@@ -1,6 +1,6 @@
 // b3vet runs the project's static-invariant suite (internal/analysis) over
 // the module: borrowview, releasecheck, atomicfield, saltcheck,
-// exhaustenum, sharedcontent. It is the repo's own multichecker —
+// exhaustenum, nodeedit, sharedcontent. It is the repo's own multichecker —
 // self-contained on the standard library because the build container has
 // no module proxy for
 // golang.org/x/tools, so the `go vet -vettool` protocol is not available;

@@ -30,3 +30,7 @@ func TestSharedContent(t *testing.T) {
 func TestExhaustEnum(t *testing.T) {
 	analysistest.Run(t, "testdata/exhaustenum", analysis.ExhaustEnum)
 }
+
+func TestNodeEdit(t *testing.T) {
+	analysistest.Run(t, "testdata/nodeedit", analysis.NodeEdit)
+}

@@ -9,6 +9,7 @@ func Analyzers() []*Analyzer {
 		AtomicField,
 		BorrowView,
 		ExhaustEnum,
+		NodeEdit,
 		ReleaseCheck,
 		SaltCheck,
 		SharedContent,
