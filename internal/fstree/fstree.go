@@ -34,9 +34,9 @@ const RootIno uint64 = 1
 // Only the Children and Xattrs maps belong to one node.
 //
 // A node in a tree is itself shared by every clone of the tree until one of
-// them writes it (see Tree.Clone): a node taken from Get, Lookup, Root or
-// Walk is read-only, and a caller that writes a node's fields or maps takes
-// it from Edit, or from the mutator that made the change.
+// them writes it (see Tree.Clone): a node taken from Get, Lookup, Root,
+// Walk or WalkNodes is read-only, and a caller that writes a node's fields
+// or maps takes it from Edit, or from the mutator that made the change.
 type Node struct {
 	Ino      uint64
 	Kind     filesys.FileKind
