@@ -1,7 +1,6 @@
 package crashmonkey
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"b3/internal/bugs"
 	"b3/internal/filesys"
+	"b3/internal/fstree"
 )
 
 // Finding is one crash-consistency violation detected by the AutoChecker.
@@ -204,7 +204,7 @@ func (idx *crashIndex) fileStateOf(ino uint64) *fileState {
 	}
 	switch is.stat.Kind {
 	case filesys.KindRegular:
-		out.data = is.data
+		out.data = fstree.Flat(is.data)
 	case filesys.KindSymlink:
 		out.target = is.target
 		out.size = int64(len(is.target))
@@ -471,8 +471,8 @@ func (e *Expectation) checkRanges(idx *crashIndex, fe *fileExpect, ino uint64, p
 	}
 	data := is.data
 	for _, r := range fe.ranges {
-		end := r.off + int64(len(r.data))
-		if end > int64(len(data)) || !bytes.Equal(data[r.off:end], r.data) {
+		end := r.off + r.data.Len()
+		if end > int64(len(data)) || !r.data.Equal(fstree.Flat(data[r.off:end])) {
 			findings = append(findings, Finding{
 				Consequence: bugs.DataLoss,
 				Path:        path,

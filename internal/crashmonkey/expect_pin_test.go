@@ -43,8 +43,8 @@ func expectationDigest(h *hasher, e *Expectation) {
 		h.u64(uint64(len(fe.ranges)))
 		for _, r := range fe.ranges {
 			h.i64(r.off)
-			h.u64(uint64(len(r.data)))
-			h.bytes(r.data)
+			h.u64(uint64(r.data.Len()))
+			h.content(r.data)
 		}
 		h.i64(fe.minSize)
 	}

@@ -272,6 +272,14 @@ func (h *hasher) bytes(b []byte) {
 	h.h = blockdev.HashBytes(h.h, b)
 }
 
+// content hashes c as bytes hashes its bytes in one piece: every piece
+// Pages yields but the last is a whole number of 8-byte words long.
+func (h *hasher) content(c fstree.Content) {
+	for p := range c.Pages() {
+		h.bytes(p)
+	}
+}
+
 func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
 	for i := 0; i < len(s); i++ {
@@ -303,8 +311,8 @@ func (h *hasher) fileState(st *fileState) {
 	}
 	h.u64(uint64(st.kind))
 	h.i64(st.size)
-	h.u64(uint64(len(st.data)))
-	h.bytes(st.data)
+	h.u64(uint64(st.data.Len()))
+	h.content(st.data)
 	h.i64(st.sectors)
 	h.i64(int64(st.nlink))
 	h.str(st.target)
@@ -369,8 +377,8 @@ func (e *Expectation) fingerprint() uint64 {
 		h.u64(uint64(len(fe.ranges)))
 		for _, r := range fe.ranges {
 			h.i64(r.off)
-			h.u64(uint64(len(r.data)))
-			h.bytes(r.data)
+			h.u64(uint64(r.data.Len()))
+			h.content(r.data)
 		}
 	}
 

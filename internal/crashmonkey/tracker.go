@@ -33,11 +33,11 @@ const (
 
 // fileState is a point-in-time snapshot of an inode's checkable state. It is
 // never modified after construction, so expectations share it, and data
-// shares the model's immutable file content (fstree.Node).
+// shares the model's immutable file content, page for page (fstree.Content).
 type fileState struct {
 	kind    filesys.FileKind
 	size    int64
-	data    []byte
+	data    fstree.Content
 	sectors int64
 	nlink   int
 	xattrs  map[string][]byte
@@ -61,10 +61,11 @@ func snapshotNode(n *fstree.Node) *fileState {
 	return st
 }
 
-// rangeExpect is a byte range pinned by msync or direct IO.
+// rangeExpect is a byte range pinned by msync or direct IO; data shares the
+// model's pages (fstree.Content.Slice).
 type rangeExpect struct {
 	off  int64
-	data []byte
+	data fstree.Content
 }
 
 // fileExpect is the persisted-state expectation for one inode.
@@ -187,17 +188,17 @@ func (t *Tracker) trimRanges(ino uint64, off, end int64) {
 	}
 	var kept []rangeExpect
 	for _, r := range fe.ranges {
-		rEnd := r.off + int64(len(r.data))
+		rEnd := r.off + r.data.Len()
 		if rEnd <= off || r.off >= end {
 			kept = append(kept, r)
 			continue
 		}
 		// Keep non-overlapping fragments.
 		if r.off < off {
-			kept = append(kept, rangeExpect{off: r.off, data: r.data[:off-r.off]})
+			kept = append(kept, rangeExpect{off: r.off, data: r.data.Slice(0, off-r.off)})
 		}
 		if rEnd > end {
-			kept = append(kept, rangeExpect{off: end, data: r.data[end-r.off:]})
+			kept = append(kept, rangeExpect{off: end, data: r.data.Slice(end-r.off, rEnd-r.off)})
 		}
 	}
 	fe.ranges = kept
@@ -765,7 +766,7 @@ func (t *Tracker) eventMSync(path string, off, length int64) error {
 		fe := t.fileOf(n.Ino)
 		fe.ranges = append(fe.ranges, rangeExpect{
 			off:  off,
-			data: n.Data[off:end:end],
+			data: n.Data.Slice(off, end),
 		})
 		if fe.level < levelExists {
 			fe.level = levelExists
@@ -785,7 +786,7 @@ func (t *Tracker) eventDWrite(n *fstree.Node, off, end int64) {
 	if end > off {
 		fe.ranges = append(fe.ranges, rangeExpect{
 			off:  off,
-			data: n.Data[off:end:end],
+			data: n.Data.Slice(off, end),
 		})
 	}
 	// The write is only durable if the file itself is reachable.
@@ -866,7 +867,7 @@ func statesEqual(a, b *fileState, level persistLevel, checkNlink bool) (bool, st
 		if a.size != b.size {
 			return false, fmt.Sprintf("size %d != %d", b.size, a.size)
 		}
-		if !bytes.Equal(a.data, b.data) {
+		if !a.data.Equal(b.data) {
 			return false, "data mismatch"
 		}
 		if a.sectors != b.sectors {

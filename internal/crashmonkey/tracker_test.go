@@ -175,7 +175,7 @@ mwrite /f 1024 1024
 	}
 	// The overwrite of [1024,2048) must have trimmed the pinned range.
 	for _, r := range fe.ranges {
-		end := r.off + int64(len(r.data))
+		end := r.off + r.data.Len()
 		if r.off < 2048 && end > 1024 {
 			t.Fatalf("range [%d,%d) overlaps the invalidated region", r.off, end)
 		}
@@ -208,7 +208,7 @@ func expectationBytes(e *Expectation) []byte {
 	var out []byte
 	state := func(st *fileState) {
 		if st != nil {
-			out = append(out, st.data...)
+			out = append(out, st.data.Bytes()...)
 			for _, k := range slices.Sorted(maps.Keys(st.xattrs)) {
 				out = append(append(out, k...), st.xattrs[k]...)
 			}
@@ -221,10 +221,10 @@ func expectationBytes(e *Expectation) []byte {
 			state(st)
 		}
 		for _, r := range fe.ranges {
-			out = append(out, r.data...)
+			out = append(out, r.data.Bytes()...)
 		}
 	}
-	e.model.Walk(func(_ string, n *fstree.Node) { out = append(out, n.Data...) })
+	e.model.Walk(func(_ string, n *fstree.Node) { out = append(out, n.Data.Bytes()...) })
 	return out
 }
 

@@ -353,7 +353,8 @@ func (m *Mounted) Stat(path string) (filesys.Stat, error) {
 }
 
 // ReadFile implements filesys.MountedFS: it returns the node's immutable
-// content itself, not a copy.
+// content itself when it is flat, and gathers only paged content into a
+// copy (fstree.Content.Bytes).
 func (m *Mounted) ReadFile(path string) ([]byte, error) {
 	n, err := m.lookup(path)
 	if err != nil {
@@ -362,7 +363,7 @@ func (m *Mounted) ReadFile(path string) ([]byte, error) {
 	if n.Kind == filesys.KindDir {
 		return nil, fmt.Errorf("%s read %q: %w", m.format.Name, path, filesys.ErrIsDir)
 	}
-	return n.Data, nil
+	return n.Data.Bytes(), nil
 }
 
 // ReadDir implements filesys.MountedFS.

@@ -50,7 +50,7 @@ type logRecord struct {
 	kind byte
 	tree *fstree.Tree // recFullImage
 	ino  uint64       // recDataPatch
-	data []byte
+	data fstree.Content
 	size int64
 	ext  []filesys.Extent
 }
@@ -62,7 +62,7 @@ func encodeRecord(e *codec.Encoder, r logRecord) {
 		r.tree.Encode(e)
 	case recDataPatch:
 		e.Uint64(r.ino)
-		e.Bytes64(r.data)
+		r.data.Encode(e)
 		e.Int64(r.size)
 		e.Int(len(r.ext))
 		for _, x := range r.ext {
@@ -78,7 +78,7 @@ func decodePatch(kind byte, d *codec.Decoder) (r logRecord, err error) {
 		return r, fmt.Errorf("fscqsim: unknown record kind: %w", filesys.ErrCorrupted)
 	}
 	r.ino = d.Uint64()
-	r.data = d.Bytes64View()
+	r.data = fstree.Flat(d.Bytes64View())
 	r.size = d.Int64()
 	n := d.Int()
 	if d.Err() != nil || n < 0 || n > 1<<20 {
@@ -117,7 +117,7 @@ func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMoun
 // applyPatch lands fdatasync'ed data, then truncates to the recorded size —
 // the size is authoritative; a stale size is exactly the N11 data loss.
 func applyPatch(tree *fstree.Tree, rec logRecord) {
-	if len(tree.PathsOf(rec.ino)) == 0 {
+	if !tree.Reachable(rec.ino) {
 		return // file not durable: nothing to patch
 	}
 	if n := tree.Get(rec.ino); n == nil || n.Kind != filesys.KindRegular {

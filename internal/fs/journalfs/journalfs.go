@@ -114,8 +114,7 @@ func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMoun
 // applyDirect patches a direct-IO write into the image: data and block
 // allocation land, and the size is set from the journaled i_disksize.
 func applyDirect(tree *fstree.Tree, rec journalRecord) {
-	paths := tree.PathsOf(rec.ino)
-	if len(paths) == 0 {
+	if !tree.Reachable(rec.ino) {
 		return // file was never durable; nothing to attach the write to
 	}
 	if n := tree.Get(rec.ino); n == nil || n.Kind != filesys.KindRegular {

@@ -31,15 +31,15 @@ const (
 
 type logItem struct {
 	kind     itemKind
-	node     *fstree.Node // itInode
-	metaOnly bool         // itInode: do not replace file data
-	ino      uint64       // itInodeData
-	off      int64        // itInodeData
-	data     []byte       // itInodeData
-	dir      uint64       // dentry records
-	name     string       // dentry records
-	child    uint64       // dentry records
-	destroy  bool         // itDentryDel
+	node     *fstree.Node   // itInode
+	metaOnly bool           // itInode: do not replace file data
+	ino      uint64         // itInodeData
+	off      int64          // itInodeData
+	data     fstree.Content // itInodeData
+	dir      uint64         // dentry records
+	name     string         // dentry records
+	child    uint64         // dentry records
+	destroy  bool           // itDentryDel
 }
 
 func encodeBatch(e *codec.Encoder, items []logItem) {
@@ -53,7 +53,7 @@ func encodeBatch(e *codec.Encoder, items []logItem) {
 		case itInodeData:
 			e.Uint64(it.ino)
 			e.Int64(it.off)
-			e.Bytes64(it.data)
+			it.data.Encode(e)
 		case itDentryAdd:
 			e.Uint64(it.dir)
 			e.String(it.name)
@@ -106,7 +106,7 @@ func decodeBatch(d *codec.Decoder) (items []logItem, err error) {
 		case itInodeData:
 			it.ino = d.Uint64()
 			it.off = d.Int64()
-			it.data = d.Bytes64View()
+			it.data = fstree.Flat(d.Bytes64View())
 		case itDentryAdd:
 			it.dir = d.Uint64()
 			it.name = d.String()
@@ -569,7 +569,7 @@ func (b *batchBuilder) emitRangeData(x *fstree.Node, r *punchRec) {
 		kind: itInodeData,
 		ino:  x.Ino,
 		off:  off,
-		data: x.Data[off:end:end],
+		data: x.Data.Slice(off, end),
 	})
 }
 

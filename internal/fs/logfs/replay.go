@@ -77,7 +77,8 @@ func (f *FS) replayInode(tree, committed *fstree.Tree, it logItem, maxIno *uint6
 			fresh.Children = make(map[string]uint64)
 		}
 		if it.metaOnly {
-			fresh.Data = fstree.Zeros(int64(len(n.Data)))
+			fresh.Data = fstree.Content{}
+			fresh.Resize(n.Size())
 		}
 		tree.AddOrphan(fresh, false)
 		return
@@ -122,7 +123,7 @@ func replayInodeData(tree *fstree.Tree, it logItem) {
 	if n := tree.Get(it.ino); n == nil || n.Kind == filesys.KindDir {
 		return
 	}
-	tree.Edit(it.ino).WriteAt(it.off, it.data)
+	tree.Edit(it.ino).WriteAt(it.off, it.data.Bytes())
 }
 
 // replayDentryAdd links (dir, name) -> child, maintaining the directory

@@ -76,7 +76,7 @@ var metaMutations = []struct {
 	{"truncate-other", func(tr *Tree) error { return second(tr.Truncate("/A/g", 1)) }},
 	{"set-next-ino", func(tr *Tree) error { tr.SetNextIno(100); return nil }},
 	{"insert-node", func(tr *Tree) error {
-		return tr.InsertNode(&Node{Ino: 50, Kind: filesys.KindRegular, Nlink: 1, Data: []byte("in")}, RootIno, "ins")
+		return tr.InsertNode(&Node{Ino: 50, Kind: filesys.KindRegular, Nlink: 1, Data: Flat([]byte("in"))}, RootIno, "ins")
 	}},
 	{"insert-node-over", func(tr *Tree) error {
 		return tr.InsertNode(&Node{Ino: 51, Kind: filesys.KindRegular, Nlink: 1}, tr.Root().Children["A"], "h")
@@ -113,7 +113,7 @@ func dumpTree(tr *Tree) string {
 	for _, ino := range tr.Inos() {
 		n := tr.Get(ino)
 		fmt.Fprintf(&b, "%d kind %d nlink %d size %d data %x target %q extents %v\n",
-			n.Ino, n.Kind, n.Nlink, n.Size(), sha256.Sum256(n.Data), n.Target, n.Extents)
+			n.Ino, n.Kind, n.Nlink, n.Size(), sha256.Sum256(n.Data.Bytes()), n.Target, n.Extents)
 		for _, k := range slices.Sorted(maps.Keys(n.Xattrs)) {
 			fmt.Fprintf(&b, "  xattr %s=%q\n", k, n.Xattrs[k])
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"b3/internal/codec"
@@ -11,7 +12,7 @@ import (
 )
 
 // contentBytes is the content of n as one slice.
-func contentBytes(n *Node) []byte { return n.Data }
+func contentBytes(n *Node) []byte { return n.Data.Bytes() }
 
 // contentModel runs content mutations on the file /f of several trees —
 // clones and decoded copies of one another — and keeps, per tree, a flat
@@ -195,4 +196,68 @@ func FuzzContent(f *testing.F) {
 		}
 		newContentModel(t).run(t, ops)
 	})
+}
+
+// TestPartialWritesCopyOnlyTheirPages pins what ACE's Table 3 write
+// classes cost on a 16 KiB file: a 4 KiB append and an 8 KiB overwrite of
+// the middle each allocate at most one page and the page table, and a grow
+// to 24 KiB allocates no file-sized buffer. Copying the whole file, as flat
+// content did, allocates 20 KiB, 16 KiB and 24 KiB.
+func TestPartialWritesCopyOnlyTheirPages(t *testing.T) {
+	const size = 4 * pageSize
+	base := Flat(bytes.Repeat([]byte{1}, int(size)))
+	page, twoPages := bytes.Repeat([]byte{2}, int(pageSize)), bytes.Repeat([]byte{3}, 2*int(pageSize))
+	tableBytes := int64(8) * 24 // a page table of up to 8 entries
+	for _, c := range []struct {
+		name   string
+		op     func(n *Node)
+		budget int64 // bytes per op
+	}{
+		{"append 4 KiB", func(n *Node) { n.WriteAt(size, page) }, pageSize + tableBytes},
+		{"overwrite the middle 8 KiB", func(n *Node) { n.WriteAt(pageSize, twoPages) }, pageSize + tableBytes},
+		{"overwrite 8 KiB off the page grid", func(n *Node) { n.WriteAt(pageSize+100, twoPages) }, 2*pageSize + tableBytes},
+		{"grow to 24 KiB", func(n *Node) { n.Resize(size + 2*pageSize) }, tableBytes},
+		{"falloc to 24 KiB", func(n *Node) { n.zero(size, size+2*pageSize) }, tableBytes},
+	} {
+		n := &Node{Kind: filesys.KindRegular, Data: base}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			n.Data = base
+			c.op(n)
+		}
+		runtime.ReadMemStats(&after)
+		mallocs := float64(after.Mallocs-before.Mallocs) / runs
+		allocated := int64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.1f mallocs, %d bytes per op", c.name, mallocs, allocated)
+		if mallocs > 3 || allocated > c.budget {
+			t.Errorf("%s: %.1f mallocs and %d bytes per op, budget %d bytes: does it copy the whole file?",
+				c.name, mallocs, allocated, c.budget)
+		}
+	}
+}
+
+// TestEncodeAllocatesNothing: Encode reuses its sorted inode list and
+// EncodeNode its sorted names, so encoding a tree into an encoder with room
+// allocates nothing, and every encoding of a tree is the same bytes.
+func TestEncodeAllocatesNothing(t *testing.T) {
+	tr := New()
+	for i := range 20 {
+		if _, err := tr.Create(fmt.Sprintf("/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Write("/f3", 100, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	e := codec.NewEncoder(1 << 16)
+	tr.Encode(e)
+	want := bytes.Clone(e.Bytes())
+	if allocs := testing.AllocsPerRun(100, func() { e.Reset(); tr.Encode(e) }); allocs != 0 {
+		t.Errorf("Encode allocates %v times, want 0", allocs)
+	}
+	if !bytes.Equal(e.Bytes(), want) {
+		t.Error("encoding the same tree twice gave different bytes")
+	}
 }

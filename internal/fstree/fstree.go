@@ -13,8 +13,10 @@ package fstree
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"b3/internal/blockdev"
@@ -29,8 +31,8 @@ const RootIno uint64 = 1
 //
 // Data, Extents and the xattr values are immutable once installed: clones,
 // tracker snapshots and decoded images share them, so every mutator installs
-// a fresh slice (WriteAt and Resize for Data, which may also install a view
-// of the never-written zero page) and never writes through the old one.
+// a fresh value (WriteAt and Resize for Data, which share the pages they
+// leave alone; see Content) and never writes through the old one.
 // Only the Children and Xattrs maps belong to one node.
 //
 // A node in a tree is itself shared by every clone of the tree until one of
@@ -41,7 +43,7 @@ type Node struct {
 	Ino      uint64
 	Kind     filesys.FileKind
 	Nlink    int
-	Data     []byte // regular file content; len(Data) is the file size
+	Data     Content // regular file content; Data.Len() is the file size
 	Extents  []filesys.Extent
 	Xattrs   map[string][]byte
 	Target   string            // symlink target
@@ -53,75 +55,28 @@ type Node struct {
 }
 
 // WriteAt stores data at off, zero-filling any gap past the old size. The
-// node gets a new slice; the old one, and every slice sharing it, keep
-// their bytes. A covering write (off 0, at least as long as the file)
-// installs data itself, capped at its length, instead of a copy: data is
-// never modified but may be kept, so the caller must never modify it
-// afterwards. When the old content and data are both zero views (see
-// Zeros) and the result fits the zero page, the result is a zero view too
-// and nothing is copied.
+// node gets new content (see Content); the old one, and every node sharing
+// it, keep their bytes. data is never modified but may be kept — whole,
+// when the write covers the file (off 0, at least as long as it), or as
+// whole pages of a longer file — so the caller must never modify it
+// afterwards.
 func (n *Node) WriteAt(off int64, data []byte) {
-	if off == 0 && len(data) >= len(n.Data) {
-		n.Data = data[:len(data):len(data)]
-		return
-	}
-	end := max(off+int64(len(data)), int64(len(n.Data)))
-	if end <= int64(len(zeroPage)) && isZeroView(n.Data) && isZeroView(data) {
-		n.Data = zeroPage[:end:end]
-		return
-	}
-	fresh := make([]byte, end)
-	copy(fresh, n.Data)
-	copy(fresh[off:], data)
-	n.Data = fresh
+	n.Data = n.Data.splice(off, off+int64(len(data)), data)
 }
 
-// zeroPage backs Zeros and every zero-only file content WriteAt and Resize
-// build; it is never written. It is larger than any file ACE's dependency
-// model holds (DepFileSize + 8192 bytes), so that model copies no content.
-var zeroPage [64 << 10]byte
+// Resize sets the file size: shrinking keeps the content's first size
+// bytes, growing appends zeros (see Content).
+func (n *Node) Resize(size int64) { n.Data = n.Data.resize(size) }
 
-// isZeroView reports whether b holds only zero-page bytes: it is empty or
-// starts at the zero page, as every slice Zeros, WriteAt and Resize make of
-// it does.
-func isZeroView(b []byte) bool { return len(b) == 0 || &b[0] == &zeroPage[0] }
-
-// Zeros returns n zero bytes with capacity n, for writes that only zero a
-// range. Up to the zero page's size the slice is a zero view, shared by
-// every caller and every file content built from it, and must not be
-// modified; longer ones are allocated.
-func Zeros(n int64) []byte {
-	if n > int64(len(zeroPage)) {
-		return make([]byte, n)
-	}
-	return zeroPage[:n:n]
-}
-
-// Resize sets the file size. Shrinking reslices with capacity equal to the
-// new length, so a later append cannot write into shared bytes; growing
-// installs a fresh zero-extended copy, or a longer zero view when the
-// content is one and the new size fits the zero page.
-func (n *Node) Resize(size int64) {
-	switch {
-	case size < int64(len(n.Data)):
-		n.Data = n.Data[:size:size]
-	case size > int64(len(n.Data)):
-		if size <= int64(len(zeroPage)) && isZeroView(n.Data) {
-			n.Data = zeroPage[:size:size]
-			return
-		}
-		grown := make([]byte, size)
-		copy(grown, n.Data)
-		n.Data = grown
-	}
-}
+// zero stores zeros at [off, end), extending the file if end is past it.
+func (n *Node) zero(off, end int64) { n.Data = n.Data.splice(off, end, nil) }
 
 // Size returns the logical file size.
 func (n *Node) Size() int64 {
 	if n.Kind == filesys.KindSymlink {
 		return int64(len(n.Target))
 	}
-	return int64(len(n.Data))
+	return n.Data.Len()
 }
 
 // Sectors returns the allocated size in 512-byte sectors (st_blocks).
@@ -155,15 +110,16 @@ func (n *Node) Clone() *Node {
 	return &c
 }
 
-// Footprint estimates the heap bytes the node holds beyond its Data and
-// xattr values, which a decoded node shares with the payload it was read
-// from: the node itself, its extents, symlink target, and the Xattrs and
-// Children maps, each entry charged as if its key were short. It reads
-// only lengths, so estimating costs a small fraction of a decode.
+// Footprint estimates the heap bytes the node holds beyond the bytes of its
+// Data and xattr values, which a decoded node shares with the payload it
+// was read from: the node itself, the page table of paged Data, its
+// extents, symlink target, and the Xattrs and Children maps, each entry
+// charged as if its key were short. It reads only lengths, so estimating
+// costs a small fraction of a decode.
 func (n *Node) Footprint() int {
-	const nodeBytes, extentBytes, mapEntryBytes = 128, 16, 64
-	return nodeBytes + extentBytes*len(n.Extents) + len(n.Target) +
-		mapEntryBytes*(len(n.Xattrs)+len(n.Children))
+	const nodeBytes, pageBytes, extentBytes, mapEntryBytes = 128, 24, 16, 64
+	return nodeBytes + pageBytes*len(n.Data.pages) + extentBytes*len(n.Extents) +
+		len(n.Target) + mapEntryBytes*(len(n.Xattrs)+len(n.Children))
 }
 
 // Tree is a complete in-memory file system image.
@@ -348,10 +304,9 @@ func (t *Tree) addNode(parent *Node, name string, kind filesys.FileKind) (*Node,
 		n.Nlink = 2
 		n.Children = make(map[string]uint64)
 		parent.Nlink++
-	case filesys.KindRegular:
-		n.Data = []byte{}
-	case filesys.KindSymlink, filesys.KindFifo:
-		// No payload to initialize; Symlink sets the target after addNode.
+	case filesys.KindRegular, filesys.KindSymlink, filesys.KindFifo:
+		// No payload to initialize: Data starts empty, and Symlink sets the
+		// target after addNode.
 	}
 	t.take(n)
 	parent.Children[name] = n.Ino
@@ -661,7 +616,7 @@ func (t *Tree) Truncate(path string, size int64) (*Node, error) {
 		return nil, fmt.Errorf("truncate %q: %w", path, filesys.ErrInvalid)
 	}
 	n = t.Edit(n.Ino)
-	if old := int64(len(n.Data)); size < old {
+	if old := n.Data.Len(); size < old {
 		n.DeallocRange(alignUp(size), alignUp(old))
 	}
 	n.Resize(size)
@@ -680,21 +635,21 @@ func (t *Tree) Falloc(path string, mode filesys.FallocMode, off, length int64) (
 	n = t.Edit(n.Ino)
 	end := off + length
 	zero := func() {
-		if upto := min(end, int64(len(n.Data))); off < upto {
-			n.WriteAt(off, Zeros(upto-off))
+		if upto := min(end, n.Data.Len()); off < upto {
+			n.zero(off, upto)
 		}
 	}
 	switch mode {
 	case filesys.FallocDefault:
 		n.AllocRange(off, end)
-		n.Resize(max(end, int64(len(n.Data))))
+		n.Resize(max(end, n.Data.Len()))
 	case filesys.FallocKeepSize:
 		n.AllocRange(off, end)
 	case filesys.FallocPunchHole:
 		zero()
 		n.DeallocRange(off, end)
 	case filesys.FallocZeroRange:
-		n.WriteAt(off, Zeros(length))
+		n.zero(off, end)
 		n.AllocRange(off, end)
 	case filesys.FallocZeroRangeKeepSize:
 		zero()
@@ -788,6 +743,30 @@ func (t *Tree) PathsOf(ino uint64) []string {
 	return out
 }
 
+// Reachable reports whether any path resolves to ino, as len(PathsOf(ino))
+// > 0 does, without building paths or sorting names: the root always does,
+// and any other inode when a directory the root reaches has an entry naming
+// it, dangling or not.
+func (t *Tree) Reachable(ino uint64) bool {
+	return ino == RootIno || t.reaches(t.Root(), ino)
+}
+
+// reaches reports whether dir, or a directory below it, has an entry
+// naming ino.
+func (t *Tree) reaches(dir *Node, ino uint64) bool {
+	for _, c := range dir.Children {
+		if c == ino {
+			return true
+		}
+	}
+	for _, c := range dir.Children {
+		if child := t.nodes[c]; child != nil && child.Kind == filesys.KindDir && t.reaches(child, ino) {
+			return true
+		}
+	}
+	return false
+}
+
 // Walk visits every path (directories before their contents) in sorted
 // order, calling fn with the clean absolute path and node.
 func (t *Tree) Walk(fn func(path string, n *Node)) {
@@ -858,37 +837,45 @@ func EncodeNode(e *codec.Encoder, n *Node, withChildren bool) {
 	e.Uint64(n.Ino)
 	e.Byte(byte(n.Kind))
 	e.Int(n.Nlink)
-	e.Bytes64(n.Data)
+	n.Data.Encode(e)
 	e.String(n.Target)
 	e.Int(len(n.Extents))
 	for _, ext := range n.Extents {
 		e.Int64(ext.Off)
 		e.Int64(ext.Len)
 	}
-	xk := make([]string, 0, len(n.Xattrs))
-	for k := range n.Xattrs {
-		xk = append(xk, k)
-	}
-	sort.Strings(xk)
-	e.Int(len(xk))
-	for _, k := range xk {
+	scratch := nameScratch.Get().(*[]string)
+	names := sortedKeys((*scratch)[:0], n.Xattrs)
+	e.Int(len(names))
+	for _, k := range names {
 		e.String(k)
 		e.Bytes64(n.Xattrs[k])
 	}
-	if !withChildren || n.Children == nil {
-		e.Int(0)
-		return
+	if withChildren {
+		names = sortedKeys(names[:0], n.Children)
+	} else {
+		names = names[:0]
 	}
-	ck := make([]string, 0, len(n.Children))
-	for k := range n.Children {
-		ck = append(ck, k)
-	}
-	sort.Strings(ck)
-	e.Int(len(ck))
-	for _, k := range ck {
+	e.Int(len(names))
+	for _, k := range names {
 		e.String(k)
 		e.Uint64(n.Children[k])
 	}
+	clear(names)
+	*scratch = names[:0]
+	nameScratch.Put(scratch)
+}
+
+// nameScratch recycles the sorted name lists EncodeNode writes.
+var nameScratch = sync.Pool{New: func() any { return new([]string) }}
+
+// sortedKeys appends m's keys to dst and sorts them.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // DecodeNode deserializes a node written by EncodeNode. Data and the xattr
@@ -923,7 +910,7 @@ func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
 		return 0, 0, fmt.Errorf("fstree: implausible extent count: %w", filesys.ErrCorrupted)
 	}
 	if build {
-		*n = Node{Ino: ino, Kind: kind, Nlink: nlink, Data: data, Target: target}
+		*n = Node{Ino: ino, Kind: kind, Nlink: nlink, Data: Flat(data), Target: target}
 	}
 	for range ne {
 		ext := filesys.Extent{Off: d.Int64(), Len: d.Int64()}
@@ -982,14 +969,24 @@ func decodeString(d *codec.Decoder, keep bool) string {
 	return ""
 }
 
-// Encode serializes the tree deterministically.
+// inoScratch recycles the sorted inode lists Encode walks.
+var inoScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// Encode serializes the tree deterministically, its nodes in inode order.
 func (t *Tree) Encode(e *codec.Encoder) {
 	e.Uint64(t.nextIno)
-	inos := t.Inos()
+	scratch := inoScratch.Get().(*[]uint64)
+	inos := (*scratch)[:0]
+	for ino := range t.nodes {
+		inos = append(inos, ino)
+	}
+	slices.Sort(inos)
 	e.Int(len(inos))
 	for _, ino := range inos {
 		EncodeNode(e, t.nodes[ino], true)
 	}
+	*scratch = inos
+	inoScratch.Put(scratch)
 }
 
 // DecodeTree deserializes a tree written by Encode.

@@ -112,8 +112,8 @@ func TestHardLinkSharesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := tr.Lookup("/bar")
-	if string(n.Data) != "shared" {
-		t.Fatalf("hard link does not share data: %q", n.Data)
+	if string(n.Data.Bytes()) != "shared" {
+		t.Fatalf("hard link does not share data: %q", n.Data.Bytes())
 	}
 }
 
@@ -174,8 +174,8 @@ func TestRenameReplaceFile(t *testing.T) {
 		t.Fatal("moved == replaced")
 	}
 	n, _ := tr.Lookup("/bar")
-	if string(n.Data) != "new" {
-		t.Fatalf("bar content = %q", n.Data)
+	if string(n.Data.Bytes()) != "new" {
+		t.Fatalf("bar content = %q", n.Data.Bytes())
 	}
 	if tr.Exists("/foo") {
 		t.Fatal("foo still present")
@@ -280,7 +280,7 @@ func TestWriteExtendsAndAllocates(t *testing.T) {
 	if n.Size() != 4096 || n.Sectors() != 8 {
 		t.Fatalf("after overwrite size=%d sectors=%d", n.Size(), n.Sectors())
 	}
-	if string(n.Data[100:103]) != "mid" {
+	if string(n.Data.Bytes()[100:103]) != "mid" {
 		t.Fatal("overwrite content lost")
 	}
 	// Append extends size and allocation.
@@ -330,7 +330,7 @@ func TestTruncate(t *testing.T) {
 	if n.Size() != 12288 || n.Sectors() != 8 {
 		t.Fatalf("grow: size=%d sectors=%d (growth must be a hole)", n.Size(), n.Sectors())
 	}
-	for _, b := range n.Data[4096:] {
+	for _, b := range n.Data.Bytes()[4096:] {
 		if b != 0 {
 			t.Fatal("grown region must read zero")
 		}
@@ -371,7 +371,7 @@ func TestFallocModes(t *testing.T) {
 	if n.Size() != 24576 || n.Sectors() != 32 {
 		t.Fatalf("punch: size=%d sectors=%d", n.Size(), n.Sectors())
 	}
-	for _, b := range n.Data[4096:12288] {
+	for _, b := range n.Data.Bytes()[4096:12288] {
 		if b != 0 {
 			t.Fatal("punched range must read zero")
 		}
@@ -384,7 +384,7 @@ func TestFallocModes(t *testing.T) {
 	if n.Sectors() != 32 {
 		t.Fatalf("partial punch changed allocation: %d", n.Sectors())
 	}
-	for _, b := range n.Data[100:300] {
+	for _, b := range n.Data.Bytes()[100:300] {
 		if b != 0 {
 			t.Fatal("partial punch must still zero bytes")
 		}
@@ -397,7 +397,7 @@ func TestFallocModes(t *testing.T) {
 	if _, err := tr.Falloc("/f", filesys.FallocZeroRangeKeepSize, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if n.Data[0] != 0 || n.Data[999] != 0 || n.Data[1000] != 9 {
+	if d := n.Data.Bytes(); d[0] != 0 || d[999] != 0 || d[1000] != 9 {
 		t.Fatal("zero-range content wrong")
 	}
 	if n.Size() != 24576 {
@@ -461,6 +461,61 @@ func TestPathsOf(t *testing.T) {
 	}
 }
 
+// TestReachableMatchesPathsOf: Reachable(ino) equals len(PathsOf(ino)) > 0
+// for every inode of metaTree and of metaTree after each metadata
+// mutation, for orphans, for inodes only a dangling entry names, for a
+// directory aliased under two names, for the root and for an unused
+// number, and it allocates nothing.
+func TestReachableMatchesPathsOf(t *testing.T) {
+	type named struct {
+		name string
+		tr   *Tree
+	}
+	trees := []named{{"meta", metaTree(t)}}
+	for _, m := range metaMutations {
+		tr := metaTree(t)
+		if err := m.apply(tr); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		trees = append(trees, named{m.name, tr})
+	}
+	odd := metaTree(t)
+	odd.AddOrphan(&Node{Ino: 60, Kind: filesys.KindRegular, Nlink: 1}, true)
+	odd.AddOrphan(&Node{Ino: 61, Kind: filesys.KindDir, Nlink: 2, Children: map[string]uint64{"in-orphan": 62}}, true)
+	odd.AddOrphan(&Node{Ino: 62, Kind: filesys.KindRegular, Nlink: 1}, true)
+	a, err := odd.Lookup("/A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := odd.InsertNode(a, odd.Root().Ino, "alias"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := odd.Lookup("/A/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd.RemoveNode(g.Ino) // /A/g now dangles
+	trees = append(trees, named{"orphans, alias, dangling", odd})
+
+	seen := map[bool]int{}
+	for _, c := range trees {
+		inos := append(c.tr.Inos(), g.Ino, c.tr.NextIno())
+		for _, ino := range inos {
+			want := len(c.tr.PathsOf(ino)) > 0
+			if got := c.tr.Reachable(ino); got != want {
+				t.Errorf("%s: Reachable(%d) = %v, PathsOf %v", c.name, ino, got, c.tr.PathsOf(ino))
+			}
+			seen[want]++
+		}
+	}
+	if seen[true] == 0 || seen[false] < 4 {
+		t.Fatalf("the table reaches %d inodes and misses %d: it does not test both answers", seen[true], seen[false])
+	}
+	if allocs := testing.AllocsPerRun(10, func() { odd.Reachable(62) }); allocs != 0 {
+		t.Errorf("Reachable allocates %v times, want 0", allocs)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/f")
@@ -473,8 +528,8 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	mustCreate(t, tr, "/new")
 	cn, err := c.Lookup("/f")
-	if err != nil || string(cn.Data) != "orig" {
-		t.Fatalf("clone shares data: %q %v", cn.Data, err)
+	if err != nil || string(cn.Data.Bytes()) != "orig" {
+		t.Fatalf("clone shares data: %q %v", cn.Data.Bytes(), err)
 	}
 	if c.Exists("/new") {
 		t.Fatal("clone shares namespace")
@@ -503,8 +558,11 @@ var contentMutations = []struct {
 	{"writeat", func(tr *Tree) error { n, err := editPath(tr, "/f"); n.WriteAt(3, []byte("xyz")); return err }},
 	{"resize-shrink", func(tr *Tree) error {
 		n, err := editPath(tr, "/f")
-		if n.Resize(7); cap(n.Data) != len(n.Data) {
-			return errors.New("shrunk Data keeps spare capacity: an append would write into shared bytes")
+		n.Resize(7)
+		for p := range n.Data.Pages() {
+			if cap(p) != len(p) {
+				return errors.New("shrunk Data keeps spare capacity: an append would write into shared bytes")
+			}
 		}
 		return err
 	}},
@@ -539,15 +597,29 @@ func contentTree(t *testing.T) *Tree {
 	return tr
 }
 
+// pagedContentTree is contentTree with /f made paged by a partial write of
+// its second page.
+func pagedContentTree(t *testing.T) *Tree {
+	t.Helper()
+	tr := contentTree(t)
+	if _, err := tr.Write("/f", 4096, bytes.Repeat([]byte{9}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := tr.Lookup("/f"); n.Data.pages == nil {
+		t.Fatal("a partial write of a multi-page file left it flat")
+	}
+	return tr
+}
+
 // nodeContent is a deep copy of a node's shared content.
 type nodeContent struct {
-	data    []byte
+	data    Content
 	extents []filesys.Extent
 	xattr   []byte
 }
 
 func (c nodeContent) equal(o nodeContent) bool {
-	return bytes.Equal(c.data, o.data) && bytes.Equal(c.xattr, o.xattr) &&
+	return bytes.Equal(c.data.Bytes(), o.data.Bytes()) && bytes.Equal(c.xattr, o.xattr) &&
 		fmt.Sprint(c.extents) == fmt.Sprint(o.extents)
 }
 
@@ -558,38 +630,41 @@ func contentOf(t *testing.T, tr *Tree) (deep, shared nodeContent) {
 		t.Fatal(err)
 	}
 	shared = nodeContent{n.Data, n.Extents, n.Xattrs["user.a"]}
-	deep = nodeContent{bytes.Clone(n.Data), append([]filesys.Extent(nil), n.Extents...), bytes.Clone(n.Xattrs["user.a"])}
+	deep = nodeContent{Flat(bytes.Clone(n.Data.Bytes())), append([]filesys.Extent(nil), n.Extents...), bytes.Clone(n.Xattrs["user.a"])}
 	return deep, shared
 }
 
 // TestCloneSharesContentCopyOnWrite pins the copy-on-write contract that
 // lets clones share Data, Extents and xattr values: mutating either side
-// leaves the other side, and every slice read before the mutation,
-// byte-identical. Clones share whole nodes too, so it also changes the
-// metadata of either side through every Tree mutator and Edit (link
-// counts, entries, xattrs, extents, the allocation counter) and checks the
-// other side, and a clone of it, unchanged.
+// leaves the other side, and every content or page read before the
+// mutation, byte-identical, whether the shared content is flat or paged.
+// Clones share whole nodes too, so it also changes the metadata of either
+// side through every Tree mutator and Edit (link counts, entries, xattrs,
+// extents, the allocation counter) and checks the other side, and a clone
+// of it, unchanged.
 func TestCloneSharesContentCopyOnWrite(t *testing.T) {
 	for _, m := range metaMutations {
 		checkCloneIsolation(t, m.name, m.apply)
 	}
-	for _, m := range contentMutations {
-		for _, mutateClone := range []bool{false, true} {
-			orig := contentTree(t)
-			clone := orig.Clone()
-			mutated, other := orig, clone
-			if mutateClone {
-				mutated, other = clone, orig
-			}
-			want, earlier := contentOf(t, mutated)
-			if err := m.apply(mutated); err != nil {
-				t.Fatalf("%s: %v", m.name, err)
-			}
-			if got, _ := contentOf(t, other); !got.equal(want) {
-				t.Errorf("%s (mutate clone %v): the other tree's content changed", m.name, mutateClone)
-			}
-			if !earlier.equal(want) {
-				t.Errorf("%s (mutate clone %v): a slice read before the mutation changed", m.name, mutateClone)
+	for _, build := range []func(*testing.T) *Tree{contentTree, pagedContentTree} {
+		for _, m := range contentMutations {
+			for _, mutateClone := range []bool{false, true} {
+				orig := build(t)
+				clone := orig.Clone()
+				mutated, other := orig, clone
+				if mutateClone {
+					mutated, other = clone, orig
+				}
+				want, earlier := contentOf(t, mutated)
+				if err := m.apply(mutated); err != nil {
+					t.Fatalf("%s: %v", m.name, err)
+				}
+				if got, _ := contentOf(t, other); !got.equal(want) {
+					t.Errorf("%s (mutate clone %v): the other tree's content changed", m.name, mutateClone)
+				}
+				if !earlier.equal(want) {
+					t.Errorf("%s (mutate clone %v): content read before the mutation changed", m.name, mutateClone)
+				}
 			}
 		}
 	}
@@ -616,12 +691,16 @@ func TestDecodedTreeLeavesPayload(t *testing.T) {
 }
 
 // TestWriteAtAdoptsCoveringWrite pins when WriteAt installs the caller's
-// buffer instead of a copy: only a covering write (off 0, at least as long
-// as the file) does, capped at its length, and without allocating.
+// buffer instead of a copy: a covering write (off 0, at least as long as
+// the file) installs it whole, flat and capped at its length, without
+// allocating; a partial write of a file past one page installs each page
+// it wholly writes as a view of the buffer, capped at its length. Every
+// other byte is copied: changing the buffer outside the adopted pages
+// afterwards does not reach the file.
 func TestWriteAtAdoptsCoveringWrite(t *testing.T) {
 	shares := func(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
-	n := &Node{Kind: filesys.KindRegular, Data: []byte("old content")}
+	n := &Node{Kind: filesys.KindRegular, Data: Flat([]byte("old content"))}
 	spare := make([]byte, 20, 64)
 	zeros := Zeros(100) // cut from the larger shared zero page
 	for _, c := range []struct {
@@ -631,53 +710,83 @@ func TestWriteAtAdoptsCoveringWrite(t *testing.T) {
 		{"longer, spare capacity", spare},
 		{"as long", bytes.Repeat([]byte{5}, 20)},
 		{"zeros", zeros},
+		{"longer than a page", make([]byte, 3*pageSize)},
 	} {
 		n.WriteAt(0, c.data)
-		if !shares(n.Data, c.data) || len(n.Data) != len(c.data) || cap(n.Data) != len(n.Data) {
-			t.Errorf("%s: shares %v, len %d cap %d; want the caller's array with cap == len %d",
-				c.name, shares(n.Data, c.data), len(n.Data), cap(n.Data), len(c.data))
+		d := n.Data.Bytes()
+		if n.Data.pages != nil || !shares(d, c.data) || len(d) != len(c.data) || cap(d) != len(d) {
+			t.Errorf("%s: paged %v, shares %v, len %d cap %d; want the caller's array, flat, with cap == len %d",
+				c.name, n.Data.pages != nil, shares(d, c.data), len(d), cap(d), len(c.data))
 		}
 	}
 	if cap(zeros) != len(zeros) {
 		t.Errorf("Zeros(100): cap %d, want 100", cap(zeros))
 	}
 
-	// Writes that leave old bytes in place copy: changing data afterwards
-	// must not reach the file.
 	for _, c := range []struct {
-		name string
-		off  int64
-		data []byte
+		name              string
+		size, off, length int64
+		adopted           int // pages installed as views of the buffer
 	}{
-		{"at an offset", 1, make([]byte, 200)},
-		{"shorter than the file", 0, make([]byte, 99)},
+		{"at an offset", 100, 1, 200, 0},
+		{"shorter than the file", 100, 0, 99, 0},
+		{"within a page of a longer file", 3 * pageSize, 10, 100, 0},
+		{"pages in the middle", 5 * pageSize, pageSize, 2 * pageSize, 2},
+		{"across pages, unaligned", 5 * pageSize, 100, 3 * pageSize, 2},
+		{"an append", 4 * pageSize, 4 * pageSize, pageSize, 1},
+		{"past a gap, with a short tail", pageSize + 10, 3 * pageSize, pageSize + 7, 2},
 	} {
-		n := &Node{Kind: filesys.KindRegular, Data: bytes.Repeat([]byte{1}, 100)}
-		n.WriteAt(c.off, c.data)
-		want := bytes.Clone(n.Data)
-		for i := range c.data {
-			c.data[i] = 0xaa
+		n := &Node{Kind: filesys.KindRegular, Data: Flat(bytes.Repeat([]byte{1}, int(c.size)))}
+		data := bytes.Repeat([]byte{2}, int(c.length))
+		n.WriteAt(c.off, data)
+		inPage := make([]bool, len(data)) // bytes the file holds in an adopted page
+		adopted := 0
+		for i := range n.Data.numPages() {
+			p := n.Data.page(i)
+			lo := int64(i) * pageSize
+			if n.Data.pages == nil || lo < c.off || lo+int64(len(p)) > c.off+c.length {
+				continue
+			}
+			adopted++
+			if !shares(p, data[lo-c.off:]) || cap(p) != len(p) {
+				t.Errorf("write %s: page %d is not a capped view of the caller's buffer", c.name, i)
+			}
+			for j := range p {
+				inPage[lo-c.off+int64(j)] = true
+			}
 		}
-		if !bytes.Equal(n.Data, want) {
-			t.Errorf("write %s aliases the caller's buffer", c.name)
+		if adopted != c.adopted {
+			t.Errorf("write %s: %d pages adopted, want %d", c.name, adopted, c.adopted)
+		}
+		want := bytes.Clone(n.Data.Bytes())
+		for i := range data {
+			if !inPage[i] {
+				data[i] = 0xaa
+			}
+		}
+		if !bytes.Equal(n.Data.Bytes(), want) {
+			t.Errorf("write %s aliases the caller's buffer outside the pages it adopted", c.name)
 		}
 	}
 
 	// A partial write after an adoption leaves the adopted buffer alone.
-	adopted := bytes.Repeat([]byte{3}, 50)
-	want := bytes.Clone(adopted)
-	n = &Node{Kind: filesys.KindRegular, Data: []byte{}}
-	n.WriteAt(0, adopted)
-	n.WriteAt(10, []byte("partial"))
-	n.WriteAt(40, make([]byte, 30))
-	if !bytes.Equal(adopted, want) {
-		t.Error("a partial write wrote into the adopted buffer")
-	}
-	if string(n.Data[10:17]) != "partial" || len(n.Data) != 70 {
-		t.Errorf("partial writes after adoption: %q", n.Data)
+	for _, size := range []int{50, 5 * int(pageSize)} {
+		adopted := bytes.Repeat([]byte{3}, size)
+		want := bytes.Clone(adopted)
+		n = &Node{Kind: filesys.KindRegular}
+		n.WriteAt(0, adopted)
+		n.WriteAt(10, []byte("partial"))
+		n.WriteAt(40, make([]byte, 30))
+		n.WriteAt(pageSize, []byte("next page"))
+		if !bytes.Equal(adopted, want) {
+			t.Errorf("%d bytes: a partial write wrote into the adopted buffer", size)
+		}
+		if d := n.Data.Bytes(); string(d[10:17]) != "partial" || len(d) != max(size, int(pageSize)+9) {
+			t.Errorf("%d bytes: partial writes after adoption: %q", size, d[:17])
+		}
 	}
 
-	n = &Node{Kind: filesys.KindRegular, Data: []byte{}}
+	n = &Node{Kind: filesys.KindRegular}
 	src := make([]byte, 4096)
 	if allocs := testing.AllocsPerRun(100, func() { n.WriteAt(0, src) }); allocs != 0 {
 		t.Errorf("covering WriteAt allocates %v times, want 0", allocs)
@@ -719,7 +828,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 
 	n, err := got.Lookup("/A/foo")
-	if err != nil || string(n.Data) != "data" || n.Nlink != 2 {
+	if err != nil || string(n.Data.Bytes()) != "data" || n.Nlink != 2 {
 		t.Fatalf("decoded foo: %v %+v", err, n)
 	}
 	ln, err := got.Lookup("/ln")
@@ -835,10 +944,11 @@ func mustMkdir(t *testing.T, tr *Tree, p string) {
 }
 
 // TestZeroContentStaysShared: content that is only zeros (ACE's dependency
-// model writes nothing else) stays a view of the one zero page through
-// writes, fallocate and truncate, without copying, and matches what a plain
-// copying implementation holds; real bytes, or a result past the page,
-// still get a copy of their own.
+// model writes nothing else) stays one flat view of the one zero page
+// through writes, fallocate and truncate, without copying, and matches what
+// a plain copying implementation holds. Real bytes get a copy of the pages
+// they land in, the other pages staying zero views; a result past the zero
+// page is paged, every page a zero view, at the cost of its page table.
 func TestZeroContentStaysShared(t *testing.T) {
 	const fill = 16 << 10 // ACE's dependency fill (ace.DepFileSize)
 	type op struct {
@@ -893,18 +1003,18 @@ func TestZeroContentStaysShared(t *testing.T) {
 					t.Fatalf("%s, %s: %s: %v", first.name, second.name, o.name, err)
 				}
 				ref = o.ref(ref)
-				if !bytes.Equal(n.Data, ref) {
+				if !bytes.Equal(n.Data.Bytes(), ref) {
 					t.Fatalf("%s, %s: after %s, Data has %d bytes, want the %d zeros of the reference",
-						first.name, second.name, o.name, len(n.Data), len(ref))
+						first.name, second.name, o.name, n.Data.Len(), len(ref))
 				}
-				if !isZeroView(n.Data) {
+				if !n.Data.isZero() {
 					t.Fatalf("%s, %s: after %s, Data is a copy, not a zero-page view", first.name, second.name, o.name)
 				}
 			}
 		}
 	}
 
-	n := &Node{Kind: filesys.KindRegular, Data: []byte{}}
+	n := &Node{Kind: filesys.KindRegular}
 	if allocs := testing.AllocsPerRun(100, func() {
 		n.WriteAt(0, Zeros(fill))
 		n.WriteAt(4096, Zeros(4096)) // overwrite in the middle
@@ -915,34 +1025,50 @@ func TestZeroContentStaysShared(t *testing.T) {
 		t.Errorf("zero-only writes and resizes allocate %v times, want 0", allocs)
 	}
 
-	// Real bytes over a zero view: a copy, and the page stays zero.
-	n.Data = Zeros(fill)
+	// zeroPages lists which pages of c are zero views.
+	zeroPages := func(c Content) []bool {
+		var out []bool
+		for i := range c.numPages() {
+			out = append(out, isZeroView(c.page(i)))
+		}
+		return out
+	}
+	// Real bytes over a zero view: a copy of the page they land in, and the
+	// zero page and the other pages stay zero.
+	n.Data = Flat(Zeros(fill))
 	n.WriteAt(100, []byte{1, 2, 3})
-	if isZeroView(n.Data) || len(n.Data) != fill || !bytes.Equal(n.Data[99:104], []byte{0, 1, 2, 3, 0}) {
-		t.Errorf("real bytes over a zero view: zero view %v, %d bytes, %v around the write",
-			isZeroView(n.Data), len(n.Data), n.Data[99:104])
+	want := []bool{false, true, true, true}
+	if d := n.Data.Bytes(); n.Data.isZero() || len(d) != fill || !bytes.Equal(d[99:104], []byte{0, 1, 2, 3, 0}) ||
+		fmt.Sprint(zeroPages(n.Data)) != fmt.Sprint(want) {
+		t.Errorf("real bytes over a zero view: zero view %v, %d bytes, %v around the write, zero pages %v, want %v",
+			n.Data.isZero(), len(d), d[99:104], zeroPages(n.Data), want)
 	}
 	// Zeros over real bytes: a copy with the bytes around them kept.
 	n.WriteAt(101, Zeros(1))
-	if isZeroView(n.Data) || !bytes.Equal(n.Data[99:104], []byte{0, 1, 0, 3, 0}) {
-		t.Errorf("zeros over real bytes: zero view %v, %v around the write", isZeroView(n.Data), n.Data[99:104])
+	if d := n.Data.Bytes(); n.Data.isZero() || !bytes.Equal(d[99:104], []byte{0, 1, 0, 3, 0}) ||
+		fmt.Sprint(zeroPages(n.Data)) != fmt.Sprint(want) {
+		t.Errorf("zeros over real bytes: zero view %v, %v around the write, zero pages %v, want %v",
+			n.Data.isZero(), d[99:104], zeroPages(n.Data), want)
 	}
 	if !bytes.Equal(zeroPage[:], make([]byte, len(zeroPage))) {
 		t.Fatal("the zero page was written")
 	}
 
-	// A result past the page is allocated, and still all zeros.
+	// A result past the zero page allocates its page table and nothing
+	// else, and every page is a zero view.
 	page := int64(len(zeroPage))
 	for name, grow := range map[string]func(n *Node){
 		"write":  func(n *Node) { n.WriteAt(page, Zeros(10)) },
 		"resize": func(n *Node) { n.Resize(page + 10) },
+		"falloc": func(n *Node) { n.zero(0, page+10) },
 	} {
-		n := &Node{Kind: filesys.KindRegular, Data: Zeros(page)}
-		if allocs := testing.AllocsPerRun(10, func() { n.Data = Zeros(page); grow(n) }); allocs == 0 {
-			t.Errorf("%s past the zero page does not allocate", name)
+		n := &Node{Kind: filesys.KindRegular, Data: Flat(Zeros(page))}
+		if allocs := testing.AllocsPerRun(10, func() { n.Data = Flat(Zeros(page)); grow(n) }); allocs != 1 {
+			t.Errorf("%s past the zero page allocates %v times, want once, for the page table", name, allocs)
 		}
-		if isZeroView(n.Data) || !bytes.Equal(n.Data, make([]byte, page+10)) {
-			t.Errorf("%s past the zero page: zero view %v, %d bytes, want %d zeros", name, isZeroView(n.Data), len(n.Data), page+10)
+		if n.Data.isZero() || !bytes.Equal(n.Data.Bytes(), make([]byte, page+10)) || slices.Contains(zeroPages(n.Data), false) {
+			t.Errorf("%s past the zero page: flat zero view %v, %d bytes, zero pages %v; want %d zeros, every page a zero view",
+				name, n.Data.isZero(), n.Data.Len(), zeroPages(n.Data), page+10)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func skipTreeSeeds(tb testing.TB) []skipSeed {
 	nodeCount.Uint64(RootIno + 1)
 	nodeCount.Int(1<<24 + 1)
 	root := &Node{Ino: RootIno, Kind: filesys.KindDir, Nlink: 2, Children: map[string]uint64{}}
-	file := &Node{Ino: RootIno, Kind: filesys.KindRegular, Nlink: 1, Data: []byte("x")}
+	file := &Node{Ino: RootIno, Kind: filesys.KindRegular, Nlink: 1, Data: Flat([]byte("x"))}
 	return []skipSeed{
 		{"valid-multi-node", valid, true},
 		{"truncated", valid[:len(valid)/2], false},
