@@ -1,68 +1,118 @@
-// Fixture for the sharedcontent analyzer: Node.Data is shared by clones and
-// snapshots, so only WriteAt and Resize may build it in place, and
-// ReadFile hands it out, so its results must not be written through.
+// Fixture for the sharedcontent analyzer: a Content's bytes and page table
+// are shared by clones and snapshots, and so are the views its methods hand
+// out and the content ReadFile hands out, so none may be written through.
 package sharedcontent
 
 import (
 	"bytes"
+	"iter"
 	"os"
 )
 
+// Content mirrors fstree.Content's shape.
+type Content struct {
+	flat  []byte
+	pages [][]byte
+	size  int64
+}
+
+// Bytes hands out a view.
+func (c Content) Bytes() []byte { return c.flat }
+
+// Pages yields views.
+func (c Content) Pages() iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		for _, p := range c.pages {
+			if !yield(p) {
+				return
+			}
+		}
+	}
+}
+
+// Len returns no view.
+func (c Content) Len() int64 { return c.size }
+
 // Node mirrors fstree.Node's shape.
 type Node struct {
-	Data []byte
+	Data Content
 }
 
-// Record has a Data field too, but is not a Node: writes are fine.
+// Record has slice fields too, but is not a Content: writes are fine.
 type Record struct {
-	Data []byte
+	Data  []byte
+	pages [][]byte
 }
 
-// WriteAt is exempt: it writes into the fresh slice it installs.
-func (n *Node) WriteAt(off int, data []byte) {
-	fresh := make([]byte, max(off+len(data), len(n.Data)))
-	copy(fresh, n.Data)
-	n.Data = fresh
-	copy(n.Data[off:], data)
+// Bytes of a Record is not a Content view.
+func (r Record) Bytes() []byte { return r.Data }
+
+// splice builds fresh pages and a fresh table: fine.
+func (c Content) splice(off int, data []byte) Content {
+	fresh := make([]byte, len(c.flat))
+	copy(fresh, c.flat)
+	copy(fresh[off:], data)
+	pages := make([][]byte, 2)
+	pages[0] = fresh
+	pages[1] = c.pages[1]
+	return Content{pages: pages}
 }
 
-// Resize is exempt too.
-func (n *Node) Resize(size int) {
-	n.Data = append(n.Data, make([]byte, size)...)
-	clear(n.Data[size:])
-}
-
-func indexStore(n *Node) {
-	n.Data[0] = 1     // want "store into Node.Data"
-	n.Data[1] += 2    // want "store into Node.Data"
-	n.Data[2]++       // want "store into Node.Data"
-	(n.Data)[3] = 4   // want "store into Node.Data"
-	n.Data[1:][0] = 5 // want "store into Node.Data"
-}
-
-func builtins(n *Node, src []byte) {
-	copy(n.Data, src)                   // want "copy writes into Node.Data"
-	copy(n.Data[4:8], src)              // want "copy writes into Node.Data"
-	n.Data = append(n.Data, 1)          // want "append writes into Node.Data"
-	_ = append(n.Data[:2], 9)           // want "append writes into Node.Data"
-	clear(n.Data)                       // want "clear writes into Node.Data"
-	clear(n.Data[1:3])                  // want "clear writes into Node.Data"
-	literal := func() { n.Data[0] = 0 } // want "store into Node.Data"
+func contentStores(c Content, n *Node, src []byte) {
+	c.flat[0] = 1                       // want "store into Content's shared bytes"
+	c.flat[1] += 2                      // want "store into Content's shared bytes"
+	n.Data.flat[2]++                    // want "store into Content's shared bytes"
+	c.pages[1][2] = 3                   // want "store into Content's shared bytes"
+	(n.Data.pages)[0][1] = 4            // want "store into Content's shared bytes"
+	c.pages[0] = src                    // want "store into Content's shared bytes"
+	c.pages[1:][0] = src                // want "store into Content's shared bytes"
+	copy(c.flat, src)                   // want "copy writes into Content's shared bytes"
+	copy(n.Data.pages[1][4:8], src)     // want "copy writes into Content's shared bytes"
+	c.flat = append(c.flat, 1)          // want "append writes into Content's shared bytes"
+	_ = append(c.pages, src)            // want "append writes into Content's shared bytes"
+	clear(c.flat)                       // want "clear writes into Content's shared bytes"
+	clear(n.Data.pages[0][1:3])         // want "clear writes into Content's shared bytes"
+	literal := func() { c.flat[0] = 0 } // want "store into Content's shared bytes"
 	literal()
 }
 
-var pkgLevel = func(n Node) { copy(n.Data, "x") } // want "copy writes into Node.Data"
+var pkgLevel = func(c Content) { copy(c.flat, "x") } // want "copy writes into Content's shared bytes"
+
+func viewStores(n *Node, src []byte) {
+	b := n.Data.Bytes()
+	b[0] = 1                  // want "store into a Content view"
+	b[1]++                    // want "store into a Content view"
+	b[2:][0] = 3              // want "store into a Content view"
+	copy(b[4:8], src)         // want "copy writes into a Content view"
+	clear(b)                  // want "clear writes into a Content view"
+	n.Data.Bytes()[0] = 1     // want "store into a Content view"
+	copy(n.Data.Bytes(), src) // want "copy writes into a Content view"
+	var v = n.Data.Bytes()
+	v[0] = 2 // want "store into a Content view"
+	for p := range n.Data.Pages() {
+		p[0] = 1        // want "store into a Content view"
+		copy(p, src)    // want "copy writes into a Content view"
+		clear((p)[1:3]) // want "clear writes into a Content view"
+	}
+}
 
 func allowed(n *Node, r *Record, src []byte) []byte {
-	fresh := append([]byte(nil), n.Data...) // copying out: fine
+	fresh := append([]byte(nil), n.Data.Bytes()...) // copying out: fine
 	fresh[0] = 1
-	copy(src, n.Data) // reading: fine
-	r.Data[0] = 1     // not a Node: fine
+	copy(src, n.Data.Bytes())          // reading: fine
+	grown := append(n.Data.Bytes(), 9) // cap == len, so append copies
+	for p := range n.Data.Pages() {
+		copy(src, p) // reading: fine
+		grown = append(p, 9)
+	}
+	r.Data[0] = 1 // not a Content: fine
+	r.pages[0] = src
+	r.Bytes()[0] = 1
 	copy(r.Data, src)
-	n.Data = fresh // installing a fresh slice: fine
+	n.Data = Content{flat: fresh} // installing new content: fine
 	//lint:allow sharedcontent the fixture pins the escape hatch
-	n.Data[0] = 2
-	return n.Data[1:2]
+	n.Data.flat[0] = 2
+	return grown
 }
 
 // FS mirrors filesys.MountedFS's ReadFile, which returns shared content.
@@ -73,7 +123,7 @@ type FS interface {
 // mount implements FS with a concrete method.
 type mount struct{ n *Node }
 
-func (m mount) ReadFile(path string) ([]byte, error) { return m.n.Data, nil }
+func (m mount) ReadFile(path string) ([]byte, error) { return m.n.Data.Bytes(), nil }
 
 // cache has a ReadFile method of another shape: its results are its own.
 type cache struct{}

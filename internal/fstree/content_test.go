@@ -128,6 +128,8 @@ func (m *contentModel) step(t testing.TB, op []byte) {
 		case filesys.FallocZeroRange:
 			ref = refResize(ref, max(end, int64(len(ref))))
 			refZero(ref, off, end)
+		case filesys.FallocKeepSize:
+			// Allocation only: the bytes and the size stay.
 		}
 	case 8, 9, 10, 11: // Clone or decode a copy, then keep writing both
 		if len(m.trees) >= maxContentTrees {
