@@ -17,9 +17,9 @@ const pageSize = int64(blockdev.BlockSize)
 // Resize, Falloc, Truncate) builds a new Content that shares the bytes it
 // leaves alone with the old one.
 //
-// Content installed in one piece — a decoded payload, a covering write,
-// Flat — or no longer than one page is one flat slice, read without a copy.
-// A partial write, a grow or a zero range past one page makes it paged: a
+// Content installed in one piece (a decoded payload, a covering write,
+// Flat), no longer than one page, or only zeros that fit the zero page is
+// one flat slice, read without a copy. Any other change makes it paged: a
 // table of views, page i holding bytes [i*pageSize, (i+1)*pageSize), every
 // page full but the last. A change copies only the pages it changes in
 // part, adopts whole pages of the caller's data, keeps the other pages, and
@@ -246,18 +246,13 @@ func (c Content) splice(off, end int64, data []byte) Content {
 }
 
 // resize returns c cut or zero-extended to size. Cutting shares every page
-// it keeps, the last one cut to length.
+// it keeps (see Slice).
 func (c Content) resize(size int64) Content {
-	old := c.Len()
-	switch {
+	switch old := c.Len(); {
 	case size == old:
 		return c
 	case size > old:
 		return c.splice(old, size, nil)
-	case c.pages == nil:
-		return Flat(c.flat[:size])
-	case size <= pageSize:
-		return Flat(c.pages[0][:size])
 	}
 	return c.Slice(0, size)
 }

@@ -758,8 +758,6 @@ func (t *Tree) reaches(dir *Node, ino uint64) bool {
 		if c == ino {
 			return true
 		}
-	}
-	for _, c := range dir.Children {
 		if child := t.nodes[c]; child != nil && child.Kind == filesys.KindDir && t.reaches(child, ino) {
 			return true
 		}
@@ -851,10 +849,8 @@ func EncodeNode(e *codec.Encoder, n *Node, withChildren bool) {
 		e.String(k)
 		e.Bytes64(n.Xattrs[k])
 	}
-	if withChildren {
-		names = sortedKeys(names[:0], n.Children)
-	} else {
-		names = names[:0]
+	if names = names[:0]; withChildren {
+		names = sortedKeys(names, n.Children)
 	}
 	e.Int(len(names))
 	for _, k := range names {
