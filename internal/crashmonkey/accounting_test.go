@@ -65,7 +65,8 @@ func (c *checkpointTally) add(r *Result) {
 // every seq-1 workload on logfs (new-bugs configuration) through every
 // persistence point, the reorder k=1 sweep and the torn/corrupt/misdirect
 // fault sweeps, and every kv-seq1 workload on fscqsim through every
-// persistence point, the KV reorder k=1 sweep and the torn/corrupt sweeps — one Monkey
+// persistence point, the KV reorder k=1 sweep and the torn/corrupt sweeps, and
+// every kv-seq1 workload on diskfmt through the misdirect sweep — one Monkey
 // and one fresh PruneCache per backend, judged from a single goroutine, so
 // every counter (cache tiers included) is deterministic. A refactor of the
 // sweep core that changes no state, fingerprint or verdict leaves all of
@@ -168,6 +169,40 @@ func TestSweepAccountingPinned(t *testing.T) {
 			Mountable: 1956, ReplayedWrites: 684})
 		pin(t, "fault classes", faultClasses, kvoracle.Counts{Legal: 1956})
 		pinPrune(t, mk.Prune, PruneStats{ClassHits: 1938, Misses: 438})
+	})
+
+	// Misdirected writes break the reference design (the documented genuine
+	// diskfmt find), so this sweep has broken KV states: they render no
+	// application class, and every state that recovered renders one.
+	t.Run("diskfmt-kv-misdirect", func(t *testing.T) {
+		fs, err := fsmake.NewBugsOnly("diskfmt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk := &Monkey{FS: fs, Prune: NewPruneCache()}
+		model := blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultMisdirect}}
+		var faults axisTally
+		var classes kvoracle.Counts
+		for _, w := range kvWorkloads(t, "kv-seq1", nil) {
+			kp, err := mk.ProfileKV(w)
+			if err != nil {
+				t.Fatalf("%s: profile: %v", w.ID, err)
+			}
+			fr, err := mk.ExploreKVFaults(kp, model)
+			if err != nil {
+				t.Fatalf("%s: faults: %v", w.ID, err)
+			}
+			for i := range fr.Kinds {
+				faults.fault(&fr.Kinds[i].FaultKindReport)
+				classes.Merge(fr.Kinds[i].Classes)
+			}
+			kp.Release()
+		}
+		pin(t, "faults", faults, axisTally{States: 402, Checked: 216, ClassSkipped: 186,
+			Mountable: 306, Broken: 96, ReplayedWrites: 588})
+		pin(t, "fault classes", classes, kvoracle.Counts{Legal: 306})
+		pin(t, "classified", classes.Total(), int64(faults.Mountable+faults.Repaired))
+		pinPrune(t, mk.Prune, PruneStats{ClassHits: 186, Misses: 216})
 	})
 }
 
