@@ -34,7 +34,7 @@ var ReleaseCheck = &Analyzer{
 // is name-based so fixtures and future pools are covered without an
 // annotation system: constructors start with New (NewTrackedSnapshot,
 // NewRecorder, NewPooledMemDisk), or are the fork/profile entry points
-// (Fork, ProfileWorkload, ProfileExpected and their KV counterparts).
+// (Fork, ProfileWorkload, ProfileExpected, ProfileKV, ProfileKVExpected).
 var releaseCtorRE = regexp.MustCompile(`^(New\w*|Fork|Profile\w*)$`)
 
 // releaseMethods are the methods that end a pooled value's lifetime.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"b3/internal/blockdev"
 	"b3/internal/corpus"
 	"b3/internal/crashmonkey"
 	"b3/internal/filesys"
@@ -23,8 +22,8 @@ type fsJob struct {
 // workloadFamily is one generated workload as the campaign drives it: the
 // one value that differs between the ACE file-system family, judged by the
 // file-level oracle, and the bounded KV application family, judged by the
-// expected-state oracle. profile comes first; check, reorder and faults run
-// over the profile it recorded.
+// expected-state oracle. profile records the workload with its family's
+// oracles, so crashmonkey's three entry points judge either family.
 type workloadFamily interface {
 	id() string
 	// skeletonAt is the report-grouping skeleton of a finding at persistence
@@ -32,12 +31,6 @@ type workloadFamily interface {
 	skeletonAt(cp int) string
 	text() string
 	profile(mk *crashmonkey.Monkey) (*crashmonkey.Profile, error)
-	check(mk *crashmonkey.Monkey, cp int) (*crashmonkey.Result, error)
-	reorder(mk *crashmonkey.Monkey, k int) (*crashmonkey.ReorderReport, error)
-	faults(mk *crashmonkey.Monkey, model blockdev.FaultModel) ([]crashmonkey.FaultKindReport, error)
-	// classes is the application-oracle tally over everything checked so
-	// far (always zero for the file family).
-	classes() kvoracle.Counts
 }
 
 // oracleMemo is one generated workload's oracle, shared by every matrix row
@@ -71,110 +64,48 @@ func (m *oracleMemo[K, E]) get(k K, build func() ([]E, error)) ([]E, error) {
 type fileWorkload struct {
 	w      *workload.Workload
 	oracle *oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]
-	p      *crashmonkey.Profile
 }
 
 func (f *fileWorkload) id() string               { return f.w.ID }
 func (f *fileWorkload) skeletonAt(cp int) string { return f.w.SkeletonAt(cp) }
 func (f *fileWorkload) text() string             { return f.w.String() }
-func (f *fileWorkload) classes() kvoracle.Counts { return kvoracle.Counts{} }
 
-func (f *fileWorkload) profile(mk *crashmonkey.Monkey) (p *crashmonkey.Profile, err error) {
+func (f *fileWorkload) profile(mk *crashmonkey.Monkey) (*crashmonkey.Profile, error) {
 	g := mk.FS.Guarantees()
 	exps, err := f.oracle.get(g, func() ([]*crashmonkey.Expectation, error) { return crashmonkey.Expect(f.w, g) })
 	if err != nil {
 		return nil, err
 	}
-	f.p, err = mk.ProfileExpected(f.w, exps)
-	return f.p, err
-}
-
-func (f *fileWorkload) check(mk *crashmonkey.Monkey, cp int) (*crashmonkey.Result, error) {
-	return mk.TestCheckpoint(f.p, cp)
-}
-
-func (f *fileWorkload) reorder(mk *crashmonkey.Monkey, k int) (*crashmonkey.ReorderReport, error) {
-	return mk.ExploreReorder(f.p, k)
-}
-
-func (f *fileWorkload) faults(mk *crashmonkey.Monkey, model blockdev.FaultModel) ([]crashmonkey.FaultKindReport, error) {
-	fr, err := mk.ExploreFaults(f.p, model)
-	if err != nil {
-		return nil, err
-	}
-	return fr.Kinds, nil
+	return mk.ProfileExpected(f.w, exps)
 }
 
 // kvWorkload is a kvace workload: it drives the KV store over the mounted
-// backend, and every crash state is recovered by the application. Oracle
-// class verdicts accumulate in counts; they are a deterministic function of
-// the workload (verdicts never depend on prune-cache state), so they are
-// recorded to the corpus and resume/merge fold the identical totals. KV
+// backend, and every crash state is recovered by the application. KV
 // findings always group under the full skeleton. The interval oracle has no
 // file-system input, so every row shares one build.
 type kvWorkload struct {
 	w      *kvace.Workload
 	oracle *oracleMemo[struct{}, *kvoracle.Expectation]
-	kp     *crashmonkey.KVProfile
-	counts kvoracle.Counts
 }
 
-func (k *kvWorkload) id() string               { return k.w.ID }
-func (k *kvWorkload) skeletonAt(int) string    { return k.w.Skeleton() }
-func (k *kvWorkload) text() string             { return k.w.String() }
-func (k *kvWorkload) classes() kvoracle.Counts { return k.counts }
+func (k *kvWorkload) id() string            { return k.w.ID }
+func (k *kvWorkload) skeletonAt(int) string { return k.w.Skeleton() }
+func (k *kvWorkload) text() string          { return k.w.String() }
 
 func (k *kvWorkload) profile(mk *crashmonkey.Monkey) (*crashmonkey.Profile, error) {
 	exps, _ := k.oracle.get(struct{}{}, func() ([]*kvoracle.Expectation, error) { return kvoracle.Build(k.w.Ops), nil })
-	kp, err := mk.ProfileKVExpected(k.w, exps)
-	if err != nil {
-		return nil, err
-	}
-	k.kp = kp
-	return kp.Profile, nil
-}
-
-func (k *kvWorkload) check(mk *crashmonkey.Monkey, cp int) (*crashmonkey.Result, error) {
-	res, err := mk.TestKVCheckpoint(k.kp, cp)
-	if err != nil {
-		return nil, err
-	}
-	// FS-broken states render no application verdict (the lower layer
-	// already broke its contract; that surfaces as an Unmountable finding,
-	// never as a KV class).
-	if res.Mountable || res.FsckRepaired {
-		k.counts.Add(res.Class)
-	}
-	return &res.Result, nil
-}
-
-func (k *kvWorkload) reorder(mk *crashmonkey.Monkey, bound int) (*crashmonkey.ReorderReport, error) {
-	rr, err := mk.ExploreKVReorder(k.kp, bound)
-	if err != nil {
-		return nil, err
-	}
-	k.counts.Merge(rr.Classes)
-	return &rr.ReorderReport, nil
-}
-
-func (k *kvWorkload) faults(mk *crashmonkey.Monkey, model blockdev.FaultModel) ([]crashmonkey.FaultKindReport, error) {
-	fr, err := mk.ExploreKVFaults(k.kp, model)
-	if err != nil {
-		return nil, err
-	}
-	kinds := make([]crashmonkey.FaultKindReport, len(fr.Kinds))
-	for i, kr := range fr.Kinds {
-		kinds[i] = kr.FaultKindReport
-		k.counts.Merge(kr.Classes)
-	}
-	return kinds, nil
+	return mk.ProfileKVExpected(k.w, exps)
 }
 
 // runWorkload profiles one workload, crash-tests its persistence points,
 // and (when configured) sweeps its bounded-reordering and fault-injection
 // crash states, building the workload's corpus record. The record is all
 // the campaign learns of the outcome: record files it and folds it into
-// the row's statistics.
+// the row's statistics. The application oracle's classes are folded from
+// what the entry points return; they are a deterministic function of the
+// workload (verdicts never depend on prune-cache state), so they are
+// recorded to the corpus and resume/merge fold the identical totals. Only
+// the KV family's verdicts carry a class.
 func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64) {
 	rec := &corpus.WorkloadRecord{Seq: seq, ID: wl.id(), Verdict: corpus.VerdictClean}
 	p, err := wl.profile(mk)
@@ -198,8 +129,9 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 		first = last
 	}
 	var replayDur, checkDur time.Duration
+	var classes kvoracle.Counts
 	for cp := first; cp <= last; cp++ {
-		res, err := wl.check(mk, cp)
+		res, err := mk.TestCheckpoint(p, cp)
 		if err != nil {
 			// Earlier checkpoints may already have found bugs; keep those
 			// reports and verdicts, just stop testing this workload.
@@ -207,6 +139,7 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 			break
 		}
 		rec.States++
+		classes.Add(res.Class)
 		if res.Pruned {
 			rec.Pruned++
 			if res.PrunedBy != "disk" {
@@ -243,7 +176,7 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 	// (RCommuteSkip is deterministic: the enumerator proves those states
 	// identical without consulting the cache).
 	if r.cfg.Reorder > 0 && !rec.Errored {
-		rr, err := wl.reorder(mk, r.cfg.Reorder)
+		rr, err := mk.ExploreReorder(p, r.cfg.Reorder)
 		if err != nil {
 			rec.Errored = true
 		} else {
@@ -254,6 +187,7 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 			rec.RCommuteSkip = rr.CommuteSkipped
 			rec.RBroken = len(rr.Broken)
 			rec.Replayed += rr.ReplayedWrites
+			classes.Merge(rr.Classes)
 		}
 	}
 	// The fault-injection sweeps ride the same profile, gated like the
@@ -261,11 +195,11 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 	// function of the workload; only the Checked/Pruned/ClassSkip split
 	// depends on shared prune-cache state.
 	if r.cfg.Faults.Enabled() && !rec.Errored {
-		kinds, err := wl.faults(mk, r.cfg.Faults)
+		fr, err := mk.ExploreFaults(p, r.cfg.Faults)
 		if err != nil {
 			rec.Errored = true
 		} else {
-			for _, kr := range kinds {
+			for _, kr := range fr.Kinds {
 				rec.Faults = append(rec.Faults, corpus.FaultKindCounts{
 					Kind:      kr.Kind.String(),
 					States:    kr.States,
@@ -275,10 +209,11 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 					Broken:    len(kr.Broken),
 				})
 				rec.Replayed += kr.ReplayedWrites
+				classes.Merge(kr.Classes)
 			}
 		}
 	}
-	if classes := wl.classes(); classes.Total() > 0 {
+	if classes.Total() > 0 {
 		kv := corpus.KVCounts(classes)
 		rec.KV = &kv
 	}

@@ -65,7 +65,7 @@ func (c *checkpointTally) add(r *Result) {
 // every seq-1 workload on logfs (new-bugs configuration) through every
 // persistence point, the reorder k=1 sweep and the torn/corrupt/misdirect
 // fault sweeps, and every kv-seq1 workload on fscqsim through every
-// persistence point, the KV reorder k=1 sweep and the torn/corrupt sweeps, and
+// persistence point, the reorder k=1 sweep and the torn/corrupt sweeps, and
 // every kv-seq1 workload on diskfmt through the misdirect sweep — one Monkey
 // and one fresh PruneCache per backend, judged from a single goroutine, so
 // every counter (cache tiers included) is deterministic. A refactor of the
@@ -84,6 +84,7 @@ func TestSweepAccountingPinned(t *testing.T) {
 		mk := &Monkey{FS: fs, Prune: NewPruneCache()}
 		var cps checkpointTally
 		var reorder, faults axisTally
+		var classes kvoracle.Counts
 		if _, err := ace.New(ace.Default(1)).Generate(func(w *workload.Workload) bool {
 			p, err := mk.ProfileWorkload(w)
 			if err != nil {
@@ -96,18 +97,21 @@ func TestSweepAccountingPinned(t *testing.T) {
 					t.Fatalf("%s cp %d: %v", w.ID, cp, err)
 				}
 				cps.add(r)
+				classes.Add(r.Class)
 			}
 			rr, err := mk.ExploreReorder(p, 1)
 			if err != nil {
 				t.Fatalf("%s: reorder: %v", w.ID, err)
 			}
 			reorder.reorder(rr)
+			classes.Merge(rr.Classes)
 			fr, err := mk.ExploreFaults(p, allFaults)
 			if err != nil {
 				t.Fatalf("%s: faults: %v", w.ID, err)
 			}
 			for i := range fr.Kinds {
 				faults.fault(&fr.Kinds[i])
+				classes.Merge(fr.Kinds[i].Classes)
 			}
 			return true
 		}); err != nil {
@@ -118,6 +122,8 @@ func TestSweepAccountingPinned(t *testing.T) {
 			Mountable: 7514, ReplayedWrites: 12233})
 		pin(t, "faults", faults, axisTally{States: 39277, Checked: 13303, ClassSkipped: 25974,
 			Mountable: 39277, ReplayedWrites: 28330})
+		// File-family verdicts have no application class.
+		pin(t, "classes", classes, kvoracle.Counts{})
 		pinPrune(t, mk.Prune, PruneStats{ClassHits: 31313, TreeHits: 75, Misses: 16319})
 	})
 
@@ -137,25 +143,25 @@ func TestSweepAccountingPinned(t *testing.T) {
 				t.Fatalf("%s: profile: %v", w.ID, err)
 			}
 			for cp := 1; cp <= kp.Checkpoints(); cp++ {
-				r, err := mk.TestKVCheckpoint(kp, cp)
+				r, err := mk.TestCheckpoint(kp, cp)
 				if err != nil {
 					t.Fatalf("%s cp %d: %v", w.ID, cp, err)
 				}
-				cps.add(&r.Result)
+				cps.add(r)
 				cpClasses.Add(r.Class)
 			}
-			rr, err := mk.ExploreKVReorder(kp, 1)
+			rr, err := mk.ExploreReorder(kp, 1)
 			if err != nil {
 				t.Fatalf("%s: reorder: %v", w.ID, err)
 			}
-			reorder.reorder(&rr.ReorderReport)
+			reorder.reorder(rr)
 			reorderClasses.Merge(rr.Classes)
-			fr, err := mk.ExploreKVFaults(kp, model)
+			fr, err := mk.ExploreFaults(kp, model)
 			if err != nil {
 				t.Fatalf("%s: faults: %v", w.ID, err)
 			}
 			for i := range fr.Kinds {
-				faults.fault(&fr.Kinds[i].FaultKindReport)
+				faults.fault(&fr.Kinds[i])
 				faultClasses.Merge(fr.Kinds[i].Classes)
 			}
 			kp.Release()
@@ -188,12 +194,12 @@ func TestSweepAccountingPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: profile: %v", w.ID, err)
 			}
-			fr, err := mk.ExploreKVFaults(kp, model)
+			fr, err := mk.ExploreFaults(kp, model)
 			if err != nil {
 				t.Fatalf("%s: faults: %v", w.ID, err)
 			}
 			for i := range fr.Kinds {
-				faults.fault(&fr.Kinds[i].FaultKindReport)
+				faults.fault(&fr.Kinds[i])
 				classes.Merge(fr.Kinds[i].Classes)
 			}
 			kp.Release()

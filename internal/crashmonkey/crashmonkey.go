@@ -15,6 +15,7 @@ import (
 	"b3/internal/blockdev"
 	"b3/internal/bugs"
 	"b3/internal/filesys"
+	"b3/internal/kvoracle"
 	"b3/internal/workload"
 )
 
@@ -89,12 +90,16 @@ func (mk *Monkey) formatted() (*blockdev.MemDisk, error) {
 }
 
 // Profile is a recorded run of one workload: the base image, the IO log
-// with checkpoints, and the oracle expectation captured at each checkpoint.
+// with checkpoints, and the oracles its family judges crash states by.
 type Profile struct {
-	Workload     *workload.Workload
-	base         *blockdev.MemDisk
-	rec          *blockdev.Recorder
-	expectations []*Expectation
+	// Workload is the ACE workload profiled; nil for a KV workload.
+	Workload *workload.Workload
+	base     *blockdev.MemDisk
+	rec      *blockdev.Recorder
+	// checks judges the persistence points (TestCheckpoint), sweeps the
+	// reorder and fault states (ExploreReorder, ExploreFaults): fileOracle
+	// and mountOracle for an ACE workload, kvOracle on both for a KV one.
+	checks, sweeps oracle
 	// ProfileDur is the wall time of the profiling phase (§6.3): running the
 	// workload over the recording device. Building the oracle is not part of
 	// it (Expect, kvoracle.Build).
@@ -215,6 +220,11 @@ type Result struct {
 	// identical device contents, "tree": identical recovered tree).
 	Pruned   bool
 	PrunedBy string
+	// Class is the application oracle's class of the recovered state;
+	// kvoracle.NumClasses when the verdict has none, which is every
+	// file-family verdict and every KV state that neither mounted nor was
+	// repaired. Counts.Add tallies nothing for NumClasses.
+	Class kvoracle.Class
 }
 
 // Buggy reports whether any crash-consistency violation was found.
@@ -240,6 +250,10 @@ func (r *Result) adopt(v *cachedVerdict, tier string) {
 	r.Pruned, r.PrunedBy = tier != "", tier
 	r.Mountable, r.FsckRun, r.FsckRepaired = v.mountable, v.fsckRun, v.fsckRepaired
 	r.Findings = cloneFindings(v.findings)
+	r.Class = kvoracle.NumClasses
+	if v.classed {
+		r.Class = v.class
+	}
 }
 
 // severityOrder ranks consequences least- to most-severe. It must stay
@@ -280,19 +294,22 @@ func severity(c bugs.Consequence) int {
 // record profiles one workload of either family: run drives its operations
 // against a mount over the recording device, checkpointing the recorder at
 // every persistence point, and the profile must then hold the want
-// checkpoints its oracle expects. The recorder
+// checkpoints its oracles expect. The profile keeps the family's oracles,
+// checks for its persistence points and sweeps for its reorder and fault
+// states, so one set of entry points serves both families. The recorder
 // overlays the Monkey's formatted base image (formatted) and copies each
 // write once, into a pooled buffer that serves both the log and the
 // profile's own reads; Profile.Release hands the buffers back once the
 // workload's sweeps are done, so a workload allocates neither a device-sized
 // table nor a fresh file system. On any error the profile is released.
-func (mk *Monkey) record(id string, want int, run func(filesys.MountedFS, *blockdev.Recorder) error) (*Profile, error) {
+func (mk *Monkey) record(id string, want int, checks, sweeps oracle,
+	run func(filesys.MountedFS, *blockdev.Recorder) error) (*Profile, error) {
 	start := time.Now()
 	base, err := mk.formatted()
 	if err != nil {
 		return nil, err
 	}
-	p := &Profile{base: base, rec: blockdev.NewRecorder(base)}
+	p := &Profile{base: base, rec: blockdev.NewRecorder(base), checks: checks, sweeps: sweeps}
 	m, err := mk.FS.Mount(p.rec)
 	if err != nil {
 		err = fmt.Errorf("crashmonkey: mount: %w", err)
@@ -347,7 +364,7 @@ func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*P
 	if len(exps) > 0 && exps[0].g != mk.FS.Guarantees() {
 		return nil, fmt.Errorf("crashmonkey: %s: oracle built for other guarantees than %s's", w.ID, mk.FS.Name())
 	}
-	p, err := mk.record(w.ID, len(exps), func(m filesys.MountedFS, rec *blockdev.Recorder) error {
+	p, err := mk.record(w.ID, len(exps), fileOracle(exps), mountOracle{}, func(m filesys.MountedFS, rec *blockdev.Recorder) error {
 		for i, op := range w.Ops {
 			if err := workload.Apply(m, op, i); err != nil {
 				return fmt.Errorf("crashmonkey: op %d (%s): %w", i, op, err)
@@ -361,29 +378,20 @@ func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*P
 	if err != nil {
 		return nil, err
 	}
-	p.Workload, p.expectations = w, exps
+	p.Workload = w
 	return p, nil
 }
 
 // TestCheckpoint constructs the crash state for checkpoint cp (1-based),
-// mounts it (running recovery), and checks consistency.
+// recovers it, and judges it by the profile's persistence-point oracle:
+// the AutoChecker for an ACE workload, the store's own recovery and the
+// expected-state oracle for a KV one. The pipeline — hoisted class lookup,
+// construction, disk-tier lookup, judge, store — is the same for both.
 func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
-	res := &Result{Workload: p.Workload}
-	if _, err := mk.testState(p, cp, res, fileOracle{mk, p.expectations}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// testState is the family-independent pipeline for one persistence point —
-// hoisted class lookup, construction, disk-tier lookup, judge, store — with
-// o supplying the expectation and the check. It fills res and returns the
-// verdict res was filled from.
-func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) (*cachedVerdict, error) {
 	if n := p.Checkpoints(); cp < 1 || cp > n {
 		return nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, n)
 	}
-	res.FSName, res.Checkpoint = mk.FS.Name(), cp
+	res := &Result{Workload: p.Workload, FSName: mk.FS.Name(), Checkpoint: cp}
 
 	// Class pruning hoists the cache lookup to before construction: the
 	// incremental cursor's fingerprint hashes only the seek's writes, so a
@@ -395,11 +403,11 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) (*cachedV
 	var hit *cachedVerdict
 	var classified func(fp uint64) bool
 	if mk.Prune != nil {
-		key.oracle = mk.pruneSalt() ^ o.salt(cp)
+		key.oracle = mk.pruneSalt() ^ p.checks.salt(cp)
 		if !mk.NoClassPrune {
 			classified = func(fp uint64) bool {
 				key.state, looked = fp, true
-				v, ok := mk.Prune.classify(key)
+				v, ok := mk.Prune.lookupDisk(key, &mk.Prune.classHits)
 				hit = v
 				return ok
 			}
@@ -419,7 +427,7 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) (*cachedV
 		// is the same cache line; only the construction was saved.
 		res.StateHash = key.state
 		res.adopt(hit, "disk")
-		return hit, nil
+		return res, nil
 	}
 	// Forks hold only recovery/checker writes; hand their buffers back to
 	// the pool once the verdict is composed (nothing below retains device
@@ -433,28 +441,25 @@ func (mk *Monkey) testState(p *Profile, cp int, res *Result, o oracle) (*cachedV
 	v, tier, err := mk.judged(key, looked, func() (*cachedVerdict, string, error) {
 		checkStart := time.Now()
 		defer func() { res.CheckDur = time.Since(checkStart) }()
-		return o.judge(crash, cp)
+		return p.checks.judge(mk, crash, cp)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("crashmonkey: checkpoint %d: %w", cp, err)
 	}
 	res.adopt(v, tier)
-	return v, nil
+	return res, nil
 }
 
-// fileOracle is the file family's checkpoint oracle: the tracker's
-// expectation at the persistence point keys the verdict, and the AutoChecker
-// — read checks over the crash index, write checks on a COW fork, with the
-// tree tier in between — renders it.
-type fileOracle struct {
-	mk           *Monkey
-	expectations []*Expectation
-}
+// fileOracle is the file family's checkpoint oracle, the tracker's
+// expectation at each persistence point: the expectation keys the verdict,
+// and the AutoChecker — read checks over the crash index, write checks on a
+// COW fork, with the tree tier in between — renders it.
+type fileOracle []*Expectation
 
-func (o fileOracle) salt(cp int) uint64 { return o.expectations[cp-1].Fingerprint() }
+func (o fileOracle) salt(cp int) uint64 { return o[cp-1].Fingerprint() }
 
-func (o fileOracle) judge(crash *blockdev.Snapshot, cp int) (*cachedVerdict, string, error) {
-	mk, exp := o.mk, o.expectations[cp-1]
+func (o fileOracle) judge(mk *Monkey, crash *blockdev.Snapshot, cp int) (*cachedVerdict, string, error) {
+	exp := o[cp-1]
 	m, err := mk.FS.Mount(crash)
 	if err != nil {
 		if !errors.Is(err, filesys.ErrCorrupted) {
@@ -533,10 +538,10 @@ func (mk *Monkey) Run(w *workload.Workload) (*Result, error) {
 		return nil, err
 	}
 	defer p.Release()
-	if len(p.expectations) == 0 {
+	if p.Checkpoints() == 0 {
 		return nil, fmt.Errorf("crashmonkey: workload %s has no persistence point", w.ID)
 	}
-	return mk.TestCheckpoint(p, len(p.expectations))
+	return mk.TestCheckpoint(p, p.Checkpoints())
 }
 
 // RunAll tests every checkpoint of the workload (the exhaustive variant).
@@ -546,8 +551,8 @@ func (mk *Monkey) RunAll(w *workload.Workload) ([]*Result, error) {
 		return nil, err
 	}
 	defer p.Release()
-	out := make([]*Result, 0, len(p.expectations))
-	for cp := 1; cp <= len(p.expectations); cp++ {
+	out := make([]*Result, 0, p.Checkpoints())
+	for cp := 1; cp <= p.Checkpoints(); cp++ {
 		r, err := mk.TestCheckpoint(p, cp)
 		if err != nil {
 			return nil, err

@@ -346,10 +346,10 @@ func TestSoundnessRandomWorkloads(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			w := randomWorkload(rng, i)
 			p, err := mk.ProfileWorkload(w)
-			if err != nil || len(p.expectations) == 0 {
+			if err != nil || p.Checkpoints() == 0 {
 				continue // workload invalid for this FS state; skip
 			}
-			res, err := mk.TestCheckpoint(p, len(p.expectations))
+			res, err := mk.TestCheckpoint(p, p.Checkpoints())
 			if err != nil {
 				t.Fatalf("%s #%d: %v\n%s", fs.Name(), i, err, w)
 			}

@@ -76,14 +76,15 @@ func (r *FaultReport) ReplayedWrites() int64 {
 // ExploreFaults sweeps the fault-injection crash states of a profiled run
 // for every kind in model, in the order given. When the Monkey has a
 // PruneCache, byte-identical states within a kind are judged once and the
-// verdict reused; verdict entries are salted per kind.
+// verdict reused; verdict entries are salted per kind. Every state is judged
+// by the profile's sweep oracle, as in ExploreReorder.
 func (mk *Monkey) ExploreFaults(p *Profile, model blockdev.FaultModel) (*FaultReport, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
 	report := &FaultReport{SectorSize: model.Sector()}
 	for _, kind := range model.Kinds {
-		kr, err := mk.exploreFaultKind(p, kind, model.Sector(), mountOracle{mk}, nil)
+		kr, err := mk.exploreFaultKind(p, kind, model.Sector())
 		if err != nil {
 			return nil, err
 		}
@@ -92,11 +93,10 @@ func (mk *Monkey) ExploreFaults(p *Profile, model blockdev.FaultModel) (*FaultRe
 	return report, nil
 }
 
-// exploreFaultKind is the one fault-injection driver: it enumerates one
-// kind's state space of p and judges every state through o.
-func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector int,
-	o oracle, observe func(*cachedVerdict)) (FaultKindReport, error) {
-	s := mk.newSweep(p, faultOracleSalt(kind), o, observe)
+// exploreFaultKind enumerates one kind's state space of p and judges every
+// state through the profile's sweep oracle.
+func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector int) (FaultKindReport, error) {
+	s := mk.newSweep(p, faultOracleSalt(kind))
 	log := p.rec.Log()
 	if mk.ScratchStates {
 		s.fail(blockdev.ForEachFaultState(log, kind, sector,

@@ -21,11 +21,12 @@ import (
 // knows about, because the lost bytes live inside application files whose
 // durability contract only the application understands.
 //
-// The sweep pipeline is shared with the file family, not mirrored: this file
-// holds only what differs — how a KV workload is profiled, and kvOracle, the
-// oracle seam's application-level implementation (sweep.go). Verdicts live in
-// the same PruneCache, salted with kvOracleSalt and the KV expectation
-// fingerprint so they never collide with file-level ones.
+// The pipeline is shared with the file family, not mirrored: this file holds
+// only what differs — how a KV workload is profiled, and kvOracle, the
+// oracle seam's application-level implementation (sweep.go), which the
+// profile carries on every axis. Verdicts live in the same PruneCache,
+// salted with kvOracleSalt and the KV expectation fingerprint so they never
+// collide with file-level ones.
 
 // KVDir is where the store lives on the file system under test.
 const KVDir = "/db"
@@ -35,18 +36,9 @@ const KVDir = "/db"
 // unchecked reorder/fault mountability entries.
 const kvOracleSalt uint64 = 0x4b564f7261636c65 // "KVOracle"
 
-// KVProfile is a recorded run of one KV workload: the shared block-level
-// profile plus the per-interval expected-state oracle.
-type KVProfile struct {
-	*Profile
-	Workload *kvace.Workload
-	// exps[i] is the expectation after i completed persistence points.
-	exps []*kvoracle.Expectation
-}
-
 // ProfileKV builds the workload's interval oracle (kvoracle.Build) and
 // profiles it (ProfileKVExpected).
-func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
+func (mk *Monkey) ProfileKV(w *kvace.Workload) (*Profile, error) {
 	return mk.ProfileKVExpected(w, kvoracle.Build(w.Ops))
 }
 
@@ -54,9 +46,11 @@ func (mk *Monkey) ProfileKV(w *kvace.Workload) (*KVProfile, error) {
 // system over the recording wrapper device, checkpointing after every
 // persistence op (sync, flush, reopen). exps is the workload's interval
 // oracle as kvoracle.Build returns it; it has no file-system input, so one
-// build serves every backend, and the profile shares it.
-func (mk *Monkey) ProfileKVExpected(w *kvace.Workload, exps []*kvoracle.Expectation) (*KVProfile, error) {
-	p, err := mk.record(w.ID, len(exps)-1, func(m filesys.MountedFS, rec *blockdev.Recorder) error {
+// build serves every backend, and the profile shares it: it judges the
+// persistence points and the reorder and fault states alike.
+func (mk *Monkey) ProfileKVExpected(w *kvace.Workload, exps []*kvoracle.Expectation) (*Profile, error) {
+	var o oracle = kvOracle(exps)
+	return mk.record(w.ID, len(exps)-1, o, o, func(m filesys.MountedFS, rec *blockdev.Recorder) error {
 		s, err := kvstore.Create(m, KVDir)
 		if err != nil {
 			return fmt.Errorf("crashmonkey: kv create: %w", err)
@@ -91,20 +85,6 @@ func (mk *Monkey) ProfileKVExpected(w *kvace.Workload, exps []*kvoracle.Expectat
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &KVProfile{Profile: p, Workload: w, exps: exps}, nil
-}
-
-// KVResult is the outcome of testing one KV crash state: the file-level
-// accounting (Result.Workload stays nil) plus the oracle class.
-type KVResult struct {
-	Result
-	Workload *kvace.Workload
-	// Class is the oracle verdict for the recovered store contents;
-	// meaningful only when the file system mounted (or was repaired).
-	Class kvoracle.Class
 }
 
 // kvConsequence maps an oracle class to its bugs-registry consequence.
@@ -125,18 +105,16 @@ func kvConsequence(c kvoracle.Class) bugs.Consequence {
 	return bugs.ConsequenceNone
 }
 
-// kvOracle is the application family's oracle on every axis: the interval's
-// expectation keys the verdict, and the store's own recovery path plus the
-// expected-state check renders it.
-type kvOracle struct {
-	mk   *Monkey
-	exps []*kvoracle.Expectation
-}
+// kvOracle is the application family's oracle on every axis, the workload's
+// interval oracle: exps[i] is the expectation after i completed persistence
+// points. The interval's expectation keys the verdict, and the store's own
+// recovery path plus the expected-state check renders it.
+type kvOracle []*kvoracle.Expectation
 
-func (o kvOracle) salt(interval int) uint64 { return kvOracleSalt ^ o.exps[interval].Fingerprint() }
+func (o kvOracle) salt(interval int) uint64 { return kvOracleSalt ^ o[interval].Fingerprint() }
 
-func (o kvOracle) judge(crash *blockdev.Snapshot, interval int) (*cachedVerdict, string, error) {
-	v, err := o.mk.recoverKVState(crash, o.exps[interval])
+func (o kvOracle) judge(mk *Monkey, crash *blockdev.Snapshot, interval int) (*cachedVerdict, string, error) {
+	v, err := mk.recoverKVState(crash, o[interval])
 	return v, "", err
 }
 
@@ -152,10 +130,10 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 	}
 	if m == nil {
 		// FS-level broken state: the application never gets to run, so
-		// the KV oracle renders no class verdict. The sweep tallies
-		// exclude it by its flags (it stays in the file-level Broken
-		// accounting); the checkpoint path reports the lower layer's
-		// contract breach as the file-level oracle would.
+		// the KV oracle renders no class, and no tally counts the state
+		// (it stays in the file-level Broken accounting); the checkpoint
+		// path reports the lower layer's contract breach as the file-level
+		// oracle would.
 		v.findings = []Finding{{
 			Consequence: bugs.Unmountable,
 			Path:        "/",
@@ -164,6 +142,7 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 		return v, nil
 	}
 
+	v.classed = true
 	s, err := kvstore.Open(m, KVDir)
 	if err != nil {
 		v.class = kvoracle.ClassUnreplayable
@@ -186,98 +165,45 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 	return v, nil
 }
 
-// TestKVCheckpoint constructs the crash state for checkpoint cp (1-based),
-// mounts it, runs the application's recovery, and checks the store contents
-// against the interval oracle.
-func (mk *Monkey) TestKVCheckpoint(kp *KVProfile, cp int) (*KVResult, error) {
-	res := &KVResult{Workload: kp.Workload}
-	v, err := mk.testState(kp.Profile, cp, &res.Result, kvOracle{mk, kp.exps})
-	if err != nil {
-		return nil, err
-	}
-	res.Class = v.class
-	return res, nil
+// The KV views below are the general entry points under their KV names,
+// kept for bench/, which calls them. They add no behaviour: the class tally
+// is the embedded report's Classes.
+
+// TestKVCheckpoint is TestCheckpoint.
+func (mk *Monkey) TestKVCheckpoint(p *Profile, cp int) (*Result, error) {
+	return mk.TestCheckpoint(p, cp)
 }
 
-// RunKV profiles the KV workload and tests its final crash state (the §5.3
-// strategy: earlier checkpoints repeat shorter workloads).
-func (mk *Monkey) RunKV(w *kvace.Workload) (*KVResult, error) {
-	kp, err := mk.ProfileKV(w)
-	if err != nil {
-		return nil, err
-	}
-	defer kp.Release()
-	if kp.Checkpoints() == 0 {
-		return nil, fmt.Errorf("crashmonkey: kv workload %s has no persistence point", w.ID)
-	}
-	return mk.TestKVCheckpoint(kp, kp.Checkpoints())
-}
+// KVReorderReport is a ReorderReport under its KV name.
+type KVReorderReport struct{ ReorderReport }
 
-// KVReorderReport is a bounded-reordering sweep of one KV workload: the
-// file-level recovery accounting plus the oracle classification of every
-// state the application could recover on.
-type KVReorderReport struct {
-	ReorderReport
-	// Classes tallies the oracle verdicts over the mountable (or repaired)
-	// states; FS-level broken states are excluded — they are already
-	// violations of the lower layer's contract.
-	Classes kvoracle.Counts
-}
+// KVFaultKindReport is a FaultKindReport under its KV name.
+type KVFaultKindReport struct{ FaultKindReport }
 
-// KVFaultKindReport is one fault kind's sweep of one KV workload.
-type KVFaultKindReport struct {
-	FaultKindReport
-	Classes kvoracle.Counts
-}
-
-// KVFaultReport summarises the fault-injection sweeps of one KV workload.
+// KVFaultReport is a FaultReport whose kinds are KVFaultKindReports.
 type KVFaultReport struct {
 	SectorSize int
 	Kinds      []KVFaultKindReport
 }
 
-// tallyKV folds one verdict's class into the class counters. FS-broken
-// states render no application verdict.
-func tallyKV(v *cachedVerdict, counts *kvoracle.Counts) {
-	if v.mountable || v.fsckRepaired {
-		counts.Add(v.class)
-	}
-}
-
-// ExploreKVReorder sweeps the bounded-reordering crash states of a profiled
-// KV run at bound k, classifying every recoverable state through the
-// application oracle. A state in flight during an epoch is judged by the
-// expectation of that epoch's persistence interval — the acknowledged state
-// of the last completed persistence point plus the interval's pending tail —
-// and the expectation's fingerprint is part of the class key, so the sweep
-// prunes at enumeration time exactly like the file-level one.
-func (mk *Monkey) ExploreKVReorder(kp *KVProfile, k int) (*KVReorderReport, error) {
-	report := &KVReorderReport{}
-	rr, err := mk.exploreReorder(kp.Profile, k, kvOracle{mk, kp.exps},
-		func(v *cachedVerdict) { tallyKV(v, &report.Classes) })
+// ExploreKVReorder is ExploreReorder.
+func (mk *Monkey) ExploreKVReorder(p *Profile, k int) (*KVReorderReport, error) {
+	rr, err := mk.ExploreReorder(p, k)
 	if err != nil {
 		return nil, err
 	}
-	report.ReorderReport = *rr
-	return report, nil
+	return &KVReorderReport{*rr}, nil
 }
 
-// ExploreKVFaults sweeps the fault-injection crash states of a profiled KV
-// run for every kind in model, classifying every recoverable state through
-// the application oracle.
-func (mk *Monkey) ExploreKVFaults(kp *KVProfile, model blockdev.FaultModel) (*KVFaultReport, error) {
-	if err := model.Validate(); err != nil {
+// ExploreKVFaults is ExploreFaults.
+func (mk *Monkey) ExploreKVFaults(p *Profile, model blockdev.FaultModel) (*KVFaultReport, error) {
+	fr, err := mk.ExploreFaults(p, model)
+	if err != nil {
 		return nil, err
 	}
-	report := &KVFaultReport{SectorSize: model.Sector(), Kinds: make([]KVFaultKindReport, len(model.Kinds))}
-	for i, kind := range model.Kinds {
-		kr := &report.Kinds[i]
-		var err error
-		kr.FaultKindReport, err = mk.exploreFaultKind(kp.Profile, kind, model.Sector(), kvOracle{mk, kp.exps},
-			func(v *cachedVerdict) { tallyKV(v, &kr.Classes) })
-		if err != nil {
-			return nil, err
-		}
+	report := &KVFaultReport{SectorSize: fr.SectorSize, Kinds: make([]KVFaultKindReport, len(fr.Kinds))}
+	for i, kr := range fr.Kinds {
+		report.Kinds[i].FaultKindReport = kr
 	}
 	return report, nil
 }

@@ -34,6 +34,31 @@ func kvWorkloads(t *testing.T, profile string, keep func(seq int64) bool) []*kva
 	return out
 }
 
+// runKV profiles the KV workload and tests its final crash state.
+func runKV(t *testing.T, mk *Monkey, w *kvace.Workload) *Result {
+	t.Helper()
+	p, err := mk.ProfileKV(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	res, err := mk.TestCheckpoint(p, p.Checkpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// persistAgain adds one more persistence point to a KV profile after its
+// workload ran: the recorder is checkpointed once more, and since the store
+// ran no operation since, the new interval promises what the last one did.
+func persistAgain(p *Profile) {
+	p.rec.Checkpoint()
+	exps := p.checks.(kvOracle)
+	var o oracle = append(exps, exps[len(exps)-1])
+	p.checks, p.sweeps = o, o
+}
+
 func TestKVProfileAndFinalCheckpoint(t *testing.T) {
 	mk := &Monkey{FS: diskfmt.NewFS(diskfmt.Options{})}
 	w := &kvace.Workload{ID: "kv-adhoc", Ops: []kvace.Op{
@@ -42,10 +67,7 @@ func TestKVProfileAndFinalCheckpoint(t *testing.T) {
 		{Kind: kvace.OpPut, Key: "k1", Value: "v1.1"},
 		{Kind: kvace.OpFlush},
 	}}
-	res, err := mk.RunKV(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runKV(t, mk, w)
 	if !res.Mountable {
 		t.Fatal("final crash state did not mount on the reference backend")
 	}
@@ -68,10 +90,7 @@ func TestKVReopenRoundTrip(t *testing.T) {
 		{Kind: kvace.OpPut, Key: "k1", Value: "v1.1"},
 		{Kind: kvace.OpSync},
 	}}
-	res, err := mk.RunKV(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runKV(t, mk, w)
 	if res.Class != kvoracle.ClassLegal || len(res.Findings) != 0 {
 		t.Fatalf("reopen workload misjudged: class %v findings %v", res.Class, res.Findings)
 	}
@@ -107,7 +126,7 @@ func TestKVOracleReferenceBackend(t *testing.T) {
 			t.Fatalf("%s: profile: %v", w.ID, err)
 		}
 
-		res, err := mk.TestKVCheckpoint(kp, kp.Checkpoints())
+		res, err := mk.TestCheckpoint(kp, kp.Checkpoints())
 		if err != nil {
 			t.Fatalf("%s: final checkpoint: %v", w.ID, err)
 		}
@@ -115,7 +134,7 @@ func TestKVOracleReferenceBackend(t *testing.T) {
 			t.Fatalf("%s: final checkpoint classified %v: %v", w.ID, res.Class, res.Findings)
 		}
 
-		rr, err := mk.ExploreKVReorder(kp, 1)
+		rr, err := mk.ExploreReorder(kp, 1)
 		if err != nil {
 			t.Fatalf("%s: reorder sweep: %v", w.ID, err)
 		}
@@ -130,7 +149,7 @@ func TestKVOracleReferenceBackend(t *testing.T) {
 				w.ID, v, rr.Classes)
 		}
 
-		fr, err := mk.ExploreKVFaults(kp, model)
+		fr, err := mk.ExploreFaults(kp, model)
 		if err != nil {
 			t.Fatalf("%s: fault sweep: %v", w.ID, err)
 		}
@@ -166,10 +185,7 @@ func TestKVFscqsimLosesAcknowledgedWrite(t *testing.T) {
 		{Kind: kvace.OpPut, Key: "k0", Value: "v0.0"},
 		{Kind: kvace.OpSync},
 	}}
-	res, err := mk.RunKV(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runKV(t, mk, w)
 	if res.Class != kvoracle.ClassLostAck {
 		t.Fatalf("buggy fscqsim classified %v (findings %v), want lost-acknowledged-write",
 			res.Class, res.Findings)
@@ -189,10 +205,7 @@ func TestKVFscqsimLosesAcknowledgedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = (&Monkey{FS: fixed}).RunKV(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = runKV(t, &Monkey{FS: fixed}, w)
 	if res.Class != kvoracle.ClassLegal {
 		t.Fatalf("fixed fscqsim classified %v: %v", res.Class, res.Findings)
 	}
@@ -219,13 +232,13 @@ func TestKVAllBackendsComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: profile: %v", name, err)
 		}
-		if _, err := mk.TestKVCheckpoint(kp, kp.Checkpoints()); err != nil {
+		if _, err := mk.TestCheckpoint(kp, kp.Checkpoints()); err != nil {
 			t.Fatalf("%s: checkpoint: %v", name, err)
 		}
-		if _, err := mk.ExploreKVReorder(kp, 1); err != nil {
+		if _, err := mk.ExploreReorder(kp, 1); err != nil {
 			t.Fatalf("%s: reorder: %v", name, err)
 		}
-		if _, err := mk.ExploreKVFaults(kp, blockdev.FaultModel{
+		if _, err := mk.ExploreFaults(kp, blockdev.FaultModel{
 			Kinds: []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt},
 		}); err != nil {
 			t.Fatalf("%s: faults: %v", name, err)
@@ -251,14 +264,8 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 		{Kind: kvace.OpPut, Key: "k0", Value: "v0.0"},
 		{Kind: kvace.OpSync},
 	}}
-	first, err := mk.RunKV(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := mk.RunKV(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runKV(t, mk, w)
+	second := runKV(t, mk, w)
 	if !second.Pruned {
 		t.Fatal("identical rerun was not pruned")
 	}
@@ -279,8 +286,8 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 	}}
 	model := blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt}}
 	type pass struct {
-		rr *KVReorderReport
-		fr *KVFaultReport
+		rr *ReorderReport
+		fr *FaultReport
 	}
 	sweep := func(mk *Monkey) pass {
 		t.Helper()
@@ -289,11 +296,11 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer kp.Release()
-		rr, err := mk.ExploreKVReorder(kp, 1)
+		rr, err := mk.ExploreReorder(kp, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := mk.ExploreKVFaults(kp, model)
+		fr, err := mk.ExploreFaults(kp, model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,14 +323,14 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 	cold := sweep(mk)
 	warm := sweep(mk)
 	if warm.rr.ClassSkipped == 0 {
-		t.Fatalf("warm reorder sweep skipped nothing at enumeration time: %+v", warm.rr.ReorderReport)
+		t.Fatalf("warm reorder sweep skipped nothing at enumeration time: %+v", warm.rr)
 	}
 	if got := warm.rr.Checked + warm.rr.Pruned + warm.rr.ClassSkipped + warm.rr.CommuteSkipped; got != warm.rr.States {
 		t.Fatalf("warm reorder accounting: %d accounted of %d states", got, warm.rr.States)
 	}
 	for _, kr := range warm.fr.Kinds {
 		if kr.ClassSkipped == 0 {
-			t.Fatalf("warm %s sweep skipped nothing at enumeration time: %+v", kr.Kind, kr.FaultKindReport)
+			t.Fatalf("warm %s sweep skipped nothing at enumeration time: %+v", kr.Kind, kr)
 		}
 		if got := kr.Checked + kr.Pruned + kr.ClassSkipped; got != kr.States {
 			t.Fatalf("warm %s accounting: %d accounted of %d states", kr.Kind, got, kr.States)
@@ -363,12 +370,9 @@ func TestKVUnreplayableState(t *testing.T) {
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	kp.rec.Checkpoint()
-	// The store ran no operation since, so the new interval promises what
-	// the last one did.
-	kp.exps = append(kp.exps, kp.exps[len(kp.exps)-1])
+	persistAgain(kp)
 
-	res, err := mk.TestKVCheckpoint(kp, kp.Checkpoints())
+	res, err := mk.TestCheckpoint(kp, kp.Checkpoints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,13 +383,67 @@ func TestKVUnreplayableState(t *testing.T) {
 		t.Fatalf("findings %v, want one KVUnreplayable", res.Findings)
 	}
 
-	rr, err := mk.ExploreKVReorder(kp, 0)
+	rr, err := mk.ExploreReorder(kp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only the final state, the whole unlink replayed, loses the manifest.
 	if want := (kvoracle.Counts{Legal: 18, Unreplayable: 1}); rr.Classes != want {
 		t.Fatalf("reorder sweep classes %+v, want %+v", rr.Classes, want)
+	}
+	if got := int64(rr.Mountable + rr.Repaired); got != rr.Classes.Total() {
+		t.Fatalf("%d recoverable states, %d classified", got, rr.Classes.Total())
+	}
+}
+
+// TestKVUnmountableState: a KV persistence point whose file system neither
+// mounts nor is repaired gives the lower layer's Unmountable finding and no
+// application class, since the store never runs on it, so no class tally
+// counts it. After a synced put, both diskfmt superblock slots are zeroed
+// through the profile's recorder at one more persistence point.
+func TestKVUnmountableState(t *testing.T) {
+	mk := &Monkey{FS: diskfmt.NewFS(diskfmt.Options{}), Prune: NewPruneCache()}
+	kp, err := mk.ProfileKV(&kvace.Workload{ID: "kv-unmountable", Ops: []kvace.Op{
+		{Kind: kvace.OpPut, Key: "k0", Value: "v0.0"},
+		{Kind: kvace.OpSync},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kp.Release()
+	zero := make([]byte, blockdev.BlockSize)
+	for slot := int64(0); slot < 2; slot++ {
+		if err := kp.rec.WriteBlock(slot, zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	persistAgain(kp)
+
+	res, err := mk.TestCheckpoint(kp, kp.Checkpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mountable || res.FsckRepaired {
+		t.Fatalf("zeroed superblocks recovered: mountable %t, repaired %t", res.Mountable, res.FsckRepaired)
+	}
+	if len(res.Findings) != 1 || res.Findings[0].Consequence != bugs.Unmountable {
+		t.Fatalf("findings %v, want one Unmountable", res.Findings)
+	}
+	if res.Class != kvoracle.NumClasses {
+		t.Fatalf("unmountable state classified %v", res.Class)
+	}
+	var classes kvoracle.Counts
+	if classes.Add(res.Class); classes.Total() != 0 {
+		t.Fatalf("unmountable state tallied %+v", classes)
+	}
+
+	rr, err := mk.ExploreReorder(kp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the final state, both slots zeroed, is broken.
+	if !reflect.DeepEqual(rr.Broken, []string{"e16-full"}) || rr.Classes != (kvoracle.Counts{Legal: 18}) {
+		t.Fatalf("reorder sweep broke %v and classified %+v, want [e16-full] and 18 legal", rr.Broken, rr.Classes)
 	}
 	if got := int64(rr.Mountable + rr.Repaired); got != rr.Classes.Total() {
 		t.Fatalf("%d recoverable states, %d classified", got, rr.Classes.Total())

@@ -138,54 +138,39 @@ func runMemoPass(t *testing.T, name string, cold bool, files []*workload.Workloa
 		r.Workload, r.ReplayDur, r.CheckDur = nil, 0, 0
 		verdict(id, r)
 	}
+	judge := func(id string, p *Profile) {
+		defer p.Release()
+		for cp := 1; cp <= p.Checkpoints(); cp++ {
+			r, err := mk.TestCheckpoint(p, cp)
+			if err != nil {
+				t.Fatalf("%s cp %d: %v", id, cp, err)
+			}
+			result(id, *r)
+		}
+		rr, err := mk.ExploreReorder(p, 1)
+		if err != nil {
+			t.Fatalf("%s: reorder: %v", id, err)
+		}
+		verdict(id, *rr)
+		fr, err := mk.ExploreFaults(p, allFaults)
+		if err != nil {
+			t.Fatalf("%s: faults: %v", id, err)
+		}
+		verdict(id, *fr)
+	}
 	for _, w := range files {
 		p, err := mk.ProfileWorkload(w)
 		if err != nil {
 			t.Fatalf("%s: profile: %v", w.ID, err)
 		}
-		for cp := 1; cp <= p.Checkpoints(); cp++ {
-			r, err := mk.TestCheckpoint(p, cp)
-			if err != nil {
-				t.Fatalf("%s cp %d: %v", w.ID, cp, err)
-			}
-			result(w.ID, *r)
-		}
-		rr, err := mk.ExploreReorder(p, 1)
-		if err != nil {
-			t.Fatalf("%s: reorder: %v", w.ID, err)
-		}
-		verdict(w.ID, *rr)
-		fr, err := mk.ExploreFaults(p, allFaults)
-		if err != nil {
-			t.Fatalf("%s: faults: %v", w.ID, err)
-		}
-		verdict(w.ID, *fr)
-		p.Release()
+		judge(w.ID, p)
 	}
 	for _, w := range kvs {
-		kp, err := mk.ProfileKV(w)
+		p, err := mk.ProfileKV(w)
 		if err != nil {
 			t.Fatalf("%s: profile: %v", w.ID, err)
 		}
-		for cp := 1; cp <= kp.Checkpoints(); cp++ {
-			r, err := mk.TestKVCheckpoint(kp, cp)
-			if err != nil {
-				t.Fatalf("%s cp %d: %v", w.ID, cp, err)
-			}
-			result(w.ID, r.Result)
-			verdict(w.ID, r.Class)
-		}
-		rr, err := mk.ExploreKVReorder(kp, 1)
-		if err != nil {
-			t.Fatalf("%s: reorder: %v", w.ID, err)
-		}
-		verdict(w.ID, *rr)
-		fr, err := mk.ExploreKVFaults(kp, allFaults)
-		if err != nil {
-			t.Fatalf("%s: faults: %v", w.ID, err)
-		}
-		verdict(w.ID, *fr)
-		kp.Release()
+		judge(w.ID, p)
 	}
 	run.obs = ofs.obs
 	return run

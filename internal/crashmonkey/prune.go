@@ -48,9 +48,10 @@ type cachedVerdict struct {
 	mountable    bool
 	fsckRun      bool
 	fsckRepaired bool
-	// class is the KV oracle's class of a KV verdict (kvOracle); ClassLegal
-	// on every other verdict and on a KV state that neither mounted nor was
-	// repaired. It sits beside the bools, where it costs no space.
+	// classed says the verdict has an application class, class: kvOracle's
+	// verdict on a state that mounted or was repaired. Every other verdict
+	// has none. Both sit beside the bools, where they cost no space.
+	classed  bool
 	class    kvoracle.Class
 	findings []Finding
 }
@@ -60,7 +61,7 @@ type PruneStats struct {
 	// DiskHits counts states skipped entirely (identical disk contents).
 	DiskHits int64
 	// ClassHits counts states skipped before construction: the enumerator
-	// classified the fingerprint through classify, so the state was
+	// classified the fingerprint through the disk tier, so the state was
 	// never forked or replayed, let alone checked.
 	ClassHits int64
 	// TreeHits counts states whose recovery ran but whose oracle checks
@@ -199,29 +200,19 @@ func (c *PruneCache) Stats() PruneStats {
 	}
 }
 
-func (c *PruneCache) lookupDisk(k stateKey) (*cachedVerdict, bool) {
-	c.mu.Lock()
-	v, ok := c.disk.get(k)
-	c.mu.Unlock()
-	if ok {
-		c.diskHits.Add(1)
-	}
-	return v, ok
-}
-
-// classify is the enumeration-time face of the disk tier: the pruned
-// blockdev enumerators hand every state's fingerprint to a Seen callback
-// *before* constructing the state, and the callback classifies it here — a
+// lookupDisk looks k up in the disk tier and counts a hit in hits: diskHits
+// after construction, classHits at enumeration time. The pruned blockdev
+// enumerators hand every state's fingerprint to a Seen callback *before*
+// constructing the state, and the callback classifies it here — a
 // fingerprint already classified means the state is never forked, never
-// replayed, never mounted. It is a disk-tier lookup counted as a class skip
-// rather than a disk hit, so the same verdict entries serve both the
+// replayed, never mounted. The same verdict entries serve both the
 // post-construction lookups and the enumeration-time skips.
-func (c *PruneCache) classify(k stateKey) (*cachedVerdict, bool) {
+func (c *PruneCache) lookupDisk(k stateKey, hits *atomic.Int64) (*cachedVerdict, bool) {
 	c.mu.Lock()
 	v, ok := c.disk.get(k)
 	c.mu.Unlock()
 	if ok {
-		c.classHits.Add(1)
+		hits.Add(1)
 	}
 	return v, ok
 }

@@ -37,16 +37,17 @@ sync
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1.expectations) != len(p2.expectations) {
-		t.Fatalf("checkpoint count differs: %d vs %d", len(p1.expectations), len(p2.expectations))
+	e1, e2 := p1.checks.(fileOracle), p2.checks.(fileOracle)
+	if len(e1) != len(e2) {
+		t.Fatalf("checkpoint count differs: %d vs %d", len(e1), len(e2))
 	}
-	for i := range p1.expectations {
-		a, b := p1.expectations[i].Fingerprint(), p2.expectations[i].Fingerprint()
+	for i := range e1 {
+		a, b := e1[i].Fingerprint(), e2[i].Fingerprint()
 		if a != b {
 			t.Fatalf("checkpoint %d: fingerprint %x != %x", i+1, a, b)
 		}
 	}
-	if p1.expectations[0].Fingerprint() == p1.expectations[len(p1.expectations)-1].Fingerprint() {
+	if e1[0].Fingerprint() == e1[len(e1)-1].Fingerprint() {
 		t.Fatal("distinct checkpoints produced equal fingerprints")
 	}
 }

@@ -52,18 +52,15 @@ func (r *ReorderReport) Clean() bool { return len(r.Broken) == 0 }
 // run at bound k (k = 0 explores only the in-order write prefixes). When the
 // Monkey has a PruneCache, byte-identical states are judged once and the
 // verdict is reused — identical Broken verdicts, strictly fewer recoveries
-// run.
+// run. Every state is judged by the profile's sweep oracle: recoverability
+// alone for an ACE workload; for a KV workload, the expected-state oracle of
+// the in-flight epoch's persistence interval, whose fingerprint is part of
+// the class key, so the sweep prunes at enumeration time just the same.
 func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
-	return mk.exploreReorder(p, k, mountOracle{mk}, nil)
-}
-
-// exploreReorder is the one bounded-reordering driver: it enumerates the
-// state space of p at bound k and judges every state through o.
-func (mk *Monkey) exploreReorder(p *Profile, k int, o oracle, observe func(*cachedVerdict)) (*ReorderReport, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("crashmonkey: negative reorder bound %d", k)
 	}
-	s := mk.newSweep(p, reorderOracleSalt, o, observe)
+	s := mk.newSweep(p, reorderOracleSalt)
 	log := p.rec.Log()
 
 	if mk.ScratchStates {

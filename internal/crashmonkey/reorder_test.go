@@ -310,7 +310,7 @@ func TestReorderBarrierSoundness(t *testing.T) {
 	write(0, fs.a)
 	rec.Checkpoint()
 	write(1, fs.b)
-	p := &Profile{base: base, rec: rec}
+	p := &Profile{base: base, rec: rec, sweeps: mountOracle{}}
 	defer p.Release()
 
 	mk := &Monkey{FS: fs}

@@ -5,6 +5,7 @@ import (
 
 	"b3/internal/blockdev"
 	"b3/internal/filesys"
+	"b3/internal/kvoracle"
 )
 
 // One judged sweep. CrashMonkey's pipeline (§5.1) — construct a crash state,
@@ -14,13 +15,13 @@ import (
 // file family judges persistence points with the AutoChecker (fileOracle)
 // and its reorder/fault states for recoverability alone (mountOracle); the
 // application family judges every axis with the store's own recovery and
-// the expected-state oracle (kvOracle). Everything else — cache keys, the
+// the expected-state oracle (kvOracle). Monkey.record stores the family's
+// oracles on the Profile, so one TestCheckpoint, one ExploreReorder and one
+// ExploreFaults serve both families. Everything else — cache keys, the
 // enumeration-time class lookup, commute representatives, the disk-tier
-// lookup, storing, tallying — exists once, here and in the two drivers
-// (exploreReorder, exploreFaultKind), and both families record their
-// workloads through one recorder (Monkey.record). The KV class is rendered
-// with the KV verdict (cachedVerdict.class), so nothing downstream re-derives
-// it from findings.
+// lookup, storing, tallying — exists once, here and in those entry points.
+// The KV class is rendered with the KV verdict (cachedVerdict.class) and
+// tallied in settle, so nothing downstream re-derives it from findings.
 
 // oracle is the per-family seam of the sweep pipeline. at selects the
 // expectation a crash state is judged against: the 1-based persistence
@@ -31,10 +32,11 @@ type oracle interface {
 	// states share a verdict only when their contents and this value agree.
 	// It is XOR-composed with the Monkey's pruneSalt and the axis salt.
 	salt(at int) uint64
-	// judge recovers the crash state and renders its verdict. tier is "tree"
-	// when recovery ran but the verdict was reused from the tree tier (only
-	// fileOracle does that), "" when the state was judged in full.
-	judge(crash *blockdev.Snapshot, at int) (v *cachedVerdict, tier string, err error)
+	// judge recovers the crash state on mk's file system and renders its
+	// verdict. tier is "tree" when recovery ran but the verdict was reused
+	// from the tree tier (only fileOracle does that), "" when the state was
+	// judged in full.
+	judge(mk *Monkey, crash *blockdev.Snapshot, at int) (v *cachedVerdict, tier string, err error)
 }
 
 // judged resolves the verdict of one constructed crash state: reused from
@@ -47,7 +49,7 @@ func (mk *Monkey) judged(key stateKey, missed bool,
 		return check()
 	}
 	if !missed {
-		if v, ok := mk.Prune.lookupDisk(key); ok {
+		if v, ok := mk.Prune.lookupDisk(key, &mk.Prune.diskHits); ok {
 			return v, "disk", nil
 		}
 	}
@@ -90,12 +92,12 @@ func (mk *Monkey) mountOrRepair(crash blockdev.Device) (filesys.MountedFS, *cach
 // correctness criteria are undefined mid-operation, so there is no
 // expectation (a constant salt) and the check is the assumption B3 rests on:
 // recovery must reach a mountable image, at worst after fsck.
-type mountOracle struct{ mk *Monkey }
+type mountOracle struct{}
 
 func (mountOracle) salt(int) uint64 { return 0 }
 
-func (o mountOracle) judge(crash *blockdev.Snapshot, _ int) (*cachedVerdict, string, error) {
-	_, v, err := o.mk.mountOrRepair(crash)
+func (mountOracle) judge(mk *Monkey, crash *blockdev.Snapshot, _ int) (*cachedVerdict, string, error) {
+	_, v, err := mk.mountOrRepair(crash)
 	return v, "", err
 }
 
@@ -120,6 +122,10 @@ type sweepCounts struct {
 	// Broken lists, by Desc, the states that neither mounted nor repaired:
 	// violations of the core-mechanism assumption.
 	Broken []string
+	// Classes tallies the application oracle's class of every state whose
+	// verdict has one: kvOracle's states that mounted or were repaired. It
+	// stays zero for the file family.
+	Classes kvoracle.Counts
 	// ReplayedWrites is the metered number of recorded writes replayed to
 	// construct the sweep's states (torn, corrupting and misdirected writes
 	// included). The incremental engine replays each epoch once per sweep
@@ -129,8 +135,8 @@ type sweepCounts struct {
 }
 
 // sweep is one judged enumeration — one reorder sweep, or one fault kind's
-// sweep — of a profile against an oracle. The drivers hand its counts to
-// their axis report once the enumeration ends.
+// sweep — of a profile against its sweep oracle. The entry points hand its
+// counts to their axis report once the enumeration ends.
 type sweep struct {
 	mk     *Monkey
 	base   *blockdev.MemDisk
@@ -138,9 +144,6 @@ type sweep struct {
 	o      oracle
 	// salt is pruneSalt ^ the axis salt; the oracle's joins it per state.
 	salt uint64
-	// observe, when non-nil, sees the verdict of every enumerated state —
-	// judged, reused, or skipped before construction alike.
-	observe func(*cachedVerdict)
 
 	// err is the first error of the sweep; the enumeration stops on it.
 	err error
@@ -156,9 +159,9 @@ type sweep struct {
 	looked bool
 }
 
-func (mk *Monkey) newSweep(p *Profile, axisSalt uint64, o oracle, observe func(*cachedVerdict)) *sweep {
-	return &sweep{mk: mk, base: p.base, epochs: blockdev.Epochs(p.rec.Log()), o: o,
-		salt: mk.pruneSalt() ^ axisSalt, observe: observe}
+func (mk *Monkey) newSweep(p *Profile, axisSalt uint64) *sweep {
+	return &sweep{mk: mk, base: p.base, epochs: blockdev.Epochs(p.rec.Log()), o: p.sweeps,
+		salt: mk.pruneSalt() ^ axisSalt}
 }
 
 // at maps a state's in-flight epoch to the persistence interval its
@@ -187,8 +190,8 @@ func (s *sweep) fail(err error) {
 // settle accounts one enumerated state under its own Desc; how is the
 // counter for the way its verdict was obtained (checked, pruned, class- or
 // commute-skipped). Skipped states settle exactly like constructed ones, so
-// a report — Broken list included — is byte-identical across the pruning
-// modes.
+// a report — Broken list and class tally included — is byte-identical across
+// the pruning modes. A verdict with no application class tallies none.
 func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
 	s.States++
 	*how++
@@ -200,8 +203,8 @@ func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
 	default:
 		s.Broken = append(s.Broken, desc)
 	}
-	if s.observe != nil {
-		s.observe(v)
+	if v.classed {
+		s.Classes.Add(v.class)
 	}
 }
 
@@ -214,7 +217,7 @@ func (s *sweep) judge(epoch int, desc string, crash *blockdev.Snapshot) *cachedV
 		key = s.key(epoch, s.fp)
 	}
 	v, tier, err := s.mk.judged(key, s.looked, func() (*cachedVerdict, string, error) {
-		return s.o.judge(crash, s.at(epoch))
+		return s.o.judge(s.mk, crash, s.at(epoch))
 	})
 	if err != nil {
 		s.fail(err)
@@ -238,7 +241,7 @@ func (s *sweep) seen(epoch int, desc string, fp uint64) *cachedVerdict {
 	if !s.looked {
 		return nil
 	}
-	v, ok := s.mk.Prune.classify(s.key(epoch, fp))
+	v, ok := s.mk.Prune.lookupDisk(s.key(epoch, fp), &s.mk.Prune.classHits)
 	if !ok {
 		return nil
 	}

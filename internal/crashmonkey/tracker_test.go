@@ -314,7 +314,7 @@ sync
 		findings string
 	}
 	var states []judged
-	for cp, ref := range p.expectations {
+	for cp, ref := range p.checks.(fileOracle) {
 		crash, _, err := p.state(cp+1, true, nil, nil)
 		if err != nil {
 			t.Fatal(err)
