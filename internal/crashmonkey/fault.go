@@ -82,7 +82,7 @@ func (mk *Monkey) ExploreFaults(p *Profile, model blockdev.FaultModel) (*FaultRe
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	report := &FaultReport{SectorSize: model.Sector()}
+	report := &FaultReport{SectorSize: model.Sector(), Kinds: make([]FaultKindReport, 0, len(model.Kinds))}
 	for _, kind := range model.Kinds {
 		kr, err := mk.exploreFaultKind(p, kind, model.Sector())
 		if err != nil {

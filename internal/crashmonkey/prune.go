@@ -48,9 +48,10 @@ type cachedVerdict struct {
 	mountable    bool
 	fsckRun      bool
 	fsckRepaired bool
-	// classed says the verdict has an application class, class: kvOracle's
-	// verdict on a state that mounted or was repaired. Every other verdict
-	// has none. Both sit beside the bools, where they cost no space.
+	// class is the application oracle's class, present only when classed:
+	// kvOracle's verdict on a state that mounted or was repaired. Every
+	// other verdict has none. Both sit beside the bools, where they cost no
+	// space.
 	classed  bool
 	class    kvoracle.Class
 	findings []Finding
