@@ -44,6 +44,7 @@ import (
 	"b3/internal/campaign"
 	"b3/internal/crashmonkey"
 	"b3/internal/filesys"
+	"b3/internal/fs/diskfmt"
 	"b3/internal/kvace"
 	"b3/internal/workload"
 )
@@ -83,6 +84,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.fail(err)
 	}
 	defer stop()
+	if c.verbose {
+		// The memo's counts depend on the schedule, so they go to stderr,
+		// beside the live progress, not into the report.
+		defer func() { fmt.Fprintln(c.stderr, diskfmt.ReadMemoStats()) }()
+	}
 
 	switch {
 	case c.mergeDir != "":
@@ -120,7 +126,7 @@ func parseArgs(args []string, stdout, stderr io.Writer) (*cli, int) {
 	f.BoolVar(&c.dedup, "dedup-known", true, "suppress bug groups matching the known-bug database (§5.3)")
 	f.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	f.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file when the run ends (go tool pprof)")
-	f.BoolVar(&c.verbose, "v", false, "verbose: print per-FS block-IO metering (writes replayed, blocks read, bytes allocated)")
+	f.BoolVar(&c.verbose, "v", false, "verbose: print per-FS block-IO metering (writes replayed, blocks read, bytes allocated) and the verified-payload memo's counts")
 	f.IntVar(&c.knobs.PruneCap, "prune-cap", 0, "bound each prune-cache tier to this many entries (0 = default cap, negative = unbounded)")
 	f.BoolVar(&c.knobs.FinalOnly, "final-only", false, "test only the final persistence point of each workload (the paper's §5.3 strategy)")
 	f.IntVar(&c.spec.Reorder, "reorder", 0, "also sweep bounded-reordering crash states, dropping up to k in-flight epoch writes (0 = off; 1 = prefixes + drop-one)")

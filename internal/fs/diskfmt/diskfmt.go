@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"b3/internal/blockdev"
 	"b3/internal/codec"
@@ -289,6 +290,43 @@ type payloadMemo struct {
 	mu   sync.Mutex
 	used int
 	m    map[blobKey]*memoEntry
+
+	stats memoCounters
+}
+
+// memoCounters are a memo's MemoStats, counted as they happen.
+type memoCounters struct {
+	interns, hits, misses, bytesCopied, clears atomic.Int64
+}
+
+// MemoStats counts what the process-wide verified-payload memo has done
+// since the process started. The counts depend on the schedule and on
+// everything the process read before, so they describe a run; they are never
+// asserted exactly.
+type MemoStats struct {
+	Interns     int64 // verified payloads looked up
+	Hits        int64 // lookups that found equal bytes memoised
+	Misses      int64 // lookups that copied the payload
+	BytesCopied int64 // payload bytes the misses copied
+	Clears      int64 // times the memo started over
+}
+
+// ReadMemoStats returns the verified-payload memo's counts so far.
+func ReadMemoStats() MemoStats { return verified.stats.read() }
+
+func (s *memoCounters) read() MemoStats {
+	return MemoStats{
+		Interns:     s.interns.Load(),
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		BytesCopied: s.bytesCopied.Load(),
+		Clears:      s.clears.Load(),
+	}
+}
+
+func (s MemoStats) String() string {
+	return fmt.Sprintf("verified-payload memo: %d interns, %d hits, %d misses, %d bytes copied, %d clears",
+		s.Interns, s.Hits, s.Misses, s.BytesCopied, s.Clears)
 }
 
 func newPayloadMemo(budget int) *payloadMemo {
@@ -302,12 +340,16 @@ func newPayloadMemo(budget int) *payloadMemo {
 // exceed is cleared first; a payload larger than the whole budget is copied
 // into an entry that is not memoised.
 func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
+	c.stats.interns.Add(1)
 	c.mu.Lock()
 	e, ok := c.m[k]
 	c.mu.Unlock()
 	if ok && bytes.Equal(e.payload, got) {
+		c.stats.hits.Add(1)
 		return e
 	}
+	c.stats.misses.Add(1)
+	c.stats.bytesCopied.Add(int64(len(got)))
 	e = &memoEntry{key: k, payload: make([]byte, len(got))}
 	copy(e.payload, got)
 	cost := len(got) + memoEntryCost
@@ -320,8 +362,7 @@ func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 		c.used -= old.cost()
 	}
 	if c.used+cost > c.budget {
-		clear(c.m)
-		c.used = 0
+		c.startOver()
 	}
 	c.m[k] = e
 	c.used += cost
@@ -342,8 +383,14 @@ func (e *memoEntry) cost() int {
 func (c *payloadMemo) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.startOver()
+}
+
+// startOver drops every entry, decoded values included. c.mu is held.
+func (c *payloadMemo) startOver() {
 	clear(c.m)
 	c.used = 0
+	c.stats.clears.Add(1)
 }
 
 // lookup returns the value by made of e's payload, if one is kept.
@@ -381,7 +428,7 @@ func (c *payloadMemo) keep(e *memoEntry, by, v any, footprint int) {
 		return
 	}
 	if c.used+cost > c.budget {
-		clear(c.m)
+		c.startOver()
 		c.m[e.key] = e
 		c.used = e.cost()
 	}
