@@ -19,8 +19,8 @@ import (
 //
 // A write is a field assignment (x.Nlink = 2, x.Nlink++), a map store,
 // delete or clear on a field (x.Children[k] = v, delete(x.Xattrs, k)), or a
-// call of a Node method that writes the node (WriteAt, Resize, AllocRange,
-// DeallocRange), where x is such a call itself or a local variable last
+// call of a Node method that writes the node (WriteAt, WriteContent,
+// Resize, AllocRange, DeallocRange), where x is such a call itself or a local variable last
 // bound, in source order, from one. Binding the variable from anything else
 // (Edit, Clone) makes it writable again. Package fstree, which implements
 // the copying, is exempt.
@@ -32,8 +32,8 @@ import (
 // capture are not tracked.
 var NodeEdit = &Analyzer{
 	Name: "nodeedit",
-	Doc: "report writes (field stores, map writes, WriteAt/Resize/AllocRange/" +
-		"DeallocRange) to a tree node taken from Get, Lookup, Root or a Walk " +
+	Doc: "report writes (field stores, map writes, WriteAt/WriteContent/Resize/" +
+		"AllocRange/DeallocRange) to a tree node taken from Get, Lookup, Root or a Walk " +
 		"callback instead of Edit, outside package fstree; clones and decoded " +
 		"images share nodes until written",
 	Run: runNodeEdit,
@@ -46,7 +46,7 @@ var nodeReaders = map[string]bool{"Get": true, "Lookup": true, "Root": true}
 var nodeWalkers = map[string]bool{"Walk": true, "WalkNodes": true}
 
 // nodeWriters are the Node methods that write the node.
-var nodeWriters = map[string]bool{"WriteAt": true, "Resize": true, "AllocRange": true, "DeallocRange": true}
+var nodeWriters = map[string]bool{"WriteAt": true, "WriteContent": true, "Resize": true, "AllocRange": true, "DeallocRange": true}
 
 // isNamed reports whether t is, or points to, a type named name.
 func isNamed(t types.Type, name string) bool {

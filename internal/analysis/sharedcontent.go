@@ -10,10 +10,13 @@ import (
 // hands out.
 //
 // A regular file's content is shared once installed: Tree.Clone, tracker
-// snapshots and pinned ranges share a Content and its pages, a decoded
-// image's nodes alias the payload read from the device (fstree.DecodeNode),
-// a write adopts the caller's buffer, whole or page by page
-// (Node.WriteAt), and zero ranges are views of one process-wide zero page.
+// snapshots and pinned ranges share a Content and its pages, decoded images
+// and log records take their pages from the process-wide page store, which
+// hands one copy of each distinct page to every decode and every verified
+// payload that holds it (fstree.DecodeContent, package pagestore), a write
+// adopts the caller's buffer or content, whole or page by page
+// (Node.WriteAt, Node.WriteContent), and zero ranges are views of one
+// process-wide zero page.
 // That is only sound while no byte handed out is ever written through, so
 // every change builds new pages and a new page table instead. A store
 // through a slice field of a Content (an index assignment, copy into it,

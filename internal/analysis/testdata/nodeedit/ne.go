@@ -13,11 +13,14 @@ type Node struct {
 }
 
 func (n *Node) WriteAt(off int64, data []byte) { n.Data = append(n.Data[:off:off], data...) }
-func (n *Node) Resize(size int64)              { n.Data = n.Data[:size:size] }
-func (n *Node) AllocRange(off, end int64)      {}
-func (n *Node) DeallocRange(off, end int64)    {}
-func (n *Node) Size() int64                    { return int64(len(n.Data)) }
-func (n *Node) Clone() *Node                   { c := *n; return &c }
+func (n *Node) WriteContent(off int64, data []byte) {
+	n.Data = append(n.Data[:off:off], data...)
+}
+func (n *Node) Resize(size int64)           { n.Data = n.Data[:size:size] }
+func (n *Node) AllocRange(off, end int64)   {}
+func (n *Node) DeallocRange(off, end int64) {}
+func (n *Node) Size() int64                 { return int64(len(n.Data)) }
+func (n *Node) Clone() *Node                { c := *n; return &c }
 
 // Tree mirrors fstree.Tree's readers, walkers and Edit.
 type Tree struct{ nodes map[uint64]*Node }
@@ -48,6 +51,7 @@ func fieldStores(t *Tree) {
 	delete(n.Children, "a")    // want "delete on a node taken for reading"
 	clear(t.Root().Xattrs)     // want "clear on a node taken for reading"
 	n.WriteAt(0, []byte("x"))  // want "WriteAt on a node taken for reading"
+	n.WriteContent(0, nil)     // want "WriteContent on a node taken for reading"
 	n.Resize(1)                // want "Resize on a node taken for reading"
 	t.Get(2).AllocRange(0, 1)  // want "AllocRange on a node taken for reading"
 	n.DeallocRange(0, 1)       // want "DeallocRange on a node taken for reading"

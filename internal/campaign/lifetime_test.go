@@ -19,6 +19,18 @@ import (
 //go:linkname recordPoison b3/internal/blockdev.recordPoison
 var recordPoison byte
 
+// lentPoison is diskfmt's test hook (diskfmt.go): the byte a verified
+// payload's lease fills its pooled scratch buffer with as it releases it.
+//
+//go:linkname lentPoison b3/internal/fs/diskfmt.lentPoison
+var lentPoison byte
+
+// clearVerified empties diskfmt's verified-payload memo and starts its page
+// store over (diskfmt.go).
+//
+//go:linkname clearVerified b3/internal/fs/diskfmt.clearVerified
+func clearVerified()
+
 // sweepOutcome renders what a campaign found, without what the schedule
 // decides at Workers > 1 (which worker judges a class first, and so the
 // pruned/checked and class-skip splits and each group's exemplar) and
@@ -81,6 +93,47 @@ func TestRecordBuffersDieWithProfile(t *testing.T) {
 	clean, poisoned := run(0), run(0xA5)
 	if clean != poisoned {
 		t.Fatalf("poisoning released record buffers changed the outcome: a sweep read a log after its profile's Release\nhook off:\n%s\nhook on:\n%s",
+			clean, poisoned)
+	}
+}
+
+// TestLentPayloadsDieWithRead pins the lifetime rule of verified payloads:
+// recovery reads an image or log record through a lease whose bytes are
+// valid only until it is released, and every decoded value the memo keeps
+// (trees, log batches, patches) must hold copies or page-store pages, never
+// a view of the lent bytes. With the poison hook on, each lent scratch
+// buffer is filled with garbage as it goes back to the pool, so a decoded
+// value that kept a view would read garbage where its payload was. The
+// quick tier on every backend, at two workers so pooled buffers move
+// between goroutines, and starting from an empty memo each time, must find
+// exactly the same thing either way.
+func TestLentPayloadsDieWithRead(t *testing.T) {
+	tier, err := LookupTier("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(poison byte) string {
+		t.Helper()
+		cfg, fss, err := tier.Lower(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = 2
+		clearVerified()
+		lentPoison = poison
+		defer func() { lentPoison = 0 }()
+		m, err := RunMatrix(cfg, fss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.PerFS) != 5 {
+			t.Fatalf("quick tier ran %d backends, want 5", len(m.PerFS))
+		}
+		return sweepOutcome(m)
+	}
+	clean, poisoned := run(0), run(0xA5)
+	if clean != poisoned {
+		t.Fatalf("poisoning released payload buffers changed the outcome: a decoded value kept a view of lent bytes\nhook off:\n%s\nhook on:\n%s",
 			clean, poisoned)
 	}
 }

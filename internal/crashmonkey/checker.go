@@ -30,7 +30,7 @@ func (f Finding) String() string {
 // at it afterwards.
 type inodeState struct {
 	stat   filesys.Stat
-	data   []byte            // regular files
+	data   fstree.Content    // regular files
 	target string            // symlinks
 	xattrs map[string][]byte // every kind
 }
@@ -165,7 +165,7 @@ func (idx *crashIndex) captureInode(m filesys.MountedFS, path string, st filesys
 	is.stat = st
 	switch st.Kind {
 	case filesys.KindRegular:
-		data, err := m.ReadFile(path)
+		data, err := readContent(m, path)
 		if err != nil {
 			return fmt.Errorf("read %s: %w", path, err)
 		}
@@ -189,6 +189,23 @@ func (idx *crashIndex) captureInode(m filesys.MountedFS, path string, st filesys
 	return nil
 }
 
+// contentReader is a mount that hands out a file's content as it holds it,
+// paged or flat (diskfmt.Mounted): the index keeps a recovered file's pages
+// instead of a gathered copy of them.
+type contentReader interface {
+	ReadContent(path string) (fstree.Content, error)
+}
+
+// readContent reads path's content through ReadContent where m offers it,
+// else through ReadFile.
+func readContent(m filesys.MountedFS, path string) (fstree.Content, error) {
+	if r, ok := m.(contentReader); ok {
+		return r.ReadContent(path)
+	}
+	data, err := m.ReadFile(path)
+	return fstree.Flat(data), err
+}
+
 // fileStateOf renders an indexed inode as a checkable fileState (nil when
 // the inode is not in the index).
 func (idx *crashIndex) fileStateOf(ino uint64) *fileState {
@@ -204,7 +221,7 @@ func (idx *crashIndex) fileStateOf(ino uint64) *fileState {
 	}
 	switch is.stat.Kind {
 	case filesys.KindRegular:
-		out.data = fstree.Flat(is.data)
+		out.data = is.data
 	case filesys.KindSymlink:
 		out.target = is.target
 		out.size = int64(len(is.target))
@@ -472,7 +489,7 @@ func (e *Expectation) checkRanges(idx *crashIndex, fe *fileExpect, ino uint64, p
 	data := is.data
 	for _, r := range fe.ranges {
 		end := r.off + r.data.Len()
-		if end > int64(len(data)) || !r.data.Equal(fstree.Flat(data[r.off:end])) {
+		if end > data.Len() || !r.data.Equal(data.Slice(r.off, end)) {
 			findings = append(findings, Finding{
 				Consequence: bugs.DataLoss,
 				Path:        path,

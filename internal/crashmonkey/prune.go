@@ -456,7 +456,7 @@ func hashIndex(idx *crashIndex) (uint64, error) {
 		h.i64(int64(is.stat.Nlink))
 		switch is.stat.Kind {
 		case filesys.KindRegular:
-			h.bytes(is.data)
+			h.content(is.data)
 		case filesys.KindSymlink:
 			h.str(is.target)
 		case filesys.KindDir, filesys.KindFifo:

@@ -23,6 +23,7 @@ import (
 	"b3/internal/codec"
 	"b3/internal/filesys"
 	"b3/internal/fstree"
+	"b3/internal/pagestore"
 )
 
 // castagnoli selects the hardware-accelerated CRC-32C implementation.
@@ -33,7 +34,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // 64-bit header field.
 func Checksum(data []byte) uint64 { return checksumUpdate(0, data) }
 
-// checksumUpdate extends a running Checksum over data, so ReadBlob can
+// checksumUpdate extends a running Checksum over data, so readBlob can
 // checksum a payload in the same pass that gathers it block by block.
 func checksumUpdate(sum uint64, data []byte) uint64 {
 	return uint64(crc32.Update(uint32(sum), castagnoli, data))
@@ -162,96 +163,131 @@ func writeBlob(dev blockdev.Device, startBlock int64, header, payload []byte) (i
 	return blocks, nil
 }
 
-// scratchBufs recycles the buffers ReadBlob gathers a multi-block payload in
-// while it is being verified.
+// scratchBufs recycles the buffers readBlob gathers a multi-block payload in
+// while it is verified and lent.
 var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// ReadBlob loads a blob written by WriteBlob, verifying magic and checksum.
-// It views each block once, checksumming as it gathers; a payload that
-// fails verification is never copied. The payload returned is shared and
-// immutable: it equals the verified bytes, and may be the very slice an
-// earlier ReadBlob of equal bytes returned (see verified), so decoders may
-// alias it (fstree.DecodeNode does) but nobody may modify it.
-func ReadBlob(dev blockdev.Device, startBlock int64, magic uint32) ([]byte, int64, error) {
-	e, blocks, err := readBlob(dev, startBlock, magic)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.payload, blocks, nil
+// lentPoison, when nonzero, is the byte release fills every lent scratch
+// buffer with as it hands the buffer back to the pool, so a decoded value
+// that kept a view of lent bytes reads garbage instead of its payload
+// (tests only).
+var lentPoison byte
+
+// lease is a verified payload lent to readBlob's caller: its memo entry,
+// which the caller may keep, and the payload's bytes, which the caller may
+// read only until it calls release — pooled scratch for a multi-block
+// payload, a view of the device's block for a single-block one. Nothing
+// decoded from payload may keep a view of it.
+type lease struct {
+	*memoEntry
+	payload []byte
+	scratch *[]byte // payload's pooled buffer, or nil
 }
 
-// readBlob is ReadBlob returning the memo entry that holds the payload, so
-// that a pure decoder can keep its result beside it (decodeOnce).
-func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (*memoEntry, int64, error) {
+// release ends the loan of l.payload. A zero lease releases nothing.
+func (l lease) release() {
+	if l.scratch == nil {
+		return
+	}
+	if lentPoison != 0 {
+		b := (*l.scratch)[:cap(*l.scratch)]
+		for i := range b {
+			b[i] = lentPoison
+		}
+	}
+	scratchBufs.Put(l.scratch)
+}
+
+// readBlob loads a blob written by WriteBlob, verifying magic and checksum,
+// and lends its payload (see lease); the caller releases the lease. It
+// views each block once, checksumming as it gathers; a payload that fails
+// verification is never copied, and one that passes is memoised (see
+// verified), copying only the chunks the page store does not hold.
+func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (lease, int64, error) {
 	head, err := blockdev.ReadView(dev, startBlock)
 	if err != nil {
-		return nil, 0, err
+		return lease{}, 0, err
 	}
 	d := codec.NewDecoder(head)
 	if d.Uint32() != magic {
-		return nil, 0, fmt.Errorf("diskfmt: bad blob magic at block %d: %w", startBlock, filesys.ErrCorrupted)
+		return lease{}, 0, fmt.Errorf("diskfmt: bad blob magic at block %d: %w", startBlock, filesys.ErrCorrupted)
 	}
 	n := d.Uint64()
 	sum := d.Uint64()
 	if d.Err() != nil {
-		return nil, 0, fmt.Errorf("diskfmt: bad blob header: %w", filesys.ErrCorrupted)
+		return lease{}, 0, fmt.Errorf("diskfmt: bad blob header: %w", filesys.ErrCorrupted)
 	}
 	headerLen := blockdev.BlockSize - d.Remaining()
 	// Bound the stored length by the device before any arithmetic on it, so
 	// no length wraps the block count.
 	if n > uint64((dev.NumBlocks()-startBlock)*blockdev.BlockSize-int64(headerLen)) {
-		return nil, 0, fmt.Errorf("diskfmt: blob overruns device: %w", filesys.ErrCorrupted)
+		return lease{}, 0, fmt.Errorf("diskfmt: blob overruns device: %w", filesys.ErrCorrupted)
 	}
 	total := int64(headerLen) + int64(n)
 	blocks := blobBlocks(headerLen, int64(n))
-	// A single-block payload is verified in place; a longer one is gathered
-	// into pooled scratch, the one copy a payload that fails verification
-	// costs.
+	// A single-block payload is verified and lent in place; a longer one is
+	// gathered into pooled scratch, the one copy a payload that fails
+	// verification costs.
 	got := head[headerLen:min(total, blockdev.BlockSize)]
 	h := checksumUpdate(0, got)
+	var scratch *[]byte
 	if blocks > 1 {
-		scratch := scratchBufs.Get().(*[]byte)
-		defer scratchBufs.Put(scratch)
-		*scratch = slices.Grow((*scratch)[:0], int(n))
-		got = append(*scratch, got...)
+		scratch = scratchBufs.Get().(*[]byte)
+		buf := append(slices.Grow((*scratch)[:0], int(n)), got...)
 		for i := int64(1); i < blocks; i++ {
 			blk, err := blockdev.ReadView(dev, startBlock+i)
 			if err != nil {
-				return nil, 0, err
+				scratchBufs.Put(scratch)
+				return lease{}, 0, err
 			}
 			seg := blk[:min(total-i*blockdev.BlockSize, blockdev.BlockSize)]
 			h = checksumUpdate(h, seg)
-			got = append(got, seg...)
+			buf = append(buf, seg...)
 		}
+		*scratch, got = buf, buf
 	}
 	if h != sum {
-		return nil, 0, fmt.Errorf("diskfmt: blob checksum mismatch at block %d: %w", startBlock, filesys.ErrCorrupted)
+		if scratch != nil {
+			scratchBufs.Put(scratch)
+		}
+		return lease{}, 0, fmt.Errorf("diskfmt: blob checksum mismatch at block %d: %w", startBlock, filesys.ErrCorrupted)
 	}
-	return verified.intern(blobKey{magic: magic, n: n, sum: sum}, got), blocks, nil
+	e := verified.intern(blobKey{magic: magic, n: n, sum: sum}, got)
+	//lint:allow borrowview the lease re-lends the view to readBlob's caller, who releases it before the device is written
+	return lease{memoEntry: e, payload: got, scratch: scratch}, blocks, nil
 }
 
-// verifiedBudget bounds the bytes the verified-payload memo holds — its
-// payloads, the decoded values kept beside them and a per-entry charge —
-// before it starts over.
+// verifiedBudget bounds the bytes the verified-payload memo holds — the
+// chunks its entries copied, the decoded values kept beside them and a
+// per-entry charge — before it starts over; the page store's index starts
+// over with it, and also once it alone holds more.
 const verifiedBudget = 16 << 20
 
 // memoEntryCost is what one memo entry, or one decoded value kept in it, is
-// charged beyond its payload or footprint: its key, headers and share of
-// the map.
+// charged beyond the chunks it copied or its footprint: its key, headers,
+// first chunk reference and share of the map.
 const memoEntryCost = 64
 
-// verified memoises, process-wide, the payload last verified under each
-// blob header, so re-mounting the same committed image or log record
-// returns one shared payload instead of a fresh copy per mount, and, beside
-// each payload, what pure decoders made of it, so that recovery decodes
-// each committed image and log record once. Payloads and decoded values
-// are shared by every mount and goroutine that reads equal bytes, and are
-// read-only: a caller that mutates a decoded value clones it first.
-var verified = newPayloadMemo(verifiedBudget)
+// chunkRefCost is what an entry is charged for each chunk reference past
+// its first: one slice header in its chunk list.
+const chunkRefCost = 24
 
-// clearVerified empties the verified-payload memo, decoded values
-// included. Tests that compare cold recovery with warm recovery reach it
-// through go:linkname.
+// verified memoises, process-wide, the payload last verified under each
+// blob header, so re-mounting the same committed image or log record finds
+// one shared entry instead of copying the payload per mount, and, beside
+// each payload, what pure decoders made of it, so that recovery decodes
+// each committed image and log record once. An entry holds its payload as
+// chunks of the process-wide page store, which decoders share too (file
+// pages, see fstree.DecodeContent), so a payload seen for the first time
+// copies only the chunks no earlier payload held. Entries and decoded
+// values are shared by every mount and goroutine that reads equal bytes,
+// and are read-only: a caller that mutates a decoded value clones it first.
+var verified = &payloadMemo{budget: verifiedBudget, m: map[blobKey]*memoEntry{}, pages: pagestore.Shared()}
+
+// clearVerified empties the verified-payload memo, decoded values included,
+// and starts the page store's index over. Tests that compare cold recovery
+// with warm recovery, or that run the same sweep twice, reach it through
+// go:linkname.
 func clearVerified() { verified.clear() }
 
 // blobKey names a verified payload by the blob header it was read under.
@@ -265,11 +301,17 @@ type blobKey struct {
 // created it until the memo starts over or a different payload replaces
 // it; decoded values leave with it.
 type memoEntry struct {
-	key     blobKey
-	payload []byte
+	key blobKey
+	// chunks is the payload cut at multiples of pagestore.PageSize, each
+	// chunk the page store's; copied is how many of their bytes this entry
+	// copied in.
+	chunks [][]byte
+	copied int
 	// decoded holds one value per decoder that read the payload (a handful
 	// at most); it is guarded by the memo's mutex.
 	decoded []decodedValue
+	// one backs chunks for a payload of one chunk.
+	one [1][]byte
 }
 
 // decodedValue is what the decoder by made of an entry's payload.
@@ -281,11 +323,12 @@ type decodedValue struct {
 
 // payloadMemo maps a blob key to the entry of the last payload verified
 // under it. A hit requires byte equality with that payload, which was
-// itself verified, so the memo trusts no hash: it returns a payload only
-// where a fresh copy would be equal, and a decoded value only where
-// decoding a fresh copy would give an equal one.
+// itself verified, chunk by chunk, so the memo trusts no hash: it returns
+// an entry only where a fresh copy would be equal, and a decoded value only
+// where decoding a fresh copy would give an equal one.
 type payloadMemo struct {
 	budget int
+	pages  *pagestore.Store // where entries' chunks are interned
 
 	mu   sync.Mutex
 	used int
@@ -296,7 +339,7 @@ type payloadMemo struct {
 
 // memoCounters are a memo's MemoStats, counted as they happen.
 type memoCounters struct {
-	interns, hits, misses, bytesCopied, clears atomic.Int64
+	interns, hits, misses, bytesCopied, chunksShared, clears atomic.Int64
 }
 
 // MemoStats counts what the process-wide verified-payload memo has done
@@ -304,11 +347,12 @@ type memoCounters struct {
 // everything the process read before, so they describe a run; they are never
 // asserted exactly.
 type MemoStats struct {
-	Interns     int64 // verified payloads looked up
-	Hits        int64 // lookups that found equal bytes memoised
-	Misses      int64 // lookups that copied the payload
-	BytesCopied int64 // payload bytes the misses copied
-	Clears      int64 // times the memo started over
+	Interns      int64 // verified payloads looked up
+	Hits         int64 // lookups that found equal bytes memoised
+	Misses       int64 // lookups that made a new entry
+	BytesCopied  int64 // chunk bytes the misses copied into the page store
+	ChunksShared int64 // chunks the misses found the page store holding
+	Clears       int64 // times the memo started over
 }
 
 // ReadMemoStats returns the verified-payload memo's counts so far.
@@ -316,52 +360,59 @@ func ReadMemoStats() MemoStats { return verified.stats.read() }
 
 func (s *memoCounters) read() MemoStats {
 	return MemoStats{
-		Interns:     s.interns.Load(),
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		BytesCopied: s.bytesCopied.Load(),
-		Clears:      s.clears.Load(),
+		Interns:      s.interns.Load(),
+		Hits:         s.hits.Load(),
+		Misses:       s.misses.Load(),
+		BytesCopied:  s.bytesCopied.Load(),
+		ChunksShared: s.chunksShared.Load(),
+		Clears:       s.clears.Load(),
 	}
 }
 
 func (s MemoStats) String() string {
-	return fmt.Sprintf("verified-payload memo: %d interns, %d hits, %d misses, %d bytes copied, %d clears",
-		s.Interns, s.Hits, s.Misses, s.BytesCopied, s.Clears)
+	return fmt.Sprintf("verified-payload memo: %d interns, %d hits, %d misses, %d bytes copied, %d chunks shared, %d clears",
+		s.Interns, s.Hits, s.Misses, s.BytesCopied, s.ChunksShared, s.Clears)
 }
 
+// newPayloadMemo returns an empty memo with a page store of its own.
 func newPayloadMemo(budget int) *payloadMemo {
-	return &payloadMemo{budget: budget, m: map[blobKey]*memoEntry{}}
+	return &payloadMemo{budget: budget, m: map[blobKey]*memoEntry{}, pages: pagestore.New()}
 }
 
 // intern returns an entry whose payload equals got and that the caller may
-// keep: the memoised one when its bytes equal got, otherwise one holding an
-// exact-size copy of got, memoised in its place. got itself is not
-// retained, so it may be borrowed. A memo whose budget an insert would
-// exceed is cleared first; a payload larger than the whole budget is copied
-// into an entry that is not memoised.
+// keep: the memoised one when its chunks equal got, otherwise a new one
+// whose chunks the page store holds, copying in only the chunks it held
+// none equal to, memoised in its place. got itself is not retained, so it
+// may be borrowed. A memo whose budget an insert would exceed, or whose
+// page store alone holds more than the budget, is cleared first; a payload
+// larger than the whole budget gets an entry of fresh chunks that is not
+// memoised.
 func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 	c.stats.interns.Add(1)
 	c.mu.Lock()
 	e, ok := c.m[k]
 	c.mu.Unlock()
-	if ok && bytes.Equal(e.payload, got) {
+	if ok && e.equal(got) {
 		c.stats.hits.Add(1)
 		return e
 	}
 	c.stats.misses.Add(1)
-	c.stats.bytesCopied.Add(int64(len(got)))
-	e = &memoEntry{key: k, payload: make([]byte, len(got))}
-	copy(e.payload, got)
-	cost := len(got) + memoEntryCost
-	if cost > c.budget {
+	e = &memoEntry{key: k}
+	if len(got)+memoEntryCost > c.budget {
+		e.cut(got, func(b []byte) ([]byte, bool) { return append(make([]byte, 0, len(b)), b...), true })
+		c.stats.bytesCopied.Add(int64(e.copied))
 		return e
 	}
+	shared := e.cut(got, c.pages.Intern)
+	c.stats.bytesCopied.Add(int64(e.copied))
+	c.stats.chunksShared.Add(int64(shared))
+	cost := e.cost()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.m[k]; ok {
 		c.used -= old.cost()
 	}
-	if c.used+cost > c.budget {
+	if c.used+cost > c.budget || c.pages.Held() > c.budget {
 		c.startOver()
 	}
 	c.m[k] = e
@@ -369,10 +420,44 @@ func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 	return e
 }
 
-// cost is what e is charged: its payload, its decoded values' footprints
-// and the per-entry charge for each. c.mu is held.
+// cut sets e's chunks to got's, each taken from chunk, which returns a
+// chunk equal to its argument and whether it copied it, and returns how
+// many chunks were not copied.
+func (e *memoEntry) cut(got []byte, chunk func([]byte) ([]byte, bool)) (shared int) {
+	n := (len(got) + pagestore.PageSize - 1) / pagestore.PageSize
+	e.chunks = e.one[:min(n, 1)]
+	if n > 1 {
+		e.chunks = make([][]byte, n)
+	}
+	for i := range e.chunks {
+		b := got[i*pagestore.PageSize : min((i+1)*pagestore.PageSize, len(got))]
+		p, copied := chunk(b)
+		e.chunks[i] = p
+		if copied {
+			e.copied += len(p)
+		} else {
+			shared++
+		}
+	}
+	return shared
+}
+
+// equal reports whether e's payload is got, comparing chunk by chunk.
+func (e *memoEntry) equal(got []byte) bool {
+	for _, p := range e.chunks {
+		if len(got) < len(p) || !bytes.Equal(p, got[:len(p)]) {
+			return false
+		}
+		got = got[len(p):]
+	}
+	return len(got) == 0
+}
+
+// cost is what e is charged: the chunk bytes it copied, its chunk
+// references past the first, its decoded values' footprints and the
+// per-entry charge for each. c.mu is held, or e is not memoised yet.
 func (e *memoEntry) cost() int {
-	c := len(e.payload) + memoEntryCost
+	c := e.copied + memoEntryCost + chunkRefCost*max(len(e.chunks)-1, 0)
 	for _, dv := range e.decoded {
 		c += dv.cost
 	}
@@ -386,10 +471,12 @@ func (c *payloadMemo) clear() {
 	c.startOver()
 }
 
-// startOver drops every entry, decoded values included. c.mu is held.
+// startOver drops every entry, decoded values included, and starts the page
+// store's index over. c.mu is held.
 func (c *payloadMemo) startOver() {
 	clear(c.m)
 	c.used = 0
+	c.pages.Reset()
 	c.stats.clears.Add(1)
 }
 
@@ -409,9 +496,10 @@ func (c *payloadMemo) lookup(e *memoEntry, by any) (any, bool) {
 // footprint plus the per-entry charge. Only a memoised entry keeps values:
 // one that was replaced, dropped when the memo started over, or never
 // memoised is left alone, so a value never outlives its payload's time in
-// the memo. A value that would overflow the budget starts the memo over
-// with e, its payload and values, as the only entry; one that would not fit
-// beside e's payload even then is not kept.
+// the memo. A value that would overflow the budget, or that finds the page
+// store holding more than the budget, starts the memo over with e, its
+// payload and values, as the only entry; one that would not fit beside e's
+// payload even then is not kept.
 func (c *payloadMemo) keep(e *memoEntry, by, v any, footprint int) {
 	cost := footprint + memoEntryCost
 	c.mu.Lock()
@@ -427,7 +515,7 @@ func (c *payloadMemo) keep(e *memoEntry, by, v any, footprint int) {
 	if e.cost()+cost > c.budget {
 		return
 	}
-	if c.used+cost > c.budget {
+	if c.used+cost > c.budget || c.pages.Held() > c.budget {
 		c.startOver()
 		c.m[e.key] = e
 		c.used = e.cost()
@@ -444,29 +532,31 @@ func (c *payloadMemo) keep(e *memoEntry, by, v any, footprint int) {
 // replays onto, a map it updates) clones it first.
 type Decoder[T any] struct {
 	decode func(*codec.Decoder) (T, error)
-	// footprint estimates the heap bytes a value holds beyond the payload
-	// bytes it aliases; the memo charges it to its budget.
+	// footprint estimates the heap bytes a value holds beyond the page
+	// store's pages it shares; the memo charges it to its budget.
 	footprint func(T) int
 }
 
 // NewDecoder returns a Decoder for decode, whose values are charged
-// footprint bytes. decode must be pure (see Decoder) and must consume what
-// it decodes from its argument's position.
+// footprint bytes. decode must be pure (see Decoder), must consume what it
+// decodes from its argument's position, and must keep no view of the
+// argument's bytes, which are lent (see lease): file content it keeps comes
+// from the page store (fstree.DecodeContent), anything else is copied.
 func NewDecoder[T any](decode func(*codec.Decoder) (T, error), footprint func(T) int) *Decoder[T] {
 	return &Decoder[T]{decode: decode, footprint: footprint}
 }
 
-// decodeOnce returns what dec makes of e's payload read from d, which is
+// decodeOnce returns what dec makes of l's payload read from d, which is
 // positioned on it: the kept value when this payload was decoded by dec
 // before, else a fresh decode, kept beside the payload on success. On a
 // kept value d is left where it was. Errors are not kept.
-func decodeOnce[T any](e *memoEntry, d *codec.Decoder, dec *Decoder[T]) (T, error) {
-	if v, ok := decoded(e, dec); ok {
+func decodeOnce[T any](l lease, d *codec.Decoder, dec *Decoder[T]) (T, error) {
+	if v, ok := decoded(l.memoEntry, dec); ok {
 		return v, nil
 	}
 	v, err := dec.decode(d)
 	if err == nil {
-		verified.keep(e, dec, v, dec.footprint(v))
+		verified.keep(l.memoEntry, dec, v, dec.footprint(v))
 	}
 	return v, err
 }
@@ -569,36 +659,44 @@ func (f Format) WriteImage(dev blockdev.Device, gen uint64, t *fstree.Tree, trai
 // distinct image payload (see verified) and shared by every mount that
 // loads equal bytes, so it is read-only: a caller that mutates it — every
 // caller that mounts it as its in-memory tree — clones it first. The
-// trailer decoder is the caller's own.
+// trailer decoder is the caller's own; the bytes it reads are a copy kept
+// with the decoded tree, shared and read-only.
 func (f Format) LoadImage(dev blockdev.Device) (uint64, *fstree.Tree, *codec.Decoder, error) {
 	sb, err := LoadSuperblock(dev, f.Super)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	e, _, err := readBlob(dev, sb.ImageStart, f.Image)
+	l, _, err := readBlob(dev, sb.ImageStart, f.Image)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	img, err := decodeOnce(e, codec.NewDecoder(e.payload), images)
+	defer l.release()
+	img, err := decodeOnce(l, codec.NewDecoder(l.payload), images)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return sb.Gen, img.tree, codec.NewDecoder(e.payload[img.trailer:]), nil
+	return sb.Gen, img.tree, codec.NewDecoder(img.trailer), nil
 }
 
-// image is what LoadImage makes of an image payload: the tree and the
-// offset of the trailer after it.
+// image is what LoadImage makes of an image payload: the tree and a copy of
+// the trailer bytes after it.
 type image struct {
 	tree    *fstree.Tree
-	trailer int
+	trailer []byte
 }
 
 // images decodes image payloads for LoadImage.
 var images = NewDecoder(func(d *codec.Decoder) (image, error) {
-	start := d.Remaining()
 	tree, err := fstree.DecodeTree(d)
-	return image{tree: tree, trailer: start - d.Remaining()}, err
-}, func(img image) int { return img.tree.Footprint() })
+	if err != nil {
+		return image{}, err
+	}
+	img := image{tree: tree}
+	if n := d.Remaining(); n > 0 {
+		img.trailer = bytes.Clone(d.Raw(n))
+	}
+	return img, nil
+}, func(img image) int { return img.tree.Footprint() + len(img.trailer) })
 
 // ScanLog hands apply the body of each consecutive record of generation
 // gen, in sequence order from the start of the log area, and returns how
@@ -606,9 +704,13 @@ var images = NewDecoder(func(d *codec.Decoder) (image, error) {
 // out-of-sequence blob and at the first body apply rejects; apply must
 // decode (or check) a body completely before acting on it. One decoder
 // serves the whole scan and is reset for every record, so apply must not
-// retain d; a value copy of *d keeps its own position.
+// retain d; a value copy of *d keeps its own position. The body is lent:
+// apply copies what it keeps of it.
 func (f Format) ScanLog(dev blockdev.Device, gen uint64, apply func(*codec.Decoder) error) int {
-	return f.scan(dev, gen, func(_ *memoEntry, d *codec.Decoder) error { return apply(d) })
+	return f.scan(dev, gen, func(l lease, d *codec.Decoder) error {
+		defer l.release()
+		return apply(d)
+	})
 }
 
 // ScanRecords is ScanLog for a log whose record bodies dec decodes: apply
@@ -617,8 +719,9 @@ func (f Format) ScanLog(dev blockdev.Device, gen uint64, apply func(*codec.Decod
 // once per process (see verified); the values apply gets are shared and
 // read-only.
 func ScanRecords[T any](f Format, dev blockdev.Device, gen uint64, dec *Decoder[T], apply func(T) error) int {
-	return f.scan(dev, gen, func(e *memoEntry, d *codec.Decoder) error {
-		v, err := decodeOnce(e, d, dec)
+	return f.scan(dev, gen, func(l lease, d *codec.Decoder) error {
+		defer l.release()
+		v, err := decodeOnce(l, d, dec)
 		if err != nil {
 			return err
 		}
@@ -626,19 +729,24 @@ func ScanRecords[T any](f Format, dev blockdev.Device, gen uint64, dec *Decoder[
 	})
 }
 
-// scan is the one log walk behind ScanLog and ScanRecords: apply also gets
-// the memo entry of each record's payload.
-func (f Format) scan(dev blockdev.Device, gen uint64, apply func(*memoEntry, *codec.Decoder) error) int {
+// scan is the one log walk behind ScanLog, ScanRecords and ReplayImages:
+// apply gets each record's lease, which it then owns and must release, and
+// a decoder positioned on the record's body.
+func (f Format) scan(dev blockdev.Device, gen uint64, apply func(lease, *codec.Decoder) error) int {
 	head := int64(logStart)
 	seq := uint64(1)
 	var d codec.Decoder
 	for head < dev.NumBlocks() {
-		e, blocks, err := readBlob(dev, head, f.Record)
+		l, blocks, err := readBlob(dev, head, f.Record)
 		if err != nil {
 			break
 		}
-		d.Reset(e.payload)
-		if d.Uint64() != gen || d.Uint64() != seq || apply(e, &d) != nil {
+		d.Reset(l.payload)
+		if d.Uint64() != gen || d.Uint64() != seq {
+			l.release()
+			break
+		}
+		if apply(l, &d) != nil {
 			break
 		}
 		head += blocks
@@ -657,16 +765,19 @@ const RecFullImage byte = 0
 // each supersede the tree before them, and every other record is a patch
 // that decodePatch reads after its kind byte and applyPatch lands, in log
 // order, on the newest image. It returns the generation, the recovered tree,
-// which the caller owns, and how many records the scan took.
+// which the caller owns, and how many records the scan took. A patch's
+// bytes are lent while decodePatch and applyPatch run: what a patch keeps
+// of them it copies, or takes from the page store (fstree.DecodeContent).
 //
 // Images are decoded once per process, like LoadImage's (see verified): a
 // full-image record already decoded is taken from the memo, and one that is
 // not is checked with fstree.SkipTree, which rejects exactly what
 // fstree.DecodeTree rejects, and decoded only when the first patch after
-// it arrives or the scan ends with it newest. The records accepted, their
-// count and the tree recovered are therefore those of decoding every image
-// as it is read. Decoded images are shared, so the tree patches land on,
-// and the one returned, is a clone of the newest.
+// it arrives or the scan ends with it newest; its lease is held until then.
+// The records accepted, their count and the tree recovered are therefore
+// those of decoding every image as it is read. Decoded images are shared,
+// so the tree patches land on, and the one returned, is a clone of the
+// newest.
 func ReplayImages[P any](f Format, dev blockdev.Device,
 	decodePatch func(kind byte, d *codec.Decoder) (P, error),
 	applyPatch func(*fstree.Tree, P)) (gen uint64, tree *fstree.Tree, replayed int, err error) {
@@ -675,44 +786,52 @@ func ReplayImages[P any](f Format, dev blockdev.Device,
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	// pending is the newest full-image record while it is not decoded yet,
-	// and pendingAt a decoder positioned on its tree.
-	var pending *memoEntry
+	// pending is the lease of the newest full-image record while it is not
+	// decoded yet, and pendingAt a decoder positioned on its tree.
+	var pending lease
 	var pendingAt codec.Decoder
+	defer func() { pending.release() }()
 	clone := func() (*fstree.Tree, error) {
-		if pending != nil {
+		if pending.memoEntry != nil {
 			t, err := decodeOnce(pending, &pendingAt, logImages)
+			pending.release()
+			pending = lease{}
 			if err != nil {
 				return nil, err
 			}
-			newest, pending = t, nil
+			newest = t
 		}
 		return newest.Clone(), nil
 	}
-	replayed = f.scan(dev, gen, func(e *memoEntry, d *codec.Decoder) error {
+	replayed = f.scan(dev, gen, func(l lease, d *codec.Decoder) error {
 		kind := d.Byte()
-		if kind == RecFullImage {
-			if t, ok := decoded(e, logImages); ok {
-				newest, pending, tree = t, nil, nil
-				return nil
-			}
-			at := *d
-			if err := fstree.SkipTree(d); err != nil {
+		if kind != RecFullImage {
+			defer l.release()
+			p, err := decodePatch(kind, d)
+			if err != nil {
 				return err
 			}
-			pending, pendingAt, tree = e, at, nil
+			if tree == nil {
+				if tree, err = clone(); err != nil {
+					return err
+				}
+			}
+			applyPatch(tree, p)
 			return nil
 		}
-		p, err := decodePatch(kind, d)
-		if err != nil {
+		pending.release()
+		pending, tree = lease{}, nil
+		if t, ok := decoded(l.memoEntry, logImages); ok {
+			l.release()
+			newest = t
+			return nil
+		}
+		at := *d
+		if err := fstree.SkipTree(d); err != nil {
+			l.release()
 			return err
 		}
-		if tree == nil {
-			if tree, err = clone(); err != nil {
-				return err
-			}
-		}
-		applyPatch(tree, p)
+		pending, pendingAt = l, at
 		return nil
 	})
 	if tree == nil {

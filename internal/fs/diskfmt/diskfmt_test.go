@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"b3/internal/blockdev"
 	"b3/internal/codec"
 	"b3/internal/fstree"
+	"b3/internal/pagestore"
 )
 
 const testMagic = 0x54455354
@@ -312,6 +314,15 @@ func patterned(n int, seed byte) []byte {
 	return p
 }
 
+// pagePatterned is patterned with every page of it different.
+func pagePatterned(n int, seed byte) []byte {
+	p := patterned(n, seed)
+	for i := range p {
+		p[i] += byte(i / pagestore.PageSize)
+	}
+	return p
+}
+
 // TestReadBlobMatchesReference damages a blob the way the fault axis does,
 // block by block, after a successful read has memoised its payload: every
 // read must agree with the reference reader, and re-reading the intact blob
@@ -435,7 +446,7 @@ func TestReadBlobConcurrentReaders(t *testing.T) {
 					return
 				}
 				in := patterned(64, byte(i%5))
-				if got := small.intern(blobKey{sum: uint64(i % 5)}, in).payload; !bytes.Equal(got, in) {
+				if got := small.intern(blobKey{sum: uint64(i % 5)}, in).gather(); !bytes.Equal(got, in) {
 					t.Errorf("intern %d returned other bytes", i)
 					return
 				}
@@ -445,9 +456,10 @@ func TestReadBlobConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPayloadMemo pins the memo's contract: a hit shares the memoised slice
-// only on equal bytes, a miss returns an exact-size copy it does not alias,
-// and the budget bounds what is held by starting over.
+// TestPayloadMemo pins the memo's contract: a hit returns the memoised
+// entry only on equal bytes, a miss makes an entry holding an exact-size
+// copy it does not alias, and the budget bounds what is held by starting
+// over.
 func TestPayloadMemo(t *testing.T) {
 	const size = 100
 	const budget = 4 * (size + memoEntryCost)
@@ -455,21 +467,21 @@ func TestPayloadMemo(t *testing.T) {
 	key := func(i int) blobKey { return blobKey{magic: testMagic, n: size, sum: uint64(i)} }
 
 	in := patterned(size, 0)
-	first := c.intern(key(0), in).payload
+	first := c.intern(key(0), in)
 	in[0] ^= 0xFF
-	if first[0] == in[0] || cap(first) != size {
-		t.Fatal("a miss must return an exact-size copy of its input")
+	if len(first.chunks) != 1 || first.chunks[0][0] == in[0] || cap(first.chunks[0]) != size {
+		t.Fatal("a miss must hold an exact-size copy of its input")
 	}
-	if again := c.intern(key(0), patterned(size, 0)).payload; &again[0] != &first[0] {
-		t.Fatal("equal bytes under one key must share the memoised payload")
+	if again := c.intern(key(0), patterned(size, 0)); again != first {
+		t.Fatal("equal bytes under one key must share the memoised entry")
 	}
 	other := patterned(size, 1)
-	if got := c.intern(key(0), other).payload; !bytes.Equal(got, other) {
+	if got := c.intern(key(0), other); !bytes.Equal(got.gather(), other) {
 		t.Fatal("unequal bytes under one key must not return the memoised payload")
 	}
 
 	for i := 1; i < 4; i++ {
-		c.intern(key(i), patterned(size, byte(i)))
+		c.intern(key(i), patterned(size, byte(i)+10))
 	}
 	if len(c.m) != 4 || c.used != budget {
 		t.Fatalf("full memo: %d entries, %d bytes used; want 4, %d", len(c.m), c.used, budget)
@@ -479,8 +491,113 @@ func TestPayloadMemo(t *testing.T) {
 		t.Fatalf("after overflow: %d entries, %d bytes used; want a reset to 1", len(c.m), c.used)
 	}
 	big := patterned(budget, 5)
-	if got := c.intern(blobKey{n: budget}, big).payload; !bytes.Equal(got, big) || len(c.m) != 1 {
+	if got := c.intern(blobKey{n: budget}, big); !bytes.Equal(got.gather(), big) || len(c.m) != 1 {
 		t.Fatal("a payload over the whole budget must be copied but not memoised")
+	}
+}
+
+// TestPayloadMemoSharesChunks pins what a miss copies: only the chunks the
+// page store holds none equal to. A payload that repeats another's first
+// chunks shares them and is charged only for its new chunk and its chunk
+// references; decoders' pages count toward the budget through the store,
+// which starts over with the memo.
+func TestPayloadMemoSharesChunks(t *testing.T) {
+	const page = pagestore.PageSize
+	c := newPayloadMemo(1 << 20)
+	key := func(i int) blobKey { return blobKey{magic: testMagic, sum: uint64(i)} }
+	a := pagePatterned(3*page+100, 1)
+	ea := c.intern(key(1), a)
+	if len(ea.chunks) != 4 || ea.copied != len(a) || c.used != len(a)+memoEntryCost+3*chunkRefCost {
+		t.Fatalf("first sighting: %d chunks, %d bytes copied, %d used", len(ea.chunks), ea.copied, c.used)
+	}
+	b := bytes.Clone(a)
+	b[len(b)-1] ^= 0xFF
+	used := c.used
+	eb := c.intern(key(2), b)
+	for i := range 3 {
+		if &eb.chunks[i][0] != &ea.chunks[i][0] {
+			t.Fatalf("chunk %d was copied again", i)
+		}
+	}
+	if eb.copied != 100 || c.used-used != 100+memoEntryCost+3*chunkRefCost || !bytes.Equal(eb.gather(), b) {
+		t.Fatalf("a payload with one new chunk: %d bytes copied, charged %d", eb.copied, c.used-used)
+	}
+	if !bytes.Equal(ea.gather(), a) {
+		t.Fatal("sharing chunks changed the first payload")
+	}
+
+	small := newPayloadMemo(2 * page)
+	small.intern(key(1), patterned(10, 1))
+	for i := range 3 {
+		small.pages.Intern(patterned(page, byte(i))) // a decoder's pages
+	}
+	small.intern(key(2), patterned(10, 2))
+	if len(small.m) != 1 || small.pages.Held() != 0 {
+		t.Fatalf("a page store over the budget must start over with the memo: %d entries, %d bytes held",
+			len(small.m), small.pages.Held())
+	}
+}
+
+// TestMemoHitAllocatesNothing pins the memo's hot path, a hit: looking up
+// a payload the memo holds, single-chunk or not, through intern or a whole
+// readBlob of a single-block blob, allocates nothing.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	c := newPayloadMemo(verifiedBudget)
+	for _, size := range []int{100, 16 * pagestore.PageSize} {
+		in := patterned(size, 3)
+		e := c.intern(blobKey{n: uint64(size)}, in)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if c.intern(blobKey{n: uint64(size)}, in) != e {
+				t.Fatal("missed")
+			}
+		}); allocs != 0 {
+			t.Errorf("a %d-byte hit allocates %v times, want 0", size, allocs)
+		}
+	}
+	dev := blockdev.NewMemDisk(4)
+	if _, err := WriteBlob(dev, 1, testMagic, patterned(200, 4)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		l, _, err := readBlob(dev, 1, testMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.release()
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("reading a memoised single-block blob allocates %v times, want 0", allocs)
+	}
+}
+
+// TestMemoMissOnHeldChunksCopiesNoPayload pins a miss on a 64 KiB payload
+// whose chunks the page store all holds: it allocates the entry and its
+// chunk list, and no payload bytes. Two payloads of the same chunks in
+// another order take turns under one key, so every intern misses.
+func TestMemoMissOnHeldChunksCopiesNoPayload(t *testing.T) {
+	const page = pagestore.PageSize
+	c := newPayloadMemo(verifiedBudget)
+	a := pagePatterned(16*page, 5)
+	b := append(bytes.Clone(a[8*page:]), a[:8*page]...)
+	k := blobKey{n: uint64(len(a))}
+	c.intern(k, a)
+	c.intern(k, b)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if e := c.intern(k, a); e.copied != 0 {
+			t.Fatal("a chunk was copied")
+		}
+		c.intern(k, b)
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := float64(after.Mallocs-before.Mallocs) / (2 * runs)
+	allocated := int64(after.TotalAlloc-before.TotalAlloc) / (2 * runs)
+	t.Logf("miss on 16 held chunks: %.1f mallocs, %d bytes", mallocs, allocated)
+	if mallocs > 2.5 || allocated > page/4 { // a stray runtime allocation may land in the window
+		t.Errorf("a miss on held chunks makes %.1f allocations of %d bytes, want the entry and its chunk list", mallocs, allocated)
 	}
 }
 

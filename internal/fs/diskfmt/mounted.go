@@ -356,14 +356,21 @@ func (m *Mounted) Stat(path string) (filesys.Stat, error) {
 // content itself when it is flat, and gathers only paged content into a
 // copy (fstree.Content.Bytes).
 func (m *Mounted) ReadFile(path string) ([]byte, error) {
+	c, err := m.ReadContent(path)
+	return c.Bytes(), err
+}
+
+// ReadContent is ReadFile without the gather: the node's immutable content
+// as it holds it, paged or flat, which must not be modified.
+func (m *Mounted) ReadContent(path string) (fstree.Content, error) {
 	n, err := m.lookup(path)
 	if err != nil {
-		return nil, err
+		return fstree.Content{}, err
 	}
 	if n.Kind == filesys.KindDir {
-		return nil, fmt.Errorf("%s read %q: %w", m.format.Name, path, filesys.ErrIsDir)
+		return fstree.Content{}, fmt.Errorf("%s read %q: %w", m.format.Name, path, filesys.ErrIsDir)
 	}
-	return n.Data.Bytes(), nil
+	return n.Data, nil
 }
 
 // ReadDir implements filesys.MountedFS.

@@ -78,7 +78,7 @@ func decodePatch(kind byte, d *codec.Decoder) (r logRecord, err error) {
 		return r, fmt.Errorf("fscqsim: unknown record kind: %w", filesys.ErrCorrupted)
 	}
 	r.ino = d.Uint64()
-	r.data = fstree.Flat(d.Bytes64View())
+	r.data = fstree.DecodeContent(d)
 	r.size = d.Int64()
 	n := d.Int()
 	if d.Err() != nil || n < 0 || n > 1<<20 {

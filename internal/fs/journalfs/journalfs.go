@@ -58,7 +58,7 @@ type journalRecord struct {
 	// recDirect:
 	ino  uint64
 	off  int64
-	data []byte
+	data fstree.Content
 	size int64
 }
 
@@ -70,7 +70,7 @@ func encodeRecord(e *codec.Encoder, r journalRecord) {
 	case recDirect:
 		e.Uint64(r.ino)
 		e.Int64(r.off)
-		e.Bytes64(r.data)
+		r.data.Encode(e)
 		e.Int64(r.size)
 	}
 }
@@ -82,7 +82,7 @@ func decodeDirect(kind byte, d *codec.Decoder) (r journalRecord, err error) {
 	}
 	r.ino = d.Uint64()
 	r.off = d.Int64()
-	r.data = d.Bytes64View()
+	r.data = fstree.DecodeContent(d)
 	r.size = d.Int64()
 	return r, d.Err()
 }
@@ -121,8 +121,8 @@ func applyDirect(tree *fstree.Tree, rec journalRecord) {
 		return
 	}
 	n := tree.Edit(rec.ino)
-	n.WriteAt(rec.off, rec.data)
-	n.AllocRange(rec.off, rec.off+int64(len(rec.data)))
+	n.WriteContent(rec.off, rec.data)
+	n.AllocRange(rec.off, rec.off+rec.data.Len())
 	// i_disksize from the record rules the recovered size.
 	n.Resize(rec.size)
 }

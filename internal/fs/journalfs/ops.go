@@ -111,7 +111,7 @@ func (m *mounted) PersistDirect(n *fstree.Node, off int64, data []byte) error {
 		size = end
 	}
 	if err := m.appendRecord(journalRecord{
-		kind: recDirect, ino: n.Ino, off: off, data: data, size: size,
+		kind: recDirect, ino: n.Ino, off: off, data: fstree.Flat(data), size: size,
 	}); err != nil {
 		return err
 	}

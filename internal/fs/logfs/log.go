@@ -106,7 +106,7 @@ func decodeBatch(d *codec.Decoder) (items []logItem, err error) {
 		case itInodeData:
 			it.ino = d.Uint64()
 			it.off = d.Int64()
-			it.data = fstree.Flat(d.Bytes64View())
+			it.data = fstree.DecodeContent(d)
 		case itDentryAdd:
 			it.dir = d.Uint64()
 			it.name = d.String()

@@ -123,7 +123,7 @@ func replayInodeData(tree *fstree.Tree, it logItem) {
 	if n := tree.Get(it.ino); n == nil || n.Kind == filesys.KindDir {
 		return
 	}
-	tree.Edit(it.ino).WriteAt(it.off, it.data.Bytes())
+	tree.Edit(it.ino).WriteContent(it.off, it.data)
 }
 
 // replayDentryAdd links (dir, name) -> child, maintaining the directory

@@ -7,10 +7,16 @@ import (
 
 	"b3/internal/blockdev"
 	"b3/internal/codec"
+	"b3/internal/pagestore"
 )
 
-// pageSize is the unit in which file content is shared and copied.
+// pageSize is the unit in which file content is shared and copied: a device
+// block, and the page store's page.
 const pageSize = int64(blockdev.BlockSize)
+
+// The page store's pages are file-content pages.
+var _ [pagestore.PageSize - pageSize]struct{}
+var _ [pageSize - pagestore.PageSize]struct{}
 
 // Content is a regular file's bytes. It is immutable once built: clones,
 // tracker snapshots and decoded images share it, and every change (WriteAt,
@@ -135,6 +141,28 @@ func (c Content) Encode(e *codec.Encoder) {
 	}
 }
 
+// DecodeContent reads content written by Encode, or bytes written by
+// codec.Encoder.Bytes64, as pages of the process-wide page store
+// (pagestore.Shared): one flat page when it fits one, else a page table. It
+// never aliases d's buffer, and copies only pages the store does not hold.
+func DecodeContent(d *codec.Decoder) Content { return internContent(d.Bytes64View()) }
+
+// internContent returns b's bytes as content made of the page store's
+// pages; b is not retained.
+func internContent(b []byte) Content {
+	store := pagestore.Shared()
+	if int64(len(b)) <= pageSize {
+		p, _ := store.Intern(b)
+		return Content{flat: p}
+	}
+	pages := make([][]byte, (int64(len(b))+pageSize-1)/pageSize)
+	for i := range pages {
+		lo := int64(i) * pageSize
+		pages[i], _ = store.Intern(b[lo:min(lo+pageSize, int64(len(b)))])
+	}
+	return Content{pages: pages}
+}
+
 // numPages returns the number of pages the content spans.
 func (c Content) numPages() int {
 	if c.pages != nil {
@@ -184,27 +212,28 @@ func Zeros(n int64) []byte {
 	return zeroView(n)
 }
 
-// splice returns c with bytes [off, end) replaced by data, or by zeros when
-// data is nil, and any gap past c's end zero-filled. Content that ends up
-// no longer than a page, or covered by data, is flat; zeros over a flat
-// zero view that fit the zero page stay a zero view; anything else is
-// paged, and only pages partly changed are copied.
-func (c Content) splice(off, end int64, data []byte) Content {
+// splice returns c with bytes [off, end) replaced by data's bytes, or by
+// zeros when zeroFill is set (data is then empty), and any gap past c's end
+// zero-filled. Content that ends up no longer than a page, or covered by
+// data, is flat or data itself; zeros over a flat zero view that fit the
+// zero page stay a zero view; anything else is paged, and only pages partly
+// changed, or that data does not hold as one view, are copied.
+func (c Content) splice(off, end int64, data Content, zeroFill bool) Content {
 	size := c.Len()
 	newSize := max(end, size)
-	zeros := data == nil || isZeroView(data)
+	zeros := zeroFill || data.isZero()
 	switch {
-	case off == 0 && end >= size && data != nil:
-		return Flat(data)
+	case off == 0 && end >= size && !zeroFill:
+		return data
 	case zeros && (c.isZero() || off == 0 && end >= size) && newSize <= int64(len(zeroPage)):
 		return Content{flat: zeroView(newSize)}
 	case newSize <= pageSize:
 		fresh := make([]byte, newSize)
 		copy(fresh, c.flat)
-		if data != nil {
-			copy(fresh[off:], data)
-		} else {
+		if zeroFill {
 			clear(fresh[off:end])
+		} else {
+			data.read(fresh[off:end], 0)
 		}
 		return Content{flat: fresh}
 	}
@@ -213,36 +242,67 @@ func (c Content) splice(off, end int64, data []byte) Content {
 		lo := int64(i) * pageSize
 		hi := min(lo+pageSize, newSize)
 		untouched := hi <= off || lo >= end
+		covered := off <= lo && hi <= end
 		switch {
 		case untouched && hi <= size:
 			pages[i] = c.page(i)
-		case untouched && lo >= size, zeros && off <= lo && hi <= end:
+			continue
+		case untouched && lo >= size, zeros && covered:
 			pages[i] = zeroView(hi - lo)
-		case off <= lo && hi <= end:
-			pages[i] = data[lo-off : hi-off : hi-off]
-		default:
-			var old []byte
-			if lo < size {
-				old = c.page(i)
-			}
-			if zeros && isZeroView(old) {
-				pages[i] = zeroView(hi - lo)
+			continue
+		case covered:
+			if v, ok := data.view(lo-off, hi-off); ok {
+				pages[i] = v
 				continue
 			}
-			fresh := make([]byte, hi-lo)
-			copy(fresh, old)
-			switch from, to := max(off, lo), min(end, hi); {
-			case from >= to:
-				// Untouched: the old end's page, zero-extended.
-			case data != nil:
-				copy(fresh[from-lo:to-lo], data[from-off:])
-			default:
-				clear(fresh[from-lo : to-lo])
-			}
-			pages[i] = fresh
 		}
+		var old []byte
+		if lo < size {
+			old = c.page(i)
+		}
+		if zeros && isZeroView(old) {
+			pages[i] = zeroView(hi - lo)
+			continue
+		}
+		fresh := make([]byte, hi-lo)
+		copy(fresh, old)
+		switch from, to := max(off, lo), min(end, hi); {
+		case from >= to:
+			// Untouched: the old end's page, zero-extended.
+		case zeroFill:
+			clear(fresh[from-lo : to-lo])
+		default:
+			data.read(fresh[from-lo:to-lo], from-off)
+		}
+		pages[i] = fresh
 	}
 	return Content{pages: pages}
+}
+
+// view returns bytes [from, to) of c as one view, with capacity equal to
+// its length, when they lie in the flat slice or in one page.
+func (c Content) view(from, to int64) ([]byte, bool) {
+	if c.pages == nil {
+		return c.flat[from:to:to], true
+	}
+	i := from / pageSize
+	if (to-1)/pageSize != i {
+		return nil, false
+	}
+	base := i * pageSize
+	return c.pages[i][from-base : to-base : to-base], true
+}
+
+// read copies bytes [from, from+len(dst)) of c into dst.
+func (c Content) read(dst []byte, from int64) {
+	if c.pages == nil {
+		copy(dst, c.flat[from:])
+		return
+	}
+	for len(dst) > 0 {
+		n := copy(dst, c.pages[from/pageSize][from%pageSize:])
+		dst, from = dst[n:], from+int64(n)
+	}
 }
 
 // resize returns c cut or zero-extended to size. Cutting shares every page
@@ -252,7 +312,7 @@ func (c Content) resize(size int64) Content {
 	case size == old:
 		return c
 	case size > old:
-		return c.splice(old, size, nil)
+		return c.splice(old, size, Content{}, true)
 	}
 	return c.Slice(0, size)
 }

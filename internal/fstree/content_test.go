@@ -268,3 +268,140 @@ func TestEncodeAllocatesNothing(t *testing.T) {
 		t.Error("encoding the same tree twice gave different bytes")
 	}
 }
+
+// patternedBytes returns n bytes that differ at every page and from seed to
+// seed.
+func patternedBytes(n int64, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i/4096)*13 + byte(i) + seed
+	}
+	return b
+}
+
+// checkPageTable fails t unless c keeps Content's shape: a page table only
+// past one page, every page full but the last, every view capped at its
+// length.
+func checkPageTable(t *testing.T, what string, c Content) {
+	t.Helper()
+	if c.pages == nil {
+		if cap(c.flat) != len(c.flat) {
+			t.Fatalf("%s: flat content with spare capacity", what)
+		}
+		return
+	}
+	for i, p := range c.pages {
+		if cap(p) != len(p) || i < len(c.pages)-1 && int64(len(p)) != pageSize || len(p) == 0 {
+			t.Fatalf("%s: page %d of %d is %d bytes, cap %d", what, i, len(c.pages), len(p), cap(p))
+		}
+	}
+}
+
+// TestWriteContentMatchesWriteAt runs seeded WriteContent calls — of flat
+// data, of the page store's pages and of a page-aligned slice of them, at
+// aligned and unaligned offsets, over flat and paged files — against
+// WriteAt of the same bytes: both must leave the same bytes, a well-formed
+// page table and the source untouched, and WriteContent must keep every
+// page of paged data that lands whole on a page of the file.
+func TestWriteContentMatchesWriteAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := range 400 {
+		size := rng.Int63n(5 * pageSize)
+		base := patternedBytes(size, byte(i))
+		file := Flat(base)
+		if i%2 == 1 {
+			file = internContent(base)
+		}
+		length := rng.Int63n(4*pageSize) + 1
+		src := patternedBytes(length+pageSize, byte(i)+100)
+		var data Content
+		switch i % 3 {
+		case 0:
+			data = Flat(src[:length])
+		case 1:
+			data = internContent(src[:length])
+		default:
+			data = internContent(src).Slice(pageSize, pageSize+length)
+		}
+		want := data.Bytes()
+		off := rng.Int63n(6 * pageSize)
+		if i%4 < 2 {
+			off &^= pageSize - 1
+		}
+		what := fmt.Sprintf("case %d: %d bytes at %d over %d", i, length, off, size)
+
+		got, ref := &Node{Kind: filesys.KindRegular, Data: file}, &Node{Kind: filesys.KindRegular, Data: file}
+		got.WriteContent(off, data)
+		ref.WriteAt(off, bytes.Clone(want))
+		if !bytes.Equal(got.Data.Bytes(), ref.Data.Bytes()) {
+			t.Fatalf("%s: WriteContent and WriteAt disagree", what)
+		}
+		checkPageTable(t, what, got.Data)
+		if !bytes.Equal(data.Bytes(), want) || !bytes.Equal(file.Bytes(), base) {
+			t.Fatalf("%s: the write changed its source or the old content", what)
+		}
+		if data.pages == nil || off%pageSize != 0 || got.Data.pages == nil {
+			continue
+		}
+		for j, p := range data.pages {
+			lo := off + int64(j)*pageSize
+			if int64(len(p)) == pageSize || lo+int64(len(p)) >= got.Data.Len() {
+				if q := got.Data.pages[lo/pageSize]; &q[0] != &p[0] {
+					t.Fatalf("%s: page %d of the data was copied, not kept", what, j)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeTakesHeldPages pins what decoding costs once the page store
+// holds a file's pages: the node's content is those very pages, and the
+// decode allocates the tree, the node and its page table, but no content
+// bytes, where aliasing-free decoding without the store would copy the
+// file.
+func TestDecodeTakesHeldPages(t *testing.T) {
+	const size = 16 * pageSize
+	tr := New()
+	if _, err := tr.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Write("/f", 0, patternedBytes(size, 7)); err != nil {
+		t.Fatal(err)
+	}
+	e := codec.NewEncoder(0)
+	tr.Encode(e)
+	decode := func() *Node {
+		t.Helper()
+		got, err := DecodeTree(codec.NewDecoder(e.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := got.Lookup("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	first := decode()
+	checkPageTable(t, "decoded", first.Data)
+	if first.Data.Len() != size || !bytes.Equal(first.Data.Bytes(), patternedBytes(size, 7)) {
+		t.Fatal("decoded content differs")
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		again := decode()
+		for i, p := range again.Data.pages {
+			if &p[0] != &first.Data.pages[i][0] {
+				t.Fatalf("page %d was copied again, not taken from the store", i)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocated := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("decode of a tree with a held %d-byte file: %d bytes", size, allocated)
+	if allocated >= pageSize {
+		t.Errorf("decoding a tree whose pages are held allocates %d bytes, want under one page", allocated)
+	}
+}

@@ -61,7 +61,15 @@ type Node struct {
 // whole pages of a longer file — so the caller must never modify it
 // afterwards.
 func (n *Node) WriteAt(off int64, data []byte) {
-	n.Data = n.Data.splice(off, off+int64(len(data)), data)
+	n.Data = n.Data.splice(off, off+int64(len(data)), Flat(data), data == nil)
+}
+
+// WriteContent stores data's bytes at off, as WriteAt stores a slice's: the
+// node keeps data itself when it covers the file, and otherwise every page
+// of data that lands whole on a page of the file; it copies only the pages
+// it changes in part.
+func (n *Node) WriteContent(off int64, data Content) {
+	n.Data = n.Data.splice(off, off+data.Len(), data, false)
 }
 
 // Resize sets the file size: shrinking keeps the content's first size
@@ -69,7 +77,7 @@ func (n *Node) WriteAt(off int64, data []byte) {
 func (n *Node) Resize(size int64) { n.Data = n.Data.resize(size) }
 
 // zero stores zeros at [off, end), extending the file if end is past it.
-func (n *Node) zero(off, end int64) { n.Data = n.Data.splice(off, end, nil) }
+func (n *Node) zero(off, end int64) { n.Data = n.Data.splice(off, end, Content{}, true) }
 
 // Size returns the logical file size.
 func (n *Node) Size() int64 {
@@ -111,15 +119,20 @@ func (n *Node) Clone() *Node {
 }
 
 // Footprint estimates the heap bytes the node holds beyond the bytes of its
-// Data and xattr values, which a decoded node shares with the payload it
-// was read from: the node itself, the page table of paged Data, its
-// extents, symlink target, and the Xattrs and Children maps, each entry
-// charged as if its key were short. It reads only lengths, so estimating
-// costs a small fraction of a decode.
+// Data, which a decoded node shares with every node decoded from equal
+// pages (the page store holds them, see DecodeContent): the node itself,
+// the page table of paged Data, its extents, symlink target, xattr values,
+// and the Xattrs and Children maps, each entry charged as if its key were
+// short. It reads only lengths, so estimating costs a small fraction of a
+// decode.
 func (n *Node) Footprint() int {
 	const nodeBytes, pageBytes, extentBytes, mapEntryBytes = 128, 24, 16, 64
-	return nodeBytes + pageBytes*len(n.Data.pages) + extentBytes*len(n.Extents) +
+	c := nodeBytes + pageBytes*len(n.Data.pages) + extentBytes*len(n.Extents) +
 		len(n.Target) + mapEntryBytes*(len(n.Xattrs)+len(n.Children))
+	for _, v := range n.Xattrs {
+		c += len(v)
+	}
+	return c
 }
 
 // Tree is a complete in-memory file system image.
@@ -874,11 +887,12 @@ func sortedKeys[V any](dst []string, m map[string]V) []string {
 	return dst
 }
 
-// DecodeNode deserializes a node written by EncodeNode. Data and the xattr
-// values alias the decoder's buffer (Bytes64View), which must therefore
-// stay unmodified for as long as the node, or anything sharing its content,
-// lives. DecodeTree and SkipTree parse each node with the same code, so all
-// three reject the same input.
+// DecodeNode deserializes a node written by EncodeNode. Nothing it builds
+// aliases the decoder's buffer, which may be reused once it returns: Data
+// is made of the page store's pages (DecodeContent), copying only pages the
+// store does not hold, and the xattr values are copied. DecodeTree and
+// SkipTree parse each node with the same code, so all three reject the same
+// input.
 func DecodeNode(d *codec.Decoder) (*Node, error) {
 	n := &Node{}
 	if _, _, err := decodeNode(d, n); err != nil {
@@ -896,7 +910,7 @@ func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
 	ino := d.Uint64()
 	kind := filesys.FileKind(d.Byte())
 	nlink := d.Int()
-	data := d.Bytes64View()
+	data := d.Bytes64View() // interned below, once the node is known good
 	target := decodeString(d, build)
 	ne := d.Int()
 	if d.Err() != nil {
@@ -906,7 +920,7 @@ func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
 		return 0, 0, fmt.Errorf("fstree: implausible extent count: %w", filesys.ErrCorrupted)
 	}
 	if build {
-		*n = Node{Ino: ino, Kind: kind, Nlink: nlink, Data: Flat(data), Target: target}
+		*n = Node{Ino: ino, Kind: kind, Nlink: nlink, Target: target}
 	}
 	for range ne {
 		ext := filesys.Extent{Off: d.Int64(), Len: d.Int64()}
@@ -928,7 +942,7 @@ func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
 		k := decodeString(d, build)
 		v := d.Bytes64View()
 		if build {
-			n.Xattrs[k] = v
+			n.Xattrs[k] = append(make([]byte, 0, len(v)), v...)
 		}
 	}
 	nc := d.Int()
@@ -951,6 +965,9 @@ func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
 	}
 	if d.Err() != nil {
 		return 0, 0, d.Err()
+	}
+	if build {
+		n.Data = internContent(data)
 	}
 	return ino, kind, nil
 }
