@@ -28,8 +28,11 @@ import (
 //
 // ReadFile returns the content itself, so a local variable bound from a
 // call to a method named ReadFile that returns ([]byte, error) holds shared
-// content too. For views and ReadFile results an index store, copy into or
-// clear of one (or of a slice of one) is reported; an append onto one is
+// content too, and so does one bound from a page store's Intern (a method
+// named Intern of a type named Store returning ([]byte, bool)), whose chunk
+// every payload and page equal to it shares. For views, ReadFile results
+// and chunks an index store, copy into or clear of one (or of a slice of
+// one) is reported; an append onto one is
 // not: its capacity equals its length, so an append copies. os.ReadFile is
 // a function, not a method, and is exempt.
 //
@@ -41,9 +44,9 @@ var SharedContent = &Analyzer{
 	Name: "sharedcontent",
 	Doc: "report in-place writes to fstree.Content's bytes and page table " +
 		"(index stores, copy, append, clear), to the views Content methods " +
-		"return or yield and to ReadFile results (index stores, copy, " +
-		"clear); file content is shared by clones, snapshots, decoded " +
-		"images and readers",
+		"return or yield, to ReadFile results and to page-store chunks " +
+		"(index stores, copy, clear); file content is shared by clones, " +
+		"snapshots, decoded images, verified payloads and readers",
 	Run: runSharedContent,
 }
 
@@ -119,6 +122,23 @@ func isReadFileCall(info *types.Info, e ast.Expr) bool {
 		types.Identical(res.At(1).Type(), types.Universe.Lookup("error").Type())
 }
 
+// isInternCall reports whether e calls a method named Intern of a type
+// named Store that returns ([]byte, bool): a page-store chunk.
+func isInternCall(info *types.Info, e ast.Expr) bool {
+	sel, sig := methodCall(info, e)
+	if sig == nil || sel.Sel.Name != "Intern" {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.Underlying().(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	res := sig.Results()
+	return ok && named.Obj().Name() == "Store" && res.Len() == 2 && isByteSlice(res.At(0).Type()) &&
+		types.Identical(res.At(1).Type(), types.Typ[types.Bool])
+}
+
 // isContentViewCall reports whether e calls a method of a Content that
 // returns []byte.
 func isContentViewCall(info *types.Info, e ast.Expr) bool {
@@ -146,11 +166,12 @@ func isPagesCall(info *types.Info, e ast.Expr) bool {
 const (
 	fromReadFile = "a ReadFile result"
 	fromView     = "a Content view"
+	fromChunk    = "a page-store chunk"
 )
 
-// sharedLocals returns the local variables bound from a ReadFile call or a
-// Content view — by assignment, declaration or ranging over Pages — each
-// with the source it holds.
+// sharedLocals returns the local variables bound from a ReadFile call, a
+// page store's Intern or a Content view — by assignment, declaration or
+// ranging over Pages — each with the source it holds.
 func sharedLocals(pass *Pass) map[*types.Var]string {
 	info := pass.Pkg.Info
 	bound := map[*types.Var]string{}
@@ -174,6 +195,8 @@ func sharedLocals(pass *Pass) map[*types.Var]string {
 				switch {
 				case len(n.Lhs) == 2 && len(n.Rhs) == 1 && isReadFileCall(info, n.Rhs[0]):
 					bind(n.Lhs[0], fromReadFile)
+				case len(n.Lhs) == 2 && len(n.Rhs) == 1 && isInternCall(info, n.Rhs[0]):
+					bind(n.Lhs[0], fromChunk)
 				case len(n.Lhs) == len(n.Rhs):
 					for i, rhs := range n.Rhs {
 						if isContentViewCall(info, rhs) {
@@ -185,6 +208,8 @@ func sharedLocals(pass *Pass) map[*types.Var]string {
 				switch {
 				case len(n.Names) == 2 && len(n.Values) == 1 && isReadFileCall(info, n.Values[0]):
 					bind(n.Names[0], fromReadFile)
+				case len(n.Names) == 2 && len(n.Values) == 1 && isInternCall(info, n.Values[0]):
+					bind(n.Names[0], fromChunk)
 				case len(n.Names) == len(n.Values):
 					for i, v := range n.Values {
 						if isContentViewCall(info, v) {

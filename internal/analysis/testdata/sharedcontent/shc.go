@@ -160,3 +160,28 @@ func readFileAllowed(fs FS, c cache, src []byte) []byte {
 	data[0] = 2
 	return data
 }
+
+// Store mirrors pagestore.Store's Intern: the chunk it returns is shared by
+// every caller that interned equal bytes.
+type Store struct{}
+
+func (s *Store) Intern(b []byte) ([]byte, bool) { return b, false }
+
+// pool has an Intern of another shape: its result is its own.
+type pool struct{}
+
+func (pool) Intern(b []byte) []byte { return append([]byte(nil), b...) }
+
+func chunkStores(s *Store, p pool, src []byte) [][]byte {
+	c, _ := s.Intern(src)
+	c[0] = 1      // want "store into a page-store chunk"
+	copy(c, src)  // want "copy writes into a page-store chunk"
+	clear(c[1:2]) // want "clear writes into a page-store chunk"
+	var d, _ = s.Intern(src)
+	d[0]++ // want "store into a page-store chunk"
+	own := p.Intern(src)
+	own[0] = 1 // not a Store: fine
+	chunks := make([][]byte, 1)
+	chunks[0] = c // keeping the chunk: fine
+	return chunks
+}

@@ -260,8 +260,12 @@ func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (lease, int64
 // verifiedBudget bounds the bytes the verified-payload memo holds — the
 // chunks its entries copied, the decoded values kept beside them and a
 // per-entry charge — before it starts over; the page store's index starts
-// over with it, and also once it alone holds more.
-const verifiedBudget = 16 << 20
+// over with it, and also once it alone holds more. An entry whose chunks
+// the store already holds is charged little, so the memo keeps several
+// times more entries and decoded trees per byte than when every entry paid
+// for its whole payload: at 16 MiB that pointer-rich heap cost the
+// collector more than the copies saved (EXPERIMENTS.md).
+const verifiedBudget = 8 << 20
 
 // memoEntryCost is what one memo entry, or one decoded value kept in it, is
 // charged beyond the chunks it copied or its footprint: its key, headers,
@@ -384,9 +388,8 @@ func newPayloadMemo(budget int) *payloadMemo {
 // whose chunks the page store holds, copying in only the chunks it held
 // none equal to, memoised in its place. got itself is not retained, so it
 // may be borrowed. A memo whose budget an insert would exceed, or whose
-// page store alone holds more than the budget, is cleared first; a payload
-// larger than the whole budget gets an entry of fresh chunks that is not
-// memoised.
+// page store alone holds more than the budget, is cleared first; an entry
+// charged more than the whole budget is not memoised.
 func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 	c.stats.interns.Add(1)
 	c.mu.Lock()
@@ -398,15 +401,13 @@ func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 	}
 	c.stats.misses.Add(1)
 	e = &memoEntry{key: k}
-	if len(got)+memoEntryCost > c.budget {
-		e.cut(got, func(b []byte) ([]byte, bool) { return append(make([]byte, 0, len(b)), b...), true })
-		c.stats.bytesCopied.Add(int64(e.copied))
-		return e
-	}
-	shared := e.cut(got, c.pages.Intern)
+	shared := e.cut(got, c.pages)
 	c.stats.bytesCopied.Add(int64(e.copied))
 	c.stats.chunksShared.Add(int64(shared))
 	cost := e.cost()
+	if cost > c.budget {
+		return e
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.m[k]; ok {
@@ -420,10 +421,9 @@ func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 	return e
 }
 
-// cut sets e's chunks to got's, each taken from chunk, which returns a
-// chunk equal to its argument and whether it copied it, and returns how
-// many chunks were not copied.
-func (e *memoEntry) cut(got []byte, chunk func([]byte) ([]byte, bool)) (shared int) {
+// cut sets e's chunks to got's, each interned in pages, and returns how
+// many of them pages already held.
+func (e *memoEntry) cut(got []byte, pages *pagestore.Store) (shared int) {
 	n := (len(got) + pagestore.PageSize - 1) / pagestore.PageSize
 	e.chunks = e.one[:min(n, 1)]
 	if n > 1 {
@@ -431,7 +431,7 @@ func (e *memoEntry) cut(got []byte, chunk func([]byte) ([]byte, bool)) (shared i
 	}
 	for i := range e.chunks {
 		b := got[i*pagestore.PageSize : min((i+1)*pagestore.PageSize, len(got))]
-		p, copied := chunk(b)
+		p, copied := pages.Intern(b)
 		e.chunks[i] = p
 		if copied {
 			e.copied += len(p)
