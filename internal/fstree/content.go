@@ -20,16 +20,16 @@ var _ [pageSize - pagestore.PageSize]struct{}
 
 // Content is a regular file's bytes. It is immutable once built: clones,
 // tracker snapshots and decoded images share it, and every change (WriteAt,
-// Resize, Falloc, Truncate) builds a new Content that shares the bytes it
-// leaves alone with the old one.
+// WriteContent, Resize, Falloc, Truncate) builds a new Content that shares
+// the bytes it leaves alone with the old one.
 //
-// Content installed in one piece (a decoded payload, a covering write,
-// Flat), no longer than one page, or only zeros that fit the zero page is
-// one flat slice, read without a copy. Any other change makes it paged: a
-// table of views, page i holding bytes [i*pageSize, (i+1)*pageSize), every
-// page full but the last. A change copies only the pages it changes in
-// part, adopts whole pages of the caller's data, keeps the other pages, and
-// makes zero pages views of the zero page.
+// Content installed in one piece (a covering write, Flat), no longer than
+// one page, or only zeros that fit the zero page is one flat slice, read
+// without a copy. Decoded content longer than a page, and any other change,
+// is paged: a table of views, page i holding bytes [i*pageSize,
+// (i+1)*pageSize), every page full but the last. A change copies only the
+// pages it changes in part, adopts whole pages of the caller's data, keeps
+// the other pages, and makes zero pages views of the zero page.
 type Content struct {
 	flat  []byte   // all the bytes, when pages is nil; cap == len
 	pages [][]byte // otherwise, the page table; every page has cap == len
