@@ -424,21 +424,12 @@ func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
 // cut sets e's chunks to got's, each interned in pages, and returns how
 // many of them pages already held.
 func (e *memoEntry) cut(got []byte, pages *pagestore.Store) (shared int) {
-	n := (len(got) + pagestore.PageSize - 1) / pagestore.PageSize
+	n := pagestore.Chunks(len(got))
 	e.chunks = e.one[:min(n, 1)]
 	if n > 1 {
 		e.chunks = make([][]byte, n)
 	}
-	for i := range e.chunks {
-		b := got[i*pagestore.PageSize : min((i+1)*pagestore.PageSize, len(got))]
-		p, copied := pages.Intern(b)
-		e.chunks[i] = p
-		if copied {
-			e.copied += len(p)
-		} else {
-			shared++
-		}
-	}
+	e.copied, shared = pages.InternAll(e.chunks, got)
 	return shared
 }
 

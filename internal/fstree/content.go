@@ -155,11 +155,8 @@ func internContent(b []byte) Content {
 		p, _ := store.Intern(b)
 		return Content{flat: p}
 	}
-	pages := make([][]byte, (int64(len(b))+pageSize-1)/pageSize)
-	for i := range pages {
-		lo := int64(i) * pageSize
-		pages[i], _ = store.Intern(b[lo:min(lo+pageSize, int64(len(b)))])
-	}
+	pages := make([][]byte, pagestore.Chunks(len(b)))
+	store.InternAll(pages, b)
 	return Content{pages: pages}
 }
 

@@ -95,6 +95,26 @@ func (s *Store) Intern(b []byte) (chunk []byte, copied bool) {
 	return chunk, true
 }
 
+// Chunks returns the number of chunks n bytes cut into at multiples of
+// PageSize.
+func Chunks(n int) int { return (n + PageSize - 1) / PageSize }
+
+// InternAll interns b cut at multiples of PageSize, chunk i into dst[i];
+// dst holds exactly Chunks(len(b)) chunks. It returns how many bytes it
+// copied in and how many chunks it found held.
+func (s *Store) InternAll(dst [][]byte, b []byte) (copied, held int) {
+	for i := range dst {
+		c, fresh := s.Intern(b[i*PageSize : min((i+1)*PageSize, len(b))])
+		dst[i] = c
+		if fresh {
+			copied += len(c)
+		} else {
+			held++
+		}
+	}
+	return copied, held
+}
+
 // Held returns the number of bytes copied in since the index started over.
 func (s *Store) Held() int { return int(s.held.Load()) }
 

@@ -41,6 +41,11 @@ func TestCollidingChunksKeepTheirBytes(t *testing.T) {
 	if s.Held() != want {
 		t.Fatalf("Held() = %d, want %d", s.Held(), want)
 	}
+	two := append(bytes.Clone(chunks[1]), chunks[2]...)
+	got := make([][]byte, Chunks(len(two)))
+	if copied, found := s.InternAll(got, two); copied != 0 || found != 2 || &got[0][0] != &held[1][0] || &got[1][0] != &held[2][0] {
+		t.Fatalf("InternAll of two held chunks: %d bytes copied, %d found; want both chunks held for their bytes", copied, found)
+	}
 	s.Reset()
 	if s.Held() != 0 {
 		t.Fatalf("after Reset, Held() = %d", s.Held())
