@@ -244,9 +244,8 @@ type Campaign struct {
 	// cross-check mode for the pre-construction prune: identical verdicts,
 	// strictly more constructed states.
 	NoClassPrune bool
-	// NoCommutePrune disables commutativity pruning of reorder drop-sets —
-	// the cross-check mode for the enumerator's canonical-form skip:
-	// identical verdicts and reports, strictly more constructed states.
+	// Deprecated: NoCommutePrune has no effect. The reorder sweep no
+	// longer skips drop-sets outside class pruning (NoClassPrune).
 	NoCommutePrune bool
 	// PruneCap bounds each prune-cache tier in entries (0 = the default
 	// cap, negative = unbounded). Campaigns whose distinct-state count
@@ -323,28 +322,27 @@ func (c Campaign) config() (campaign.Config, error) {
 		label = string(c.Profile)
 	}
 	cfg := campaign.Config{
-		FS:             c.FS,
-		Bounds:         bounds,
-		KV:             kv,
-		Workers:        c.Workers,
-		MaxWorkloads:   c.MaxWorkloads,
-		SampleEvery:    c.SampleEvery,
-		Shard:          c.Shard,
-		NumShards:      c.NumShards,
-		Interrupt:      c.Interrupt,
-		OnProgress:     c.OnProgress,
-		ProgressEvery:  c.ProgressEvery,
-		FinalOnly:      c.FinalOnly,
-		Reorder:        c.Reorder,
-		Faults:         c.Faults,
-		NoPrune:        c.NoPrune,
-		ScratchStates:  c.ScratchStates,
-		NoClassPrune:   c.NoClassPrune,
-		NoCommutePrune: c.NoCommutePrune,
-		PruneCap:       c.PruneCap,
-		CorpusDir:      c.CorpusDir,
-		ProfileLabel:   label,
-		Resume:         c.Resume,
+		FS:            c.FS,
+		Bounds:        bounds,
+		KV:            kv,
+		Workers:       c.Workers,
+		MaxWorkloads:  c.MaxWorkloads,
+		SampleEvery:   c.SampleEvery,
+		Shard:         c.Shard,
+		NumShards:     c.NumShards,
+		Interrupt:     c.Interrupt,
+		OnProgress:    c.OnProgress,
+		ProgressEvery: c.ProgressEvery,
+		FinalOnly:     c.FinalOnly,
+		Reorder:       c.Reorder,
+		Faults:        c.Faults,
+		NoPrune:       c.NoPrune,
+		ScratchStates: c.ScratchStates,
+		NoClassPrune:  c.NoClassPrune,
+		PruneCap:      c.PruneCap,
+		CorpusDir:     c.CorpusDir,
+		ProfileLabel:  label,
+		Resume:        c.Resume,
 	}
 	if c.DedupKnown {
 		cfg.KnownDBFor = KnownBugDB

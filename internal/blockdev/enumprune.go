@@ -6,24 +6,16 @@ import "fmt"
 // The two-tier verdict cache (crashmonkey's PruneCache) discovers state
 // equivalence only after a crash state has been fully constructed; the
 // pruned enumerators below decide it while enumerating, using the same O(1)
-// XOR fingerprint algebra the tracked snapshots maintain:
+// XOR fingerprint algebra the tracked snapshots maintain: every state's
+// content fingerprint is computed *before* the state is constructed (a pure
+// XOR-delta computation over the epoch's per-block contributions), and a
+// caller-supplied Seen index is consulted; an already-classified state is
+// skipped without forking a snapshot or replaying a single write.
 //
-//   - class pruning: every state's content fingerprint is computed *before*
-//     the state is constructed (a pure XOR-delta computation over the
-//     epoch's per-block contributions), and a caller-supplied Seen index is
-//     consulted; an already-classified state is skipped without forking a
-//     snapshot or replaying a single write.
-//   - commutativity pruning (reorder only): a drop-set containing a write
-//     that a later surviving write to the same block overwrites produces an
-//     image byte-identical to the drop-set without that write. Such sets are
-//     skipped outright and attributed to their canonical representative —
-//     the per-block suffix-closed subset, which is strictly smaller and so
-//     was enumerated earlier (subsets are enumerated smallest-first).
-//
-// Both prunes are verdict-preserving by construction and cross-checked
-// against the unpruned scratch engines (docs/TESTING.md): the enumerated
-// space satisfies count == Visited + ClassSkipped + CommuteSkipped exactly,
-// with count from the 128-bit guarded ReorderStateCount/FaultStateCount.
+// The prune is verdict-preserving by construction and cross-checked against
+// the unpruned scratch engines (docs/TESTING.md): the enumerated space
+// satisfies count == Visited + ClassSkipped exactly, with count from the
+// 128-bit guarded ReorderStateCount/FaultStateCount.
 
 // EnumStats is the outcome of one pruned enumeration.
 type EnumStats struct {
@@ -32,9 +24,6 @@ type EnumStats struct {
 	// ClassSkipped counts states skipped because Seen classified their
 	// fingerprint before construction.
 	ClassSkipped int64
-	// CommuteSkipped counts drop-sets skipped as commutatively identical to
-	// an earlier canonical drop-set (reorder only).
-	CommuteSkipped int64
 	// Replayed counts the writes replayed constructing the visited states
 	// (the metered construction cost).
 	Replayed int64
@@ -43,11 +32,11 @@ type EnumStats struct {
 // States returns the total states the enumeration accounted for. It equals
 // ReorderStateCount/FaultStateCount when the enumeration ran to completion.
 func (s EnumStats) States() int64 {
-	return s.Visited + s.ClassSkipped + s.CommuteSkipped
+	return s.Visited + s.ClassSkipped
 }
 
 // ReorderEnumOpts configures ForEachReorderStatePruned. The zero value
-// disables both prunes: every state is constructed and handed to fn.
+// disables class pruning: every state is constructed and handed to fn.
 type ReorderEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
@@ -56,12 +45,10 @@ type ReorderEnumOpts struct {
 	// consulted on, with the same fp — a caller may record fp in Seen and
 	// key fn's state on it instead of reading the fork's Fingerprint.
 	Seen func(st ReorderState, fp uint64) bool
-	// Commute enables commutativity pruning of redundant drop-sets.
+	// Deprecated: Commute has no effect. The drop-sets it skipped are
+	// byte-identical to an earlier drop-set of the same epoch, so Seen
+	// answers them; it is kept only for callers that still set it.
 	Commute bool
-	// OnCommuteSkip, when non-nil, observes every commute-skipped drop-set
-	// together with the Desc of its canonical representative (always
-	// enumerated earlier in the same epoch).
-	OnCommuteSkip func(st ReorderState, repDesc string)
 }
 
 // FaultEnumOpts configures ForEachFaultStatePruned. The zero value disables
@@ -146,7 +133,6 @@ func (b *builder[S]) finish(rolling *Snapshot, st S) (EnumStats, error) {
 type epochPlan struct {
 	c      []uint64      // contribution of write i (zero-padded block content)
 	prev   []int         // previous same-block write index, or -1
-	next   []int         // next same-block write index, or -1
 	last   map[int64]int // block -> index of its final write in the epoch
 	fullFP uint64        // fingerprint with every epoch write applied
 }
@@ -156,15 +142,13 @@ func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
 	p := epochPlan{
 		c:    make([]uint64, len(writes)),
 		prev: make([]int, len(writes)),
-		next: make([]int, len(writes)),
 		last: make(map[int64]int, len(writes)),
 	}
 	for i, rec := range writes {
 		p.c[i] = paddedContribution(rec.Block, rec.Data)
-		p.prev[i], p.next[i] = -1, -1
+		p.prev[i] = -1
 		if j, ok := p.last[rec.Block]; ok {
 			p.prev[i] = j
-			p.next[j] = i
 		}
 		p.last[rec.Block] = i
 	}
@@ -213,40 +197,6 @@ func (p *epochPlan) dropFP(rolling *Snapshot, writes []Record, drop []int) uint6
 	return fp
 }
 
-// canonicalDrop implements the commute-prune rule. A member i of drop is
-// removable when some later write to the same block survives (is not in
-// drop): dropping i is then unobservable, because that later write
-// overwrites the block either way. The canonical form removes every
-// removable member at once — what remains is, per block, a suffix-closed
-// tail of the block's write chain, none of which is removable, so one pass
-// is a fixed point. The canonical set is strictly smaller than drop, hence
-// enumerated earlier (subsets are enumerated smallest-first, lexicographic
-// within a size).
-//
-// canonicalDrop returns (nil, false) when drop is its own canonical form, or
-// when the canonical form is empty — the empty set's representative is the
-// fully-applied epoch, which is enumerated *later* (as the next epoch's
-// pfx0 or the final full state), so skipping would orphan the attribution.
-func (p *epochPlan) canonicalDrop(drop []int) ([]int, bool) {
-	var keep []int
-	removable := 0
-	for _, d := range drop {
-		j := p.next[d]
-		for j >= 0 && inSet(drop, j) {
-			j = p.next[j]
-		}
-		if j >= 0 {
-			removable++
-		} else {
-			keep = append(keep, d)
-		}
-	}
-	if removable == 0 || len(keep) == 0 {
-		return nil, false
-	}
-	return keep, true
-}
-
 // ForEachReorderStatePruned enumerates the bounded-reordering crash-state
 // space of log — the same space, order, descriptors and byte-identical
 // device contents as ForEachReorderState — skipping states per opts before
@@ -263,9 +213,9 @@ func (p *epochPlan) canonicalDrop(drop []int) ([]int, bool) {
 //     epoch's surviving writes.
 //
 // Every enumerated state is accounted exactly once in the returned
-// EnumStats: handed to fn (Visited), skipped by the Seen index
-// (ClassSkipped), or skipped as commutatively redundant (CommuteSkipped);
-// States() equals ReorderStateCount when the sweep runs to completion.
+// EnumStats: handed to fn (Visited) or skipped by the Seen index
+// (ClassSkipped); States() equals ReorderStateCount when the sweep runs to
+// completion.
 //
 // fn receives each state as a tracked COW fork: recovery writes stay in the
 // fork, and Fingerprint() equals the from-scratch overlay fingerprint. The
@@ -311,15 +261,6 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 			ok := combinations(n, d, func(drop []int) bool {
 				st := ReorderState{Epoch: ep.Index, Applied: n,
 					Dropped: append([]int(nil), drop...), Desc: dropDesc(ep.Index, drop)}
-				if opts.Commute {
-					if canon, skip := plan.canonicalDrop(drop); skip {
-						b.stats.CommuteSkipped++
-						if opts.OnCommuteSkip != nil {
-							opts.OnCommuteSkip(st, dropDesc(ep.Index, canon))
-						}
-						return true
-					}
-				}
 				cont, err := b.emit(st, plan.dropFP(rolling, ep.Writes, drop), rolling,
 					func(crash *Snapshot) error { return b.replay(crash, ep.Writes, drop, -1) })
 				sweepErr = err

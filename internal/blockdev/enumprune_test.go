@@ -2,7 +2,6 @@ package blockdev
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
 
@@ -38,8 +37,8 @@ func scriptBase(t testing.TB) *MemDisk {
 	return base
 }
 
-// enumScripts are log shapes with overwrites inside epochs (the commute
-// cases), cross-epoch repeats, barriers back to back, and a writeless log.
+// enumScripts are log shapes with overwrites inside epochs, cross-epoch
+// repeats, barriers back to back, and a writeless log.
 var enumScripts = [][]byte{
 	{0x01, 0x02, 0x01, 0x03, 0xE0, 0x01, 0x01, 0x01},
 	{0x10, 0x18, 0x10, 0x10, 0xF0, 0x21, 0x22, 0x23, 0x21},
@@ -178,92 +177,4 @@ func TestSeenSkipsConstruction(t *testing.T) {
 			t.Fatalf("script %d: %d distinct fps vs %d visited", si, len(fnFPs), stats.Visited)
 		}
 	}
-}
-
-// checkCommute runs the commute-pruned sweep against the unpruned one and
-// verifies the two invariants the prune promises: the accounting covers the
-// exact state count, and every skipped drop-set's fingerprint equals its
-// (earlier-enumerated) representative's.
-func checkCommute(t *testing.T, log []Record, k int, mkBase func() *MemDisk) {
-	t.Helper()
-	// Reference sweep: every state's fingerprint, and enumeration order.
-	fpOf := map[string]uint64{}
-	order := map[string]int{}
-	if _, err := ForEachReorderStatePruned(mkBase(), log, k, ReorderEnumOpts{}, nil,
-		func(st ReorderState, crash *Snapshot) bool {
-			order[st.Desc] = len(order)
-			fpOf[st.Desc] = crash.Fingerprint()
-			return true
-		}); err != nil {
-		t.Fatal(err)
-	}
-
-	type skip struct{ desc, rep string }
-	var skips []skip
-	visited := map[string]int{}
-	stats, err := ForEachReorderStatePruned(mkBase(), log, k, ReorderEnumOpts{
-		Commute: true,
-		OnCommuteSkip: func(st ReorderState, repDesc string) {
-			skips = append(skips, skip{st.Desc, repDesc})
-		},
-	}, nil, func(st ReorderState, crash *Snapshot) bool {
-		visited[st.Desc] = len(visited)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReorderStateCount(log, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.States() != want || stats.CommuteSkipped != int64(len(skips)) {
-		t.Fatalf("k=%d: stats %+v, %d skips, count %d", k, stats, len(skips), want)
-	}
-	if stats.Visited != int64(len(visited)) {
-		t.Fatalf("k=%d: visited %d states, stats say %d", k, len(visited), stats.Visited)
-	}
-	for _, s := range skips {
-		if _, ok := fpOf[s.desc]; !ok {
-			t.Fatalf("k=%d: skipped %q is not in the enumeration", k, s.desc)
-		}
-		if fpOf[s.desc] != fpOf[s.rep] {
-			t.Fatalf("k=%d: skipped %q fp %016x != representative %q fp %016x",
-				k, s.desc, fpOf[s.desc], s.rep, fpOf[s.rep])
-		}
-		if order[s.rep] >= order[s.desc] {
-			t.Fatalf("k=%d: representative %q does not precede %q", k, s.rep, s.desc)
-		}
-		if _, ok := visited[s.rep]; !ok {
-			t.Fatalf("k=%d: representative %q of %q was itself skipped", k, s.rep, s.desc)
-		}
-	}
-}
-
-func TestCommutePruneInvariants(t *testing.T) {
-	for si, script := range enumScripts {
-		log := scriptLog(script)
-		for k := 1; k <= 3; k++ {
-			t.Run(fmt.Sprintf("script%d-k%d", si, k), func(t *testing.T) {
-				checkCommute(t, log, k, func() *MemDisk { return scriptBase(t) })
-			})
-		}
-	}
-}
-
-// FuzzCommuteSkip fuzzes the commute-prune invariants over arbitrary logs:
-// count == visited + skipped, and every skipped drop-set's fingerprint
-// equals its representative's.
-func FuzzCommuteSkip(f *testing.F) {
-	f.Add([]byte{0x01, 0x02, 0x01, 0x03, 0xE0, 0x01, 0x01}, byte(2))
-	f.Add([]byte{0x05, 0x05, 0x05, 0x05}, byte(3))
-	f.Add([]byte{0x10, 0xF0, 0x10, 0x18, 0x10}, byte(1))
-	f.Fuzz(func(t *testing.T, script []byte, kSel byte) {
-		if len(script) > 24 {
-			script = script[:24] // keep the drop-subset space small
-		}
-		log := scriptLog(script)
-		k := 1 + int(kSel)%3
-		checkCommute(t, log, k, func() *MemDisk { return scriptBase(t) })
-	})
 }

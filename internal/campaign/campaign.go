@@ -32,7 +32,6 @@ import (
 	"b3/internal/crashmonkey"
 	"b3/internal/filesys"
 	"b3/internal/kvace"
-	"b3/internal/kvoracle"
 	"b3/internal/report"
 	"b3/internal/workload"
 )
@@ -172,11 +171,11 @@ func (r *fsRun) needs(seq int64) bool {
 // and every file system is tested on it). The space, the sequence numbering
 // and the class rule — MaxWorkloads, interrupt, inClass — are the same for
 // every row, so they are evaluated once per sequence number; each member is
-// then offered to every row in matrix order, each row getting its own
-// wrapper (wrappers carry the row's profile) around the one shared workload,
-// which nothing downstream mutates, and its one oracle memo (oracleMemo), so
-// rows whose oracles agree build it once. Per row the jobs ascend in seq, exactly
-// as a single-FS campaign feeds them. When the campaign is sharded and
+// then offered to every row in matrix order, every row getting the one
+// wrapper built for the member by the first row that needs it. The wrapper
+// holds the workload, which nothing downstream mutates, and its oracle memo,
+// so rows whose oracles agree build it once. Per row the jobs ascend in seq,
+// exactly as a single-FS campaign feeds them. When the campaign is sharded and
 // unsampled, the generator's residue-class partition restricts the stream
 // to this shard's workloads while keeping global sequence numbers (and the
 // full-space Generated count) intact. Every row's Stats.Generated and
@@ -191,7 +190,8 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 	nShards := cfg.numShards()
 	// feed applies the per-sequence campaign filters shared by both workload
 	// families and all rows, and offers a class member to every row; wrap
-	// builds one row's wrapper. It returns false to halt enumeration.
+	// builds the member's wrapper, called by the first row that needs it and
+	// by no other. It returns false to halt enumeration.
 	feed := func(seq int64, wrap func() workloadFamily) bool {
 		if cfg.MaxWorkloads > 0 && seq > cfg.MaxWorkloads {
 			return false
@@ -207,9 +207,13 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 			return false
 		}
 		if inClass(seq, sample, cfg.Shard, nShards) {
+			var wl workloadFamily
 			for _, r := range runs {
 				if r.needs(seq) {
-					jobs <- fsJob{run: r, wl: wrap(), seq: seq}
+					if wl == nil {
+						wl = wrap()
+					}
+					jobs <- fsJob{run: r, wl: wl, seq: seq}
 				}
 			}
 		}
@@ -224,8 +228,7 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
 		generated, genErr = gen.GenerateSeq(func(seq int64, w *kvace.Workload) bool {
-			oracle := &oracleMemo[struct{}, *kvoracle.Expectation]{}
-			return feed(seq, func() workloadFamily { return &kvWorkload{w: w, oracle: oracle} })
+			return feed(seq, func() workloadFamily { return newKVWorkload(w) })
 		})
 	} else {
 		gen := ace.New(cfg.Bounds)
@@ -233,24 +236,18 @@ func generate(cfg *Config, runs []*fsRun, jobs chan<- fsJob) error {
 			// Unsampled: the ace-level partition filters during enumeration.
 			gen.Shard, gen.NumShards = cfg.Shard, nShards
 		}
-		// The workload is built on demand: by the first row that needs this
-		// sequence number, once, and shared by the rows after it, together
-		// with its oracle memo.
-		var w *workload.Workload
-		var oracle *oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]
+		// The workload is built on demand, with its wrapper: by the first
+		// row that needs this sequence number, once.
 		var build func() *workload.Workload
 		wrap := func() workloadFamily {
-			if w == nil {
-				w = build()
-				oracle = &oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]{}
-				if testBuildHook != nil {
-					testBuildHook(w)
-				}
+			w := build()
+			if testBuildHook != nil {
+				testBuildHook(w)
 			}
-			return &fileWorkload{w: w, oracle: oracle}
+			return &fileWorkload{w: w}
 		}
 		generated, genErr = gen.Walk(func(seq int64, b func() *workload.Workload) bool {
-			w, build = nil, b
+			build = b
 			return feed(seq, wrap)
 		})
 	}
@@ -492,12 +489,11 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 				mk := monkeys[j.run]
 				if mk == nil {
 					mk = &crashmonkey.Monkey{
-						FS:             j.run.cfg.FS,
-						Prune:          j.run.cache,
-						ScratchStates:  j.run.cfg.ScratchStates,
-						NoClassPrune:   j.run.cfg.NoClassPrune,
-						NoCommutePrune: j.run.cfg.NoCommutePrune,
-						Meter:          &j.run.meter,
+						FS:            j.run.cfg.FS,
+						Prune:         j.run.cache,
+						ScratchStates: j.run.cfg.ScratchStates,
+						NoClassPrune:  j.run.cfg.NoClassPrune,
+						Meter:         &j.run.meter,
 					}
 					monkeys[j.run] = mk
 				}

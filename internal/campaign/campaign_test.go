@@ -292,25 +292,18 @@ func TestReorderCampaignCrossCheck(t *testing.T) {
 	if pruned.ReorderStates == 0 {
 		t.Fatal("reorder mode constructed no states")
 	}
-	if pruned.ReorderChecked+pruned.ReorderPruned+
-		pruned.ReorderClassSkipped+pruned.ReorderCommuteSkipped != pruned.ReorderStates {
-		t.Fatalf("reorder accounting broken: %d checked + %d pruned + %d class-skipped + %d commute-skipped != %d states",
-			pruned.ReorderChecked, pruned.ReorderPruned,
-			pruned.ReorderClassSkipped, pruned.ReorderCommuteSkipped, pruned.ReorderStates)
+	if pruned.ReorderChecked+pruned.ReorderPruned+pruned.ReorderClassSkipped != pruned.ReorderStates {
+		t.Fatalf("reorder accounting broken: %d checked + %d pruned + %d class-skipped != %d states",
+			pruned.ReorderChecked, pruned.ReorderPruned, pruned.ReorderClassSkipped, pruned.ReorderStates)
 	}
-	// NoPrune disables the verdict cache (no pruned, no class-skipped)
-	// but not commutativity pruning, which is cache-independent.
+	// NoPrune disables the verdict cache: every state is checked.
 	if plain.ReorderPruned != 0 || plain.ReorderClassSkipped != 0 ||
-		plain.ReorderChecked+plain.ReorderCommuteSkipped != plain.ReorderStates {
+		plain.ReorderChecked != plain.ReorderStates {
 		t.Fatalf("no-prune mode pruned reorder states: %+v", plain)
 	}
 	if pruned.ReorderStates != plain.ReorderStates {
 		t.Fatalf("modes saw different reorder spaces: %d vs %d",
 			pruned.ReorderStates, plain.ReorderStates)
-	}
-	if pruned.ReorderCommuteSkipped != plain.ReorderCommuteSkipped {
-		t.Fatalf("commute skips are cache-independent but diverged: %d vs %d",
-			pruned.ReorderCommuteSkipped, plain.ReorderCommuteSkipped)
 	}
 	if pruned.ReorderChecked >= plain.ReorderChecked {
 		t.Fatalf("pruning ran no fewer reorder recoveries: %d vs %d",
@@ -444,58 +437,6 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 	}
 }
 
-// TestCommutePruneMatchesUnpruned is the verdict-equality gate for reorder
-// commutativity pruning on every registered backend at k=1..2: with
-// NoCommutePrune every drop-set is constructed, including ones provably
-// identical to an earlier canonical drop-set. (On this corpus the skip
-// count is typically zero — every backend flushes each dirty block at most
-// once per epoch, see ARCHITECTURE.md — so the blockdev-level
-// TestCommutePruneInvariants/FuzzCommuteSkip carry the positive cases on
-// synthetic logs; this gate proves the escape hatch and the default agree
-// on real workloads.)
-func TestCommutePruneMatchesUnpruned(t *testing.T) {
-	seq2 := func(k int) Config {
-		return Config{
-			Bounds:      linkBounds(workload.OpCreat, workload.OpRename),
-			SampleEvery: 5, MaxWorkloads: 2000, Reorder: k,
-		}
-	}
-	scenarios := []struct {
-		name string
-		cfg  Config
-	}{
-		{"k=1", seq2(1)},
-		{"k=2", seq2(2)},
-		{"kv-seq2-reorder1-faults", kvSweepScenario(t)},
-	}
-	for _, name := range fsmake.Names() {
-		for _, sc := range scenarios {
-			t.Run(name+"/"+sc.name, func(t *testing.T) {
-				fs, err := fsmake.NewBugsOnly(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base := sc.cfg
-				base.FS = fs
-				on, err := Run(base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				off := base
-				off.NoCommutePrune = true
-				plain, err := Run(off)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if plain.ReorderCommuteSkipped != 0 {
-					t.Fatalf("NoCommutePrune still skipped %d states", plain.ReorderCommuteSkipped)
-				}
-				assertSameVerdicts(t, on, plain)
-			})
-		}
-	}
-}
-
 // TestReorderResumeMatchesUninterrupted: reorder totals recorded in the
 // corpus shard fold back in on resume, so a killed-and-resumed reorder
 // campaign reports the same reorder accounting as an uninterrupted one.
@@ -548,11 +489,9 @@ func TestReorderResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("reorder broken verdicts diverged after resume: %d vs %d",
 			resumed.ReorderBroken, uninterrupted.ReorderBroken)
 	}
-	if resumed.ReorderChecked+resumed.ReorderPruned+
-		resumed.ReorderClassSkipped+resumed.ReorderCommuteSkipped != resumed.ReorderStates {
-		t.Fatalf("resumed reorder accounting broken: %d + %d + %d + %d != %d",
-			resumed.ReorderChecked, resumed.ReorderPruned,
-			resumed.ReorderClassSkipped, resumed.ReorderCommuteSkipped, resumed.ReorderStates)
+	if resumed.ReorderChecked+resumed.ReorderPruned+resumed.ReorderClassSkipped != resumed.ReorderStates {
+		t.Fatalf("resumed reorder accounting broken: %d + %d + %d != %d",
+			resumed.ReorderChecked, resumed.ReorderPruned, resumed.ReorderClassSkipped, resumed.ReorderStates)
 	}
 	assertSameGroups(t, resumed, uninterrupted)
 

@@ -74,12 +74,6 @@ type Config struct {
 	// states. Excluded from the config fingerprint like the other
 	// construction-strategy toggles.
 	NoClassPrune bool
-	// NoCommutePrune disables commutativity pruning of reorder drop-sets:
-	// drop-sets provably byte-identical to an earlier canonical one are
-	// constructed (or class-pruned) individually instead of being skipped
-	// at enumeration time. Cross-check mode, excluded from the config
-	// fingerprint.
-	NoCommutePrune bool
 	// PruneCap bounds each prune-cache tier (entries). 0 uses
 	// crashmonkey.DefaultPruneCap; negative means unbounded. Eviction is
 	// verdict-preserving: an evicted state that recurs is re-checked.

@@ -69,9 +69,8 @@ func (s *Stats) Summary() string {
 	if s.ReorderBound > 0 {
 		fmt.Fprintf(&sb, "\nreorder (k=%d): %d states enumerated, %d checked, %d pruned, %d broken",
 			s.ReorderBound, s.ReorderStates, s.ReorderChecked, s.ReorderPruned, s.ReorderBroken)
-		if s.ReorderClassSkipped+s.ReorderCommuteSkipped > 0 {
-			fmt.Fprintf(&sb, "; never constructed: %d class-skipped, %d commute-skipped",
-				s.ReorderClassSkipped, s.ReorderCommuteSkipped)
+		if s.ReorderClassSkipped > 0 {
+			fmt.Fprintf(&sb, "; never constructed: %d class-skipped", s.ReorderClassSkipped)
 		}
 	}
 	if len(s.FaultKinds) > 0 {
@@ -150,7 +149,7 @@ func (m *Matrix) Table() string {
 			fmt.Sprintf("%d", s.DiskEvictions+s.TreeEvictions),
 			fmt.Sprintf("%.1f", s.ReplayPerState()),
 			fmt.Sprintf("%d", s.ReorderStates),
-			fmt.Sprintf("%d", s.ReorderClassSkipped+s.ReorderCommuteSkipped),
+			fmt.Sprintf("%d", s.ReorderClassSkipped),
 			fmt.Sprintf("%d", s.ReorderBroken),
 			s.faultCell(blockdev.FaultTorn.String()),
 			s.faultCell(blockdev.FaultCorrupt.String()),

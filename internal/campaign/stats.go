@@ -53,16 +53,16 @@ type Stats struct {
 	// prune cache after construction, and ReorderBroken the states that
 	// neither mounted nor were repaired by fsck — violations of the
 	// core-mechanism assumption. ReorderClassSkipped counts states never
-	// constructed (enumeration-time class hit); ReorderCommuteSkipped
-	// counts drop-sets skipped as provably identical to an earlier
-	// canonical representative. Both are included in ReorderStates.
-	ReorderBound          int
-	ReorderStates         int64
-	ReorderChecked        int64
-	ReorderPruned         int64
-	ReorderClassSkipped   int64
+	// constructed (enumeration-time class hit), included in ReorderStates.
+	ReorderBound        int
+	ReorderStates       int64
+	ReorderChecked      int64
+	ReorderPruned       int64
+	ReorderClassSkipped int64
+	ReorderBroken       int64
+	// Deprecated: ReorderCommuteSkipped is always 0; the reorder sweep no
+	// longer skips drop-sets outside class pruning.
 	ReorderCommuteSkipped int64
-	ReorderBroken         int64
 
 	// Fault-injection accounting (empty when Config.Faults is disabled).
 	// FaultSector is the torn-write sector granularity the campaign ran
@@ -203,9 +203,6 @@ func (s *Stats) fold(rec *corpus.WorkloadRecord, noPrune bool, reports []*report
 	s.ReorderStates += int64(rec.RStates)
 	s.ReorderBroken += int64(rec.RBroken)
 	s.ReplayedWrites += rec.Replayed
-	// Commute skips are cache-independent (the enumerator proves the states
-	// byte-identical), so they fold as skips even into a no-prune run.
-	s.ReorderCommuteSkipped += int64(rec.RCommuteSkip)
 	if noPrune {
 		// The shard may have been written with pruning on (prune mode is
 		// excluded from the config fingerprint on purpose). A no-prune run

@@ -37,7 +37,7 @@ type workloadFamily interface {
 // the workload is fed to. The value for a key is built on the first row's
 // demand, once: the build is single-flight, so two workers testing the
 // workload on different rows never both build it, and an error is kept like
-// a value.
+// a value. The zero value is ready to use.
 type oracleMemo[K comparable, E any] struct {
 	mu    sync.Mutex
 	built map[K]func() ([]E, error)
@@ -58,12 +58,13 @@ func (m *oracleMemo[K, E]) get(k K, build func() ([]E, error)) ([]E, error) {
 }
 
 // fileWorkload is an ACE workload; a finding at an early persistence point
-// groups under the skeleton of the equivalent shorter workload. Its oracle
-// is keyed by the row's Guarantees, the tracker's only file-system input, so
-// rows in one guarantee class share one build.
+// groups under the skeleton of the equivalent shorter workload. Every matrix
+// row gets the same wrapper. Its oracle is keyed by the row's Guarantees,
+// the tracker's only file-system input, so rows in one guarantee class
+// share one build.
 type fileWorkload struct {
 	w      *workload.Workload
-	oracle *oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]
+	oracle oracleMemo[filesys.Guarantees, *crashmonkey.Expectation]
 }
 
 func (f *fileWorkload) id() string               { return f.w.ID }
@@ -81,11 +82,17 @@ func (f *fileWorkload) profile(mk *crashmonkey.Monkey) (*crashmonkey.Profile, er
 
 // kvWorkload is a kvace workload: it drives the KV store over the mounted
 // backend, and every crash state is recovered by the application. KV
-// findings always group under the full skeleton. The interval oracle has no
-// file-system input, so every row shares one build.
+// findings always group under the full skeleton. Every matrix row gets the
+// same wrapper; the interval oracle has no file-system input, so every row
+// shares one build.
 type kvWorkload struct {
 	w      *kvace.Workload
-	oracle *oracleMemo[struct{}, *kvoracle.Expectation]
+	oracle func() []*kvoracle.Expectation
+}
+
+func newKVWorkload(w *kvace.Workload) *kvWorkload {
+	build := func() []*kvoracle.Expectation { return kvoracle.Build(w.Ops) }
+	return &kvWorkload{w: w, oracle: sync.OnceValue(build)}
 }
 
 func (k *kvWorkload) id() string            { return k.w.ID }
@@ -93,8 +100,7 @@ func (k *kvWorkload) skeletonAt(int) string { return k.w.Skeleton() }
 func (k *kvWorkload) text() string          { return k.w.String() }
 
 func (k *kvWorkload) profile(mk *crashmonkey.Monkey) (*crashmonkey.Profile, error) {
-	exps, _ := k.oracle.get(struct{}{}, func() ([]*kvoracle.Expectation, error) { return kvoracle.Build(k.w.Ops), nil })
-	return mk.ProfileKVExpected(k.w, exps)
+	return mk.ProfileKVExpected(k.w, k.oracle())
 }
 
 // runWorkload profiles one workload, crash-tests its persistence points,
@@ -172,9 +178,7 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 	// workloads that already errored so the recorded RStates/RBroken totals
 	// are a deterministic function of the workload (what resume compares
 	// against); the RChecked/RPruned/RClassSkip split depends on shared
-	// prune-cache state and worker interleaving, so only its sum is stable
-	// (RCommuteSkip is deterministic: the enumerator proves those states
-	// identical without consulting the cache).
+	// prune-cache state and worker interleaving, so only its sum is stable.
 	if r.cfg.Reorder > 0 && !rec.Errored {
 		rr, err := mk.ExploreReorder(p, r.cfg.Reorder)
 		if err != nil {
@@ -184,7 +188,6 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, wl workloadFamily, seq int64
 			rec.RChecked = rr.Checked
 			rec.RPruned = rr.Pruned
 			rec.RClassSkip = rr.ClassSkipped
-			rec.RCommuteSkip = rr.CommuteSkipped
 			rec.RBroken = len(rr.Broken)
 			rec.Replayed += rr.ReplayedWrites
 			classes.Merge(rr.Classes)

@@ -247,13 +247,11 @@ type WorkloadRecord struct {
 	RChecked int `json:"rchecked,omitempty"`
 	RPruned  int `json:"rpruned,omitempty"`
 	RBroken  int `json:"rbroken,omitempty"`
-	// RClassSkip and RCommuteSkip split out the reorder states never
-	// constructed: enumeration-time class hits and drop-sets skipped as
-	// identical to an earlier canonical representative. Both are included
-	// in RStates. Additive fields: shards written before them load with
-	// zeros (their skips are inside RPruned/RChecked instead).
-	RClassSkip   int `json:"rclassskip,omitempty"`
-	RCommuteSkip int `json:"rcommuteskip,omitempty"`
+	// RClassSkip splits out the reorder states never constructed: the
+	// enumeration-time class hits, included in RStates. Additive field:
+	// shards written before it load with zeros (their skips are inside
+	// RPruned/RChecked instead).
+	RClassSkip int `json:"rclassskip,omitempty"`
 	// Replayed is the number of recorded writes replayed to construct the
 	// workload's crash states (checkpoint sweep plus reorder sweep). It is
 	// a deterministic function of the workload and the construction engine;

@@ -13,9 +13,9 @@ import (
 
 // axisTally sums one axis's sweep accounting over many workloads.
 type axisTally struct {
-	States, Checked, Pruned, ClassSkipped, CommuteSkipped int
-	Mountable, Repaired, Broken                           int
-	ReplayedWrites                                        int64
+	States, Checked, Pruned, ClassSkipped int
+	Mountable, Repaired, Broken           int
+	ReplayedWrites                        int64
 }
 
 func (a *axisTally) reorder(r *ReorderReport) {
@@ -23,7 +23,6 @@ func (a *axisTally) reorder(r *ReorderReport) {
 	a.Checked += r.Checked
 	a.Pruned += r.Pruned
 	a.ClassSkipped += r.ClassSkipped
-	a.CommuteSkipped += r.CommuteSkipped
 	a.Mountable += r.Mountable
 	a.Repaired += r.Repaired
 	a.Broken += len(r.Broken)

@@ -41,7 +41,7 @@ type Monkey struct {
 	// overlay-scan fingerprint) per state, instead of the rolling
 	// ReplayCursor. It is the cross-check mode for the incremental engine —
 	// identical fingerprints and verdicts, strictly more replayed writes
-	// (docs/TESTING.md). Scratch mode also implies both No*Prune flags: the
+	// (docs/TESTING.md). Scratch mode also implies NoClassPrune: the
 	// reference engine constructs every state. Unless Prune is nil, a
 	// constructed state still reuses a verdict from the post-construction
 	// disk tier, and a persistence point's from the tree tier.
@@ -52,11 +52,6 @@ type Monkey struct {
 	// lookup. Cross-check mode — identical verdicts, strictly more
 	// constructed states.
 	NoClassPrune bool
-	// NoCommutePrune disables commutativity pruning of reorder drop-sets:
-	// drop-sets provably byte-identical to an earlier canonical one are
-	// constructed (or class-pruned) individually instead of being skipped at
-	// enumeration time. Cross-check mode — identical verdicts and reports.
-	NoCommutePrune bool
 	// Meter, when non-nil, counts block-level construction and read IO
 	// (writes replayed, blocks read, buffer bytes allocated).
 	Meter *blockdev.BlockMeter

@@ -77,12 +77,10 @@ func sweepBoth(t *testing.T, bounds ace.Bounds, limit int64, reorder int, wantSa
 			// runs recovery iff its fingerprint is novel at that point —
 			// regardless of whether the repeat is caught after construction
 			// (scratch: Pruned) or at enumeration time (incremental:
-			// ClassSkipped/CommuteSkipped).
-			if ra.Checked != rb.Checked ||
-				ra.Pruned+ra.ClassSkipped+ra.CommuteSkipped != rb.Pruned {
-				t.Fatalf("%s: reorder prune split diverged: %d/%d+%d+%d vs %d/%d",
-					w.ID, ra.Checked, ra.Pruned, ra.ClassSkipped, ra.CommuteSkipped,
-					rb.Checked, rb.Pruned)
+			// ClassSkipped).
+			if ra.Checked != rb.Checked || ra.Pruned+ra.ClassSkipped != rb.Pruned {
+				t.Fatalf("%s: reorder prune split diverged: %d/%d+%d vs %d/%d",
+					w.ID, ra.Checked, ra.Pruned, ra.ClassSkipped, rb.Checked, rb.Pruned)
 			}
 			incReplayed += ra.ReplayedWrites
 			scratchReplayed += rb.ReplayedWrites

@@ -325,7 +325,7 @@ func TestKVPruneCacheConsistency(t *testing.T) {
 	if warm.rr.ClassSkipped == 0 {
 		t.Fatalf("warm reorder sweep skipped nothing at enumeration time: %+v", warm.rr)
 	}
-	if got := warm.rr.Checked + warm.rr.Pruned + warm.rr.ClassSkipped + warm.rr.CommuteSkipped; got != warm.rr.States {
+	if got := warm.rr.Checked + warm.rr.Pruned + warm.rr.ClassSkipped; got != warm.rr.States {
 		t.Fatalf("warm reorder accounting: %d accounted of %d states", got, warm.rr.States)
 	}
 	for _, kr := range warm.fr.Kinds {

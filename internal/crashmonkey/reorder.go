@@ -39,9 +39,8 @@ type ReorderReport struct {
 	// Bound is the reorder bound k the sweep ran with.
 	Bound int
 	sweepCounts
-	// CommuteSkipped counts drop-set states skipped as provably
-	// byte-identical to an earlier canonical representative, tallied with
-	// the representative's verdict (NoCommutePrune restores them).
+	// Deprecated: CommuteSkipped is always 0. The enumerator no longer
+	// skips drop-sets on its own; class pruning answers them.
 	CommuteSkipped int
 }
 
@@ -68,52 +67,15 @@ func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
 			return s.scratchState(st.Epoch, st.Desc, apply)
 		})
 	} else {
-		// Enumeration-time pruning: class hits are settled from the O(1)
-		// delta fingerprint before any state is built, and commute skips
-		// reuse the verdict their canonical representative was given.
-		commute := !mk.NoCommutePrune
-		// reps maps drop-set Desc -> verdict for the current epoch:
-		// canonical representatives always precede their skips within one
-		// epoch (and share its expectation), so the map resets on epoch
-		// change.
-		var reps map[string]*cachedVerdict
-		repEpoch := -2
-		repsFor := func(epoch int) map[string]*cachedVerdict {
-			if epoch != repEpoch {
-				reps = make(map[string]*cachedVerdict)
-				repEpoch = epoch
-			}
-			return reps
-		}
-		// settled remembers a settled drop-set's verdict for the skips it may
-		// represent, and reports whether the sweep goes on (v is nil on a
-		// class miss or once the sweep has failed).
-		settled := func(st blockdev.ReorderState, v *cachedVerdict) bool {
-			if v != nil && commute && st.Dropped != nil {
-				repsFor(st.Epoch)[st.Desc] = v
-			}
-			return v != nil
-		}
 		var opts blockdev.ReorderEnumOpts
-		if commute {
-			opts.Commute = true
-			opts.OnCommuteSkip = func(st blockdev.ReorderState, repDesc string) {
-				v := repsFor(st.Epoch)[repDesc]
-				if v == nil {
-					s.fail(fmt.Errorf("crashmonkey: commute representative %q of %q has no verdict", repDesc, st.Desc))
-					return
-				}
-				s.settle(st.Desc, v, &s.commuteSkipped)
-			}
-		}
 		if mk.Prune != nil {
 			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
-				return settled(st, s.seen(st.Epoch, st.Desc, fp))
+				return s.seen(st.Epoch, st.Desc, fp) != nil
 			}
 		}
 		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,
 			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				return s.err == nil && settled(st, s.judge(st.Epoch, st.Desc, crash))
+				return s.judge(st.Epoch, st.Desc, crash) != nil
 			})
 		s.ReplayedWrites = stats.Replayed
 		s.fail(err)
@@ -121,5 +83,5 @@ func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	return &ReorderReport{Bound: k, sweepCounts: s.sweepCounts, CommuteSkipped: s.commuteSkipped}, nil
+	return &ReorderReport{Bound: k, sweepCounts: s.sweepCounts}, nil
 }

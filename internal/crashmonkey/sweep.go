@@ -18,8 +18,8 @@ import (
 // the expected-state oracle (kvOracle). Monkey.record stores the family's
 // oracles on the Profile, so one TestCheckpoint, one ExploreReorder and one
 // ExploreFaults serve both families. Everything else — cache keys, the
-// enumeration-time class lookup, commute representatives, the disk-tier
-// lookup, storing, tallying — exists once, here and in those entry points.
+// enumeration-time class lookup, the disk-tier lookup, storing, tallying —
+// exists once, here and in those entry points.
 // The KV class is rendered with the KV verdict (cachedVerdict.class) and
 // tallied in settle, so nothing downstream re-derives it from findings.
 
@@ -149,7 +149,6 @@ type sweep struct {
 	err error
 
 	sweepCounts
-	commuteSkipped int
 
 	// fp is the fingerprint of the state judge keys on next: recorded by
 	// seen (the enumerator's prediction for the state it builds next) or by
@@ -188,8 +187,8 @@ func (s *sweep) fail(err error) {
 }
 
 // settle accounts one enumerated state under its own Desc; how is the
-// counter for the way its verdict was obtained (checked, pruned, class- or
-// commute-skipped). Skipped states settle exactly like constructed ones, so
+// counter for the way its verdict was obtained (checked, pruned or
+// class-skipped). Skipped states settle exactly like constructed ones, so
 // a report — Broken list and class tally included — is byte-identical across
 // the pruning modes. A verdict with no application class tallies none.
 func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
