@@ -239,13 +239,12 @@ type Campaign struct {
 	// cross-check mode: identical fingerprints and verdicts, strictly more
 	// replayed writes.
 	ScratchStates bool
-	// NoClassPrune disables enumeration-time class pruning (every state is
-	// constructed even when its fingerprint was already judged) — the
-	// cross-check mode for the pre-construction prune: identical verdicts,
-	// strictly more constructed states.
+	// Deprecated: NoClassPrune has no effect. Every crash state gets one
+	// verdict-cache lookup; ScratchStates is the engine that builds every
+	// state before it.
 	NoClassPrune bool
 	// Deprecated: NoCommutePrune has no effect. The reorder sweep no
-	// longer skips drop-sets outside class pruning (NoClassPrune).
+	// longer skips drop-sets outside the verdict cache.
 	NoCommutePrune bool
 	// PruneCap bounds each prune-cache tier in entries (0 = the default
 	// cap, negative = unbounded). Campaigns whose distinct-state count
@@ -338,7 +337,6 @@ func (c Campaign) config() (campaign.Config, error) {
 		Faults:        c.Faults,
 		NoPrune:       c.NoPrune,
 		ScratchStates: c.ScratchStates,
-		NoClassPrune:  c.NoClassPrune,
 		PruneCap:      c.PruneCap,
 		CorpusDir:     c.CorpusDir,
 		ProfileLabel:  label,

@@ -492,7 +492,6 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 						FS:            j.run.cfg.FS,
 						Prune:         j.run.cache,
 						ScratchStates: j.run.cfg.ScratchStates,
-						NoClassPrune:  j.run.cfg.NoClassPrune,
 						Meter:         &j.run.meter,
 					}
 					monkeys[j.run] = mk

@@ -388,10 +388,10 @@ func kvSweepScenario(t *testing.T) Config {
 
 // TestClassPruneMatchesUnpruned is the verdict-equality gate for the
 // enumeration-time class-prune hoist on every registered backend: with
-// NoClassPrune every novel crash state is constructed before the verdict
-// cache is consulted, so any divergence in verdicts, bug groups, or space
-// sizes means the hoisted fingerprint classified a state the constructed
-// path would have judged differently.
+// NoPrune every crash state is constructed and judged afresh, so any
+// divergence in verdicts, bug groups, or space sizes means the hoisted
+// fingerprint classified a state the constructed path would have judged
+// differently.
 func TestClassPruneMatchesUnpruned(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -418,17 +418,17 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 					t.Fatal(err)
 				}
 				off := base
-				off.NoClassPrune = true
+				off.NoPrune = true
 				plain, err := Run(off)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if plain.ReorderClassSkipped != 0 {
-					t.Fatalf("NoClassPrune still skipped %d reorder states", plain.ReorderClassSkipped)
+					t.Fatalf("NoPrune still skipped %d reorder states", plain.ReorderClassSkipped)
 				}
 				for _, fk := range plain.FaultKinds {
 					if fk.ClassSkipped != 0 {
-						t.Fatalf("NoClassPrune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
+						t.Fatalf("NoPrune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
 					}
 				}
 				assertSameVerdicts(t, hoisted, plain)
@@ -1003,11 +1003,12 @@ func shardedMergeVsUnsharded(t *testing.T, cfg Config, fss []filesys.FileSystem,
 				want.FSName, got.ReorderStates, got.ReorderBroken,
 				want.ReorderStates, want.ReorderBroken)
 		}
-		// Replayed writes are shard-stable only when class pruning is off:
-		// a class hit skips state construction entirely, and which states
-		// hit depends on the per-process cache contents. With NoClassPrune
-		// (or NoPrune) every state is constructed and the counter is exact.
-		if cfg.NoPrune || cfg.NoClassPrune {
+		// Replayed writes are shard-stable only when every state is built:
+		// an incremental class hit skips state construction entirely, and
+		// which states hit depends on the per-process cache contents. With
+		// NoPrune or ScratchStates every state is constructed and the
+		// counter is exact.
+		if cfg.NoPrune || cfg.ScratchStates {
 			if got.ReplayedWrites != want.ReplayedWrites {
 				t.Fatalf("%s: merged replay counter %d, unsharded %d",
 					want.FSName, got.ReplayedWrites, want.ReplayedWrites)
@@ -1092,12 +1093,12 @@ func TestShardUnionMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NoClassPrune here on purpose: it restores the exact replay-counter
+	// ScratchStates here on purpose: it restores the exact replay-counter
 	// equality the helper can then assert (every state constructed).
 	sampled := Config{
-		Bounds:       linkBounds(workload.OpCreat, workload.OpLink),
-		SampleEvery:  4,
-		NoClassPrune: true,
+		Bounds:        linkBounds(workload.OpCreat, workload.OpLink),
+		SampleEvery:   4,
+		ScratchStates: true,
 	}
 	merged = shardedMergeVsUnsharded(t, sampled, []filesys.FileSystem{fs}, 2)
 	if row := merged.ByFS("logfs"); row.Stats.Failed == 0 {

@@ -67,13 +67,6 @@ type Config struct {
 	// from the config fingerprint for the same reason prune mode is —
 	// construction strategy never changes verdicts.
 	ScratchStates bool
-	// NoClassPrune disables enumeration-time class pruning: every crash
-	// state is constructed even when its fingerprint was already judged,
-	// and verdict reuse falls back to the post-construction cache lookup.
-	// Cross-check mode — identical verdicts, strictly more constructed
-	// states. Excluded from the config fingerprint like the other
-	// construction-strategy toggles.
-	NoClassPrune bool
 	// PruneCap bounds each prune-cache tier (entries). 0 uses
 	// crashmonkey.DefaultPruneCap; negative means unbounded. Eviction is
 	// verdict-preserving: an evicted state that recurs is re-checked.

@@ -32,8 +32,9 @@ type MergeRow struct {
 	// are identical to an unsharded run of the same configuration;
 	// StatesChecked/StatesPruned (and the reorder split) are sums whose
 	// split depends on per-process prune caches, and ReplayedWrites shares
-	// that fate unless class pruning is disabled (a class hit skips
-	// construction, so the replay count tracks the cache contents).
+	// that fate unless every state is built (ScratchStates or NoPrune): an
+	// incremental class hit skips construction, so the replay count tracks
+	// the cache contents.
 	// Elapsed is the slowest shard's wall-clock (shards run concurrently).
 	// Shard/NumShards stay zero: a merged row covers the whole sweep, not
 	// a residue class.

@@ -207,9 +207,8 @@ func (s *Stats) fold(rec *corpus.WorkloadRecord, noPrune bool, reports []*report
 		// The shard may have been written with pruning on (prune mode is
 		// excluded from the config fingerprint on purpose). A no-prune run
 		// must keep its StatesChecked == StatesTotal invariant, so recorded
-		// prune-skips — post-construction and enumeration-time alike — count
-		// as checked here: their verdicts were established, just via the
-		// cache.
+		// cache hits — Pruned and ClassSkipped alike — count as checked
+		// here: their verdicts were established, just via the cache.
 		s.StatesChecked += int64(rec.Checked + rec.Pruned)
 		s.ReorderChecked += int64(rec.RChecked + rec.RPruned + rec.RClassSkip)
 	} else {

@@ -123,7 +123,7 @@ func TestSweepAccountingPinned(t *testing.T) {
 			Mountable: 39277, ReplayedWrites: 28330})
 		// File-family verdicts have no application class.
 		pin(t, "classes", classes, kvoracle.Counts{})
-		pinPrune(t, mk.Prune, PruneStats{ClassHits: 31313, TreeHits: 75, Misses: 16319})
+		pinPrune(t, mk.Prune, PruneStats{DiskHits: 31313, TreeHits: 75, Misses: 16319})
 	})
 
 	t.Run("fscqsim-kv", func(t *testing.T) {
@@ -173,7 +173,7 @@ func TestSweepAccountingPinned(t *testing.T) {
 		pin(t, "faults", faults, axisTally{States: 1956, Checked: 318, ClassSkipped: 1638,
 			Mountable: 1956, ReplayedWrites: 684})
 		pin(t, "fault classes", faultClasses, kvoracle.Counts{Legal: 1956})
-		pinPrune(t, mk.Prune, PruneStats{ClassHits: 1938, Misses: 438})
+		pinPrune(t, mk.Prune, PruneStats{DiskHits: 1938, Misses: 438})
 	})
 
 	// Misdirected writes break the reference design (the documented genuine
@@ -207,7 +207,7 @@ func TestSweepAccountingPinned(t *testing.T) {
 			Mountable: 306, Broken: 96, ReplayedWrites: 588})
 		pin(t, "fault classes", classes, kvoracle.Counts{Legal: 306})
 		pin(t, "classified", classes.Total(), int64(faults.Mountable+faults.Repaired))
-		pinPrune(t, mk.Prune, PruneStats{ClassHits: 186, Misses: 216})
+		pinPrune(t, mk.Prune, PruneStats{DiskHits: 186, Misses: 216})
 	})
 }
 
@@ -223,6 +223,6 @@ func pin[T comparable](t *testing.T, what string, got, want T) {
 func pinPrune(t *testing.T, c *PruneCache, want PruneStats) {
 	t.Helper()
 	s := c.Stats()
-	got := PruneStats{DiskHits: s.DiskHits, ClassHits: s.ClassHits, TreeHits: s.TreeHits, Misses: s.Misses}
+	got := PruneStats{DiskHits: s.DiskHits, TreeHits: s.TreeHits, Misses: s.Misses}
 	pin(t, "prune cache", got, want)
 }

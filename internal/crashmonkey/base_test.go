@@ -36,6 +36,7 @@ func TestBaseStaysPristine(t *testing.T) {
 		}
 		for _, mode := range modes {
 			t.Run(name+"/"+mode.name, func(t *testing.T) {
+				t.Parallel()
 				mk := mode.mk
 				var n int64
 				_, err := ace.New(ace.Default(1)).Generate(func(w *workload.Workload) bool {

@@ -41,17 +41,11 @@ type Monkey struct {
 	// overlay-scan fingerprint) per state, instead of the rolling
 	// ReplayCursor. It is the cross-check mode for the incremental engine —
 	// identical fingerprints and verdicts, strictly more replayed writes
-	// (docs/TESTING.md). Scratch mode also implies NoClassPrune: the
-	// reference engine constructs every state. Unless Prune is nil, a
-	// constructed state still reuses a verdict from the post-construction
-	// disk tier, and a persistence point's from the tree tier.
+	// (docs/TESTING.md). The reference engine constructs every state and
+	// looks its fingerprint up in the disk tier after the build, where the
+	// incremental engine looks the predicted one up before it forks; a
+	// persistence point's verdict can still come from the tree tier.
 	ScratchStates bool
-	// NoClassPrune disables enumeration-time class pruning: every crash
-	// state is constructed even when its fingerprint was already judged,
-	// and verdict reuse falls back to the post-construction disk-tier
-	// lookup. Cross-check mode — identical verdicts, strictly more
-	// constructed states.
-	NoClassPrune bool
 	// Meter, when non-nil, counts block-level construction and read IO
 	// (writes replayed, blocks read, buffer bytes allocated).
 	Meter *blockdev.BlockMeter
@@ -119,17 +113,22 @@ type Profile struct {
 // mode it replays the whole log prefix onto a fresh snapshot. Returns the
 // state device and the number of writes replayed to build it.
 //
-// classified, when non-nil, is consulted with the state's fingerprint after
-// the (incremental) seek but before the fork: returning true means the
-// caller already knows the verdict for that fingerprint, and state returns
-// a nil snapshot without constructing anything. Scratch mode ignores it —
-// the cross-check engine always constructs.
+// cached, when non-nil, is the state's one verdict-cache lookup, consulted
+// with its fingerprint: the cursor's after the incremental seek but before
+// the fork, the overlay scan's after the scratch build. Returning true means
+// the caller already knows the verdict for that fingerprint, and state
+// returns a nil snapshot (the scratch build released).
 func (p *Profile) state(cp int, scratch bool, meter *blockdev.BlockMeter,
-	classified func(fp uint64) bool) (*blockdev.Snapshot, int64, error) {
+	cached func(fp uint64) bool) (*blockdev.Snapshot, int64, error) {
 	if scratch {
-		return scratchBuild(p.base, meter, func(dst blockdev.Device) (int64, error) {
+		crash, n, err := scratchBuild(p.base, meter, func(dst blockdev.Device) (int64, error) {
 			return blockdev.ReplayToCheckpoint(dst, p.rec.Log(), cp)
 		})
+		if err == nil && cached != nil && cached(crash.Fingerprint()) {
+			crash.Release()
+			return nil, n, nil
+		}
+		return crash, n, err
 	}
 	p.cursorMu.Lock()
 	defer p.cursorMu.Unlock()
@@ -141,7 +140,7 @@ func (p *Profile) state(cp int, scratch bool, meter *blockdev.BlockMeter,
 	if err != nil {
 		return nil, n, err
 	}
-	if classified != nil && classified(p.cursor.Fingerprint()) {
+	if cached != nil && cached(p.cursor.Fingerprint()) {
 		return nil, n, nil
 	}
 	return p.cursor.Fork(), n, nil
@@ -380,47 +379,40 @@ func (mk *Monkey) ProfileExpected(w *workload.Workload, exps []*Expectation) (*P
 // TestCheckpoint constructs the crash state for checkpoint cp (1-based),
 // recovers it, and judges it by the profile's persistence-point oracle:
 // the AutoChecker for an ACE workload, the store's own recovery and the
-// expected-state oracle for a KV one. The pipeline — hoisted class lookup,
-// construction, disk-tier lookup, judge, store — is the same for both.
+// expected-state oracle for a KV one. The pipeline — construction with its
+// one disk-tier lookup, judge, store — is the same for both.
 func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 	if n := p.Checkpoints(); cp < 1 || cp > n {
 		return nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, n)
 	}
 	res := &Result{Workload: p.Workload, FSName: mk.FS.Name(), Checkpoint: cp}
 
-	// Class pruning hoists the cache lookup to before construction: the
-	// incremental cursor's fingerprint hashes only the seek's writes, so a
-	// state whose (content, oracle) class was already judged is never forked
-	// at all. looked records that the hoisted lookup ran, so a miss is not
-	// looked up again after construction.
+	// The state's one cache lookup runs inside construction, on its
+	// fingerprint: the incremental cursor's hashes only the seek's writes,
+	// so a state whose (content, oracle) class was already judged is never
+	// forked at all.
 	var key stateKey
-	var looked bool
 	var hit *cachedVerdict
-	var classified func(fp uint64) bool
+	var cached func(fp uint64) bool
 	if mk.Prune != nil {
 		key.oracle = mk.pruneSalt() ^ p.checks.salt(cp)
-		if !mk.NoClassPrune {
-			classified = func(fp uint64) bool {
-				key.state, looked = fp, true
-				v, ok := mk.Prune.lookupDisk(key, &mk.Prune.classHits)
-				hit = v
-				return ok
-			}
+		cached = func(fp uint64) bool {
+			key.state = fp
+			v, ok := mk.Prune.lookupDisk(key)
+			hit = v
+			return ok
 		}
 	}
 
 	replayStart := time.Now()
-	crash, replayed, err := p.state(cp, mk.ScratchStates, mk.Meter, classified)
+	crash, replayed, err := p.state(cp, mk.ScratchStates, mk.Meter, cached)
 	if err != nil {
 		return nil, fmt.Errorf("crashmonkey: replay: %w", err)
 	}
 	res.ReplayedWrites = replayed
 	res.ReplayDur = time.Since(replayStart)
+	res.StateHash = key.state
 	if crash == nil {
-		// The hoisted lookup hit: the verdict is reused without the state
-		// ever existing. Reported as a disk-tier prune — the verdict source
-		// is the same cache line; only the construction was saved.
-		res.StateHash = key.state
 		res.adopt(hit, "disk")
 		return res, nil
 	}
@@ -429,11 +421,7 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 	// memory: findings are strings, the index copies file contents).
 	defer crash.Release()
 
-	if mk.Prune != nil && !looked {
-		key.state = crash.Fingerprint()
-	}
-	res.StateHash = key.state
-	v, tier, err := mk.judged(key, looked, func() (*cachedVerdict, string, error) {
+	v, tier, err := mk.judged(key, func() (*cachedVerdict, string, error) {
 		checkStart := time.Now()
 		defer func() { res.CheckDur = time.Since(checkStart) }()
 		return p.checks.judge(mk, crash, cp)

@@ -107,7 +107,7 @@ func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector i
 		var opts blockdev.FaultEnumOpts
 		if mk.Prune != nil {
 			opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
-				return s.seen(st.Epoch, st.Desc, fp) != nil
+				return s.seen(st.Epoch, st.Desc, fp, &s.ClassSkipped) != nil
 			}
 		}
 		stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, sector, opts, mk.Meter,

@@ -104,6 +104,13 @@ func sweepBoth(t *testing.T, bounds ace.Bounds, limit int64, reorder int, wantSa
 	if got := scratch.Meter.BlocksReplayed.Load(); got != scratchReplayed {
 		t.Fatalf("scratch meter %d != summed Result/Report accounting %d", got, scratchReplayed)
 	}
+	// One disk-tier lookup per state in both engines, on the same
+	// fingerprints in the same order: the cache counters agree exactly.
+	ic, sc := inc.Prune.Stats(), scratch.Prune.Stats()
+	if ic.DiskHits != sc.DiskHits || ic.TreeHits != sc.TreeHits || ic.Misses != sc.Misses {
+		t.Fatalf("prune counters diverged: disk/tree/miss %d/%d/%d (incremental) vs %d/%d/%d (scratch)",
+			ic.DiskHits, ic.TreeHits, ic.Misses, sc.DiskHits, sc.TreeHits, sc.Misses)
+	}
 	t.Logf("%d workloads: %d writes replayed incrementally vs %d from scratch (%.1fx)",
 		n, incReplayed, scratchReplayed, float64(scratchReplayed)/float64(incReplayed))
 }

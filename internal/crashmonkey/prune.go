@@ -59,12 +59,10 @@ type cachedVerdict struct {
 
 // PruneStats reports cache effectiveness counters.
 type PruneStats struct {
-	// DiskHits counts states skipped entirely (identical disk contents).
+	// DiskHits counts states skipped entirely: the state's one disk-tier
+	// lookup found its (content, oracle) fingerprint already judged, so
+	// neither recovery nor any check ran.
 	DiskHits int64
-	// ClassHits counts states skipped before construction: the enumerator
-	// classified the fingerprint through the disk tier, so the state was
-	// never forked or replayed, let alone checked.
-	ClassHits int64
 	// TreeHits counts states whose recovery ran but whose oracle checks
 	// were skipped (identical recovered tree).
 	TreeHits int64
@@ -84,7 +82,7 @@ type PruneStats struct {
 }
 
 // Skipped returns the total number of oracle checks avoided.
-func (s PruneStats) Skipped() int64 { return s.DiskHits + s.ClassHits + s.TreeHits }
+func (s PruneStats) Skipped() int64 { return s.DiskHits + s.TreeHits }
 
 // Evictions returns the total entries dropped across both tiers.
 func (s PruneStats) Evictions() int64 { return s.DiskEvictions + s.TreeEvictions }
@@ -155,7 +153,6 @@ type PruneCache struct {
 	tree *lruTier[[]Finding]
 
 	diskHits      atomic.Int64
-	classHits     atomic.Int64
 	treeHits      atomic.Int64
 	misses        atomic.Int64
 	diskEvictions atomic.Int64
@@ -190,7 +187,6 @@ func (c *PruneCache) Stats() PruneStats {
 	c.mu.Unlock()
 	return PruneStats{
 		DiskHits:      c.diskHits.Load(),
-		ClassHits:     c.classHits.Load(),
 		TreeHits:      c.treeHits.Load(),
 		Misses:        c.misses.Load(),
 		DiskStates:    int64(diskStates),
@@ -201,19 +197,17 @@ func (c *PruneCache) Stats() PruneStats {
 	}
 }
 
-// lookupDisk looks k up in the disk tier and counts a hit in hits: diskHits
-// after construction, classHits at enumeration time. The pruned blockdev
-// enumerators hand every state's fingerprint to a Seen callback *before*
-// constructing the state, and the callback classifies it here — a
-// fingerprint already classified means the state is never forked, never
-// replayed, never mounted. The same verdict entries serve both the
-// post-construction lookups and the enumeration-time skips.
-func (c *PruneCache) lookupDisk(k stateKey, hits *atomic.Int64) (*cachedVerdict, bool) {
+// lookupDisk looks k up in the disk tier, once per crash state. The
+// incremental engine asks with the predicted fingerprint before it builds
+// the state (the pruned blockdev enumerators' Seen hook, the cursor's
+// fingerprint), so a hit is never forked, replayed or mounted; the scratch
+// engine asks with the overlay scan after the build.
+func (c *PruneCache) lookupDisk(k stateKey) (*cachedVerdict, bool) {
 	c.mu.Lock()
 	v, ok := c.disk.get(k)
 	c.mu.Unlock()
 	if ok {
-		hits.Add(1)
+		c.diskHits.Add(1)
 	}
 	return v, ok
 }

@@ -70,7 +70,7 @@ func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
 		var opts blockdev.ReorderEnumOpts
 		if mk.Prune != nil {
 			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
-				return s.seen(st.Epoch, st.Desc, fp) != nil
+				return s.seen(st.Epoch, st.Desc, fp, &s.ClassSkipped) != nil
 			}
 		}
 		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,

@@ -17,9 +17,9 @@ import (
 // application family judges every axis with the store's own recovery and
 // the expected-state oracle (kvOracle). Monkey.record stores the family's
 // oracles on the Profile, so one TestCheckpoint, one ExploreReorder and one
-// ExploreFaults serve both families. Everything else — cache keys, the
-// enumeration-time class lookup, the disk-tier lookup, storing, tallying —
-// exists once, here and in those entry points.
+// ExploreFaults serve both families. Everything else — cache keys, the one
+// disk-tier lookup per state, storing, tallying — exists once, here and in
+// those entry points.
 // The KV class is rendered with the KV verdict (cachedVerdict.class) and
 // tallied in settle, so nothing downstream re-derives it from findings.
 
@@ -39,19 +39,12 @@ type oracle interface {
 	judge(mk *Monkey, crash *blockdev.Snapshot, at int) (v *cachedVerdict, tier string, err error)
 }
 
-// judged resolves the verdict of one constructed crash state: reused from
-// the disk tier when key was already judged (tier "disk"), otherwise rendered
-// by check and stored under key. missed says an enumeration-time lookup
-// already missed on key, so the lookup is not repeated.
-func (mk *Monkey) judged(key stateKey, missed bool,
+// judged resolves the verdict of one constructed crash state whose disk-tier
+// lookup missed on key: rendered by check and stored under key.
+func (mk *Monkey) judged(key stateKey,
 	check func() (*cachedVerdict, string, error)) (*cachedVerdict, string, error) {
 	if mk.Prune == nil {
 		return check()
-	}
-	if !missed {
-		if v, ok := mk.Prune.lookupDisk(key, &mk.Prune.diskHits); ok {
-			return v, "disk", nil
-		}
 	}
 	v, tier, err := check()
 	if err != nil {
@@ -106,14 +99,13 @@ func (mountOracle) judge(mk *Monkey, crash *blockdev.Snapshot, _ int) (*cachedVe
 type sweepCounts struct {
 	// States is the number of crash states enumerated.
 	States int
-	// Checked counts states whose recovery actually ran; Pruned counts
-	// states whose verdict was reused from the prune cache (byte-identical
-	// disk contents already judged) after construction.
-	Checked int
-	Pruned  int
-	// ClassSkipped counts states never constructed at all: the enumerator's
-	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (NoClassPrune restores construction).
+	// Checked counts states whose recovery actually ran. A state whose
+	// fingerprint was already judged reuses the cached verdict and counts
+	// once, by engine: Pruned in the scratch engine, which built the state
+	// before its lookup; ClassSkipped in the incremental engine, which
+	// looked up the enumerator's O(1) delta fingerprint and never built it.
+	Checked      int
+	Pruned       int
 	ClassSkipped int
 	// Mountable counts states that recovered without help; Repaired counts
 	// states that needed fsck and then mounted.
@@ -150,12 +142,10 @@ type sweep struct {
 
 	sweepCounts
 
-	// fp is the fingerprint of the state judge keys on next: recorded by
-	// seen (the enumerator's prediction for the state it builds next) or by
-	// scratchState (an overlay scan), so neither hashes the blocks recovery
-	// writes. looked says seen already looked fp up in the disk tier.
-	fp     uint64
-	looked bool
+	// fp is the fingerprint of the state judge keys on next, recorded by
+	// seen: the enumerator's prediction for the state it builds next, or
+	// scratchState's overlay scan. Neither hashes the blocks recovery writes.
+	fp uint64
 }
 
 func (mk *Monkey) newSweep(p *Profile, axisSalt uint64) *sweep {
@@ -176,9 +166,6 @@ func (s *sweep) at(epoch int) int {
 func (s *sweep) key(epoch int, fp uint64) stateKey {
 	return stateKey{state: fp, oracle: s.salt ^ s.o.salt(s.at(epoch))}
 }
-
-// classPrune reports whether enumeration-time class pruning is on.
-func (s *sweep) classPrune() bool { return s.mk.Prune != nil && !s.mk.NoClassPrune }
 
 func (s *sweep) fail(err error) {
 	if s.err == nil {
@@ -207,60 +194,54 @@ func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
 	}
 }
 
-// judge settles one constructed state — disk-tier lookup unless seen just
-// missed on s.fp, else recover and store — and returns its verdict, or nil
-// once the sweep has failed.
+// judge settles one constructed state whose lookup in seen missed —
+// recover, store — and returns its verdict, or nil once the sweep has
+// failed. The sweep oracles render every verdict in full (no tree tier).
 func (s *sweep) judge(epoch int, desc string, crash *blockdev.Snapshot) *cachedVerdict {
 	var key stateKey
 	if s.mk.Prune != nil {
 		key = s.key(epoch, s.fp)
 	}
-	v, tier, err := s.mk.judged(key, s.looked, func() (*cachedVerdict, string, error) {
+	v, _, err := s.mk.judged(key, func() (*cachedVerdict, string, error) {
 		return s.o.judge(s.mk, crash, s.at(epoch))
 	})
 	if err != nil {
 		s.fail(err)
 		return nil
 	}
-	if tier != "" {
-		s.settle(desc, v, &s.Pruned)
-	} else {
-		s.settle(desc, v, &s.Checked)
-	}
+	s.settle(desc, v, &s.Checked)
 	return v
 }
 
-// seen is the enumerators' Seen hook, consulted with the fingerprint of the
-// state they build next: it records fp for judge and, when class pruning is
-// on, is the enumeration-time class lookup — a state whose fingerprint was
-// already judged under the same expectation is settled from the cached
-// verdict without ever being built. It returns that verdict, nil on a miss.
-func (s *sweep) seen(epoch int, desc string, fp uint64) *cachedVerdict {
-	s.fp, s.looked = fp, s.classPrune()
-	if !s.looked {
-		return nil
-	}
-	v, ok := s.mk.Prune.lookupDisk(s.key(epoch, fp), &s.mk.Prune.classHits)
+// seen is the state's one disk-tier lookup, consulted with its fingerprint
+// (the incremental enumerators' Seen hook, or scratchState after the build):
+// it records fp for judge, and a state whose fingerprint was already judged
+// under the same expectation is settled from the cached verdict under how.
+// It returns that verdict, nil on a miss.
+func (s *sweep) seen(epoch int, desc string, fp uint64, how *int) *cachedVerdict {
+	s.fp = fp
+	v, ok := s.mk.Prune.lookupDisk(s.key(epoch, fp))
 	if !ok {
 		return nil
 	}
-	s.settle(desc, v, &s.ClassSkipped)
+	s.settle(desc, v, how)
 	return v
 }
 
 // scratchState is the cross-check engine's step: the state is built on a
 // fresh snapshot of the base image, apply replaying all prior epochs and
-// counting its writes, and judged with no enumeration-time pruning of any
-// kind.
+// counting its writes, then looked up by its overlay-scan fingerprint and
+// judged on a miss.
 func (s *sweep) scratchState(epoch int, desc string, apply func(blockdev.Device) (int64, error)) bool {
 	crash, n, err := scratchBuild(s.base, s.mk.Meter, apply)
 	if err != nil {
 		s.fail(err)
 		return false
 	}
+	defer crash.Release()
 	s.ReplayedWrites += n
-	if s.mk.Prune != nil {
-		s.fp = crash.Fingerprint()
+	if s.mk.Prune != nil && s.seen(epoch, desc, crash.Fingerprint(), &s.Pruned) != nil {
+		return true
 	}
 	return s.judge(epoch, desc, crash) != nil
 }
