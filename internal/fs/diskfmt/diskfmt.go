@@ -32,13 +32,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum is CRC-32C (Castagnoli) over the payload; adequate for detecting
 // torn or stale blobs produced by crash-state replay. It is stored in a
 // 64-bit header field.
-func Checksum(data []byte) uint64 { return checksumUpdate(0, data) }
-
-// checksumUpdate extends a running Checksum over data, so readBlob can
-// checksum a payload in the same pass that gathers it block by block.
-func checksumUpdate(sum uint64, data []byte) uint64 {
-	return uint64(crc32.Update(uint32(sum), castagnoli, data))
-}
+func Checksum(data []byte) uint64 { return uint64(crc32.Checksum(data, castagnoli)) }
 
 // blockBufs recycles the block-sized buffers superblocks and the first
 // block of each blob are framed in. None outlives the write or check that
@@ -200,9 +194,11 @@ func (l lease) release() {
 
 // readBlob loads a blob written by WriteBlob, verifying magic and checksum,
 // and lends its payload (see lease); the caller releases the lease. It
-// views each block once, checksumming as it gathers; a payload that fails
-// verification is never copied, and one that passes is memoised (see
-// verified), copying only the chunks the page store does not hold.
+// views each block once and looks the payload up in the memo (see verified)
+// before it checksums it: a hit equals a payload verified under the same
+// magic, length and checksum, so only a miss is checksummed. A payload that
+// fails verification is never memoised, and one that passes is, copying
+// only the chunks the page store does not hold.
 func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (lease, int64, error) {
 	head, err := blockdev.ReadView(dev, startBlock)
 	if err != nil {
@@ -229,7 +225,6 @@ func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (lease, int64
 	// gathered into pooled scratch, the one copy a payload that fails
 	// verification costs.
 	got := head[headerLen:min(total, blockdev.BlockSize)]
-	h := checksumUpdate(0, got)
 	var scratch *[]byte
 	if blocks > 1 {
 		scratch = scratchBufs.Get().(*[]byte)
@@ -240,19 +235,21 @@ func readBlob(dev blockdev.Device, startBlock int64, magic uint32) (lease, int64
 				scratchBufs.Put(scratch)
 				return lease{}, 0, err
 			}
-			seg := blk[:min(total-i*blockdev.BlockSize, blockdev.BlockSize)]
-			h = checksumUpdate(h, seg)
-			buf = append(buf, seg...)
+			buf = append(buf, blk[:min(total-i*blockdev.BlockSize, blockdev.BlockSize)]...)
 		}
 		*scratch, got = buf, buf
 	}
-	if h != sum {
-		if scratch != nil {
-			scratchBufs.Put(scratch)
+	k := blobKey{magic: magic, n: n, sum: sum}
+	e := verified.hit(k, got)
+	if e == nil {
+		if Checksum(got) != sum {
+			if scratch != nil {
+				scratchBufs.Put(scratch)
+			}
+			return lease{}, 0, fmt.Errorf("diskfmt: blob checksum mismatch at block %d: %w", startBlock, filesys.ErrCorrupted)
 		}
-		return lease{}, 0, fmt.Errorf("diskfmt: blob checksum mismatch at block %d: %w", startBlock, filesys.ErrCorrupted)
+		e = verified.insert(k, got)
 	}
-	e := verified.intern(blobKey{magic: magic, n: n, sum: sum}, got)
 	//lint:allow borrowview the lease re-lends the view to readBlob's caller, who releases it before the device is written
 	return lease{memoEntry: e, payload: got, scratch: scratch}, blocks, nil
 }
@@ -301,7 +298,7 @@ type blobKey struct {
 }
 
 // memoEntry is one verified payload and the values pure decoders made of
-// it, one per decoder. An entry lives in the memo from the intern that
+// it, one per decoder. An entry lives in the memo from the insert that
 // created it until the memo starts over or a different payload replaces
 // it; decoded values leave with it.
 type memoEntry struct {
@@ -383,24 +380,31 @@ func newPayloadMemo(budget int) *payloadMemo {
 	return &payloadMemo{budget: budget, m: map[blobKey]*memoEntry{}, pages: pagestore.New()}
 }
 
-// intern returns an entry whose payload equals got and that the caller may
-// keep: the memoised one when its chunks equal got, otherwise a new one
-// whose chunks the page store holds, copying in only the chunks it held
-// none equal to, memoised in its place. got itself is not retained, so it
-// may be borrowed. A memo whose budget an insert would exceed, or whose
-// page store alone holds more than the budget, is cleared first; an entry
-// charged more than the whole budget is not memoised.
-func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
-	c.stats.interns.Add(1)
+// hit returns the memoised entry under k when its chunks equal got, the
+// payload readBlob gathered, and nil otherwise; the caller may keep it.
+func (c *payloadMemo) hit(k blobKey, got []byte) *memoEntry {
 	c.mu.Lock()
 	e, ok := c.m[k]
 	c.mu.Unlock()
-	if ok && e.equal(got) {
-		c.stats.hits.Add(1)
-		return e
+	if !ok || !e.equal(got) {
+		return nil
 	}
+	c.stats.interns.Add(1)
+	c.stats.hits.Add(1)
+	return e
+}
+
+// insert returns a new entry for got, a verified payload hit missed, that
+// the caller may keep: its chunks the page store holds, copying in only the
+// chunks it held none equal to, memoised under k in place of any entry
+// there. got itself is not retained, so it may be borrowed. A memo whose
+// budget the insert would exceed, or whose page store alone holds more than
+// the budget, is cleared first; an entry charged more than the whole budget
+// is not memoised.
+func (c *payloadMemo) insert(k blobKey, got []byte) *memoEntry {
+	c.stats.interns.Add(1)
 	c.stats.misses.Add(1)
-	e = &memoEntry{key: k}
+	e := &memoEntry{key: k}
 	shared := e.cut(got, c.pages)
 	c.stats.bytesCopied.Add(int64(e.copied))
 	c.stats.chunksShared.Add(int64(shared))
@@ -542,24 +546,14 @@ func NewDecoder[T any](decode func(*codec.Decoder) (T, error), footprint func(T)
 // before, else a fresh decode, kept beside the payload on success. On a
 // kept value d is left where it was. Errors are not kept.
 func decodeOnce[T any](l lease, d *codec.Decoder, dec *Decoder[T]) (T, error) {
-	if v, ok := decoded(l.memoEntry, dec); ok {
-		return v, nil
+	if v, ok := verified.lookup(l.memoEntry, dec); ok {
+		return v.(T), nil
 	}
 	v, err := dec.decode(d)
 	if err == nil {
 		verified.keep(l.memoEntry, dec, v, dec.footprint(v))
 	}
 	return v, err
-}
-
-// decoded returns the value dec made of e's payload, if the memo keeps one.
-func decoded[T any](e *memoEntry, dec *Decoder[T]) (T, bool) {
-	v, ok := verified.lookup(e, dec)
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	return v.(T), true
 }
 
 // On-disk layout shared by every backend (in blocks):
@@ -720,8 +714,7 @@ func ScanRecords[T any](f Format, dev blockdev.Device, gen uint64, dec *Decoder[
 	})
 }
 
-// scan is the one log walk behind ScanLog, ScanRecords and ReplayImages:
-// apply gets each record's lease, which it then owns and must release, and
+// scan is the one log walk behind ScanLog and ScanRecords: apply gets each record's lease, which it then owns and must release, and
 // a decoder positioned on the record's body.
 func (f Format) scan(dev blockdev.Device, gen uint64, apply func(lease, *codec.Decoder) error) int {
 	head := int64(logStart)
@@ -746,92 +739,40 @@ func (f Format) scan(dev blockdev.Device, gen uint64, apply func(lease, *codec.D
 	return int(seq - 1)
 }
 
-// RecFullImage is the kind byte of a full-image log record: one that holds
-// a whole tree (Tree.Encode) after the kind. Records of any other kind are
-// patches.
+// RecFullImage is the kind byte of a full-image log record, the one every
+// format that recovers through ReplayImages gives it: a whole tree
+// (Tree.Encode) follows the kind. Records of any other kind are patches.
 const RecFullImage byte = 0
 
 // ReplayImages recovers a format whose log holds full images and patches
-// (journalfs, fscqsim): the checkpoint image and every full-image record
-// each supersede the tree before them, and every other record is a patch
-// that decodePatch reads after its kind byte and applyPatch lands, in log
-// order, on the newest image. It returns the generation, the recovered tree,
-// which the caller owns, and how many records the scan took. A patch's
-// bytes are lent while decodePatch and applyPatch run: what a patch keeps
-// of them it copies, or takes from the page store (fstree.DecodeContent).
-//
-// Images are decoded once per process, like LoadImage's (see verified): a
-// full-image record already decoded is taken from the memo, and one that is
-// not is checked with fstree.SkipTree, which rejects exactly what
-// fstree.DecodeTree rejects, and decoded only when the first patch after
-// it arrives or the scan ends with it newest; its lease is held until then.
-// The records accepted, their count and the tree recovered are therefore
-// those of decoding every image as it is read. Decoded images are shared,
-// so the tree patches land on, and the one returned, is a clone of the
-// newest.
-func ReplayImages[P any](f Format, dev blockdev.Device,
-	decodePatch func(kind byte, d *codec.Decoder) (P, error),
-	applyPatch func(*fstree.Tree, P)) (gen uint64, tree *fstree.Tree, replayed int, err error) {
+// (journalfs, fscqsim) through ScanRecords: dec decodes a whole record,
+// image returns the tree of a full-image record and nil for a patch, and
+// apply lands a patch on the newest image, in log order. The checkpoint
+// image and every full-image record each supersede the tree before them. It
+// returns the generation, the recovered tree, which the caller owns, and how
+// many records the scan took. Decoded records and images are shared (see
+// verified), so the tree patches land on, and the one returned, is a clone
+// of the newest image.
+func ReplayImages[R any](f Format, dev blockdev.Device, dec *Decoder[R],
+	image func(R) *fstree.Tree, apply func(*fstree.Tree, R)) (gen uint64, tree *fstree.Tree, replayed int, err error) {
 
 	gen, newest, _, err := f.LoadImage(dev)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	// pending is the lease of the newest full-image record while it is not
-	// decoded yet, and pendingAt a decoder positioned on its tree.
-	var pending lease
-	var pendingAt codec.Decoder
-	defer func() { pending.release() }()
-	clone := func() (*fstree.Tree, error) {
-		if pending.memoEntry != nil {
-			t, err := decodeOnce(pending, &pendingAt, logImages)
-			pending.release()
-			pending = lease{}
-			if err != nil {
-				return nil, err
-			}
-			newest = t
-		}
-		return newest.Clone(), nil
-	}
-	replayed = f.scan(dev, gen, func(l lease, d *codec.Decoder) error {
-		kind := d.Byte()
-		if kind != RecFullImage {
-			defer l.release()
-			p, err := decodePatch(kind, d)
-			if err != nil {
-				return err
-			}
-			if tree == nil {
-				if tree, err = clone(); err != nil {
-					return err
-				}
-			}
-			applyPatch(tree, p)
+	replayed = ScanRecords(f, dev, gen, dec, func(r R) error {
+		if t := image(r); t != nil {
+			newest, tree = t, nil
 			return nil
 		}
-		pending.release()
-		pending, tree = lease{}, nil
-		if t, ok := decoded(l.memoEntry, logImages); ok {
-			l.release()
-			newest = t
-			return nil
+		if tree == nil {
+			tree = newest.Clone()
 		}
-		at := *d
-		if err := fstree.SkipTree(d); err != nil {
-			l.release()
-			return err
-		}
-		pending, pendingAt = l, at
+		apply(tree, r)
 		return nil
 	})
 	if tree == nil {
-		if tree, err = clone(); err != nil {
-			return 0, nil, 0, err
-		}
+		tree = newest.Clone()
 	}
 	return gen, tree, replayed, nil
 }
-
-// logImages decodes the tree of a full-image log record for ReplayImages.
-var logImages = NewDecoder(fstree.DecodeTree, (*fstree.Tree).Footprint)

@@ -326,7 +326,8 @@ func pagePatterned(n int, seed byte) []byte {
 // TestReadBlobMatchesReference damages a blob the way the fault axis does,
 // block by block, after a successful read has memoised its payload: every
 // read must agree with the reference reader, and re-reading the intact blob
-// must still return its payload.
+// must still return its payload. A header whose checksum field alone is
+// wrong frames the memoised bytes, and must still be rejected.
 func TestReadBlobMatchesReference(t *testing.T) {
 	const start, devBlocks, sector = 2, 8, 512
 	stale := bytes.Repeat([]byte{0xCC}, blockdev.BlockSize)
@@ -392,6 +393,17 @@ func TestReadBlobMatchesReference(t *testing.T) {
 				write(dev, b, e.Bytes())
 			}})
 		}
+		mutations = append(mutations, mutation{"checksum field", func(dev *blockdev.MemDisk, b int64) {
+			if b != start {
+				return
+			}
+			e := codec.NewEncoder(blockdev.BlockSize)
+			e.Uint32(testMagic)
+			e.Uint64(uint64(size))
+			e.Uint64(Checksum(payload) ^ 1)
+			e.Raw(payload[:min(size, blockdev.BlockSize-e.Len())])
+			write(dev, b, e.Bytes())
+		}})
 		for _, m := range mutations {
 			dev := blockdev.NewMemDisk(devBlocks)
 			for b := int64(0); b < devBlocks; b++ {

@@ -23,3 +23,12 @@ func (e *memoEntry) gather() []byte {
 	}
 	return out
 }
+
+// intern is readBlob's memo step on a payload taken as verified: the
+// memoised entry when its chunks equal got, else a new one (see insert).
+func (c *payloadMemo) intern(k blobKey, got []byte) *memoEntry {
+	if e := c.hit(k, got); e != nil {
+		return e
+	}
+	return c.insert(k, got)
+}

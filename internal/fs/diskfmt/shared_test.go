@@ -95,9 +95,15 @@ func TestSharedImageClonesConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPatches := func(byte, *codec.Decoder) (int, error) { return 0, errors.New("no patches") }
+	fullImages := NewDecoder(func(d *codec.Decoder) (*fstree.Tree, error) {
+		if d.Byte() != RecFullImage {
+			return nil, errors.New("no patches")
+		}
+		return fstree.DecodeTree(d)
+	}, (*fstree.Tree).Footprint)
 	replay := func() (*fstree.Tree, error) {
-		_, tr, n, err := ReplayImages(f, dev, noPatches, func(*fstree.Tree, int) {})
+		_, tr, n, err := ReplayImages(f, dev, fullImages,
+			func(tr *fstree.Tree) *fstree.Tree { return tr }, func(*fstree.Tree, *fstree.Tree) {})
 		if err == nil && n != 1 {
 			err = fmt.Errorf("replayed %d records, want 1", n)
 		}

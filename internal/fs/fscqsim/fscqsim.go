@@ -72,9 +72,27 @@ func encodeRecord(e *codec.Encoder, r logRecord) {
 	}
 }
 
-// decodePatch reads the body of a patch record of the given kind.
-func decodePatch(kind byte, d *codec.Decoder) (r logRecord, err error) {
-	if kind != recDataPatch {
+// records decodes log records once per distinct payload; the records
+// recovery gets are shared and read-only. applyPatch installs a patch's
+// extent slice in the node it patches without copying it: fstree replaces
+// a node's extent slice whenever it changes it (AllocRange, DeallocRange)
+// and never writes one in place, the rule clones share nodes on.
+var records = diskfmt.NewDecoder(decodeRecord, func(r logRecord) int {
+	const recordBytes, extentBytes = 96, 16
+	if r.tree == nil {
+		return recordBytes + extentBytes*len(r.ext)
+	}
+	return recordBytes + r.tree.Footprint()
+})
+
+// decodeRecord reads a log record: its kind, then a full image's tree or a
+// data patch.
+func decodeRecord(d *codec.Decoder) (r logRecord, err error) {
+	if r.kind = d.Byte(); r.kind == recFullImage {
+		r.tree, err = fstree.DecodeTree(d)
+		return r, err
+	}
+	if r.kind != recDataPatch {
 		return r, fmt.Errorf("fscqsim: unknown record kind: %w", filesys.ErrCorrupted)
 	}
 	r.ino = d.Uint64()
@@ -95,7 +113,7 @@ func (f *FS) Mkfs(dev blockdev.Device) error { return format.Mkfs(dev, nil) }
 
 // Mount implements filesys.FileSystem.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	gen, tree, recovered, err := diskfmt.ReplayImages(format, dev, decodePatch, applyPatch)
+	gen, tree, recovered, err := diskfmt.ReplayImages(format, dev, records, recordImage, applyPatch)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +131,9 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 
 // Fsck implements filesys.FileSystem (FSCQ needs none; recovery is total).
 func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMount(f, dev) }
+
+// recordImage returns the tree of a full-image record, nil for a patch.
+func recordImage(r logRecord) *fstree.Tree { return r.tree }
 
 // applyPatch lands fdatasync'ed data, then truncates to the recorded size —
 // the size is authoritative; a stale size is exactly the N11 data loss.

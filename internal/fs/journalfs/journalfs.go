@@ -75,22 +75,38 @@ func encodeRecord(e *codec.Encoder, r journalRecord) {
 	}
 }
 
-// decodeDirect reads the body of a patch record of the given kind.
-func decodeDirect(kind byte, d *codec.Decoder) (r journalRecord, err error) {
-	if kind != recDirect {
-		return r, fmt.Errorf("journalfs: unknown record kind %d: %w", kind, filesys.ErrCorrupted)
+// records decodes journal records once per distinct payload; the records
+// recovery gets are shared and read-only (a patch's data is immutable
+// Content, which WriteContent shares without writing).
+var records = diskfmt.NewDecoder(decodeRecord, func(r journalRecord) int {
+	const recordBytes = 96
+	if r.tree == nil {
+		return recordBytes
 	}
-	r.ino = d.Uint64()
-	r.off = d.Int64()
-	r.data = fstree.DecodeContent(d)
-	r.size = d.Int64()
-	return r, d.Err()
+	return recordBytes + r.tree.Footprint()
+})
+
+// decodeRecord reads a journal record: its kind, then a full image's tree
+// or a direct-IO patch.
+func decodeRecord(d *codec.Decoder) (r journalRecord, err error) {
+	switch r.kind = d.Byte(); r.kind {
+	case recFullImage:
+		r.tree, err = fstree.DecodeTree(d)
+		return r, err
+	case recDirect:
+		r.ino = d.Uint64()
+		r.off = d.Int64()
+		r.data = fstree.DecodeContent(d)
+		r.size = d.Int64()
+		return r, d.Err()
+	}
+	return r, fmt.Errorf("journalfs: unknown record kind %d: %w", r.kind, filesys.ErrCorrupted)
 }
 
 // Mount implements filesys.FileSystem: load the checkpoint image and replay
 // committed journal transactions.
 func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
-	gen, tree, replayed, err := diskfmt.ReplayImages(format, dev, decodeDirect, applyDirect)
+	gen, tree, replayed, err := diskfmt.ReplayImages(format, dev, records, recordImage, applyDirect)
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +126,9 @@ func (f *FS) Mount(dev blockdev.Device) (filesys.MountedFS, error) {
 // Fsck implements filesys.FileSystem: e2fsck-style — recovery already
 // replays the journal, so fsck only rewrites a clean checkpoint.
 func (f *FS) Fsck(dev blockdev.Device) (bool, error) { return diskfmt.FsckByMount(f, dev) }
+
+// recordImage returns the tree of a full-image record, nil for a patch.
+func recordImage(r journalRecord) *fstree.Tree { return r.tree }
 
 // applyDirect patches a direct-IO write into the image: data and block
 // allocation land, and the size is set from the journaled i_disksize.

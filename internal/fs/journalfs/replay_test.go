@@ -10,10 +10,11 @@ import (
 	"b3/internal/fstree"
 )
 
-// eagerReplay is the reference recovery ReplayImages must match: the
-// checkpoint image and every full-image record are decoded as they are
-// read, each replacing the tree before it. LoadImage's tree is shared and
-// read-only, so patches land on a clone of it.
+// eagerReplay is the reference recovery ReplayImages must match: it reads
+// the log through ScanLog, outside the decoded-value memo, decoding every
+// record as it is read; each full image replaces the tree before it, and
+// patches land on it in place. LoadImage's tree is shared and read-only,
+// so patches before the first full image land on a clone of it.
 func eagerReplay(dev blockdev.Device) (uint64, *fstree.Tree, int, error) {
 	gen, committed, _, err := format.LoadImage(dev)
 	if err != nil {
@@ -21,30 +22,27 @@ func eagerReplay(dev blockdev.Device) (uint64, *fstree.Tree, int, error) {
 	}
 	tree := committed.Clone()
 	replayed := format.ScanLog(dev, gen, func(d *codec.Decoder) error {
-		kind := d.Byte()
-		if kind == recFullImage {
-			next, err := fstree.DecodeTree(d)
-			if err == nil {
-				tree = next
-			}
+		rec, err := decodeRecord(d)
+		if err != nil {
 			return err
 		}
-		rec, err := decodeDirect(kind, d)
-		if err == nil {
+		if rec.tree != nil {
+			tree = rec.tree
+		} else {
 			applyDirect(tree, rec)
 		}
-		return err
+		return nil
 	})
 	return gen, tree, replayed, nil
 }
 
-// TestLazyReplayMatchesEager records a workload whose journal holds direct-IO
-// patches before its first full image, between images and after its last,
-// and checks that on every prefix of its block writes, and on every torn,
-// corrupted and misdirected variant of each write, Mount and ReplayImages
-// recover the generation, record count and tree bytes the eager reference
-// does, and fail where it fails.
-func TestLazyReplayMatchesEager(t *testing.T) {
+// TestReplayImagesMatchesReference records a workload whose journal holds
+// direct-IO patches before its first full image, between images and after
+// its last, and checks that on every prefix of its block writes, and on
+// every torn, corrupted and misdirected variant of each write, Mount and
+// ReplayImages recover the generation, record count and tree bytes
+// eagerReplay does, and fail where it fails.
+func TestReplayImagesMatchesReference(t *testing.T) {
 	h := newHarness(t, fixed())
 	data := bytes.Repeat([]byte("journal "), 700) // images span blocks
 	h.do(h.m.Create("/foo"))
@@ -64,7 +62,7 @@ func TestLazyReplayMatchesEager(t *testing.T) {
 	h.do(h.m.WriteDirect("/baz", 0, []byte("and once more")))
 	h.cp()
 
-	const records = 7 // 3 full images and 4 patches
+	const total = 7 // 3 full images and 4 patches
 	full := 0
 	for _, kind := range []blockdev.FaultKind{blockdev.FaultTorn, blockdev.FaultCorrupt, blockdev.FaultMisdirect} {
 		err := blockdev.ForEachFaultState(h.rec.Log(), kind, 512, func(st blockdev.FaultState, apply func(blockdev.Device) (int64, error)) bool {
@@ -76,14 +74,14 @@ func TestLazyReplayMatchesEager(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantGen, want, wantN, wantErr := eagerReplay(dev)
-			gen, got, n, err := diskfmt.ReplayImages(format, dev, decodeDirect, applyDirect)
+			gen, got, n, err := diskfmt.ReplayImages(format, dev, records, recordImage, applyDirect)
 			if (err == nil) != (wantErr == nil) || gen != wantGen || n != wantN {
-				t.Fatalf("%s: lazy gen %d, %d records, error %v; eager gen %d, %d records, error %v",
+				t.Fatalf("%s: ReplayImages gen %d, %d records, error %v; reference gen %d, %d records, error %v",
 					st.Desc, gen, n, err, wantGen, wantN, wantErr)
 			}
 			m, err := h.fs.Mount(mountDev)
 			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("%s: Mount error %v, eager error %v", st.Desc, err, wantErr)
+				t.Fatalf("%s: Mount error %v, reference error %v", st.Desc, err, wantErr)
 			}
 			if wantErr != nil {
 				return true
@@ -94,7 +92,7 @@ func TestLazyReplayMatchesEager(t *testing.T) {
 			if !bytes.Equal(encodeTree(m.(*mounted).Mem), encodeTree(want)) {
 				t.Fatalf("%s: Mount recovers a different tree", st.Desc)
 			}
-			if wantN == records {
+			if wantN == total {
 				full++
 			}
 			return true
@@ -104,7 +102,7 @@ func TestLazyReplayMatchesEager(t *testing.T) {
 		}
 	}
 	if full == 0 {
-		t.Fatalf("no state replayed all %d records", records)
+		t.Fatalf("no state replayed all %d records", total)
 	}
 }
 

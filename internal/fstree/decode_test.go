@@ -1,6 +1,7 @@
 package fstree
 
 import (
+	"bytes"
 	"testing"
 
 	"b3/internal/codec"
@@ -8,7 +9,7 @@ import (
 )
 
 // richTreeImage encodes a tree with directories, a hard link, a symlink, a
-// fifo, xattrs and extents: every field SkipTree must step over.
+// fifo, xattrs and extents: every field DecodeTree reads.
 func richTreeImage(tb testing.TB) []byte {
 	tb.Helper()
 	tr := New()
@@ -34,17 +35,18 @@ func richTreeImage(tb testing.TB) []byte {
 	return e.Bytes()
 }
 
-// skipSeed is one input FuzzSkipTree starts from and whether DecodeTree
+// decodeSeed is one input FuzzDecodeTree starts from and whether DecodeTree
 // accepts it.
-type skipSeed struct {
+type decodeSeed struct {
 	name string
 	in   []byte
 	ok   bool
 }
 
-// skipTreeSeeds are FuzzSkipTree's seeds; testdata/fuzz/FuzzSkipTree holds
-// each as seed-<name>.
-func skipTreeSeeds(tb testing.TB) []skipSeed {
+// decodeTreeSeeds are FuzzDecodeTree's seeds; testdata/fuzz/FuzzDecodeTree
+// holds each as seed-<name>. The two duplicate-root seeds pin that the last
+// node with the root's number is the root.
+func decodeTreeSeeds(tb testing.TB) []decodeSeed {
 	tb.Helper()
 	valid := richTreeImage(tb)
 	image := func(nodes ...*Node) []byte {
@@ -81,7 +83,7 @@ func skipTreeSeeds(tb testing.TB) []skipSeed {
 	nodeCount.Int(1<<24 + 1)
 	root := &Node{Ino: RootIno, Kind: filesys.KindDir, Nlink: 2, Children: map[string]uint64{}}
 	file := &Node{Ino: RootIno, Kind: filesys.KindRegular, Nlink: 1, Data: Flat([]byte("x"))}
-	return []skipSeed{
+	return []decodeSeed{
 		{"valid-multi-node", valid, true},
 		{"truncated", valid[:len(valid)/2], false},
 		{"implausible-node-count", nodeCount.Bytes(), false},
@@ -94,53 +96,45 @@ func skipTreeSeeds(tb testing.TB) []skipSeed {
 	}
 }
 
-// TestSkipTreeSeeds: on every seed SkipTree and DecodeTree agree, and both
-// match the seed's expected verdict.
-func TestSkipTreeSeeds(t *testing.T) {
-	for _, s := range skipTreeSeeds(t) {
-		_, err := DecodeTree(codec.NewDecoder(s.in))
-		if (err == nil) != s.ok {
+// TestDecodeTreeSeeds: DecodeTree gives every seed its expected verdict,
+// and what it accepts re-encodes stably.
+func TestDecodeTreeSeeds(t *testing.T) {
+	for _, s := range decodeTreeSeeds(t) {
+		if err := checkDecodeTree(t, s.in); (err == nil) != s.ok {
 			t.Errorf("%s: DecodeTree error %v, want ok=%v", s.name, err, s.ok)
 		}
-		checkSkipMatchesDecode(t, s.in)
 	}
 }
 
-// checkSkipMatchesDecode fails t unless SkipTree and DecodeTree return the
-// same error (or none) and leave their decoders at the same offset.
-func checkSkipMatchesDecode(t *testing.T, in []byte) {
+// checkDecodeTree decodes in and returns DecodeTree's error. For an input it
+// accepts, it fails t unless the decoded tree's encoding decodes back to a
+// tree that encodes to the same bytes.
+func checkDecodeTree(t *testing.T, in []byte) error {
 	t.Helper()
-	built, skipped := codec.NewDecoder(in), codec.NewDecoder(in)
-	_, errDecode := DecodeTree(built)
-	errSkip := SkipTree(skipped)
-	if (errDecode == nil) != (errSkip == nil) ||
-		(errDecode != nil && errDecode.Error() != errSkip.Error()) {
-		t.Fatalf("input %x: DecodeTree error %v, SkipTree error %v", in, errDecode, errSkip)
+	tr, err := DecodeTree(codec.NewDecoder(in))
+	if err != nil {
+		return err
 	}
-	if built.Remaining() != skipped.Remaining() {
-		t.Fatalf("input %x: DecodeTree leaves %d bytes, SkipTree %d", in, built.Remaining(), skipped.Remaining())
+	enc := encodeTree(tr)
+	again, err := DecodeTree(codec.NewDecoder(enc))
+	if err != nil {
+		t.Fatalf("input %x: the decoded tree's encoding does not decode: %v", in, err)
 	}
+	if !bytes.Equal(encodeTree(again), enc) {
+		t.Fatalf("input %x: the decoded tree's encoding does not round-trip", in)
+	}
+	return nil
 }
 
-// FuzzSkipTree: SkipTree accepts exactly what DecodeTree accepts and stops
-// at the same offset, so a full image it passed decodes later without fail.
-// Its seeds are skipTreeSeeds, committed under testdata/fuzz/FuzzSkipTree.
-func FuzzSkipTree(f *testing.F) {
-	f.Fuzz(checkSkipMatchesDecode)
+func encodeTree(tr *Tree) []byte {
+	e := codec.NewEncoder(0)
+	tr.Encode(e)
+	return e.Bytes()
 }
 
-// TestSkipTreeAllocatesNothing: checking an image builds no node, map,
-// slice or string.
-func TestSkipTreeAllocatesNothing(t *testing.T) {
-	payload := richTreeImage(t)
-	var d codec.Decoder
-	allocs := testing.AllocsPerRun(100, func() {
-		d.Reset(payload)
-		if err := SkipTree(&d); err != nil || d.Remaining() != 0 {
-			t.Fatalf("SkipTree: %v, %d bytes left", err, d.Remaining())
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SkipTree allocates %v times per image, want 0", allocs)
-	}
+// FuzzDecodeTree: DecodeTree never panics, and a tree it accepts re-encodes
+// stably. Its seeds are decodeTreeSeeds, committed under
+// testdata/fuzz/FuzzDecodeTree.
+func FuzzDecodeTree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) { checkDecodeTree(t, in) })
 }

@@ -890,69 +890,48 @@ func sortedKeys[V any](dst []string, m map[string]V) []string {
 // DecodeNode deserializes a node written by EncodeNode. Nothing it builds
 // aliases the decoder's buffer, which may be reused once it returns: Data
 // is made of the page store's pages (DecodeContent), copying only pages the
-// store does not hold, and the xattr values are copied. DecodeTree and
-// SkipTree parse each node with the same code, so all three reject the same
-// input.
+// store does not hold, and the xattr values are copied. DecodeTree parses
+// each node with it, so both reject the same input.
 func DecodeNode(d *codec.Decoder) (*Node, error) {
-	n := &Node{}
-	if _, _, err := decodeNode(d, n); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// decodeNode reads one node written by EncodeNode into n and returns its
-// inode number and kind. With n nil it builds nothing and allocates nothing,
-// but consumes the same bytes and fails exactly where decoding would: the
-// one parser behind both DecodeTree and SkipTree.
-func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
-	build := n != nil
 	ino := d.Uint64()
 	kind := filesys.FileKind(d.Byte())
 	nlink := d.Int()
 	data := d.Bytes64View() // interned below, once the node is known good
-	target := decodeString(d, build)
+	target := d.String()
 	ne := d.Int()
 	if d.Err() != nil {
-		return 0, 0, d.Err()
+		return nil, d.Err()
 	}
 	if ne < 0 || ne > 1<<20 {
-		return 0, 0, fmt.Errorf("fstree: implausible extent count: %w", filesys.ErrCorrupted)
+		return nil, fmt.Errorf("fstree: implausible extent count: %w", filesys.ErrCorrupted)
 	}
-	if build {
-		*n = Node{Ino: ino, Kind: kind, Nlink: nlink, Target: target}
-	}
+	n := &Node{Ino: ino, Kind: kind, Nlink: nlink, Target: target}
 	for range ne {
-		ext := filesys.Extent{Off: d.Int64(), Len: d.Int64()}
-		if build {
-			n.Extents = append(n.Extents, ext)
-		}
+		n.Extents = append(n.Extents, filesys.Extent{Off: d.Int64(), Len: d.Int64()})
 	}
 	nx := d.Int()
 	if d.Err() != nil {
-		return 0, 0, d.Err()
+		return nil, d.Err()
 	}
 	if nx < 0 || nx > 1<<20 {
-		return 0, 0, fmt.Errorf("fstree: implausible xattr count: %w", filesys.ErrCorrupted)
+		return nil, fmt.Errorf("fstree: implausible xattr count: %w", filesys.ErrCorrupted)
 	}
-	if build && nx > 0 {
+	if nx > 0 {
 		n.Xattrs = make(map[string][]byte, min(nx, d.Remaining()))
 	}
 	for range nx {
-		k := decodeString(d, build)
+		k := d.String()
 		v := d.Bytes64View()
-		if build {
-			n.Xattrs[k] = append(make([]byte, 0, len(v)), v...)
-		}
+		n.Xattrs[k] = append(make([]byte, 0, len(v)), v...)
 	}
 	nc := d.Int()
 	if d.Err() != nil {
-		return 0, 0, d.Err()
+		return nil, d.Err()
 	}
 	if nc < 0 || nc > 1<<24 {
-		return 0, 0, fmt.Errorf("fstree: implausible child count: %w", filesys.ErrCorrupted)
+		return nil, fmt.Errorf("fstree: implausible child count: %w", filesys.ErrCorrupted)
 	}
-	keepChildren := build && kind == filesys.KindDir
+	keepChildren := kind == filesys.KindDir
 	if keepChildren {
 		n.Children = make(map[string]uint64, min(nc, d.Remaining()))
 	}
@@ -964,12 +943,10 @@ func decodeNode(d *codec.Decoder, n *Node) (uint64, filesys.FileKind, error) {
 		}
 	}
 	if d.Err() != nil {
-		return 0, 0, d.Err()
+		return nil, d.Err()
 	}
-	if build {
-		n.Data = internContent(data)
-	}
-	return ino, kind, nil
+	n.Data = internContent(data)
+	return n, nil
 }
 
 // decodeString consumes a length-prefixed string, building it only when
@@ -1002,20 +979,10 @@ func (t *Tree) Encode(e *codec.Encoder) {
 	inoScratch.Put(scratch)
 }
 
-// DecodeTree deserializes a tree written by Encode.
-func DecodeTree(d *codec.Decoder) (*Tree, error) { return decodeTree(d, true) }
-
-// SkipTree consumes a tree written by Encode without building it. It runs
-// every check DecodeTree runs, fails exactly where DecodeTree would, leaves
-// d at the same offset, and allocates nothing on success, so a caller can
-// validate an image it may never need and decode it later from a copy of d.
-func SkipTree(d *codec.Decoder) error {
-	_, err := decodeTree(d, false)
-	return err
-}
-
-// decodeTree decodes a tree, or with build false only checks it.
-func decodeTree(d *codec.Decoder, build bool) (*Tree, error) {
+// DecodeTree deserializes a tree written by Encode. A later node with the
+// root's number replaces an earlier one, so the last occurrence decides
+// whether the tree has a root directory.
+func DecodeTree(d *codec.Decoder) (*Tree, error) {
 	nextIno := d.Uint64()
 	count := d.Int()
 	if d.Err() != nil {
@@ -1024,32 +991,17 @@ func decodeTree(d *codec.Decoder, build bool) (*Tree, error) {
 	if count < 0 || count > 1<<24 {
 		return nil, fmt.Errorf("fstree: implausible node count %d: %w", count, filesys.ErrCorrupted)
 	}
-	var t *Tree
-	if build {
-		// Every node takes several bytes, so the input left bounds the
-		// hint even when count is corrupt.
-		t = &Tree{nodes: make(map[uint64]*Node, min(count, d.Remaining())), nextIno: nextIno}
-	}
-	// A later node with the root's number replaces an earlier one, so the
-	// last occurrence decides whether the root is a directory.
-	rootIsDir := false
+	// Every node takes several bytes, so the input left bounds the hint even
+	// when count is corrupt.
+	t := &Tree{nodes: make(map[uint64]*Node, min(count, d.Remaining())), nextIno: nextIno}
 	for range count {
-		var n *Node
-		if build {
-			n = new(Node)
-		}
-		ino, kind, err := decodeNode(d, n)
+		n, err := DecodeNode(d)
 		if err != nil {
 			return nil, err
 		}
-		if build {
-			t.nodes[ino] = n
-		}
-		if ino == RootIno {
-			rootIsDir = kind == filesys.KindDir
-		}
+		t.nodes[n.Ino] = n
 	}
-	if !rootIsDir {
+	if root := t.nodes[RootIno]; root == nil || root.Kind != filesys.KindDir {
 		return nil, fmt.Errorf("fstree: missing root: %w", filesys.ErrCorrupted)
 	}
 	return t, nil
