@@ -186,10 +186,10 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 					t.Fatal(err)
 				}
 				if n != dev.writes {
-					t.Fatalf("state %s: applier says %d writes, the device saw %d", st.Desc, n, dev.writes)
+					t.Fatalf("state %s: applier says %d writes, the device saw %d", st.String(), n, dev.writes)
 				}
 				scratchReplayed += n
-				want = append(want, scratchState{st.Desc, crash.Fingerprint(), deviceBytes(t, crash)})
+				want = append(want, scratchState{st.String(), crash.Fingerprint(), deviceBytes(t, crash)})
 				return true
 			})
 
@@ -198,17 +198,17 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 			stats, err := ForEachReorderStatePruned(base, log, k, ReorderEnumOpts{}, &meter,
 				func(st ReorderState, crash *Snapshot) bool {
 					if i >= len(want) {
-						t.Fatalf("incremental enumerated extra state %s", st.Desc)
+						t.Fatalf("incremental enumerated extra state %s", st.String())
 					}
 					w := want[i]
-					if st.Desc != w.desc {
-						t.Fatalf("state %d: desc %s != scratch %s", i, st.Desc, w.desc)
+					if st.String() != w.desc {
+						t.Fatalf("state %d: desc %s != scratch %s", i, st.String(), w.desc)
 					}
 					if fp := crash.Fingerprint(); fp != w.fp {
-						t.Fatalf("state %s: fingerprint %x != scratch %x", st.Desc, fp, w.fp)
+						t.Fatalf("state %s: fingerprint %x != scratch %x", st.String(), fp, w.fp)
 					}
 					if !bytes.Equal(deviceBytes(t, crash), w.bytes) {
-						t.Fatalf("state %s: device contents differ from scratch", st.Desc)
+						t.Fatalf("state %s: device contents differ from scratch", st.String())
 					}
 					i++
 					return true
@@ -236,8 +236,8 @@ func TestIncrementalReorderEmptyLog(t *testing.T) {
 	base := NewMemDisk(8)
 	seen := 0
 	_, err := ForEachReorderStatePruned(base, nil, 1, ReorderEnumOpts{}, nil, func(st ReorderState, crash *Snapshot) bool {
-		if st.Desc != "empty" {
-			t.Fatalf("unexpected state %s", st.Desc)
+		if st.String() != "empty" {
+			t.Fatalf("unexpected state %s", st.String())
 		}
 		seen++
 		return true

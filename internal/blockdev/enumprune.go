@@ -198,7 +198,7 @@ func (p *epochPlan) dropFP(rolling *Snapshot, writes []Record, drop []int) uint6
 }
 
 // ForEachReorderStatePruned enumerates the bounded-reordering crash-state
-// space of log — the same space, order, descriptors and byte-identical
+// space of log — the same space, order, states and byte-identical
 // device contents as ForEachReorderState — skipping states per opts before
 // construction. Each state is built from its epoch boundary instead of
 // replaying every prior epoch from scratch:
@@ -239,8 +239,8 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 		// the prefix fingerprint is always at hand before construction.
 		inner := NewTrackedSnapshot(rolling)
 		for j := 0; j < n; j++ {
-			ok, err := b.emit(ReorderState{Epoch: ep.Index, Applied: j,
-				Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}, inner.Fingerprint(), inner, nil)
+			ok, err := b.emit(ReorderState{Epoch: ep.Index, Applied: j, Interval: ep.Checkpoints},
+				inner.Fingerprint(), inner, nil)
 			if err == nil && ok {
 				err = b.replay(inner, ep.Writes[j:j+1], nil, -1)
 			}
@@ -260,7 +260,7 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 			var sweepErr error
 			ok := combinations(n, d, func(drop []int) bool {
 				st := ReorderState{Epoch: ep.Index, Applied: n,
-					Dropped: append([]int(nil), drop...), Desc: dropDesc(ep.Index, drop)}
+					Dropped: append([]int(nil), drop...), Interval: ep.Checkpoints}
 				cont, err := b.emit(st, plan.dropFP(rolling, ep.Writes, drop), rolling,
 					func(crash *Snapshot) error { return b.replay(crash, ep.Writes, drop, -1) })
 				sweepErr = err
@@ -276,12 +276,11 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 			return b.stats, err
 		}
 	}
-	epoch, applied, desc := finalState(epochs)
-	return b.finish(rolling, ReorderState{Epoch: epoch, Applied: applied, Desc: desc})
+	return b.finish(rolling, finalState(epochs))
 }
 
 // ForEachFaultStatePruned enumerates the crash-state space of one fault
-// kind — the same space, order, descriptors and byte-identical device
+// kind — the same space, order, states and byte-identical device
 // contents as ForEachFaultState — consulting opts.Seen with each state's
 // fingerprint before construction. Each state forks a rolling tracked
 // snapshot instead of replaying every prior epoch from scratch, and applies
@@ -320,7 +319,7 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 			// its fingerprint one block hash off the rolling fingerprint.
 			for j, rec := range ep.Writes {
 				ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: -1, Applied: j,
-					Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}, rolling.Fingerprint(), rolling, nil)
+					Interval: ep.Checkpoints}, rolling.Fingerprint(), rolling, nil)
 				if err != nil || !ok {
 					return b.stats, err
 				}
@@ -332,7 +331,7 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 					}
 					fp := rolling.Fingerprint() ^ rolling.term(rec.Block) ^ contrib
 					ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: j,
-						Sectors: s, Desc: fmt.Sprintf("e%d-w%d-torn%d", ep.Index, j, s)}, fp, rolling,
+						Sectors: s, Interval: ep.Checkpoints}, fp, rolling,
 						func(crash *Snapshot) error {
 							b.stats.Replayed++
 							return writeTorn(crash, rec, s, sectorSize)
@@ -355,10 +354,6 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 			buf := poolGet()
 			for j, rec := range ep.Writes {
 				for _, zeroed := range []bool{true, false} {
-					variant := "flip"
-					if zeroed {
-						variant = "zero"
-					}
 					err := corruptBlock(rolling, rec.Block, zeroed, buf)
 					if err != nil {
 						blockPool.Put(buf)
@@ -366,7 +361,7 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 					}
 					fp := rolling.Fingerprint() ^ rolling.term(rec.Block) ^ BlockContribution(rec.Block, buf)
 					ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
-						Zeroed: zeroed, Desc: fmt.Sprintf("e%d-w%d-%s", ep.Index, j, variant)}, fp, rolling,
+						Zeroed: zeroed, Interval: ep.Checkpoints}, fp, rolling,
 						func(crash *Snapshot) error {
 							b.stats.Replayed++
 							return writeCorrupt(crash, rec, zeroed)
@@ -402,7 +397,7 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 					}
 				}
 				ok, err := b.emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
-					Desc: fmt.Sprintf("e%d-w%d-mis", ep.Index, j)}, fp, rolling,
+					Interval: ep.Checkpoints}, fp, rolling,
 					func(crash *Snapshot) error { return b.replay(crash, ep.Writes, nil, j) })
 				if err != nil || !ok {
 					return b.stats, err
@@ -413,8 +408,9 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 			}
 		}
 	}
-	epoch, applied, desc := finalState(epochs)
-	return b.finish(rolling, FaultState{Kind: kind, Epoch: epoch, Write: -1, Applied: applied, Desc: desc})
+	f := finalState(epochs)
+	return b.finish(rolling, FaultState{Kind: kind, Epoch: f.Epoch, Write: -1, Applied: f.Applied, Final: true,
+		Interval: f.Interval})
 }
 
 // tornHasher yields the contributions of one write's torn states in sector

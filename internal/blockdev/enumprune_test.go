@@ -48,19 +48,39 @@ var enumScripts = [][]byte{
 	{},
 }
 
+// checkInterval fails t unless a state of epoch carries its persistence
+// interval: the epoch's Checkpoints, 0 for the empty state (epoch -1).
+func checkInterval(t testing.TB, epochs []Epoch, epoch, interval int) {
+	t.Helper()
+	want := 0
+	if epoch >= 0 {
+		want = epochs[epoch].Checkpoints
+	}
+	if interval != want {
+		t.Fatalf("state in epoch %d: interval %d, want %d", epoch, interval, want)
+	}
+}
+
 // TestReorderPredictedFingerprints checks the heart of class pruning: the
 // fingerprint handed to Seen — computed as an XOR delta before the state is
 // constructed — equals the tracked fingerprint of the state once it is.
+// Every state of both engines carries its epoch's persistence interval.
 func TestReorderPredictedFingerprints(t *testing.T) {
 	for si, script := range enumScripts {
 		log := scriptLog(script)
+		epochs := Epochs(log)
 		for k := 0; k <= 3; k++ {
+			ForEachReorderState(log, k, func(st ReorderState, _ func(Device) (int64, error)) bool {
+				checkInterval(t, epochs, st.Epoch, st.Interval)
+				return true
+			})
 			base := scriptBase(t)
 			var predicted uint64
-			var predDesc string
+			var predName string
 			opts := ReorderEnumOpts{
 				Seen: func(st ReorderState, fp uint64) bool {
-					predicted, predDesc = fp, st.Desc
+					checkInterval(t, epochs, st.Epoch, st.Interval)
+					predicted, predName = fp, st.String()
 					return false
 				},
 			}
@@ -68,12 +88,12 @@ func TestReorderPredictedFingerprints(t *testing.T) {
 			stats, err := ForEachReorderStatePruned(base, log, k, opts, nil,
 				func(st ReorderState, crash *Snapshot) bool {
 					n++
-					if st.Desc != predDesc {
-						t.Fatalf("script %d k=%d: fn got %q, Seen last saw %q", si, k, st.Desc, predDesc)
+					if st.String() != predName {
+						t.Fatalf("script %d k=%d: fn got %q, Seen last saw %q", si, k, st.String(), predName)
 					}
 					if got := crash.Fingerprint(); got != predicted {
 						t.Fatalf("script %d k=%d state %s: predicted fp %016x, constructed %016x",
-							si, k, st.Desc, predicted, got)
+							si, k, st.String(), predicted, got)
 					}
 					return true
 				})
@@ -95,29 +115,38 @@ func TestReorderPredictedFingerprints(t *testing.T) {
 // sector size, predicted fingerprint vs constructed fingerprint. Sectors 4
 // and 8 pin the torn hash's chaining across sector boundaries: the scripts'
 // short records end mid-word, and only 8-byte-aligned boundaries chain.
+// Every state of both engines carries its epoch's persistence interval.
 func TestFaultPredictedFingerprints(t *testing.T) {
 	for si, script := range enumScripts {
 		log := scriptLog(script)
+		epochs := Epochs(log)
 		for kind := FaultKind(0); int(kind) < NumFaultKinds; kind++ {
 			for _, sector := range []int{1, 2, 4, 8, 512, 2048, BlockSize} {
+				if err := ForEachFaultState(log, kind, sector, func(st FaultState, _ func(Device) (int64, error)) bool {
+					checkInterval(t, epochs, st.Epoch, st.Interval)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
 				base := scriptBase(t)
 				var predicted uint64
-				var predDesc string
+				var predName string
 				opts := FaultEnumOpts{
 					Seen: func(st FaultState, fp uint64) bool {
-						predicted, predDesc = fp, st.Desc
+						checkInterval(t, epochs, st.Epoch, st.Interval)
+						predicted, predName = fp, st.String()
 						return false
 					},
 				}
 				stats, err := ForEachFaultStatePruned(base, log, kind, sector, opts, nil,
 					func(st FaultState, crash *Snapshot) bool {
-						if st.Desc != predDesc {
+						if st.String() != predName {
 							t.Fatalf("script %d %s/%d: fn got %q, Seen last saw %q",
-								si, kind, sector, st.Desc, predDesc)
+								si, kind, sector, st.String(), predName)
 						}
 						if got := crash.Fingerprint(); got != predicted {
 							t.Fatalf("script %d %s/%d state %s: predicted fp %016x, constructed %016x",
-								si, kind, sector, st.Desc, predicted, got)
+								si, kind, sector, st.String(), predicted, got)
 						}
 						return true
 					})

@@ -85,16 +85,25 @@ type ReorderState struct {
 	// Dropped lists the in-flight write indices (into the epoch's Writes)
 	// that did not reach the disk, in ascending order. Nil for prefix states.
 	Dropped []int
-	// Desc is a stable human-readable state id ("e2-pfx3", "e2-drop1+4").
-	Desc string
+	// Final marks the sweep's last state ("e2-full", or "empty").
+	Final bool
+	// Interval is the in-flight epoch's Checkpoints, 0 for the empty state.
+	Interval int
 }
 
-func dropDesc(epoch int, drop []int) string {
-	parts := make([]string, len(drop))
-	for i, d := range drop {
-		parts[i] = fmt.Sprintf("%d", d)
+// String returns the state's stable id: "e2-pfx3", "e2-drop1+4", "e2-full"
+// or "empty".
+func (st ReorderState) String() string {
+	switch {
+	case st.Epoch < 0:
+		return "empty"
+	case st.Final:
+		return fmt.Sprintf("e%d-full", st.Epoch)
+	case st.Dropped == nil:
+		return fmt.Sprintf("e%d-pfx%d", st.Epoch, st.Applied)
 	}
-	return fmt.Sprintf("e%d-drop%s", epoch, strings.Join(parts, "+"))
+	drop := strings.Trim(fmt.Sprint(st.Dropped), "[]") // "1 4"
+	return fmt.Sprintf("e%d-drop%s", st.Epoch, strings.ReplaceAll(drop, " ", "+"))
 }
 
 // combinations invokes fn with every size-d subset of {0..n-1} in
@@ -135,11 +144,11 @@ func combinations(n, d int, fn func([]int) bool) bool {
 // and after the last epoch one final fully-replayed state. k = 1 therefore
 // reproduces exactly the legacy sweep (every write prefix plus every
 // drop-one-unbarriered-write state) and larger bounds open strictly more
-// states. fn receives the state descriptor and an applier that replays the
-// state onto a destination device and returns the number of writes it
-// replayed; fn returning false stops the sweep.
+// states. fn receives the state and an applier that replays the state onto
+// a destination device and returns the number of writes it replayed; fn
+// returning false stops the sweep.
 //
-// Distinct descriptors may construct byte-identical device states (dropping
+// Distinct states may construct byte-identical device states (dropping
 // an epoch's last write equals the prefix one shorter); callers that care
 // deduplicate by content fingerprint.
 func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply func(dst Device) (int64, error)) bool) {
@@ -152,24 +161,21 @@ func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply fun
 	for _, ep := range epochs {
 		n := len(ep.Writes)
 		for j := 0; j < n; j++ {
-			if !emit(ReorderState{Epoch: ep.Index, Applied: j,
-				Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}) {
+			if !emit(ReorderState{Epoch: ep.Index, Applied: j, Interval: ep.Checkpoints}) {
 				return
 			}
 		}
 		for d := 1; d <= min(k, n); d++ {
 			ok := combinations(n, d, func(drop []int) bool {
 				return emit(ReorderState{Epoch: ep.Index, Applied: n,
-					Dropped: append([]int(nil), drop...),
-					Desc:    dropDesc(ep.Index, drop)})
+					Dropped: append([]int(nil), drop...), Interval: ep.Checkpoints})
 			})
 			if !ok {
 				return
 			}
 		}
 	}
-	epoch, applied, desc := finalState(epochs)
-	emit(ReorderState{Epoch: epoch, Applied: applied, Desc: desc})
+	emit(finalState(epochs))
 }
 
 // ReorderStateCount returns the number of states ForEachReorderState
@@ -180,14 +186,14 @@ func ReorderStateCount(log []Record, k int) (int64, error) {
 }
 
 // finalState is the state every sweep ends on: after the last epoch, all of
-// its writes applied ("e%d-full"), or "empty" (epoch -1) for a writeless
-// log.
-func finalState(epochs []Epoch) (epoch, applied int, desc string) {
+// its writes applied ("e2-full"), or "empty" (epoch -1) for a writeless log.
+// The fault sweeps end on the same device state.
+func finalState(epochs []Epoch) ReorderState {
 	if len(epochs) == 0 {
-		return -1, 0, "empty"
+		return ReorderState{Epoch: -1, Final: true}
 	}
 	last := epochs[len(epochs)-1]
-	return last.Index, len(last.Writes), fmt.Sprintf("e%d-full", last.Index)
+	return ReorderState{Epoch: last.Index, Applied: len(last.Writes), Final: true, Interval: last.Checkpoints}
 }
 
 // replay writes recs onto dst in order, skipping the indices in the

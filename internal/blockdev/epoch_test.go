@@ -113,7 +113,7 @@ func TestCheckpointIsReorderBarrier(t *testing.T) {
 			b1, _ := dst.ReadBlock(1)
 			zero := make([]byte, BlockSize)
 			if !bytes.Equal(b1, zero) && bytes.Equal(b0, zero) {
-				t.Fatalf("k=%d state %s applies the in-flight write but drops the checkpointed one", k, st.Desc)
+				t.Fatalf("k=%d state %s applies the in-flight write but drops the checkpointed one", k, st.String())
 			}
 			return true
 		})
@@ -131,7 +131,7 @@ func TestReorderK0IsExactlyThePrefixRow(t *testing.T) {
 	var got []uint64
 	ForEachReorderState(log, 0, func(st ReorderState, apply func(Device) (int64, error)) bool {
 		if st.Dropped != nil {
-			t.Fatalf("k=0 yielded drop state %s", st.Desc)
+			t.Fatalf("k=0 yielded drop state %s", st.String())
 		}
 		dst := NewSnapshot(NewMemDisk(8))
 		if _, err := apply(dst); err != nil {
@@ -199,9 +199,9 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 	var descs []string
 	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) (int64, error)) bool {
 		if st.Dropped != nil && len(st.Dropped) != 1 {
-			t.Fatalf("k=1 dropped %d writes in %s", len(st.Dropped), st.Desc)
+			t.Fatalf("k=1 dropped %d writes in %s", len(st.Dropped), st.String())
 		}
-		descs = append(descs, st.Desc)
+		descs = append(descs, st.String())
 		return true
 	})
 	if len(descs) != writes+1+dropStates {
@@ -211,8 +211,8 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 	// Determinism: a second enumeration is identical.
 	i := 0
 	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) (int64, error)) bool {
-		if descs[i] != st.Desc {
-			t.Fatalf("state %d: %s then %s", i, descs[i], st.Desc)
+		if descs[i] != st.String() {
+			t.Fatalf("state %d: %s then %s", i, descs[i], st.String())
 		}
 		i++
 		return true

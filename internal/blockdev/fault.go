@@ -13,7 +13,7 @@ import (
 // unsynced blocks (zeroes from a dropped cache line, bit flips from a failing
 // medium), and misdirect a write onto the wrong LBA. Each of those is
 // modelled here as its own deterministic, exactly-countable iterator with the
-// same contract as ForEachReorderState: stable Descs, a self-counting
+// same contract as ForEachReorderState: stable state names, a self-counting
 // scratch applier, and a pruned tracked-snapshot variant, built on the same
 // construction core as the reorder one (enumprune.go), whose states'
 // fingerprints are predicted before construction (and match their forks'
@@ -181,11 +181,27 @@ type FaultState struct {
 	// Zeroed selects the corruption variant: true replaces the block with
 	// zeroes, false with its bitwise complement (corrupt states only).
 	Zeroed bool
-	// Desc is a stable human-readable state id ("e1-w2-torn3", "e0-w1-zero",
-	// "e0-w1-flip", "e2-w0-mis"). Fault-free prefix and final states reuse
-	// the reorder vocabulary ("e1-pfx2", "e2-full", "empty") because they
-	// are the same device states.
-	Desc string
+	// Final and Interval are as for ReorderState.
+	Final    bool
+	Interval int
+}
+
+// String returns the state's stable id: "e1-w2-torn3", "e0-w1-zero",
+// "e0-w1-flip" or "e2-w0-mis". Fault-free prefix and final states are named
+// as reorder states ("e1-pfx2", "e2-full", "empty"): they are the same
+// device states.
+func (st FaultState) String() string {
+	switch {
+	case st.Write < 0:
+		return ReorderState{Epoch: st.Epoch, Applied: st.Applied, Final: st.Final}.String()
+	case st.Kind == FaultTorn:
+		return fmt.Sprintf("e%d-w%d-torn%d", st.Epoch, st.Write, st.Sectors)
+	case st.Kind == FaultMisdirect:
+		return fmt.Sprintf("e%d-w%d-mis", st.Epoch, st.Write)
+	case st.Zeroed:
+		return fmt.Sprintf("e%d-w%d-zero", st.Epoch, st.Write)
+	}
+	return fmt.Sprintf("e%d-w%d-flip", st.Epoch, st.Write)
 }
 
 // ForEachFaultState enumerates the crash-state space of one fault kind in a
@@ -201,9 +217,9 @@ type FaultState struct {
 //     right, wrapping in range ("e%d-w%d-mis");
 //
 // and after the last epoch one final fully-replayed state. fn receives the
-// state descriptor and an applier that replays the state onto a destination
-// device and returns the number of writes it replayed, the torn or
-// corrupting write included; fn returning false stops the sweep.
+// state and an applier that replays the state onto a destination device
+// and returns the number of writes it replayed, the torn or corrupting
+// write included; fn returning false stops the sweep.
 // FaultStateCount returns the exact number of states enumerated.
 func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
 	fn func(st FaultState, apply func(dst Device) (int64, error)) bool) error {
@@ -224,13 +240,11 @@ func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
 		switch kind {
 		case FaultTorn:
 			for j := 0; j < n; j++ {
-				if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: -1, Applied: j,
-					Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}) {
+				if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: -1, Applied: j, Interval: ep.Checkpoints}) {
 					return nil
 				}
 				for s := 1; s < spb; s++ {
-					if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: j, Sectors: s,
-						Desc: fmt.Sprintf("e%d-w%d-torn%d", ep.Index, j, s)}) {
+					if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: j, Sectors: s, Interval: ep.Checkpoints}) {
 						return nil
 					}
 				}
@@ -238,27 +252,22 @@ func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
 		case FaultCorrupt:
 			for j := 0; j < n; j++ {
 				for _, zeroed := range []bool{true, false} {
-					variant := "flip"
-					if zeroed {
-						variant = "zero"
-					}
 					if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n, Zeroed: zeroed,
-						Desc: fmt.Sprintf("e%d-w%d-%s", ep.Index, j, variant)}) {
+						Interval: ep.Checkpoints}) {
 						return nil
 					}
 				}
 			}
 		case FaultMisdirect:
 			for j := 0; j < n; j++ {
-				if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
-					Desc: fmt.Sprintf("e%d-w%d-mis", ep.Index, j)}) {
+				if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n, Interval: ep.Checkpoints}) {
 					return nil
 				}
 			}
 		}
 	}
-	epoch, applied, desc := finalState(epochs)
-	emit(FaultState{Kind: kind, Epoch: epoch, Write: -1, Applied: applied, Desc: desc})
+	f := finalState(epochs)
+	emit(FaultState{Kind: kind, Epoch: f.Epoch, Write: -1, Applied: f.Applied, Final: true, Interval: f.Interval})
 	return nil
 }
 

@@ -5,7 +5,8 @@ import "testing"
 // FuzzFaultStates drives the fault iterators with an arbitrary write log,
 // sector size, and fault kind, and checks the invariants the soundness
 // suite relies on: FaultStateCount equals the number of states enumerated,
-// no Desc repeats within a sweep, the enumeration is deterministic, and the
+// no state name repeats within a sweep, the enumeration is deterministic,
+// every state carries its epoch's persistence interval, and the
 // fingerprint predicted for Seen, the incremental tracked fingerprint and
 // the from-scratch overlay-scan fingerprint of every state agree, and the
 // count the scratch applier returns is the number of writes its device saw.
@@ -33,6 +34,7 @@ func FuzzFaultStates(f *testing.F) {
 		sector := []int{512, 1024, 2048, BlockSize, 4, 8, 1, 2}[int(sectorSel)%8]
 		log := scriptLog(script)
 		base := scriptBase(t)
+		epochs := Epochs(log)
 
 		want, err := FaultStateCount(log, kind, sector)
 		if err != nil {
@@ -42,20 +44,21 @@ func FuzzFaultStates(f *testing.F) {
 		var fps []uint64
 		seen := map[string]bool{}
 		var predicted uint64
-		opts := FaultEnumOpts{Seen: func(_ FaultState, fp uint64) bool {
+		opts := FaultEnumOpts{Seen: func(st FaultState, fp uint64) bool {
+			checkInterval(t, epochs, st.Epoch, st.Interval)
 			predicted = fp
 			return false
 		}}
 		if _, err := ForEachFaultStatePruned(base, log, kind, sector, opts, nil,
 			func(st FaultState, crash *Snapshot) bool {
-				if seen[st.Desc] {
-					t.Fatalf("duplicate Desc %q", st.Desc)
+				if seen[st.String()] {
+					t.Fatalf("duplicate state %q", st.String())
 				}
-				seen[st.Desc] = true
-				descs = append(descs, st.Desc)
+				seen[st.String()] = true
+				descs = append(descs, st.String())
 				fp := crash.Fingerprint()
 				if fp != predicted {
-					t.Fatalf("state %s: predicted fp %016x, constructed %016x", st.Desc, predicted, fp)
+					t.Fatalf("state %s: predicted fp %016x, constructed %016x", st.String(), predicted, fp)
 				}
 				fps = append(fps, fp)
 				return true
@@ -69,6 +72,7 @@ func FuzzFaultStates(f *testing.F) {
 		// Determinism and incremental/scratch fingerprint agreement.
 		i := 0
 		err = ForEachFaultState(log, kind, sector, func(st FaultState, apply func(Device) (int64, error)) bool {
+			checkInterval(t, epochs, st.Epoch, st.Interval)
 			scratch := NewSnapshot(base)
 			dev := &countingDevice{Device: scratch}
 			n, err := apply(dev)
@@ -76,11 +80,11 @@ func FuzzFaultStates(f *testing.F) {
 				t.Fatal(err)
 			}
 			if n != dev.writes {
-				t.Fatalf("state %s: applier says %d writes, the device saw %d", st.Desc, n, dev.writes)
+				t.Fatalf("state %s: applier says %d writes, the device saw %d", st.String(), n, dev.writes)
 			}
-			if st.Desc != descs[i] || scratch.Fingerprint() != fps[i] {
+			if st.String() != descs[i] || scratch.Fingerprint() != fps[i] {
 				t.Fatalf("state %d: scratch %q/%016x vs incremental %q/%016x",
-					i, st.Desc, scratch.Fingerprint(), descs[i], fps[i])
+					i, st.String(), scratch.Fingerprint(), descs[i], fps[i])
 			}
 			i++
 			return true

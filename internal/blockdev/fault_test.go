@@ -55,7 +55,7 @@ func TestFaultStateCountMatchesEnumeration(t *testing.T) {
 }
 
 // faultSweepFingerprints enumerates one fault sweep with the unpruned
-// ForEachFaultStatePruned over base and returns the Desc and fingerprint
+// ForEachFaultStatePruned over base and returns the name and fingerprint
 // sequences.
 func faultSweepFingerprints(t *testing.T, base Device, log []Record, kind FaultKind, sector int) ([]string, []uint64) {
 	t.Helper()
@@ -63,7 +63,7 @@ func faultSweepFingerprints(t *testing.T, base Device, log []Record, kind FaultK
 	var fps []uint64
 	if _, err := ForEachFaultStatePruned(base, log, kind, sector, FaultEnumOpts{}, nil,
 		func(st FaultState, crash *Snapshot) bool {
-			descs = append(descs, st.Desc)
+			descs = append(descs, st.String())
 			fps = append(fps, crash.Fingerprint())
 			return true
 		}); err != nil {
@@ -74,7 +74,7 @@ func faultSweepFingerprints(t *testing.T, base Device, log []Record, kind FaultK
 
 // TestFaultStatesAreDeterministic is the enumeration half of the soundness
 // cross-check suite: two enumerations of every iterator yield identical
-// Desc/fingerprint sequences, no Desc repeats within a sweep, and the
+// name/fingerprint sequences, no name repeats within a sweep, and the
 // from-scratch applier reconstructs byte-identical states (scan fingerprint
 // equal to the incremental tracked fingerprint).
 func TestFaultStatesAreDeterministic(t *testing.T) {
@@ -100,7 +100,7 @@ func TestFaultStatesAreDeterministic(t *testing.T) {
 							li, kind, i, descs1[i], fps1[i], descs2[i], fps2[i])
 					}
 					if seen[descs1[i]] {
-						t.Fatalf("log %d %s: duplicate Desc %q", li, kind, descs1[i])
+						t.Fatalf("log %d %s: duplicate state %q", li, kind, descs1[i])
 					}
 					seen[descs1[i]] = true
 				}
@@ -111,9 +111,9 @@ func TestFaultStatesAreDeterministic(t *testing.T) {
 					if _, err := apply(scratch); err != nil {
 						t.Fatal(err)
 					}
-					if st.Desc != descs1[i] || scratch.Fingerprint() != fps1[i] {
+					if st.String() != descs1[i] || scratch.Fingerprint() != fps1[i] {
 						t.Fatalf("log %d %s state %d: scratch %q/%016x vs incremental %q/%016x",
-							li, kind, i, st.Desc, scratch.Fingerprint(), descs1[i], fps1[i])
+							li, kind, i, st.String(), scratch.Fingerprint(), descs1[i], fps1[i])
 					}
 					i++
 					return true
@@ -132,7 +132,7 @@ func TestFaultStatesAreDeterministic(t *testing.T) {
 // TestFaultTornDegeneratesToPrefixSweep pins the blockdev half of the
 // torn/k=0 equivalence: at sector == BlockSize a torn sweep has no torn
 // variants left and must equal the reorder k=0 sweep state for state —
-// same Descs, same device contents.
+// same names, same device contents.
 func TestFaultTornDegeneratesToPrefixSweep(t *testing.T) {
 	for li, log := range faultTestLogs {
 		base := NewMemDisk(8)
@@ -142,7 +142,7 @@ func TestFaultTornDegeneratesToPrefixSweep(t *testing.T) {
 		var reorderFPs []uint64
 		if _, err := ForEachReorderStatePruned(base, log, 0, ReorderEnumOpts{}, nil,
 			func(st ReorderState, crash *Snapshot) bool {
-				reorderDescs = append(reorderDescs, st.Desc)
+				reorderDescs = append(reorderDescs, st.String())
 				reorderFPs = append(reorderFPs, crash.Fingerprint())
 				return true
 			}); err != nil {
@@ -189,7 +189,7 @@ func TestFaultStateSemantics(t *testing.T) {
 		var got *Snapshot
 		if _, err := ForEachFaultStatePruned(newBase(), log, kind, 512, FaultEnumOpts{}, nil,
 			func(st FaultState, crash *Snapshot) bool {
-				if st.Desc != desc {
+				if st.String() != desc {
 					return true
 				}
 				// Copy out of the pooled fork so assertions can run after it.

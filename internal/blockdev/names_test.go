@@ -56,12 +56,12 @@ func TestStateNamesPinned(t *testing.T) {
 		for _, script := range enumScripts {
 			log := scriptLog(script)
 			ForEachReorderState(log, k, func(st ReorderState, _ func(Device) (int64, error)) bool {
-				scratch.add(st.Desc)
+				scratch.add(st.String())
 				return true
 			})
 			if _, err := ForEachReorderStatePruned(scriptBase(t), log, k, ReorderEnumOpts{}, nil,
 				func(st ReorderState, _ *Snapshot) bool {
-					pruned.add(st.Desc)
+					pruned.add(st.String())
 					return true
 				}); err != nil {
 				t.Fatal(err)
@@ -75,14 +75,14 @@ func TestStateNamesPinned(t *testing.T) {
 			for _, script := range enumScripts {
 				log := scriptLog(script)
 				if err := ForEachFaultState(log, kind, sector, func(st FaultState, _ func(Device) (int64, error)) bool {
-					scratch.add(st.Desc)
+					scratch.add(st.String())
 					return true
 				}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := ForEachFaultStatePruned(scriptBase(t), log, kind, sector, FaultEnumOpts{}, nil,
 					func(st FaultState, _ *Snapshot) bool {
-						pruned.add(st.Desc)
+						pruned.add(st.String())
 						return true
 					}); err != nil {
 					t.Fatal(err)
@@ -90,5 +90,50 @@ func TestStateNamesPinned(t *testing.T) {
 			}
 			check(fmt.Sprintf("%s/%d", kind, sector), &scratch, &pruned)
 		}
+	}
+}
+
+// TestFaultSweepAllocsFlat checks that an enumerated state costs no
+// allocation of its own: under a Seen that answers every state, nothing is
+// built, so what a sweep allocates is per sweep and per epoch, never per
+// state. The torn sweep at 512-byte sectors yields eight states per write
+// where the 4096-byte sweep yields one, and the corrupt sweep yields two
+// states per write where the misdirect sweep yields one and plans its
+// epochs besides; neither may allocate more than the other.
+func TestFaultSweepAllocsFlat(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	log := scriptLog(enumScripts[1])
+	base := scriptBase(t)
+	opts := FaultEnumOpts{Seen: func(FaultState, uint64) bool { return true }}
+	fn := func(FaultState, *Snapshot) bool {
+		t.Fatal("a state Seen answered was built")
+		return false
+	}
+	sweep := func(kind FaultKind, sector int) (allocs float64, states int64) {
+		allocs = testing.AllocsPerRun(20, func() {
+			stats, err := ForEachFaultStatePruned(base, log, kind, sector, opts, nil, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = stats.States()
+		})
+		return allocs, states
+	}
+	torn512, n512 := sweep(FaultTorn, 512)
+	torn4096, n4096 := sweep(FaultTorn, BlockSize)
+	if n512-1 != 8*(n4096-1) {
+		t.Fatalf("torn sweep: %d states at 512-byte sectors, %d at 4096", n512, n4096)
+	}
+	if torn512 > torn4096 {
+		t.Errorf("torn sweep allocates %.0f objects for %d states at 512-byte sectors, %.0f for %d at 4096",
+			torn512, n512, torn4096, n4096)
+	}
+	corrupt, nc := sweep(FaultCorrupt, SectorSize)
+	misdirect, nm := sweep(FaultMisdirect, SectorSize)
+	if corrupt > misdirect {
+		t.Errorf("corrupt sweep allocates %.0f objects for %d states, misdirect %.0f for %d",
+			corrupt, nc, misdirect, nm)
 	}
 }

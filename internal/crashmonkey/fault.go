@@ -45,34 +45,6 @@ type FaultReport struct {
 	Kinds []FaultKindReport
 }
 
-// Clean reports whether every explored state recovered or was repaired.
-func (r *FaultReport) Clean() bool {
-	for _, kr := range r.Kinds {
-		if len(kr.Broken) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// States returns the total number of states constructed across kinds.
-func (r *FaultReport) States() int {
-	n := 0
-	for _, kr := range r.Kinds {
-		n += kr.States
-	}
-	return n
-}
-
-// ReplayedWrites returns the total construction cost across kinds.
-func (r *FaultReport) ReplayedWrites() int64 {
-	var n int64
-	for _, kr := range r.Kinds {
-		n += kr.ReplayedWrites
-	}
-	return n
-}
-
 // ExploreFaults sweeps the fault-injection crash states of a profiled run
 // for every kind in model, in the order given. When the Monkey has a
 // PruneCache, byte-identical states within a kind are judged once and the
@@ -101,18 +73,18 @@ func (mk *Monkey) exploreFaultKind(p *Profile, kind blockdev.FaultKind, sector i
 	if mk.ScratchStates {
 		s.fail(blockdev.ForEachFaultState(log, kind, sector,
 			func(st blockdev.FaultState, apply func(blockdev.Device) (int64, error)) bool {
-				return s.scratchState(st.Epoch, st.Desc, apply)
+				return named(s, st, s.scratchState(st.Interval, apply))
 			}))
 	} else {
 		var opts blockdev.FaultEnumOpts
 		if mk.Prune != nil {
 			opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
-				return s.seen(st.Epoch, st.Desc, fp, &s.ClassSkipped) != nil
+				return named(s, st, s.seen(st.Interval, fp, &s.ClassSkipped))
 			}
 		}
 		stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, sector, opts, mk.Meter,
 			func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-				return s.judge(st.Epoch, st.Desc, crash) != nil
+				return named(s, st, s.judge(st.Interval, crash))
 			})
 		s.ReplayedWrites = stats.Replayed
 		s.fail(err)

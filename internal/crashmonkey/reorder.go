@@ -44,9 +44,6 @@ type ReorderReport struct {
 	CommuteSkipped int
 }
 
-// Clean reports whether every explored state recovered or was repaired.
-func (r *ReorderReport) Clean() bool { return len(r.Broken) == 0 }
-
 // ExploreReorder sweeps the bounded-reordering crash states of a profiled
 // run at bound k (k = 0 explores only the in-order write prefixes). When the
 // Monkey has a PruneCache, byte-identical states are judged once and the
@@ -64,18 +61,18 @@ func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
 
 	if mk.ScratchStates {
 		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) (int64, error)) bool {
-			return s.scratchState(st.Epoch, st.Desc, apply)
+			return named(s, st, s.scratchState(st.Interval, apply))
 		})
 	} else {
 		var opts blockdev.ReorderEnumOpts
 		if mk.Prune != nil {
 			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
-				return s.seen(st.Epoch, st.Desc, fp, &s.ClassSkipped) != nil
+				return named(s, st, s.seen(st.Interval, fp, &s.ClassSkipped))
 			}
 		}
 		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,
 			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				return s.judge(st.Epoch, st.Desc, crash) != nil
+				return named(s, st, s.judge(st.Interval, crash))
 			})
 		s.ReplayedWrites = stats.Replayed
 		s.fail(err)

@@ -2,6 +2,7 @@ package crashmonkey
 
 import (
 	"errors"
+	"fmt"
 
 	"b3/internal/blockdev"
 	"b3/internal/filesys"
@@ -25,8 +26,8 @@ import (
 
 // oracle is the per-family seam of the sweep pipeline. at selects the
 // expectation a crash state is judged against: the 1-based persistence
-// point on the checkpoint path, the in-flight epoch's persistence interval
-// (blockdev.Epoch.Checkpoints) in the reorder and fault sweeps.
+// point on the checkpoint path, the state's persistence interval (its
+// Interval) in the reorder and fault sweeps.
 type oracle interface {
 	// salt is the expectation's share of the verdict-cache key: two crash
 	// states share a verdict only when their contents and this value agree.
@@ -111,8 +112,9 @@ type sweepCounts struct {
 	// states that needed fsck and then mounted.
 	Mountable int
 	Repaired  int
-	// Broken lists, by Desc, the states that neither mounted nor repaired:
-	// violations of the core-mechanism assumption.
+	// Broken names (by String) the states that neither mounted nor
+	// repaired: violations of the core-mechanism assumption. No other
+	// state's name is rendered.
 	Broken []string
 	// Classes tallies the application oracle's class of every state whose
 	// verdict has one: kvOracle's states that mounted or were repaired. It
@@ -130,10 +132,9 @@ type sweepCounts struct {
 // sweep — of a profile against its sweep oracle. The entry points hand its
 // counts to their axis report once the enumeration ends.
 type sweep struct {
-	mk     *Monkey
-	base   *blockdev.MemDisk
-	epochs []blockdev.Epoch
-	o      oracle
+	mk   *Monkey
+	base *blockdev.MemDisk
+	o    oracle
 	// salt is pruneSalt ^ the axis salt; the oracle's joins it per state.
 	salt uint64
 
@@ -149,22 +150,11 @@ type sweep struct {
 }
 
 func (mk *Monkey) newSweep(p *Profile, axisSalt uint64) *sweep {
-	return &sweep{mk: mk, base: p.base, epochs: blockdev.Epochs(p.rec.Log()), o: p.sweeps,
-		salt: mk.pruneSalt() ^ axisSalt}
+	return &sweep{mk: mk, base: p.base, o: p.sweeps, salt: mk.pruneSalt() ^ axisSalt}
 }
 
-// at maps a state's in-flight epoch to the persistence interval its
-// expectation is taken from (-1, the empty state of a writeless log, is
-// before every persistence point).
-func (s *sweep) at(epoch int) int {
-	if epoch < 0 || epoch >= len(s.epochs) {
-		return 0
-	}
-	return s.epochs[epoch].Checkpoints
-}
-
-func (s *sweep) key(epoch int, fp uint64) stateKey {
-	return stateKey{state: fp, oracle: s.salt ^ s.o.salt(s.at(epoch))}
+func (s *sweep) key(interval int, fp uint64) stateKey {
+	return stateKey{state: fp, oracle: s.salt ^ s.o.salt(interval)}
 }
 
 func (s *sweep) fail(err error) {
@@ -173,12 +163,22 @@ func (s *sweep) fail(err error) {
 	}
 }
 
-// settle accounts one enumerated state under its own Desc; how is the
-// counter for the way its verdict was obtained (checked, pruned or
+// named ends an axis callback on st's verdict v (nil: a Seen miss, or the
+// sweep failed) and reports whether st is settled. A state that neither
+// mounted nor was repaired is named in Broken: no other state is named.
+func named[S fmt.Stringer](s *sweep, st S, v *cachedVerdict) bool {
+	if v != nil && !v.mountable && !v.fsckRepaired {
+		s.Broken = append(s.Broken, st.String())
+	}
+	return v != nil
+}
+
+// settle accounts one enumerated state's verdict and returns it; how is the
+// counter for the way the verdict was obtained (checked, pruned or
 // class-skipped). Skipped states settle exactly like constructed ones, so
 // a report — Broken list and class tally included — is byte-identical across
 // the pruning modes. A verdict with no application class tallies none.
-func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
+func (s *sweep) settle(v *cachedVerdict, how *int) *cachedVerdict {
 	s.States++
 	*how++
 	switch {
@@ -186,31 +186,30 @@ func (s *sweep) settle(desc string, v *cachedVerdict, how *int) {
 		s.Mountable++
 	case v.fsckRepaired:
 		s.Repaired++
-	default:
-		s.Broken = append(s.Broken, desc)
 	}
 	if v.classed {
 		s.Classes.Add(v.class)
 	}
+	return v
 }
 
 // judge settles one constructed state whose lookup in seen missed —
-// recover, store — and returns its verdict, or nil once the sweep has
-// failed. The sweep oracles render every verdict in full (no tree tier).
-func (s *sweep) judge(epoch int, desc string, crash *blockdev.Snapshot) *cachedVerdict {
+// recover against the expectation of interval, store — and returns its
+// verdict, or nil once the sweep has failed. The sweep oracles render
+// every verdict in full (no tree tier).
+func (s *sweep) judge(interval int, crash *blockdev.Snapshot) *cachedVerdict {
 	var key stateKey
 	if s.mk.Prune != nil {
-		key = s.key(epoch, s.fp)
+		key = s.key(interval, s.fp)
 	}
 	v, _, err := s.mk.judged(key, func() (*cachedVerdict, string, error) {
-		return s.o.judge(s.mk, crash, s.at(epoch))
+		return s.o.judge(s.mk, crash, interval)
 	})
 	if err != nil {
 		s.fail(err)
 		return nil
 	}
-	s.settle(desc, v, &s.Checked)
-	return v
+	return s.settle(v, &s.Checked)
 }
 
 // seen is the state's one disk-tier lookup, consulted with its fingerprint
@@ -218,32 +217,33 @@ func (s *sweep) judge(epoch int, desc string, crash *blockdev.Snapshot) *cachedV
 // it records fp for judge, and a state whose fingerprint was already judged
 // under the same expectation is settled from the cached verdict under how.
 // It returns that verdict, nil on a miss.
-func (s *sweep) seen(epoch int, desc string, fp uint64, how *int) *cachedVerdict {
+func (s *sweep) seen(interval int, fp uint64, how *int) *cachedVerdict {
 	s.fp = fp
-	v, ok := s.mk.Prune.lookupDisk(s.key(epoch, fp))
+	v, ok := s.mk.Prune.lookupDisk(s.key(interval, fp))
 	if !ok {
 		return nil
 	}
-	s.settle(desc, v, how)
-	return v
+	return s.settle(v, how)
 }
 
 // scratchState is the cross-check engine's step: the state is built on a
 // fresh snapshot of the base image, apply replaying all prior epochs and
 // counting its writes, then looked up by its overlay-scan fingerprint and
-// judged on a miss.
-func (s *sweep) scratchState(epoch int, desc string, apply func(blockdev.Device) (int64, error)) bool {
+// judged on a miss. It returns the verdict, nil once the sweep has failed.
+func (s *sweep) scratchState(interval int, apply func(blockdev.Device) (int64, error)) *cachedVerdict {
 	crash, n, err := scratchBuild(s.base, s.mk.Meter, apply)
 	if err != nil {
 		s.fail(err)
-		return false
+		return nil
 	}
 	defer crash.Release()
 	s.ReplayedWrites += n
-	if s.mk.Prune != nil && s.seen(epoch, desc, crash.Fingerprint(), &s.Pruned) != nil {
-		return true
+	if s.mk.Prune != nil {
+		if v := s.seen(interval, crash.Fingerprint(), &s.Pruned); v != nil {
+			return v
+		}
 	}
-	return s.judge(epoch, desc, crash) != nil
+	return s.judge(interval, crash)
 }
 
 // scratchBuild is the from-scratch construction both scratch paths share:

@@ -77,20 +77,20 @@ func TestReplayImagesMatchesReference(t *testing.T) {
 			gen, got, n, err := diskfmt.ReplayImages(format, dev, records, recordImage, applyDirect)
 			if (err == nil) != (wantErr == nil) || gen != wantGen || n != wantN {
 				t.Fatalf("%s: ReplayImages gen %d, %d records, error %v; reference gen %d, %d records, error %v",
-					st.Desc, gen, n, err, wantGen, wantN, wantErr)
+					st.String(), gen, n, err, wantGen, wantN, wantErr)
 			}
 			m, err := h.fs.Mount(mountDev)
 			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("%s: Mount error %v, reference error %v", st.Desc, err, wantErr)
+				t.Fatalf("%s: Mount error %v, reference error %v", st.String(), err, wantErr)
 			}
 			if wantErr != nil {
 				return true
 			}
 			if !bytes.Equal(encodeTree(got), encodeTree(want)) {
-				t.Fatalf("%s: ReplayImages recovers a different tree", st.Desc)
+				t.Fatalf("%s: ReplayImages recovers a different tree", st.String())
 			}
 			if !bytes.Equal(encodeTree(m.(*mounted).Mem), encodeTree(want)) {
-				t.Fatalf("%s: Mount recovers a different tree", st.Desc)
+				t.Fatalf("%s: Mount recovers a different tree", st.String())
 			}
 			if wantN == total {
 				full++
