@@ -14,6 +14,7 @@
 package blockdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -79,13 +80,25 @@ func ReadInto(dev Device, n int64, buf []byte) error {
 // constructs by the thousand and which die with the state, and the record
 // buffers of profiles, which die with Recorder.Release. Pooling turns the
 // per-write allocation into a pointer swap (the §6.5 allocation profile).
-var blockPool = sync.Pool{New: func() any { return make([]byte, BlockSize) }}
+// It holds array pointers, which an interface stores as they are, where a
+// slice would be boxed on every Put.
+var blockPool = sync.Pool{New: func() any { return new([BlockSize]byte) }}
 
-func poolGet() []byte { return blockPool.Get().([]byte) }
+func poolGet() []byte { return blockPool.Get().(*[BlockSize]byte)[:] }
 
-// stalePool recycles the stale lists of tracked snapshots, which die with
-// the snapshot just like its overlay buffers.
-var stalePool = sync.Pool{New: func() any { return new([]int64) }}
+// poolPut hands b, a whole buffer poolGet returned, back to the pool.
+func poolPut(b []byte) { blockPool.Put((*[BlockSize]byte)(b)) }
+
+// snapshotPool recycles released tracked snapshots, their overlay and
+// contrib tables and stale list emptied but grown, so a crash-state fork
+// allocates nothing once the tables have room for a state's writes.
+var snapshotPool = sync.Pool{New: func() any { return &Snapshot{overlay: make(map[int64][]byte)} }}
+
+// snapshotPoison, when nonzero, is the byte a tracked snapshot's Release
+// fills the snapshot with instead of recycling it, so a read after Release
+// returns garbage instead of the state it expected (tests only; see
+// poisonReleased).
+var snapshotPoison byte
 
 // BlockMeter counts the block-level IO a harness issues: the blockdev
 // analogue of filesys.Meter. Attach one to the snapshots and replay cursors
@@ -149,7 +162,7 @@ func NewPooledMemDisk(n int64) *MemDisk {
 func (d *MemDisk) Recycle() {
 	for i, b := range d.blocks {
 		if b != nil {
-			blockPool.Put(b)
+			poolPut(b)
 			d.blocks[i] = nil
 		}
 	}
@@ -217,15 +230,15 @@ type Snapshot struct {
 
 	// tracked marks a snapshot that keeps its fingerprint (relative to the
 	// chain's pristine bottom) in fp, hashing lazily, and whose overlay
-	// buffers come from the pool and go back on Release: contrib holds the
-	// contributions of settled overlay blocks, and stale (pooled, nil until
-	// the first write) lists the overlay blocks written since their last
+	// buffers come from the pool and go back on Release, the struct and its
+	// tables with them: contrib holds the contributions of settled overlay
+	// blocks, and stale lists the overlay blocks written since their last
 	// hash — exactly those with no contrib entry, each once. fp covers the
 	// settled blocks; a stale block still counts with its parent's term
 	// until settle hashes it. parent is the base when it is a snapshot too
 	// (fork chains).
 	contrib map[int64]uint64
-	stale   *[]int64
+	stale   []int64
 	fp      uint64
 	parent  *Snapshot
 	meter   *BlockMeter
@@ -248,10 +261,11 @@ func NewSnapshot(base Device) *Snapshot {
 // it), and the fork's Fingerprint stays relative to the chain's pristine
 // bottom device — a crash-state fork over a rolling replay base
 // fingerprints identically to a from-scratch replay onto the bottom
-// device. Overlay buffers come from the shared pool; call Release when the
-// snapshot dies.
+// device. The snapshot and its overlay buffers come from shared pools; call
+// Release when the snapshot dies.
 func NewTrackedSnapshot(base Device) *Snapshot {
-	s := &Snapshot{base: base, overlay: make(map[int64][]byte), tracked: true}
+	s := snapshotPool.Get().(*Snapshot)
+	s.base, s.tracked = base, true
 	if p, ok := base.(*Snapshot); ok {
 		s.parent = p
 		s.fp = p.Fingerprint()
@@ -300,26 +314,18 @@ func (s *Snapshot) term(n int64) uint64 {
 // for its own. A settled snapshot's settle writes nothing, so forks of one
 // settled parent may read it concurrently.
 func (s *Snapshot) settle() {
-	if s.stale == nil || len(*s.stale) == 0 {
+	if len(s.stale) == 0 {
 		return
 	}
 	if s.contrib == nil {
-		s.contrib = make(map[int64]uint64, len(*s.stale))
+		s.contrib = make(map[int64]uint64, len(s.stale))
 	}
-	for _, n := range *s.stale {
+	for _, n := range s.stale {
 		c := BlockContribution(n, s.overlay[n])
 		s.fp ^= s.parent.term(n) ^ c
 		s.contrib[n] = c
 	}
-	*s.stale = (*s.stale)[:0]
-}
-
-// markStale queues block n for the next settle.
-func (s *Snapshot) markStale(n int64) {
-	if s.stale == nil {
-		s.stale = stalePool.Get().(*[]int64)
-	}
-	*s.stale = append(*s.stale, n)
+	s.stale = s.stale[:0]
 }
 
 // ReadBlock implements Device, preferring overlay blocks. Each external
@@ -396,9 +402,9 @@ func (s *Snapshot) WriteBlock(n int64, data []byte) error {
 		if c, settled := s.contrib[n]; settled {
 			s.fp ^= c ^ s.parent.term(n)
 			delete(s.contrib, n)
-			s.markStale(n)
+			s.stale = append(s.stale, n)
 		} else if !ok {
-			s.markStale(n)
+			s.stale = append(s.stale, n)
 		}
 	}
 	return nil
@@ -413,33 +419,79 @@ func (s *Snapshot) NumBlocks() int64 { return s.base.NumBlocks() }
 // Reset drops every modified block, returning the view to the base image.
 // Tracked snapshots stay tracked: the fingerprint re-seeds from the parent.
 func (s *Snapshot) Reset() {
-	s.Release()
-	s.overlay = make(map[int64][]byte)
-	if s.tracked {
-		s.fp = 0
-		if s.parent != nil {
-			s.fp = s.parent.Fingerprint()
-		}
+	if !s.tracked {
+		s.overlay = make(map[int64][]byte)
+		return
+	}
+	s.drop()
+	s.fp = 0
+	if s.parent != nil {
+		s.fp = s.parent.Fingerprint()
 	}
 }
 
-// Release returns a tracked snapshot's overlay buffers to the shared pool
-// and empties the overlay. The snapshot must not be used afterwards
-// (crash-state forks call it once the verdict is recorded); untracked
-// snapshots, whose buffers are not pooled, only drop their references.
+// drop hands a tracked snapshot's overlay buffers back to the shared pool
+// and empties its tables, keeping their room.
+func (s *Snapshot) drop() {
+	for _, b := range s.overlay {
+		poolPut(b)
+	}
+	clear(s.overlay)
+	clear(s.contrib)
+	s.stale = s.stale[:0]
+}
+
+// Release ends the snapshot's life. A tracked snapshot hands its overlay
+// buffers back to the shared pool and is itself recycled by the next
+// NewTrackedSnapshot, its tables emptied: neither it nor any view it lent
+// may be used afterwards (crash-state forks call it once the verdict is
+// recorded). Untracked snapshots, whose buffers are not pooled, only drop
+// their references. A second Release is a no-op.
 func (s *Snapshot) Release() {
-	if s.tracked {
-		for _, b := range s.overlay {
-			blockPool.Put(b)
-		}
+	if s.base == nil {
+		return // released and recycled already
 	}
-	if s.stale != nil {
-		*s.stale = (*s.stale)[:0]
-		stalePool.Put(s.stale)
+	if !s.tracked {
+		s.overlay = nil
+		return
 	}
-	s.overlay = nil
-	s.contrib = nil
-	s.stale = nil
+	if snapshotPoison != 0 {
+		s.poisonReleased()
+		return
+	}
+	s.drop()
+	*s = Snapshot{overlay: s.overlay, contrib: s.contrib, stale: s.stale}
+	snapshotPool.Put(s)
+}
+
+// poisonReleased is Release under the snapshotPoison hook: every overlay
+// buffer is filled with the poison byte and kept, out of the pool, and the
+// snapshot is rebased onto a device whose every block is poison, so each
+// block a late reader asks for is garbage. Untracked, a second Release
+// only drops the overlay.
+func (s *Snapshot) poisonReleased() {
+	poison := bytes.Repeat([]byte{snapshotPoison}, BlockSize)
+	for _, b := range s.overlay {
+		copy(b, poison)
+	}
+	s.base = poisonDevice{blocks: s.NumBlocks(), block: poison}
+	s.parent, s.tracked = nil, false
+}
+
+// poisonDevice is the base of a poisoned released snapshot: every block
+// reads as its one poison block, and nothing may be written to it.
+type poisonDevice struct {
+	blocks int64
+	block  []byte
+}
+
+func (d poisonDevice) ReadBlock(int64) ([]byte, error)     { return bytes.Clone(d.block), nil }
+func (d poisonDevice) ReadBlockView(int64) ([]byte, error) { return d.block, nil }
+func (d poisonDevice) Flush() error                        { return nil }
+func (d poisonDevice) NumBlocks() int64                    { return d.blocks }
+
+func (d poisonDevice) WriteBlock(n int64, _ []byte) error {
+	return fmt.Errorf("blockdev: write block %d under a released snapshot", n)
 }
 
 // DirtyBlocks returns the overlay block numbers in ascending order.

@@ -443,4 +443,55 @@ func TestSnapshotReleaseAndReuseSafety(t *testing.T) {
 			t.Fatalf("recycled buffer leaked stale byte at %d", i)
 		}
 	}
+
+	// A second Release is a no-op: two owners that each release the same
+	// snapshot recycle it once, so the next two forks are two snapshots,
+	// each starting pristine.
+	c := NewTrackedSnapshot(base)
+	c.WriteBlock(2, junk)
+	for _, owner := range []*Snapshot{c, c} {
+		owner.Release()
+	}
+	d, e := NewTrackedSnapshot(base), NewTrackedSnapshot(base)
+	defer d.Release()
+	defer e.Release()
+	if d == e {
+		t.Fatal("a snapshot released twice was handed to two forks")
+	}
+	for _, s := range []*Snapshot{d, e} {
+		if len(s.DirtyBlocks()) != 0 || s.Fingerprint() != 0 {
+			t.Fatalf("a recycled fork starts with %d dirty blocks, fingerprint %016x", len(s.DirtyBlocks()), s.Fingerprint())
+		}
+	}
+}
+
+// TestForkAllocatesNothing checks that a crash-state fork is recycled whole:
+// once one fork has grown the pooled tables, forking a tracked snapshot,
+// writing a few blocks, reading the fingerprint and releasing the fork
+// allocates nothing.
+func TestForkAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	base := NewMemDisk(8)
+	rolling := NewTrackedSnapshot(base)
+	defer rolling.Release()
+	data := bytes.Repeat([]byte{0x3C}, BlockSize)
+	if err := rolling.WriteBlock(0, data); err != nil {
+		t.Fatal(err)
+	}
+	fork := func() {
+		crash := NewTrackedSnapshot(rolling)
+		for n := int64(1); n <= 3; n++ {
+			if err := crash.WriteBlock(n, data[:100*n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = crash.Fingerprint()
+		crash.Release()
+	}
+	fork()
+	if allocs := testing.AllocsPerRun(100, fork); allocs != 0 {
+		t.Fatalf("a fork allocates %.1f objects, want 0", allocs)
+	}
 }

@@ -1,6 +1,10 @@
 package blockdev
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Enumeration-time pruning for the bounded-reordering and fault sweeps.
 // The two-tier verdict cache (crashmonkey's PruneCache) discovers state
@@ -130,20 +134,27 @@ func (b *builder[S]) finish(rolling *Snapshot, st S) (EnumStats, error) {
 // fingerprint of the fully-applied epoch. With it, any drop-set's or
 // misdirected-write's fingerprint is an O(k) XOR delta off fullFP — no
 // snapshot is forked and no write replayed to decide class membership.
+// A sweep takes one plan from planPool and refills it epoch by epoch.
 type epochPlan struct {
 	c      []uint64      // contribution of write i (zero-padded block content)
 	prev   []int         // previous same-block write index, or -1
 	last   map[int64]int // block -> index of its final write in the epoch
 	fullFP uint64        // fingerprint with every epoch write applied
+	drop   []int         // room for a drop-set of the epoch, the sweep's scratch
 }
 
-// planEpoch builds the epoch's plan. rolling must sit at the epoch base.
-func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
-	p := epochPlan{
-		c:    make([]uint64, len(writes)),
-		prev: make([]int, len(writes)),
-		last: make(map[int64]int, len(writes)),
-	}
+// planPool recycles epoch plans between sweeps, their tables emptied but
+// grown, so a sweep that plans its epochs allocates nothing for them.
+var planPool = sync.Pool{New: func() any { return &epochPlan{last: make(map[int64]int)} }}
+
+// plan refills p with the epoch's plan, reusing its tables. rolling must
+// sit at the epoch base.
+func (p *epochPlan) plan(rolling *Snapshot, writes []Record) {
+	n := len(writes)
+	p.c = slices.Grow(p.c[:0], n)[:n]
+	p.prev = slices.Grow(p.prev[:0], n)[:n]
+	p.drop = slices.Grow(p.drop[:0], n)
+	clear(p.last)
 	for i, rec := range writes {
 		p.c[i] = paddedContribution(rec.Block, rec.Data)
 		p.prev[i] = -1
@@ -156,7 +167,6 @@ func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
 	for b, i := range p.last {
 		p.fullFP ^= rolling.term(b) ^ p.c[i]
 	}
-	return p
 }
 
 // inSet reports whether i is in the ascending drop-set (len <= k, so a scan
@@ -232,6 +242,8 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 	b, rolling := newBuilder(base, meter, opts.Seen, fn)
 	defer b.close(rolling)
 	epochs := Epochs(log)
+	plan := planPool.Get().(*epochPlan)
+	defer planPool.Put(plan)
 	for _, ep := range epochs {
 		n := len(ep.Writes)
 		// The prefix family shares an inner rolling fork: state j is the
@@ -252,15 +264,13 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 		inner.Release()
 
 		maxDrop := min(k, n)
-		var plan epochPlan
 		if maxDrop > 0 {
-			plan = planEpoch(rolling, ep.Writes)
+			plan.plan(rolling, ep.Writes)
 		}
 		for d := 1; d <= maxDrop; d++ {
 			var sweepErr error
-			ok := combinations(n, d, func(drop []int) bool {
-				st := ReorderState{Epoch: ep.Index, Applied: n,
-					Dropped: append([]int(nil), drop...), Interval: ep.Checkpoints}
+			ok := combinations(plan.drop[:d], n, func(drop []int) bool {
+				st := ReorderState{Epoch: ep.Index, Applied: n, Dropped: drop, Interval: ep.Checkpoints}
 				cont, err := b.emit(st, plan.dropFP(rolling, ep.Writes, drop), rolling,
 					func(crash *Snapshot) error { return b.replay(crash, ep.Writes, drop, -1) })
 				sweepErr = err
@@ -310,6 +320,8 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 	b, rolling := newBuilder(base, meter, opts.Seen, fn)
 	defer b.close(rolling)
 	epochs := Epochs(log)
+	plan := planPool.Get().(*epochPlan)
+	defer planPool.Put(plan)
 	for _, ep := range epochs {
 		n := len(ep.Writes)
 		switch kind {
@@ -356,7 +368,7 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 				for _, zeroed := range []bool{true, false} {
 					err := corruptBlock(rolling, rec.Block, zeroed, buf)
 					if err != nil {
-						blockPool.Put(buf)
+						poolPut(buf)
 						return b.stats, err
 					}
 					fp := rolling.Fingerprint() ^ rolling.term(rec.Block) ^ BlockContribution(rec.Block, buf)
@@ -367,19 +379,19 @@ func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSi
 							return writeCorrupt(crash, rec, zeroed)
 						})
 					if err != nil || !ok {
-						blockPool.Put(buf)
+						poolPut(buf)
 						return b.stats, err
 					}
 				}
 			}
-			blockPool.Put(buf)
+			poolPut(buf)
 		case FaultMisdirect:
 			// A misdirected write changes the epoch mid-replay, so each state
 			// forks the pre-epoch base and replays the epoch with one write
 			// redirected — the expensive whole-epoch replays the class index
 			// skips with a pure XOR-delta fingerprint, no construction at
 			// all. The rolling snapshot advances afterwards.
-			plan := planEpoch(rolling, ep.Writes)
+			plan.plan(rolling, ep.Writes)
 			for j, rec := range ep.Writes {
 				fp := plan.fullFP
 				if target := misdirectTarget(rolling, rec); target != rec.Block {

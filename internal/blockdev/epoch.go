@@ -45,7 +45,21 @@ type Epoch struct {
 // at least one write. Only barriers separate writes, so each epoch's Writes
 // is a contiguous run of log, which it aliases rather than copies.
 func Epochs(log []Record) []Epoch {
-	var out []Epoch
+	n, open := 0, false
+	for _, rec := range log {
+		switch rec.Kind {
+		case RecWrite:
+			if !open {
+				n, open = n+1, true
+			}
+		case RecFlush, RecCheckpoint:
+			open = false
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Epoch, 0, n)
 	start := -1         // index of the open epoch's first write, -1 when none is open
 	cps, opened := 0, 0 // checkpoints seen so far / before the open epoch's first write
 	for i, rec := range log {
@@ -84,6 +98,9 @@ type ReorderState struct {
 	Applied int
 	// Dropped lists the in-flight write indices (into the epoch's Writes)
 	// that did not reach the disk, in ascending order. Nil for prefix states.
+	// It is the enumerator's scratch, valid only during the callback that
+	// received the state (and the applier handed with it): a caller that
+	// keeps it must copy it.
 	Dropped []int
 	// Final marks the sweep's last state ("e2-full", or "empty").
 	Final bool
@@ -106,11 +123,11 @@ func (st ReorderState) String() string {
 	return fmt.Sprintf("e%d-drop%s", st.Epoch, strings.ReplaceAll(drop, " ", "+"))
 }
 
-// combinations invokes fn with every size-d subset of {0..n-1} in
-// lexicographic order; fn returning false stops the enumeration and makes
-// combinations return false.
-func combinations(n, d int, fn func([]int) bool) bool {
-	idx := make([]int, d)
+// combinations invokes fn with every size-len(idx) subset of {0..n-1} in
+// lexicographic order, built in idx itself; fn returning false stops the
+// enumeration and makes combinations return false.
+func combinations(idx []int, n int, fn func([]int) bool) bool {
+	d := len(idx)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -166,9 +183,8 @@ func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply fun
 			}
 		}
 		for d := 1; d <= min(k, n); d++ {
-			ok := combinations(n, d, func(drop []int) bool {
-				return emit(ReorderState{Epoch: ep.Index, Applied: n,
-					Dropped: append([]int(nil), drop...), Interval: ep.Checkpoints})
+			ok := combinations(make([]int, d), n, func(drop []int) bool {
+				return emit(ReorderState{Epoch: ep.Index, Applied: n, Dropped: drop, Interval: ep.Checkpoints})
 			})
 			if !ok {
 				return

@@ -291,7 +291,7 @@ func FaultStateCount(log []Record, kind FaultKind, sectorSize int) (int64, error
 // blocks (Device semantics), so the torn prefix beyond the data is zeroes.
 func writeTorn(dst Device, rec Record, sectors, sectorSize int) error {
 	buf := poolGet()
-	defer blockPool.Put(buf)
+	defer poolPut(buf)
 	if err := ReadInto(dst, rec.Block, buf); err != nil {
 		return err
 	}
@@ -304,7 +304,7 @@ func writeTorn(dst Device, rec Record, sectors, sectorSize int) error {
 // writeCorrupt replaces rec's block with zeroes or its bitwise complement.
 func writeCorrupt(dst Device, rec Record, zeroed bool) error {
 	buf := poolGet()
-	defer blockPool.Put(buf)
+	defer poolPut(buf)
 	if err := corruptBlock(dst, rec.Block, zeroed, buf); err != nil {
 		return err
 	}

@@ -137,3 +137,41 @@ func TestFaultSweepAllocsFlat(t *testing.T) {
 			corrupt, nc, misdirect, nm)
 	}
 }
+
+// TestReorderSweepAllocsFlat is the reorder twin of TestFaultSweepAllocsFlat:
+// under a Seen that answers every state, the k = 1 and k = 2 sweeps, which
+// add a drop-set state for every subset of each epoch's writes, allocate
+// no more objects than the k = 0 sweep, which yields only the prefixes. A
+// drop-set is handed to Seen as the enumerator's own scratch, not a copy.
+func TestReorderSweepAllocsFlat(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	log := scriptLog(enumScripts[1])
+	base := scriptBase(t)
+	opts := ReorderEnumOpts{Seen: func(ReorderState, uint64) bool { return true }}
+	fn := func(ReorderState, *Snapshot) bool {
+		t.Fatal("a state Seen answered was built")
+		return false
+	}
+	sweep := func(k int) (allocs float64, states int64) {
+		allocs = testing.AllocsPerRun(20, func() {
+			stats, err := ForEachReorderStatePruned(base, log, k, opts, nil, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = stats.States()
+		})
+		return allocs, states
+	}
+	k0, n0 := sweep(0)
+	for k := 1; k <= 2; k++ {
+		allocs, n := sweep(k)
+		if n <= n0 {
+			t.Fatalf("k=%d sweep: %d states, k=0: %d", k, n, n0)
+		}
+		if allocs > k0 {
+			t.Errorf("k=%d sweep allocates %.0f objects for %d states, k=0 %.0f for %d", k, allocs, n, k0, n0)
+		}
+	}
+}

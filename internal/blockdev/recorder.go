@@ -147,7 +147,7 @@ func (r *Recorder) Release() {
 				b[i] = recordPoison
 			}
 		}
-		blockPool.Put(b)
+		poolPut(b)
 	}
 	r.blocks = nil
 }

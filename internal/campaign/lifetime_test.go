@@ -19,6 +19,13 @@ import (
 //go:linkname recordPoison b3/internal/blockdev.recordPoison
 var recordPoison byte
 
+// snapshotPoison is blockdev's test hook (blockdev.go): the byte
+// Snapshot.Release fills a tracked snapshot's overlay buffers with as it
+// hands them back to the pool, keeping the snapshot itself out of the pool.
+//
+//go:linkname snapshotPoison b3/internal/blockdev.snapshotPoison
+var snapshotPoison byte
+
 // lentPoison is diskfmt's test hook (diskfmt.go): the byte a verified
 // payload's lease fills its pooled scratch buffer with as it releases it.
 //
@@ -93,6 +100,45 @@ func TestRecordBuffersDieWithProfile(t *testing.T) {
 	clean, poisoned := run(0), run(0xA5)
 	if clean != poisoned {
 		t.Fatalf("poisoning released record buffers changed the outcome: a sweep read a log after its profile's Release\nhook off:\n%s\nhook on:\n%s",
+			clean, poisoned)
+	}
+}
+
+// TestSnapshotsDieWithRelease pins the lifetime rule of tracked snapshots:
+// a crash-state fork, a rolling snapshot and every view they lent die with
+// the snapshot's Release, which recycles the snapshot and its overlay
+// buffers for the next state. With the poison hook on, Release fills each
+// overlay buffer with garbage and leaves the snapshot holding it, so a
+// sweep or a checker that still read a released state, or a view of one,
+// would judge different states than with the hook off. The quick tier on
+// every backend, at two workers so pooled snapshots and buffers move
+// between goroutines, must find exactly the same thing either way.
+func TestSnapshotsDieWithRelease(t *testing.T) {
+	tier, err := LookupTier("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(poison byte) string {
+		t.Helper()
+		cfg, fss, err := tier.Lower(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = 2
+		snapshotPoison = poison
+		defer func() { snapshotPoison = 0 }()
+		m, err := RunMatrix(cfg, fss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.PerFS) != 5 {
+			t.Fatalf("quick tier ran %d backends, want 5", len(m.PerFS))
+		}
+		return sweepOutcome(m)
+	}
+	clean, poisoned := run(0), run(0xA5)
+	if clean != poisoned {
+		t.Fatalf("poisoning released snapshots changed the outcome: a state was read after its Release\nhook off:\n%s\nhook on:\n%s",
 			clean, poisoned)
 	}
 }
